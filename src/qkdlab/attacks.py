@@ -62,11 +62,6 @@ class ConstraintRow:
     outcome_id: str
     support_index: int
 
-    def describe(self) -> str:
-        basis, bit = self.alice_label
-        return (f"alice={basis}/{bit} setting={self.setting} "
-                f"outcome={self.outcome_id}[{self.support_index}]")
-
 
 @dataclass
 class ConstraintSystem:
@@ -115,6 +110,29 @@ class ConstraintSystem:
         """Coordinates of a channel state over the reachable-space basis."""
         st = fs.embedded(state, self.p_basis[0].registry)
         return np.array([fs.inner_product(b, st) for b in self.p_basis])
+
+    def attack(self, coefficients: np.ndarray, label: str) -> "AttackIsometry":
+        """Wrap a (2, n_basis, eve_dim) probe table over this system's basis."""
+        return AttackIsometry(
+            receiver_name=self.receiver_name,
+            alice_labels=self.alice_labels,
+            p_basis=self.p_basis,
+            coefficients=coefficients,
+            label=label,
+        )
+
+    def edge_bin_coefficients(self, minimum_bins: int = 1
+                              ) -> Tuple[np.ndarray, np.ndarray]:
+        """Coordinates of one photon in the earliest and the latest channel bin."""
+        reg = self.p_basis[0].registry
+        bins = sorted(m.index for m in reg.modes if m.kind == fs.CHANNEL)
+        if len(bins) < minimum_bins:
+            raise AttackError(
+                f"receiver {self.receiver_name!r} exposes {len(bins)} channel "
+                f"time bins; the attack needs {minimum_bins}")
+        return tuple(
+            self.basis_coefficients(PhotonicState.photon(reg, fs.t_in(t)))
+            for t in (bins[0], bins[-1]))
 
     def logical_embeddings(self) -> np.ndarray:
         """(2, n_basis) coordinates of the logical qubit basis states."""
@@ -217,6 +235,17 @@ def build_constraint_system(receiver: rc.ReceiverModel,
         source_embeddings=source_embeddings,
         include_invalid=include_invalid,
     )
+
+
+def _resolve_system(receiver: Optional[rc.ReceiverModel],
+                    system: Optional[ConstraintSystem],
+                    include_invalid: bool = True) -> ConstraintSystem:
+    """The prebuilt ``system``, else the one built from ``receiver``."""
+    if system is None:
+        if receiver is None:
+            raise AttackError("pass a receiver or a prebuilt system")
+        system = build_constraint_system(receiver, include_invalid)
+    return system
 
 
 def null_space(matrix: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
@@ -408,15 +437,12 @@ class AttackFamily:
 
     ``null_basis`` columns span the admissible probe-coefficient
     directions; ``vacuum_directions`` are those supported purely on the
-    blocking (send-nothing) coordinates.  ``gram_constraints`` carries the
-    sesquilinear forms that turn direction weights into the isometry
-    conditions.
+    blocking (send-nothing) coordinates.
     """
 
     system: ConstraintSystem
     null_basis: np.ndarray
     vacuum_directions: Tuple[int, ...]
-    gram_constraints: Dict[str, np.ndarray]
     canonical: AttackIsometry
     only_trivial: bool
     eve_dim: int
@@ -503,13 +529,7 @@ class AttackFamily:
     def member_from_coefficients(self, coefficients: np.ndarray,
                                  label: str = "member") -> AttackIsometry:
         """Validate an explicit probe table as a member and wrap it."""
-        attack = AttackIsometry(
-            receiver_name=self.system.receiver_name,
-            alice_labels=self.system.alice_labels,
-            p_basis=self.system.p_basis,
-            coefficients=coefficients,
-            label=label,
-        )
+        attack = self.system.attack(coefficients, label)
         resid = self.projection_residual(attack)
         if resid >= MEMBER_TOL:
             raise AttackError(
@@ -530,13 +550,7 @@ def _diagonal_member(system: ConstraintSystem, dirs: np.ndarray,
     v = np.zeros((2 * system.n_basis, eve_dim), dtype=complex)
     for axis, d in enumerate(active):
         v[:, axis] = math.sqrt(weights[d]) * dirs[:, d]
-    return AttackIsometry(
-        receiver_name=system.receiver_name,
-        alice_labels=system.alice_labels,
-        p_basis=system.p_basis,
-        coefficients=v.reshape(2, system.n_basis, eve_dim),
-        label=label,
-    )
+    return system.attack(v.reshape(2, system.n_basis, eve_dim), label)
 
 
 def _trivial_direction(system: ConstraintSystem) -> np.ndarray:
@@ -553,13 +567,8 @@ def _passthrough_member(system: ConstraintSystem,
     if np.linalg.norm(resid) > 1e-9:
         return None
     try:
-        return AttackIsometry(
-            receiver_name=system.receiver_name,
-            alice_labels=system.alice_labels,
-            p_basis=system.p_basis,
-            coefficients=system.logical_embeddings()[:, :, None],
-            label="synthesized-canonical",
-        )
+        return system.attack(system.logical_embeddings()[:, :, None],
+                             "synthesized-canonical")
     except AttackError:
         return None
 
@@ -582,13 +591,7 @@ def _parameter_extractors(system: ConstraintSystem
         return {"computational_amp": probe_weight(0, cb0),
                 "hadamard_amp": probe_weight(0, cbp)}
     if name in ("interferometric-2mode", "interferometric-6mode"):
-        reg = system.p_basis[0].registry
-        bins = sorted(m.index for m in reg.modes
-                      if m.kind == fs.CHANNEL)
-        early = system.basis_coefficients(
-            PhotonicState.photon(reg, fs.t_in(bins[0])))
-        late = system.basis_coefficients(
-            PhotonicState.photon(reg, fs.t_in(bins[-1])))
+        early, late = system.edge_bin_coefficients()
         c0 = system.source_embeddings[(rc.COMPUTATIONAL, 0)]
         c1 = system.source_embeddings[(rc.COMPUTATIONAL, 1)]
         return {"early_amp": probe_weight(0, early),
@@ -645,16 +648,7 @@ def synthesize_attacks(system: ConstraintSystem,
         d for d in range(dirs.shape[1])
         if set(np.nonzero(np.abs(dirs[:, d]) > 1e-12)[0]) <= vac_cols)
 
-    n_basis = system.n_basis
-    n0 = dirs[:n_basis, :]
-    n1 = dirs[n_basis:, :]
-    gram_constraints = {
-        "logical-00": n0.conj().T @ n0,
-        "logical-11": n1.conj().T @ n1,
-        "logical-01": n0.conj().T @ n1,
-    }
-
-    a = _weight_rows(dirs, n_basis)
+    a = _weight_rows(dirs, system.n_basis)
     pools = [
         [d for d in range(dirs.shape[1]) if d not in vacuum_directions],
         list(range(dirs.shape[1])),
@@ -703,7 +697,6 @@ def synthesize_attacks(system: ConstraintSystem,
         system=system,
         null_basis=dirs,
         vacuum_directions=vacuum_directions,
-        gram_constraints=gram_constraints,
         canonical=canonical,
         only_trivial=only_trivial,
         eve_dim=eve_dim,
@@ -737,10 +730,7 @@ def verify_oblivious(attack: AttackIsometry,
                      include_invalid: bool = True,
                      tol: float = NULL_TOL) -> ObliviousnessReport:
     """Check every betraying amplitude and the probe Gram matrix."""
-    if system is None:
-        if receiver is None:
-            raise AttackError("pass a receiver or a prebuilt system")
-        system = build_constraint_system(receiver, include_invalid)
+    system = _resolve_system(receiver, system, include_invalid)
     v = _aligned_coefficients(attack, system)
     flat = v.reshape(2 * system.n_basis, attack.eve_dim)
     residual_vectors = system.matrix @ flat
@@ -765,8 +755,7 @@ def attacked_outcome_distribution(attack: AttackIsometry,
                                   system: Optional[ConstraintSystem] = None
                                   ) -> Dict[str, float]:
     """Born probabilities of every outcome when the strategy is in line."""
-    if system is None:
-        system = build_constraint_system(receiver)
+    system = _resolve_system(receiver, system)
     v = _aligned_coefficients(attack, system)
     a0, a1 = system.alpha[alice_label]
     probs: Dict[str, float] = {}
@@ -821,18 +810,6 @@ class EveConditionalStates:
             rho += np.outer(c.vector, c.vector.conj())
         return rho, float(rho.trace().real)
 
-    def vector(self, label: Tuple[str, int], sifted_bit: int) -> np.ndarray:
-        """The single probe vector, when the condition is pure."""
-        rho, tr = self.density(label, sifted_bit)
-        if tr < WEIGHT_TOL:
-            raise AttackError(
-                f"no probe amplitude for {label} with sifted bit {sifted_bit}")
-        vals, vecs = np.linalg.eigh(rho)
-        if len(vals) > 1 and vals[-2] > 1e-12 * vals[-1]:
-            raise AttackError(
-                f"probe state for {label}/{sifted_bit} is mixed")
-        return vecs[:, -1] * math.sqrt(vals[-1])
-
     def detection_probability(self, label: Tuple[str, int]) -> float:
         return self.weight(label, 0) + self.weight(label, 1)
 
@@ -849,10 +826,7 @@ def eve_conditional_states(attack: AttackIsometry,
                            system: Optional[ConstraintSystem] = None
                            ) -> EveConditionalStates:
     """Probe amplitudes for every matched-basis detection class."""
-    if system is None:
-        if receiver is None:
-            raise AttackError("pass a receiver or a prebuilt system")
-        system = build_constraint_system(receiver)
+    system = _resolve_system(receiver, system)
     v = _aligned_coefficients(attack, system)
     components: Dict[Tuple[Tuple[str, int], int],
                      Tuple[EveComponent, ...]] = {}
@@ -889,20 +863,6 @@ def _as_density(state: np.ndarray) -> np.ndarray:
     return arr / tr
 
 
-def helstrom_probability(state0, state1,
-                         prior0: float = 0.5, prior1: float = 0.5) -> float:
-    """Optimal success probability for two-hypothesis discrimination.
-
-    ``(1 + || prior0*rho0 - prior1*rho1 ||_tr) / 2``; for pure states at
-    equal priors this is ``(1 + sqrt(1 - |<a|b>|^2)) / 2``.
-    """
-    rho0 = _as_density(state0)
-    rho1 = _as_density(state1)
-    delta = prior0 * rho0 - prior1 * rho1
-    eigs = np.linalg.eigvalsh(delta)
-    return float(0.5 * (1.0 + np.sum(np.abs(eigs))))
-
-
 @dataclass(frozen=True)
 class HelstromMeasurement:
     """The optimal two-outcome measurement and its per-truth statistics."""
@@ -927,6 +887,17 @@ def helstrom_measurement(state0, state1, prior0: float = 0.5,
         guess0_given_0=g00,
         guess0_given_1=g01,
     )
+
+
+def helstrom_probability(state0, state1,
+                         prior0: float = 0.5, prior1: float = 0.5) -> float:
+    """Optimal success probability for two-hypothesis discrimination.
+
+    ``(1 + || prior0*rho0 - prior1*rho1 ||_tr) / 2``; for pure states at
+    equal priors this is ``(1 + sqrt(1 - |<a|b>|^2)) / 2``.
+    """
+    return helstrom_measurement(state0, state1, prior0,
+                                prior1).success_probability
 
 
 def pairwise_overlaps(states: Sequence[np.ndarray]
@@ -985,16 +956,9 @@ def trivial_attack(receiver: rc.ReceiverModel,
                    system: Optional[ConstraintSystem] = None
                    ) -> AttackIsometry:
     """Pass Alice's state through untouched; the probe stays in one state."""
-    if system is None:
-        system = build_constraint_system(receiver)
-    coeff = system.logical_embeddings()[:, :, None]
-    return AttackIsometry(
-        receiver_name=system.receiver_name,
-        alice_labels=system.alice_labels,
-        p_basis=system.p_basis,
-        coefficients=coeff,
-        label="pass-through",
-    )
+    system = _resolve_system(receiver, system)
+    return system.attack(system.logical_embeddings()[:, :, None],
+                         "pass-through")
 
 
 def cnot_attack(receiver: rc.ReceiverModel,
@@ -1004,20 +968,13 @@ def cnot_attack(receiver: rc.ReceiverModel,
     Perfectly stealthy against a receiver that only checks computational
     rounds, but the copied bit destroys conjugate-basis interference.
     """
-    if system is None:
-        system = build_constraint_system(receiver)
+    system = _resolve_system(receiver, system)
     emb = system.logical_embeddings()
     n_k = system.n_basis
     coeff = np.zeros((2, n_k, 2), dtype=complex)
     coeff[0, :, 0] = emb[0]
     coeff[1, :, 1] = emb[1]
-    return AttackIsometry(
-        receiver_name=system.receiver_name,
-        alice_labels=system.alice_labels,
-        p_basis=system.p_basis,
-        coefficients=coeff,
-        label="copy-computational-bit",
-    )
+    return system.attack(coeff, "copy-computational-bit")
 
 
 def faked_states_attack(receiver: rc.ReceiverModel,
@@ -1029,28 +986,13 @@ def faked_states_attack(receiver: rc.ReceiverModel,
     plain interferometric receivers those bins can only ever reach
     correct-window or unmonitored detections.
     """
-    if system is None:
-        system = build_constraint_system(receiver)
-    reg = system.p_basis[0].registry
-    bins = sorted(m.index for m in reg.modes if m.kind == fs.CHANNEL)
-    if len(bins) < 3:
-        raise AttackError(
-            f"receiver {system.receiver_name!r} exposes no spare time bins")
-    early = system.basis_coefficients(
-        PhotonicState.photon(reg, fs.t_in(bins[0])))
-    late = system.basis_coefficients(
-        PhotonicState.photon(reg, fs.t_in(bins[-1])))
+    system = _resolve_system(receiver, system)
+    early, late = system.edge_bin_coefficients(minimum_bins=3)
     n_k = system.n_basis
     coeff = np.zeros((2, n_k, 2), dtype=complex)
     coeff[0, :, 0] = early
     coeff[1, :, 1] = late
-    return AttackIsometry(
-        receiver_name=system.receiver_name,
-        alice_labels=system.alice_labels,
-        p_basis=system.p_basis,
-        coefficients=coeff,
-        label="faked-states-early-late",
-    )
+    return system.attack(coeff, "faked-states-early-late")
 
 
 def two_mode_attack(receiver: rc.ReceiverModel,
@@ -1070,19 +1012,13 @@ def two_mode_attack(receiver: rc.ReceiverModel,
     ``shared_probe_axis`` the early and late probes reuse one axis (the
     full-information configuration); otherwise they get separate axes.
     """
-    if system is None:
-        system = build_constraint_system(receiver)
+    system = _resolve_system(receiver, system)
     n0 = abs(early_amp) ** 2 + abs(inwindow_amp) ** 2 + 2 * abs(straddle_amp) ** 2
     n1 = abs(late_amp) ** 2 + abs(inwindow_amp) ** 2 + 2 * abs(straddle_amp) ** 2
     if abs(n0 - 1) > 1e-9 or abs(n1 - 1) > 1e-9:
         raise AttackError(
             f"branch normalizations must be 1; got {n0:.12f} and {n1:.12f}")
-    reg = system.p_basis[0].registry
-    bins = sorted(m.index for m in reg.modes if m.kind == fs.CHANNEL)
-    c_early = system.basis_coefficients(
-        PhotonicState.photon(reg, fs.t_in(bins[0])))
-    c_late = system.basis_coefficients(
-        PhotonicState.photon(reg, fs.t_in(bins[-1])))
+    c_early, c_late = system.edge_bin_coefficients()
     emb = system.logical_embeddings()
     eve_dim = 3 if shared_probe_axis else 4
     e = np.eye(eve_dim, dtype=complex)
@@ -1098,13 +1034,7 @@ def two_mode_attack(receiver: rc.ReceiverModel,
     coeff[1] += straddle_amp * np.outer(emb[0], axis_straddle)
     coeff[1] += inwindow_amp * np.outer(emb[1], axis_window)
     coeff[1] += late_amp * np.outer(c_late, axis_late)
-    return AttackIsometry(
-        receiver_name=system.receiver_name,
-        alice_labels=system.alice_labels,
-        p_basis=system.p_basis,
-        coefficients=coeff,
-        label="two-window-family",
-    )
+    return system.attack(coeff, "two-window-family")
 
 
 def full_information_attack(receiver: rc.ReceiverModel,
@@ -1140,8 +1070,7 @@ def bright_pulse_attack(receiver: rc.ReceiverModel,
     if abs(total - 1) > 1e-9:
         raise AttackError(
             f"pointer weights must satisfy comp^2 + 2*had^2 = 1; got {total}")
-    if system is None:
-        system = build_constraint_system(receiver)
+    system = _resolve_system(receiver, system)
     cb0 = system.source_embeddings[(rc.COMPUTATIONAL, 0)]
     cb1 = system.source_embeddings[(rc.COMPUTATIONAL, 1)]
     cbp = system.source_embeddings[(rc.HADAMARD, 0)]
@@ -1155,10 +1084,4 @@ def bright_pulse_attack(receiver: rc.ReceiverModel,
     coeff[1] += computational_amp * np.outer(cb1, e[1])
     coeff[1] += hadamard_amp * np.outer(cbp, e[2])
     coeff[1] += -hadamard_amp * np.outer(cbm, e[3])
-    return AttackIsometry(
-        receiver_name=system.receiver_name,
-        alice_labels=system.alice_labels,
-        p_basis=system.p_basis,
-        coefficients=coeff,
-        label="bright-pulse-family",
-    )
+    return system.attack(coeff, "bright-pulse-family")

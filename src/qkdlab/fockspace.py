@@ -4,9 +4,10 @@ States are finite complex combinations of photon-occupation basis states over
 a declared registry of optical modes.  Modes are labelled by (kind, index)
 pairs, e.g. channel time bins, blocked-arm time bins, interferometer output
 arms, or polarization modes.  All evolutions (beam splitter, phase shifter,
-Mach-Zehnder interferometer forward/reverse) are implemented as substitution
-homomorphisms on creation operators, so multi-photon inputs are handled
-exactly.
+Mach-Zehnder interferometer) are implemented as substitution homomorphisms on
+creation operators, so multi-photon inputs are handled exactly.  The reverse
+interferometer is not tabulated separately: it is derived as the adjoint
+(conjugate transpose) of the forward mode map.
 
 Conventions:
   * symmetric 50/50 beam splitter: transmission amplitude 1/sqrt(2),
@@ -389,25 +390,34 @@ def _mz_forward_map(phi: float, times: Iterable[int], delay: int = 1) -> ModeMap
     return mapping
 
 
-def _mz_reverse_map(phi: float, times: Iterable[int], delay: int = 1) -> ModeMap:
-    e = np.exp(-1j * phi)
-    mapping: ModeMap = {}
-    for t in times:
-        mapping[s_out(t)] = [
-            (t_in(t - delay), -0.5 * e), (blocked(t - delay), -0.5j * e),
-            (t_in(t), 0.5), (blocked(t), -0.5j),
-        ]
-        mapping[d_out(t)] = [
-            (t_in(t - delay), -0.5j * e), (blocked(t - delay), 0.5 * e),
-            (t_in(t), -0.5j), (blocked(t), -0.5),
-        ]
-    return mapping
+def _adjoint(mapping: ModeMap) -> ModeMap:
+    """Conjugate transpose: b_j^dag -> sum_i conj(c_ij) a_i^dag."""
+    adjoint: ModeMap = {}
+    for source, targets in mapping.items():
+        for target, coeff in targets:
+            adjoint.setdefault(target, []).append((source, coeff.conjugate()))
+    return adjoint
 
 
 def _config_args(config) -> Tuple[float, int]:
     if isinstance(config, InterferometerConfig):
         return config.phi, config.delay
     return float(config), 1
+
+
+def _mz_times(state: PhotonicState, reads: Tuple[str, ...],
+              rejects: Tuple[str, ...]) -> set:
+    """Time bins of the `reads` modes in use; any `rejects` mode is an error."""
+    times = set()
+    for occupation in state.amplitudes:
+        for m, _ in occupation:
+            if m.kind in rejects:
+                raise FockError(
+                    f"interferometer input already uses mode {m} from its "
+                    f"output side")
+            if m.kind in reads:
+                times.add(m.index)
+    return times
 
 
 def mz_transform(state: PhotonicState, config: "InterferometerConfig | float" = 0.0) -> PhotonicState:
@@ -420,35 +430,23 @@ def mz_transform(state: PhotonicState, config: "InterferometerConfig | float" = 
     `config` is an InterferometerConfig or a bare phase (delay 1).
     """
     phi, delay = _config_args(config)
-    times = set()
-    for occupation in state.amplitudes:
-        for m, _ in occupation:
-            if m.kind in (OUT_S, OUT_D):
-                raise FockError(
-                    f"forward interferometer input already uses output mode {m}")
-            if m.kind in (CHANNEL, BLOCKED):
-                times.add(m.index)
+    times = _mz_times(state, (CHANNEL, BLOCKED), (OUT_S, OUT_D))
     return apply_mode_map(state, _mz_forward_map(phi, times, delay))
 
 
 def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.0) -> PhotonicState:
-    """Inverse interferometer (the adjoint of mz_transform).
+    """Inverse interferometer, derived as the adjoint of mz_transform.
 
-    |s_t> maps to (-e^{-i phi}|a_{t-delay}> - i e^{-i phi}|b_{t-delay}>
-    + |a_t> - i|b_t>)/2 and |d_t> to (-i e^{-i phi}|a_{t-delay}>
-    + e^{-i phi}|b_{t-delay}> - i|a_t> - |b_t>)/2, where a = channel bins and
-    b = blocked-arm bins.
+    Output bins s_t and d_t are fed by the channel (a) and blocked-arm (b)
+    bins t - delay and t, so the forward map over those input bins is
+    conjugate-transposed: each output creation operator maps to the
+    conjugated forward amplitudes of a_{t-delay}, b_{t-delay}, a_t and b_t,
+    in that order.
     """
     phi, delay = _config_args(config)
-    times = set()
-    for occupation in state.amplitudes:
-        for m, _ in occupation:
-            if m.kind in (CHANNEL, BLOCKED):
-                raise FockError(
-                    f"reverse interferometer input already uses input mode {m}")
-            if m.kind in (OUT_S, OUT_D):
-                times.add(m.index)
-    return apply_mode_map(state, _mz_reverse_map(phi, times, delay))
+    times = _mz_times(state, (OUT_S, OUT_D), (CHANNEL, BLOCKED))
+    sources = sorted(times | {t - delay for t in times})
+    return apply_mode_map(state, _adjoint(_mz_forward_map(phi, sources, delay)))
 
 
 def support_after_trace(state: PhotonicState,
@@ -496,9 +494,14 @@ class InterferometerConfig:
 
     phi: float = 0.0
     delay: int = 1
-    blocked_arm_present: bool = True
 
     def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise FockError(
+                f"interferometer phase must be finite, got {self.phi!r}")
+        if self.delay < 1:
+            raise FockError(
+                f"interferometer delay must be at least 1 bin, got {self.delay!r}")
         if not 0.0 <= self.phi < 2.0 * math.pi:
             object.__setattr__(self, "phi", self.phi % (2.0 * math.pi))
 

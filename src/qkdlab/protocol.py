@@ -63,15 +63,6 @@ class ChannelModel:
     p_multi: float = 0.0
     loss: float = 0.0
 
-    def describe(self) -> str:
-        if self.kind == ATTACK:
-            return f"{self.kind}({self.attack.label})"
-        if self.kind == PNS:
-            return f"{self.kind}(p_multi={self.p_multi})"
-        if self.kind == LOSSY:
-            return f"{self.kind}(loss={self.loss})"
-        return self.kind
-
 
 def _probability(value, name: str) -> float:
     try:

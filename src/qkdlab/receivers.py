@@ -41,6 +41,8 @@ LOSS = "loss"
 # measurement basis; those rounds are discarded at sifting time.
 FOREIGN = "foreign-basis"
 
+INTERPRETATION_TAGS = (BIT0, BIT1, INVALID, LOSS, FOREIGN)
+
 COMPUTATIONAL = "computational"
 HADAMARD = "hadamard"
 Y_BASIS = "y"
@@ -107,6 +109,12 @@ class Setting:
         if mismatch:
             raise ValueError(
                 f"outcomes and interpretations disagree on {sorted(mismatch)}")
+        unknown = sorted(set(self.interpretation.values())
+                         - set(INTERPRETATION_TAGS))
+        if unknown:
+            raise ValueError(
+                f"setting {self.name!r} uses unknown interpretation tags "
+                f"{unknown}; choose from {INTERPRETATION_TAGS}")
 
     def outcomes_tagged(self, tag: str) -> List[str]:
         return [oid for oid, t in self.interpretation.items() if t == tag]
@@ -164,9 +172,6 @@ class ReceiverModel:
     settings: Dict[str, Setting]
     source: AliceSourceModel
     passive: bool = False
-    # Modes the receiver drives with fixed vacuum inputs (not reachable
-    # from the channel): the blocked interferometer arm, typically.
-    ancilla_modes: Tuple[Mode, ...] = ()
 
     def channel_registry(self) -> ModeRegistry:
         return ModeRegistry(self.channel_modes,
@@ -318,10 +323,6 @@ def _channel_bins(reg: ModeRegistry) -> Tuple[Mode, ...]:
     return tuple(m for m in reg.modes if m.kind == fs.CHANNEL)
 
 
-def _blocked_bins(reg: ModeRegistry) -> Tuple[Mode, ...]:
-    return tuple(m for m in reg.modes if m.kind == fs.BLOCKED)
-
-
 def _time_bin_source(channel_reg: ModeRegistry,
                      bases: Tuple[str, str] = (COMPUTATIONAL, HADAMARD)
                      ) -> AliceSourceModel:
@@ -378,7 +379,7 @@ def _make_interferometric_6mode(max_photons: int) -> ReceiverModel:
     }
     source = _time_bin_source(ModeRegistry(channel, max_photons))
     return ReceiverModel("interferometric-6mode", reg, channel, settings,
-                         source, ancilla_modes=_blocked_bins(reg))
+                         source)
 
 
 def _make_defended_10mode(max_photons: int) -> ReceiverModel:
@@ -401,7 +402,7 @@ def _make_defended_10mode(max_photons: int) -> ReceiverModel:
     }
     source = _time_bin_source(ModeRegistry(channel, max_photons))
     return ReceiverModel("interferometric-defended-10mode", reg, channel,
-                         settings, source, ancilla_modes=_blocked_bins(reg))
+                         settings, source)
 
 
 def _make_interferometric_2mode(max_photons: int,
@@ -423,7 +424,7 @@ def _make_interferometric_2mode(max_photons: int,
         source = _time_bin_source(ModeRegistry(channel, max_photons),
                                   bases=(HADAMARD, Y_BASIS))
         return ReceiverModel("interferometric-2mode", reg, channel, settings,
-                             source, ancilla_modes=_blocked_bins(reg))
+                             source)
     if variant not in (None, "two-window"):
         raise ValueError(f"unknown interferometric-2mode variant {variant!r}")
     reg = fs.interferometer_registry(-1, 2, max_photons)
@@ -448,7 +449,7 @@ def _make_interferometric_2mode(max_photons: int,
     }
     source = _time_bin_source(ModeRegistry(channel, max_photons))
     return ReceiverModel("interferometric-2mode", reg, channel, settings,
-                         source, ancilla_modes=_blocked_bins(reg))
+                         source)
 
 
 def _make_polarization_threshold() -> ReceiverModel:
@@ -612,17 +613,19 @@ def make_receiver(kind: str, variant: str | None = None, *,
                      f"choose one of {RECEIVER_KINDS}")
 
 
+def parse_occ(text: str) -> fs.Occupation:
+    """Occupation from a config label such as ``custom:0x2+custom:1``."""
+    if not text or text == "vacuum":
+        return fs.VACUUM
+    pairs = []
+    for part in text.split("+"):
+        label, _, count = part.partition("x")
+        pairs.append((Mode.parse(label), int(count or 1)))
+    return fs.occ(*pairs)
+
+
 def _custom_setting_from_config(name: str, scfg: Mapping,
                                 reg: ModeRegistry) -> Setting:
-    def parse_occ(text: str):
-        if not text or text == "vacuum":
-            return fs.VACUUM
-        pairs = []
-        for part in text.split("+"):
-            label, _, count = part.partition("x")
-            pairs.append((Mode.parse(label), int(count or 1)))
-        return fs.occ(*pairs)
-
     input_basis = [parse_occ(t) for t in scfg["input_basis"]]
     output_basis = [parse_occ(t) for t in scfg["output_basis"]]
     matrix = np.array([[complex(re, im) for re, im in row]
@@ -656,14 +659,8 @@ def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
         if basis not in bases:
             bases.append(basis)
         channel_reg = ModeRegistry(channel, reg.max_photons_per_mode)
-        amps = {}
-        for text, (re, im) in comps.items():
-            pairs = []
-            if text and text != "vacuum":
-                for part in text.split("+"):
-                    lab, _, count = part.partition("x")
-                    pairs.append((Mode.parse(lab), int(count or 1)))
-            amps[fs.occ(*pairs)] = complex(re, im)
+        amps = {parse_occ(text): complex(re, im)
+                for text, (re, im) in comps.items()}
         source_states[(basis, int(bit))] = PhotonicState(channel_reg, amps)
     source = AliceSourceModel(ModeRegistry(channel, reg.max_photons_per_mode),
                               tuple(bases), source_states)

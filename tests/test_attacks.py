@@ -444,6 +444,42 @@ def test_three_hypotheses_refused_with_overlap_report():
 
 
 # ---------------------------------------------------------------------------
+# receiver / system resolution
+# ---------------------------------------------------------------------------
+
+UNRESOLVED_CALLS = {
+    "verify_oblivious": lambda a: atk.verify_oblivious(a, None, None),
+    "attacked_outcome_distribution": lambda a: (
+        atk.attacked_outcome_distribution(a, None, rc.COMPUTATIONAL,
+                                          (rc.COMPUTATIONAL, 0), system=None)),
+    "eve_conditional_states": lambda a: atk.eve_conditional_states(
+        a, None, None),
+    "trivial_attack": lambda a: atk.trivial_attack(None, None),
+    "cnot_attack": lambda a: atk.cnot_attack(None, None),
+    "faked_states_attack": lambda a: atk.faked_states_attack(None, None),
+    "two_mode_attack": lambda a: atk.two_mode_attack(
+        None, 0.5, 0.5, 0.5, 0.5, system=None),
+    "bright_pulse_attack": lambda a: atk.bright_pulse_attack(
+        None, computational_amp=1.0, system=None),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(UNRESOLVED_CALLS))
+def test_missing_receiver_and_system_is_an_attack_error(ideal, entry):
+    attack = atk.trivial_attack(None, ideal[1])
+    with pytest.raises(atk.AttackError, match="receiver or a prebuilt system"):
+        UNRESOLVED_CALLS[entry](attack)
+
+
+@pytest.mark.parametrize("build", [
+    atk.faked_states_attack, atk.full_information_attack])
+def test_time_bin_attacks_need_channel_time_bins(ideal, build):
+    receiver, system, _ = ideal
+    with pytest.raises(atk.AttackError, match="channel time bins"):
+        build(receiver, system=system)
+
+
+# ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
 

@@ -286,6 +286,21 @@ def test_unknown_receiver_exits_config_error():
     assert payload["context"]["receiver"] == "no-such"
 
 
+def test_custom_receiver_with_unknown_interpretation_tag_exits_2(tmp_path):
+    cfg = json.loads(json.dumps(UNSATISFIABLE_RECEIVER))
+    cfg["settings"]["computational"]["interpretation"]["D1"] = "bit_1"
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps(cfg))
+    code, stdout, stderr = run_cli(["reverse-space", "--receiver", path])
+    assert code == cli.EXIT_CONFIG
+    assert stdout == ""
+    lines = stderr.strip().splitlines()
+    assert len(lines) == 1
+    payload = json.loads(lines[0])
+    assert payload["code"] == "invalid-receiver"
+    assert "bit_1" in payload["message"]
+
+
 def test_missing_required_option_exits_config_error():
     code, _, stderr = run_cli(["verify", "--receiver", "ideal-bb84"])
     assert code == cli.EXIT_CONFIG
@@ -459,6 +474,31 @@ def test_bundled_scenarios_run_with_expected_exit_codes(tmp_path,
         "verification-copy-vs-ideal.json",
         "verification-faked-states-6mode.json",
     ]
+
+
+# ---------------------------------------------------------------------------
+# seeded artifacts stay byte-identical
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,build,kind", [
+    ("faked-states-6mode-attack.json", atk.faked_states_attack,
+     "interferometric-6mode"),
+    ("cnot-ideal-attack.json", atk.cnot_attack, "ideal-bb84"),
+])
+def test_example_attacks_rebuild_byte_for_byte(name, build, kind):
+    attack = build(rc.make_receiver(kind))
+    expected = (EXAMPLE_DIR / name).read_text(encoding="utf-8")
+    assert cli._dump(attack.to_json_dict()) == expected
+
+
+def test_simulation_scenario_reproduces_the_tracked_artifact(tmp_path):
+    out = tmp_path / "sim.json"
+    code, _, stderr = run_cli(
+        ["simulate", "--config", SCENARIO_DIR / "simulate-faked-states.json",
+         "--out", out])
+    assert code == cli.EXIT_OK, stderr
+    tracked = REPO_ROOT / "artifacts" / "simulation-faked-states.json"
+    assert out.read_bytes() == tracked.read_bytes()
 
 
 # ---------------------------------------------------------------------------

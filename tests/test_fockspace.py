@@ -300,6 +300,105 @@ def test_mz_matrix_is_an_isometry_and_reverse_is_its_adjoint(phi):
             assert abs(rev.amplitude(single(im)) - np.conj(m[r, c])) < 1e-12
 
 
+def ryser_permanent(m):
+    """Permanent by Ryser's inclusion-exclusion formula."""
+    n = m.shape[0]
+    total = 0.0
+    for subset in range(1, 1 << n):
+        cols = [j for j in range(n) if subset >> j & 1]
+        total += (-1) ** len(cols) * np.prod(m[:, cols].sum(axis=1))
+    return (-1) ** n * total
+
+
+def documented_mz_matrix(in_modes, out_modes, phi):
+    """Single-photon transfer matrix written out from the mz_transform docs."""
+    e = np.exp(1j * phi)
+    u = np.zeros((len(out_modes), len(in_modes)), complex)
+    row = {m: r for r, m in enumerate(out_modes)}
+    for c, m in enumerate(in_modes):
+        t = m.index
+        if m.kind == fs.CHANNEL:
+            image = {s_out(t): 0.5, d_out(t): 0.5j,
+                     s_out(t + 1): -0.5 * e, d_out(t + 1): 0.5j * e}
+        else:
+            image = {s_out(t): 0.5j, d_out(t): -0.5,
+                     s_out(t + 1): 0.5j * e, d_out(t + 1): 0.5 * e}
+        for om, v in image.items():
+            u[row[om], c] = v
+    return u
+
+
+def multisets(modes, n):
+    if n == 0:
+        yield ()
+        return
+    if not modes:
+        return
+    first, rest = modes[0], modes[1:]
+    for k in range(n, -1, -1):
+        for tail in multisets(rest, n - k):
+            yield (first,) * k + tail
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_mz_multiphoton_amplitudes_match_permanents(n):
+    # <T| U |S> = per(U_{T,S}) / sqrt(prod s! prod t!)  (Scheel,
+    # quant-ph/0406127), with rows/columns repeated by occupation
+    phi = 0.7
+    reg = fs.interferometer_registry(0, 1, max_photons=n)
+    in_modes = [t_in(0), t_in(1), blocked(0), blocked(1)]
+    out_modes = [m(t) for m in (s_out, d_out) for t in range(3)]
+    u = documented_mz_matrix(in_modes, out_modes, phi)
+    rng = np.random.default_rng(n)
+    for _ in range(3):
+        picks = sorted(rng.choice(len(in_modes), size=n).tolist())
+        s = occ(*((in_modes[i], picks.count(i)) for i in set(picks)))
+        out = fs.mz_transform(PhotonicState.basis(reg, s), phi)
+        s_fact = math.prod(math.factorial(k) for _, k in s)
+        for t_modes in multisets(out_modes, n):
+            t = occ(*((m, t_modes.count(m)) for m in set(t_modes)))
+            t_fact = math.prod(math.factorial(k) for _, k in t)
+            sub = u[np.ix_([out_modes.index(m) for m in t_modes], picks)]
+            expected = ryser_permanent(sub) / math.sqrt(s_fact * t_fact)
+            assert abs(out.amplitude(t) - expected) < 1e-12
+
+
+def random_state(reg, modes, n, rng, terms=4):
+    amps = {}
+    for _ in range(terms):
+        picks = rng.choice(len(modes), size=n).tolist()
+        o = occ(*((modes[i], picks.count(i)) for i in set(picks)))
+        amps[o] = complex(rng.normal(), rng.normal())
+    return PhotonicState(reg, amps).normalized()
+
+
+@pytest.mark.parametrize("delay", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mz_reverse_is_the_adjoint_on_multiphoton_states(delay, n):
+    # <T a, b> = <a, R b> for input-side a and output-side b
+    bins = range(-2, 4)
+    reg = fs.registry([m(t) for t in bins for m in (t_in, blocked)]
+                      + [m(t) for t in range(-2, 6) for m in (s_out, d_out)])
+    cfg = fs.InterferometerConfig(phi=1.1, delay=delay)
+    rng = np.random.default_rng(10 * delay + n)
+    inputs = [m(t) for t in (0, 1) for m in (t_in, blocked)]
+    outputs = [m(t) for t in range(0, 4) for m in (s_out, d_out)]
+    for _ in range(3):
+        a = random_state(reg, inputs, n, rng)
+        b = random_state(reg, outputs, n, rng)
+        lhs = inner_product(fs.mz_transform(a, cfg), b)
+        rhs = inner_product(a, fs.mz_reverse(b, cfg))
+        assert abs(lhs - rhs) < 1e-12
+
+
+@pytest.mark.parametrize("kwargs", [{"phi": float("nan")},
+                                    {"phi": float("inf")},
+                                    {"delay": 0}])
+def test_interferometer_config_rejects_malformed_parameters(kwargs):
+    with pytest.raises(fs.FockError):
+        fs.InterferometerConfig(**kwargs)
+
+
 def test_mz_conserves_photon_number_exactly():
     reg = fs.interferometer_registry(0, 1, max_photons=4)
     st = PhotonicState.basis(reg, occ((t_in(0), 2), (t_in(1), 1)))

@@ -268,3 +268,13 @@ def test_receiver_from_config_and_bad_inputs():
         rc.make_receiver("unknown-device")
     with pytest.raises(ValueError):
         rc.make_receiver("interferometric-2mode", "triple-window")
+
+
+def test_unknown_interpretation_tag_is_rejected():
+    reg = fs.registry([pol_h(), pol_v()], max_photons=1)
+    outcomes = {"D0": [PhotonicState.photon(reg, pol_h())],
+                "D1": [PhotonicState.photon(reg, pol_v())]}
+    with pytest.raises(ValueError, match="bit_1"):
+        rc.Setting(rc.COMPUTATIONAL, rc.polarization_rotation,
+                   rc.polarization_rotation, outcomes,
+                   {"D0": rc.BIT0, "D1": "bit_1"})
