@@ -398,11 +398,15 @@ def _cmd_fuzz(opts: dict) -> int:
         return EXIT_OK
 
     device = _fuzz_device(opts)
-    config = fz.default_config(device.params,
-                               max_cases=int(opts["max_cases"]))
     _ensure_parent(opts.get("trace"))
-    report = fz.run_fuzz_campaign(device, config, seed=int(opts["seed"]),
-                                  trace_path=opts.get("trace"))
+    try:
+        config = fz.default_config(device.params,
+                                   max_cases=int(opts["max_cases"]))
+        report = fz.run_fuzz_campaign(device, config, seed=int(opts["seed"]),
+                                      trace_path=opts.get("trace"))
+    except fz.FuzzError as err:
+        raise CliError(EXIT_CONFIG, "invalid-config", str(err),
+                       {"seed": opts["seed"], "max_cases": opts["max_cases"]})
     artifact = report.to_json_dict()
     artifact["device"] = {
         "p_th": device.params.p_th,

@@ -405,6 +405,8 @@ class CampaignConfig:
     stage 2; ``time_grid`` shifts the valid single-photon probe;
     ``follow_up_offsets`` are slot gaps between a prefix and its probe.
     ``max_cases`` caps the number of device probes (every replay counts).
+    ``max_cases < 2**32`` and ``replays <= 256`` keep every probe's
+    derived sub-seed distinct.
     """
 
     max_cases: int = 10000
@@ -416,10 +418,10 @@ class CampaignConfig:
     follow_up_offsets: Tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        if self.max_cases < 1:
-            raise FuzzError("max_cases must be >= 1")
-        if self.replays < 1:
-            raise FuzzError("replays must be >= 1")
+        if not 1 <= self.max_cases < 2 ** 32:
+            raise FuzzError("max_cases must lie in [1, 2**32)")
+        if not 1 <= self.replays <= 256:
+            raise FuzzError("replays must lie in [1, 256]")
         if self.combination_depth < 1:
             raise FuzzError("combination_depth must be >= 1")
 
@@ -528,7 +530,8 @@ def report_from_json_dict(data: Mapping) -> FuzzReport:
 
 
 def _case_seed(master_seed: int, case_index: int, replay: int) -> int:
-    # distinct non-overlapping key per (campaign, case, replay)
+    # distinct non-overlapping key per (campaign, case, replay), given
+    # case_index < 2**32 and replay < 256 (CampaignConfig's bounds)
     return (int(master_seed) << 40) ^ (case_index << 8) ^ replay
 
 
@@ -620,7 +623,8 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
     ``combination_depth``) prefixes anomalous inputs to fresh probes.
     The device is reset before every probe, and each case is replayed
     ``config.replays`` times under derived sub-seeds, so a report is a
-    pure function of (device model, config, seed).
+    pure function of (device model, config, seed).  ``seed`` is an
+    integer in [0, 2**88), the range the sub-seed keys can hold.
     """
     if config is None:
         params = getattr(device, "params", None)
@@ -630,6 +634,10 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
         config = default_config(params)
     if not config.intensity_grid:
         raise FuzzError("config has an empty intensity grid")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= seed < 2 ** 88:
+        raise FuzzError(
+            f"seed must be an integer in [0, 2**88), got {seed!r}")
 
     trace_rows: List[dict] = []
     probes_done = 0

@@ -10,11 +10,21 @@ Round logs persist as newline-delimited JSON (one header record, then
 one record per round); reports are a single versioned JSON document.
 ``sift_and_estimate`` re-aggregates a persisted log offline, with
 configurable test-bit subsampling for the error estimate.
+
+Both stream: rounds are drawn, logged and read back in fixed chunks and
+tallied as integer counts per cell (label, setting, outcome, guess), so
+memory is bounded by the chunk size whatever the session length.  The
+chunks draw the same random stream as one whole-session draw, so the
+reports and log bytes are those of an unchunked run.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
+import os
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -239,15 +249,38 @@ def report_from_json_dict(data: Mapping) -> SimulationReport:
 # the session engine
 # ---------------------------------------------------------------------------
 
+# Rounds are drawn, counted, logged and read back this many at a time,
+# which bounds a session's memory whatever its length.  Consecutive draws
+# from the counter-based stream equal one whole-session draw, so the chunk
+# size changes no byte of a report or a log.
+_CHUNK = 1 << 16
+
+
 def _ratio(num: int, den: int) -> Optional[float]:
     return num / den if den else None
+
+
+def _seed(seed) -> int:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or seed < 0:
+        raise ProtocolError(
+            f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
 
 
 def _outcome_tables(alice: rc.AliceSourceModel, channel: ChannelModel,
                     receiver: rc.ReceiverModel,
                     system: Optional[atk.ConstraintSystem]):
-    """Outcome id lists per setting and exact probability vectors per cell."""
+    """Outcome ids per setting and the stacked inverse-CDF table.
+
+    Row ``l * n_settings + s`` holds the cumulative outcome distribution
+    of label l under setting s, padded with +inf to the widest setting.
+    Its last real entry is +inf as well, so the number of entries <= u
+    is the sampled outcome index, with rounding overflow folded into the
+    last (unregistered) outcome.
+    """
     settings = list(receiver.settings)
+    labels = alice.labels()
     ids = {s: list(receiver.settings[s].outcomes) + [rc.UNREGISTERED]
            for s in settings}
     vacuum_probs = {}
@@ -255,9 +288,10 @@ def _outcome_tables(alice: rc.AliceSourceModel, channel: ChannelModel,
         vac = PhotonicState.vacuum(receiver.channel_registry())
         vacuum_probs = {s: rc.outcome_probabilities(receiver, s, vac)
                         for s in settings}
-    cdf = {}
-    for s in settings:
-        for lab in alice.labels():
+    width = max(len(outcome_ids) for outcome_ids in ids.values())
+    cdf = np.full((len(labels) * len(settings), width), np.inf)
+    for si, s in enumerate(settings):
+        for li, lab in enumerate(labels):
             if channel.kind == ATTACK:
                 probs = atk.attacked_outcome_distribution(
                     channel.attack, receiver, s, lab, system)
@@ -275,26 +309,29 @@ def _outcome_tables(alice: rc.AliceSourceModel, channel: ChannelModel,
             if not 0.999999999 < total < 1.000000001:
                 raise ProtocolError(
                     f"outcome probabilities for {lab}/{s} sum to {total}")
-            cdf[(lab, s)] = np.cumsum(vec) / total
+            cdf[li * len(settings) + si, :len(vec) - 1] = \
+                (np.cumsum(vec) / total)[:-1]
     return ids, cdf
 
 
 def _interpretation_codes(receiver: rc.ReceiverModel,
-                          ids: Dict[str, List[str]]) -> Dict[str, np.ndarray]:
-    codes = {}
-    for s, outcome_ids in ids.items():
+                          ids: Dict[str, List[str]],
+                          width: int) -> np.ndarray:
+    """(setting, outcome) -> interpretation code, padded to ``width``.
+
+    Loss, foreign-basis fold-ins, the unregistered remainder and the
+    padding all read as loss.
+    """
+    codes = np.full((len(ids), width), _CLASS_CODE["loss"], dtype=np.int64)
+    for si, (s, outcome_ids) in enumerate(ids.items()):
         sets = receiver.settings[s].interpretation_sets()
-        row = []
-        for oid in outcome_ids:
+        for oi, oid in enumerate(outcome_ids):
             if oid in sets.j0:
-                row.append(0)
+                codes[si, oi] = 0
             elif oid in sets.j1:
-                row.append(1)
+                codes[si, oi] = 1
             elif oid in sets.j_invalid:
-                row.append(3)
-            else:  # loss, foreign-basis fold-in, or unregistered remainder
-                row.append(2)
-        codes[s] = np.array(row, dtype=np.int64)
+                codes[si, oi] = 3
     return codes
 
 
@@ -329,6 +366,76 @@ def _guess_probabilities(conditional: atk.EveConditionalStates,
     return out
 
 
+def _guess_rule(channel: ChannelModel, labels, guess_p0):
+    """Per-round adversary guess from label indices and the round uniforms."""
+    if channel.kind == ATTACK:
+        p0 = np.array([guess_p0[lab] for lab in labels])
+        return lambda lab, u: np.where(u[:, 3] < p0[lab], 0, 1)
+    if channel.kind == PNS:
+        bit_of = np.array([lab[1] for lab in labels], dtype=np.int64)
+        return lambda lab, u: np.where(u[:, 3] < channel.p_multi, bit_of[lab],
+                                       (u[:, 4] >= 0.5).astype(np.int64))
+    return lambda lab, u: (u[:, 3] >= 0.5).astype(np.int64)
+
+
+def _report(cells, counts: np.ndarray, tested: np.ndarray,
+            bases: Iterable[str], **fields) -> SimulationReport:
+    """Aggregate per-cell round counts into a validated report.
+
+    ``cells[i]`` is an (alice_basis, alice_bit, bob_setting, code,
+    eve_guess) tuple; ``counts[i]`` rounds fell in that cell and
+    ``tested[i]`` of them in the error-test subsample.  Every figure is a
+    ratio of integer counts, so it does not depend on how the rounds
+    were split into chunks.  If the subsample of some basis (or of all
+    of them) is empty while sifted bits exist, the error estimate falls
+    back to all of its sifted bits.
+    """
+    alice, bit, setting, code, guess = (np.array(col) for col in zip(*cells))
+    matched = alice == setting
+    sifted = matched & (code <= 1)
+    error = sifted & (code != bit)
+    correct = sifted & (guess == bit)
+    invalid = code == 3
+
+    def total(mask, of=counts) -> int:
+        return int(of[mask].sum())
+
+    def error_estimate(m) -> Optional[float]:
+        n_test, n_sift = total(m & sifted, tested), total(m & sifted)
+        if n_test == 0 and n_sift > 0:
+            return _ratio(total(m & error), n_sift)
+        return _ratio(total(m & error, tested), n_test)
+
+    per_basis = {}
+    for s in bases:
+        m = matched & (setting == s)
+        n, n_sift, n_inv = total(m), total(m & sifted), total(m & invalid)
+        n_lost = n - n_sift - n_inv
+        per_basis[s] = BasisStats(
+            rounds=n, sifted=n_sift, errors=total(m & error), lost=n_lost,
+            invalid=n_inv,
+            qber=error_estimate(m),
+            detection_efficiency=_ratio(n_sift, n),
+            loss_rate=_ratio(n_lost, n),
+            invalid_rate=_ratio(n_inv, n),
+            eve_accuracy=_ratio(total(m & correct), n_sift),
+        )
+
+    rounds = int(counts.sum())
+    sifted_total = total(sifted)
+    report = SimulationReport(
+        rounds=rounds,
+        per_basis=per_basis,
+        sifted_total=sifted_total,
+        qber_pooled=error_estimate(matched),
+        invalid_rate=total(invalid) / rounds,
+        eve_guess_accuracy=_ratio(total(correct), sifted_total),
+        **fields,
+    )
+    report.validate()
+    return report
+
+
 def run_bb84(alice: Optional[rc.AliceSourceModel],
              channel: Optional[ChannelModel],
              receiver: rc.ReceiverModel,
@@ -346,11 +453,16 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
 
     The adversary's per-round guess is logged for every round but only
     scored on sifted ones.  With ``log_path`` the full round log is
-    written as newline-delimited JSON behind a header record.
+    written as newline-delimited JSON behind a header record, through a
+    temporary file in the same directory that replaces ``log_path`` only
+    once the session completes.
 
     All randomness derives from one counter-based generator keyed by
-    ``seed``: round r consumes a fixed slice of the stream, so reports
-    and logs are reproducible bit-for-bit.
+    ``seed`` (a non-negative integer): round r consumes a fixed slice of
+    the stream, so reports and logs are reproducible bit-for-bit.
+    Rounds are drawn, counted and logged in fixed chunks, so memory
+    stays bounded by the chunk, not the session; the chunking changes
+    no byte of the report or the log.
     """
     if alice is None:
         alice = receiver.source
@@ -360,6 +472,7 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
         raise ProtocolError(f"unknown channel kind {channel.kind!r}")
     if rounds < 1:
         raise ProtocolError("rounds must be >= 1")
+    seed = _seed(seed)
 
     labels = alice.labels()
     settings = list(receiver.settings)
@@ -376,149 +489,219 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
         guess_p0 = _guess_probabilities(conditional, alice.bases)
 
     ids, cdf = _outcome_tables(alice, channel, receiver, system)
-    codes = _interpretation_codes(receiver, ids)
-
-    # Column layout of the per-round uniforms: label, setting, outcome,
-    # adversary primary, adversary secondary draw.
-    gen = np.random.Generator(np.random.Philox(seed))
-    u = gen.random((rounds, 5))
+    width = cdf.shape[1]
+    codes = _interpretation_codes(receiver, ids, width)
+    guess = _guess_rule(channel, labels, guess_p0)
     n_lab, n_set = len(labels), len(settings)
-    lab_idx = np.minimum((u[:, 0] * n_lab).astype(np.int64), n_lab - 1)
-    set_idx = np.minimum((u[:, 1] * n_set).astype(np.int64), n_set - 1)
+    # cell ((label * n_set + setting) * width + outcome) * 2 + guess
+    cells = [(lab[0], int(lab[1]), s, int(codes[si, oi]), g)
+             for lab in labels for si, s in enumerate(settings)
+             for oi in range(width) for g in (0, 1)]
+    counts = np.zeros(len(cells), dtype=np.int64)
+    attack_label = channel.attack.label if channel.kind == ATTACK else None
 
-    out_idx = np.zeros(rounds, dtype=np.int64)
-    for li, lab in enumerate(labels):
-        for si, s in enumerate(settings):
-            mask = (lab_idx == li) & (set_idx == si)
-            if mask.any():
-                picked = np.searchsorted(cdf[(lab, s)], u[mask, 2],
-                                         side="right")
-                out_idx[mask] = np.minimum(picked, len(ids[s]) - 1)
+    gen = np.random.Generator(np.random.Philox(seed))
+    with _atomic_log(log_path) as fh:
+        if fh is not None:
+            prefixes = _line_prefixes(cells, ids, width)
+            fh.write(_dump({
+                "schema": ROUND_LOG_SCHEMA,
+                "receiver": receiver.name,
+                "channel": channel.kind,
+                "attack_label": attack_label,
+                "rounds": rounds,
+                "rng_seed": seed,
+            }) + "\n")
+        for start in range(0, rounds, _CHUNK):
+            # Column layout of the per-round uniforms: label, setting,
+            # outcome, adversary primary, adversary secondary draw.
+            u = gen.random((min(_CHUNK, rounds - start), 5))
+            lab = np.minimum((u[:, 0] * n_lab).astype(np.int64), n_lab - 1)
+            pair = lab * n_set + np.minimum(
+                (u[:, 1] * n_set).astype(np.int64), n_set - 1)
+            outcome = np.count_nonzero(cdf[pair] <= u[:, 2:3], axis=1)
+            cell = (pair * width + outcome) * 2 + guess(lab, u)
+            counts += np.bincount(cell, minlength=len(cells))
+            if fh is not None:
+                fh.write(_log_lines(prefixes, start, cell))
 
-    code = np.zeros(rounds, dtype=np.int64)
-    for si, s in enumerate(settings):
-        mask = set_idx == si
-        code[mask] = codes[s][out_idx[mask]]
-
-    basis_of = np.array([settings.index(lab[0]) if lab[0] in settings else -1
-                         for lab in labels], dtype=np.int64)
-    bit_of = np.array([lab[1] for lab in labels], dtype=np.int64)
-    matched = basis_of[lab_idx] == set_idx
-    detected = code <= 1
-    sifted = matched & detected
-    errors = sifted & (code != bit_of[lab_idx])
-
-    if channel.kind == ATTACK:
-        p0 = np.array([guess_p0[lab] for lab in labels])[lab_idx]
-        guess = np.where(u[:, 3] < p0, 0, 1)
-    elif channel.kind == PNS:
-        multi = u[:, 3] < channel.p_multi
-        coin = (u[:, 4] >= 0.5).astype(np.int64)
-        guess = np.where(multi, bit_of[lab_idx], coin)
-    else:
-        guess = (u[:, 3] >= 0.5).astype(np.int64)
-    correct = sifted & (guess == bit_of[lab_idx])
-
-    if log_path is not None:
-        _write_round_log(Path(log_path), receiver, channel, rounds, seed,
-                         labels, settings, ids, lab_idx, set_idx, out_idx,
-                         code, guess)
-
-    per_basis = {}
     bases = [s for s in settings if s in {lab[0] for lab in labels}]
-    for s in bases:
-        si = settings.index(s)
-        m = matched & (set_idx == si)
-        n = int(m.sum())
-        n_sift = int(sifted[m].sum())
-        n_err = int(errors[m].sum())
-        n_inv = int((code[m] == 3).sum())
-        n_lost = n - n_sift - n_inv
-        n_corr = int(correct[m].sum())
-        per_basis[s] = BasisStats(
-            rounds=n, sifted=n_sift, errors=n_err, lost=n_lost,
-            invalid=n_inv,
-            qber=_ratio(n_err, n_sift),
-            detection_efficiency=_ratio(n_sift, n),
-            loss_rate=_ratio(n_lost, n),
-            invalid_rate=_ratio(n_inv, n),
-            eve_accuracy=_ratio(n_corr, n_sift),
-        )
-
-    sifted_total = int(sifted.sum())
-    report = SimulationReport(
-        receiver=receiver.name,
-        channel=channel.kind,
-        rounds=rounds,
-        rng_seed=seed,
-        per_basis=per_basis,
-        sifted_total=sifted_total,
-        qber_pooled=_ratio(int(errors.sum()), sifted_total),
-        invalid_rate=int((code == 3).sum()) / rounds,
-        eve_guess_accuracy=_ratio(int(correct.sum()), sifted_total),
-        test_fraction=1.0,
-        attack_label=channel.attack.label if channel.kind == ATTACK else None,
-    )
-    report.validate()
-    return report
+    return _report(cells, counts, counts, bases,
+                   receiver=receiver.name, channel=channel.kind,
+                   rng_seed=seed, test_fraction=1.0,
+                   attack_label=attack_label)
 
 
 def _dump(record: dict) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def _write_round_log(path: Path, receiver, channel, rounds, seed,
-                     labels, settings, ids, lab_idx, set_idx, out_idx,
-                     code, guess) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(_dump({
-            "schema": ROUND_LOG_SCHEMA,
-            "receiver": receiver.name,
-            "channel": channel.kind,
-            "attack_label": (channel.attack.label
-                             if channel.kind == ATTACK else None),
-            "rounds": rounds,
-            "rng_seed": seed,
-        }) + "\n")
-        for r in range(rounds):
-            lab = labels[lab_idx[r]]
-            s = settings[set_idx[r]]
-            fh.write(_dump({
-                "round": r,
-                "alice_basis": lab[0],
-                "alice_bit": int(lab[1]),
-                "bob_setting": s,
-                "outcome_id": ids[s][out_idx[r]],
-                "interpretation": _CLASSES[code[r]],
-                "eve_guess": int(guess[r]),
-            }) + "\n")
+def _line_prefixes(cells, ids: Dict[str, List[str]],
+                   width: int) -> List[Optional[str]]:
+    """Each cell's round line up to its round number.
+
+    Under sorted keys ``"round"`` comes last, so a line is its cell's
+    prefix, the round number and ``}``.  Cell i holds outcome
+    ``(i // 2) % width`` (the layout :func:`run_bb84` indexes by); cells
+    past a setting's outcome list never occur and get None.
+    """
+    prefixes: List[Optional[str]] = []
+    for i, (basis, bit, setting, code, guess) in enumerate(cells):
+        outcome = (i // 2) % width
+        if outcome >= len(ids[setting]):
+            prefixes.append(None)
+            continue
+        line = _dump({
+            "round": 0,
+            "alice_basis": basis,
+            "alice_bit": bit,
+            "bob_setting": setting,
+            "outcome_id": ids[setting][outcome],
+            "interpretation": _CLASSES[code],
+            "eve_guess": guess,
+        })
+        prefixes.append(line[:-len("0}")])
+    return prefixes
+
+
+def _log_lines(prefixes: List[Optional[str]], start: int,
+               cells: np.ndarray) -> str:
+    """Round lines ``start, start + 1, ...`` for a chunk of cell indices."""
+    return "".join([prefixes[c] + str(r) + "}\n"
+                    for r, c in enumerate(cells.tolist(), start)])
+
+
+@contextmanager
+def _atomic_log(path: Union[str, Path, None]):
+    """A text file that replaces ``path`` only if the block completes.
+
+    Yields None when ``path`` is None.  The file is written next to its
+    destination and moved over it in one ``os.replace``; on any
+    exception it is removed, so an earlier file at ``path`` survives.
+    """
+    if path is None:
+        yield None
+        return
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
 # offline re-aggregation
 # ---------------------------------------------------------------------------
 
-def _load_rows(log) -> Tuple[dict, List[Mapping]]:
-    if isinstance(log, (str, Path)):
-        with open(log, "r", encoding="utf-8") as fh:
-            parsed = (json.loads(line) for line in fh if line.strip())
-            return _split_header(parsed)
-    return _split_header(iter(log))
+# a round line as run_bb84 writes it: the body, then the round number last
+_ROUND_LINE = re.compile(r'(\{.*),"round":(?:0|[1-9][0-9]*)\}\n?')
+_ROW_FIELDS = ("alice_basis", "alice_bit", "bob_setting", "interpretation",
+               "eve_guess")
 
 
-def _split_header(records) -> Tuple[dict, List[Mapping]]:
-    header: dict = {}
-    rows: List[Mapping] = []
-    for rec in records:
-        if "schema" in rec:
-            if rec["schema"] != ROUND_LOG_SCHEMA:
+class _LogCells:
+    """The distinct cells of a round log and the header it carries.
+
+    A cell is an (alice_basis, alice_bit, bob_setting, code, eve_guess)
+    tuple, as in :func:`_report`; rows are kept only as cell indices.
+    """
+
+    def __init__(self):
+        self.cells: List[tuple] = []
+        self.header: dict = {}
+        self._index: Dict[tuple, int] = {}
+
+    def record(self, record, where: str) -> Optional[int]:
+        """The cell index of a round record; None for a header record."""
+        if not isinstance(record, Mapping):
+            raise ProtocolError(f"{where}: round record is not a JSON object")
+        if "schema" in record:
+            if record["schema"] != ROUND_LOG_SCHEMA:
                 raise ProtocolError(
-                    f"expected log schema {ROUND_LOG_SCHEMA!r}, "
-                    f"got {rec['schema']!r}")
-            header = dict(rec)
-        else:
-            rows.append(rec)
-    return header, rows
+                    f"{where}: expected log schema {ROUND_LOG_SCHEMA!r}, "
+                    f"got {record['schema']!r}")
+            self.header = dict(record)
+            return None
+        try:
+            basis, bit, setting, interpretation, guess = \
+                (record[name] for name in _ROW_FIELDS)
+        except KeyError as missing:
+            raise ProtocolError(
+                f"{where}: round record lacks field {missing}")
+        if not (isinstance(basis, str) and isinstance(setting, str)):
+            raise ProtocolError(f"{where}: alice_basis and bob_setting "
+                                f"must be strings")
+        if interpretation not in _CLASSES:
+            raise ProtocolError(
+                f"{where}: unknown interpretation class {interpretation!r}")
+        if bit not in (0, 1) or guess not in (0, 1):
+            raise ProtocolError(f"{where}: alice_bit and eve_guess must be "
+                                f"0 or 1")
+        key = (basis, int(bit), setting, _CLASS_CODE[interpretation],
+               int(guess))
+        if key not in self._index:
+            self._index[key] = len(self.cells)
+            self.cells.append(key)
+        return self._index[key]
+
+
+def _body_record(body: str) -> Optional[dict]:
+    """The round record of a line cut before its round number, or None.
+
+    None sends the line through ``json.loads`` whole, which rejects it
+    if it is not valid JSON: '{' alone parses as {} here, for one.
+    """
+    try:
+        record = json.loads(body + "}")
+    except json.JSONDecodeError:
+        return None
+    if isinstance(record, dict) and record and "schema" not in record:
+        return record
+    return None
+
+
+def _log_cell_indices(log, cells: _LogCells):
+    """Yield the cell index of every round record of ``log``, in order.
+
+    A file line in the shape :func:`run_bb84` writes is keyed by its
+    text before the round number, so each distinct body is parsed once.
+    """
+    if not isinstance(log, (str, Path)):
+        for number, record in enumerate(log, 1):
+            cell = cells.record(record, f"record {number}")
+            if cell is not None:
+                yield cell
+        return
+    by_body: Dict[str, int] = {}
+    with open(log, "r", encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            match = _ROUND_LINE.fullmatch(line)
+            cell = by_body.get(match.group(1)) if match else None
+            if cell is None:
+                where = f"line {number}"
+                record = _body_record(match.group(1)) if match else None
+                if record is not None:
+                    cell = by_body[match.group(1)] = \
+                        cells.record(record, where)
+                elif line.strip():
+                    try:
+                        record = json.loads(line)
+                    except json.JSONDecodeError as err:
+                        raise ProtocolError(
+                            f"{where}: not valid JSON ({err})")
+                    cell = cells.record(record, where)
+            if cell is not None:
+                yield cell
+
+
+def _add_counts(total: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
+    grown = np.bincount(cells, minlength=n)
+    grown[:len(total)] += total
+    return grown
 
 
 def sift_and_estimate(log, test_fraction: float = 0.5,
@@ -529,86 +712,47 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     of round records.  Counting statistics (efficiencies, loss and
     invalid rates, adversary accuracy) use every round; the error rate
     is estimated from a random ``test_fraction`` subsample of the
-    sifted bits, drawn deterministically from ``seed`` — the sample
-    mean of mismatches, as if those bits were publicly compared.  With
-    ``test_fraction=1.0`` the estimate coincides with the inline
-    aggregation of :func:`run_bb84`.  If the subsample of some basis
-    comes up empty while sifted bits exist, the estimate for that basis
-    falls back to all of its sifted bits rather than reporting nothing.
+    sifted bits, drawn deterministically from ``seed`` (a non-negative
+    integer) — the sample mean of mismatches, as if those bits were
+    publicly compared.  With ``test_fraction=1.0`` the estimate
+    coincides with the inline aggregation of :func:`run_bb84`, through
+    the same counting code.  If the subsample of some basis comes up
+    empty while sifted bits exist, the estimate for that basis falls
+    back to all of its sifted bits rather than reporting nothing.
+
+    The log is read in fixed chunks and each round is kept only as a
+    small integer, so memory stays bounded by the chunk and the number
+    of distinct records.  A line in the shape :func:`run_bb84` writes is
+    parsed once per distinct body; any other line goes through
+    ``json.loads`` whole.  A line that is not valid JSON, or a record
+    that is not an object or lacks a field, raises
+    :class:`ProtocolError` naming its 1-based line (or record) number.
     """
     test_fraction = _probability(test_fraction, "test_fraction")
-    header, rows = _load_rows(log)
-    if not rows:
+    gen = np.random.Generator(np.random.Philox(_seed(seed)))
+    cells = _LogCells()
+    rows = _log_cell_indices(log, cells)
+    counts = tested = np.zeros(0, dtype=np.int64)
+    while True:
+        chunk = np.fromiter(itertools.islice(rows, _CHUNK), dtype=np.int64)
+        if not len(chunk):
+            break
+        in_test = gen.random(len(chunk)) < test_fraction
+        counts = _add_counts(counts, chunk, len(cells.cells))
+        tested = _add_counts(tested, chunk[in_test], len(cells.cells))
+
+    n = int(counts.sum())
+    if n == 0:
         raise ProtocolError("empty round log")
-
-    n = len(rows)
-    try:
-        alice_basis = np.array([r["alice_basis"] for r in rows])
-        alice_bit = np.array([r["alice_bit"] for r in rows], dtype=np.int64)
-        bob_setting = np.array([r["bob_setting"] for r in rows])
-        interpretation = [r["interpretation"] for r in rows]
-        eve_guess = np.array([r["eve_guess"] for r in rows], dtype=np.int64)
-    except KeyError as missing:
-        raise ProtocolError(f"round record lacks field {missing}")
-    try:
-        code = np.array([_CLASS_CODE[c] for c in interpretation],
-                        dtype=np.int64)
-    except KeyError as bad:
-        raise ProtocolError(f"unknown interpretation class {bad}")
-
-    matched = alice_basis == bob_setting
-    sifted = matched & (code <= 1)
-    errors = sifted & (code != alice_bit)
-    correct = sifted & (eve_guess == alice_bit)
-
-    gen = np.random.Generator(np.random.Philox(seed))
-    in_test = sifted & (gen.random(n) < test_fraction)
-
-    per_basis = {}
-    for s in sorted(str(b) for b in set(bob_setting[matched])):
-        m = matched & (bob_setting == s)
-        nb = int(m.sum())
-        n_sift = int(sifted[m].sum())
-        n_inv = int((code[m] == 3).sum())
-        n_lost = nb - n_sift - n_inv
-        n_corr = int(correct[m].sum())
-        test = in_test & m
-        n_test = int(test.sum())
-        if n_test == 0 and n_sift > 0:
-            test = sifted & m
-            n_test = n_sift
-        n_err_test = int(errors[test].sum())
-        per_basis[s] = BasisStats(
-            rounds=nb, sifted=n_sift,
-            errors=int(errors[m].sum()),
-            lost=n_lost, invalid=n_inv,
-            qber=_ratio(n_err_test, n_test),
-            detection_efficiency=_ratio(n_sift, nb),
-            loss_rate=_ratio(n_lost, nb),
-            invalid_rate=_ratio(n_inv, nb),
-            eve_accuracy=_ratio(n_corr, n_sift),
-        )
-
-    n_test_total = int(in_test.sum())
-    if n_test_total == 0 and sifted.any():
-        in_test = sifted
-        n_test_total = int(sifted.sum())
-    sifted_total = int(sifted.sum())
+    header = cells.header
     if header.get("rounds") is not None and header["rounds"] != n:
         raise ProtocolError(
             f"header promises {header['rounds']} rounds, log has {n}")
-    report = SimulationReport(
-        receiver=header.get("receiver", "unknown"),
-        channel=header.get("channel", "unknown"),
-        rounds=n,
-        rng_seed=header.get("rng_seed"),
-        per_basis=per_basis,
-        sifted_total=sifted_total,
-        qber_pooled=_ratio(int(errors[in_test].sum()), n_test_total),
-        invalid_rate=int((code == 3).sum()) / n,
-        eve_guess_accuracy=_ratio(int(correct.sum()), sifted_total),
-        test_fraction=test_fraction,
-        attack_label=header.get("attack_label"),
-    )
-    report.validate()
-    return report
+    bases = sorted({s for (a, _, s, _, _), c in zip(cells.cells, counts)
+                    if a == s and c})
+    return _report(cells.cells, counts, tested, bases,
+                   receiver=header.get("receiver", "unknown"),
+                   channel=header.get("channel", "unknown"),
+                   rng_seed=header.get("rng_seed"),
+                   test_fraction=test_fraction,
+                   attack_label=header.get("attack_label"))

@@ -321,6 +321,19 @@ def test_attack_conflicts_with_channel_kind():
     assert last_error(stderr)["code"] == "invalid-config"
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--receiver", "ideal-bb84", "--rounds", 100],
+    ["fuzz", "--max-cases", 100],
+])
+def test_negative_seed_exits_config_error(argv):
+    code, _, stderr = run_cli(argv + ["--seed", -1])
+    assert code == cli.EXIT_CONFIG
+    assert len(stderr.strip().splitlines()) == 1
+    payload = last_error(stderr)
+    assert payload["code"] == "invalid-config"
+    assert "seed" in payload["message"]
+
+
 def test_infeasible_synthesis_exits_3(tmp_path):
     path = tmp_path / "always-bit0.json"
     path.write_text(json.dumps(UNSATISFIABLE_RECEIVER))

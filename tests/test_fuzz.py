@@ -377,3 +377,18 @@ def test_config_and_argument_validation():
     with pytest.raises(fuzz.FuzzError):
         # a bare device without declared parameters needs a config
         fuzz.run_fuzz_campaign(fuzz.make_ideal_pnr_device())
+
+
+def test_case_seed_bit_fields_are_bounded():
+    # past 256 replays the replay field runs into the case field
+    assert fuzz._case_seed(0, 0, 256) == fuzz._case_seed(0, 1, 0)
+    with pytest.raises(fuzz.FuzzError):
+        fuzz.CampaignConfig(replays=257)
+    with pytest.raises(fuzz.FuzzError):
+        fuzz.CampaignConfig(max_cases=2 ** 32)
+    assert fuzz.CampaignConfig(replays=256, max_cases=2 ** 32 - 1).replays \
+        == 256
+    device = fuzz.make_apd_receiver_device()
+    for seed in (-1, 1.5, 2 ** 88):
+        with pytest.raises(fuzz.FuzzError, match="seed"):
+            fuzz.run_fuzz_campaign(device, seed=seed)

@@ -1,0 +1,408 @@
+"""Chunked session engine against the whole-array reference.
+
+``reference_run_bb84`` and ``reference_sift`` keep the earlier engine:
+every round drawn in one array, outcomes sampled per (label, setting)
+mask, one ``json.dumps`` per logged round and one ``json.loads`` per
+line read back.  The chunked engine must reproduce its reports and its
+log bytes exactly, at every chunk boundary, and stay within bounded
+memory as sessions grow.
+"""
+
+import json
+import os
+import random
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from qkdlab import attacks as atk
+from qkdlab import protocol as pt
+from qkdlab import receivers as rc
+from qkdlab.fockspace import PhotonicState
+
+CHUNK = 1000
+
+
+@pytest.fixture
+def small_chunks(monkeypatch):
+    monkeypatch.setattr(pt, "_CHUNK", CHUNK)
+
+
+# ---------------------------------------------------------------------------
+# the reference engine
+# ---------------------------------------------------------------------------
+
+def reference_tables(alice, channel, receiver, system):
+    settings = list(receiver.settings)
+    ids = {s: list(receiver.settings[s].outcomes) + [rc.UNREGISTERED]
+           for s in settings}
+    vacuum_probs = {}
+    if channel.kind == pt.LOSSY:
+        vac = PhotonicState.vacuum(receiver.channel_registry())
+        vacuum_probs = {s: rc.outcome_probabilities(receiver, s, vac)
+                        for s in settings}
+    cdf = {}
+    for s in settings:
+        for lab in alice.labels():
+            if channel.kind == pt.ATTACK:
+                probs = atk.attacked_outcome_distribution(
+                    channel.attack, receiver, s, lab, system)
+            else:
+                probs = rc.outcome_probabilities(
+                    receiver, s, alice.states[lab])
+                if channel.kind == pt.LOSSY:
+                    vac = vacuum_probs[s]
+                    keep = 1.0 - channel.loss
+                    probs = {oid: keep * probs.get(oid, 0.0)
+                             + channel.loss * vac.get(oid, 0.0)
+                             for oid in set(probs) | set(vac)}
+            vec = np.array([max(probs.get(oid, 0.0), 0.0) for oid in ids[s]])
+            cdf[(lab, s)] = np.cumsum(vec) / vec.sum()
+    codes = {}
+    for s, outcome_ids in ids.items():
+        sets = receiver.settings[s].interpretation_sets()
+        codes[s] = np.array([0 if oid in sets.j0 else 1 if oid in sets.j1
+                             else 3 if oid in sets.j_invalid else 2
+                             for oid in outcome_ids], dtype=np.int64)
+    return ids, cdf, codes
+
+
+def reference_run_bb84(channel, receiver, rounds, seed, log_path):
+    alice = receiver.source
+    labels = alice.labels()
+    settings = list(receiver.settings)
+    system = None
+    if channel.kind == pt.ATTACK:
+        system = atk.build_constraint_system(receiver)
+        conditional = atk.eve_conditional_states(channel.attack, system=system)
+        guess_p0 = pt._guess_probabilities(conditional, alice.bases)
+    ids, cdf, codes = reference_tables(alice, channel, receiver, system)
+
+    gen = np.random.Generator(np.random.Philox(seed))
+    u = gen.random((rounds, 5))
+    n_lab, n_set = len(labels), len(settings)
+    lab_idx = np.minimum((u[:, 0] * n_lab).astype(np.int64), n_lab - 1)
+    set_idx = np.minimum((u[:, 1] * n_set).astype(np.int64), n_set - 1)
+    out_idx = np.zeros(rounds, dtype=np.int64)
+    for li, lab in enumerate(labels):
+        for si, s in enumerate(settings):
+            mask = (lab_idx == li) & (set_idx == si)
+            if mask.any():
+                picked = np.searchsorted(cdf[(lab, s)], u[mask, 2],
+                                         side="right")
+                out_idx[mask] = np.minimum(picked, len(ids[s]) - 1)
+    code = np.zeros(rounds, dtype=np.int64)
+    for si, s in enumerate(settings):
+        mask = set_idx == si
+        code[mask] = codes[s][out_idx[mask]]
+
+    basis_of = np.array([settings.index(lab[0]) if lab[0] in settings else -1
+                         for lab in labels], dtype=np.int64)
+    bit_of = np.array([lab[1] for lab in labels], dtype=np.int64)
+    matched = basis_of[lab_idx] == set_idx
+    sifted = matched & (code <= 1)
+    errors = sifted & (code != bit_of[lab_idx])
+    if channel.kind == pt.ATTACK:
+        p0 = np.array([guess_p0[lab] for lab in labels])[lab_idx]
+        guess = np.where(u[:, 3] < p0, 0, 1)
+    elif channel.kind == pt.PNS:
+        multi = u[:, 3] < channel.p_multi
+        coin = (u[:, 4] >= 0.5).astype(np.int64)
+        guess = np.where(multi, bit_of[lab_idx], coin)
+    else:
+        guess = (u[:, 3] >= 0.5).astype(np.int64)
+    correct = sifted & (guess == bit_of[lab_idx])
+
+    attack_label = channel.attack.label if channel.kind == pt.ATTACK else None
+    with open(log_path, "w", encoding="utf-8") as fh:
+        fh.write(pt._dump({
+            "schema": pt.ROUND_LOG_SCHEMA, "receiver": receiver.name,
+            "channel": channel.kind, "attack_label": attack_label,
+            "rounds": rounds, "rng_seed": seed}) + "\n")
+        for r in range(rounds):
+            lab = labels[lab_idx[r]]
+            s = settings[set_idx[r]]
+            fh.write(pt._dump({
+                "round": r,
+                "alice_basis": lab[0],
+                "alice_bit": int(lab[1]),
+                "bob_setting": s,
+                "outcome_id": ids[s][out_idx[r]],
+                "interpretation": pt._CLASSES[code[r]],
+                "eve_guess": int(guess[r]),
+            }) + "\n")
+
+    per_basis = {}
+    for s in [s for s in settings if s in {lab[0] for lab in labels}]:
+        m = matched & (set_idx == settings.index(s))
+        n = int(m.sum())
+        n_sift = int(sifted[m].sum())
+        n_err = int(errors[m].sum())
+        n_inv = int((code[m] == 3).sum())
+        n_lost = n - n_sift - n_inv
+        per_basis[s] = pt.BasisStats(
+            rounds=n, sifted=n_sift, errors=n_err, lost=n_lost,
+            invalid=n_inv, qber=pt._ratio(n_err, n_sift),
+            detection_efficiency=pt._ratio(n_sift, n),
+            loss_rate=pt._ratio(n_lost, n), invalid_rate=pt._ratio(n_inv, n),
+            eve_accuracy=pt._ratio(int(correct[m].sum()), n_sift))
+    sifted_total = int(sifted.sum())
+    return pt.SimulationReport(
+        receiver=receiver.name, channel=channel.kind, rounds=rounds,
+        rng_seed=seed, per_basis=per_basis, sifted_total=sifted_total,
+        qber_pooled=pt._ratio(int(errors.sum()), sifted_total),
+        invalid_rate=int((code == 3).sum()) / rounds,
+        eve_guess_accuracy=pt._ratio(int(correct.sum()), sifted_total),
+        test_fraction=1.0, attack_label=attack_label)
+
+
+def reference_sift(path, test_fraction, seed):
+    with open(path, "r", encoding="utf-8") as fh:
+        records = [json.loads(line) for line in fh if line.strip()]
+    header = [r for r in records if "schema" in r][-1]
+    rows = [r for r in records if "schema" not in r]
+    n = len(rows)
+    alice_basis = np.array([r["alice_basis"] for r in rows])
+    alice_bit = np.array([r["alice_bit"] for r in rows], dtype=np.int64)
+    bob_setting = np.array([r["bob_setting"] for r in rows])
+    code = np.array([pt._CLASS_CODE[r["interpretation"]] for r in rows],
+                    dtype=np.int64)
+    eve_guess = np.array([r["eve_guess"] for r in rows], dtype=np.int64)
+    matched = alice_basis == bob_setting
+    sifted = matched & (code <= 1)
+    errors = sifted & (code != alice_bit)
+    correct = sifted & (eve_guess == alice_bit)
+    gen = np.random.Generator(np.random.Philox(seed))
+    in_test = sifted & (gen.random(n) < test_fraction)
+    per_basis = {}
+    for s in sorted(str(b) for b in set(bob_setting[matched])):
+        m = matched & (bob_setting == s)
+        nb = int(m.sum())
+        n_sift = int(sifted[m].sum())
+        n_inv = int((code[m] == 3).sum())
+        n_lost = nb - n_sift - n_inv
+        test = in_test & m
+        n_test = int(test.sum())
+        if n_test == 0 and n_sift > 0:
+            test = sifted & m
+            n_test = n_sift
+        per_basis[s] = pt.BasisStats(
+            rounds=nb, sifted=n_sift, errors=int(errors[m].sum()),
+            lost=n_lost, invalid=n_inv,
+            qber=pt._ratio(int(errors[test].sum()), n_test),
+            detection_efficiency=pt._ratio(n_sift, nb),
+            loss_rate=pt._ratio(n_lost, nb), invalid_rate=pt._ratio(n_inv, nb),
+            eve_accuracy=pt._ratio(int(correct[m].sum()), n_sift))
+    n_test_total = int(in_test.sum())
+    if n_test_total == 0 and sifted.any():
+        in_test = sifted
+        n_test_total = int(sifted.sum())
+    sifted_total = int(sifted.sum())
+    return pt.SimulationReport(
+        receiver=header["receiver"], channel=header["channel"], rounds=n,
+        rng_seed=header["rng_seed"], per_basis=per_basis,
+        sifted_total=sifted_total,
+        qber_pooled=pt._ratio(int(errors[in_test].sum()), n_test_total),
+        invalid_rate=int((code == 3).sum()) / n,
+        eve_guess_accuracy=pt._ratio(int(correct.sum()), sifted_total),
+        test_fraction=test_fraction, attack_label=header["attack_label"])
+
+
+# ---------------------------------------------------------------------------
+# chunk boundaries
+# ---------------------------------------------------------------------------
+
+def channel_cases():
+    six = rc.make_receiver("interferometric-6mode")
+    ideal = rc.make_receiver("ideal-bb84")
+    return {
+        "identity": (rc.make_receiver("interferometric-defended-10mode"),
+                     pt.make_channel(pt.IDENTITY)),
+        "attack-isometry": (six, pt.make_channel(
+            pt.ATTACK, atk.faked_states_attack(six))),
+        "pns": (ideal, pt.make_channel(pt.PNS, 0.1)),
+        "lossy": (rc.make_receiver("polarization-threshold"),
+                  pt.make_channel(pt.LOSSY, 0.3)),
+    }
+
+
+CASES = channel_cases()
+
+
+def reserialize(path, out_path, seed):
+    """The same log with shuffled keys and spaced separators."""
+    shuffle = random.Random(seed).shuffle
+    with open(path, encoding="utf-8") as src, \
+            open(out_path, "w", encoding="utf-8") as dst:
+        for line in src:
+            items = list(json.loads(line).items())
+            shuffle(items)
+            dst.write(json.dumps(dict(items), separators=(", ", ": ")) + "\n")
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+@pytest.mark.parametrize("rounds", [1, CHUNK - 1, CHUNK, CHUNK + 1,
+                                    2 * CHUNK + 3])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_chunked_session_matches_the_whole_array_reference(
+        tmp_path, small_chunks, kind, rounds, seed):
+    receiver, channel = CASES[kind]
+    log, ref_log = tmp_path / "chunked.ndjson", tmp_path / "reference.ndjson"
+    report = pt.run_bb84(None, channel, receiver, rounds, seed=seed,
+                         log_path=log)
+    reference = reference_run_bb84(channel, receiver, rounds, seed, ref_log)
+    assert report.to_json_dict() == reference.to_json_dict()
+    assert log.read_bytes() == ref_log.read_bytes()
+
+    shuffled = tmp_path / "shuffled.ndjson"
+    reserialize(log, shuffled, seed)
+    rows = [json.loads(line) for line in log.read_text().splitlines()]
+    for test_fraction in (0.5, 1.0):
+        want = reference_sift(log, test_fraction, seed=3).to_json_dict()
+        for source in (log, rows, shuffled):
+            got = pt.sift_and_estimate(source, test_fraction, seed=3)
+            assert got.to_json_dict() == want
+
+
+def test_chunk_size_changes_no_byte(tmp_path, monkeypatch):
+    receiver, channel = CASES["attack-isometry"]
+    outputs = []
+    for chunk in (7, 1000, pt._CHUNK):
+        monkeypatch.setattr(pt, "_CHUNK", chunk)
+        log = tmp_path / f"log{chunk}.ndjson"
+        report = pt.run_bb84(None, channel, receiver, 5000, seed=9,
+                             log_path=log)
+        sifted = pt.sift_and_estimate(log, 0.5, seed=2)
+        outputs.append((report.to_json_dict(), log.read_bytes(),
+                        sifted.to_json_dict()))
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# ---------------------------------------------------------------------------
+# memory
+# ---------------------------------------------------------------------------
+
+def traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_memory_is_bounded_by_the_chunk(tmp_path, small_chunks):
+    receiver, channel = CASES["pns"]
+    log = tmp_path / "rounds.ndjson"
+
+    def session(rounds):
+        return lambda: pt.run_bb84(None, channel, receiver, rounds, seed=1,
+                                   log_path=log)
+
+    def read_back():
+        pt.sift_and_estimate(log, 0.5)
+
+    session(4 * CHUNK)()  # warm every lazy cache first
+    small = traced_peak(session(4 * CHUNK))
+    small_read = traced_peak(read_back)
+    large = traced_peak(session(40 * CHUNK))
+    large_read = traced_peak(read_back)
+    assert large < 2 * small
+    assert large_read < 2 * small_read
+
+
+# ---------------------------------------------------------------------------
+# atomic round log
+# ---------------------------------------------------------------------------
+
+def test_interrupted_session_keeps_the_previous_log(tmp_path, small_chunks,
+                                                    monkeypatch):
+    receiver, channel = CASES["pns"]
+    log = tmp_path / "rounds.ndjson"
+    pt.run_bb84(None, channel, receiver, 3 * CHUNK, seed=1, log_path=log)
+    before = log.read_bytes()
+    assert os.listdir(tmp_path) == ["rounds.ndjson"]
+
+    render = pt._log_lines
+    calls = []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("interrupted")
+        return render(*args)
+
+    monkeypatch.setattr(pt, "_log_lines", failing)
+    with pytest.raises(RuntimeError):
+        pt.run_bb84(None, channel, receiver, 5 * CHUNK, seed=2, log_path=log)
+    assert len(calls) == 2
+    assert log.read_bytes() == before
+    assert os.listdir(tmp_path) == ["rounds.ndjson"]
+
+
+# ---------------------------------------------------------------------------
+# malformed logs and seeds
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def good_log(tmp_path):
+    receiver, channel = CASES["pns"]
+    log = tmp_path / "good.ndjson"
+    pt.run_bb84(None, channel, receiver, 10, seed=0, log_path=log)
+    return log.read_text().splitlines(keepends=True)
+
+
+@pytest.mark.parametrize("bad_line", [
+    '{"alice_basis":"computational" oops}\n',
+    '{,"round":3}\n',
+    '{"alice_basis":"computational","round":3\n',
+])
+def test_line_that_is_not_json_names_its_line(tmp_path, good_log, bad_line):
+    path = tmp_path / "bad.ndjson"
+    path.write_text("".join(good_log[:3] + [bad_line] + good_log[4:]))
+    with pytest.raises(pt.ProtocolError, match="line 4"):
+        pt.sift_and_estimate(path)
+
+
+@pytest.mark.parametrize("tail", ['"round":05}\n', '"round":3}}\n',
+                                  '"round":3} x\n'])
+def test_near_miss_round_lines_are_rejected(tmp_path, good_log, tail):
+    line = good_log[3]
+    assert line.endswith('"round":2}\n')
+    path = tmp_path / "bad.ndjson"
+    bad = line[:-len('"round":2}\n')] + tail
+    path.write_text("".join(good_log[:3] + [bad] + good_log[4:]))
+    with pytest.raises(pt.ProtocolError, match="line 4"):
+        pt.sift_and_estimate(path)
+
+
+def test_record_that_is_not_an_object_is_rejected(tmp_path, good_log):
+    path = tmp_path / "bad.ndjson"
+    path.write_text("".join(good_log[:2] + ["[1,2]\n"] + good_log[2:]))
+    with pytest.raises(pt.ProtocolError, match="line 3"):
+        pt.sift_and_estimate(path)
+    rows = [json.loads(line) for line in good_log]
+    with pytest.raises(pt.ProtocolError, match="record 2"):
+        pt.sift_and_estimate(rows[:1] + [[1, 2]] + rows[1:])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alice_bit", 2), ("eve_guess", None), ("alice_basis", 0),
+    ("bob_setting", ["computational"]),
+])
+def test_round_fields_out_of_range_are_rejected(good_log, field, value):
+    rows = [json.loads(line) for line in good_log]
+    rows[3][field] = value
+    with pytest.raises(pt.ProtocolError, match="record 4"):
+        pt.sift_and_estimate(rows)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
+def test_seed_must_be_a_non_negative_integer(good_log, seed):
+    receiver, channel = CASES["identity"]
+    with pytest.raises(pt.ProtocolError, match="seed"):
+        pt.run_bb84(None, channel, receiver, 10, seed=seed)
+    rows = [json.loads(line) for line in good_log]
+    with pytest.raises(pt.ProtocolError, match="seed"):
+        pt.sift_and_estimate(rows, seed=seed)
