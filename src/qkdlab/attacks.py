@@ -346,14 +346,23 @@ class AttackIsometry:
         if data.get("format") != "attack-isometry/1":
             raise AttackError(
                 f"unsupported attack format {data.get('format')!r}")
-        basis = [fs.state_from_dict(s) for s in data["basis"]]
-        coeff = np.array(
-            [[[complex(re, im) for re, im in row]
-              for row in block] for block in data["coefficients"]],
-            dtype=complex)
+        try:
+            receiver_name = data["receiver"]
+            alice_labels = tuple((b, int(t)) for b, t in data["alice_labels"])
+            basis = [fs.state_from_dict(s) for s in data["basis"]]
+            coeff = np.array(
+                [[[complex(re, im) for re, im in row]
+                  for row in block] for block in data["coefficients"]],
+                dtype=complex)
+        except KeyError as err:
+            raise AttackError(f"attack-isometry/1 document lacks the key "
+                              f"{err}") from err
+        except (TypeError, ValueError) as err:
+            raise AttackError(f"malformed attack-isometry/1 document: "
+                              f"{err}") from err
         return AttackIsometry(
-            receiver_name=data["receiver"],
-            alice_labels=tuple((b, int(t)) for b, t in data["alice_labels"]),
+            receiver_name=receiver_name,
+            alice_labels=alice_labels,
             p_basis=basis,
             coefficients=coeff,
             label=data.get("label", ""),

@@ -19,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional
 
@@ -27,6 +28,7 @@ from . import classify as cl
 from . import fuzz as fz
 from . import protocol as proto
 from . import receivers as rc
+from .output import atomic_open, ndjson
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -39,7 +41,6 @@ _NAMED_ATTACKS = {
     "trivial": atk.trivial_attack,
     "cnot": atk.cnot_attack,
     "faked-states": atk.faked_states_attack,
-    "two-mode": atk.two_mode_attack,
     "full-information": atk.full_information_attack,
     "bright-pulse": atk.bright_pulse_attack,
 }
@@ -61,15 +62,21 @@ class CliError(Exception):
         return {"code": self.code, "message": str(self), "context": self.context}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as a :class:`CliError` instead of exiting."""
+
+    def error(self, message):
+        raise CliError(EXIT_CONFIG, "invalid-arguments", message,
+                       {"prog": self.prog})
+
+
 def _log(level: str, event: str, **fields) -> None:
     threshold = os.environ.get("QKDLAB_LOG_LEVEL", "warn").lower()
     if _LOG_LEVELS.get(threshold) is None:
         threshold = "warn"
     if _LOG_LEVELS[level] > _LOG_LEVELS[threshold]:
         return
-    record = {"level": level, "event": event}
-    record.update(fields)
-    print(json.dumps(record, sort_keys=True, separators=(",", ":")),
+    print(ndjson({"level": level, "event": event, **fields}),
           file=sys.stderr)
 
 
@@ -85,83 +92,155 @@ def _ensure_parent(path_text: Optional[str]) -> None:
         parent.mkdir(parents=True, exist_ok=True)
 
 
+def _write_file(path: str, text: str, **fields) -> None:
+    _ensure_parent(path)
+    with atomic_open(path) as fh:
+        fh.write(text)
+    _log("info", "artifact-written", path=path, **fields)
+
+
 def _write_artifact(out: Optional[str], data: dict) -> None:
-    if out is None:
-        return
-    _ensure_parent(out)
-    Path(out).write_text(_dump(data), encoding="utf-8")
-    _log("info", "artifact-written", path=str(out), schema=data.get("schema"))
+    if out is not None:
+        _write_file(out, _dump(data), schema=data.get("schema"))
 
 
 def _load_json(path: str, what: str) -> dict:
+    """The JSON object stored in ``path``; any failure exits 2."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            data = json.load(fh)
     except FileNotFoundError:
         raise CliError(EXIT_CONFIG, "file-not-found",
                        f"{what} file {path!r} does not exist",
                        {"path": path})
-    except json.JSONDecodeError as err:
+    except OSError as err:
+        raise CliError(EXIT_CONFIG, "io-error",
+                       f"cannot read {what} file {path!r}: "
+                       f"{err.strerror or err}", {"path": path})
+    except (ValueError, RecursionError) as err:  # not UTF-8 or not JSON
         raise CliError(EXIT_CONFIG, "invalid-json",
                        f"{what} file {path!r} is not valid JSON: {err}",
                        {"path": path})
+    if not isinstance(data, dict):
+        raise CliError(EXIT_CONFIG, "invalid-config",
+                       f"{what} file {path!r} must hold a JSON object",
+                       {"path": path})
+    return data
 
 
 # ---------------------------------------------------------------------------
-# option resolution: defaults < config file < explicit flags
+# options: one declaration each drives the flag, the config key and its type
 # ---------------------------------------------------------------------------
 
-_OPTION_DEFAULTS: Dict[str, Dict[str, object]] = {
-    "reverse-space": {"receiver": None, "variant": None, "max_photons": None,
-                      "seed": 0, "out": None},
-    "synth": {"receiver": None, "variant": None, "max_photons": None,
-              "eve_dim": None, "seed": 0, "out": None},
-    "verify": {"receiver": None, "variant": None, "max_photons": None,
-               "attack": None, "seed": 0, "out": None},
-    "simulate": {"receiver": None, "variant": None, "max_photons": None,
-                 "attack": None, "channel": None, "p_multi": None,
-                 "loss": None, "rounds": 10000, "seed": 0, "out": None,
-                 "log": None},
-    "fuzz": {"seed": 0, "max_cases": 10000, "p_th": None,
-             "blind_threshold": None, "recovery_slots": None, "out": None,
-             "trace": None, "replay": None, "report": None},
-    "classify": {"seed": 0, "out": None, "dot": None},
-    "report": {"artifacts": [], "seed": 0},
+@dataclass(frozen=True)
+class _Option:
+    """One option's value type (int, float, str or list of str), default
+    and help text.  A None default also admits null in a config file."""
+
+    type: type
+    default: object
+    help: str
+
+
+_JSON_TYPES = {int: "integer", float: "number", str: "string",
+               list: "array"}
+
+_RECEIVER = {
+    "receiver": _Option(str, None, "receiver kind or JSON config"),
+    "variant": _Option(str, None, "receiver variant name"),
+    "max_photons": _Option(int, None, "photon-number cutoff per mode"),
+}
+_ATTACK = {"attack": _Option(str, None, "named attack or attack JSON file")}
+_SEED = {"seed": _Option(int, 0, "RNG seed (default 0)")}
+_OUT = {"out": _Option(str, None, "artifact output path")}
+
+_OPTIONS: Dict[str, Dict[str, _Option]] = {
+    "reverse-space": {**_RECEIVER, **_SEED, **_OUT},
+    "synth": {**_RECEIVER, **_SEED, **_OUT, "eve_dim": _Option(
+        int, None, "probe dimension for the canonical member")},
+    "verify": {**_RECEIVER, **_ATTACK, **_SEED, **_OUT},
+    "simulate": {
+        **_RECEIVER, **_ATTACK, **_SEED, **_OUT,
+        "channel": _Option(str, None, "channel kind: identity, pns, lossy"),
+        "p_multi": _Option(float, None, "two-photon probability for pns"),
+        "loss": _Option(float, None, "loss probability for lossy"),
+        "rounds": _Option(int, 10000, "number of protocol rounds"),
+        "log": _Option(str, None, "write a per-round NDJSON log here"),
+    },
+    "fuzz": {
+        **_SEED, **_OUT,
+        "max_cases": _Option(int, 10000, "probe budget (every replay counts)"),
+        "p_th": _Option(float, None, "linear-mode click threshold"),
+        "blind_threshold": _Option(float, None, "intensity that blinds"),
+        "recovery_slots": _Option(int, None, "slots a blinding lasts"),
+        "trace": _Option(str, None, "write the per-case NDJSON trace here"),
+        "replay": _Option(str, None, "re-execute a logged anomaly by id"),
+        "report": _Option(str, None, "fuzz artifact to replay from"),
+    },
+    "classify": {**_SEED, **_OUT, "dot": _Option(
+        str, None, "write the family graph in DOT form here")},
+    "report": {**_SEED, "artifacts": _Option(
+        list, (), "artifact JSON files to render")},
 }
 
 
+def _config_value(key: str, option: _Option, value):
+    """A config file's ``value`` for ``key``, checked against its type."""
+    if value is None:
+        ok = option.default is None
+    elif isinstance(value, bool):
+        ok = False
+    elif option.type is float and isinstance(value, int):
+        # a JSON integer is a number too, where a float can hold it
+        ok = abs(value) <= sys.float_info.max
+        if ok:
+            value = float(value)
+    elif option.type is list:
+        ok = isinstance(value, list) and all(isinstance(v, str)
+                                             for v in value)
+    else:
+        ok = isinstance(value, option.type)
+    if not ok:
+        expected = _JSON_TYPES[option.type]
+        if option.type is list:
+            expected += " of strings"
+        if option.default is None:
+            expected += " or null"
+        raise CliError(EXIT_CONFIG, "invalid-config-type",
+                       f"config key {key!r} must be of JSON type {expected}",
+                       {"option": key, "expected": expected})
+    return value
+
+
 def _resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
-    defaults = _OPTION_DEFAULTS[subcommand]
-    merged = dict(defaults)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        config = _load_json(config_path, "config")
-        if not isinstance(config, dict):
-            raise CliError(EXIT_CONFIG, "invalid-config",
-                           "config must be a JSON object",
-                           {"path": config_path})
+    """Defaults < config file < explicit flags."""
+    table = _OPTIONS[subcommand]
+    opts = {key: option.default for key, option in table.items()}
+    if args.config:
+        config = _load_json(args.config, "config")
         declared = config.pop("subcommand", subcommand)
         if declared != subcommand:
             raise CliError(EXIT_CONFIG, "subcommand-mismatch",
                            f"config declares subcommand {declared!r} but "
                            f"{subcommand!r} was invoked",
-                           {"path": config_path})
-        unknown = set(config) - set(defaults)
+                           {"path": args.config})
+        unknown = set(config) - set(table)
         if unknown:
             raise CliError(EXIT_CONFIG, "unknown-config-keys",
                            f"config keys {sorted(unknown)} are not options "
                            f"of {subcommand!r}",
-                           {"allowed": sorted(defaults)})
-        merged.update(config)
-    for key in defaults:
-        value = getattr(args, key, None)
+                           {"allowed": sorted(table)})
+        for key, value in config.items():
+            opts[key] = _config_value(key, table[key], value)
+    for key in table:
+        value = getattr(args, key)
         if value is not None and value != []:
-            merged[key] = value
-    return merged
+            opts[key] = value
+    return opts
 
 
 def _require(opts: dict, key: str, subcommand: str):
-    if opts.get(key) is None:
+    if opts[key] is None:
         raise CliError(EXIT_CONFIG, "missing-option",
                        f"{subcommand} needs --{key.replace('_', '-')} "
                        f"(or the config key {key!r})", {"option": key})
@@ -171,13 +250,12 @@ def _require(opts: dict, key: str, subcommand: str):
 def _load_receiver(opts: dict, subcommand: str) -> rc.ReceiverModel:
     spec = _require(opts, "receiver", subcommand)
     try:
-        if isinstance(spec, str) and (spec.endswith(".json")
-                                      or os.path.sep in spec):
+        if spec.endswith(".json") or os.path.sep in spec:
             return rc.receiver_from_config(_load_json(spec, "receiver"))
         kwargs = {}
-        if opts.get("max_photons") is not None:
-            kwargs["max_photons"] = int(opts["max_photons"])
-        return rc.make_receiver(spec, opts.get("variant"), **kwargs)
+        if opts["max_photons"] is not None:
+            kwargs["max_photons"] = opts["max_photons"]
+        return rc.make_receiver(spec, opts["variant"], **kwargs)
     except (ValueError, KeyError) as err:
         raise CliError(EXIT_CONFIG, "invalid-receiver", str(err),
                        {"receiver": spec})
@@ -210,11 +288,12 @@ def _load_attack(spec: str, receiver: rc.ReceiverModel) -> atk.AttackIsometry:
 # ---------------------------------------------------------------------------
 
 def _cmd_reverse_space(opts: dict) -> int:
+    """span the receiver's interpretation acts on"""
     receiver = _load_receiver(opts, "reverse-space")
     system = atk.build_constraint_system(receiver)
     artifact = {
         "schema": "reverse-space/1",
-        "rng_seed": int(opts["seed"]),
+        "rng_seed": opts["seed"],
         "receiver": receiver.name,
         "dimension": system.n_basis,
         "constraints": system.n_rows,
@@ -227,12 +306,11 @@ def _cmd_reverse_space(opts: dict) -> int:
 
 
 def _cmd_synth(opts: dict) -> int:
+    """solve for undetectable attacks"""
     receiver = _load_receiver(opts, "synth")
     system = atk.build_constraint_system(receiver)
-    eve_dim = opts.get("eve_dim")
     try:
-        family = atk.synthesize_attacks(
-            system, None if eve_dim is None else int(eve_dim))
+        family = atk.synthesize_attacks(system, opts["eve_dim"])
     except atk.InfeasibleAttackError as err:
         raise CliError(EXIT_INFEASIBLE, "infeasible-synthesis", str(err),
                        {"receiver": receiver.name,
@@ -244,7 +322,7 @@ def _cmd_synth(opts: dict) -> int:
             "conditions" if family.only_trivial else "")
     artifact = {
         "schema": "attack-family/1",
-        "rng_seed": int(opts["seed"]),
+        "rng_seed": opts["seed"],
         "receiver": receiver.name,
         "family_dimension": family.dimension,
         "non_vacuum_dimension": family.non_vacuum_dimension,
@@ -264,6 +342,7 @@ def _cmd_synth(opts: dict) -> int:
 
 
 def _cmd_verify(opts: dict) -> int:
+    """audit a stored attack strategy"""
     receiver = _load_receiver(opts, "verify")
     attack = _load_attack(_require(opts, "attack", "verify"), receiver)
     report = atk.verify_oblivious(attack, receiver=receiver)
@@ -275,7 +354,7 @@ def _cmd_verify(opts: dict) -> int:
     ]
     artifact = {
         "schema": "verification/1",
-        "rng_seed": int(opts["seed"]),
+        "rng_seed": opts["seed"],
         "receiver": receiver.name,
         "attack_label": attack.label,
         "oblivious": report.oblivious,
@@ -298,8 +377,8 @@ def _cmd_verify(opts: dict) -> int:
 
 def _channel_from_options(opts: dict,
                           receiver: rc.ReceiverModel) -> proto.ChannelModel:
-    attack_spec = opts.get("attack")
-    kind = opts.get("channel")
+    attack_spec = opts["attack"]
+    kind = opts["channel"]
     if attack_spec is not None:
         if kind not in (None, proto.ATTACK):
             raise CliError(EXIT_CONFIG, "invalid-config",
@@ -311,11 +390,11 @@ def _channel_from_options(opts: dict,
         return proto.make_channel(proto.IDENTITY)
     try:
         if kind == proto.PNS:
-            return proto.make_channel(
-                kind, float(_require(opts, "p_multi", "simulate")))
+            return proto.make_channel(kind,
+                                      _require(opts, "p_multi", "simulate"))
         if kind == proto.LOSSY:
-            return proto.make_channel(
-                kind, float(_require(opts, "loss", "simulate")))
+            return proto.make_channel(kind,
+                                      _require(opts, "loss", "simulate"))
     except proto.ProtocolError as err:
         raise CliError(EXIT_CONFIG, "invalid-config", str(err),
                        {"channel": kind})
@@ -342,14 +421,15 @@ def _simulation_rows(artifact: dict) -> List[str]:
 
 
 def _cmd_simulate(opts: dict) -> int:
+    """run key-exchange sessions"""
     receiver = _load_receiver(opts, "simulate")
     channel = _channel_from_options(opts, receiver)
-    rounds = int(opts["rounds"])
-    _ensure_parent(opts.get("log"))
+    rounds = opts["rounds"]
+    _ensure_parent(opts["log"])
     try:
         report = proto.run_bb84(None, channel, receiver,
-                                rounds, seed=int(opts["seed"]),
-                                log_path=opts.get("log"))
+                                rounds, seed=opts["seed"],
+                                log_path=opts["log"])
     except (proto.ProtocolError, atk.AttackError) as err:
         raise CliError(EXIT_CONFIG, "invalid-config", str(err),
                        {"receiver": receiver.name})
@@ -363,13 +443,9 @@ def _cmd_simulate(opts: dict) -> int:
 
 
 def _fuzz_device(opts: dict) -> fz.APDReceiverDevice:
-    kwargs = {}
-    if opts.get("p_th") is not None:
-        kwargs["p_th"] = float(opts["p_th"])
-    if opts.get("blind_threshold") is not None:
-        kwargs["blind_threshold"] = float(opts["blind_threshold"])
-    if opts.get("recovery_slots") is not None:
-        kwargs["recovery_slots"] = int(opts["recovery_slots"])
+    kwargs = {key: opts[key]
+              for key in ("p_th", "blind_threshold", "recovery_slots")
+              if opts[key] is not None}
     try:
         return fz.make_apd_receiver_device(fz.APDParams(**kwargs))
     except fz.FuzzError as err:
@@ -377,7 +453,8 @@ def _fuzz_device(opts: dict) -> fz.APDReceiverDevice:
 
 
 def _cmd_fuzz(opts: dict) -> int:
-    if opts.get("replay"):
+    """black-box probe a detector device"""
+    if opts["replay"]:
         source = _require(opts, "report", "fuzz --replay")
         stored = _load_json(source, "fuzz report")
         try:
@@ -398,12 +475,12 @@ def _cmd_fuzz(opts: dict) -> int:
         return EXIT_OK
 
     device = _fuzz_device(opts)
-    _ensure_parent(opts.get("trace"))
+    _ensure_parent(opts["trace"])
     try:
         config = fz.default_config(device.params,
-                                   max_cases=int(opts["max_cases"]))
-        report = fz.run_fuzz_campaign(device, config, seed=int(opts["seed"]),
-                                      trace_path=opts.get("trace"))
+                                   max_cases=opts["max_cases"])
+        report = fz.run_fuzz_campaign(device, config, seed=opts["seed"],
+                                      trace_path=opts["trace"])
     except fz.FuzzError as err:
         raise CliError(EXIT_CONFIG, "invalid-config", str(err),
                        {"seed": opts["seed"], "max_cases": opts["max_cases"]})
@@ -423,15 +500,12 @@ def _cmd_fuzz(opts: dict) -> int:
 
 
 def _cmd_classify(opts: dict) -> int:
+    """export the attack taxonomy"""
     artifact = cl.registry_to_json_dict()
-    artifact["rng_seed"] = int(opts["seed"])
+    artifact["rng_seed"] = opts["seed"]
     _write_artifact(opts["out"], artifact)
-    if opts.get("dot"):
-        dot_path = Path(opts["dot"])
-        if dot_path.parent != Path("."):
-            dot_path.parent.mkdir(parents=True, exist_ok=True)
-        dot_path.write_text(cl.registry_to_dot(), encoding="utf-8")
-        _log("info", "artifact-written", path=str(opts["dot"]))
+    if opts["dot"]:
+        _write_file(opts["dot"], cl.registry_to_dot())
     for record in cl.registry():
         tags = ",".join(sorted(record.tags)) or "-"
         print(f"classify {record.name} class={record.expected_class} "
@@ -471,6 +545,7 @@ def _render_artifact(data: dict) -> List[str]:
 
 
 def _cmd_report(opts: dict) -> int:
+    """render stored artifacts as tables"""
     for path in opts["artifacts"]:
         for row in _render_artifact(_load_json(path, "artifact")):
             print(row)
@@ -489,82 +564,39 @@ _HANDLERS = {
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qkdlab",
-        description="Receiver attack analysis toolkit")
+    parser = _Parser(prog="qkdlab",
+                     description="Receiver attack analysis toolkit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def receiver_flags(p):
-        p.add_argument("--receiver", help="receiver kind or JSON config")
-        p.add_argument("--variant", help="receiver variant name")
-        p.add_argument("--max-photons", type=int, dest="max_photons")
-
-    def common_flags(p):
-        p.add_argument("--seed", type=int, help="RNG seed (default 0)")
-        p.add_argument("--out", help="artifact output path")
+    for subcommand, table in _OPTIONS.items():
+        p = sub.add_parser(subcommand, help=_HANDLERS[subcommand].__doc__)
+        for key, option in table.items():
+            if option.type is list:
+                p.add_argument(key, nargs="*", help=option.help)
+            else:
+                p.add_argument("--" + key.replace("_", "-"), dest=key,
+                               type=None if option.type is str
+                               else option.type, help=option.help)
         p.add_argument("--config", help="JSON config with option values")
-
-    p = sub.add_parser("reverse-space",
-                       help="span the receiver's interpretation acts on")
-    receiver_flags(p)
-    common_flags(p)
-
-    p = sub.add_parser("synth", help="solve for undetectable attacks")
-    receiver_flags(p)
-    p.add_argument("--eve-dim", type=int, dest="eve_dim",
-                   help="probe dimension for the canonical member")
-    common_flags(p)
-
-    p = sub.add_parser("verify", help="audit a stored attack strategy")
-    receiver_flags(p)
-    p.add_argument("--attack", help="attack JSON file or named attack")
-    common_flags(p)
-
-    p = sub.add_parser("simulate", help="run key-exchange sessions")
-    receiver_flags(p)
-    p.add_argument("--attack", help="named attack or attack JSON file")
-    p.add_argument("--channel",
-                   help="channel kind: identity, pns, lossy")
-    p.add_argument("--p-multi", type=float, dest="p_multi",
-                   help="multi-photon emission probability for pns")
-    p.add_argument("--loss", type=float, help="loss probability for lossy")
-    p.add_argument("--rounds", type=int, help="number of protocol rounds")
-    p.add_argument("--log", help="write a per-round NDJSON log here")
-    common_flags(p)
-
-    p = sub.add_parser("fuzz", help="black-box probe a detector device")
-    p.add_argument("--max-cases", type=int, dest="max_cases",
-                   help="probe budget (every replay counts)")
-    p.add_argument("--p-th", type=float, dest="p_th",
-                   help="linear-mode click threshold of the device model")
-    p.add_argument("--blind-threshold", type=float, dest="blind_threshold")
-    p.add_argument("--recovery-slots", type=int, dest="recovery_slots")
-    p.add_argument("--trace", help="write the per-case NDJSON trace here")
-    p.add_argument("--replay", help="re-execute a logged anomaly by id")
-    p.add_argument("--report", help="fuzz artifact to replay from")
-    common_flags(p)
-
-    p = sub.add_parser("classify", help="export the attack taxonomy")
-    p.add_argument("--dot", help="write the family graph in DOT form here")
-    common_flags(p)
-
-    p = sub.add_parser("report", help="render stored artifacts as tables")
-    p.add_argument("artifacts", nargs="*",
-                   help="artifact JSON files to render")
-    common_flags(p)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         opts = _resolve_options(args.subcommand, args)
         _log("debug", "start", subcommand=args.subcommand)
         return _HANDLERS[args.subcommand](opts)
     except CliError as err:
-        print(json.dumps(err.payload(), sort_keys=True,
-                         separators=(",", ":")), file=sys.stderr)
-        return err.exit_code
+        error = err
+    except OSError as err:
+        # os.replace names the destination second
+        path = err.filename2 or err.filename
+        path = None if path is None else os.fsdecode(path)
+        error = CliError(EXIT_CONFIG, "io-error",
+                         f"cannot write {path!r}: {err.strerror or err}",
+                         {"path": path})
+    print(ndjson(error.payload()), file=sys.stderr)
+    return error.exit_code
 
 
 if __name__ == "__main__":

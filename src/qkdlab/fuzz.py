@@ -20,7 +20,6 @@ equivalent bright-pulse receiver model.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -29,6 +28,7 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import receivers as rc
+from .output import atomic_open, ndjson
 
 TRACE_SCHEMA = "fuzz-trace/1"
 REPORT_SCHEMA = "fuzz-report/1"
@@ -751,15 +751,11 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
     )
     report.validate()
 
-    if trace_path is not None:
-        with open(trace_path, "w", encoding="utf-8") as fh:
-            header = {"schema": TRACE_SCHEMA, "rng_seed": seed,
-                      "max_cases": config.max_cases}
-            fh.write(json.dumps(header, sort_keys=True,
-                                separators=(",", ":")) + "\n")
-            for row in trace_rows:
-                fh.write(json.dumps(row, sort_keys=True,
-                                    separators=(",", ":")) + "\n")
+    with atomic_open(trace_path) as fh:
+        if fh is not None:
+            fh.write(ndjson({"schema": TRACE_SCHEMA, "rng_seed": seed,
+                             "max_cases": config.max_cases}) + "\n")
+            fh.writelines(ndjson(row) + "\n" for row in trace_rows)
     return report
 
 

@@ -1,0 +1,42 @@
+"""One NDJSON line encoder and one atomic file writer.
+
+Round logs, fuzz traces, CLI diagnostics and CLI error lines are encoded
+by :func:`ndjson`; artifacts, round logs, fuzz traces and DOT exports are
+written through :func:`atomic_open`.  Standard library only, so any
+module may import it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+from contextlib import contextmanager
+from pathlib import Path
+from typing import Union
+
+
+def ndjson(record: dict) -> str:
+    """``record`` as one compact JSON line with sorted keys, no newline."""
+    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+@contextmanager
+def atomic_open(path: Union[str, Path, None]):
+    """A text file that replaces ``path`` only if the block completes.
+
+    Yields None when ``path`` is None.  The file is written next to its
+    destination and moved over it in one ``os.replace``; on any
+    exception it is removed, so an earlier file at ``path`` survives.
+    """
+    if path is None:
+        yield None
+        return
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

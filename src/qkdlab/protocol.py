@@ -22,9 +22,7 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
@@ -34,6 +32,7 @@ import numpy as np
 from . import attacks as atk
 from . import receivers as rc
 from .fockspace import PhotonicState
+from .output import atomic_open, ndjson as _dump
 
 REPORT_SCHEMA = "simulation-report/1"
 ROUND_LOG_SCHEMA = "round-log/1"
@@ -501,7 +500,7 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
     attack_label = channel.attack.label if channel.kind == ATTACK else None
 
     gen = np.random.Generator(np.random.Philox(seed))
-    with _atomic_log(log_path) as fh:
+    with atomic_open(log_path) as fh:
         if fh is not None:
             prefixes = _line_prefixes(cells, ids, width)
             fh.write(_dump({
@@ -530,10 +529,6 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
                    receiver=receiver.name, channel=channel.kind,
                    rng_seed=seed, test_fraction=1.0,
                    attack_label=attack_label)
-
-
-def _dump(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
 def _line_prefixes(cells, ids: Dict[str, List[str]],
@@ -569,28 +564,6 @@ def _log_lines(prefixes: List[Optional[str]], start: int,
     """Round lines ``start, start + 1, ...`` for a chunk of cell indices."""
     return "".join([prefixes[c] + str(r) + "}\n"
                     for r, c in enumerate(cells.tolist(), start)])
-
-
-@contextmanager
-def _atomic_log(path: Union[str, Path, None]):
-    """A text file that replaces ``path`` only if the block completes.
-
-    Yields None when ``path`` is None.  The file is written next to its
-    destination and moved over it in one ``os.replace``; on any
-    exception it is removed, so an earlier file at ``path`` survives.
-    """
-    if path is None:
-        yield None
-        return
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            yield fh
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
 
 
 # ---------------------------------------------------------------------------

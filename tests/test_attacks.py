@@ -506,3 +506,33 @@ def test_non_isometric_coefficients_are_rejected(six):
     with pytest.raises(atk.AttackError, match="isometry"):
         atk.AttackIsometry(system.receiver_name, system.alice_labels,
                            system.p_basis, coeff)
+
+
+def _faked_states_document(six):
+    receiver, system, _ = six
+    return atk.faked_states_attack(receiver, system).to_json_dict()
+
+
+@pytest.mark.parametrize("missing", ["receiver", "alice_labels", "basis",
+                                     "coefficients"])
+def test_attack_json_missing_key_is_an_attack_error(six, missing):
+    data = _faked_states_document(six)
+    del data[missing]
+    with pytest.raises(atk.AttackError, match=missing):
+        atk.AttackIsometry.from_json_dict(data)
+    with pytest.raises(atk.AttackError):
+        atk.AttackIsometry.from_json_dict({"format": "attack-isometry/1"})
+
+
+@pytest.mark.parametrize("damage", [
+    lambda c: c[0].pop(),
+    lambda c: c[1][0].append([0.0, 0.0]),
+    lambda c: c[0][0].__setitem__(0, [1.0]),
+    lambda c: c[0].__setitem__(0, "x"),
+], ids=["branch-lacks-a-row", "row-has-an-extra-entry",
+        "complex-with-one-part", "row-is-not-a-list"])
+def test_attack_json_ragged_coefficients_are_an_attack_error(six, damage):
+    data = _faked_states_document(six)
+    damage(data["coefficients"])
+    with pytest.raises(atk.AttackError):
+        atk.AttackIsometry.from_json_dict(data)

@@ -1,0 +1,304 @@
+"""The CLI boundary: every malformed input is one JSON line and exit 2.
+
+Covers the option table (flags, config keys and their JSON types come
+from one declaration per option, and agree with
+``docs/schemas/scenario-config.schema.json``), parser errors, unreadable
+input files, unwritable outputs, and atomic artifact writes.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as hst
+
+import qkdlab.classify as cl
+import qkdlab.cli as cli
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
+SCHEMA_DIR = REPO_ROOT / "docs" / "schemas"
+
+
+def run_cli(argv):
+    """Invoke the CLI in-process, returning (exit_code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def assert_one_error_line(code, stdout, stderr):
+    """Exit 2, nothing on stdout, exactly one JSON error object on stderr."""
+    assert code == cli.EXIT_CONFIG, stderr
+    assert stdout == ""
+    lines = stderr.splitlines()
+    assert len(lines) == 1, stderr
+    payload = json.loads(lines[0])
+    assert set(payload) == {"code", "message", "context"}
+    return payload
+
+
+def write_config(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+# ---------------------------------------------------------------------------
+# the option table agrees with the scenario-config schema
+# ---------------------------------------------------------------------------
+
+def _schema_types(prop, definitions):
+    """The set of JSON type names a schema property admits."""
+    if "$ref" in prop:
+        prop = definitions[prop["$ref"].rsplit("/", 1)[-1]]
+    if "enum" in prop:  # the channel kinds: strings and null
+        return {"null" if value is None else "string"
+                for value in prop["enum"]}
+    kinds = prop["type"]
+    return {kinds} if isinstance(kinds, str) else set(kinds)
+
+
+def test_option_table_matches_the_scenario_schema():
+    schema = json.loads(
+        (SCHEMA_DIR / "scenario-config.schema.json").read_text())
+    branches = {branch["properties"]["subcommand"]["const"]: branch
+                for branch in schema["oneOf"]}
+    assert set(branches) == set(cli._OPTIONS) == set(cli._HANDLERS)
+    for subcommand, table in cli._OPTIONS.items():
+        props = dict(branches[subcommand]["properties"])
+        del props["subcommand"]
+        assert set(props) == set(table), subcommand
+        for key, option in table.items():
+            admitted = _schema_types(props[key], schema["definitions"])
+            assert admitted - {"null"} == {cli._JSON_TYPES[option.type]}, \
+                (subcommand, key)
+
+
+def test_every_flag_of_a_subcommand_is_in_its_table():
+    parser = cli._build_parser()
+    for subcommand, table in cli._OPTIONS.items():
+        parsed = vars(parser.parse_args([subcommand]))
+        assert set(parsed) - {"subcommand", "config"} == set(table)
+
+
+# ---------------------------------------------------------------------------
+# each documented malformed input: exit 2 and one JSON line
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("subcommand,config,option", [
+    ("classify", {"seed": "abc"}, "seed"),
+    ("classify", {"out": 7}, "out"),
+    ("simulate", {"receiver": "ideal-bb84", "rounds": "many"}, "rounds"),
+    ("fuzz", {"max_cases": "x"}, "max_cases"),
+    ("report", {"artifacts": "x.json"}, "artifacts"),
+    ("report", {"artifacts": ["a.json", 3]}, "artifacts"),
+    ("simulate", {"receiver": "ideal-bb84", "rounds": None}, "rounds"),
+    ("synth", {"receiver": "ideal-bb84", "eve_dim": 2.0}, "eve_dim"),
+    ("fuzz", {"seed": True}, "seed"),
+    ("fuzz", {"p_th": "1"}, "p_th"),
+])
+def test_wrong_typed_config_value_exits_2(tmp_path, subcommand, config,
+                                          option):
+    path = write_config(tmp_path / "cfg.json", config)
+    payload = assert_one_error_line(
+        *run_cli([subcommand, "--config", path]))
+    assert payload["code"] == "invalid-config-type"
+    assert payload["context"]["option"] == option
+
+
+def test_integer_config_value_is_accepted_for_a_number_option(tmp_path):
+    outs = []
+    for loss in (0, 0.0):
+        out = tmp_path / f"sim-{loss!r}.json"
+        path = write_config(tmp_path / "cfg.json", {
+            "receiver": "ideal-bb84", "channel": "lossy", "loss": loss,
+            "rounds": 200, "out": str(out)})
+        code, _, stderr = run_cli(["simulate", "--config", path])
+        assert code == cli.EXIT_OK, stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["simulate", "--rounds", "abc"], "invalid-arguments"),
+    (["bogus"], "invalid-arguments"),
+    ([], "invalid-arguments"),
+    (["report", "--out", "x.json"], "invalid-arguments"),
+    (["classify", "--no-such-flag"], "invalid-arguments"),
+    (["fuzz", "--p-th", "hot"], "invalid-arguments"),
+])
+def test_malformed_argv_exits_2(argv, code):
+    payload = assert_one_error_line(*run_cli(argv))
+    assert payload["code"] == code
+
+
+def test_report_on_non_utf8_file_exits_2(tmp_path):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"schema": "café"}'.encode("latin-1"))
+    payload = assert_one_error_line(*run_cli(["report", path]))
+    assert payload["code"] == "invalid-json"
+
+
+def test_report_on_a_json_array_exits_2(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1,2]")
+    payload = assert_one_error_line(*run_cli(["report", path]))
+    assert payload["code"] == "invalid-config"
+    assert payload["context"]["path"] == str(path)
+
+
+@pytest.mark.parametrize("what", ["receiver", "attack"])
+def test_non_object_receiver_and_attack_files_exit_2(tmp_path, what):
+    path = tmp_path / f"{what}.json"
+    path.write_text('"ideal-bb84"')
+    argv = ["verify", "--receiver", "ideal-bb84", "--attack", "cnot"]
+    argv[argv.index(f"--{what}") + 1] = path
+    payload = assert_one_error_line(*run_cli(argv))
+    assert payload["code"] == "invalid-config"
+
+
+def test_receiver_naming_a_directory_exits_2(tmp_path):
+    payload = assert_one_error_line(
+        *run_cli(["reverse-space", "--receiver", tmp_path]))
+    assert payload["code"] == "io-error"
+
+
+@pytest.mark.parametrize("flag", ["--out", "--dot"])
+def test_output_naming_a_directory_exits_2(tmp_path, flag):
+    target = tmp_path / "adir"
+    target.mkdir()
+    payload = assert_one_error_line(*run_cli(["classify", flag, target]))
+    assert payload["code"] == "io-error"
+    assert payload["context"]["path"] == str(target)
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"]
+    assert list(target.iterdir()) == []
+
+
+@pytest.mark.parametrize("subcommand", ["verify", "simulate"])
+def test_two_mode_is_not_a_named_attack(subcommand):
+    payload = assert_one_error_line(
+        *run_cli([subcommand, "--receiver", "interferometric-2mode",
+                  "--attack", "two-mode"]))
+    assert payload["code"] == "invalid-attack"
+
+
+def test_attack_file_without_keys_exits_2(tmp_path):
+    path = write_config(tmp_path / "keyless.json",
+                        {"format": "attack-isometry/1"})
+    payload = assert_one_error_line(
+        *run_cli(["verify", "--receiver", "ideal-bb84", "--attack", path]))
+    assert payload["code"] == "invalid-attack"
+
+
+# ---------------------------------------------------------------------------
+# a failed write keeps the previous artifact
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("flag,producer", [
+    ("--out", "_dump"),
+    ("--dot", "registry_to_dot"),
+])
+def test_failed_artifact_write_keeps_the_previous_file(tmp_path, monkeypatch,
+                                                       flag, producer):
+    path = tmp_path / "artifact"
+    code, _, _ = run_cli(["classify", flag, path])
+    assert code == cli.EXIT_OK
+    before = path.read_bytes()
+
+    # a lone surrogate cannot be encoded, so the write fails after the
+    # output file has been opened
+    module = cli if producer == "_dump" else cl
+    monkeypatch.setattr(module, producer, lambda *args: "\ud800")
+    with pytest.raises(UnicodeEncodeError):
+        run_cli(["classify", flag, path, "--seed", 1])
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+# ---------------------------------------------------------------------------
+# property: malformed input never escapes as a traceback
+# ---------------------------------------------------------------------------
+
+_JSON_VALUES = hst.recursive(
+    hst.none() | hst.booleans() | hst.integers()
+    | hst.floats(allow_nan=False) | hst.text(max_size=5),
+    lambda inner: hst.lists(inner, max_size=3)
+    | hst.dictionaries(hst.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+
+
+def _admits(option, value):
+    """Whether a config value has the JSON type the option declares."""
+    if value is None:
+        return option.default is None
+    if isinstance(value, bool):
+        return False
+    if option.type is float:
+        return isinstance(value, (int, float))
+    if option.type is list:
+        return isinstance(value, list) and all(isinstance(v, str)
+                                               for v in value)
+    return isinstance(value, option.type)
+
+
+@hst.composite
+def wrong_typed_configs(draw):
+    subcommand = draw(hst.sampled_from(sorted(cli._OPTIONS)))
+    table = cli._OPTIONS[subcommand]
+    key = draw(hst.sampled_from(sorted(table)))
+    value = draw(_JSON_VALUES.filter(lambda v: not _admits(table[key], v)))
+    return subcommand, {key: value}
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=wrong_typed_configs())
+def test_any_wrong_typed_config_value_exits_2(tmp_path, case):
+    subcommand, config = case
+    path = write_config(tmp_path / "cfg.json", config)
+    payload = assert_one_error_line(*run_cli([subcommand, "--config", path]))
+    assert payload["code"] == "invalid-config-type"
+
+
+def _unparsable(kind):
+    def fails(text):
+        try:
+            kind(text)
+        except ValueError:
+            return True
+        return False
+    return fails
+
+
+_FLAG_NAMES = hst.text(alphabet="abcdefghijklmnopqrstuvwxyz-_",
+                       min_size=1, max_size=12)
+
+
+@hst.composite
+def malformed_argvs(draw):
+    subcommand = draw(hst.sampled_from(sorted(cli._OPTIONS)))
+    table = cli._OPTIONS[subcommand]
+    numeric = sorted(k for k, o in table.items() if o.type in (int, float))
+    shape = draw(hst.sampled_from(["subcommand", "flag", "value"]
+                                  if numeric else ["subcommand", "flag"]))
+    if shape == "subcommand":
+        word = draw(hst.text(min_size=1, max_size=12).filter(
+            lambda w: w not in cli._OPTIONS and not w.startswith("-")))
+        return [word] + draw(hst.lists(hst.text(max_size=5), max_size=2))
+    if shape == "flag":
+        # "--h" .. "--help" would print the usage and exit 0
+        name = draw(_FLAG_NAMES.filter(lambda n: not "help".startswith(n)
+                                       and n != "-"))
+        return [subcommand, "--" + name]
+    key = draw(hst.sampled_from(numeric))
+    text = draw(hst.text(max_size=8).filter(_unparsable(table[key].type)))
+    return [subcommand, "--" + key.replace("_", "-"), text]
+
+
+@settings(max_examples=80, deadline=None)
+@given(argv=malformed_argvs())
+def test_any_malformed_argv_exits_2(argv):
+    assert_one_error_line(*run_cli(argv))

@@ -392,3 +392,22 @@ def test_case_seed_bit_fields_are_bounded():
     for seed in (-1, 1.5, 2 ** 88):
         with pytest.raises(fuzz.FuzzError, match="seed"):
             fuzz.run_fuzz_campaign(device, seed=seed)
+
+
+def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
+    path = tmp_path / "trace.ndjson"
+    device = fuzz.make_apd_receiver_device()
+    config = fuzz.default_config(device.params, max_cases=200)
+    fuzz.run_fuzz_campaign(device, config, seed=0, trace_path=path)
+    before = path.read_bytes()
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("interrupted")
+
+    # every trace line goes through json.dumps once the file is open
+    monkeypatch.setattr(json, "dumps", failing)
+    with pytest.raises(RuntimeError):
+        fuzz.run_fuzz_campaign(device, config, seed=1, trace_path=path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["trace.ndjson"]

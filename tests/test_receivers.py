@@ -278,3 +278,17 @@ def test_unknown_interpretation_tag_is_rejected():
         rc.Setting(rc.COMPUTATIONAL, rc.polarization_rotation,
                    rc.polarization_rotation, outcomes,
                    {"D0": rc.BIT0, "D1": "bit_1"})
+
+
+def test_receiver_schema_lists_every_interpretation_tag():
+    import json
+    from pathlib import Path
+
+    schema = json.loads((Path(__file__).resolve().parents[1] / "docs"
+                         / "schemas" / "receiver-config.schema.json")
+                        .read_text())
+    custom = next(branch for branch in schema["oneOf"]
+                  if branch["properties"]["kind"].get("const") == "custom")
+    setting = custom["properties"]["settings"]["additionalProperties"]
+    tags = setting["properties"]["interpretation"]["additionalProperties"]
+    assert sorted(tags["enum"]) == sorted(rc.INTERPRETATION_TAGS)
