@@ -17,7 +17,6 @@ from itertools import combinations
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog, nnls
 
 from . import fockspace as fs
 from . import receivers as rc
@@ -420,6 +419,9 @@ def _solve_weights(a: np.ndarray, pool: Sequence[int]) -> Optional[np.ndarray]:
     """Nonnegative weights over ``pool`` satisfying the isometry conditions."""
     if not pool:
         return None
+    # imported here: scipy.optimize is slow to import, and only synthesis
+    # and sampling call it
+    from scipy.optimize import nnls
     t, rnorm = nnls(a[:, pool], _WEIGHT_TARGET)
     if rnorm > 1e-9:
         return None
@@ -497,6 +499,7 @@ class AttackFamily:
     def sample(self, rng: np.random.Generator,
                allow_vacuum: bool = False) -> AttackIsometry:
         """Random member: convex mixture of random extreme diagonal members."""
+        from scipy.optimize import linprog
         pool = self.direction_pool(allow_vacuum)
         a, b = self.weight_system()
         vertices: List[np.ndarray] = []

@@ -11,24 +11,33 @@ All artifacts are JSON with sorted keys, all randomness flows from the
 ``--seed`` flag (default 0, echoed into every artifact), and errors are
 reported as one machine-readable JSON object on stderr.  Diagnostics go
 to stderr as newline-delimited JSON, gated by ``QKDLAB_LOG_LEVEL``.
+
+Each handler imports the modules it runs, so a run loads only what its
+subcommand needs: ``classify`` and ``report`` use the standard library
+alone, and only ``synth`` loads scipy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
-from . import attacks as atk
-from . import classify as cl
-from . import fuzz as fz
-from . import protocol as proto
-from . import receivers as rc
-from .output import atomic_open, ndjson
+from .output import (
+    COMPUTATIONAL, FUZZ_REPORT_SCHEMA, HADAMARD, SIMULATION_REPORT_SCHEMA,
+    Y_BASIS, atomic_open, ndjson,
+)
+
+if TYPE_CHECKING:
+    from . import attacks as atk
+    from . import fuzz as fz
+    from . import protocol as proto
+    from . import receivers as rc
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -37,15 +46,16 @@ EXIT_VERIFICATION = 4
 
 _LOG_LEVELS = {"error": 0, "warn": 1, "info": 2, "debug": 3}
 
+# attack name -> its constructor in qkdlab.attacks
 _NAMED_ATTACKS = {
-    "trivial": atk.trivial_attack,
-    "cnot": atk.cnot_attack,
-    "faked-states": atk.faked_states_attack,
-    "full-information": atk.full_information_attack,
-    "bright-pulse": atk.bright_pulse_attack,
+    "trivial": "trivial_attack",
+    "cnot": "cnot_attack",
+    "faked-states": "faked_states_attack",
+    "full-information": "full_information_attack",
+    "bright-pulse": "bright_pulse_attack",
 }
 
-_BASIS_SHORT = {rc.COMPUTATIONAL: "comp", rc.HADAMARD: "had", rc.Y_BASIS: "y"}
+_BASIS_SHORT = {COMPUTATIONAL: "comp", HADAMARD: "had", Y_BASIS: "y"}
 
 
 class CliError(Exception):
@@ -134,21 +144,33 @@ def _load_json(path: str, what: str) -> dict:
 
 @dataclass(frozen=True)
 class _Option:
-    """One option's value type (int, float, str or list of str), default
-    and help text.  A None default also admits null in a config file."""
+    """One option's value type (int, float, str or list of str), default,
+    help text and numeric bounds (JSON-schema keyword -> bound).  A None
+    default also admits null in a config file."""
 
     type: type
     default: object
     help: str
+    bounds: Mapping[str, float] = field(default_factory=dict)
 
 
 _JSON_TYPES = {int: "integer", float: "number", str: "string",
                list: "array"}
 
+# JSON-schema bound keyword -> (symbol, test a value must pass)
+_BOUND_TESTS = {"minimum": (">=", operator.ge),
+                "maximum": ("<=", operator.le),
+                "exclusiveMinimum": (">", operator.gt)}
+
+_AT_LEAST_1 = {"minimum": 1}
+_PROBABILITY = {"minimum": 0, "maximum": 1}
+_POSITIVE = {"exclusiveMinimum": 0}
+
 _RECEIVER = {
     "receiver": _Option(str, None, "receiver kind or JSON config"),
     "variant": _Option(str, None, "receiver variant name"),
-    "max_photons": _Option(int, None, "photon-number cutoff per mode"),
+    "max_photons": _Option(int, None, "photon-number cutoff per mode",
+                           _AT_LEAST_1),
 }
 _ATTACK = {"attack": _Option(str, None, "named attack or attack JSON file")}
 _SEED = {"seed": _Option(int, 0, "RNG seed (default 0)")}
@@ -157,22 +179,29 @@ _OUT = {"out": _Option(str, None, "artifact output path")}
 _OPTIONS: Dict[str, Dict[str, _Option]] = {
     "reverse-space": {**_RECEIVER, **_SEED, **_OUT},
     "synth": {**_RECEIVER, **_SEED, **_OUT, "eve_dim": _Option(
-        int, None, "probe dimension for the canonical member")},
+        int, None, "probe dimension for the canonical member", _AT_LEAST_1)},
     "verify": {**_RECEIVER, **_ATTACK, **_SEED, **_OUT},
     "simulate": {
         **_RECEIVER, **_ATTACK, **_SEED, **_OUT,
         "channel": _Option(str, None, "channel kind: identity, pns, lossy"),
-        "p_multi": _Option(float, None, "two-photon probability for pns"),
-        "loss": _Option(float, None, "loss probability for lossy"),
-        "rounds": _Option(int, 10000, "number of protocol rounds"),
+        "p_multi": _Option(float, None, "two-photon probability for pns",
+                           _PROBABILITY),
+        "loss": _Option(float, None, "loss probability for lossy",
+                        _PROBABILITY),
+        "rounds": _Option(int, 10000, "number of protocol rounds",
+                          _AT_LEAST_1),
         "log": _Option(str, None, "write a per-round NDJSON log here"),
     },
     "fuzz": {
         **_SEED, **_OUT,
-        "max_cases": _Option(int, 10000, "probe budget (every replay counts)"),
-        "p_th": _Option(float, None, "linear-mode click threshold"),
-        "blind_threshold": _Option(float, None, "intensity that blinds"),
-        "recovery_slots": _Option(int, None, "slots a blinding lasts"),
+        "max_cases": _Option(int, 10000, "probe budget (every replay counts)",
+                             _AT_LEAST_1),
+        "p_th": _Option(float, None, "linear-mode click threshold",
+                        _POSITIVE),
+        "blind_threshold": _Option(float, None, "intensity that blinds",
+                                   _POSITIVE),
+        "recovery_slots": _Option(int, None, "slots a blinding lasts",
+                                  {"minimum": 0}),
         "trace": _Option(str, None, "write the per-case NDJSON trace here"),
         "replay": _Option(str, None, "re-execute a logged anomaly by id"),
         "report": _Option(str, None, "fuzz artifact to replay from"),
@@ -212,6 +241,18 @@ def _config_value(key: str, option: _Option, value):
     return value
 
 
+def _check_bounds(key: str, option: _Option, value) -> None:
+    """``value`` (None passes) lies within ``option``'s bounds."""
+    if value is None:
+        return
+    for keyword, bound in option.bounds.items():
+        symbol, test = _BOUND_TESTS[keyword]
+        if not test(value, bound):  # NaN fails every test
+            raise CliError(EXIT_CONFIG, "invalid-config",
+                           f"option {key!r} must be {symbol} {bound}, "
+                           f"got {value!r}", {"option": key, keyword: bound})
+
+
 def _resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
     """Defaults < config file < explicit flags."""
     table = _OPTIONS[subcommand]
@@ -236,6 +277,8 @@ def _resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
         value = getattr(args, key)
         if value is not None and value != []:
             opts[key] = value
+    for key, option in table.items():
+        _check_bounds(key, option, opts[key])
     return opts
 
 
@@ -248,6 +291,7 @@ def _require(opts: dict, key: str, subcommand: str):
 
 
 def _load_receiver(opts: dict, subcommand: str) -> rc.ReceiverModel:
+    from . import receivers as rc
     spec = _require(opts, "receiver", subcommand)
     try:
         if spec.endswith(".json") or os.path.sep in spec:
@@ -262,9 +306,10 @@ def _load_receiver(opts: dict, subcommand: str) -> rc.ReceiverModel:
 
 
 def _load_attack(spec: str, receiver: rc.ReceiverModel) -> atk.AttackIsometry:
+    from . import attacks as atk
     if spec in _NAMED_ATTACKS:
         try:
-            return _NAMED_ATTACKS[spec](receiver)
+            return getattr(atk, _NAMED_ATTACKS[spec])(receiver)
         except atk.AttackError as err:
             raise CliError(EXIT_CONFIG, "invalid-attack",
                            f"cannot build attack {spec!r} against "
@@ -289,6 +334,7 @@ def _load_attack(spec: str, receiver: rc.ReceiverModel) -> atk.AttackIsometry:
 
 def _cmd_reverse_space(opts: dict) -> int:
     """span the receiver's interpretation acts on"""
+    from . import attacks as atk
     receiver = _load_receiver(opts, "reverse-space")
     system = atk.build_constraint_system(receiver)
     artifact = {
@@ -307,6 +353,7 @@ def _cmd_reverse_space(opts: dict) -> int:
 
 def _cmd_synth(opts: dict) -> int:
     """solve for undetectable attacks"""
+    from . import attacks as atk
     receiver = _load_receiver(opts, "synth")
     system = atk.build_constraint_system(receiver)
     try:
@@ -343,6 +390,7 @@ def _cmd_synth(opts: dict) -> int:
 
 def _cmd_verify(opts: dict) -> int:
     """audit a stored attack strategy"""
+    from . import attacks as atk
     receiver = _load_receiver(opts, "verify")
     attack = _load_attack(_require(opts, "attack", "verify"), receiver)
     report = atk.verify_oblivious(attack, receiver=receiver)
@@ -377,6 +425,7 @@ def _cmd_verify(opts: dict) -> int:
 
 def _channel_from_options(opts: dict,
                           receiver: rc.ReceiverModel) -> proto.ChannelModel:
+    from . import protocol as proto
     attack_spec = opts["attack"]
     kind = opts["channel"]
     if attack_spec is not None:
@@ -407,7 +456,7 @@ def _channel_from_options(opts: dict,
 def _simulation_rows(artifact: dict) -> List[str]:
     per_basis = artifact["per_basis"]
     parts = []
-    for basis in sorted(per_basis, key=lambda b: (b != rc.COMPUTATIONAL, b)):
+    for basis in sorted(per_basis, key=lambda b: (b != COMPUTATIONAL, b)):
         eff = per_basis[basis]["detection_efficiency"]
         short = _BASIS_SHORT.get(basis, basis)
         parts.append(f"{short}=" + ("n/a" if eff is None else f"{eff:.3f}"))
@@ -422,6 +471,8 @@ def _simulation_rows(artifact: dict) -> List[str]:
 
 def _cmd_simulate(opts: dict) -> int:
     """run key-exchange sessions"""
+    from . import attacks as atk
+    from . import protocol as proto
     receiver = _load_receiver(opts, "simulate")
     channel = _channel_from_options(opts, receiver)
     rounds = opts["rounds"]
@@ -443,6 +494,7 @@ def _cmd_simulate(opts: dict) -> int:
 
 
 def _fuzz_device(opts: dict) -> fz.APDReceiverDevice:
+    from . import fuzz as fz
     kwargs = {key: opts[key]
               for key in ("p_th", "blind_threshold", "recovery_slots")
               if opts[key] is not None}
@@ -454,6 +506,7 @@ def _fuzz_device(opts: dict) -> fz.APDReceiverDevice:
 
 def _cmd_fuzz(opts: dict) -> int:
     """black-box probe a detector device"""
+    from . import fuzz as fz
     if opts["replay"]:
         source = _require(opts, "report", "fuzz --replay")
         stored = _load_json(source, "fuzz report")
@@ -501,6 +554,7 @@ def _cmd_fuzz(opts: dict) -> int:
 
 def _cmd_classify(opts: dict) -> int:
     """export the attack taxonomy"""
+    from . import classify as cl
     artifact = cl.registry_to_json_dict()
     artifact["rng_seed"] = opts["seed"]
     _write_artifact(opts["out"], artifact)
@@ -515,9 +569,9 @@ def _cmd_classify(opts: dict) -> int:
 
 def _render_artifact(data: dict) -> List[str]:
     schema = data.get("schema")
-    if schema == proto.REPORT_SCHEMA:
+    if schema == SIMULATION_REPORT_SCHEMA:
         return _simulation_rows(data)
-    if schema == fz.REPORT_SCHEMA:
+    if schema == FUZZ_REPORT_SCHEMA:
         names = ",".join(data["properties_found"]) or "none"
         return [f"fuzz properties={names} "
                 f"anomalies={len(data['anomalies'])} "

@@ -28,10 +28,10 @@ from typing import Dict, List, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from . import receivers as rc
+from .output import FUZZ_REPORT_SCHEMA as REPORT_SCHEMA
 from .output import atomic_open, ndjson
 
 TRACE_SCHEMA = "fuzz-trace/1"
-REPORT_SCHEMA = "fuzz-report/1"
 
 DETECTORS = ("d_h", "d_v", "d_plus", "d_minus")
 DETECTOR_MEANING = {

@@ -1,9 +1,12 @@
-"""One NDJSON line encoder and one atomic file writer.
+"""One NDJSON line encoder, one atomic file writer, and shared names.
 
 Round logs, fuzz traces, CLI diagnostics and CLI error lines are encoded
 by :func:`ndjson`; artifacts, round logs, fuzz traces and DOT exports are
-written through :func:`atomic_open`.  Standard library only, so any
-module may import it.
+written through :func:`atomic_open`.  The schema ids and basis names
+below are re-exported by the modules that produce them (``protocol``,
+``fuzz``, ``receivers``) and read by ``qkdlab report``.  Standard
+library only, so any module may import it, and ``report`` runs without
+numpy.
 """
 
 from __future__ import annotations
@@ -13,6 +16,13 @@ import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Union
+
+SIMULATION_REPORT_SCHEMA = "simulation-report/1"
+FUZZ_REPORT_SCHEMA = "fuzz-report/1"
+
+COMPUTATIONAL = "computational"
+HADAMARD = "hadamard"
+Y_BASIS = "y"
 
 
 def ndjson(record: dict) -> str:

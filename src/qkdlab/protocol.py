@@ -32,9 +32,9 @@ import numpy as np
 from . import attacks as atk
 from . import receivers as rc
 from .fockspace import PhotonicState
+from .output import SIMULATION_REPORT_SCHEMA as REPORT_SCHEMA
 from .output import atomic_open, ndjson as _dump
 
-REPORT_SCHEMA = "simulation-report/1"
 ROUND_LOG_SCHEMA = "round-log/1"
 
 IDENTITY = "identity"

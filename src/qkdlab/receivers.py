@@ -31,6 +31,7 @@ from .fockspace import (
     VACUUM, Mode, ModeRegistry, PhotonicState, blocked, d_out, occ, pol_h,
     pol_v, s_out, single, t_in,
 )
+from .output import COMPUTATIONAL, HADAMARD, Y_BASIS
 
 # Outcome interpretations.
 BIT0 = "bit0"
@@ -42,10 +43,6 @@ LOSS = "loss"
 FOREIGN = "foreign-basis"
 
 INTERPRETATION_TAGS = (BIT0, BIT1, INVALID, LOSS, FOREIGN)
-
-COMPUTATIONAL = "computational"
-HADAMARD = "hadamard"
-Y_BASIS = "y"
 
 NO_CLICK = "no-click"
 UNREGISTERED = "unregistered"
@@ -624,43 +621,124 @@ def parse_occ(text: str) -> fs.Occupation:
     return fs.occ(*pairs)
 
 
-def _custom_setting_from_config(name: str, scfg: Mapping,
-                                reg: ModeRegistry) -> Setting:
-    input_basis = [parse_occ(t) for t in scfg["input_basis"]]
-    output_basis = [parse_occ(t) for t in scfg["output_basis"]]
-    matrix = np.array([[complex(re, im) for re, im in row]
-                       for row in scfg["matrix"]])
+_JSON_NAMES = {list: "array", dict: "object"}
+
+
+def _entry(cfg: Mapping, key: str, kind: type, where: str,
+           nonempty: bool = False):
+    """``cfg[key]``, which must be a JSON value of type ``kind``."""
+    if key not in cfg:
+        raise ValueError(f"{where} needs a {key!r} entry")
+    value = cfg[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} must be a JSON "
+                         f"{_JSON_NAMES[kind]}, got {type(value).__name__}")
+    if nonempty and not value:
+        raise ValueError(f"{where}: {key!r} must not be empty")
+    return value
+
+
+def _strings(cfg: Mapping, key: str, where: str) -> List[str]:
+    """``cfg[key]``, which must be a JSON array of strings."""
+    values = _entry(cfg, key, list, where)
+    if not all(isinstance(v, str) for v in values):
+        raise ValueError(f"{where}: {key!r} must be an array of strings")
+    return values
+
+
+def _photons(key: str, value) -> int:
+    """A photon count from config entry ``key``: an integer >= 1."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"receiver config: {key!r} must be an integer "
+                         f">= 1, got {value!r}")
+    return value
+
+
+def _complex(pair, where: str) -> complex:
+    """A ``[real, imaginary]`` pair of JSON numbers as a complex number."""
+    if not (isinstance(pair, list) and len(pair) == 2 and all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            for x in pair)):
+        raise ValueError(f"{where} {pair!r} is not a [real, imaginary] "
+                         f"pair of numbers")
+    return complex(*pair)
+
+
+def _check_orthonormal(name: str, outcomes: Mapping[str, List[PhotonicState]]
+                       ) -> None:
+    """The detection states of all of a setting's outcomes are orthonormal.
+
+    Overlapping states would count a detection twice, which otherwise
+    surfaces only as outcome probabilities that do not sum to one.
+    """
+    states = [(oid, st) for oid, sts in outcomes.items() for st in sts]
+    for i, (oid, a) in enumerate(states):
+        for j, (other, b) in enumerate(states[i:], start=i):
+            expected = 1.0 if j == i else 0.0
+            if abs(fs.inner_product(a, b) - expected) > fs.ATOL:
+                which = (f"outcome {oid!r} has a state that is not "
+                         f"normalised" if j == i else
+                         f"outcomes {oid!r} and {other!r} have states "
+                         f"that are not orthogonal")
+                raise ValueError(f"setting {name!r}: {which}")
+
+
+def _custom_setting_from_config(name: str, scfg, reg: ModeRegistry
+                                ) -> Setting:
+    where = f"setting {name!r}"
+    if not isinstance(scfg, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    input_basis = [parse_occ(t) for t in _strings(scfg, "input_basis", where)]
+    output_basis = [parse_occ(t)
+                    for t in _strings(scfg, "output_basis", where)]
+    rows = _entry(scfg, "matrix", list, where)
+    if not all(isinstance(row, list) for row in rows):
+        raise ValueError(f"{where}: 'matrix' must be an array of rows")
+    matrix = np.array([[_complex(v, f"{where}: 'matrix' entry") for v in row]
+                       for row in rows])
     lmap = fs.LinearMap(input_basis, output_basis, matrix, isometry=True)
     adj = lmap.adjoint()
-    outcomes = {}
-    for oid, comps in scfg["outcomes"].items():
-        outcomes[oid] = [PhotonicState.basis(reg, parse_occ(c))
-                         for c in comps]
+    outcome_cfg = _entry(scfg, "outcomes", dict, where)
+    outcomes = {oid: [PhotonicState.basis(reg, parse_occ(c))
+                      for c in _strings(outcome_cfg, oid, where)]
+                for oid in outcome_cfg}
+    _check_orthonormal(name, outcomes)
+    interpretation = _entry(scfg, "interpretation", dict, where)
+    for oid, tag in interpretation.items():
+        if not isinstance(tag, str):
+            raise ValueError(f"{where}: the interpretation of {oid!r} "
+                             f"must be a string")
     return Setting(
         name,
         forward=lambda st, m=lmap: fs.apply_linear_map(st, m),
         reverse=lambda st, m=adj: fs.apply_linear_map(st, m),
         outcomes=outcomes,
-        interpretation=dict(scfg["interpretation"]),
+        interpretation=dict(interpretation),
     )
 
 
 def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
-    modes = tuple(Mode.parse(m) for m in cfg["modes"])
-    reg = ModeRegistry(modes, int(cfg.get("max_photons",
-                                          fs.DEFAULT_MAX_PHOTONS)))
-    channel = tuple(Mode.parse(m) for m in cfg["channel_modes"])
+    where = "receiver config"
+    modes = tuple(Mode.parse(m) for m in _strings(cfg, "modes", where))
+    reg = ModeRegistry(modes, _photons(
+        "max_photons", cfg.get("max_photons", fs.DEFAULT_MAX_PHOTONS)))
+    channel = tuple(Mode.parse(m)
+                    for m in _strings(cfg, "channel_modes", where))
     settings = {name: _custom_setting_from_config(name, scfg, reg)
-                for name, scfg in cfg["settings"].items()}
+                for name, scfg in _entry(cfg, "settings", dict, where,
+                                         nonempty=True).items()}
+    source_cfg = _entry(cfg, "source", dict, where, nonempty=True)
     source_states = {}
     bases = []
-    for label, comps in cfg["source"].items():
+    for label in source_cfg:
+        comps = _entry(source_cfg, label, dict, "source")
         basis, _, bit = label.rpartition("/")
         if basis not in bases:
             bases.append(basis)
         channel_reg = ModeRegistry(channel, reg.max_photons_per_mode)
-        amps = {parse_occ(text): complex(re, im)
-                for text, (re, im) in comps.items()}
+        amps = {parse_occ(text): _complex(
+                    pair, f"source {label!r}: amplitude of {text!r}")
+                for text, pair in comps.items()}
         source_states[(basis, int(bit))] = PhotonicState(channel_reg, amps)
     source = AliceSourceModel(ModeRegistry(channel, reg.max_photons_per_mode),
                               tuple(bases), source_states)
@@ -674,18 +752,17 @@ def receiver_from_config(cfg: Mapping) -> ReceiverModel:
     Bundled kinds take keys ``kind`` (required), ``variant``,
     ``bright_photons`` and ``max_photons``.  ``kind: custom`` instead
     expects explicit ``modes``, ``channel_modes``, per-setting isometry
-    matrices over labelled occupation bases, ``outcomes``,
-    ``interpretation`` tags and ``source`` states.
+    matrices over labelled occupation bases, ``outcomes`` (whose states
+    must be orthonormal), ``interpretation`` tags and ``source`` states.
+    Every entry must have the JSON type ``receiver-config.schema.json``
+    declares; a wrong one raises ValueError naming the key.
     """
     if "kind" not in cfg:
         raise ValueError("receiver config needs a 'kind' entry")
     if cfg["kind"] == "custom":
         return _custom_receiver_from_config(cfg)
-    kwargs = {}
-    if "bright_photons" in cfg:
-        kwargs["bright_photons"] = int(cfg["bright_photons"])
-    if "max_photons" in cfg:
-        kwargs["max_photons"] = int(cfg["max_photons"])
+    kwargs = {key: _photons(key, cfg[key])
+              for key in ("bright_photons", "max_photons") if key in cfg}
     return make_receiver(cfg["kind"], cfg.get("variant"), **kwargs)
 
 

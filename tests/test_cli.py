@@ -2,14 +2,18 @@
 
 Every subcommand is exercised through ``cli.main(argv)`` the way the
 console script invokes it, including each bundled scenario config, the
-machine-readable error paths behind exit codes 2/3/4, and artifact
-byte-determinism for a fixed seed.
+machine-readable error paths behind exit codes 2/3/4, artifact
+byte-determinism for a fixed seed, and which modules a cold start of each
+subcommand loads.
 """
 
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -512,6 +516,76 @@ def test_simulation_scenario_reproduces_the_tracked_artifact(tmp_path):
     assert code == cli.EXIT_OK, stderr
     tracked = REPO_ROOT / "artifacts" / "simulation-faked-states.json"
     assert out.read_bytes() == tracked.read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# cold start: each run imports only what its subcommand executes
+# ---------------------------------------------------------------------------
+
+def fresh_python(code, cwd):
+    """Run ``code`` in a new interpreter; return its last stdout line."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines()[-1]
+
+
+def loaded_after(statement, modules, cwd):
+    """Which of ``modules`` are loaded after ``statement`` runs fresh."""
+    return json.loads(fresh_python(
+        f"import json, sys\n{statement}\n"
+        f"print(json.dumps([m for m in {modules!r} if m in sys.modules]))",
+        cwd))
+
+
+@pytest.mark.parametrize("module", ["qkdlab.cli", "qkdlab.protocol"])
+def test_importing_does_not_load_scipy(tmp_path, module):
+    assert loaded_after(f"import {module}", ["scipy"], tmp_path) == []
+
+
+FUZZ_SUMMARY = {"schema": "fuzz-report/1", "properties_found": [],
+                "anomalies": [], "derived_vulnerabilities": []}
+
+
+@pytest.mark.parametrize("argv,absent", [
+    (["classify", "--out", "reg.json", "--dot", "reg.dot"],
+     ["numpy", "scipy"]),
+    (["report", str(REPO_ROOT / "artifacts" /
+                    "simulation-faked-states.json"), "fuzz.json"],
+     ["numpy", "scipy"]),
+    (["fuzz", "--max-cases", "200"],
+     ["scipy", "qkdlab.attacks", "qkdlab.protocol"]),
+    (["reverse-space", "--receiver", "interferometric-6mode"], ["scipy"]),
+    (["verify", "--receiver", "interferometric-6mode",
+      "--attack", "faked-states"], ["scipy"]),
+    (["simulate", "--receiver", "interferometric-6mode",
+      "--attack", "faked-states", "--rounds", "200"], ["scipy"]),
+], ids=["classify", "report", "fuzz", "reverse-space", "verify",
+        "simulate"])
+def test_subcommand_loads_only_what_it_runs(tmp_path, argv, absent):
+    (tmp_path / "fuzz.json").write_text(json.dumps(FUZZ_SUMMARY))
+    statement = ("import contextlib, io\n"
+                 "from qkdlab.cli import main\n"
+                 "with contextlib.redirect_stdout(io.StringIO()):\n"
+                 f"    code = main({argv!r})\n"
+                 "assert code == 0, code")
+    assert loaded_after(statement, absent, tmp_path) == []
+
+
+def test_synth_in_a_fresh_interpreter_gives_the_golden_canonical(tmp_path):
+    # the canonical member is where nnls lands; its bytes must not move
+    fresh_python(
+        "from qkdlab.cli import main\n"
+        "raise SystemExit(main(['synth', '--config', "
+        f"{str(SCENARIO_DIR / 'synth-6mode.json')!r}, "
+        "'--out', 'fam.json']))", tmp_path)
+    canonical = json.loads((tmp_path / "fam.json").read_text())["canonical"]
+    golden = EXAMPLE_DIR / "synth-6mode-canonical-attack.json"
+    assert cli._dump(canonical) == golden.read_text(encoding="utf-8")
+
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """The CLI boundary: every malformed input is one JSON line and exit 2.
 
-Covers the option table (flags, config keys and their JSON types come
-from one declaration per option, and agree with
-``docs/schemas/scenario-config.schema.json``), parser errors, unreadable
-input files, unwritable outputs, and atomic artifact writes.
+Covers the option table (flags, config keys, their JSON types and
+numeric ranges come from one declaration per option, and agree with
+``docs/schemas/scenario-config.schema.json``), parser errors, malformed
+receiver configs, unreadable input files, unwritable outputs, and atomic
+artifact writes.
 """
 
 import contextlib
@@ -82,6 +83,66 @@ def test_every_flag_of_a_subcommand_is_in_its_table():
     for subcommand, table in cli._OPTIONS.items():
         parsed = vars(parser.parse_args([subcommand]))
         assert set(parsed) - {"subcommand", "config"} == set(table)
+
+
+def _schema_bounds():
+    """(subcommand, key, keyword, bound) for every numeric schema bound."""
+    schema = json.loads(
+        (SCHEMA_DIR / "scenario-config.schema.json").read_text())
+    return [(branch["properties"]["subcommand"]["const"], key, keyword,
+             prop[keyword])
+            for branch in schema["oneOf"]
+            for key, prop in branch["properties"].items()
+            for keyword in ("minimum", "maximum", "exclusiveMinimum")
+            if keyword in prop]
+
+
+SCHEMA_BOUNDS = _schema_bounds()
+
+
+def test_option_bounds_match_the_scenario_schema():
+    declared = [(subcommand, key, keyword, bound)
+                for subcommand, table in cli._OPTIONS.items()
+                for key, option in table.items()
+                for keyword, bound in option.bounds.items()]
+    assert sorted(declared) == sorted(SCHEMA_BOUNDS)
+
+
+def _bound_id(case):
+    subcommand, key, keyword, _ = case
+    return f"{subcommand}-{key}-{keyword}"
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("case", SCHEMA_BOUNDS, ids=_bound_id)
+def test_out_of_range_value_exits_2(tmp_path, case, via):
+    subcommand, key, keyword, bound = case
+    step = 1 if cli._OPTIONS[subcommand][key].type is int else 0.5
+    value = {"minimum": bound - step, "maximum": bound + step,
+             "exclusiveMinimum": bound}[keyword]
+    if via == "flag":
+        argv = [subcommand, "--" + key.replace("_", "-"), value]
+    else:
+        argv = [subcommand, "--config",
+                write_config(tmp_path / "cfg.json", {key: value})]
+    payload = assert_one_error_line(*run_cli(argv))
+    assert payload["code"] == "invalid-config"
+    assert payload["context"] == {"option": key, keyword: bound}
+
+
+@pytest.mark.parametrize("case", SCHEMA_BOUNDS, ids=_bound_id)
+def test_value_on_or_just_inside_a_bound_is_accepted(case):
+    subcommand, key, keyword, bound = case
+    if keyword == "exclusiveMinimum":
+        bound += 0.5
+    args = cli._build_parser().parse_args(
+        [subcommand, "--" + key.replace("_", "-"), str(bound)])
+    assert cli._resolve_options(subcommand, args)[key] == bound
+
+
+def test_nan_is_out_of_range():
+    payload = assert_one_error_line(*run_cli(["fuzz", "--p-th", "nan"]))
+    assert payload["context"] == {"option": "p_th", "exclusiveMinimum": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +252,51 @@ def test_attack_file_without_keys_exits_2(tmp_path):
     payload = assert_one_error_line(
         *run_cli(["verify", "--receiver", "ideal-bb84", "--attack", path]))
     assert payload["code"] == "invalid-attack"
+
+
+_CUSTOM = {
+    "kind": "custom",
+    "modes": ["polarization-H:0", "polarization-V:0"],
+    "channel_modes": ["polarization-H:0", "polarization-V:0"],
+    "settings": {"computational": {
+        "input_basis": ["polarization-H:0", "polarization-V:0"],
+        "output_basis": ["polarization-H:0", "polarization-V:0"],
+        "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+        "outcomes": {"D0": ["polarization-H:0"], "D1": ["polarization-V:0"]},
+        "interpretation": {"D0": "bit0", "D1": "bit1"}}},
+    "source": {"computational/0": {"polarization-H:0": [1, 0]},
+               "computational/1": {"polarization-V:0": [1, 0]}},
+}
+
+
+@pytest.mark.parametrize("receiver,key", [
+    ({"kind": "custom", "modes": 5}, "modes"),
+    ({**_CUSTOM, "channel_modes": "polarization-H:0"}, "channel_modes"),
+    ({**_CUSTOM, "settings": []}, "settings"),
+    ({**_CUSTOM, "settings": {}}, "settings"),
+    ({**_CUSTOM, "source": 1}, "source"),
+    ({**_CUSTOM, "max_photons": "3"}, "max_photons"),
+    ({"kind": "ideal-bb84", "max_photons": 2.9}, "max_photons"),
+    ({"kind": "blinded-bright", "bright_photons": "6"}, "bright_photons"),
+])
+def test_wrong_typed_receiver_config_exits_2(tmp_path, receiver, key):
+    path = write_config(tmp_path / "receiver.json", receiver)
+    payload = assert_one_error_line(
+        *run_cli(["reverse-space", "--receiver", path]))
+    assert payload["code"] == "invalid-receiver"
+    assert repr(key) in payload["message"]
+
+
+def test_receiver_with_overlapping_outcome_states_exits_2(tmp_path):
+    receiver = json.loads(json.dumps(_CUSTOM))
+    receiver["settings"]["computational"]["outcomes"]["D1"].append(
+        "polarization-H:0")
+    path = write_config(tmp_path / "receiver.json", receiver)
+    payload = assert_one_error_line(
+        *run_cli(["simulate", "--receiver", path, "--rounds", 10]))
+    assert payload["code"] == "invalid-receiver"
+    assert "'computational'" in payload["message"]
+    assert "'D1'" in payload["message"]
 
 
 # ---------------------------------------------------------------------------

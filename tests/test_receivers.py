@@ -292,3 +292,89 @@ def test_receiver_schema_lists_every_interpretation_tag():
     setting = custom["properties"]["settings"]["additionalProperties"]
     tags = setting["properties"]["interpretation"]["additionalProperties"]
     assert sorted(tags["enum"]) == sorted(rc.INTERPRETATION_TAGS)
+
+
+def _polarization_config():
+    return {
+        "kind": "custom",
+        "modes": ["polarization-H:0", "polarization-V:0"],
+        "channel_modes": ["polarization-H:0", "polarization-V:0"],
+        "max_photons": 2,
+        "settings": {"computational": {
+            "input_basis": ["polarization-H:0", "polarization-V:0"],
+            "output_basis": ["polarization-H:0", "polarization-V:0"],
+            "matrix": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]],
+            "outcomes": {"D0": ["polarization-H:0"],
+                         "D1": ["polarization-V:0"]},
+            "interpretation": {"D0": "bit0", "D1": "bit1"}}},
+        "source": {"computational/0": {"polarization-H:0": [1, 0]},
+                   "computational/1": {"polarization-V:0": [1, 0]}},
+    }
+
+
+def _with(path, value):
+    """The polarization config with the entry at ``path`` replaced."""
+    cfg = _polarization_config()
+    target = cfg
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return cfg
+
+
+@pytest.mark.parametrize("path,value", [
+    (("modes",), 5),
+    (("modes",), [1, 2]),
+    (("channel_modes",), "polarization-H:0"),
+    (("settings",), ["computational"]),
+    (("settings",), {}),
+    (("settings", "computational"), 3),
+    (("settings", "computational", "outcomes"), ["D0", "D1"]),
+    (("settings", "computational", "outcomes", "D0"), "polarization-H:0"),
+    (("settings", "computational", "interpretation"), "bit0"),
+    (("settings", "computational", "interpretation", "D0"), ["bit0"]),
+    (("settings", "computational", "matrix"), [1, 0]),
+    (("settings", "computational", "matrix"), [[["1", 0], [0, 0]],
+                                               [[0, 0], [1, 0]]]),
+    (("source",), 1),
+    (("source",), {}),
+    (("source", "computational/0"), [1, 0]),
+    (("source", "computational/0", "polarization-H:0"), [True, 0]),
+    (("max_photons",), "3"),
+    (("max_photons",), 2.9),
+    (("max_photons",), True),
+    (("max_photons",), 0),
+])
+def test_custom_config_with_a_wrong_json_type_raises_value_error(path, value):
+    with pytest.raises(ValueError, match=repr(path[-1])):
+        rc.receiver_from_config(_with(path, value))
+
+
+@pytest.mark.parametrize("key,value", [
+    ("max_photons", "3"), ("max_photons", 2.9), ("max_photons", 0),
+    ("bright_photons", "6"), ("bright_photons", 6.0),
+    ("bright_photons", False),
+])
+def test_bundled_config_photon_counts_must_be_integers(key, value):
+    with pytest.raises(ValueError, match=key):
+        rc.receiver_from_config({"kind": "blinded-bright", key: value})
+
+
+@pytest.mark.parametrize("outcomes,named", [
+    ({"D0": ["polarization-H:0"], "D1": ["polarization-H:0"]}, "'D1'"),
+    ({"D0": ["polarization-H:0", "polarization-H:0"],
+      "D1": ["polarization-V:0"]}, "'D0'"),
+])
+def test_custom_outcome_states_must_be_orthonormal(outcomes, named):
+    cfg = _with(("settings", "computational", "outcomes"), outcomes)
+    with pytest.raises(ValueError, match="'computational'") as info:
+        rc.receiver_from_config(cfg)
+    assert named in str(info.value)
+
+
+def test_orthonormal_custom_config_builds():
+    receiver = rc.receiver_from_config(_polarization_config())
+    probs = rc.outcome_probabilities(
+        receiver, rc.COMPUTATIONAL,
+        receiver.source.states[(rc.COMPUTATIONAL, 1)])
+    assert probs == pytest.approx({"D1": 1.0, "D0": 0.0})
