@@ -585,9 +585,14 @@ def _passthrough_member(system: ConstraintSystem,
         return None
 
 
-def _parameter_extractors(system: ConstraintSystem
+def _parameter_extractors(system: ConstraintSystem, only_trivial: bool
                           ) -> Dict[str, Callable[[np.ndarray], float]]:
-    """Physically named coordinates for the families we ship."""
+    """Physically named coordinates, chosen by the family's structure.
+
+    A pass-through-only family has none.  Otherwise a channel with time
+    bins gets the time-bin amplitudes, one without the bright-pulse
+    amplitudes, if the source labels they read are embedded.
+    """
 
     def probe_weight(i: int, direction: np.ndarray):
         d = direction.conj()
@@ -596,20 +601,21 @@ def _parameter_extractors(system: ConstraintSystem
             return float(np.linalg.norm(d @ v[i]))
         return fn
 
-    name = system.receiver_name
-    if name == "blinded-bright":
-        cb0 = system.source_embeddings[(rc.COMPUTATIONAL, 0)]
-        cbp = system.source_embeddings[(rc.HADAMARD, 0)]
-        return {"computational_amp": probe_weight(0, cb0),
-                "hadamard_amp": probe_weight(0, cbp)}
-    if name in ("interferometric-2mode", "interferometric-6mode"):
+    if only_trivial:
+        return {}
+    emb = system.source_embeddings
+    comp0, comp1 = (rc.COMPUTATIONAL, 0), (rc.COMPUTATIONAL, 1)
+    time_bins = any(m.kind == fs.CHANNEL
+                    for m in system.p_basis[0].registry.modes)
+    if time_bins and {comp0, comp1} <= emb.keys():
         early, late = system.edge_bin_coefficients()
-        c0 = system.source_embeddings[(rc.COMPUTATIONAL, 0)]
-        c1 = system.source_embeddings[(rc.COMPUTATIONAL, 1)]
         return {"early_amp": probe_weight(0, early),
-                "inwindow_amp": probe_weight(0, c0),
-                "straddle_amp": probe_weight(0, c1),
+                "inwindow_amp": probe_weight(0, emb[comp0]),
+                "straddle_amp": probe_weight(0, emb[comp1]),
                 "late_amp": probe_weight(1, late)}
+    if not time_bins and {comp0, (rc.HADAMARD, 0)} <= emb.keys():
+        return {"computational_amp": probe_weight(0, emb[comp0]),
+                "hadamard_amp": probe_weight(0, emb[(rc.HADAMARD, 0)])}
     return {}
 
 
@@ -704,7 +710,7 @@ def synthesize_attacks(system: ConstraintSystem,
         triv = _trivial_direction(system)
         only_trivial = bool(abs(np.vdot(triv, dirs[:, nonvac[0]])) > 1 - 1e-9)
 
-    extractors = _parameter_extractors(system)
+    extractors = _parameter_extractors(system, only_trivial)
     return AttackFamily(
         system=system,
         null_basis=dirs,

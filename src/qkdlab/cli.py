@@ -293,13 +293,15 @@ def _require(opts: dict, key: str, subcommand: str):
 def _load_receiver(opts: dict, subcommand: str) -> rc.ReceiverModel:
     from . import receivers as rc
     spec = _require(opts, "receiver", subcommand)
+    given = {key: opts[key] for key in ("variant", "max_photons")
+             if opts[key] is not None}
     try:
         if spec.endswith(".json") or os.path.sep in spec:
+            if given:
+                raise ValueError(f"a receiver config file takes no "
+                                 f"{sorted(given)} option; set it in the file")
             return rc.receiver_from_config(_load_json(spec, "receiver"))
-        kwargs = {}
-        if opts["max_photons"] is not None:
-            kwargs["max_photons"] = opts["max_photons"]
-        return rc.make_receiver(spec, opts["variant"], **kwargs)
+        return rc.make_receiver(spec, **given)
     except (ValueError, KeyError) as err:
         raise CliError(EXIT_CONFIG, "invalid-receiver", str(err),
                        {"receiver": spec})

@@ -20,16 +20,18 @@ Provided device models:
 
 from __future__ import annotations
 
+import inspect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
 
 from . import fockspace as fs
 from .fockspace import (
-    VACUUM, Mode, ModeRegistry, PhotonicState, blocked, d_out, occ, pol_h,
-    pol_v, s_out, single, t_in,
+    VACUUM, Mode, ModeRegistry, PhotonicState, d_out, occ, pol_h, pol_v,
+    s_out, t_in,
 )
 from .output import COMPUTATIONAL, HADAMARD, Y_BASIS
 
@@ -46,17 +48,6 @@ INTERPRETATION_TAGS = (BIT0, BIT1, INVALID, LOSS, FOREIGN)
 
 NO_CLICK = "no-click"
 UNREGISTERED = "unregistered"
-
-RECEIVER_KINDS = (
-    "interferometric-6mode",
-    "interferometric-2mode",
-    "interferometric-defended-10mode",
-    "polarization-threshold",
-    "blinded-bright",
-    "ideal-bb84",
-)
-
-_KIND_ALIASES = {"defended-10mode": "interferometric-defended-10mode"}
 
 StateMap = Callable[[PhotonicState], PhotonicState]
 
@@ -168,7 +159,6 @@ class ReceiverModel:
     channel_modes: Tuple[Mode, ...]
     settings: Dict[str, Setting]
     source: AliceSourceModel
-    passive: bool = False
 
     def channel_registry(self) -> ModeRegistry:
         return ModeRegistry(self.channel_modes,
@@ -294,13 +284,13 @@ def polarization_rotation(state: PhotonicState) -> PhotonicState:
     return fs.apply_mode_map(state, mapping)
 
 
-def _bin_outcomes(reg: ModeRegistry, s_bins: Iterable[int],
-                  d_bins: Iterable[int]) -> Dict[str, List[PhotonicState]]:
-    out: Dict[str, List[PhotonicState]] = {}
-    for t in s_bins:
-        out[f"s{t}"] = [PhotonicState.photon(reg, s_out(t))]
-    for t in d_bins:
-        out[f"d{t}"] = [PhotonicState.photon(reg, d_out(t))]
+def _bin_outcomes(reg: ModeRegistry, clicks: Iterable[str]
+                  ) -> Dict[str, List[PhotonicState]]:
+    """One outcome per click label (``s2``: straight arm, bin 2), then
+    ``no-click``."""
+    arms = {"s": s_out, "d": d_out}
+    out = {label: [PhotonicState.photon(reg, arms[label[0]](int(label[1:])))]
+           for label in clicks}
     out[NO_CLICK] = [PhotonicState.vacuum(reg)]
     return out
 
@@ -320,70 +310,35 @@ def _channel_bins(reg: ModeRegistry) -> Tuple[Mode, ...]:
     return tuple(m for m in reg.modes if m.kind == fs.CHANNEL)
 
 
-def _time_bin_source(channel_reg: ModeRegistry,
-                     bases: Tuple[str, str] = (COMPUTATIONAL, HADAMARD)
-                     ) -> AliceSourceModel:
-    t0 = PhotonicState.photon(channel_reg, t_in(0))
-    t1 = PhotonicState.photon(channel_reg, t_in(1))
-    r = 1 / math.sqrt(2)
+def _logical_source(channel_reg: ModeRegistry, zero: Mode, one: Mode,
+                    bases: Tuple[str, str] = (COMPUTATIONAL, HADAMARD)
+                    ) -> AliceSourceModel:
+    """Alice's states of ``bases`` on a single photon in ``zero``/``one``."""
+    z0 = PhotonicState.photon(channel_reg, zero)
+    z1 = PhotonicState.photon(channel_reg, one)
     states = {}
     for basis in bases:
-        if basis == COMPUTATIONAL:
-            states[(basis, 0)], states[(basis, 1)] = t0, t1
-        elif basis == HADAMARD:
-            states[(basis, 0)] = (t0 + t1).scaled(r)
-            states[(basis, 1)] = (t0 - t1).scaled(r)
-        elif basis == Y_BASIS:
-            states[(basis, 0)] = (t0 + t1.scaled(1j)).scaled(r)
-            states[(basis, 1)] = (t0 - t1.scaled(1j)).scaled(r)
-        else:
-            raise ValueError(f"unknown time-bin basis {basis!r}")
+        for bit in (0, 1):
+            a0, a1 = LOGICAL_COEFFICIENTS[(basis, bit)]
+            states[(basis, bit)] = z0.scaled(a0) + z1.scaled(a1)
     return AliceSourceModel(channel_reg, bases, states)
 
 
-def _polarization_source(channel_reg: ModeRegistry) -> AliceSourceModel:
-    h = PhotonicState.photon(channel_reg, pol_h())
-    v = PhotonicState.photon(channel_reg, pol_v())
-    r = 1 / math.sqrt(2)
-    states = {
-        (COMPUTATIONAL, 0): h,
-        (COMPUTATIONAL, 1): v,
-        (HADAMARD, 0): (h + v).scaled(r),
-        (HADAMARD, 1): (h - v).scaled(r),
-    }
-    return AliceSourceModel(channel_reg, (COMPUTATIONAL, HADAMARD), states)
-
-
 # ---------------------------------------------------------------------------
-# concrete receivers
+# bundled receivers
 # ---------------------------------------------------------------------------
 
-def _make_interferometric_6mode(max_photons: int) -> ReceiverModel:
-    reg = fs.interferometer_registry(-1, 2, max_photons)
+def _time_bin_receiver(name: str, first_bin: int, last_bin: int,
+                       max_photons: int = fs.DEFAULT_MAX_PHOTONS
+                       ) -> ReceiverModel:
+    """Both output arms read in bins first..last; bins outside 0..2 are
+    guard bins, flagged invalid."""
+    reg = fs.interferometer_registry(first_bin - 1, last_bin, max_photons)
     channel = _channel_bins(reg)
-    outcomes = _bin_outcomes(reg, range(0, 3), range(0, 3))
-    comp = {
-        "s0": BIT0, "d0": BIT0, "s2": BIT1, "d2": BIT1,
-        "s1": LOSS, "d1": LOSS, NO_CLICK: LOSS,
-    }
-    had = {
-        "d1": BIT0, "s1": BIT1,
-        "s0": LOSS, "d0": LOSS, "s2": LOSS, "d2": LOSS, NO_CLICK: LOSS,
-    }
-    settings = {
-        COMPUTATIONAL: _mz_setting(COMPUTATIONAL, 0.0, outcomes, comp),
-        HADAMARD: _mz_setting(HADAMARD, 0.0, dict(outcomes), had),
-    }
-    source = _time_bin_source(ModeRegistry(channel, max_photons))
-    return ReceiverModel("interferometric-6mode", reg, channel, settings,
-                         source)
-
-
-def _make_defended_10mode(max_photons: int) -> ReceiverModel:
-    reg = fs.interferometer_registry(-2, 3, max_photons)
-    channel = _channel_bins(reg)
-    outcomes = _bin_outcomes(reg, range(-1, 4), range(-1, 4))
-    guards = {"s-1": INVALID, "d-1": INVALID, "s3": INVALID, "d3": INVALID}
+    bins = range(first_bin, last_bin + 1)
+    outcomes = _bin_outcomes(reg, [f"{arm}{t}" for arm in "sd" for t in bins])
+    guards = {f"{arm}{t}": INVALID for t in bins if not 0 <= t <= 2
+              for arm in "sd"}
     comp = {
         "s0": BIT0, "d0": BIT0, "s2": BIT1, "d2": BIT1,
         "s1": LOSS, "d1": LOSS, NO_CLICK: LOSS, **guards,
@@ -397,82 +352,74 @@ def _make_defended_10mode(max_photons: int) -> ReceiverModel:
         COMPUTATIONAL: _mz_setting(COMPUTATIONAL, 0.0, outcomes, comp),
         HADAMARD: _mz_setting(HADAMARD, 0.0, dict(outcomes), had),
     }
-    source = _time_bin_source(ModeRegistry(channel, max_photons))
-    return ReceiverModel("interferometric-defended-10mode", reg, channel,
-                         settings, source)
+    source = _logical_source(ModeRegistry(channel, max_photons), t_in(0),
+                             t_in(1))
+    return ReceiverModel(name, reg, channel, settings, source)
 
 
-def _make_interferometric_2mode(max_photons: int,
-                                variant: str | None) -> ReceiverModel:
+def _interferometric_2mode(variant: str = "two-window",
+                           max_photons: int = fs.DEFAULT_MAX_PHOTONS
+                           ) -> ReceiverModel:
+    """Two time-gated detectors: ``two-window`` reads bins 0 and 2, then
+    bin 1; ``single-window`` reads bin 1 under two phases."""
     if variant == "single-window":
         reg = fs.interferometer_registry(0, 1, max_photons)
-        channel = _channel_bins(reg)
-        outcomes = {
-            "s1": [PhotonicState.photon(reg, s_out(1))],
-            "d1": [PhotonicState.photon(reg, d_out(1))],
-            NO_CLICK: [PhotonicState.vacuum(reg)],
-        }
+        outcomes = _bin_outcomes(reg, ("s1", "d1"))
         interp = {"d1": BIT0, "s1": BIT1, NO_CLICK: LOSS}
         settings = {
             HADAMARD: _mz_setting(HADAMARD, 0.0, outcomes, interp),
             Y_BASIS: _mz_setting(Y_BASIS, math.pi / 2, dict(outcomes),
                                  dict(interp)),
         }
-        source = _time_bin_source(ModeRegistry(channel, max_photons),
-                                  bases=(HADAMARD, Y_BASIS))
-        return ReceiverModel("interferometric-2mode", reg, channel, settings,
-                             source)
-    if variant not in (None, "two-window"):
-        raise ValueError(f"unknown interferometric-2mode variant {variant!r}")
-    reg = fs.interferometer_registry(-1, 2, max_photons)
+        bases = (HADAMARD, Y_BASIS)
+    elif variant == "two-window":
+        reg = fs.interferometer_registry(-1, 2, max_photons)
+        settings = {
+            COMPUTATIONAL: _mz_setting(
+                COMPUTATIONAL, 0.0, _bin_outcomes(reg, ("d0", "s2")),
+                {"d0": BIT0, "s2": BIT1, NO_CLICK: LOSS}),
+            HADAMARD: _mz_setting(
+                HADAMARD, 0.0, _bin_outcomes(reg, ("d1", "s1")),
+                {"d1": BIT0, "s1": BIT1, NO_CLICK: LOSS}),
+        }
+        bases = (COMPUTATIONAL, HADAMARD)
+    else:
+        raise ValueError(f"unknown interferometric-2mode variant {variant!r}; "
+                         f"choose two-window or single-window")
     channel = _channel_bins(reg)
-    comp_outcomes = {
-        "d0": [PhotonicState.photon(reg, d_out(0))],
-        "s2": [PhotonicState.photon(reg, s_out(2))],
-        NO_CLICK: [PhotonicState.vacuum(reg)],
-    }
-    had_outcomes = {
-        "d1": [PhotonicState.photon(reg, d_out(1))],
-        "s1": [PhotonicState.photon(reg, s_out(1))],
-        NO_CLICK: [PhotonicState.vacuum(reg)],
-    }
-    settings = {
-        COMPUTATIONAL: _mz_setting(
-            COMPUTATIONAL, 0.0, comp_outcomes,
-            {"d0": BIT0, "s2": BIT1, NO_CLICK: LOSS}),
-        HADAMARD: _mz_setting(
-            HADAMARD, 0.0, had_outcomes,
-            {"d1": BIT0, "s1": BIT1, NO_CLICK: LOSS}),
-    }
-    source = _time_bin_source(ModeRegistry(channel, max_photons))
+    source = _logical_source(ModeRegistry(channel, max_photons), t_in(0),
+                             t_in(1), bases)
     return ReceiverModel("interferometric-2mode", reg, channel, settings,
                          source)
 
 
-def _make_polarization_threshold() -> ReceiverModel:
-    # Threshold detectors saturate: the model is truncated at two photons
-    # in total, which is enough to expose the double-click structure.
-    reg = fs.registry([pol_h(), pol_v()], max_photons=2)
+def _polarization_receiver(name: str, photons: int) -> ReceiverModel:
+    """Detectors on H and V behind identity optics, then a 45-degree
+    rotation.  Above one photon per mode they are saturating threshold
+    detectors; a cap of two exposes their invalid double clicks."""
+    reg = fs.registry([pol_h(), pol_v()], max_photons=photons)
     channel = (pol_h(), pol_v())
-    h, v = pol_h(), pol_v()
+    h, v = channel
     outcomes = {
-        "D0": [PhotonicState.basis(reg, occ((h, 1))),
-               PhotonicState.basis(reg, occ((h, 2)))],
-        "D1": [PhotonicState.basis(reg, occ((v, 1))),
-               PhotonicState.basis(reg, occ((v, 2)))],
-        "double": [PhotonicState.basis(reg, occ((h, 1), (v, 1)))],
-        NO_CLICK: [PhotonicState.vacuum(reg)],
+        "D0": [PhotonicState.basis(reg, occ((h, n)))
+               for n in range(1, photons + 1)],
+        "D1": [PhotonicState.basis(reg, occ((v, n)))
+               for n in range(1, photons + 1)],
     }
-    interp = {"D0": BIT0, "D1": BIT1, "double": INVALID, NO_CLICK: LOSS}
+    interp = {"D0": BIT0, "D1": BIT1}
+    if photons > 1:
+        outcomes["double"] = [PhotonicState.basis(reg, occ((h, 1), (v, 1)))]
+        interp["double"] = INVALID
+    outcomes[NO_CLICK] = [PhotonicState.vacuum(reg)]
+    interp[NO_CLICK] = LOSS
     settings = {
         COMPUTATIONAL: Setting(COMPUTATIONAL, _identity, _identity,
                                outcomes, interp),
         HADAMARD: Setting(HADAMARD, polarization_rotation,
                           polarization_rotation, dict(outcomes), dict(interp)),
     }
-    source = _polarization_source(ModeRegistry(channel, 2))
-    return ReceiverModel("polarization-threshold", reg, channel, settings,
-                         source)
+    source = _logical_source(ModeRegistry(channel, photons), h, v)
+    return ReceiverModel(name, reg, channel, settings, source)
 
 
 def bright_states(reg: ModeRegistry, photons: int) -> Dict[str, PhotonicState]:
@@ -529,12 +476,13 @@ def _check_vulnerability_records(records) -> None:
             f"{sorted(missing)}; cannot derive a bright-pulse receiver")
 
 
-def _make_blinded_bright(photons: int, from_vulnerabilities=None) -> ReceiverModel:
+def _blinded_bright(bright_photons: int = 20,
+                    from_vulnerabilities=None) -> ReceiverModel:
     if from_vulnerabilities is not None:
         _check_vulnerability_records(from_vulnerabilities)
-    reg = fs.registry([pol_h(), pol_v()], max_photons=photons)
+    reg = fs.registry([pol_h(), pol_v()], max_photons=bright_photons)
     channel = (pol_h(), pol_v())
-    named = bright_states(reg, photons)
+    named = bright_states(reg, bright_photons)
     ordered = ["b0", "b1", "b+", "b-"]
     ortho = fs.gram_schmidt([named[n] for n in ordered])
     outcomes = {name: [state] for name, state in zip(ordered, ortho)}
@@ -552,62 +500,55 @@ def _make_blinded_bright(photons: int, from_vulnerabilities=None) -> ReceiverMod
     # The paired transmitter speaks the receiver's bright-pulse alphabet:
     # single-photon signals are invisible to a blinded device, so the only
     # states worth modelling as inputs are the classical pulses themselves.
-    channel_reg = ModeRegistry(channel, photons)
+    channel_reg = ModeRegistry(channel, bright_photons)
     source = AliceSourceModel(channel_reg, (COMPUTATIONAL, HADAMARD), {
         (COMPUTATIONAL, 0): fs.embedded(ortho[0], channel_reg),
         (COMPUTATIONAL, 1): fs.embedded(ortho[1], channel_reg),
         (HADAMARD, 0): fs.embedded(ortho[2], channel_reg),
         (HADAMARD, 1): fs.embedded(ortho[3], channel_reg),
     })
-    return ReceiverModel("blinded-bright", reg, channel, settings, source,
-                         passive=True)
+    return ReceiverModel("blinded-bright", reg, channel, settings, source)
 
 
-def _make_ideal_bb84() -> ReceiverModel:
-    reg = fs.registry([pol_h(), pol_v()], max_photons=1)
-    channel = (pol_h(), pol_v())
-    outcomes = {
-        "D0": [PhotonicState.photon(reg, pol_h())],
-        "D1": [PhotonicState.photon(reg, pol_v())],
-        NO_CLICK: [PhotonicState.vacuum(reg)],
-    }
-    interp = {"D0": BIT0, "D1": BIT1, NO_CLICK: LOSS}
-    settings = {
-        COMPUTATIONAL: Setting(COMPUTATIONAL, _identity, _identity,
-                               outcomes, interp),
-        HADAMARD: Setting(HADAMARD, polarization_rotation,
-                          polarization_rotation, dict(outcomes), dict(interp)),
-    }
-    source = _polarization_source(ModeRegistry(channel, 1))
-    return ReceiverModel("ideal-bb84", reg, channel, settings, source)
+# Every bundled receiver kind and its builder.  The keywords a kind reads
+# are its builder's parameters; the builder's defaults are the kind's.
+_BUNDLED: Dict[str, Callable[..., ReceiverModel]] = {
+    "interferometric-6mode": partial(
+        _time_bin_receiver, "interferometric-6mode", 0, 2),
+    "interferometric-2mode": _interferometric_2mode,
+    "interferometric-defended-10mode": partial(
+        _time_bin_receiver, "interferometric-defended-10mode", -1, 3),
+    "polarization-threshold": partial(
+        _polarization_receiver, "polarization-threshold", 2),
+    "blinded-bright": _blinded_bright,
+    "ideal-bb84": partial(_polarization_receiver, "ideal-bb84", 1),
+}
+
+RECEIVER_KINDS = tuple(_BUNDLED)
+
+_KIND_ALIASES = {"defended-10mode": "interferometric-defended-10mode"}
 
 
-def make_receiver(kind: str, variant: str | None = None, *,
-                  bright_photons: int = 20,
-                  max_photons: int = fs.DEFAULT_MAX_PHOTONS,
-                  from_vulnerabilities=None) -> ReceiverModel:
+def make_receiver(kind: str, variant: str | None = None,
+                  **options) -> ReceiverModel:
     """Build one of the bundled receiver models by kind name.
 
-    ``from_vulnerabilities`` accepts forced-interpretation records from a
-    detector fuzzing campaign and is only meaningful for ``blinded-bright``:
-    the records are validated for coverage/consistency and the equivalent
-    bright-pulse receiver is constructed.
+    A kind reads the parameters of its builder in ``_BUNDLED`` (tabled in
+    README.md); ``variant=None`` means none was given.  An unknown kind or
+    a keyword the kind does not read raises ValueError.
+    ``from_vulnerabilities`` (``blinded-bright``) takes forced-interpretation
+    records from a fuzz campaign, checked for coverage and consistency.
     """
-    kind = _KIND_ALIASES.get(kind, kind)
-    if kind == "interferometric-6mode":
-        return _make_interferometric_6mode(max_photons)
-    if kind == "interferometric-defended-10mode":
-        return _make_defended_10mode(max_photons)
-    if kind == "interferometric-2mode":
-        return _make_interferometric_2mode(max_photons, variant)
-    if kind == "polarization-threshold":
-        return _make_polarization_threshold()
-    if kind == "blinded-bright":
-        return _make_blinded_bright(bright_photons, from_vulnerabilities)
-    if kind == "ideal-bb84":
-        return _make_ideal_bb84()
-    raise ValueError(f"unknown receiver kind {kind!r}; "
-                     f"choose one of {RECEIVER_KINDS}")
+    builder = _BUNDLED.get(_KIND_ALIASES.get(kind, kind))
+    if builder is None:
+        raise ValueError(f"unknown receiver kind {kind!r}; "
+                         f"choose one of {RECEIVER_KINDS}")
+    if variant is not None:
+        options["variant"] = variant
+    unread = sorted(set(options) - set(inspect.signature(builder).parameters))
+    if unread:
+        raise ValueError(f"receiver kind {kind!r} does not read {unread}")
+    return builder(**options)
 
 
 def parse_occ(text: str) -> fs.Occupation:
@@ -621,7 +562,22 @@ def parse_occ(text: str) -> fs.Occupation:
     return fs.occ(*pairs)
 
 
-_JSON_NAMES = {list: "array", dict: "object"}
+_JSON_NAMES = {list: "array", dict: "object", str: "string"}
+
+# The keys receiver-config.schema.json declares for each shape of config.
+_BUNDLED_KEYS = ("kind", "variant", "bright_photons", "max_photons")
+_CUSTOM_KEYS = ("kind", "name", "modes", "channel_modes", "max_photons",
+                "settings", "source")
+_SETTING_KEYS = ("input_basis", "output_basis", "matrix", "outcomes",
+                 "interpretation")
+
+
+def _known_keys(cfg: Mapping, keys: Sequence[str], where: str) -> None:
+    """``cfg`` holds no key outside ``keys``."""
+    unknown = sorted(set(cfg) - set(keys))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {unknown}; "
+                         f"expected some of {list(keys)}")
 
 
 def _entry(cfg: Mapping, key: str, kind: type, where: str,
@@ -688,6 +644,7 @@ def _custom_setting_from_config(name: str, scfg, reg: ModeRegistry
     where = f"setting {name!r}"
     if not isinstance(scfg, dict):
         raise ValueError(f"{where} must be a JSON object")
+    _known_keys(scfg, _SETTING_KEYS, where)
     input_basis = [parse_occ(t) for t in _strings(scfg, "input_basis", where)]
     output_basis = [parse_occ(t)
                     for t in _strings(scfg, "output_basis", where)]
@@ -719,6 +676,8 @@ def _custom_setting_from_config(name: str, scfg, reg: ModeRegistry
 
 def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
     where = "receiver config"
+    _known_keys(cfg, _CUSTOM_KEYS, where)
+    name = _entry(cfg, "name", str, where) if "name" in cfg else "custom"
     modes = tuple(Mode.parse(m) for m in _strings(cfg, "modes", where))
     reg = ModeRegistry(modes, _photons(
         "max_photons", cfg.get("max_photons", fs.DEFAULT_MAX_PHOTONS)))
@@ -742,28 +701,33 @@ def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
         source_states[(basis, int(bit))] = PhotonicState(channel_reg, amps)
     source = AliceSourceModel(ModeRegistry(channel, reg.max_photons_per_mode),
                               tuple(bases), source_states)
-    return ReceiverModel(cfg.get("name", "custom"), reg, channel, settings,
-                         source, passive=bool(cfg.get("passive", False)))
+    return ReceiverModel(name, reg, channel, settings, source)
 
 
 def receiver_from_config(cfg: Mapping) -> ReceiverModel:
     """Build a receiver from a plain configuration mapping.
 
-    Bundled kinds take keys ``kind`` (required), ``variant``,
-    ``bright_photons`` and ``max_photons``.  ``kind: custom`` instead
-    expects explicit ``modes``, ``channel_modes``, per-setting isometry
-    matrices over labelled occupation bases, ``outcomes`` (whose states
-    must be orthonormal), ``interpretation`` tags and ``source`` states.
-    Every entry must have the JSON type ``receiver-config.schema.json``
-    declares; a wrong one raises ValueError naming the key.
+    A bundled kind takes the string ``kind`` plus those of ``variant``,
+    ``bright_photons`` and ``max_photons`` that ``make_receiver`` reads
+    for it.  ``kind: custom`` instead expects explicit ``modes``,
+    ``channel_modes``, per-setting isometry matrices over labelled
+    occupation bases, ``outcomes`` (whose states must be orthonormal),
+    ``interpretation`` tags and ``source`` states, and optionally ``name``
+    and ``max_photons``.  A key ``receiver-config.schema.json`` does not
+    declare, a key the kind does not read, or an entry of the wrong JSON
+    type raises ValueError naming the key.
     """
-    if "kind" not in cfg:
-        raise ValueError("receiver config needs a 'kind' entry")
-    if cfg["kind"] == "custom":
+    kind = _entry(cfg, "kind", str, "receiver config")
+    if kind == "custom":
         return _custom_receiver_from_config(cfg)
-    kwargs = {key: _photons(key, cfg[key])
-              for key in ("bright_photons", "max_photons") if key in cfg}
-    return make_receiver(cfg["kind"], cfg.get("variant"), **kwargs)
+    _known_keys(cfg, _BUNDLED_KEYS, f"receiver config of kind {kind!r}")
+    options = {key: _photons(key, cfg[key])
+               for key in ("bright_photons", "max_photons") if key in cfg}
+    variant = cfg.get("variant")
+    if not isinstance(variant, (str, type(None))):
+        raise ValueError(f"receiver config: 'variant' must be a JSON string "
+                         f"or null, got {type(variant).__name__}")
+    return make_receiver(kind, variant, **options)
 
 
 def interpretation_structure(receiver: ReceiverModel) -> Dict[str, Dict[str, frozenset]]:

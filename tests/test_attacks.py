@@ -63,6 +63,7 @@ def test_null_space_edge_cases():
 @pytest.mark.parametrize("kind,variant,total,nonvac,trivial_only", [
     ("interferometric-6mode", None, 5, 3, False),
     ("interferometric-2mode", None, 6, 4, False),
+    ("interferometric-2mode", "single-window", 3, 1, True),
     ("interferometric-defended-10mode", None, 3, 1, True),
     ("blinded-bright", None, 6, 4, False),
     ("ideal-bb84", None, 3, 1, True),
@@ -79,6 +80,26 @@ def test_family_dimensions(kind, variant, total, nonvac, trivial_only):
     assert family.canonical.isometry_residual() < 1e-12
     rep = atk.verify_oblivious(family.canonical, system=family.system)
     assert rep.oblivious and rep.max_error_amplitude < 1e-12
+
+
+_TIME_BIN_PARAMETERS = ("early_amp", "inwindow_amp", "straddle_amp",
+                        "late_amp")
+
+
+@pytest.mark.parametrize("kind,variant,names", [
+    ("interferometric-6mode", None, _TIME_BIN_PARAMETERS),
+    ("interferometric-2mode", None, _TIME_BIN_PARAMETERS),
+    ("interferometric-2mode", "single-window", ()),
+    ("interferometric-defended-10mode", None, ()),
+    ("polarization-threshold", None, ()),
+    ("blinded-bright", None, ("computational_amp", "hadamard_amp")),
+    ("ideal-bb84", None, ()),
+])
+def test_parameter_names_follow_the_family_structure(kind, variant, names):
+    receiver = rc.make_receiver(kind, variant)
+    family = atk.synthesize_attacks(atk.build_constraint_system(receiver))
+    assert family.parameter_names == names
+    assert tuple(family.parameter_values(family.canonical)) == names
 
 
 def test_constraint_row_entries_for_superposed_input(six):

@@ -68,6 +68,45 @@ UNSATISFIABLE_RECEIVER = {
 }
 
 
+# ideal-bb84 as a custom receiver: identity optics in the computational
+# setting, a 45-degree polarization rotation in the Hadamard setting
+_R = 2 ** -0.5
+_POLARIZATION = ["polarization-H:0", "polarization-V:0"]
+_DETECTORS = {"outcomes": {"D0": ["polarization-H:0"],
+                           "D1": ["polarization-V:0"],
+                           "no-click": ["vacuum"]},
+              "interpretation": {"D0": "bit0", "D1": "bit1",
+                                 "no-click": "loss"}}
+IDEAL_RECEIVER = {
+    "kind": "custom",
+    "modes": _POLARIZATION,
+    "channel_modes": _POLARIZATION,
+    "max_photons": 1,
+    "settings": {
+        "computational": {
+            "input_basis": ["vacuum", *_POLARIZATION],
+            "output_basis": ["vacuum", *_POLARIZATION],
+            "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [1, 0], [0, 0]],
+                       [[0, 0], [0, 0], [1, 0]]],
+            **_DETECTORS},
+        "hadamard": {
+            "input_basis": ["vacuum", *_POLARIZATION],
+            "output_basis": ["vacuum", *_POLARIZATION],
+            "matrix": [[[1, 0], [0, 0], [0, 0]], [[0, 0], [_R, 0], [_R, 0]],
+                       [[0, 0], [_R, 0], [-_R, 0]]],
+            **_DETECTORS},
+    },
+    "source": {
+        "computational/0": {"polarization-H:0": [1, 0]},
+        "computational/1": {"polarization-V:0": [1, 0]},
+        "hadamard/0": {"polarization-H:0": [_R, 0],
+                       "polarization-V:0": [_R, 0]},
+        "hadamard/1": {"polarization-H:0": [_R, 0],
+                       "polarization-V:0": [-_R, 0]},
+    },
+}
+
+
 # ---------------------------------------------------------------------------
 # happy paths per subcommand
 # ---------------------------------------------------------------------------
@@ -115,6 +154,35 @@ def test_synth_defended_reports_only_trivial(tmp_path):
     assert artifact["only_trivial"] is True
     assert artifact["family_dimension"] == 3
     assert artifact["note"]
+
+
+def test_synth_single_window_has_no_named_parameters(tmp_path, draft7):
+    out = tmp_path / "fam.json"
+    code, stdout, stderr = run_cli(["synth", "--receiver",
+                                    "interferometric-2mode", "--variant",
+                                    "single-window", "--out", out])
+    assert code == cli.EXIT_OK, stderr
+    assert "only-trivial" in stdout
+    artifact = json.loads(out.read_text())
+    draft7(artifact, "attack-family.schema.json")
+    assert artifact["parameter_names"] == []
+    assert artifact["family_dimension"] == 3
+    assert artifact["non_vacuum_dimension"] == 1
+
+
+def test_synth_does_not_depend_on_a_custom_receiver_name(tmp_path):
+    artifacts = {}
+    for name in ("plain", "interferometric-6mode"):
+        receiver = tmp_path / f"{name}.json"
+        receiver.write_text(json.dumps({**IDEAL_RECEIVER, "name": name}))
+        out = tmp_path / f"{name}-fam.json"
+        code, _, stderr = run_cli(["synth", "--receiver", receiver,
+                                   "--out", out])
+        assert code == cli.EXIT_OK, stderr
+        artifacts[name] = json.loads(out.read_text())
+        assert artifacts[name].pop("receiver") == name
+        artifacts[name]["canonical"].pop("receiver")
+    assert artifacts["plain"] == artifacts["interferometric-6mode"]
 
 
 def test_verify_flags_detectable_attack(tmp_path):
@@ -629,6 +697,7 @@ def test_bundled_configs_validate_against_schemas(draft7):
     for path in sorted(EXAMPLE_DIR.glob("*-attack.json")):
         draft7(json.loads(path.read_text()), "attack-isometry.schema.json")
     draft7(UNSATISFIABLE_RECEIVER, "receiver-config.schema.json")
+    draft7(IDEAL_RECEIVER, "receiver-config.schema.json")
     draft7({"kind": "blinded-bright", "bright_photons": 6},
            "receiver-config.schema.json")
 

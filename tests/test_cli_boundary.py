@@ -8,6 +8,7 @@ artifact writes.
 """
 
 import contextlib
+import inspect
 import io
 import json
 from pathlib import Path
@@ -18,6 +19,7 @@ from hypothesis import strategies as hst
 
 import qkdlab.classify as cl
 import qkdlab.cli as cli
+import qkdlab.receivers as rc
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCHEMA_DIR = REPO_ROOT / "docs" / "schemas"
@@ -278,6 +280,8 @@ _CUSTOM = {
     ({**_CUSTOM, "max_photons": "3"}, "max_photons"),
     ({"kind": "ideal-bb84", "max_photons": 2.9}, "max_photons"),
     ({"kind": "blinded-bright", "bright_photons": "6"}, "bright_photons"),
+    ({"kind": ["x"]}, "kind"),
+    ({"kind": "ideal-bb84", "variant": 5}, "variant"),
 ])
 def test_wrong_typed_receiver_config_exits_2(tmp_path, receiver, key):
     path = write_config(tmp_path / "receiver.json", receiver)
@@ -408,3 +412,74 @@ def malformed_argvs(draw):
 @given(argv=malformed_argvs())
 def test_any_malformed_argv_exits_2(argv):
     assert_one_error_line(*run_cli(argv))
+
+
+# ---------------------------------------------------------------------------
+# receivers: only what the chosen kind reads
+# ---------------------------------------------------------------------------
+
+def _reads(kind):
+    """The keywords a bundled kind reads: its builder's parameters."""
+    return set(inspect.signature(rc._BUNDLED[kind]).parameters)
+
+
+_FLAGS = {"variant": ["--variant", "single-window"],
+          "max_photons": ["--max-photons", 2]}
+
+
+@pytest.mark.parametrize("kind,key", [
+    (kind, key) for kind in rc.RECEIVER_KINDS for key in _FLAGS
+    if key not in _reads(kind)])
+def test_a_flag_the_kind_does_not_read_exits_2(kind, key):
+    payload = assert_one_error_line(
+        *run_cli(["reverse-space", "--receiver", kind, *_FLAGS[key]]))
+    assert payload["code"] == "invalid-receiver"
+    assert repr(key) in payload["message"]
+
+
+@pytest.mark.parametrize("kind,key", [
+    (kind, key) for kind in rc.RECEIVER_KINDS
+    for key in ("variant", "max_photons", "bright_photons")
+    if key not in _reads(kind)])
+def test_a_receiver_file_key_the_kind_does_not_read_exits_2(tmp_path, kind,
+                                                            key):
+    value = {"variant": "single-window", "max_photons": 2,
+             "bright_photons": 6}[key]
+    path = write_config(tmp_path / "receiver.json", {"kind": kind, key: value})
+    payload = assert_one_error_line(
+        *run_cli(["reverse-space", "--receiver", path]))
+    assert payload["code"] == "invalid-receiver"
+    assert repr(key) in payload["message"]
+
+
+@pytest.mark.parametrize("receiver,key", [
+    ({"kind": "ideal-bb84", "foo": 1}, "foo"),
+    ({**_CUSTOM, "bogus": 1}, "bogus"),
+    ({**_CUSTOM, "passive": "no"}, "passive"),
+    ({**_CUSTOM, "settings": {"computational": {
+        **_CUSTOM["settings"]["computational"], "extra": 1}}}, "extra"),
+])
+def test_receiver_file_with_an_unknown_key_exits_2(
+        tmp_path, receiver, key):
+    path = write_config(tmp_path / "receiver.json", receiver)
+    payload = assert_one_error_line(
+        *run_cli(["reverse-space", "--receiver", path]))
+    assert payload["code"] == "invalid-receiver"
+    assert repr(key) in payload["message"]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("key", sorted(_FLAGS))
+def test_receiver_options_with_a_receiver_file_exit_2(tmp_path, via, key):
+    receiver = write_config(tmp_path / "receiver.json",
+                            {"kind": "interferometric-2mode"})
+    argv = ["reverse-space", "--receiver", receiver]
+    if via == "flag":
+        argv += _FLAGS[key]
+    else:
+        argv += ["--config", write_config(
+            tmp_path / "scenario.json",
+            {"subcommand": "reverse-space", key: _FLAGS[key][1]})]
+    payload = assert_one_error_line(*run_cli(argv))
+    assert payload["code"] == "invalid-receiver"
+    assert repr(key) in payload["message"]

@@ -159,7 +159,6 @@ def test_bright_states_overlap_and_orthonormal_outcomes():
 
 def test_blinded_receiver_is_passive_and_ignores_single_photons():
     receiver = rc.make_receiver("blinded-bright", bright_photons=8)
-    assert receiver.passive
     comp = receiver.settings[rc.COMPUTATIONAL]
     assert comp.interpretation["b+"] == rc.FOREIGN
     assert receiver.settings[rc.HADAMARD].interpretation["b0"] == rc.FOREIGN
@@ -344,6 +343,7 @@ def _with(path, value):
     (("max_photons",), 2.9),
     (("max_photons",), True),
     (("max_photons",), 0),
+    (("name",), 5),
 ])
 def test_custom_config_with_a_wrong_json_type_raises_value_error(path, value):
     with pytest.raises(ValueError, match=repr(path[-1])):
@@ -378,3 +378,102 @@ def test_orthonormal_custom_config_builds():
         receiver, rc.COMPUTATIONAL,
         receiver.source.states[(rc.COMPUTATIONAL, 1)])
     assert probs == pytest.approx({"D1": 1.0, "D0": 0.0})
+
+
+@pytest.mark.parametrize("cfg,key", [
+    ({"kind": ["x"]}, "kind"),
+    ({"kind": 7}, "kind"),
+    ({"kind": "ideal-bb84", "variant": 5}, "variant"),
+    ({"kind": "interferometric-2mode", "variant": ["single-window"]},
+     "variant"),
+    ({"kind": "ideal-bb84", "foo": 1}, "foo"),
+    ({"kind": "ideal-bb84", "max_photons": 3}, "max_photons"),
+    ({"kind": "ideal-bb84", "variant": "single-window"}, "variant"),
+    ({"kind": "interferometric-6mode", "bright_photons": 6},
+     "bright_photons"),
+    ({"kind": "blinded-bright", "passive": True}, "passive"),
+])
+def test_bundled_config_rejects_keys_the_kind_does_not_read(cfg, key):
+    with pytest.raises(ValueError, match=repr(key)):
+        rc.receiver_from_config(cfg)
+
+
+@pytest.mark.parametrize("path,value", [
+    (("bogus",), 1),
+    (("passive",), "no"),
+    (("variant",), "single-window"),
+    (("settings", "computational", "extra"), 1),
+])
+def test_custom_config_rejects_unknown_keys(path, value):
+    with pytest.raises(ValueError, match=repr(path[-1])):
+        rc.receiver_from_config(_with(path, value))
+
+
+# ---------------------------------------------------------------------------
+# the bundled-receiver table
+# ---------------------------------------------------------------------------
+
+# The keywords each bundled kind reads; every other one is rejected.
+READS = {
+    "interferometric-6mode": {"max_photons"},
+    "interferometric-2mode": {"variant", "max_photons"},
+    "interferometric-defended-10mode": {"max_photons"},
+    "polarization-threshold": set(),
+    "blinded-bright": {"bright_photons", "from_vulnerabilities"},
+    "ideal-bb84": set(),
+}
+KEYWORD_VALUES = {"variant": "single-window", "max_photons": 2,
+                  "bright_photons": 6, "from_vulnerabilities": VALID_RECORDS}
+UNREAD = [(kind, key) for kind in READS for key in KEYWORD_VALUES
+          if key not in READS[kind]]
+
+
+def test_receiver_kinds_come_from_the_table():
+    assert rc.RECEIVER_KINDS == tuple(READS)
+
+
+@pytest.mark.parametrize("kind,key", UNREAD)
+def test_a_keyword_the_kind_does_not_read_raises(kind, key):
+    with pytest.raises(ValueError, match=f"{kind!r} does not read") as info:
+        rc.make_receiver(kind, **{key: KEYWORD_VALUES[key]})
+    assert repr(key) in str(info.value)
+
+
+@pytest.mark.parametrize("kind", list(READS))
+def test_every_keyword_the_kind_reads_is_accepted(kind):
+    receiver = rc.make_receiver(
+        kind, **{key: KEYWORD_VALUES[key] for key in READS[kind]})
+    assert receiver.name == kind
+
+
+def test_config_keys_match_the_receiver_schema():
+    import json
+    from pathlib import Path
+
+    bundled, custom = json.loads(
+        (Path(__file__).resolve().parents[1] / "docs" / "schemas"
+         / "receiver-config.schema.json").read_text())["oneOf"]
+    assert sorted(bundled["properties"]["kind"]["enum"]) == sorted(
+        rc.RECEIVER_KINDS)
+    assert set(bundled["properties"]) == set(rc._BUNDLED_KEYS)
+    assert set(custom["properties"]) == set(rc._CUSTOM_KEYS)
+    setting = custom["properties"]["settings"]["additionalProperties"]
+    assert set(setting["properties"]) == set(rc._SETTING_KEYS)
+
+
+def test_every_document_lists_the_bundled_kinds():
+    import json
+    import re
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    scenario = json.loads((root / "docs" / "schemas"
+                           / "scenario-config.schema.json").read_text())
+    described = scenario["definitions"]["receiverSpec"]["description"]
+    listed = re.match(r"bundled receiver kind \(([^)]*)\)", described)
+    assert sorted(listed.group(1).split(", ")) == sorted(rc.RECEIVER_KINDS)
+    readme = (root / "README.md").read_text()
+    table = re.findall(r"^\| `([a-z0-9-]+)` \| (.*) \|$", readme, re.M)
+    assert sorted(kind for kind, _ in table) == sorted(rc.RECEIVER_KINDS)
+    for kind, cell in table:
+        assert set(re.findall(r"`([a-z_]+)`", cell)) == READS[kind], kind
