@@ -7,6 +7,10 @@ wrong-bit outcomes under matched bases, plus anything the receiver flags as
 invalid under any basis.  Solutions form linear families; this module
 enumerates them, builds canonical and randomly sampled members, verifies
 candidate strategies row by row, and analyzes what the probe learns.
+
+Members are built from the vertices of a 4-row weight system, which a
+support enumeration finds with numpy alone; the module needs no solver
+library.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -415,31 +420,25 @@ def _weight_rows(dirs: np.ndarray, n_basis: int) -> np.ndarray:
 _WEIGHT_TARGET = np.array([1.0, 1.0, 0.0, 0.0])
 
 
-def _solve_weights(a: np.ndarray, pool: Sequence[int]) -> Optional[np.ndarray]:
-    """Nonnegative weights over ``pool`` satisfying the isometry conditions."""
-    if not pool:
-        return None
-    # imported here: scipy.optimize is slow to import, and only synthesis
-    # and sampling call it
-    from scipy.optimize import nnls
-    t, rnorm = nnls(a[:, pool], _WEIGHT_TARGET)
-    if rnorm > 1e-9:
-        return None
-    full = np.zeros(a.shape[1])
-    full[list(pool)] = t
-    return full
+def _vertices(a: np.ndarray, pool: Sequence[int]) -> Iterator[np.ndarray]:
+    """Every vertex of ``{t >= 0 : a t = [1, 1, 0, 0]}`` supported on ``pool``.
 
-
-def _minimal_support(a: np.ndarray, pool: Sequence[int]
-                     ) -> Optional[Tuple[int, np.ndarray]]:
-    """Smallest number of active directions admitting a diagonal member."""
-    cap = min(len(pool), 4)  # a basic feasible solution never needs more
-    for size in range(1, cap + 1):
-        for subset in combinations(pool, size):
-            t = _solve_weights(a, list(subset))
-            if t is not None:
-                return size, t
-    return None
+    A vertex of 4 equality rows has at most 4 nonzero weights (fundamental
+    theorem of linear programming), so the supports of size 1..4 are tried,
+    smallest first and then in ``pool`` order; the first vertex yielded
+    therefore has the smallest support of any nonnegative solution.  Each
+    support is solved exactly and kept when its columns are independent,
+    its weights positive and its residual at most 1e-9.
+    """
+    for size in range(1, min(len(pool), 4) + 1):
+        for support in combinations(pool, size):
+            cols = a[:, support]
+            t, _, rank, _ = np.linalg.lstsq(cols, _WEIGHT_TARGET, rcond=None)
+            if (rank == size and np.all(t > 0)
+                    and np.linalg.norm(cols @ t - _WEIGHT_TARGET) <= 1e-9):
+                full = np.zeros(a.shape[1])
+                full[list(support)] = t
+                yield full
 
 
 @dataclass
@@ -498,30 +497,19 @@ class AttackFamily:
 
     def sample(self, rng: np.random.Generator,
                allow_vacuum: bool = False) -> AttackIsometry:
-        """Random member: convex mixture of random extreme diagonal members."""
-        from scipy.optimize import linprog
+        """Random member: a Dirichlet mixture of up to 4 distinct extreme
+        diagonal members, drawn from the vertices of the weight system."""
+        a, _ = self.weight_system()
         pool = self.direction_pool(allow_vacuum)
-        a, b = self.weight_system()
-        vertices: List[np.ndarray] = []
-        for _ in range(4):
-            cost = rng.standard_normal(len(pool))
-            res = linprog(cost, A_eq=a[:, pool], b_eq=b,
-                          bounds=[(0, None)] * len(pool), method="highs")
-            if not res.success:
-                continue
-            support = [pool[j] for j in range(len(pool)) if res.x[j] > 1e-9]
-            t = _solve_weights(a, support)
-            if t is not None:
-                vertices.append(t)
-        if not vertices:
-            fallback = _solve_weights(a, pool)
-            if fallback is None:
-                raise InfeasibleAttackError(
-                    "the family admits no isometry members over the "
-                    "requested directions")
-            vertices.append(fallback)
-        mix = rng.dirichlet(np.ones(len(vertices)))
-        t = np.einsum("v,vd->d", mix, np.array(vertices))
+        vertices = np.array(list(_vertices(a, pool)))
+        if not len(vertices):
+            raise InfeasibleAttackError(
+                "the family admits no isometry members over the "
+                "requested directions")
+        picks = rng.choice(len(vertices), size=min(4, len(vertices)),
+                           replace=False)
+        mix = rng.dirichlet(np.ones(len(picks)))
+        t = np.einsum("v,vd->d", mix, vertices[picks])
         return _diagonal_member(self.system, self.null_basis, t, "sampled")
 
     def projection_residual(self, attack: AttackIsometry) -> float:
@@ -667,44 +655,29 @@ def synthesize_attacks(system: ConstraintSystem,
         if set(np.nonzero(np.abs(dirs[:, d]) > 1e-12)[0]) <= vac_cols)
 
     a = _weight_rows(dirs, system.n_basis)
-    pools = [
-        [d for d in range(dirs.shape[1]) if d not in vacuum_directions],
-        list(range(dirs.shape[1])),
-    ]
-    weights = None
-    for pool in pools:
-        t = _solve_weights(a, pool)
-        if t is None:
-            continue
-        active = int(np.sum(t > WEIGHT_TOL))
-        if active <= eve_dim:
-            weights = t
-            break
-        small = _minimal_support(a, pool)
-        if small is not None and small[0] <= eve_dim:
-            weights = small[1]
-            break
-
-    canonical = None
+    nonvac = [d for d in range(dirs.shape[1]) if d not in vacuum_directions]
+    # the first vertex of a pool has its smallest support, so when it needs
+    # more than eve_dim axes no other vertex of that pool fits either
+    firsts = [next(_vertices(a, pool), None)
+              for pool in (nonvac, list(range(dirs.shape[1])))]
+    weights = next((t for t in firsts if t is not None
+                    and np.sum(t > WEIGHT_TOL) <= eve_dim), None)
     if weights is not None:
         canonical = _diagonal_member(system, dirs, weights,
                                      "synthesized-canonical")
     else:
         # one orthogonal axis per direction was too many; the pass-through
         # member shares a single axis across directions and may still fit
-        passthrough = _passthrough_member(system, dirs)
-        if passthrough is not None:
-            canonical = passthrough
+        canonical = _passthrough_member(system, dirs)
     if canonical is None:
-        small = _minimal_support(a, pools[-1])
-        minimal = small[0] if small is not None else None
+        minimal = (None if firsts[-1] is None
+                   else int(np.count_nonzero(firsts[-1])))
         detail = (f"; the smallest feasible probe dimension is {minimal}"
                   if minimal is not None else "")
         raise InfeasibleAttackError(
             f"no zero-error isometry for {system.receiver_name!r} with "
             f"probe dimension {eve_dim}{detail}", minimal_feasible=minimal)
 
-    nonvac = [d for d in range(dirs.shape[1]) if d not in vacuum_directions]
     only_trivial = False
     if len(nonvac) == 1:
         triv = _trivial_direction(system)

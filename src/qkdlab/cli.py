@@ -14,7 +14,7 @@ to stderr as newline-delimited JSON, gated by ``QKDLAB_LOG_LEVEL``.
 
 Each handler imports the modules it runs, so a run loads only what its
 subcommand needs: ``classify`` and ``report`` use the standard library
-alone, and only ``synth`` loads scipy.
+alone, and every other subcommand needs numpy alone.
 """
 
 from __future__ import annotations

@@ -644,7 +644,8 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, argv, absent):
 
 
 def test_synth_in_a_fresh_interpreter_gives_the_golden_canonical(tmp_path):
-    # the canonical member is where nnls lands; its bytes must not move
+    # the canonical member is the smallest-support vertex; its bytes must
+    # not move
     fresh_python(
         "from qkdlab.cli import main\n"
         "raise SystemExit(main(['synth', '--config', "
