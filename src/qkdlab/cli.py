@@ -603,7 +603,18 @@ def _render_artifact(data: dict) -> List[str]:
 def _cmd_report(opts: dict) -> int:
     """render stored artifacts as tables"""
     for path in opts["artifacts"]:
-        for row in _render_artifact(_load_json(path, "artifact")):
+        data = _load_json(path, "artifact")
+        context = {"path": path, "schema": data.get("schema")}
+        try:
+            rows = _render_artifact(data)
+        except KeyError as err:
+            raise CliError(EXIT_CONFIG, "invalid-config",
+                           f"artifact {path!r} lacks the key {err}",
+                           {**context, "key": err.args[0]})
+        except (TypeError, ValueError, AttributeError) as err:
+            raise CliError(EXIT_CONFIG, "invalid-config",
+                           f"artifact {path!r} is malformed: {err}", context)
+        for row in rows:
             print(row)
     return EXIT_OK
 

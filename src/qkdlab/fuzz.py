@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -503,27 +503,39 @@ def observation_from_json_dict(data: Mapping) -> FuzzObservation:
 
 
 def report_from_json_dict(data: Mapping) -> FuzzReport:
-    """Rebuild a campaign report (e.g. for replaying logged anomalies)."""
+    """Rebuild a campaign report (e.g. for replaying logged anomalies).
+
+    A missing key or a malformed field raises FuzzError naming it.
+    """
     if data.get("schema") != REPORT_SCHEMA:
         raise FuzzError(f"expected schema {REPORT_SCHEMA!r}, "
                         f"got {data.get('schema')!r}")
-    anomalies = [
-        FuzzAnomaly(
+
+    def field(key: str, parse: Callable):
+        if key not in data:
+            raise FuzzError(f"{REPORT_SCHEMA} document lacks the key {key!r}")
+        try:
+            return parse(data[key])
+        except (KeyError, TypeError, ValueError, AttributeError) as err:
+            raise FuzzError(f"{REPORT_SCHEMA} document has a malformed "
+                            f"{key!r} ({type(err).__name__}: {err})") from err
+
+    def anomaly(a: Mapping) -> FuzzAnomaly:
+        return FuzzAnomaly(
             anomaly_id=a["anomaly_id"], stage=int(a["stage"]),
             case_index=int(a["case_index"]),
             replay_index=int(a["replay_index"]),
             input=input_from_json_dict(a["input"]),
             observation=observation_from_json_dict(a["observation"]),
             tag=a["tag"])
-        for a in data["anomalies"]
-    ]
+
     report = FuzzReport(
-        test_cases_run=int(data["test_cases_run"]),
-        distinct_inputs=int(data["distinct_inputs"]),
-        anomalies=anomalies,
-        properties_found=tuple(data["properties_found"]),
-        derived_vulnerabilities=list(data["derived_vulnerabilities"]),
-        rng_seed=int(data["rng_seed"]),
+        test_cases_run=field("test_cases_run", int),
+        distinct_inputs=field("distinct_inputs", int),
+        anomalies=field("anomalies", lambda rows: [anomaly(a) for a in rows]),
+        properties_found=field("properties_found", tuple),
+        derived_vulnerabilities=field("derived_vulnerabilities", list),
+        rng_seed=field("rng_seed", int),
     )
     report.validate()
     return report

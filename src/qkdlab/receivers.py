@@ -674,6 +674,16 @@ def _custom_setting_from_config(name: str, scfg, reg: ModeRegistry
     )
 
 
+def _source_label(label: str) -> Tuple[str, int]:
+    """(basis, bit) of a source label ``<basis>/<bit>``."""
+    basis, _, bit = label.rpartition("/")
+    if bit not in ("0", "1") or (basis, int(bit)) not in LOGICAL_COEFFICIENTS:
+        bases = sorted({b for b, _ in LOGICAL_COEFFICIENTS})
+        raise ValueError(f"source label {label!r} is not <basis>/<bit> with "
+                         f"a basis in {bases} and a bit 0 or 1")
+    return basis, int(bit)
+
+
 def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
     where = "receiver config"
     _known_keys(cfg, _CUSTOM_KEYS, where)
@@ -691,14 +701,19 @@ def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
     bases = []
     for label in source_cfg:
         comps = _entry(source_cfg, label, dict, "source")
-        basis, _, bit = label.rpartition("/")
+        basis, bit = _source_label(label)
         if basis not in bases:
             bases.append(basis)
         channel_reg = ModeRegistry(channel, reg.max_photons_per_mode)
         amps = {parse_occ(text): _complex(
                     pair, f"source {label!r}: amplitude of {text!r}")
                 for text, pair in comps.items()}
-        source_states[(basis, int(bit))] = PhotonicState(channel_reg, amps)
+        source_states[(basis, bit)] = PhotonicState(channel_reg, amps)
+    missing = [f"{basis}/{bit}" for basis in bases for bit in (0, 1)
+               if (basis, bit) not in source_states]
+    if missing:
+        raise ValueError(f"source: every basis needs both bits; the labels "
+                         f"{missing} are missing")
     source = AliceSourceModel(ModeRegistry(channel, reg.max_photons_per_mode),
                               tuple(bases), source_states)
     return ReceiverModel(name, reg, channel, settings, source)

@@ -303,6 +303,58 @@ def test_receiver_with_overlapping_outcome_states_exits_2(tmp_path):
     assert "'D1'" in payload["message"]
 
 
+@pytest.mark.parametrize("subcommand", ["reverse-space", "synth", "simulate"])
+@pytest.mark.parametrize("labels", [
+    ("computational/0", "computational/2"),
+    ("foo/0", "foo/1"),
+    ("computational0", "computational/1"),
+], ids=["bit-2", "unknown-basis", "no-slash"])
+def test_receiver_with_a_malformed_source_label_exits_2(tmp_path, subcommand,
+                                                        labels):
+    receiver = dict(_CUSTOM, source={
+        labels[0]: {"polarization-H:0": [1, 0]},
+        labels[1]: {"polarization-V:0": [1, 0]}})
+    path = write_config(tmp_path / "receiver.json", receiver)
+    payload = assert_one_error_line(
+        *run_cli([subcommand, "--receiver", path]))
+    assert payload["code"] == "invalid-receiver"
+    bad = labels[1] if labels[0] == "computational/0" else labels[0]
+    assert repr(bad) in payload["message"]
+
+
+def test_replay_from_a_keyless_fuzz_report_exits_2(tmp_path):
+    path = write_config(tmp_path / "fuzz.json", {"schema": "fuzz-report/1"})
+    payload = assert_one_error_line(
+        *run_cli(["fuzz", "--replay", "a0001", "--report", path]))
+    assert payload["code"] == "invalid-config"
+    assert "lacks the key" in payload["message"]
+
+
+@pytest.mark.parametrize("schema,key", [
+    ("simulation-report/1", "per_basis"),
+    ("fuzz-report/1", "properties_found"),
+    ("reverse-space/1", "receiver"),
+    ("attack-family/1", "receiver"),
+    ("verification/1", "oblivious"),
+    ("attack-registry/1", "records"),
+])
+def test_report_on_an_artifact_missing_a_key_exits_2(tmp_path, schema, key):
+    path = write_config(tmp_path / "artifact.json", {"schema": schema})
+    payload = assert_one_error_line(*run_cli(["report", path]))
+    assert payload["code"] == "invalid-config"
+    assert payload["context"]["key"] == key
+    assert repr(key) in payload["message"]
+
+
+def test_report_on_a_malformed_artifact_field_exits_2(tmp_path):
+    path = write_config(tmp_path / "artifact.json", {
+        "schema": "verification/1", "attack_label": "x", "oblivious": True,
+        "max_error_amplitude": "large"})
+    payload = assert_one_error_line(*run_cli(["report", path]))
+    assert payload["code"] == "invalid-config"
+    assert payload["context"]["schema"] == "verification/1"
+
+
 # ---------------------------------------------------------------------------
 # a failed write keeps the previous artifact
 # ---------------------------------------------------------------------------

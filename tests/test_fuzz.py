@@ -311,6 +311,35 @@ def test_anomalies_replay_on_a_fresh_device(campaign):
                             "a9999")
 
 
+_REPORT_KEYS = ("anomalies", "test_cases_run", "distinct_inputs",
+                "properties_found", "derived_vulnerabilities", "rng_seed")
+
+
+@pytest.mark.parametrize("key", _REPORT_KEYS)
+def test_report_json_missing_key_is_a_fuzz_error(campaign, key):
+    data = campaign.to_json_dict()
+    del data[key]
+    with pytest.raises(fuzz.FuzzError, match=f"lacks the key '{key}'"):
+        fuzz.report_from_json_dict(data)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("anomalies", 5),
+    ("anomalies", [{"anomaly_id": "a0001"}]),
+    ("test_cases_run", None),
+    ("rng_seed", "zero"),
+])
+def test_report_json_malformed_field_is_a_fuzz_error(campaign, key, value):
+    data = dict(campaign.to_json_dict(), **{key: value})
+    with pytest.raises(fuzz.FuzzError, match=f"malformed '{key}'"):
+        fuzz.report_from_json_dict(data)
+
+
+def test_report_json_round_trip(campaign):
+    data = campaign.to_json_dict()
+    assert fuzz.report_from_json_dict(data).to_json_dict() == data
+
+
 def test_coverage_grows_monotonically_with_budget(campaign):
     previous_inputs = 0
     previous_ids = []

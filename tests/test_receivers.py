@@ -293,6 +293,23 @@ def test_receiver_schema_lists_every_interpretation_tag():
     assert sorted(tags["enum"]) == sorted(rc.INTERPRETATION_TAGS)
 
 
+def test_receiver_schema_source_labels_are_the_logical_labels():
+    import json
+    import re
+    from pathlib import Path
+
+    schema = json.loads((Path(__file__).resolve().parents[1] / "docs"
+                         / "schemas" / "receiver-config.schema.json")
+                        .read_text())
+    custom = next(branch for branch in schema["oneOf"]
+                  if branch["properties"]["kind"].get("const") == "custom")
+    pattern = custom["properties"]["source"]["propertyNames"]["pattern"]
+    logical = {f"{basis}/{bit}" for basis, bit in rc.LOGICAL_COEFFICIENTS}
+    candidates = logical | {"computational/2", "foo/0", "computational0",
+                            "computational/01", "/0", "y/1/0"}
+    assert {c for c in candidates if re.search(pattern, c)} == logical
+
+
 def _polarization_config():
     return {
         "kind": "custom",
@@ -348,6 +365,23 @@ def _with(path, value):
 def test_custom_config_with_a_wrong_json_type_raises_value_error(path, value):
     with pytest.raises(ValueError, match=repr(path[-1])):
         rc.receiver_from_config(_with(path, value))
+
+
+@pytest.mark.parametrize("labels,named", [
+    (("computational/0", "computational/2"), "'computational/2'"),
+    (("foo/0", "foo/1"), "'foo/0'"),
+    (("computational0", "computational/1"), "'computational0'"),
+    (("computational/0", "computational/01"), "'computational/01'"),
+    (("computational/0",), "'computational/1'"),
+    (("computational/0", "computational/1", "hadamard/1"), "'hadamard/0'"),
+])
+def test_custom_source_labels_must_be_basis_bit_pairs(labels, named):
+    states = ({"polarization-H:0": [1, 0]}, {"polarization-V:0": [1, 0]})
+    cfg = _with(("source",), {label: states[i % 2]
+                              for i, label in enumerate(labels)})
+    with pytest.raises(ValueError, match="source") as info:
+        rc.receiver_from_config(cfg)
+    assert named in str(info.value)
 
 
 @pytest.mark.parametrize("key,value", [
