@@ -2,9 +2,12 @@
 
 import json
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hst
 
 from qkdlab import attacks as atk
 from qkdlab import fockspace as fs
@@ -60,21 +63,29 @@ def test_null_space_edge_cases():
     assert atk.null_space(np.eye(4)).shape == (4, 0)
 
 
-@pytest.mark.parametrize("kind,variant,total,nonvac,trivial_only", [
-    ("interferometric-6mode", None, 5, 3, False),
-    ("interferometric-2mode", None, 6, 4, False),
-    ("interferometric-2mode", "single-window", 3, 1, True),
-    ("interferometric-defended-10mode", None, 3, 1, True),
-    ("blinded-bright", None, 6, 4, False),
-    ("ideal-bb84", None, 3, 1, True),
-    ("polarization-threshold", None, 3, 1, True),
-])
-def test_family_dimensions(kind, variant, total, nonvac, trivial_only):
+_DIMENSIONS = [
+    ("interferometric-6mode", None, 5, 3, False, 1),
+    ("interferometric-2mode", None, 6, 4, False, 2),
+    ("interferometric-2mode", "single-window", 3, 1, True, 1),
+    ("interferometric-defended-10mode", None, 3, 1, True, 1),
+    ("blinded-bright", None, 6, 4, False, 2),
+    ("ideal-bb84", None, 3, 1, True, 1),
+    ("polarization-threshold", None, 3, 1, True, 1),
+]
+
+
+# the ids name the cases by their first five columns only
+@pytest.mark.parametrize(
+    "kind,variant,total,nonvac,trivial_only,eve_dim", _DIMENSIONS,
+    ids=["-".join(map(str, case[:5])) for case in _DIMENSIONS])
+def test_family_dimensions(kind, variant, total, nonvac, trivial_only,
+                           eve_dim):
     receiver = rc.make_receiver(kind, variant)
     family = atk.synthesize_attacks(atk.build_constraint_system(receiver))
     assert family.dimension == total
     assert family.non_vacuum_dimension == nonvac
     assert family.only_trivial == trivial_only
+    assert family.canonical.eve_dim == eve_dim
     basis = family.null_basis
     assert np.allclose(basis.conj().T @ basis, np.eye(total), atol=1e-12)
     assert family.canonical.isometry_residual() < 1e-12
@@ -416,6 +427,92 @@ def test_instantiate_validates_weights(bright):
     weights[pool] = t0
     member = family.instantiate(weights)
     assert atk.verify_oblivious(member, system=family.system).oblivious
+
+
+# ---------------------------------------------------------------------------
+# the vertex enumeration against scipy's nnls, the reference solver
+# ---------------------------------------------------------------------------
+
+def _nnls_feasible(a, pool):
+    """Whether nnls finds nonnegative weights over ``pool``."""
+    from scipy.optimize import nnls
+    if not pool:
+        return False
+    _, rnorm = nnls(a[:, list(pool)], atk._WEIGHT_TARGET)
+    return rnorm <= 1e-9
+
+
+def _nnls_minimal_support(a, pool):
+    """The fewest directions of ``pool`` that nnls finds feasible."""
+    for size in range(1, min(len(pool), 4) + 1):
+        if any(_nnls_feasible(a, s) for s in combinations(pool, size)):
+            return size
+    return None
+
+
+def assert_vertices_match_nnls(a, pool):
+    vertices = list(atk._vertices(a, pool))
+    assert bool(vertices) == _nnls_feasible(a, pool)
+    for t in vertices:
+        assert np.max(np.abs(a @ t - atk._WEIGHT_TARGET)) <= 1e-9
+        assert np.min(t) >= 0
+        support = np.flatnonzero(t)
+        assert len(support) <= 4 and set(support) <= set(pool)
+        # a vertex: its active columns are linearly independent
+        assert np.linalg.matrix_rank(a[:, support]) == len(support)
+    supports = [tuple(np.flatnonzero(t)) for t in vertices]
+    assert len(set(supports)) == len(supports)
+    if vertices:
+        sizes = [np.count_nonzero(t) for t in vertices]
+        assert sizes[0] == min(sizes) == _nnls_minimal_support(a, pool)
+
+
+@pytest.mark.parametrize("kind,variant", [case[:2] for case in _DIMENSIONS])
+def test_vertices_match_nnls_on_bundled_receivers(kind, variant):
+    receiver = rc.make_receiver(kind, variant)
+    family = atk.synthesize_attacks(atk.build_constraint_system(receiver))
+    a, _ = family.weight_system()
+    for allow_vacuum in (False, True):
+        assert_vertices_match_nnls(a, family.direction_pool(allow_vacuum))
+
+
+@pytest.mark.parametrize("offset,feasible", [(1e-6, False), (1e-11, True)])
+def test_vertices_hold_the_residual_to_1e_9(offset, feasible):
+    a = np.array([[1.0], [1.0], [offset], [0.0]])
+    assert_vertices_match_nnls(a, [0])
+    assert bool(list(atk._vertices(a, [0]))) == feasible
+
+
+@hst.composite
+def weight_systems(draw):
+    """(A, pool): Gram rows of random probe directions or a random A,
+    optionally with planted nonnegative weights and a repeated column."""
+    n = draw(hst.integers(1, 7))
+    rng = np.random.default_rng(draw(hst.integers(0, 2 ** 32 - 1)))
+    if draw(hst.booleans()):
+        n_basis = draw(hst.integers(1, 3))
+        dirs = (rng.standard_normal((2 * n_basis, n))
+                + 1j * rng.standard_normal((2 * n_basis, n)))
+        a = atk._weight_rows(dirs / np.linalg.norm(dirs, axis=0), n_basis)
+    else:
+        a = rng.standard_normal((4, n))
+    pool = {d for d in range(n) if draw(hst.booleans())}
+    if draw(hst.booleans()):
+        t0 = rng.exponential(size=n) * (rng.random(n) < 0.5)
+        j = int(rng.integers(n))
+        t0[j] += 0.5
+        a[:, j] += (atk._WEIGHT_TARGET - a @ t0) / t0[j]
+        pool |= set(np.flatnonzero(t0))
+    if draw(hst.booleans()):
+        a = np.hstack([a, a[:, :1]])
+        pool.add(n)
+    return a, sorted(pool)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=weight_systems())
+def test_vertices_match_nnls_on_random_weight_systems(case):
+    assert_vertices_match_nnls(*case)
 
 
 # ---------------------------------------------------------------------------

@@ -631,8 +631,9 @@ FUZZ_SUMMARY = {"schema": "fuzz-report/1", "properties_found": [],
       "--attack", "faked-states"], ["scipy"]),
     (["simulate", "--receiver", "interferometric-6mode",
       "--attack", "faked-states", "--rounds", "200"], ["scipy"]),
+    (["synth", "--receiver", "interferometric-6mode"], ["scipy"]),
 ], ids=["classify", "report", "fuzz", "reverse-space", "verify",
-        "simulate"])
+        "simulate", "synth"])
 def test_subcommand_loads_only_what_it_runs(tmp_path, argv, absent):
     (tmp_path / "fuzz.json").write_text(json.dumps(FUZZ_SUMMARY))
     statement = ("import contextlib, io\n"
@@ -641,6 +642,25 @@ def test_subcommand_loads_only_what_it_runs(tmp_path, argv, absent):
                  f"    code = main({argv!r})\n"
                  "assert code == 0, code")
     assert loaded_after(statement, absent, tmp_path) == []
+
+
+def test_synthesis_and_sampling_run_without_scipy(tmp_path):
+    # a None entry in sys.modules makes any import of scipy fail
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import numpy as np\n"
+        "import qkdlab.attacks as atk, qkdlab.receivers as rc\n"
+        "configs = [(kind, None) for kind in rc.RECEIVER_KINDS]\n"
+        "configs.append(('interferometric-2mode', 'single-window'))\n"
+        "for kind, variant in configs:\n"
+        "    system = atk.build_constraint_system(\n"
+        "        rc.make_receiver(kind, variant))\n"
+        "    family = atk.synthesize_attacks(system)\n"
+        "    member = family.sample(np.random.default_rng(0))\n"
+        "    assert atk.verify_oblivious(member, system=system).oblivious\n"
+        "print(len(configs))")
+    assert fresh_python(code, tmp_path) == "7"
 
 
 def test_synth_in_a_fresh_interpreter_gives_the_golden_canonical(tmp_path):
