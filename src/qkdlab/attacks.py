@@ -459,6 +459,8 @@ class AttackFamily:
     parameter_names: Tuple[str, ...] = ()
     _extractors: Dict[str, Callable[[np.ndarray], float]] = field(
         default_factory=dict, repr=False)
+    _vertex_cache: Dict[bool, np.ndarray] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -495,13 +497,24 @@ class AttackFamily:
                 f"weights violate the isometry conditions (residual {res:.3e})")
         return _diagonal_member(self.system, self.null_basis, t, label)
 
+    def pool_vertices(self, allow_vacuum: bool = False) -> np.ndarray:
+        """The vertices of the weight system over one direction pool, one
+        per row.  They are enumerated once per pool; the array is
+        read-only."""
+        allow_vacuum = bool(allow_vacuum)
+        if allow_vacuum not in self._vertex_cache:
+            a, _ = self.weight_system()
+            vertices = np.array(
+                list(_vertices(a, self.direction_pool(allow_vacuum))))
+            vertices.flags.writeable = False
+            self._vertex_cache[allow_vacuum] = vertices
+        return self._vertex_cache[allow_vacuum]
+
     def sample(self, rng: np.random.Generator,
                allow_vacuum: bool = False) -> AttackIsometry:
         """Random member: a Dirichlet mixture of up to 4 distinct extreme
         diagonal members, drawn from the vertices of the weight system."""
-        a, _ = self.weight_system()
-        pool = self.direction_pool(allow_vacuum)
-        vertices = np.array(list(_vertices(a, pool)))
+        vertices = self.pool_vertices(allow_vacuum)
         if not len(vertices):
             raise InfeasibleAttackError(
                 "the family admits no isometry members over the "

@@ -3,15 +3,27 @@
 States are finite complex combinations of photon-occupation basis states over
 a declared registry of optical modes.  Modes are labelled by (kind, index)
 pairs, e.g. channel time bins, blocked-arm time bins, interferometer output
-arms, or polarization modes.  All evolutions (beam splitter, phase shifter,
-Mach-Zehnder interferometer) are implemented as substitution homomorphisms on
-creation operators, so multi-photon inputs are handled exactly.  The reverse
-interferometer is not tabulated separately: it is derived as the adjoint
-(conjugate transpose) of the forward mode map.
+arms, or polarization modes.  All evolutions are substitution homomorphisms on
+creation operators, so multi-photon inputs are handled exactly.
+
+Beam splitters and the Mach-Zehnder interferometer run on one two-mode kernel.
+The interferometer is applied as the product of its physical factors (Reck et
+al., PRL 73, 58 (1994)): the first splitter sends each (channel, blocked) bin
+pair into a short and a long arm, the long arm is delayed and phase-shifted,
+and the second splitter recombines the arms of each exit bin.  Each factor is
+a two-mode substitution applied to the whole state, and equal occupations are
+merged after every factor, so the intermediate state never outgrows the
+answer.  The arm modes are private keys of this module: they are never a
+`Mode`, never in a registry, and never reach a caller.  The reverse
+interferometer is not tabulated separately: it is the reversed product of the
+adjoint factors.
 
 Conventions:
   * symmetric 50/50 beam splitter: transmission amplitude 1/sqrt(2),
-    reflection amplitude i/sqrt(2)
+    reflection amplitude i/sqrt(2).  The kernel applies the exact Gaussian-
+    integer splitter ((1, i), (i, 1)) and scales each output component once,
+    by 2**(-n/2) per splitter crossed by its n photons, so a photon through
+    the interferometer gets exactly 0.5 rather than (1/sqrt(2))**2.
   * phase shifter on a mode: |n> -> exp(i*n*phi) |n>
   * amplitudes below PRUNE_EPS are dropped; state comparisons use ATOL
 """
@@ -20,8 +32,10 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from itertools import compress
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -137,12 +151,16 @@ class ModeRegistry:
         if len(set(self.modes)) != len(self.modes):
             raise FockError("duplicate modes in registry")
 
+    @cached_property
+    def _index(self) -> Dict[Mode, int]:
+        return {mode: i for i, mode in enumerate(self.modes)}
+
     def __contains__(self, mode: Mode) -> bool:
-        return mode in self.modes
+        return mode in self._index
 
     def check_occupation(self, occupation: Occupation):
         for mode, count in occupation:
-            if mode not in self.modes:
+            if mode not in self._index:
                 raise FockError(f"mode {mode} not in registry")
             if count > self.max_photons_per_mode:
                 raise PhotonCapError(
@@ -190,6 +208,15 @@ class PhotonicState:
         self.amplitudes = amps
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def _trusted(cls, reg: ModeRegistry,
+                 amplitudes: Dict[Occupation, complex]) -> "PhotonicState":
+        """Wrap complex amplitudes already pruned and checked against `reg`."""
+        state = cls.__new__(cls)
+        state.registry = reg
+        state.amplitudes = amplitudes
+        return state
 
     @staticmethod
     def vacuum(reg: ModeRegistry) -> "PhotonicState":
@@ -349,23 +376,6 @@ def apply_mode_map(state: PhotonicState, mapping: ModeMap,
     return PhotonicState(reg, result)
 
 
-def apply_beam_splitter(state: PhotonicState, in_modes: Tuple[Mode, Mode],
-                        out_modes: Tuple[Mode, Mode] | None = None) -> PhotonicState:
-    """Symmetric 50/50 beam splitter on a pair of modes.
-
-    a^dag -> (a'^dag + i b'^dag)/sqrt(2); b^dag -> (i a'^dag + b'^dag)/sqrt(2).
-    Output modes default to the input modes (in-place convention).
-    """
-    in_a, in_b = in_modes
-    out_a, out_b = out_modes if out_modes is not None else in_modes
-    r = 1.0 / math.sqrt(2.0)
-    mapping: ModeMap = {
-        in_a: [(out_a, r), (out_b, 1j * r)],
-        in_b: [(out_a, 1j * r), (out_b, r)],
-    }
-    return apply_mode_map(state, mapping)
-
-
 def apply_phase_shift(state: PhotonicState, mode: Mode, phi: float) -> PhotonicState:
     """Phase shifter: |n> on `mode` gains exp(i*n*phi)."""
     amps = {}
@@ -375,28 +385,260 @@ def apply_phase_shift(state: PhotonicState, mode: Mode, phi: float) -> PhotonicS
     return PhotonicState(state.registry, amps)
 
 
-def _mz_forward_map(phi: float, times: Iterable[int], delay: int = 1) -> ModeMap:
-    e = np.exp(1j * phi)
-    mapping: ModeMap = {}
-    for t in times:
-        mapping[t_in(t)] = [
-            (s_out(t), 0.5), (d_out(t), 0.5j),
-            (s_out(t + delay), -0.5 * e), (d_out(t + delay), 0.5j * e),
-        ]
-        mapping[blocked(t)] = [
-            (s_out(t), 0.5j), (d_out(t), -0.5),
-            (s_out(t + delay), 0.5j * e), (d_out(t + delay), 0.5 * e),
-        ]
-    return mapping
+# ---------------------------------------------------------------------------
+# The two-mode kernel: beam splitters and the factored interferometer
+# ---------------------------------------------------------------------------
+
+# Exact 50/50 splitter, unnormalized: row i is the image of input i on the
+# two outputs, a^dag -> a'^dag + i b'^dag and b^dag -> i a'^dag + b'^dag.
+_SPLITTER = ((1 + 0j, 1j), (1j, 1 + 0j))
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
-def _adjoint(mapping: ModeMap) -> ModeMap:
-    """Conjugate transpose: b_j^dag -> sum_i conj(c_ij) a_i^dag."""
-    adjoint: ModeMap = {}
-    for source, targets in mapping.items():
-        for target, coeff in targets:
-            adjoint.setdefault(target, []).append((source, coeff.conjugate()))
-    return adjoint
+def _dagger(u):
+    return tuple(tuple(u[j][i].conjugate() for j in range(2)) for i in range(2))
+
+
+@lru_cache(maxsize=None)
+def _pair_table(k1: int, k2: int, u) -> Tuple[Tuple[int, complex], ...]:
+    """|k1, k2> through the unnormalized splitter u, as (m1, coeff) pairs.
+
+    coeff is the amplitude of |m1, k1 + k2 - m1>: the Gaussian-integer
+    coefficient of x^m1 y^m2 in (u00 x + u01 y)^k1 (u10 x + u11 y)^k2 times
+    the bosonic factor sqrt(m1! m2! / (k1! k2!)).  Vanishing terms (the
+    Hong-Ou-Mandel cancellations) are left out.
+    """
+    poly = [1 + 0j]  # poly[j]: coefficient of x^j y^(degree - j)
+    for row, count in ((u[0], k1), (u[1], k2)):
+        for _ in range(count):
+            shifted = [0j] + [c * row[0] for c in poly]
+            poly = [s + c * row[1] for s, c in zip(shifted, poly + [0j])]
+    total = k1 + k2
+    norm = math.factorial(k1) * math.factorial(k2)
+    return tuple(
+        (m1, g * math.sqrt(math.factorial(m1) * math.factorial(total - m1) / norm))
+        for m1, g in enumerate(poly) if g)
+
+
+class _Split(NamedTuple):
+    """Splitter u from the `sources` mode pair into the `targets` pair."""
+
+    sources: tuple
+    targets: tuple
+    u: tuple
+
+    def adjoint(self) -> "_Split":
+        return _Split(self.targets, self.sources, _dagger(self.u))
+
+
+class _Phase(NamedTuple):
+    """|n> -> e**n |n>, n the photons in `modes`."""
+
+    modes: tuple
+    e: complex
+
+    def adjoint(self) -> "_Phase":
+        return _Phase(self.modes, self.e.conjugate())
+
+
+def _split(amps: dict, a: int, b: int, c: int, d: int, u) -> dict:
+    """Send count positions a, b through splitter u into c, d and merge.
+
+    Targets must be empty or be sources, so they are overwritten.  Merged
+    components that cancel are dropped.
+    """
+    out: dict = {}
+    merged = False
+    for key, v in amps.items():
+        k1, k2 = key[a], key[b]
+        if not (k1 or k2):
+            out[key] = v  # no produced component has a and b both empty
+            continue
+        counts = list(key)
+        counts[a] = counts[b] = 0
+        total = k1 + k2
+        for m1, coeff in _pair_table(k1, k2, u):
+            counts[c] = m1
+            counts[d] = total - m1
+            new = tuple(counts)
+            if new in out:
+                out[new] += v * coeff
+                merged = True
+            else:
+                out[new] = v * coeff
+    if merged:
+        return {key: v for key, v in out.items() if abs(v) > PRUNE_EPS}
+    return out
+
+
+def _phase(amps: dict, positions: List[int], e: complex) -> dict:
+    powers = [1.0, e]
+    out = {}
+    for key, v in amps.items():
+        n = sum(key[p] for p in positions)
+        if n:
+            while len(powers) <= n:
+                powers.append(powers[-1] * e)
+            v = v * powers[n]
+        out[key] = v
+    return out
+
+
+class _Plan(NamedTuple):
+    """Factors compiled to count-tuple positions.
+
+    An occupation is a tuple of counts: `modes` (every mode named, in mode
+    order) first, then the private arm keys.  `ops` are the factors with
+    each mode or arm key replaced by its position.
+    """
+
+    factors: tuple
+    modes: Tuple[Mode, ...]
+    pos: Dict[object, int]
+    ops: tuple
+
+
+def _compile(factors, passing: Iterable[Mode] = ()) -> _Plan:
+    """Lay out the modes the factors name, plus `passing` modes that the
+    factors leave alone."""
+    named = set(passing)
+    for f in factors:
+        named.update(f.modes if isinstance(f, _Phase) else f.sources + f.targets)
+    modes = sorted(k for k in named if isinstance(k, Mode))
+    arms = sorted(k for k in named if not isinstance(k, Mode))
+    pos = {k: p for p, k in enumerate(modes + arms)}
+    ops = tuple(
+        _Phase(tuple(pos[k] for k in f.modes), f.e) if isinstance(f, _Phase)
+        else _Split(tuple(pos[k] for k in f.sources),
+                    tuple(pos[k] for k in f.targets), f.u)
+        for f in factors)
+    return _Plan(tuple(factors), tuple(modes), pos, ops)
+
+
+def _evolve(state: PhotonicState, plan: _Plan, crossings: int) -> PhotonicState:
+    """Apply the plan's factors in order to the whole state, merging after
+    each.
+
+    Splitters whose sources are still empty are skipped.  Each photon a
+    splitter has touched has crossed `crossings` splitters, so each output
+    component is scaled once by 2**(-crossings*n/2), n its photons that a
+    splitter touched.
+    """
+    pos, width = plan.pos, len(plan.pos)
+    amps = {}
+    live = set()
+    for occupation, amp in state.amplitudes.items():
+        counts = [0] * width
+        for m, n in occupation:
+            p = pos.get(m)
+            if p is None:  # a mode the factors pass through
+                used = {m for o in state.amplitudes for m, _ in o}
+                return _evolve(state, _compile(plan.factors, used), crossings)
+            counts[p] = n
+            live.add(p)
+        amps[tuple(counts)] = amp
+    untouched = set(live)
+    for op in plan.ops:
+        if isinstance(op, _Phase):
+            lit = [p for p in op.modes if p in live]
+            if lit:
+                amps = _phase(amps, lit, op.e)
+            continue
+        (a, b), (c, d) = op.sources, op.targets
+        if a in live or b in live:
+            amps = _split(amps, a, b, c, d, op.u)
+            live -= {a, b}
+            live |= {c, d}
+            untouched -= {a, b}
+    return _to_state(state.registry, amps, plan.modes, live, untouched,
+                     crossings)
+
+
+def _to_state(reg: ModeRegistry, amps: dict, modes: Tuple[Mode, ...],
+              live: set, untouched: set, crossings: int) -> PhotonicState:
+    """Scale, prune and check count tuples, then key them by Occupation.
+
+    Only `live` positions can hold photons; positions past `modes` are arm
+    keys, which are empty by now.
+    """
+    outside = [(p, modes[p]) for p in sorted(live)
+               if p < len(modes) and modes[p] not in reg]
+    cap = reg.max_photons_per_mode
+    scales: Dict[int, float] = {}
+    result: Dict[Occupation, complex] = {}
+    for key, v in amps.items():
+        n = sum(key)
+        if untouched:
+            n -= sum(key[p] for p in untouched)
+        if n not in scales:
+            h = crossings * n
+            scales[n] = 0.5 ** (h >> 1) * (_INV_SQRT2 if h & 1 else 1.0)
+        w = v * scales[n]
+        if abs(w) <= PRUNE_EPS:
+            continue
+        for p, m in outside:
+            if key[p]:
+                raise FockError(f"mode {m} not in registry")
+        occupation = tuple(zip(compress(modes, key), filter(None, key)))
+        if max(key, default=0) > cap:
+            reg.check_occupation(occupation)
+        # adding 0.0 clears the negative zeros left by the +-i products
+        result[occupation] = 0.0 + w
+    return PhotonicState._trusted(reg, result)
+
+
+def apply_beam_splitter(state: PhotonicState, in_modes: Tuple[Mode, Mode],
+                        out_modes: Tuple[Mode, Mode] | None = None) -> PhotonicState:
+    """Symmetric 50/50 beam splitter on a pair of modes.
+
+    a^dag -> (a'^dag + i b'^dag)/sqrt(2); b^dag -> (i a'^dag + b'^dag)/sqrt(2).
+    Output modes default to the input modes (in-place convention).  An output
+    mode that is not an input mode must be empty: a photon already there
+    would not pass through the splitter.
+    """
+    in_modes = tuple(in_modes)
+    out_modes = in_modes if out_modes is None else tuple(out_modes)
+    if len(set(in_modes)) != 2 or len(set(out_modes)) != 2:
+        raise FockError(
+            f"a beam splitter needs two distinct input and two distinct "
+            f"output modes, got {in_modes} -> {out_modes}")
+    fresh = set(out_modes) - set(in_modes)
+    for occupation in state.amplitudes:
+        for m, _ in occupation:
+            if m in fresh:
+                raise FockError(
+                    f"beam splitter output mode {m} already holds photons")
+    return _evolve(state, _compile([_Split(in_modes, out_modes, _SPLITTER)]),
+                   crossings=1)
+
+
+def _mz_factors(times: Sequence[int], delay: int, phi: float) -> list:
+    """The interferometer over input bins `times` as BS1, delay.phase, BS2.
+
+    BS1 sends bin t's (channel, blocked) pair into its short arm and into
+    the long arm that exits at t + delay, so the delay itself is a relabel;
+    the phase factor gives the long arms e**n.  BS2 recombines the short
+    and long arms of every exit bin into its output arms.
+    """
+    long_arms = tuple(("long", t + delay) for t in times)
+    factors = [_Split((t_in(t), blocked(t)), (("short", t), arm), _SPLITTER)
+               for t, arm in zip(times, long_arms)]
+    factors.append(_Phase(long_arms, complex(np.exp(1j * phi))))
+    for t in sorted(set(times) | {t + delay for t in times}):
+        factors.append(_Split((("short", t), ("long", t)),
+                              (s_out(t), d_out(t)), _SPLITTER))
+    return factors
+
+
+@lru_cache(maxsize=256)
+def _mz_plan(times: Tuple[int, ...], delay: int, phi: float,
+             reverse: bool) -> _Plan:
+    """The compiled interferometer over input bins `times`; the reverse is
+    the reversed product of the adjoint factors."""
+    factors = _mz_factors(times, delay, phi)
+    if reverse:
+        factors = [f.adjoint() for f in reversed(factors)]
+    return _compile(factors)
 
 
 def _config_args(config) -> Tuple[float, int]:
@@ -427,26 +669,32 @@ def mz_transform(state: PhotonicState, config: "InterferometerConfig | float" = 
     (|s_t> + i|d_t> - e^{i phi}|s_{t+delay}> + i e^{i phi}|d_{t+delay}>)/2,
     and a photon in the blocked arm bin t exits as
     (i|s_t> - |d_t> + i e^{i phi}|s_{t+delay}> + e^{i phi}|d_{t+delay}>)/2.
-    `config` is an InterferometerConfig or a bare phase (delay 1).
+    It runs as its factors over the whole state: BS1 on every (channel,
+    blocked) pair into private short and long arms, the long-arm delay and
+    phase e**n, then BS2 on every (short, long) pair into (s_t, d_t).  The
+    splitters are exact, and each output component is scaled once by 0.5**n
+    for its n photons, so single-photon amplitudes are exactly the ones
+    above.  `config` is an InterferometerConfig or a bare phase (delay 1).
     """
     phi, delay = _config_args(config)
     times = _mz_times(state, (CHANNEL, BLOCKED), (OUT_S, OUT_D))
-    return apply_mode_map(state, _mz_forward_map(phi, times, delay))
+    return _evolve(state, _mz_plan(tuple(sorted(times)), delay, phi, False),
+                   crossings=2)
 
 
 def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.0) -> PhotonicState:
     """Inverse interferometer, derived as the adjoint of mz_transform.
 
-    Output bins s_t and d_t are fed by the channel (a) and blocked-arm (b)
-    bins t - delay and t, so the forward map over those input bins is
-    conjugate-transposed: each output creation operator maps to the
-    conjugated forward amplitudes of a_{t-delay}, b_{t-delay}, a_t and b_t,
-    in that order.
+    The forward factors over the source bins t and t - delay of every
+    output bin t in use are reversed and each is replaced by its adjoint:
+    BS2 dagger into the arms, the phase conjugated (e.conjugate()) with the
+    delay undone, then BS1 dagger back into the channel and blocked bins.
+    Nothing about the reverse is kept apart from the forward factors.
     """
     phi, delay = _config_args(config)
     times = _mz_times(state, (OUT_S, OUT_D), (CHANNEL, BLOCKED))
-    sources = sorted(times | {t - delay for t in times})
-    return apply_mode_map(state, _adjoint(_mz_forward_map(phi, sources, delay)))
+    sources = tuple(sorted(times | {t - delay for t in times}))
+    return _evolve(state, _mz_plan(sources, delay, phi, True), crossings=2)
 
 
 def support_after_trace(state: PhotonicState,

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import receivers as rc
 from .output import FUZZ_REPORT_SCHEMA as REPORT_SCHEMA
-from .output import atomic_open, ndjson
+from .output import atomic_open, ndjson, read_field
 
 TRACE_SCHEMA = "fuzz-trace/1"
 
@@ -512,13 +512,7 @@ def report_from_json_dict(data: Mapping) -> FuzzReport:
                         f"got {data.get('schema')!r}")
 
     def field(key: str, parse: Callable):
-        if key not in data:
-            raise FuzzError(f"{REPORT_SCHEMA} document lacks the key {key!r}")
-        try:
-            return parse(data[key])
-        except (KeyError, TypeError, ValueError, AttributeError) as err:
-            raise FuzzError(f"{REPORT_SCHEMA} document has a malformed "
-                            f"{key!r} ({type(err).__name__}: {err})") from err
+        return read_field(data, key, parse, REPORT_SCHEMA, FuzzError)
 
     def anomaly(a: Mapping) -> FuzzAnomaly:
         return FuzzAnomaly(

@@ -15,7 +15,7 @@ import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Union
+from typing import Callable, Mapping, Type, Union
 
 SIMULATION_REPORT_SCHEMA = "simulation-report/1"
 FUZZ_REPORT_SCHEMA = "fuzz-report/1"
@@ -28,6 +28,19 @@ Y_BASIS = "y"
 def ndjson(record: dict) -> str:
     """``record`` as one compact JSON line with sorted keys, no newline."""
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
+
+
+def read_field(data: Mapping, key: str, parse: Callable, schema: str,
+               error: Type[Exception]):
+    """``parse(data[key])``; a missing key or a value ``parse`` rejects
+    raises ``error`` naming the key and the ``schema`` of the document."""
+    if key not in data:
+        raise error(f"{schema} document lacks the key {key!r}")
+    try:
+        return parse(data[key])
+    except (KeyError, TypeError, ValueError, AttributeError) as err:
+        raise error(f"{schema} document has a malformed {key!r} "
+                    f"({type(err).__name__}: {err})") from err
 
 
 @contextmanager

@@ -33,7 +33,7 @@ from . import attacks as atk
 from . import receivers as rc
 from .fockspace import PhotonicState
 from .output import SIMULATION_REPORT_SCHEMA as REPORT_SCHEMA
-from .output import atomic_open, ndjson as _dump
+from .output import atomic_open, ndjson as _dump, read_field
 
 ROUND_LOG_SCHEMA = "round-log/1"
 
@@ -223,20 +223,28 @@ class SimulationReport:
 
 
 def report_from_json_dict(data: Mapping) -> SimulationReport:
+    """Rebuild a simulation report from its JSON form.
+
+    A missing key or a malformed field raises ProtocolError naming it.
+    """
     if data.get("schema") != REPORT_SCHEMA:
         raise ProtocolError(
             f"expected schema {REPORT_SCHEMA!r}, got {data.get('schema')!r}")
-    per_basis = {b: BasisStats(**st) for b, st in data["per_basis"].items()}
+
+    def field(key: str, parse=lambda value: value):
+        return read_field(data, key, parse, REPORT_SCHEMA, ProtocolError)
+
     report = SimulationReport(
-        receiver=data["receiver"],
-        channel=data["channel"],
-        rounds=data["rounds"],
-        rng_seed=data["rng_seed"],
-        per_basis=per_basis,
-        sifted_total=data["sifted_total"],
-        qber_pooled=data["qber_pooled"],
-        invalid_rate=data["invalid_rate"],
-        eve_guess_accuracy=data["eve_guess_accuracy"],
+        receiver=field("receiver"),
+        channel=field("channel"),
+        rounds=field("rounds"),
+        rng_seed=field("rng_seed"),
+        per_basis=field("per_basis", lambda rows: {
+            b: BasisStats(**st) for b, st in rows.items()}),
+        sifted_total=field("sifted_total"),
+        qber_pooled=field("qber_pooled"),
+        invalid_rate=field("invalid_rate"),
+        eve_guess_accuracy=field("eve_guess_accuracy"),
         test_fraction=data.get("test_fraction", 1.0),
         attack_label=data.get("attack_label"),
     )

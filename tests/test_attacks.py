@@ -483,6 +483,36 @@ def test_vertices_hold_the_residual_to_1e_9(offset, feasible):
     assert bool(list(atk._vertices(a, [0]))) == feasible
 
 
+def test_sample_enumerates_each_pool_once(monkeypatch):
+    receiver = rc.make_receiver("interferometric-2mode")
+    family = atk.synthesize_attacks(atk.build_constraint_system(receiver))
+    calls = []
+
+    def counting(a, pool):
+        calls.append(tuple(pool))
+        return real(a, pool)
+
+    real = atk._vertices
+    monkeypatch.setattr(atk, "_vertices", counting)
+    rng = np.random.default_rng(11)
+    cached = [family.sample(rng) for _ in range(2)]
+    assert len(calls) == 1
+    cached.append(family.sample(rng, allow_vacuum=True))
+    cached.append(family.sample(rng, allow_vacuum=True))
+    assert len(calls) == 2
+    with pytest.raises(ValueError):
+        family.pool_vertices()[0, 0] = 0.5
+    # the same draws with the cache emptied before each one
+    rng = np.random.default_rng(11)
+    uncached = []
+    for allow_vacuum in (False, False, True, True):
+        family._vertex_cache.clear()
+        uncached.append(family.sample(rng, allow_vacuum=allow_vacuum))
+    assert len(calls) == 6
+    for x, y in zip(cached, uncached):
+        assert x.coefficients.tobytes() == y.coefficients.tobytes()
+
+
 @hst.composite
 def weight_systems(draw):
     """(A, pool): Gram rows of random probe directions or a random A,

@@ -310,19 +310,19 @@ def ryser_permanent(m):
     return (-1) ** n * total
 
 
-def documented_mz_matrix(in_modes, out_modes, phi):
+def documented_mz_matrix(in_modes, out_modes, phi, delay=1):
     """Single-photon transfer matrix written out from the mz_transform docs."""
     e = np.exp(1j * phi)
     u = np.zeros((len(out_modes), len(in_modes)), complex)
     row = {m: r for r, m in enumerate(out_modes)}
     for c, m in enumerate(in_modes):
-        t = m.index
+        t, late = m.index, m.index + delay
         if m.kind == fs.CHANNEL:
             image = {s_out(t): 0.5, d_out(t): 0.5j,
-                     s_out(t + 1): -0.5 * e, d_out(t + 1): 0.5j * e}
+                     s_out(late): -0.5 * e, d_out(late): 0.5j * e}
         else:
             image = {s_out(t): 0.5j, d_out(t): -0.5,
-                     s_out(t + 1): 0.5j * e, d_out(t + 1): 0.5 * e}
+                     s_out(late): 0.5j * e, d_out(late): 0.5 * e}
         for om, v in image.items():
             u[row[om], c] = v
     return u
@@ -340,7 +340,40 @@ def multisets(modes, n):
             yield (first,) * k + tail
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+def exact(z):
+    """repr of an amplitude as the kernel reports it: adding 0.0 clears a
+    negative zero, and the kernel leaves none."""
+    return repr(0.0 + complex(z))
+
+
+@pytest.mark.parametrize("delay", [1, 2])
+@pytest.mark.parametrize("phi", [0.0, math.pi / 2, math.pi, 3 * math.pi / 2,
+                                 0.9])
+def test_mz_single_photon_images_are_the_documented_entries_exactly(phi, delay):
+    # the splitters are exact and each photon is scaled by 0.5 once, so the
+    # amplitudes are the documented ones to the last bit; 1/sqrt(2) per
+    # splitter would give 0.4999999999999999
+    reg = fs.interferometer_registry(-2, 6)
+    in_bins, out_bins = range(-2, 5), range(-2, 5 + delay)
+    in_modes = [m(t) for t in in_bins for m in (t_in, blocked)]
+    out_modes = [m(t) for t in out_bins for m in (s_out, d_out)]
+    u = documented_mz_matrix(in_modes, out_modes, phi, delay)
+    cfg = fs.InterferometerConfig(phi=phi, delay=delay)
+    for c, mode in enumerate(in_modes):
+        image = fs.mz_transform(PhotonicState.photon(reg, mode), cfg)
+        want = {single(out_modes[r]): exact(u[r, c])
+                for r in np.flatnonzero(u[:, c])}
+        assert {o: repr(a) for o, a in image.amplitudes.items()} == want
+    for r, mode in enumerate(out_modes):
+        if not 0 <= mode.index <= 4:
+            continue  # a source bin would lie outside in_bins
+        image = fs.mz_reverse(PhotonicState.photon(reg, mode), cfg)
+        want = {single(in_modes[c]): exact(np.conj(u[r, c]))
+                for c in np.flatnonzero(u[r])}
+        assert {o: repr(a) for o, a in image.amplitudes.items()} == want
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_mz_multiphoton_amplitudes_match_permanents(n):
     # <T| U |S> = per(U_{T,S}) / sqrt(prod s! prod t!)  (Scheel,
     # quant-ph/0406127), with rows/columns repeated by occupation
@@ -373,7 +406,7 @@ def random_state(reg, modes, n, rng, terms=4):
 
 
 @pytest.mark.parametrize("delay", [1, 2])
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_mz_reverse_is_the_adjoint_on_multiphoton_states(delay, n):
     # <T a, b> = <a, R b> for input-side a and output-side b
     bins = range(-2, 4)
@@ -397,6 +430,83 @@ def test_mz_reverse_is_the_adjoint_on_multiphoton_states(delay, n):
 def test_interferometer_config_rejects_malformed_parameters(kwargs):
     with pytest.raises(fs.FockError):
         fs.InterferometerConfig(**kwargs)
+
+
+def mixed_photon_number_state(reg, rng):
+    """Vacuum plus one- to three-photon components over bins 0..2."""
+    modes = [m(t) for t in range(3) for m in (t_in, blocked)]
+    amps = {fs.VACUUM: complex(rng.normal(), rng.normal())}
+    for n in (1, 1, 2, 2, 3, 3):
+        picks = rng.choice(len(modes), size=n).tolist()
+        o = occ(*((modes[i], picks.count(i)) for i in set(picks)))
+        amps[o] = complex(rng.normal(), rng.normal())
+    return PhotonicState(reg, amps).normalized()
+
+
+def test_mz_round_trip_of_a_mixed_photon_number_state_with_delay_2():
+    reg = fs.interferometer_registry(-2, 4, max_photons=3)
+    cfg = fs.InterferometerConfig(phi=2.3, delay=2)
+    rng = np.random.default_rng(4)
+    for _ in range(5):
+        st = mixed_photon_number_state(reg, rng)
+        out = fs.mz_transform(st, cfg)
+        weights = out.photon_numbers()
+        for n, w in st.photon_numbers().items():
+            assert abs(weights[n] - w) < 1e-12
+        assert fs.mz_reverse(out, cfg).close_to(st, atol=1e-12)
+
+
+def test_mz_outputs_carry_only_registry_modes():
+    # the interferometer's arm modes are private: no occupation of either
+    # direction names one, and every mode an occupation names is a Mode of
+    # the registry
+    reg = fs.interferometer_registry(-2, 4, max_photons=3)
+    rng = np.random.default_rng(5)
+    for delay in (1, 2):
+        cfg = fs.InterferometerConfig(phi=0.4, delay=delay)
+        st = mixed_photon_number_state(reg, rng)
+        out = fs.mz_transform(st, cfg)
+        for state in (out, fs.mz_reverse(out, cfg)):
+            for occupation in state.amplitudes:
+                for mode, _ in occupation:
+                    assert isinstance(mode, fs.Mode) and mode in reg
+    # a registry without the exit bins names the missing registry mode
+    narrow = fs.registry([t_in(0), blocked(0), s_out(0), d_out(0)])
+    with pytest.raises(fs.FockError, match="not in registry") as err:
+        fs.mz_transform(PhotonicState.photon(narrow, t_in(0)))
+    assert "output-" in str(err.value)
+    assert "short" not in str(err.value) and "long" not in str(err.value)
+
+
+def test_beam_splitter_rejects_occupied_or_repeated_modes():
+    reg = fs.registry([fs.Mode(fs.CUSTOM, i) for i in range(4)])
+    a, b, c, d = reg.modes
+    state = PhotonicState.basis(reg, occ((a, 1), (c, 1)))
+    with pytest.raises(fs.FockError, match="already holds photons"):
+        fs.apply_beam_splitter(state, (a, b), (c, d))
+    with pytest.raises(fs.FockError, match="distinct"):
+        fs.apply_beam_splitter(state, (a, a))
+    with pytest.raises(fs.FockError, match="distinct"):
+        fs.apply_beam_splitter(state, (a, b), (d, d))
+    # an output that is also an input may hold photons: it is emptied first
+    swapped = fs.apply_beam_splitter(state, (a, c), (c, a))
+    assert abs(swapped.norm() - 1.0) < 1e-12
+    # a photon in a mode the splitter does not act on passes unscaled
+    out = fs.apply_beam_splitter(state, (a, b))
+    r = 1 / math.sqrt(2)
+    assert out.amplitudes == {occ((a, 1), (c, 1)): r,
+                              occ((b, 1), (c, 1)): 1j * r}
+
+
+def test_mz_passes_modes_it_does_not_act_on():
+    reg = fs.registry(list(fs.interferometer_registry(0, 1).modes)
+                      + [pol_h()])
+    state = PhotonicState.basis(reg, occ((t_in(0), 1), (pol_h(), 2)))
+    out = fs.mz_transform(state)
+    assert out.amplitudes == {occ((m, 1), (pol_h(), 2)): a
+                              for m, a in [(s_out(0), 0.5), (d_out(0), 0.5j),
+                                           (s_out(1), -0.5), (d_out(1), 0.5j)]}
+    assert fs.mz_reverse(out).close_to(state, atol=1e-12)
 
 
 def test_mz_conserves_photon_number_exactly():

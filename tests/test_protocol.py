@@ -236,6 +236,36 @@ def test_report_json_round_trip(six):
         pt.report_from_json_dict(tampered)
 
 
+_REPORT_KEYS = ("receiver", "channel", "rounds", "rng_seed", "per_basis",
+                "sifted_total", "qber_pooled", "invalid_rate",
+                "eve_guess_accuracy")
+
+
+def test_bare_report_json_is_a_protocol_error():
+    with pytest.raises(pt.ProtocolError, match="lacks the key"):
+        pt.report_from_json_dict({"schema": "simulation-report/1"})
+
+
+@pytest.mark.parametrize("key", _REPORT_KEYS)
+def test_report_json_missing_key_is_a_protocol_error(six, key):
+    rep = pt.run_bb84(None, pt.make_channel("identity"), six, rounds=200,
+                      seed=2)
+    data = json.loads(json.dumps(rep.to_json_dict()))
+    del data[key]
+    with pytest.raises(pt.ProtocolError, match=f"lacks the key '{key}'"):
+        pt.report_from_json_dict(data)
+
+
+@pytest.mark.parametrize("per_basis", [
+    5, {rc.COMPUTATIONAL: {"qber": 0.0}}, {rc.COMPUTATIONAL: [1, 2]}])
+def test_report_json_malformed_per_basis_is_a_protocol_error(six, per_basis):
+    rep = pt.run_bb84(None, pt.make_channel("identity"), six, rounds=200,
+                      seed=2)
+    data = dict(rep.to_json_dict(), per_basis=per_basis)
+    with pytest.raises(pt.ProtocolError, match="malformed 'per_basis'"):
+        pt.report_from_json_dict(data)
+
+
 def test_attack_channel_requires_compatible_receiver(six, ideal):
     polarization_attack = atk.cnot_attack(ideal)
     channel = pt.make_channel(pt.ATTACK, polarization_attack)
