@@ -497,7 +497,7 @@ class AttackFamily:
                 f"weights violate the isometry conditions (residual {res:.3e})")
         return _diagonal_member(self.system, self.null_basis, t, label)
 
-    def pool_vertices(self, allow_vacuum: bool = False) -> np.ndarray:
+    def _pool_vertices(self, allow_vacuum: bool = False) -> np.ndarray:
         """The vertices of the weight system over one direction pool, one
         per row.  They are enumerated once per pool; the array is
         read-only."""
@@ -514,7 +514,7 @@ class AttackFamily:
                allow_vacuum: bool = False) -> AttackIsometry:
         """Random member: a Dirichlet mixture of up to 4 distinct extreme
         diagonal members, drawn from the vertices of the weight system."""
-        vertices = self.pool_vertices(allow_vacuum)
+        vertices = self._pool_vertices(allow_vacuum)
         if not len(vertices):
             raise InfeasibleAttackError(
                 "the family admits no isometry members over the "

@@ -432,13 +432,14 @@ class _Split(NamedTuple):
 
 
 class _Phase(NamedTuple):
-    """|n> -> e**n |n>, n the photons in `modes`."""
+    """|n> -> e**n |n>, n the photons in `modes`, for the phase factor e
+    given when the plan runs; its conjugate when `conjugate` is set."""
 
     modes: tuple
-    e: complex
+    conjugate: bool = False
 
     def adjoint(self) -> "_Phase":
-        return _Phase(self.modes, self.e.conjugate())
+        return _Phase(self.modes, not self.conjugate)
 
 
 def _split(amps: dict, a: int, b: int, c: int, d: int, u) -> dict:
@@ -508,16 +509,18 @@ def _compile(factors, passing: Iterable[Mode] = ()) -> _Plan:
     arms = sorted(k for k in named if not isinstance(k, Mode))
     pos = {k: p for p, k in enumerate(modes + arms)}
     ops = tuple(
-        _Phase(tuple(pos[k] for k in f.modes), f.e) if isinstance(f, _Phase)
+        _Phase(tuple(pos[k] for k in f.modes), f.conjugate)
+        if isinstance(f, _Phase)
         else _Split(tuple(pos[k] for k in f.sources),
                     tuple(pos[k] for k in f.targets), f.u)
         for f in factors)
     return _Plan(tuple(factors), tuple(modes), pos, ops)
 
 
-def _evolve(state: PhotonicState, plan: _Plan, crossings: int) -> PhotonicState:
+def _evolve(state: PhotonicState, plan: _Plan, crossings: int,
+            e: complex = 1.0) -> PhotonicState:
     """Apply the plan's factors in order to the whole state, merging after
-    each.
+    each; `e` is the phase factor of its phase shifts.
 
     Splitters whose sources are still empty are skipped.  Each photon a
     splitter has touched has crossed `crossings` splitters, so each output
@@ -533,7 +536,8 @@ def _evolve(state: PhotonicState, plan: _Plan, crossings: int) -> PhotonicState:
             p = pos.get(m)
             if p is None:  # a mode the factors pass through
                 used = {m for o in state.amplitudes for m, _ in o}
-                return _evolve(state, _compile(plan.factors, used), crossings)
+                return _evolve(state, _compile(plan.factors, used),
+                               crossings, e)
             counts[p] = n
             live.add(p)
         amps[tuple(counts)] = amp
@@ -542,7 +546,7 @@ def _evolve(state: PhotonicState, plan: _Plan, crossings: int) -> PhotonicState:
         if isinstance(op, _Phase):
             lit = [p for p in op.modes if p in live]
             if lit:
-                amps = _phase(amps, lit, op.e)
+                amps = _phase(amps, lit, e.conjugate() if op.conjugate else e)
             continue
         (a, b), (c, d) = op.sources, op.targets
         if a in live or b in live:
@@ -612,7 +616,7 @@ def apply_beam_splitter(state: PhotonicState, in_modes: Tuple[Mode, Mode],
                    crossings=1)
 
 
-def _mz_factors(times: Sequence[int], delay: int, phi: float) -> list:
+def _mz_factors(times: Sequence[int], delay: int) -> list:
     """The interferometer over input bins `times` as BS1, delay.phase, BS2.
 
     BS1 sends bin t's (channel, blocked) pair into its short arm and into
@@ -623,7 +627,7 @@ def _mz_factors(times: Sequence[int], delay: int, phi: float) -> list:
     long_arms = tuple(("long", t + delay) for t in times)
     factors = [_Split((t_in(t), blocked(t)), (("short", t), arm), _SPLITTER)
                for t, arm in zip(times, long_arms)]
-    factors.append(_Phase(long_arms, complex(np.exp(1j * phi))))
+    factors.append(_Phase(long_arms))
     for t in sorted(set(times) | {t + delay for t in times}):
         factors.append(_Split((("short", t), ("long", t)),
                               (s_out(t), d_out(t)), _SPLITTER))
@@ -631,11 +635,10 @@ def _mz_factors(times: Sequence[int], delay: int, phi: float) -> list:
 
 
 @lru_cache(maxsize=256)
-def _mz_plan(times: Tuple[int, ...], delay: int, phi: float,
-             reverse: bool) -> _Plan:
+def _mz_plan(times: Tuple[int, ...], delay: int, reverse: bool) -> _Plan:
     """The compiled interferometer over input bins `times`; the reverse is
     the reversed product of the adjoint factors."""
-    factors = _mz_factors(times, delay, phi)
+    factors = _mz_factors(times, delay)
     if reverse:
         factors = [f.adjoint() for f in reversed(factors)]
     return _compile(factors)
@@ -678,8 +681,8 @@ def mz_transform(state: PhotonicState, config: "InterferometerConfig | float" = 
     """
     phi, delay = _config_args(config)
     times = _mz_times(state, (CHANNEL, BLOCKED), (OUT_S, OUT_D))
-    return _evolve(state, _mz_plan(tuple(sorted(times)), delay, phi, False),
-                   crossings=2)
+    return _evolve(state, _mz_plan(tuple(sorted(times)), delay, False),
+                   2, complex(np.exp(1j * phi)))
 
 
 def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.0) -> PhotonicState:
@@ -694,7 +697,8 @@ def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.
     phi, delay = _config_args(config)
     times = _mz_times(state, (OUT_S, OUT_D), (CHANNEL, BLOCKED))
     sources = tuple(sorted(times | {t - delay for t in times}))
-    return _evolve(state, _mz_plan(sources, delay, phi, True), crossings=2)
+    return _evolve(state, _mz_plan(sources, delay, True), 2,
+                   complex(np.exp(1j * phi)))
 
 
 def support_after_trace(state: PhotonicState,

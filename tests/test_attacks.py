@@ -501,7 +501,7 @@ def test_sample_enumerates_each_pool_once(monkeypatch):
     cached.append(family.sample(rng, allow_vacuum=True))
     assert len(calls) == 2
     with pytest.raises(ValueError):
-        family.pool_vertices()[0, 0] = 0.5
+        family._pool_vertices()[0, 0] = 0.5
     # the same draws with the cache emptied before each one
     rng = np.random.default_rng(11)
     uncached = []
