@@ -497,6 +497,7 @@ class _Plan(NamedTuple):
     modes: Tuple[Mode, ...]
     pos: Dict[object, int]
     ops: tuple
+    crossings: int  # splitters in a row that each photon crosses
 
 
 def _compile(factors, passing: Iterable[Mode] = ()) -> _Plan:
@@ -508,24 +509,30 @@ def _compile(factors, passing: Iterable[Mode] = ()) -> _Plan:
     modes = sorted(k for k in named if isinstance(k, Mode))
     arms = sorted(k for k in named if not isinstance(k, Mode))
     pos = {k: p for p, k in enumerate(modes + arms)}
+    depth: Dict[object, int] = {}
+    for f in factors:
+        if isinstance(f, _Split):
+            depth.update(dict.fromkeys(
+                f.targets, 1 + max(depth.get(k, 0) for k in f.sources)))
     ops = tuple(
         _Phase(tuple(pos[k] for k in f.modes), f.conjugate)
         if isinstance(f, _Phase)
         else _Split(tuple(pos[k] for k in f.sources),
                     tuple(pos[k] for k in f.targets), f.u)
         for f in factors)
-    return _Plan(tuple(factors), tuple(modes), pos, ops)
+    return _Plan(tuple(factors), tuple(modes), pos, ops,
+                 max(depth.values(), default=0))
 
 
-def _evolve(state: PhotonicState, plan: _Plan, crossings: int,
+def _evolve(state: PhotonicState, plan: _Plan,
             e: complex = 1.0) -> PhotonicState:
     """Apply the plan's factors in order to the whole state, merging after
     each; `e` is the phase factor of its phase shifts.
 
     Splitters whose sources are still empty are skipped.  Each photon a
-    splitter has touched has crossed `crossings` splitters, so each output
-    component is scaled once by 2**(-crossings*n/2), n its photons that a
-    splitter touched.
+    splitter has touched has crossed `plan.crossings` splitters, so each
+    output component is scaled once by 2**(-crossings*n/2), n its photons
+    that a splitter touched.
     """
     pos, width = plan.pos, len(plan.pos)
     amps = {}
@@ -536,8 +543,7 @@ def _evolve(state: PhotonicState, plan: _Plan, crossings: int,
             p = pos.get(m)
             if p is None:  # a mode the factors pass through
                 used = {m for o in state.amplitudes for m, _ in o}
-                return _evolve(state, _compile(plan.factors, used),
-                               crossings, e)
+                return _evolve(state, _compile(plan.factors, used), e)
             counts[p] = n
             live.add(p)
         amps[tuple(counts)] = amp
@@ -555,7 +561,7 @@ def _evolve(state: PhotonicState, plan: _Plan, crossings: int,
             live |= {c, d}
             untouched -= {a, b}
     return _to_state(state.registry, amps, plan.modes, live, untouched,
-                     crossings)
+                     plan.crossings)
 
 
 def _to_state(reg: ModeRegistry, amps: dict, modes: Tuple[Mode, ...],
@@ -612,8 +618,7 @@ def apply_beam_splitter(state: PhotonicState, in_modes: Tuple[Mode, Mode],
             if m in fresh:
                 raise FockError(
                     f"beam splitter output mode {m} already holds photons")
-    return _evolve(state, _compile([_Split(in_modes, out_modes, _SPLITTER)]),
-                   crossings=1)
+    return _evolve(state, _compile([_Split(in_modes, out_modes, _SPLITTER)]))
 
 
 def _mz_factors(times: Sequence[int], delay: int) -> list:
@@ -682,7 +687,7 @@ def mz_transform(state: PhotonicState, config: "InterferometerConfig | float" = 
     phi, delay = _config_args(config)
     times = _mz_times(state, (CHANNEL, BLOCKED), (OUT_S, OUT_D))
     return _evolve(state, _mz_plan(tuple(sorted(times)), delay, False),
-                   2, complex(np.exp(1j * phi)))
+                   complex(np.exp(1j * phi)))
 
 
 def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.0) -> PhotonicState:
@@ -697,7 +702,7 @@ def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.
     phi, delay = _config_args(config)
     times = _mz_times(state, (OUT_S, OUT_D), (CHANNEL, BLOCKED))
     sources = tuple(sorted(times | {t - delay for t in times}))
-    return _evolve(state, _mz_plan(sources, delay, True), 2,
+    return _evolve(state, _mz_plan(sources, delay, True),
                    complex(np.exp(1j * phi)))
 
 

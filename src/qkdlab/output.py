@@ -1,12 +1,14 @@
-"""One NDJSON line encoder, one atomic file writer, and shared names.
+"""One NDJSON line encoder, one atomic file writer, one artifact field
+reader, and shared names.
 
 Round logs, fuzz traces, CLI diagnostics and CLI error lines are encoded
 by :func:`ndjson`; artifacts, round logs, fuzz traces and DOT exports are
-written through :func:`atomic_open`.  The schema ids and basis names
-below are re-exported by the modules that produce them (``protocol``,
-``fuzz``, ``receivers``) and read by ``qkdlab report``.  Standard
-library only, so any module may import it, and ``report`` runs without
-numpy.
+written through :func:`atomic_open`.  The simulation and fuzz report
+readers take each key through :func:`read_field`.  The schema ids and
+basis names below are re-exported by the modules that produce them
+(``protocol``, ``fuzz``, ``receivers``) and read by ``qkdlab report``.
+Standard library only, so any module may import it, and ``report`` runs
+without numpy.
 """
 
 from __future__ import annotations
