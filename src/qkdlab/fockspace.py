@@ -191,6 +191,12 @@ def interferometer_registry(t_min: int, t_max: int,
     return ModeRegistry(tuple(modes), max_photons)
 
 
+def _pruned(amplitudes: Dict[Occupation, complex]) -> Dict[Occupation, complex]:
+    """The amplitudes above PRUNE_EPS in magnitude (and NaN), as complex."""
+    return {occupation: complex(amp) for occupation, amp in amplitudes.items()
+            if not abs(amp) <= PRUNE_EPS}
+
+
 class PhotonicState:
     """A sparse complex amplitude map over occupation basis states."""
 
@@ -198,14 +204,9 @@ class PhotonicState:
 
     def __init__(self, reg: ModeRegistry, amplitudes: Dict[Occupation, complex] | None = None):
         self.registry = reg
-        amps: Dict[Occupation, complex] = {}
-        if amplitudes:
-            for occupation, amp in amplitudes.items():
-                if abs(amp) <= PRUNE_EPS:
-                    continue
-                reg.check_occupation(occupation)
-                amps[occupation] = complex(amp)
-        self.amplitudes = amps
+        self.amplitudes = _pruned(amplitudes or {})
+        for occupation in self.amplitudes:
+            reg.check_occupation(occupation)
 
     # -- constructors ------------------------------------------------------
 
@@ -241,16 +242,14 @@ class PhotonicState:
         amps = dict(self.amplitudes)
         for occupation, amp in other.amplitudes.items():
             amps[occupation] = amps.get(occupation, 0.0) + amp
-        return PhotonicState(self.registry, amps)
+        return PhotonicState._trusted(self.registry, _pruned(amps))
 
     def __sub__(self, other: "PhotonicState") -> "PhotonicState":
         return self + other.scaled(-1.0)
 
     def scaled(self, factor: complex) -> "PhotonicState":
-        return PhotonicState(
-            self.registry,
-            {occupation: amp * factor for occupation, amp in self.amplitudes.items()},
-        )
+        return PhotonicState._trusted(self.registry, _pruned(
+            {occupation: amp * factor for occupation, amp in self.amplitudes.items()}))
 
     def __mul__(self, factor: complex) -> "PhotonicState":
         return self.scaled(factor)
@@ -302,9 +301,13 @@ def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
     """
     a._require_same_registry(b)
     if len(b.amplitudes) < len(a.amplitudes):
-        return complex(np.conj(inner_product(b, a)))
-    return sum(np.conj(amp) * b.amplitude(occupation)
-               for occupation, amp in a.amplitudes.items())
+        return complex(inner_product(b, a).conjugate())
+    other = b.amplitudes.get
+    # a plain left-to-right loop: sum() may compensate complex terms
+    total = 0
+    for occupation, amp in a.amplitudes.items():
+        total += amp.conjugate() * other(occupation, 0j)
+    return total
 
 
 # ---------------------------------------------------------------------------

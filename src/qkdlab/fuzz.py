@@ -209,6 +209,29 @@ class APDParams:
             raise FuzzError("geiger_efficiency must lie in (0, 1]")
 
 
+def _keyed_generator(bits: np.random.Philox, seed: int
+                     ) -> np.random.Generator:
+    """A generator on ``bits`` rewound to the stream of ``Philox(key=seed)``.
+
+    Building a Philox draws OS entropy for a seed sequence that an
+    explicit key leaves unused; resetting the key, counter and buffers of
+    one reused bit generator gives the same stream without that cost.
+    """
+    if not 0 <= seed < 1 << 128:
+        raise FuzzError(f"probe seed must lie in [0, 2**128), got {seed}")
+    bits.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64),
+                  "key": np.array([seed & ((1 << 64) - 1), seed >> 64],
+                                  dtype=np.uint64)},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return np.random.Generator(bits)
+
+
 def arm_intensities(theta: float, mean_photons: float) -> Dict[str, float]:
     """Classical intensity reaching each detector for one pulse.
 
@@ -249,6 +272,7 @@ class APDReceiverDevice:
         self.layout = layout
         self.double_click_rule = double_click_rule
         self._geiger_from_slot = None  # None: never blinded
+        self._bits = np.random.Philox(key=0)
 
     def reset(self) -> None:
         self._geiger_from_slot = None
@@ -258,7 +282,7 @@ class APDReceiverDevice:
                 and slot < self._geiger_from_slot)
 
     def probe(self, case: FuzzInput, seed: int) -> FuzzObservation:
-        gen = np.random.Generator(np.random.Philox(key=seed))
+        gen = _keyed_generator(self._bits, seed)
         p = self.params
         clicks = set()
         for pl in case.pulses:
@@ -301,12 +325,13 @@ class IdealPNRDevice:
             raise FuzzError("geiger_efficiency must lie in (0, 1]")
         self.efficiency = geiger_efficiency
         self.double_click_rule = "invalid"
+        self._bits = np.random.Philox(key=0)
 
     def reset(self) -> None:
         pass
 
     def probe(self, case: FuzzInput, seed: int) -> FuzzObservation:
-        gen = np.random.Generator(np.random.Philox(key=seed))
+        gen = _keyed_generator(self._bits, seed)
         registered: Dict[str, int] = {}
         for pl in case.pulses:
             n = round(pl.mean_photons)

@@ -16,6 +16,15 @@ tallied as integer counts per cell (label, setting, outcome, guess), so
 memory is bounded by the chunk size whatever the session length.  The
 chunks draw the same random stream as one whole-session draw, so the
 reports and log bytes are those of an unchunked run.
+
+Outcomes are drawn by inverse transform through a guide table (Chen &
+Asau, AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
+Generation*, III.2.4 (1986)).  Each (label, setting) row of the stacked
+CDF gets 2**12 equal bins of [0, 1); a bin that no CDF entry splits
+stores its outcome, so one lookup settles the round.  The few rounds in
+a split bin count their row's entries in full.  Both give the outcome
+of the full count exactly, never an approximation, so the guide table
+changes no report or log byte.
 """
 
 from __future__ import annotations
@@ -262,29 +271,39 @@ def report_from_json_dict(data: Mapping) -> SimulationReport:
 # size changes no byte of a report or a log.
 _CHUNK = 1 << 16
 
+# Guide bins per CDF row of the outcome sampler: a power of two, so a
+# uniform's bin is exact, and enough bins that almost no round lands in
+# a bin one of its row's entries splits.
+_GUIDE = 1 << 12
+
 
 def _ratio(num: int, den: int) -> Optional[float]:
     return num / den if den else None
 
 
-def _seed(seed) -> int:
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or seed < 0:
+def _integer(value, name: str, least: int) -> int:
+    """``value`` as an int; ProtocolError unless it is an integer >= least.
+
+    A bool is not taken for an integer.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) \
+            or value < least:
         raise ProtocolError(
-            f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 def _outcome_tables(alice: rc.AliceSourceModel, channel: ChannelModel,
                     receiver: rc.ReceiverModel,
                     system: Optional[atk.ConstraintSystem]):
-    """Outcome ids per setting and the stacked inverse-CDF table.
+    """Outcome ids per setting, the stacked inverse-CDF table and its guide.
 
     Row ``l * n_settings + s`` holds the cumulative outcome distribution
     of label l under setting s, padded with +inf to the widest setting.
     Its last real entry is +inf as well, so the number of entries <= u
     is the sampled outcome index, with rounding overflow folded into the
-    last (unregistered) outcome.
+    last (unregistered) outcome.  The guide table is
+    :func:`_guide_table` of that CDF.
     """
     settings = list(receiver.settings)
     labels = alice.labels()
@@ -318,7 +337,41 @@ def _outcome_tables(alice: rc.AliceSourceModel, channel: ChannelModel,
                     f"outcome probabilities for {lab}/{s} sum to {total}")
             cdf[li * len(settings) + si, :len(vec) - 1] = \
                 (np.cumsum(vec) / total)[:-1]
-    return ids, cdf
+    return ids, cdf, _guide_table(cdf)
+
+
+def _guide_table(cdf: np.ndarray) -> np.ndarray:
+    """The settled outcome of each guide bin, flattened row by row.
+
+    Entry ``p * K + k``, K = ``_GUIDE``, covers u in [k/K, (k+1)/K) for
+    CDF row p.  Every entry <= k/K is <= u and every entry >= (k+1)/K is
+    > u, so the outcome lies between lo = #{c <= k/K} and
+    hi = #{c < (k+1)/K}; the bin stores it when they agree and -1 when
+    an entry splits the bin.  Outcome indices are small, so the table is
+    int32, which halves it and the per-chunk outcome arrays it fills.
+    """
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    guide = np.empty((len(cdf), _GUIDE), dtype=np.int32)
+    for row, cumulative in zip(guide, cdf):
+        lo = np.searchsorted(cumulative, edges[:-1], side="right")
+        hi = np.searchsorted(cumulative, edges[1:], side="left")
+        row[:] = np.where(lo == hi, lo, -1)
+    return guide.ravel()
+
+
+def _sample_outcomes(cdf: np.ndarray, guide: np.ndarray, pair: np.ndarray,
+                     u: np.ndarray) -> np.ndarray:
+    """#{c <= u} over CDF row ``pair`` per round, read off the guide table.
+
+    ``u * _GUIDE`` is exact in binary64, so truncating it names the bin
+    u lies in.  Only rounds in a split bin count their row's entries.
+    """
+    outcome = guide[pair * _GUIDE + (u * _GUIDE).astype(np.int64)]
+    split = np.flatnonzero(outcome < 0)
+    if len(split):
+        outcome[split] = np.count_nonzero(
+            cdf[pair[split]] <= u[split, None], axis=1)
+    return outcome
 
 
 def _interpretation_codes(receiver: rc.ReceiverModel,
@@ -477,9 +530,8 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
         channel = make_channel(IDENTITY)
     if channel.kind not in CHANNEL_KINDS:
         raise ProtocolError(f"unknown channel kind {channel.kind!r}")
-    if rounds < 1:
-        raise ProtocolError("rounds must be >= 1")
-    seed = _seed(seed)
+    rounds = _integer(rounds, "rounds", 1)
+    seed = _integer(seed, "seed", 0)
 
     labels = alice.labels()
     settings = list(receiver.settings)
@@ -495,7 +547,7 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
         conditional = atk.eve_conditional_states(channel.attack, system=system)
         guess_p0 = _guess_probabilities(conditional, alice.bases)
 
-    ids, cdf = _outcome_tables(alice, channel, receiver, system)
+    ids, cdf, guide = _outcome_tables(alice, channel, receiver, system)
     width = cdf.shape[1]
     codes = _interpretation_codes(receiver, ids, width)
     guess = _guess_rule(channel, labels, guess_p0)
@@ -526,7 +578,7 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
             lab = np.minimum((u[:, 0] * n_lab).astype(np.int64), n_lab - 1)
             pair = lab * n_set + np.minimum(
                 (u[:, 1] * n_set).astype(np.int64), n_set - 1)
-            outcome = np.count_nonzero(cdf[pair] <= u[:, 2:3], axis=1)
+            outcome = _sample_outcomes(cdf, guide, pair, u[:, 2])
             cell = (pair * width + outcome) * 2 + guess(lab, u)
             counts += np.bincount(cell, minlength=len(cells))
             if fh is not None:
@@ -710,7 +762,7 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     :class:`ProtocolError` naming its 1-based line (or record) number.
     """
     test_fraction = _probability(test_fraction, "test_fraction")
-    gen = np.random.Generator(np.random.Philox(_seed(seed)))
+    gen = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))
     cells = _LogCells()
     rows = _log_cell_indices(log, cells)
     counts = tested = np.zeros(0, dtype=np.int64)

@@ -440,3 +440,27 @@ def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["trace.ndjson"]
+
+
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64, 2 ** 88 - 1])
+def test_rekeyed_generator_matches_a_fresh_philox(seed):
+    bits = np.random.Philox(key=12345)
+    used = np.random.Generator(bits)
+    # leave a half-used 32-bit word and a partly read counter block behind
+    used.integers(0, 10, size=3, dtype=np.uint32)
+    used.random(3)
+    for _ in range(2):  # a generator reused for a second probe
+        gen = fuzz._keyed_generator(bits, seed)
+        fresh = np.random.Generator(np.random.Philox(key=seed))
+        assert gen.random(5).tolist() == fresh.random(5).tolist()
+        assert gen.multinomial(40, [0.1, 0.2, 0.3, 0.4]).tolist() == \
+            fresh.multinomial(40, [0.1, 0.2, 0.3, 0.4]).tolist()
+        assert gen.binomial(1000, 0.3) == fresh.binomial(1000, 0.3)
+        assert gen.binomial(7, 0.9) == fresh.binomial(7, 0.9)
+        assert gen.random() == fresh.random()
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+def test_probe_seed_outside_the_philox_key_is_rejected(seed):
+    with pytest.raises(fuzz.FuzzError, match="seed"):
+        fuzz._keyed_generator(np.random.Philox(key=0), seed)

@@ -5,7 +5,9 @@ every round drawn in one array, outcomes sampled per (label, setting)
 mask, one ``json.dumps`` per logged round and one ``json.loads`` per
 line read back.  The chunked engine must reproduce its reports and its
 log bytes exactly, at every chunk boundary, and stay within bounded
-memory as sessions grow.
+memory as sessions grow.  The guide-table outcome sampler must give the
+full count of CDF entries <= u for every u, at bin edges and CDF entries
+alike.
 """
 
 import json
@@ -406,3 +408,89 @@ def test_seed_must_be_a_non_negative_integer(good_log, seed):
     rows = [json.loads(line) for line in good_log]
     with pytest.raises(pt.ProtocolError, match="seed"):
         pt.sift_and_estimate(rows, seed=seed)
+
+
+@pytest.mark.parametrize("rounds", [0, -3, True, False, 2.5, 1.0, "10",
+                                    None])
+def test_rounds_must_be_a_positive_integer(rounds):
+    receiver, channel = CASES["identity"]
+    with pytest.raises(pt.ProtocolError, match="rounds"):
+        pt.run_bb84(None, channel, receiver, rounds, seed=0)
+
+
+def test_numpy_integer_rounds_are_accepted():
+    receiver, channel = CASES["identity"]
+    report = pt.run_bb84(None, channel, receiver, np.int64(3), seed=0)
+    assert report.rounds == 3
+    assert report.to_json_dict() == \
+        pt.run_bb84(None, channel, receiver, 3, seed=0).to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# guide-table outcome sampling
+# ---------------------------------------------------------------------------
+
+BIN = 1.0 / pt._GUIDE
+LAST_UNIFORM = 1.0 - 2.0 ** -53  # the largest value Generator.random draws
+
+
+def probe_uniforms(cdf):
+    """Every bin edge, each CDF entry with its neighbours, random draws."""
+    edges = np.arange(pt._GUIDE) * BIN
+    entries = cdf[np.isfinite(cdf)]
+    u = np.concatenate([
+        edges, np.nextafter(edges, 1.0), np.nextafter(edges[1:], 0.0),
+        entries, np.nextafter(entries, 0.0), np.nextafter(entries, 1.0),
+        [0.0, LAST_UNIFORM], np.random.default_rng(1).random(4096)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+def assert_guide_is_exact(cdf):
+    guide = pt._guide_table(cdf)
+    u = probe_uniforms(cdf)
+    for row in range(len(cdf)):
+        pair = np.full(len(u), row, dtype=np.int64)
+        reference = np.count_nonzero(cdf[pair] <= u[:, None], axis=1)
+        got = pt._sample_outcomes(cdf, guide, pair, u)
+        assert np.array_equal(got, reference), f"row {row}"
+    return guide.reshape(len(cdf), pt._GUIDE)
+
+
+def test_guide_table_matches_the_full_count_on_synthetic_rows():
+    inf = np.inf
+    cdf = np.array([
+        # several entries in one bin
+        [0.1, 0.1 + BIN / 5, 0.1 + BIN / 3, inf, inf],
+        # entries exactly on bin edges, and just off one
+        [BIN, 2047 * BIN, 0.5, np.nextafter(0.75, 0.0), inf],
+        # zero-probability outcomes: repeated entries, 0.0 and 1.0
+        [0.0, 0.0, 0.3, 1.0, inf],
+        # the +inf tail is the only real entry
+        [inf, inf, inf, inf, inf],
+        # the last bin, split just below 1
+        [LAST_UNIFORM, inf, inf, inf, inf],
+    ])
+    guide = assert_guide_is_exact(cdf)
+    # a bin is split only by an entry strictly inside it, so at most one
+    # bin per entry in (0, 1) off the edges; the others are settled
+    splits = (guide < 0).sum(axis=1)
+    assert splits.tolist() == [1, 1, 1, 0, 1]
+    assert (guide[3] == 0).all()
+    assert guide[0, 0] == 0 and guide[0, -1] == 3
+
+
+@pytest.mark.parametrize("kind,variant", [
+    (kind, None) for kind in rc.RECEIVER_KINDS
+] + [("interferometric-2mode", "single-window")])
+def test_guide_table_is_exact_on_every_bundled_receiver(kind, variant):
+    receiver = rc.make_receiver(kind, variant)
+    system = atk.build_constraint_system(receiver)
+    for channel in (pt.make_channel(pt.IDENTITY),
+                    pt.make_channel(pt.ATTACK,
+                                    atk.cnot_attack(receiver, system)),
+                    pt.make_channel(pt.PNS, 0.1),
+                    pt.make_channel(pt.LOSSY, 0.3)):
+        ids, cdf, guide = pt._outcome_tables(receiver.source, channel,
+                                             receiver, system)
+        assert np.array_equal(guide, pt._guide_table(cdf))
+        assert_guide_is_exact(cdf)
