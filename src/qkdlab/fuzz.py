@@ -217,8 +217,11 @@ def _keyed_generator(bits: np.random.Philox, seed: int
     explicit key leaves unused; resetting the key, counter and buffers of
     one reused bit generator gives the same stream without that cost.
     """
-    if not 0 <= seed < 1 << 128:
-        raise FuzzError(f"probe seed must lie in [0, 2**128), got {seed}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
+            or not 0 <= seed < 1 << 128:
+        raise FuzzError(
+            f"probe seed must be an integer in [0, 2**128), got {seed!r}")
+    seed = int(seed)
     bits.state = {
         "bit_generator": "Philox",
         "state": {"counter": np.zeros(4, dtype=np.uint64),

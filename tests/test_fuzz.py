@@ -442,7 +442,8 @@ def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["trace.ndjson"]
 
 
-@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64, 2 ** 88 - 1])
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64, 2 ** 88 - 1,
+                                  np.int64(2 ** 40 + 7)])
 def test_rekeyed_generator_matches_a_fresh_philox(seed):
     bits = np.random.Philox(key=12345)
     used = np.random.Generator(bits)
@@ -460,7 +461,7 @@ def test_rekeyed_generator_matches_a_fresh_philox(seed):
         assert gen.random() == fresh.random()
 
 
-@pytest.mark.parametrize("seed", [-1, 2 ** 128])
+@pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, True, "3"])
 def test_probe_seed_outside_the_philox_key_is_rejected(seed):
     with pytest.raises(fuzz.FuzzError, match="seed"):
         fuzz._keyed_generator(np.random.Philox(key=0), seed)
