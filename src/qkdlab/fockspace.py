@@ -6,17 +6,19 @@ pairs, e.g. channel time bins, blocked-arm time bins, interferometer output
 arms, or polarization modes.  All evolutions are substitution homomorphisms on
 creation operators, so multi-photon inputs are handled exactly.
 
-Beam splitters and the Mach-Zehnder interferometer run on one two-mode kernel.
-The interferometer is applied as the product of its physical factors (Reck et
-al., PRL 73, 58 (1994)): the first splitter sends each (channel, blocked) bin
-pair into a short and a long arm, the long arm is delayed and phase-shifted,
-and the second splitter recombines the arms of each exit bin.  Each factor is
-a two-mode substitution applied to the whole state, and equal occupations are
-merged after every factor, so the intermediate state never outgrows the
-answer.  The arm modes are private keys of this module: they are never a
-`Mode`, never in a registry, and never reach a caller.  The reverse
-interferometer is not tabulated separately: it is the reversed product of the
-adjoint factors.
+Every mode evolution runs on one two-mode kernel: the beam splitter, the
+45-degree rotation, the phase shifter and the Mach-Zehnder interferometer.
+Only `apply_linear_map` works otherwise, on the explicit occupation-basis
+matrices of custom receivers.  The interferometer is applied as the product
+of its physical factors (Reck et al., PRL 73, 58 (1994)): the first splitter
+sends each (channel, blocked) bin pair into a short and a long arm, the long
+arm is delayed and phase-shifted, and the second splitter recombines the arms
+of each exit bin.  Each factor is a two-mode substitution applied to the
+whole state, and equal occupations are merged after every factor, so the
+intermediate state never outgrows the answer.  The arm modes are private keys
+of this module: they are never a `Mode`, never in a registry, and never reach
+a caller.  The reverse interferometer is not tabulated separately: it is the
+reversed product of the adjoint factors.
 
 Conventions:
   * symmetric 50/50 beam splitter: transmission amplitude 1/sqrt(2),
@@ -24,6 +26,8 @@ Conventions:
     integer splitter ((1, i), (i, 1)) and scales each output component once,
     by 2**(-n/2) per splitter crossed by its n photons, so a photon through
     the interferometer gets exactly 0.5 rather than (1/sqrt(2))**2.
+  * 45-degree rotation: the exact integer ((1, 1), (1, -1)), scaled the
+    same way, so a single photon gets exactly 1/sqrt(2) on each output.
   * phase shifter on a mode: |n> -> exp(i*n*phi) |n>
   * amplitudes below PRUNE_EPS are dropped; state comparisons use ATOL
 """
@@ -32,6 +36,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from itertools import compress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -89,7 +94,12 @@ class Mode:
         kind, _, idx = text.rpartition(":")
         if not kind:
             raise FockError(f"mode label {text!r} is not of the form kind:index")
-        return Mode(kind, int(idx))
+        try:
+            index = int(idx)
+        except ValueError:
+            raise FockError(
+                f"mode label {text!r} has no integer index") from None
+        return Mode(kind, index)
 
 
 def t_in(i: int) -> Mode:
@@ -122,12 +132,25 @@ Occupation = Tuple[Tuple[Mode, int], ...]
 VACUUM: Occupation = ()
 
 
+def _integer(value, what: str) -> int:
+    """`value` as an int; a bool or a non-integral number is an error."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()):
+        raise FockError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 def occ(*pairs) -> Occupation:
     """Build an occupation from (mode, count) pairs, dropping zero counts."""
-    items = [(m, int(n)) for m, n in pairs if n]
-    for m, n in items:
+    items = []
+    for m, n in pairs:
+        if type(n) is not int:
+            n = _integer(n, f"photon count in mode {m}")
         if n < 0:
             raise FockError(f"negative photon count {n} in mode {m}")
+        if n:
+            items.append((m, n))
     return tuple(sorted(items))
 
 
@@ -311,90 +334,15 @@ def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
 
 
 # ---------------------------------------------------------------------------
-# Evolutions as creation-operator substitutions
-# ---------------------------------------------------------------------------
-
-# A mode map sends each input mode's creation operator to a linear combination
-# of target-mode creation operators: {mode: [(target_mode, coeff), ...]}.
-ModeMap = Dict[Mode, List[Tuple[Mode, complex]]]
-
-
-def _compositions(n: int, parts: int):
-    """All tuples of `parts` nonnegative ints summing to n."""
-    if parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, parts - 1):
-            yield (first,) + rest
-
-
-def apply_mode_map(state: PhotonicState, mapping: ModeMap,
-                   out_registry: ModeRegistry | None = None) -> PhotonicState:
-    """Apply a linear-optics mode substitution to every basis component.
-
-    Each occupation |n_1 .. n_m> = prod_i (a_i^dag)^{n_i}/sqrt(n_i!) |vac| is
-    expanded by substituting a_i^dag -> sum_j c_{ij} b_j^dag and collecting the
-    resulting occupation amplitudes (with the exact sqrt(k!) bosonic factors).
-    Modes absent from `mapping` are passed through unchanged.
-    """
-    reg = out_registry or state.registry
-    result: Dict[Occupation, complex] = {}
-    for occupation, amp in state.amplitudes.items():
-        # expansion: dict monomial-counts -> coefficient (operator polynomial)
-        expansion: Dict[Occupation, complex] = {VACUUM: amp}
-        for mode, count in occupation:
-            targets = mapping.get(mode, [(mode, 1.0)])
-            coeffs = [c for _, c in targets]
-            tmodes = [m for m, _ in targets]
-            # (sum_j c_j b_j^dag)^count via the multinomial theorem
-            term: Dict[Occupation, complex] = {}
-            for ks in _compositions(count, len(targets)):
-                c = math.factorial(count)
-                w = 1.0 + 0.0j
-                for k, cj in zip(ks, coeffs):
-                    c //= math.factorial(k)
-                    w *= cj ** k
-                add = occ(*zip(tmodes, ks)) if any(ks) else VACUUM
-                term[add] = term.get(add, 0.0) + c * w
-            # multiply the running expansion by this factor, merging counts
-            merged: Dict[Occupation, complex] = {}
-            norm_in = math.sqrt(math.factorial(count))
-            for prev, pc in expansion.items():
-                prev_d = dict(prev)
-                for add, ac in term.items():
-                    counts = dict(prev_d)
-                    for m, k in add:
-                        counts[m] = counts.get(m, 0) + k
-                    key = occ(*counts.items())
-                    merged[key] = merged.get(key, 0.0) + pc * ac / norm_in
-            expansion = merged
-        for out_occ, coeff in expansion.items():
-            w = coeff * math.sqrt(
-                math.prod(math.factorial(n) for _, n in out_occ))
-            if abs(w) <= PRUNE_EPS:
-                continue
-            reg.check_occupation(out_occ)
-            result[out_occ] = result.get(out_occ, 0.0) + w
-    return PhotonicState(reg, result)
-
-
-def apply_phase_shift(state: PhotonicState, mode: Mode, phi: float) -> PhotonicState:
-    """Phase shifter: |n> on `mode` gains exp(i*n*phi)."""
-    amps = {}
-    for occupation, amp in state.amplitudes.items():
-        n = dict(occupation).get(mode, 0)
-        amps[occupation] = amp * np.exp(1j * n * phi)
-    return PhotonicState(state.registry, amps)
-
-
-# ---------------------------------------------------------------------------
-# The two-mode kernel: beam splitters and the factored interferometer
+# The two-mode kernel: splitters, rotations, phases and the interferometer
 # ---------------------------------------------------------------------------
 
 # Exact 50/50 splitter, unnormalized: row i is the image of input i on the
 # two outputs, a^dag -> a'^dag + i b'^dag and b^dag -> i a'^dag + b'^dag.
 _SPLITTER = ((1 + 0j, 1j), (1j, 1 + 0j))
+# Exact 45-degree rotation, unnormalized: a^dag -> a'^dag + b'^dag and
+# b^dag -> a'^dag - b'^dag.
+_ROTATION = ((1 + 0j, 1 + 0j), (1 + 0j, -1 + 0j))
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 
 
@@ -600,28 +548,53 @@ def _to_state(reg: ModeRegistry, amps: dict, modes: Tuple[Mode, ...],
     return PhotonicState._trusted(reg, result)
 
 
-def apply_beam_splitter(state: PhotonicState, in_modes: Tuple[Mode, Mode],
-                        out_modes: Tuple[Mode, Mode] | None = None) -> PhotonicState:
-    """Symmetric 50/50 beam splitter on a pair of modes.
-
-    a^dag -> (a'^dag + i b'^dag)/sqrt(2); b^dag -> (i a'^dag + b'^dag)/sqrt(2).
-    Output modes default to the input modes (in-place convention).  An output
-    mode that is not an input mode must be empty: a photon already there
-    would not pass through the splitter.
-    """
+def _apply_pair(state: PhotonicState, in_modes, out_modes, u,
+                name: str) -> PhotonicState:
+    """Send the `in_modes` pair through the unnormalized two-mode u into
+    `out_modes` (default: in place).  u / sqrt(2) must be unitary: the
+    kernel scales each photon u touches by 1/sqrt(2).  An output mode that
+    is not an input mode must be empty: a photon already there would not
+    pass through."""
     in_modes = tuple(in_modes)
     out_modes = in_modes if out_modes is None else tuple(out_modes)
     if len(set(in_modes)) != 2 or len(set(out_modes)) != 2:
         raise FockError(
-            f"a beam splitter needs two distinct input and two distinct "
+            f"a {name} needs two distinct input and two distinct "
             f"output modes, got {in_modes} -> {out_modes}")
     fresh = set(out_modes) - set(in_modes)
     for occupation in state.amplitudes:
         for m, _ in occupation:
             if m in fresh:
-                raise FockError(
-                    f"beam splitter output mode {m} already holds photons")
-    return _evolve(state, _compile([_Split(in_modes, out_modes, _SPLITTER)]))
+                raise FockError(f"{name} output mode {m} already holds photons")
+    return _evolve(state, _compile([_Split(in_modes, out_modes, u)]))
+
+
+def apply_beam_splitter(state: PhotonicState, in_modes: Tuple[Mode, Mode],
+                        out_modes: Tuple[Mode, Mode] | None = None) -> PhotonicState:
+    """Symmetric 50/50 beam splitter on a pair of modes.
+
+    a^dag -> (a'^dag + i b'^dag)/sqrt(2); b^dag -> (i a'^dag + b'^dag)/sqrt(2).
+    Output modes default to the input modes (in-place convention); an
+    output mode that is not an input mode must be empty.
+    """
+    return _apply_pair(state, in_modes, out_modes, _SPLITTER, "beam splitter")
+
+
+def apply_rotation(state: PhotonicState, in_modes: Tuple[Mode, Mode],
+                   out_modes: Tuple[Mode, Mode] | None = None) -> PhotonicState:
+    """Self-inverse 45-degree rotation on a pair of modes.
+
+    a^dag -> (a'^dag + b'^dag)/sqrt(2); b^dag -> (a'^dag - b'^dag)/sqrt(2).
+    Output modes default to the input modes (in-place convention); an
+    output mode that is not an input mode must be empty.
+    """
+    return _apply_pair(state, in_modes, out_modes, _ROTATION, "rotation")
+
+
+def apply_phase_shift(state: PhotonicState, mode: Mode, phi: float) -> PhotonicState:
+    """Phase shifter: |n> on `mode` gains exp(i*n*phi)."""
+    return _evolve(state, _compile([_Phase((mode,))]),
+                   complex(np.exp(1j * phi)))
 
 
 def _mz_factors(times: Sequence[int], delay: int) -> list:
@@ -853,7 +826,9 @@ def state_to_dict(state: PhotonicState) -> dict:
 
 def state_from_dict(data: dict) -> PhotonicState:
     reg = ModeRegistry(tuple(Mode.parse(m) for m in data["modes"]),
-                       int(data.get("max_photons_per_mode", DEFAULT_MAX_PHOTONS)))
+                       _integer(data.get("max_photons_per_mode",
+                                         DEFAULT_MAX_PHOTONS),
+                                "max_photons_per_mode"))
     amps: Dict[Occupation, complex] = {}
     for comp in data["components"]:
         occupation = occ(*((Mode.parse(m), n) for m, n in comp["occupation"].items()))

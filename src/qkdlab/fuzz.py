@@ -81,8 +81,18 @@ class Pulse:
     mean_photons: float
 
 
+def _is_integer(value) -> bool:
+    """An int or an integral float; a bool is not an integer here."""
+    return not isinstance(value, bool) and (
+        isinstance(value, (int, np.integer))
+        or isinstance(value, float) and value.is_integer())
+
+
 def pulse(time_slot: int, polarization, mean_photons: float) -> Pulse:
     """Build a pulse; ``polarization`` is an angle in [0, pi) or a name."""
+    if not _is_integer(time_slot):
+        raise FuzzError(
+            f"pulse time slot must be an integer, got {time_slot!r}")
     if isinstance(polarization, str):
         try:
             theta = POLARIZATION_ANGLES[polarization]
@@ -203,8 +213,8 @@ class APDParams:
             raise FuzzError("p_th must be positive")
         if self.blind_threshold <= self.p_th:
             raise FuzzError("blind_threshold must exceed p_th")
-        if self.recovery_slots < 0:
-            raise FuzzError("recovery_slots must be non-negative")
+        if not _is_integer(self.recovery_slots) or self.recovery_slots < 0:
+            raise FuzzError("recovery_slots must be a non-negative integer")
         if not 0.0 < self.geiger_efficiency <= 1.0:
             raise FuzzError("geiger_efficiency must lie in (0, 1]")
 
@@ -265,14 +275,10 @@ class APDReceiverDevice:
     """
 
     def __init__(self, params: APDParams,
-                 layout: str = "polarization-bb84-passive",
                  double_click_rule: str = "invalid"):
-        if layout != "polarization-bb84-passive":
-            raise FuzzError(f"unknown layout {layout!r}")
         if double_click_rule not in ("invalid", "loss"):
             raise FuzzError("double_click_rule must be 'invalid' or 'loss'")
         self.params = params
-        self.layout = layout
         self.double_click_rule = double_click_rule
         self._geiger_from_slot = None  # None: never blinded
         self._bits = np.random.Philox(key=0)
@@ -327,7 +333,6 @@ class IdealPNRDevice:
         if not 0.0 < geiger_efficiency <= 1.0:
             raise FuzzError("geiger_efficiency must lie in (0, 1]")
         self.efficiency = geiger_efficiency
-        self.double_click_rule = "invalid"
         self._bits = np.random.Philox(key=0)
 
     def reset(self) -> None:
@@ -354,11 +359,9 @@ class IdealPNRDevice:
 
 
 def make_apd_receiver_device(params: Optional[APDParams] = None,
-                             layout: str = "polarization-bb84-passive",
                              double_click_rule: str = "invalid"
                              ) -> APDReceiverDevice:
-    return APDReceiverDevice(params or APDParams(), layout,
-                             double_click_rule)
+    return APDReceiverDevice(params or APDParams(), double_click_rule)
 
 
 def make_ideal_pnr_device(geiger_efficiency: float = 1.0) -> IdealPNRDevice:

@@ -271,6 +271,10 @@ def report_from_json_dict(data: Mapping) -> SimulationReport:
 # size changes no byte of a report or a log.
 _CHUNK = 1 << 16
 
+# A chunk's round lines are joined and written this many at a time, so the
+# log write holds a slice of text rather than a whole chunk's.
+_LOG_SLICE = 1 << 13
+
 # Guide bins per CDF row of the outcome sampler: a power of two, so a
 # uniform's bin is exact, and enough bins that almost no round lands in
 # a bin one of its row's entries splits.
@@ -582,7 +586,9 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
             cell = (pair * width + outcome) * 2 + guess(lab, u)
             counts += np.bincount(cell, minlength=len(cells))
             if fh is not None:
-                fh.write(_log_lines(prefixes, start, cell))
+                for lo in range(0, len(cell), _LOG_SLICE):
+                    fh.write(_log_lines(prefixes, start + lo,
+                                        cell[lo:lo + _LOG_SLICE]))
 
     bases = [s for s in settings if s in {lab[0] for lab in labels}]
     return _report(cells, counts, counts, bases,

@@ -276,12 +276,7 @@ def _identity(state: PhotonicState) -> PhotonicState:
 
 def polarization_rotation(state: PhotonicState) -> PhotonicState:
     """Self-inverse 45-degree polarization rotation (diagonal <-> rectilinear)."""
-    r = 1 / math.sqrt(2)
-    mapping = {
-        pol_h(): [(pol_h(), r), (pol_v(), r)],
-        pol_v(): [(pol_h(), r), (pol_v(), -r)],
-    }
-    return fs.apply_mode_map(state, mapping)
+    return fs.apply_rotation(state, (pol_h(), pol_v()))
 
 
 def _bin_outcomes(reg: ModeRegistry, clicks: Iterable[str]

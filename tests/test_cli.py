@@ -676,6 +676,18 @@ def test_synth_in_a_fresh_interpreter_gives_the_golden_canonical(tmp_path):
     assert cli._dump(canonical) == golden.read_text(encoding="utf-8")
 
 
+def test_polarization_threshold_synth_gives_the_golden_canonical(tmp_path):
+    # its settings run through the exact rotation kernel; the canonical
+    # member's bytes must not move
+    out = tmp_path / "fam.json"
+    code, _, _ = run_cli(["synth", "--receiver", "polarization-threshold",
+                          "--out", out])
+    assert code == cli.EXIT_OK
+    canonical = json.loads(out.read_text())["canonical"]
+    golden = EXAMPLE_DIR / "polarization-threshold-canonical-attack.json"
+    assert cli._dump(canonical) == golden.read_text(encoding="utf-8")
+
+
 
 # ---------------------------------------------------------------------------
 # schema documents match what the tools emit and accept

@@ -256,6 +256,59 @@ def test_attack_file_without_keys_exits_2(tmp_path):
     assert payload["code"] == "invalid-attack"
 
 
+def _edit_counts(doc, value):
+    for state in doc["basis"]:
+        for comp in state["components"]:
+            for label in comp["occupation"]:
+                comp["occupation"][label] = value
+
+
+def _edit_cap(doc, value):
+    doc["basis"][0]["max_photons_per_mode"] = value
+
+
+def _edit_label(doc, value):
+    doc["basis"][0]["modes"][0] = value
+
+
+@pytest.mark.parametrize("edit,value,named", [
+    (_edit_counts, 1.5, "photon count"),
+    (_edit_counts, True, "photon count"),
+    (_edit_cap, 1.5, "max_photons_per_mode"),
+    (_edit_cap, True, "max_photons_per_mode"),
+    (_edit_label, "polarization-H:x", "'polarization-H:x'"),
+    (_edit_label, "polarization-H:1.5", "'polarization-H:1.5'"),
+])
+def test_attack_file_with_non_integer_photon_numbers_exits_2(
+        tmp_path, edit, value, named):
+    # the schema declares integer counts, caps and mode indices; the
+    # unedited file is a valid (detectable) attack
+    doc = json.loads((REPO_ROOT / "docs" / "examples"
+                      / "cnot-ideal-attack.json").read_text())
+    edit(doc, value)
+    path = write_config(tmp_path / "attack.json", doc)
+    payload = assert_one_error_line(
+        *run_cli(["verify", "--receiver", "ideal-bb84", "--attack", path]))
+    assert payload["code"] == "invalid-attack"
+    assert named in payload["message"]
+
+
+@pytest.mark.parametrize("slot", [1.9, True])
+def test_replay_of_a_non_integer_time_slot_exits_2(tmp_path, slot):
+    report = tmp_path / "fuzz.json"
+    code, _, _ = run_cli(["fuzz", "--max-cases", 100, "--out", report])
+    assert code == cli.EXIT_OK
+    doc = json.loads(report.read_text())
+    anomaly = doc["anomalies"][0]
+    anomaly["input"]["pulses"][0]["time_slot"] = slot
+    write_config(report, doc)
+    payload = assert_one_error_line(
+        *run_cli(["fuzz", "--replay", anomaly["anomaly_id"],
+                  "--report", report]))
+    assert payload["code"] == "invalid-config"
+    assert "time slot" in payload["message"]
+
+
 _CUSTOM = {
     "kind": "custom",
     "modes": ["polarization-H:0", "polarization-V:0"],

@@ -160,6 +160,63 @@ def test_beam_splitter_hong_ou_mandel_dip():
 
 
 # ---------------------------------------------------------------------------
+# 45-degree rotation
+# ---------------------------------------------------------------------------
+
+ROTATION = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_rotation_amplitudes_match_permanents(n):
+    # <T| U |S> = per(U_{T,S}) / sqrt(prod s! prod t!), rows and columns
+    # repeated by occupation; the rotation matrix is symmetric
+    reg, a, b = two_mode_registry()
+    for k in range(n + 1):
+        s = occ((a, n - k), (b, k))
+        out = fs.apply_rotation(PhotonicState.basis(reg, s), (a, b))
+        cols = [0] * (n - k) + [1] * k
+        for j in range(n + 1):
+            rows = [0] * (n - j) + [1] * j
+            sub = ROTATION[np.ix_(rows, cols)]
+            fact = math.prod(math.factorial(x) for x in (n - k, k, n - j, j))
+            expected = ryser_permanent(sub) / math.sqrt(fact)
+            t = occ((a, n - j), (b, j))
+            assert abs(out.amplitude(t) - expected) < 1e-12
+
+
+def test_rotating_twice_returns_the_input():
+    reg = fs.registry([fs.Mode(fs.CUSTOM, i) for i in range(5)], 8)
+    a, b, c, d, e = reg.modes
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 4):
+        state = random_state(reg, [a, b, e], n, rng)
+        twice = fs.apply_rotation(fs.apply_rotation(state, (a, b)), (a, b))
+        assert twice.close_to(state, atol=1e-12)
+        moved = fs.apply_rotation(state, (a, b), (c, d))
+        back = fs.apply_rotation(moved, (c, d), (a, b))
+        assert back.close_to(state, atol=1e-12)
+
+
+def test_rotation_entries_are_exact():
+    # the integer rotation is scaled once per component, so the entries
+    # are the correctly rounded ones
+    reg = fs.registry([pol_h(), pol_v()])
+    h, v = pol_h(), pol_v()
+
+    def entries(occupation):
+        out = fs.apply_rotation(PhotonicState.basis(reg, occupation), (h, v))
+        return {o: repr(x) for o, x in out.amplitudes.items()}
+
+    r = 0.7071067811865475
+    assert entries(single(h)) == {single(h): exact(r), single(v): exact(r)}
+    assert entries(single(v)) == {single(h): exact(r), single(v): exact(-r)}
+    assert entries(occ((h, 2))) == {occ((h, 2)): exact(0.5),
+                                    occ((h, 1), (v, 1)):
+                                        exact(0.7071067811865476),
+                                    occ((v, 2)): exact(0.5)}
+
+
+# ---------------------------------------------------------------------------
 # phase shifter
 # ---------------------------------------------------------------------------
 
@@ -482,15 +539,17 @@ def test_beam_splitter_rejects_occupied_or_repeated_modes():
     reg = fs.registry([fs.Mode(fs.CUSTOM, i) for i in range(4)])
     a, b, c, d = reg.modes
     state = PhotonicState.basis(reg, occ((a, 1), (c, 1)))
-    with pytest.raises(fs.FockError, match="already holds photons"):
-        fs.apply_beam_splitter(state, (a, b), (c, d))
-    with pytest.raises(fs.FockError, match="distinct"):
-        fs.apply_beam_splitter(state, (a, a))
-    with pytest.raises(fs.FockError, match="distinct"):
-        fs.apply_beam_splitter(state, (a, b), (d, d))
-    # an output that is also an input may hold photons: it is emptied first
-    swapped = fs.apply_beam_splitter(state, (a, c), (c, a))
-    assert abs(swapped.norm() - 1.0) < 1e-12
+    for apply_pair in (fs.apply_beam_splitter, fs.apply_rotation):
+        with pytest.raises(fs.FockError, match="already holds photons"):
+            apply_pair(state, (a, b), (c, d))
+        with pytest.raises(fs.FockError, match="distinct"):
+            apply_pair(state, (a, a))
+        with pytest.raises(fs.FockError, match="distinct"):
+            apply_pair(state, (a, b), (d, d))
+        # an output that is also an input may hold photons: it is emptied
+        # first
+        swapped = apply_pair(state, (a, c), (c, a))
+        assert abs(swapped.norm() - 1.0) < 1e-12
     # a photon in a mode the splitter does not act on passes unscaled
     out = fs.apply_beam_splitter(state, (a, b))
     r = 1 / math.sqrt(2)
@@ -608,3 +667,30 @@ def test_json_round_trip_preserves_amplitudes():
 def test_mode_labels_round_trip():
     m = fs.Mode(fs.OUT_D, -2)
     assert fs.Mode.parse(str(m)) == m
+
+
+@pytest.mark.parametrize("label", ["custom:x", "custom:1.5", "custom:"])
+def test_mode_label_without_an_integer_index_names_the_label(label):
+    with pytest.raises(fs.FockError, match=repr(label)):
+        fs.Mode.parse(label)
+
+
+@pytest.mark.parametrize("count", [1.5, 0.5, True, False, "1", float("nan")])
+def test_occupation_counts_must_be_integers(count):
+    with pytest.raises(fs.FockError, match="photon count"):
+        occ((pol_h(), count))
+
+
+def test_integral_counts_of_other_types_are_ints():
+    assert occ((pol_h(), 2.0), (pol_v(), np.int64(1))) == occ(
+        (pol_h(), 2), (pol_v(), 1))
+    assert all(type(n) is int for _, n in occ((pol_h(), np.int8(3))))
+
+
+@pytest.mark.parametrize("cap", [1.5, True, "2"])
+def test_state_from_dict_rejects_a_non_integer_cap(cap):
+    reg = fs.registry([pol_h()])
+    data = fs.state_to_dict(PhotonicState.photon(reg, pol_h()))
+    data["max_photons_per_mode"] = cap
+    with pytest.raises(fs.FockError, match="max_photons_per_mode"):
+        fs.state_from_dict(data)

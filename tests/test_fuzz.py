@@ -46,14 +46,19 @@ def test_apd_params_validation():
         fuzz.APDParams(p_th=0.0)
     with pytest.raises(fuzz.FuzzError):
         fuzz.APDParams(p_th=20.0, blind_threshold=20.0)
-    with pytest.raises(fuzz.FuzzError):
-        fuzz.APDParams(recovery_slots=-1)
+    for slots in (-1, 2.5, True):
+        with pytest.raises(fuzz.FuzzError, match="recovery_slots"):
+            fuzz.APDParams(recovery_slots=slots)
     with pytest.raises(fuzz.FuzzError):
         fuzz.APDParams(geiger_efficiency=0.0)
     with pytest.raises(fuzz.FuzzError):
-        fuzz.make_apd_receiver_device(layout="time-bin")
-    with pytest.raises(fuzz.FuzzError):
         fuzz.make_apd_receiver_device(double_click_rule="coin-flip")
+
+
+@pytest.mark.parametrize("slot", [1.9, True, "1", float("inf")])
+def test_pulse_time_slot_must_be_an_integer(slot):
+    with pytest.raises(fuzz.FuzzError, match="time slot"):
+        fuzz.pulse(slot, "H", 1.0)
 
 
 def test_input_json_round_trip():
@@ -104,11 +109,7 @@ def fock_click_distribution(theta):
     state = fs.apply_beam_splitter(state, (in_h, aux_h), (arm1_h, arm2_h))
     state = fs.apply_beam_splitter(state, (in_v, aux_v), (arm1_v, arm2_v))
     # diagonal analyzer: the rotated-H port collects the +45 component
-    c, s = math.cos(math.pi / 4), math.sin(math.pi / 4)
-    state = fs.apply_mode_map(state, {
-        arm2_h: [(rot_h, c), (rot_v, s)],
-        arm2_v: [(rot_h, s), (rot_v, -c)],
-    })
+    state = fs.apply_rotation(state, (arm2_h, arm2_v), (rot_h, rot_v))
     ports = {"d_h": arm1_h, "d_v": arm1_v, "d_plus": rot_h, "d_minus": rot_v}
     return {det: abs(state.amplitude(fs.single(m))) ** 2
             for det, m in ports.items()}

@@ -270,8 +270,10 @@ def test_chunked_session_matches_the_whole_array_reference(
 def test_chunk_size_changes_no_byte(tmp_path, monkeypatch):
     receiver, channel = CASES["attack-isometry"]
     outputs = []
-    for chunk in (7, 1000, pt._CHUNK):
+    for chunk, log_slice in ((7, 1000), (1000, 7),
+                             (pt._CHUNK, pt._LOG_SLICE)):
         monkeypatch.setattr(pt, "_CHUNK", chunk)
+        monkeypatch.setattr(pt, "_LOG_SLICE", log_slice)
         log = tmp_path / f"log{chunk}.ndjson"
         report = pt.run_bb84(None, channel, receiver, 5000, seed=9,
                              log_path=log)
