@@ -322,9 +322,6 @@ class AttackIsometry:
     def n_basis(self) -> int:
         return self.coefficients.shape[1]
 
-    def probe_vector(self, i: int, k: int) -> np.ndarray:
-        return self.coefficients[i, k]
-
     def gram(self) -> np.ndarray:
         return np.einsum("ika,jka->ij", self.coefficients.conj(),
                          self.coefficients)

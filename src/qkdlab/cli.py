@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import operator
 import os
 import sys
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
 from .output import (
     COMPUTATIONAL, FUZZ_REPORT_SCHEMA, HADAMARD, SIMULATION_REPORT_SCHEMA,
-    Y_BASIS, atomic_open, ndjson,
+    Y_BASIS, atomic_open, ndjson, read_field,
 )
 
 if TYPE_CHECKING:
@@ -242,7 +243,8 @@ def _config_value(key: str, option: _Option, value):
 
 
 def _check_bounds(key: str, option: _Option, value) -> None:
-    """``value`` (None passes) lies within ``option``'s bounds."""
+    """``value`` (None passes) lies within ``option``'s bounds and, as a
+    JSON number must, is finite."""
     if value is None:
         return
     for keyword, bound in option.bounds.items():
@@ -251,6 +253,10 @@ def _check_bounds(key: str, option: _Option, value) -> None:
             raise CliError(EXIT_CONFIG, "invalid-config",
                            f"option {key!r} must be {symbol} {bound}, "
                            f"got {value!r}", {"option": key, keyword: bound})
+    if isinstance(value, float) and not math.isfinite(value):
+        raise CliError(EXIT_CONFIG, "invalid-config",
+                       f"option {key!r} must be finite, got {value!r}",
+                       {"option": key})
 
 
 def _resolve_options(subcommand: str, args: argparse.Namespace) -> dict:
@@ -514,8 +520,9 @@ def _cmd_fuzz(opts: dict) -> int:
         stored = _load_json(source, "fuzz report")
         try:
             report = fz.report_from_json_dict(stored)
-            device = fz.make_apd_receiver_device(
-                fz.APDParams(**stored.get("device", {})))
+            device = fz.make_apd_receiver_device(read_field(
+                stored, "device", lambda params: fz.APDParams(**params),
+                FUZZ_REPORT_SCHEMA, fz.FuzzError))
             observation, reproduced = fz.replay_anomaly(
                 device, report, opts["replay"])
         except (fz.FuzzError, TypeError) as err:

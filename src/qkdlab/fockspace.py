@@ -85,6 +85,11 @@ class Mode:
     def __post_init__(self):
         if self.kind not in MODE_KINDS:
             raise FockError(f"unknown mode kind {self.kind!r}")
+        if type(self.index) is not int:
+            # an integral index of another type is stored as an int, so
+            # every mode's label parses back to the same mode
+            object.__setattr__(self, "index", _integer(
+                self.index, f"index of a {self.kind!r} mode"))
 
     def __str__(self):
         return f"{self.kind}:{self.index}"
@@ -287,9 +292,6 @@ class PhotonicState:
         if n <= PRUNE_EPS:
             raise FockError("cannot normalize a (numerically) zero state")
         return self.scaled(1.0 / n)
-
-    def is_zero(self) -> bool:
-        return not self.amplitudes
 
     def amplitude(self, occupation: Occupation) -> complex:
         return self.amplitudes.get(occupation, 0.0)

@@ -20,6 +20,7 @@ equivalent bright-pulse receiver model.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -74,11 +75,33 @@ class FuzzError(ValueError):
 
 @dataclass(frozen=True)
 class Pulse:
-    """One optical pulse: arrival slot, linear polarization, intensity."""
+    """One optical pulse: arrival slot, linear polarization, intensity.
+
+    The split over the detectors is derived once, when the pulse is
+    built: ``arms`` (``arm_intensities``), their sum ``norm``, and the
+    multinomial routing probabilities ``pvals`` in ``DETECTORS`` order
+    (None for a pulse that rounds to no photons).  None of them takes
+    part in equality, hashing or the JSON form.
+    """
 
     time_slot: int
     theta: float
     mean_photons: float
+    arms: Dict[str, float] = dataclasses.field(
+        init=False, compare=False, repr=False)
+    norm: float = dataclasses.field(init=False, compare=False, repr=False)
+    pvals: Optional[np.ndarray] = dataclasses.field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        arms = arm_intensities(self.theta, self.mean_photons)
+        pvals = None
+        if round(self.mean_photons) != 0:
+            shares = np.array([arms[d] for d in DETECTORS])
+            pvals = shares / shares.sum()
+        object.__setattr__(self, "arms", arms)
+        object.__setattr__(self, "norm", sum(arms.values()))
+        object.__setattr__(self, "pvals", pvals)
 
 
 def _is_integer(value) -> bool:
@@ -209,6 +232,10 @@ class APDParams:
     geiger_efficiency: float = 1.0
 
     def __post_init__(self):
+        for name in ("p_th", "blind_threshold"):
+            if not math.isfinite(getattr(self, name)):
+                raise FuzzError(f"{name} must be finite, "
+                                f"got {getattr(self, name)!r}")
         if self.p_th <= 0:
             raise FuzzError("p_th must be positive")
         if self.blind_threshold <= self.p_th:
@@ -219,29 +246,47 @@ class APDParams:
             raise FuzzError("geiger_efficiency must lie in (0, 1]")
 
 
-def _keyed_generator(bits: np.random.Philox, seed: int
-                     ) -> np.random.Generator:
-    """A generator on ``bits`` rewound to the stream of ``Philox(key=seed)``.
-
-    Building a Philox draws OS entropy for a seed sequence that an
-    explicit key leaves unused; resetting the key, counter and buffers of
-    one reused bit generator gives the same stream without that cost.
-    """
+def _probe_seed(seed) -> int:
+    """``seed`` as a Philox key: an integer in [0, 2**128)."""
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
             or not 0 <= seed < 1 << 128:
         raise FuzzError(
             f"probe seed must be an integer in [0, 2**128), got {seed!r}")
-    seed = int(seed)
+    return int(seed)
+
+
+_ZERO_WORDS = (0, 0, 0, 0)
+
+
+def _rekey(bits: np.random.Philox, key: int) -> None:
+    """Rewind ``bits`` to the start of the stream of ``Philox(key=key)``.
+
+    Building a Philox draws OS entropy for a seed sequence that an
+    explicit key leaves unused; resetting the key, counter and buffers of
+    one reused bit generator gives the same stream without that cost.
+    The state setter copies the counter, key and buffer word by word, so
+    tuples of 64-bit words serve without building an array per rekey.
+    """
     bits.state = {
         "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64),
-                  "key": np.array([seed & ((1 << 64) - 1), seed >> 64],
-                                  dtype=np.uint64)},
-        "buffer": np.zeros(4, dtype=np.uint64),
+        "state": {"counter": _ZERO_WORDS,
+                  "key": (key & ((1 << 64) - 1), key >> 64)},
+        "buffer": _ZERO_WORDS,
         "buffer_pos": 4,
         "has_uint32": 0,
         "uinteger": 0,
     }
+
+
+def _keyed_generator(bits: np.random.Philox, seed: int
+                     ) -> np.random.Generator:
+    """A generator on ``bits`` rewound to the stream of ``Philox(key=seed)``.
+
+    ``seed`` is checked first: an integer in [0, 2**128).  The devices
+    check it on every probe but rekey their own generator only at a
+    probe's first draw, so a probe that draws nothing costs no rekey.
+    """
+    _rekey(bits, _probe_seed(seed))
     return np.random.Generator(bits)
 
 
@@ -282,6 +327,7 @@ class APDReceiverDevice:
         self.double_click_rule = double_click_rule
         self._geiger_from_slot = None  # None: never blinded
         self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
 
     def reset(self) -> None:
         self._geiger_from_slot = None
@@ -291,7 +337,15 @@ class APDReceiverDevice:
                 and slot < self._geiger_from_slot)
 
     def probe(self, case: FuzzInput, seed: int) -> FuzzObservation:
-        gen = _keyed_generator(self._bits, seed)
+        """Observe ``case``; its draws come from ``Philox(key=seed)``.
+
+        The seed is checked on every probe.  The stream is keyed at the
+        probe's first draw, so a probe that draws nothing (blinding
+        pulses, linear-mode clicks) leaves the generator untouched.
+        """
+        key = _probe_seed(seed)
+        keyed = False
+        gen = self._gen
         p = self.params
         clicks = set()
         for pl in case.pulses:
@@ -304,17 +358,18 @@ class APDReceiverDevice:
                     self._geiger_from_slot = max(self._geiger_from_slot,
                                                  horizon)
                 continue
-            arms = arm_intensities(pl.theta, pl.mean_photons)
             if self._blinded_at(pl.time_slot):
-                for det, intensity in arms.items():
+                for det, intensity in pl.arms.items():
                     if intensity >= p.p_th:
                         clicks.add(det)
                 continue
             n = round(pl.mean_photons)
             if n == 0:
                 continue
-            shares = np.array([arms[d] for d in DETECTORS])
-            counts = gen.multinomial(n, shares / shares.sum())
+            if not keyed:
+                _rekey(self._bits, key)
+                keyed = True
+            counts = gen.multinomial(n, pl.pvals)
             for det, arrived in zip(DETECTORS, counts):
                 if arrived == 0:
                     continue
@@ -334,20 +389,25 @@ class IdealPNRDevice:
             raise FuzzError("geiger_efficiency must lie in (0, 1]")
         self.efficiency = geiger_efficiency
         self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
 
     def reset(self) -> None:
         pass
 
     def probe(self, case: FuzzInput, seed: int) -> FuzzObservation:
-        gen = _keyed_generator(self._bits, seed)
+        """Observe ``case``; seeded and keyed as ``APDReceiverDevice``."""
+        key = _probe_seed(seed)
+        keyed = False
+        gen = self._gen
         registered: Dict[str, int] = {}
         for pl in case.pulses:
             n = round(pl.mean_photons)
             if n == 0:
                 continue
-            arms = arm_intensities(pl.theta, pl.mean_photons)
-            shares = np.array([arms[d] for d in DETECTORS])
-            counts = gen.multinomial(n, shares / shares.sum())
+            if not keyed:
+                _rekey(self._bits, key)
+                keyed = True
+            counts = gen.multinomial(n, pl.pvals)
             for det, arrived in zip(DETECTORS, counts):
                 seen = int(gen.binomial(int(arrived), self.efficiency))
                 if seen:
@@ -384,9 +444,7 @@ def _subset_probability(case: FuzzInput, subset, efficiency: float) -> float:
         n = round(pl.mean_photons)
         if n == 0:
             continue
-        arms = arm_intensities(pl.theta, pl.mean_photons)
-        norm = sum(arms.values())
-        share = sum(arms[d] for d in subset) / norm
+        share = sum(pl.arms[d] for d in subset) / pl.norm
         total *= (share * efficiency + (1.0 - efficiency)) ** n
     return total
 
@@ -418,9 +476,7 @@ def _pair_in_one_detector_probability(case: FuzzInput) -> float:
     if len(case.pulses) != 1 or round(case.pulses[0].mean_photons) != 2:
         return 0.0
     pl = case.pulses[0]
-    arms = arm_intensities(pl.theta, pl.mean_photons)
-    norm = sum(arms.values())
-    return sum((v / norm) ** 2 for v in arms.values())
+    return sum((v / pl.norm) ** 2 for v in pl.arms.values())
 
 
 # ---------------------------------------------------------------------------

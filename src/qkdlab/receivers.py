@@ -164,9 +164,6 @@ class ReceiverModel:
         return ModeRegistry(self.channel_modes,
                             self.registry.max_photons_per_mode)
 
-    def setting_names(self) -> Tuple[str, ...]:
-        return tuple(self.settings)
-
 
 def interpret(receiver: ReceiverModel, setting_name: str, outcome_id: str) -> str:
     """Interpretation tag for an outcome under a setting.

@@ -383,6 +383,56 @@ def test_replay_from_a_keyless_fuzz_report_exits_2(tmp_path):
     assert "lacks the key" in payload["message"]
 
 
+def _cli_fuzz_report(tmp_path):
+    path = tmp_path / "fuzz.json"
+    code, _, _ = run_cli(["fuzz", "--p-th", 10, "--blind-threshold", 100,
+                          "--recovery-slots", 2, "--seed", 3,
+                          "--max-cases", 3000, "--out", path])
+    assert code == cli.EXIT_OK
+    return path, json.loads(path.read_text())
+
+
+def test_replay_from_a_fuzz_report_without_device_exits_2(tmp_path):
+    # the device parameters are part of the report, never assumed
+    path, doc = _cli_fuzz_report(tmp_path)
+    assert run_cli(["fuzz", "--replay", "a0030", "--report", path])[0] \
+        == cli.EXIT_OK
+    del doc["device"]
+    write_config(path, doc)
+    payload = assert_one_error_line(
+        *run_cli(["fuzz", "--replay", "a0030", "--report", path]))
+    assert payload["code"] == "invalid-config"
+    assert "lacks the key 'device'" in payload["message"]
+
+
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+    return json.loads(line, parse_constant=reject)
+
+
+@pytest.mark.parametrize("flag", ["--p-th", "--blind-threshold"])
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_fuzz_threshold_flag_exits_2(tmp_path, flag, value):
+    out = tmp_path / "fuzz.json"
+    code, stdout, stderr = run_cli(["fuzz", flag, value, "--max-cases", 10,
+                                    "--out", out])
+    assert_one_error_line(code, stdout, stderr)
+    assert _strict_json(stderr)["code"] == "invalid-config"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key", ["p_th", "blind_threshold"])
+def test_replay_with_a_non_finite_device_threshold_exits_2(tmp_path, key):
+    path, doc = _cli_fuzz_report(tmp_path)
+    doc["device"][key] = float("nan")
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    payload = assert_one_error_line(
+        *run_cli(["fuzz", "--replay", "a0030", "--report", path]))
+    assert payload["code"] == "invalid-config"
+    assert f"{key} must be finite" in payload["message"]
+
+
 @pytest.mark.parametrize("schema,key", [
     ("simulation-report/1", "per_basis"),
     ("fuzz-report/1", "properties_found"),

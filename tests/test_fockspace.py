@@ -669,6 +669,23 @@ def test_mode_labels_round_trip():
     assert fs.Mode.parse(str(m)) == m
 
 
+@pytest.mark.parametrize("index", [1.5, True, False, "1", float("nan"),
+                                   None])
+def test_mode_index_must_be_an_integer(index):
+    with pytest.raises(fs.FockError, match="index"):
+        fs.Mode(fs.CUSTOM, index)
+
+
+@pytest.mark.parametrize("kind", fs.MODE_KINDS)
+@pytest.mark.parametrize("index", [0, -3, 7, 2.0, np.int64(5), np.int8(-1),
+                                   2 ** 70])
+def test_every_accepted_mode_round_trips_through_its_label(kind, index):
+    mode = fs.Mode(kind, index)
+    assert type(mode.index) is int
+    back = fs.Mode.parse(str(mode))
+    assert back == mode and str(back) == str(mode)
+
+
 @pytest.mark.parametrize("label", ["custom:x", "custom:1.5", "custom:"])
 def test_mode_label_without_an_integer_index_names_the_label(label):
     with pytest.raises(fs.FockError, match=repr(label)):

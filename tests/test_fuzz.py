@@ -1,5 +1,6 @@
 """Black-box device model and blinding-discovery campaign tests."""
 
+import hashlib
 import json
 import math
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 import qkdlab.fockspace as fs
-from qkdlab import fuzz
+from qkdlab import fuzz, output
 from qkdlab import receivers as rc
 
 
@@ -53,6 +54,14 @@ def test_apd_params_validation():
         fuzz.APDParams(geiger_efficiency=0.0)
     with pytest.raises(fuzz.FuzzError):
         fuzz.make_apd_receiver_device(double_click_rule="coin-flip")
+
+
+@pytest.mark.parametrize("key", ["p_th", "blind_threshold"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"),
+                                   float("-inf")])
+def test_apd_thresholds_must_be_finite(key, value):
+    with pytest.raises(fuzz.FuzzError, match=f"{key} must be finite"):
+        fuzz.APDParams(**{key: value})
 
 
 @pytest.mark.parametrize("slot", [1.9, True, "1", float("inf")])
@@ -237,6 +246,54 @@ def test_double_click_rule_is_configurable():
     assert fuzz.probe(lenient, case, seed=0).interpretation == rc.LOSS
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_draw_free_probe_still_checks_its_seed(seed):
+    # a lone blinding pulse draws nothing, yet its seed is checked
+    case = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),))
+    with pytest.raises(fuzz.FuzzError, match="seed"):
+        fuzz.probe(fuzz.make_apd_receiver_device(), case, seed)
+    with pytest.raises(fuzz.FuzzError, match="seed"):
+        fuzz.probe(fuzz.make_ideal_pnr_device(),
+                   fuzz.FuzzInput((fuzz.pulse(0, "H", 0.0),)), seed)
+
+
+def test_draw_free_probe_leaves_the_next_probe_unchanged():
+    params = fuzz.APDParams(geiger_efficiency=0.7)
+    drawing = fuzz.FuzzInput((fuzz.pulse(0, "+45", 5.0),))
+    draw_free = [
+        fuzz.FuzzInput((fuzz.pulse(0, "H", params.blind_threshold),)),
+        fuzz.FuzzInput((fuzz.pulse(0, "H", params.blind_threshold),
+                        fuzz.pulse(1, "V", 2.0 * params.p_th))),
+    ]
+    for seed in range(8):
+        fresh = fuzz.make_apd_receiver_device(params)
+        expected = fuzz.probe(fresh, drawing, seed)
+        for case in draw_free:
+            device = fuzz.make_apd_receiver_device(params)
+            fuzz.probe(device, drawing, seed + 100)  # a used stream
+            fuzz.probe(device, case, seed + 200)
+            device.reset()
+            assert fuzz.probe(device, drawing, seed) == expected
+
+    pnr = fuzz.make_ideal_pnr_device(0.8)
+    expected = fuzz.make_ideal_pnr_device(0.8).probe(drawing, 3)
+    pnr.probe(drawing, 4)
+    pnr.probe(fuzz.FuzzInput((fuzz.pulse(0, "H", 0.2),)), 5)
+    assert pnr.probe(drawing, 3) == expected
+
+
+def test_pulse_split_is_derived_once_and_stays_out_of_identity():
+    pl = fuzz.pulse(3, 0.3, 7.0)
+    assert pl.arms == fuzz.arm_intensities(0.3, 7.0)
+    assert pl.norm == sum(pl.arms.values())
+    assert pl.pvals.tolist() == [pl.arms[d] / pl.norm
+                                 for d in fuzz.DETECTORS]
+    assert fuzz.pulse(0, "H", 0.4).pvals is None  # rounds to no photons
+    twin = fuzz.Pulse(3, 0.3, 7.0)
+    assert twin == pl and hash(twin) == hash(pl)
+    assert repr(pl) == "Pulse(time_slot=3, theta=0.3, mean_photons=7.0)"
+
+
 def test_pnr_device_resolves_photon_pairs():
     device = fuzz.make_ideal_pnr_device()
     case = fuzz.FuzzInput((fuzz.pulse(0, "H", 2.0),))
@@ -287,6 +344,67 @@ def test_campaign_is_deterministic(campaign):
 
     other = fuzz.run_fuzz_campaign(fuzz.make_apd_receiver_device(), seed=7)
     assert other.properties_found == campaign.properties_found
+
+
+# SHA-256 of the campaign report's NDJSON line, pinned so that a faster
+# device or baseline cannot move a single byte of a report
+_CAMPAIGN_DIGESTS = {
+    "default-seed0":
+        "323be246b0b19365f40e38b0317826a9ca28ea4f4e5c97b506551a86782b62a3",
+    "default-seed7":
+        "38dc059818c515cae26c7c68689fee405f0d1a3feccfed70b4aca38405bfdd78",
+    "geiger-efficiency-0.7":
+        "5ba291f54024e3a8e58009cd47cbde5a3c14cb7f60ff24e387660df9f7ff9e7d",
+    "recovery-slots-0":
+        "6667ed899d22b347fc8a5a68579a9682e5aedddfb6e656b8d20807855143dfb7",
+    "ideal-pnr-0.8":
+        "34b897ae4355aef4971c482bdb2f994919cf7945225e5fb88389426f77ab1e69",
+}
+
+
+def _pinned_campaign(name):
+    apd = fuzz.make_apd_receiver_device
+    if name == "default-seed0":
+        return fuzz.run_fuzz_campaign(apd(), seed=0)
+    if name == "default-seed7":
+        return fuzz.run_fuzz_campaign(apd(), seed=7)
+    if name == "geiger-efficiency-0.7":
+        return fuzz.run_fuzz_campaign(
+            apd(fuzz.APDParams(geiger_efficiency=0.7)), seed=0)
+    if name == "recovery-slots-0":
+        return fuzz.run_fuzz_campaign(
+            apd(fuzz.APDParams(recovery_slots=0)), seed=0)
+    return fuzz.run_fuzz_campaign(
+        fuzz.make_ideal_pnr_device(0.8),
+        config=fuzz.default_config(fuzz.APDParams()), seed=0)
+
+
+@pytest.mark.parametrize("name", sorted(_CAMPAIGN_DIGESTS))
+def test_campaign_report_bytes_are_pinned(name):
+    line = output.ndjson(_pinned_campaign(name).to_json_dict())
+    assert hashlib.sha256(line.encode()).hexdigest() == \
+        _CAMPAIGN_DIGESTS[name]
+
+
+# the trace records every case's outcome classes, so it also pins the
+# draws of probes whose observations the report does not keep
+_TRACE_DIGESTS = {
+    "default-seed0":
+        "6cc9d1fbf7918c3894eb12aa377593d301c85f32c9d1129e077e36d4b0d6ecf9",
+    "geiger-efficiency-0.7":
+        "a7b3f13864ab9631bb48214349a549279a462b6cc5a0aab303289fbc416cbcd4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_TRACE_DIGESTS))
+def test_campaign_trace_bytes_are_pinned(tmp_path, name):
+    path = tmp_path / "trace.ndjson"
+    params = fuzz.APDParams(
+        geiger_efficiency=0.7 if name == "geiger-efficiency-0.7" else 1.0)
+    fuzz.run_fuzz_campaign(fuzz.make_apd_receiver_device(params), seed=0,
+                           trace_path=path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == \
+        _TRACE_DIGESTS[name]
 
 
 def test_derived_records_rebuild_the_bright_receiver(campaign):
