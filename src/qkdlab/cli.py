@@ -73,8 +73,34 @@ class CliError(Exception):
         return {"code": self.code, "message": str(self), "context": self.context}
 
 
+class _NegativeNumber:
+    """argparse's test for a value that looks like a negative number.
+
+    argparse's own pattern takes only "-12" and "-1.5", so it reads
+    "-1e5" or "-inf" as an unknown flag; this takes whatever float()
+    reads.
+    """
+
+    @staticmethod
+    def match(text: str) -> bool:
+        try:
+            float(text)
+        except ValueError:
+            return False
+        return text.startswith("-")
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as a :class:`CliError` instead of exiting."""
+    """Reports a usage error as a :class:`CliError` instead of exiting.
+
+    A negative number in exponent or non-finite form is taken as an
+    option's value, as ``-12`` and ``-1.5`` are, so it reaches the
+    option's range check rather than failing as a missing value.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NegativeNumber
 
     def error(self, message):
         raise CliError(EXIT_CONFIG, "invalid-arguments", message,

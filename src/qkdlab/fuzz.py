@@ -657,7 +657,6 @@ def _classify_case(case: FuzzInput,
                    efficiency: float) -> List[Tuple[str, FuzzObservation, int]]:
     """Tags for one case: (tag, representative observation, replay index)."""
     replays = len(observations)
-    baseline = baseline_class_probabilities(case, efficiency)
     histogram: Dict[Tuple[str, Optional[str]], List[int]] = {}
     for idx, obs in enumerate(observations):
         histogram.setdefault(obs.outcome_class(), []).append(idx)
@@ -665,17 +664,12 @@ def _classify_case(case: FuzzInput,
     final = case.pulses[-1]
     bright_final = final.mean_photons >= 2.0
     has_prefix = len(case.pulses) > 1
-    # classes the final pulse could reach on its own: if one shows up,
-    # the deviation is the earlier pulses leaving no trace, not the
-    # final pulse being steered
-    final_alone = baseline_class_probabilities(
-        FuzzInput((final,)), efficiency)
 
     found: List[Tuple[str, FuzzObservation, int]] = []
-    for cls, hits in sorted(histogram.items(),
-                            key=lambda item: item[1][0]):
+    for cls, hits in histogram.items():
         if 2 * len(hits) <= replays:
-            continue  # not systematic
+            continue  # not systematic; at most one class is
+        baseline = baseline_class_probabilities(case, efficiency)
         if baseline.get(cls, 0.0) >= _BASELINE_FLOOR:
             continue  # reachable on the ideal receiver
         rep_idx = hits[0]
@@ -687,7 +681,12 @@ def _classify_case(case: FuzzInput,
                 tag = "unexpected-loss"
         elif kind in (rc.BIT0, rc.BIT1):
             deterministic = len(hits) == replays
-            if has_prefix and final_alone.get(cls, 0.0) >= _BASELINE_FLOOR:
+            # a class the final pulse could reach on its own means the
+            # earlier pulses left no trace, not that it was steered
+            swallowed = has_prefix and baseline_class_probabilities(
+                FuzzInput((final,)), efficiency).get(cls, 0.0) \
+                >= _BASELINE_FLOOR
+            if swallowed:
                 tag = "prefix-swallowed"
             elif deterministic and has_prefix:
                 tag = "strong-under-blinding"

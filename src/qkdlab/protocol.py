@@ -15,7 +15,11 @@ Both stream: rounds are drawn, logged and read back in fixed chunks and
 tallied as integer counts per cell (label, setting, outcome, guess), so
 memory is bounded by the chunk size whatever the session length.  The
 chunks draw the same random stream as one whole-session draw, so the
-reports and log bytes are those of an unchunked run.
+reports and log bytes are those of an unchunked run.  A log file is read
+back in batches of whole lines: one regex split strips every line's
+round number and one dict lookup per line body maps the batch to cells,
+so no Python step runs per line.  A batch holding any line of another
+shape is read line by line, which keeps every error and its line number.
 
 Outcomes are drawn by inverse transform through a guide table (Chen &
 Asau, AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
@@ -29,6 +33,7 @@ changes no report or log byte.
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import re
@@ -265,14 +270,17 @@ def report_from_json_dict(data: Mapping) -> SimulationReport:
 # the session engine
 # ---------------------------------------------------------------------------
 
-# Rounds are drawn, counted, logged and read back this many at a time,
-# which bounds a session's memory whatever its length.  Consecutive draws
-# from the counter-based stream equal one whole-session draw, so the chunk
-# size changes no byte of a report or a log.
+# Rounds are drawn, counted and logged this many at a time, and round
+# records given as an iterable are read back this many at a time, which
+# bounds a session's memory whatever its length.  Consecutive draws from
+# the counter-based stream equal one whole-session draw, so the chunk size
+# changes no byte of a report or a log.
 _CHUNK = 1 << 16
 
 # A chunk's round lines are joined and written this many at a time, so the
-# log write holds a slice of text rather than a whole chunk's.
+# log write holds a slice of text rather than a whole chunk's.  A round-log
+# file is read back in batches of 32 characters per slice row (256 KiB,
+# about 1800 round lines) and the rest of the line the batch ends in.
 _LOG_SLICE = 1 << 13
 
 # Guide bins per CDF row of the outcome sampler: a power of two, so a
@@ -628,8 +636,10 @@ def _line_prefixes(cells, ids: Dict[str, List[str]],
 def _log_lines(prefixes: List[Optional[str]], start: int,
                cells: np.ndarray) -> str:
     """Round lines ``start, start + 1, ...`` for a chunk of cell indices."""
-    return "".join([prefixes[c] + str(r) + "}\n"
-                    for r, c in enumerate(cells.tolist(), start)])
+    n = len(cells)
+    rows = zip(map(prefixes.__getitem__, cells.tolist()),
+               range(start, start + n))
+    return ("%s%d}\n" * n) % tuple(itertools.chain.from_iterable(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +648,8 @@ def _log_lines(prefixes: List[Optional[str]], start: int,
 
 # a round line as run_bb84 writes it: the body, then the round number last
 _ROUND_LINE = re.compile(r'(\{.*),"round":(?:0|[1-9][0-9]*)\}\n?')
+# the round-number tail of such a line, with its line end
+_ROUND_TAIL = re.compile(r',"round":(?:0|[1-9][0-9]*)\}$\n?', re.M)
 _ROW_FIELDS = ("alice_basis", "alice_bit", "bob_setting", "interpretation",
                "eve_guess")
 
@@ -703,38 +715,108 @@ def _body_record(body: str) -> Optional[dict]:
     return None
 
 
-def _log_cell_indices(log, cells: _LogCells):
-    """Yield the cell index of every round record of ``log``, in order.
+def _line_cells(lines, number: int, by_body: Dict[str, int],
+                cells: _LogCells):
+    """Yield the cell index of every round record of ``lines``, in order.
 
-    A file line in the shape :func:`run_bb84` writes is keyed by its
-    text before the round number, so each distinct body is parsed once.
+    ``lines`` are file lines, the first numbered ``number``.  A line in
+    the shape :func:`run_bb84` writes is keyed by its body, its text
+    before the round number, so each distinct body is parsed once.  Any
+    other non-blank line goes through ``json.loads`` whole.
     """
-    if not isinstance(log, (str, Path)):
-        for number, record in enumerate(log, 1):
-            cell = cells.record(record, f"record {number}")
-            if cell is not None:
-                yield cell
-        return
+    for number, line in enumerate(lines, number):
+        match = _ROUND_LINE.fullmatch(line)
+        cell = by_body.get(match.group(1)) if match else None
+        if cell is None:
+            where = f"line {number}"
+            record = _body_record(match.group(1)) if match else None
+            if record is not None:
+                cell = by_body[match.group(1)] = cells.record(record, where)
+            elif line.strip():
+                try:
+                    record = json.loads(line)
+                except json.JSONDecodeError as err:
+                    raise ProtocolError(f"{where}: not valid JSON ({err})")
+                cell = cells.record(record, where)
+        if cell is not None:
+            yield cell
+
+
+def _batch_cells(text: str, number: int, by_body: Dict[str, int],
+                 cells: _LogCells) -> Optional[np.ndarray]:
+    """The cell indices of a batch of whole lines, or None to decline it.
+
+    The first line of ``text`` is numbered ``number``.  One regex split
+    at every round-number tail cuts the batch into line bodies.  A line
+    without the tail joins a neighbouring piece, which then holds a
+    newline, or is left over after the last tail; no known body holds a
+    newline.  Each body not seen before is checked once, in the order
+    bodies first occur, as :func:`_line_cells` checks its line (leading
+    JSON whitespace, which that regex rejects, parses to the same
+    record).  A piece that does not parse declines the batch: the
+    header, a blank line, another serialization or bad JSON.
+    """
+    bodies = _ROUND_TAIL.split(text)
+    if bodies.pop():
+        return None  # the last line has no round-number tail
+    try:
+        return np.fromiter(map(by_body.get, bodies), np.int64, len(bodies))
+    except TypeError:  # a body not seen before maps to None
+        pass
+    for body in dict.fromkeys(bodies):
+        if body in by_body:
+            continue
+        record = None if "\n" in body else _body_record(body)
+        if record is None:
+            return None
+        by_body[body] = cells.record(
+            record, f"line {number + bodies.index(body)}")
+    return np.fromiter(map(by_body.get, bodies), np.int64, len(bodies))
+
+
+def _file_batches(path, cells: _LogCells):
+    """Yield the cell indices of a round-log file, one array per batch.
+
+    A batch is ``32 * _LOG_SLICE`` characters and the rest of the line
+    they end in, read in text mode, so newlines and decoding are those
+    of file iteration.  A batch :func:`_batch_cells` declines is read
+    by :func:`_line_cells`, one step per line.
+    """
     by_body: Dict[str, int] = {}
-    with open(log, "r", encoding="utf-8") as fh:
-        for number, line in enumerate(fh, 1):
-            match = _ROUND_LINE.fullmatch(line)
-            cell = by_body.get(match.group(1)) if match else None
-            if cell is None:
-                where = f"line {number}"
-                record = _body_record(match.group(1)) if match else None
-                if record is not None:
-                    cell = by_body[match.group(1)] = \
-                        cells.record(record, where)
-                elif line.strip():
-                    try:
-                        record = json.loads(line)
-                    except json.JSONDecodeError as err:
-                        raise ProtocolError(
-                            f"{where}: not valid JSON ({err})")
-                    cell = cells.record(record, where)
-            if cell is not None:
-                yield cell
+    number = 1
+    with open(path, "r", encoding="utf-8") as fh:
+        while True:
+            text = fh.read(32 * _LOG_SLICE) + fh.readline()
+            if not text:
+                return
+            batch = _batch_cells(text, number, by_body, cells)
+            if batch is not None:
+                number += len(batch)
+            else:
+                batch = np.fromiter(
+                    _line_cells(io.StringIO(text), number, by_body, cells),
+                    dtype=np.int64)
+                number += text.count("\n") + (not text.endswith("\n"))
+            yield batch
+
+
+def _log_batches(log, cells: _LogCells):
+    """Yield the cell index of every round record of ``log``, in batches.
+
+    A path is read by :func:`_file_batches`; any other iterable of
+    records is taken ``_CHUNK`` records at a time.
+    """
+    if isinstance(log, (str, Path)):
+        yield from _file_batches(log, cells)
+        return
+    records = (cells.record(record, f"record {number}")
+               for number, record in enumerate(log, 1))
+    rows = (cell for cell in records if cell is not None)
+    while True:
+        batch = np.fromiter(itertools.islice(rows, _CHUNK), dtype=np.int64)
+        if not len(batch):
+            return
+        yield batch
 
 
 def _add_counts(total: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
@@ -759,23 +841,25 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     empty while sifted bits exist, the estimate for that basis falls
     back to all of its sifted bits rather than reporting nothing.
 
-    The log is read in fixed chunks and each round is kept only as a
-    small integer, so memory stays bounded by the chunk and the number
-    of distinct records.  A line in the shape :func:`run_bb84` writes is
-    parsed once per distinct body; any other line goes through
-    ``json.loads`` whole.  A line that is not valid JSON, or a record
-    that is not an object or lacks a field, raises
-    :class:`ProtocolError` naming its 1-based line (or record) number.
+    A file is read in batches of about 256 KiB of whole lines, an
+    iterable ``_CHUNK`` records at a time, and each round is kept only
+    as a small integer, so memory stays bounded by the batch and the
+    number of distinct records.  A batch is cut into line bodies by one
+    regex split and mapped to cells by one dict lookup per body; only a
+    body not seen before is parsed.  Each batch draws its own test
+    uniforms, which together equal one whole draw, so the batch size
+    changes no report.  A batch holding a line of another shape (the
+    header, a blank line, another serialization) is read line by line,
+    and such a line goes through ``json.loads`` whole.  A line that is
+    not valid JSON, or a record that is not an object or lacks a field,
+    raises :class:`ProtocolError` naming its 1-based line (or record)
+    number.
     """
     test_fraction = _probability(test_fraction, "test_fraction")
     gen = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))
     cells = _LogCells()
-    rows = _log_cell_indices(log, cells)
     counts = tested = np.zeros(0, dtype=np.int64)
-    while True:
-        chunk = np.fromiter(itertools.islice(rows, _CHUNK), dtype=np.int64)
-        if not len(chunk):
-            break
+    for chunk in _log_batches(log, cells):
         in_test = gen.random(len(chunk)) < test_fraction
         counts = _add_counts(counts, chunk, len(cells.cells))
         tested = _add_counts(tested, chunk[in_test], len(cells.cells))

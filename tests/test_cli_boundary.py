@@ -147,6 +147,25 @@ def test_nan_is_out_of_range():
     assert payload["context"] == {"option": "p_th", "exclusiveMinimum": 0}
 
 
+@pytest.mark.parametrize("argv, flag, value, context", [
+    (["simulate", "--receiver", "ideal-bb84", "--channel", "lossy",
+      "--rounds", "10"], "--loss", "-1e5", {"option": "loss", "minimum": 0}),
+    (["fuzz"], "--p-th", "-inf", {"option": "p_th", "exclusiveMinimum": 0}),
+    (["fuzz"], "--blind-threshold", "-2.5E-3",
+     {"option": "blind_threshold", "exclusiveMinimum": 0}),
+    (["fuzz"], "--p-th", "-NaN", {"option": "p_th", "exclusiveMinimum": 0}),
+])
+def test_negative_exponent_or_non_finite_value_reaches_the_range_check(
+        argv, flag, value, context):
+    # argparse alone reads "-1e5" and "-inf" as flags: "expected one
+    # argument" instead of the range error "--loss=-1e5" already gives
+    spaced = assert_one_error_line(*run_cli(argv + [flag, value]))
+    joined = assert_one_error_line(*run_cli(argv + [f"{flag}={value}"]))
+    assert spaced == joined
+    assert spaced["code"] == "invalid-config"
+    assert spaced["context"] == context
+
+
 # ---------------------------------------------------------------------------
 # each documented malformed input: exit 2 and one JSON line
 # ---------------------------------------------------------------------------

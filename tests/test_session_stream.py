@@ -5,9 +5,11 @@ every round drawn in one array, outcomes sampled per (label, setting)
 mask, one ``json.dumps`` per logged round and one ``json.loads`` per
 line read back.  The chunked engine must reproduce its reports and its
 log bytes exactly, at every chunk boundary, and stay within bounded
-memory as sessions grow.  The guide-table outcome sampler must give the
-full count of CDF entries <= u for every u, at bin edges and CDF entries
-alike.
+memory as sessions grow.  The batch reader must give the per-line
+reading's report, or its error and line number, whatever line shapes
+fall in a batch or at its boundary.  The guide-table outcome sampler
+must give the full count of CDF entries <= u for every u, at bin edges
+and CDF entries alike.
 """
 
 import json
@@ -426,6 +428,173 @@ def test_numpy_integer_rounds_are_accepted():
     assert report.rounds == 3
     assert report.to_json_dict() == \
         pt.run_bb84(None, channel, receiver, 3, seed=0).to_json_dict()
+
+
+# ---------------------------------------------------------------------------
+# the batch reader
+# ---------------------------------------------------------------------------
+
+# A read batch is 32 characters per slice row; at 10 rows it is 320
+# characters and the rest of the line: two or three round lines.
+SMALL_SLICE = 10
+
+
+@pytest.fixture
+def batch_log(tmp_path, monkeypatch):
+    """(lines, batch starts) of a 300-round log read in small batches.
+
+    The batch starts are the line numbers each batch begins at; they
+    depend only on the text before them, so a line may be replaced
+    without moving the batch it starts.
+    """
+    monkeypatch.setattr(pt, "_LOG_SLICE", SMALL_SLICE)
+    receiver, channel = CASES["attack-isometry"]
+    log = tmp_path / "clean.ndjson"
+    pt.run_bb84(None, channel, receiver, 300, seed=4, log_path=log)
+    starts = []
+    take = pt._batch_cells
+
+    def spy(text, number, by_body, cells):
+        starts.append(number)
+        return take(text, number, by_body, cells)
+
+    monkeypatch.setattr(pt, "_batch_cells", spy)
+    pt.sift_and_estimate(log, 0.5, seed=1)
+    monkeypatch.setattr(pt, "_batch_cells", take)
+    assert len(starts) > 80
+    return log.read_text(encoding="utf-8").splitlines(keepends=True), starts
+
+
+def assert_same_report(tmp_path, text, test_fractions=(0.5, 1.0)):
+    """The batch reader and the per-line reference agree on ``text``."""
+    path = tmp_path / "edited.ndjson"
+    path.write_bytes(text.encode("utf-8"))
+    for test_fraction in test_fractions:
+        got = pt.sift_and_estimate(path, test_fraction, seed=3)
+        want = reference_sift(path, test_fraction, seed=3)
+        assert got.to_json_dict() == want.to_json_dict()
+
+
+def test_a_clean_log_is_read_line_by_line_only_in_its_header_batch(
+        batch_log, monkeypatch, tmp_path):
+    lines, starts = batch_log
+    by_line = pt._line_cells
+    calls = []
+
+    def spy(lines, number, by_body, cells):
+        calls.append(number)
+        return by_line(lines, number, by_body, cells)
+
+    monkeypatch.setattr(pt, "_line_cells", spy)
+    assert_same_report(tmp_path, "".join(lines), (0.5,))
+    assert calls == [1]
+
+
+@pytest.mark.parametrize("bad, message", [
+    ('{"alice_basis":"computational" oops}\n', "not valid JSON"),
+    ('{"alice_basis":"hadamard","alice_bit":2,"bob_setting":"hadamard",'
+     '"eve_guess":0,"interpretation":"loss","outcome_id":"d2",'
+     '"round":7}\n', "alice_bit and eve_guess must be 0 or 1"),
+])
+@pytest.mark.parametrize("batch", [3, 50])
+@pytest.mark.parametrize("place", ["first", "last"])
+def test_bad_line_at_a_batch_boundary_names_its_line(
+        tmp_path, batch_log, bad, message, batch, place):
+    lines, starts = batch_log
+    assert starts[batch] > starts[batch - 1] + 1  # 2+ lines in each batch
+    number = starts[batch] - (place == "last")
+    edited = lines[:number - 1] + [bad] + lines[number:]
+    path = tmp_path / "bad.ndjson"
+    path.write_text("".join(edited), encoding="utf-8")
+    if message == "not valid JSON":
+        with pytest.raises(json.JSONDecodeError) as err:
+            json.loads(bad)
+        message = f"not valid JSON ({err.value})"
+    with pytest.raises(pt.ProtocolError) as raised:
+        pt.sift_and_estimate(path)
+    assert str(raised.value) == f"line {number}: {message}"
+
+
+def test_a_record_broken_across_two_lines_names_its_first_line(
+        tmp_path, batch_log):
+    lines, starts = batch_log
+    number = starts[20]
+    head, tail = lines[number - 1].split('"bob_setting"')
+    edited = lines[:number - 1] + [head + "\n", '"bob_setting"' + tail] \
+        + lines[number:]
+    path = tmp_path / "broken.ndjson"
+    path.write_text("".join(edited), encoding="utf-8")
+    with pytest.raises(pt.ProtocolError,
+                       match=f"^line {number}: not valid JSON"):
+        pt.sift_and_estimate(path)
+
+
+def test_a_reserialized_line_in_one_batch_only(tmp_path, batch_log):
+    lines, starts = batch_log
+    number = starts[40]
+    record = json.loads(lines[number - 1])
+    spaced = json.dumps(dict(reversed(list(record.items()))),
+                        separators=(", ", ": ")) + "\n"
+    assert spaced != lines[number - 1]
+    assert_same_report(
+        tmp_path, "".join(lines[:number - 1] + [spaced] + lines[number:]))
+
+
+def test_a_line_with_leading_whitespace(tmp_path, batch_log):
+    lines, starts = batch_log
+    edited = list(lines)
+    for number in (starts[40], starts[41] + 1):
+        edited[number - 1] = " \t" + edited[number - 1]
+    assert_same_report(tmp_path, "".join(edited))
+
+
+def test_crlf_line_ends(tmp_path, batch_log):
+    lines, _ = batch_log
+    assert_same_report(tmp_path, "".join(lines).replace("\n", "\r\n"))
+
+
+def test_a_header_record_in_the_middle_of_the_log(tmp_path, batch_log):
+    lines, starts = batch_log
+    header = json.loads(lines[0])
+    moved = pt._dump(dict(header, receiver="elsewhere")) + "\n"
+    number = starts[60] + 1
+    text = "".join(lines[:number - 1] + [moved] + lines[number - 1:])
+    assert_same_report(tmp_path, text)
+    path = tmp_path / "edited.ndjson"
+    assert pt.sift_and_estimate(path).receiver == "elsewhere"
+
+
+def test_blank_lines(tmp_path, batch_log):
+    lines, starts = batch_log
+    edited = list(lines)
+    for number in sorted((starts[10], starts[10] + 1, starts[70] + 1,
+                          len(lines)), reverse=True):
+        edited.insert(number, "  \n" if number % 2 else "\n")
+    edited.append("\n")
+    assert_same_report(tmp_path, "".join(edited))
+
+
+def test_a_final_line_with_no_trailing_newline(tmp_path, batch_log):
+    lines, _ = batch_log
+    text = "".join(lines)
+    assert text.endswith("}\n")
+    assert_same_report(tmp_path, text[:-1])
+
+
+def test_a_body_holding_a_line_separator(tmp_path, batch_log):
+    # str.splitlines would cut these lines in two; file iteration does not
+    lines, starts = batch_log
+    edited = [line.replace('"outcome_id":"', '"outcome_id":"\u2028')
+              if number % 3 == 0 else line
+              for number, line in enumerate(lines, 1)]
+    assert sum("\u2028" in line for line in edited) >= 90
+    assert_same_report(tmp_path, "".join(edited))
+    number = starts[30]
+    bad = edited[:number - 1] + ['{"alice_basis":\n'] + edited[number:]
+    path = tmp_path / "bad.ndjson"
+    path.write_text("".join(bad), encoding="utf-8")
+    with pytest.raises(pt.ProtocolError, match=f"^line {number}: "):
+        pt.sift_and_estimate(path)
 
 
 # ---------------------------------------------------------------------------
