@@ -13,13 +13,24 @@ configurable test-bit subsampling for the error estimate.
 
 Both stream: rounds are drawn, logged and read back in fixed chunks and
 tallied as integer counts per cell (label, setting, outcome, guess), so
-memory is bounded by the chunk size whatever the session length.  The
-chunks draw the same random stream as one whole-session draw, so the
-reports and log bytes are those of an unchunked run.  A log file is read
-back in batches of whole lines: one regex split strips every line's
-round number and one dict lookup per line body maps the batch to cells,
-so no Python step runs per line.  A batch holding any line of another
-shape is read line by line, which keeps every error and its line number.
+memory is bounded by the chunk size whatever the session length.
+
+The random stream is counter-based (Philox; Salmon, Moraes, Dror & Shaw,
+SC'11), so each chunk keys its own generator at the counter offset of
+its first round and needs nothing from the chunk before it.  A session
+of several chunks draws and counts them on up to ``_WORKERS`` threads,
+one per CPU this process may use, while the calling thread adds their
+tallies and writes their log lines in chunk order; a one-chunk session
+runs inline and starts no thread.  The chunks together draw the stream
+of one whole-session draw, so the reports and log bytes are those of an
+unchunked run and depend neither on the number of threads nor on the
+chunk size.
+
+A log file is read back in batches of whole lines: one regex split
+strips every line's round number and one dict lookup per line body maps
+the batch to cells, so no Python step runs per line.  A batch holding
+any line of another shape is read line by line, which keeps every error
+and its line number.
 
 Outcomes are drawn by inverse transform through a guide table (Chen &
 Asau, AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
@@ -33,9 +44,12 @@ changes no report or log byte.
 
 from __future__ import annotations
 
+import collections
+import contextlib
 import io
 import itertools
 import json
+import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,6 +102,13 @@ class ChannelModel:
 
 
 def _probability(value, name: str) -> float:
+    """``value`` as a float; ProtocolError unless it is a real in [0, 1].
+
+    A bool, a string or bytes is not taken for a number, though
+    ``float()`` reads each.
+    """
+    if isinstance(value, (bool, np.bool_, str, bytes, bytearray)):
+        raise ProtocolError(f"{name} must be a real number, got {value!r}")
     try:
         p = float(value)
     except (TypeError, ValueError):
@@ -272,10 +293,20 @@ def report_from_json_dict(data: Mapping) -> SimulationReport:
 
 # Rounds are drawn, counted and logged this many at a time, and round
 # records given as an iterable are read back this many at a time, which
-# bounds a session's memory whatever its length.  Consecutive draws from
-# the counter-based stream equal one whole-session draw, so the chunk size
-# changes no byte of a report or a log.
-_CHUNK = 1 << 16
+# bounds a session's memory whatever its length.  Each chunk keys its own
+# generator at its counter offset, so the chunk size changes no byte of a
+# report or a log.  Up to _WORKERS chunks are in flight at once, each
+# holding about 3 MB of arrays at this size, so two hold about what one
+# chunk of twice the size held when chunks were drawn one by one.  Smaller
+# chunks hand the interpreter lock between threads so often that two
+# threads draw no faster than one.
+_CHUNK = 1 << 15
+
+# A session's chunks are drawn on one thread per CPU this process may use,
+# up to _MAX_WORKERS, which bounds the chunks in flight and their memory.
+_MAX_WORKERS = 4
+_WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
+               if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # A chunk's round lines are joined and written this many at a time, so the
 # log write holds a slice of text rather than a whole chunk's.  A round-log
@@ -533,8 +564,14 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
     ``seed`` (a non-negative integer): round r consumes a fixed slice of
     the stream, so reports and logs are reproducible bit-for-bit.
     Rounds are drawn, counted and logged in fixed chunks, so memory
-    stays bounded by the chunk, not the session; the chunking changes
-    no byte of the report or the log.
+    stays bounded by the chunk, not the session.  Each chunk starts its
+    own generator at its counter offset, so up to ``_WORKERS`` chunks
+    are drawn and counted at once on worker threads, and this thread
+    takes their counts and writes their log lines in chunk order.  A
+    session of one chunk runs inline and starts no thread.  Neither the
+    number of threads nor the chunk size changes a byte of the report
+    or the log.  An exception in a chunk is raised here, after the
+    threads stop, and leaves any earlier file at ``log_path`` as it was.
     """
     if alice is None:
         alice = receiver.source
@@ -571,8 +608,34 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
     counts = np.zeros(len(cells), dtype=np.int64)
     attack_label = channel.attack.label if channel.kind == ATTACK else None
 
-    gen = np.random.Generator(np.random.Philox(seed))
-    with atomic_open(log_path) as fh:
+    key = np.random.Philox(seed).state["state"]["key"]
+
+    def draw(start: int) -> Tuple[np.ndarray, np.ndarray]:
+        """The cell index of each round of the chunk at ``start``, and
+        their tally per cell.
+
+        Round r takes doubles 5r .. 5r + 4 of the stream, and Philox
+        makes four per counter step, so the chunk starts its own
+        generator ``5 * start // 4`` steps in and drops the
+        ``5 * start % 4`` doubles of that step that earlier rounds took.
+        """
+        bits = np.random.Philox(key=key)
+        bits.advance(5 * start // 4)
+        gen = np.random.Generator(bits)
+        gen.random(5 * start % 4)
+        # Column layout of the per-round uniforms: label, setting,
+        # outcome, adversary primary, adversary secondary draw.
+        u = gen.random((min(_CHUNK, rounds - start), 5))
+        lab = np.minimum((u[:, 0] * n_lab).astype(np.int64), n_lab - 1)
+        pair = lab * n_set + np.minimum(
+            (u[:, 1] * n_set).astype(np.int64), n_set - 1)
+        outcome = _sample_outcomes(cdf, guide, pair, u[:, 2])
+        cell = (pair * width + outcome) * 2 + guess(lab, u)
+        return cell, np.bincount(cell, minlength=len(cells))
+
+    starts = range(0, rounds, _CHUNK)
+    with atomic_open(log_path) as fh, \
+            contextlib.closing(_in_order(draw, starts)) as drawn:
         if fh is not None:
             prefixes = _line_prefixes(cells, ids, width)
             fh.write(_dump({
@@ -583,16 +646,8 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
                 "rounds": rounds,
                 "rng_seed": seed,
             }) + "\n")
-        for start in range(0, rounds, _CHUNK):
-            # Column layout of the per-round uniforms: label, setting,
-            # outcome, adversary primary, adversary secondary draw.
-            u = gen.random((min(_CHUNK, rounds - start), 5))
-            lab = np.minimum((u[:, 0] * n_lab).astype(np.int64), n_lab - 1)
-            pair = lab * n_set + np.minimum(
-                (u[:, 1] * n_set).astype(np.int64), n_set - 1)
-            outcome = _sample_outcomes(cdf, guide, pair, u[:, 2])
-            cell = (pair * width + outcome) * 2 + guess(lab, u)
-            counts += np.bincount(cell, minlength=len(cells))
+        for start, (cell, tally) in zip(starts, drawn):
+            counts += tally
             if fh is not None:
                 for lo in range(0, len(cell), _LOG_SLICE):
                     fh.write(_log_lines(prefixes, start + lo,
@@ -603,6 +658,34 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
                    receiver=receiver.name, channel=channel.kind,
                    rng_seed=seed, test_fraction=1.0,
                    attack_label=attack_label)
+
+
+def _in_order(draw, starts: range):
+    """Yield ``draw(start)`` for each of ``starts``, in order.
+
+    The calls run on ``_WORKERS`` threads, and at most that many are
+    submitted and not yet yielded, so a slow consumer holds at most that
+    many results.  With one start or one worker every call runs inline
+    and no thread starts.  Closing the generator cancels the calls not
+    yet begun and waits for those running; a call's exception is raised
+    when its turn comes.
+    """
+    workers = min(_WORKERS, len(starts))
+    if workers < 2:
+        yield from map(draw, starts)
+        return
+    from concurrent.futures import ThreadPoolExecutor
+    pool = ThreadPoolExecutor(workers)
+    ahead = collections.deque()
+    try:
+        for start in starts:
+            ahead.append(pool.submit(draw, start))
+            if len(ahead) == workers:
+                yield ahead.popleft().result()
+        while ahead:
+            yield ahead.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _line_prefixes(cells, ids: Dict[str, List[str]],
@@ -650,6 +733,8 @@ def _log_lines(prefixes: List[Optional[str]], start: int,
 _ROUND_LINE = re.compile(r'(\{.*),"round":(?:0|[1-9][0-9]*)\}\n?')
 # the round-number tail of such a line, with its line end
 _ROUND_TAIL = re.compile(r',"round":(?:0|[1-9][0-9]*)\}$\n?', re.M)
+# a byte the file's UTF-8 does not decode, as surrogateescape reads it
+_UNDECODED = re.compile("[\udc80-\udcff]")
 _ROW_FIELDS = ("alice_basis", "alice_bit", "bob_setting", "interpretation",
                "eve_guess")
 
@@ -715,6 +800,14 @@ def _body_record(body: str) -> Optional[dict]:
     return None
 
 
+def _check_decoded(text: str, where: str) -> None:
+    """ProtocolError naming ``where`` if ``text`` holds an undecoded byte."""
+    undecoded = _UNDECODED.search(text)
+    if undecoded:
+        byte = ord(undecoded.group()) - 0xdc00
+        raise ProtocolError(f"{where}: byte 0x{byte:02x} is not UTF-8")
+
+
 def _line_cells(lines, number: int, by_body: Dict[str, int],
                 cells: _LogCells):
     """Yield the cell index of every round record of ``lines``, in order.
@@ -722,13 +815,15 @@ def _line_cells(lines, number: int, by_body: Dict[str, int],
     ``lines`` are file lines, the first numbered ``number``.  A line in
     the shape :func:`run_bb84` writes is keyed by its body, its text
     before the round number, so each distinct body is parsed once.  Any
-    other non-blank line goes through ``json.loads`` whole.
+    other non-blank line goes through ``json.loads`` whole.  A line not
+    keyed yet that holds a byte that is not UTF-8 is rejected first.
     """
     for number, line in enumerate(lines, number):
         match = _ROUND_LINE.fullmatch(line)
         cell = by_body.get(match.group(1)) if match else None
         if cell is None:
             where = f"line {number}"
+            _check_decoded(line, where)
             record = _body_record(match.group(1)) if match else None
             if record is not None:
                 cell = by_body[match.group(1)] = cells.record(record, where)
@@ -753,8 +848,9 @@ def _batch_cells(text: str, number: int, by_body: Dict[str, int],
     newline.  Each body not seen before is checked once, in the order
     bodies first occur, as :func:`_line_cells` checks its line (leading
     JSON whitespace, which that regex rejects, parses to the same
-    record).  A piece that does not parse declines the batch: the
-    header, a blank line, another serialization or bad JSON.
+    record).  A piece that does not parse, or holds a byte that is not
+    UTF-8, declines the batch: the header, a blank line, another
+    serialization or bad JSON.
     """
     bodies = _ROUND_TAIL.split(text)
     if bodies.pop():
@@ -766,7 +862,8 @@ def _batch_cells(text: str, number: int, by_body: Dict[str, int],
     for body in dict.fromkeys(bodies):
         if body in by_body:
             continue
-        record = None if "\n" in body else _body_record(body)
+        record = None if "\n" in body or _UNDECODED.search(body) \
+            else _body_record(body)
         if record is None:
             return None
         by_body[body] = cells.record(
@@ -778,13 +875,14 @@ def _file_batches(path, cells: _LogCells):
     """Yield the cell indices of a round-log file, one array per batch.
 
     A batch is ``32 * _LOG_SLICE`` characters and the rest of the line
-    they end in, read in text mode, so newlines and decoding are those
-    of file iteration.  A batch :func:`_batch_cells` declines is read
-    by :func:`_line_cells`, one step per line.
+    they end in, read in text mode, so newlines are those of file
+    iteration.  A byte that is not UTF-8 is read as a lone surrogate, so
+    the line it is in can be named.  A batch :func:`_batch_cells`
+    declines is read by :func:`_line_cells`, one step per line.
     """
     by_body: Dict[str, int] = {}
     number = 1
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         while True:
             text = fh.read(32 * _LOG_SLICE) + fh.readline()
             if not text:
@@ -851,9 +949,9 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     changes no report.  A batch holding a line of another shape (the
     header, a blank line, another serialization) is read line by line,
     and such a line goes through ``json.loads`` whole.  A line that is
-    not valid JSON, or a record that is not an object or lacks a field,
-    raises :class:`ProtocolError` naming its 1-based line (or record)
-    number.
+    not valid JSON or holds a byte that is not UTF-8, or a record that
+    is not an object or lacks a field, raises :class:`ProtocolError`
+    naming its 1-based line (or record) number.
     """
     test_fraction = _probability(test_fraction, "test_fraction")
     gen = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))

@@ -614,6 +614,27 @@ def test_importing_does_not_load_scipy(tmp_path, module):
     assert loaded_after(f"import {module}", ["scipy"], tmp_path) == []
 
 
+def test_a_one_chunk_session_starts_no_thread(tmp_path):
+    # a session of one chunk draws it inline: no worker pool is imported
+    # and no thread starts
+    statement = (
+        "import contextlib, io, threading\n"
+        "started = []\n"
+        "start = threading.Thread.start\n"
+        "def spy(thread):\n"
+        "    started.append(thread)\n"
+        "    start(thread)\n"
+        "threading.Thread.start = spy\n"
+        "import qkdlab.protocol\n"
+        "from qkdlab.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = main(['simulate', '--receiver', 'ideal-bb84',\n"
+        "                 '--rounds', '20000'])\n"
+        "assert code == 0, code\n"
+        "assert started == [] and threading.active_count() == 1, started")
+    assert loaded_after(statement, ["concurrent.futures"], tmp_path) == []
+
+
 FUZZ_SUMMARY = {"schema": "fuzz-report/1", "properties_found": [],
                 "anomalies": [], "derived_vulnerabilities": []}
 

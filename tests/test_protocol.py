@@ -51,6 +51,24 @@ def test_make_channel_rejects_mismatched_payloads(six):
         pt.run_bb84(None, None, six, rounds=0)
 
 
+@pytest.mark.parametrize("value", [True, False, np.True_, "0.1", b"0.2",
+                                   bytearray(b"0.2")])
+def test_probabilities_must_be_real_numbers(value):
+    for kind, payload in ((pt.PNS, value), (pt.PNS, {"p_multi": value}),
+                          (pt.LOSSY, value), (pt.LOSSY, {"loss": value})):
+        with pytest.raises(pt.ProtocolError, match="must be a real number"):
+            pt.make_channel(kind, payload)
+    with pytest.raises(pt.ProtocolError, match="test_fraction"):
+        pt.sift_and_estimate([{"alice_basis": "computational"}], value)
+
+
+@pytest.mark.parametrize("value", [0, 1, 0.5, np.float32(0.25),
+                                   np.float64(0.75), np.int64(1)])
+def test_python_and_numpy_reals_are_probabilities(value):
+    assert pt.make_channel(pt.PNS, value).p_multi == float(value)
+    assert pt.make_channel(pt.LOSSY, {"loss": value}).loss == float(value)
+
+
 def test_identity_channel_has_zero_error_exactly(ideal):
     rep = pt.run_bb84(None, None, ideal, rounds=20000, seed=2)
     assert set(rep.per_basis) == {rc.COMPUTATIONAL, rc.HADAMARD}

@@ -5,16 +5,24 @@ every round drawn in one array, outcomes sampled per (label, setting)
 mask, one ``json.dumps`` per logged round and one ``json.loads`` per
 line read back.  The chunked engine must reproduce its reports and its
 log bytes exactly, at every chunk boundary, and stay within bounded
-memory as sessions grow.  The batch reader must give the per-line
+memory as sessions grow.  Pinned digests keep the bytes the engine gave
+when it drew its chunks one by one, and any worker count and chunk size
+must give the reference bytes.  The workers may draw only a bounded
+window ahead, and a chunk that fails on a worker must stop every thread
+and leave an earlier log in place.  The batch reader must give the per-line
 reading's report, or its error and line number, whatever line shapes
 fall in a batch or at its boundary.  The guide-table outcome sampler
 must give the full count of CDF entries <= u for every u, at bin edges
 and CDF entries alike.
 """
 
+import hashlib
+import itertools
 import json
 import os
 import random
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -286,6 +294,138 @@ def test_chunk_size_changes_no_byte(tmp_path, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# pinned bytes and threaded chunks
+# ---------------------------------------------------------------------------
+
+# SHA-256 digests of the bytes the single-threaded engine gave, drawing
+# 2**16-round chunks: each channel's reports at these round counts, one
+# report line each, and one logged session, its report and its sift.
+PINNED_SEED = 17
+PINNED_ROUNDS = (1, (1 << 15) - 1, (1 << 15) + 1, 3 * (1 << 16) + 5,
+                 200_001)
+PINNED_REPORTS = {
+    "attack-isometry":
+        "185686dc0b8e6f40a378e4e8ab502a98174cb89a4c9ca0588365947506f8d9ec",
+    "identity":
+        "3ed4880ef43c9f07b0f296a077c139f321f129133917bf9de17bd81e8b25f754",
+    "lossy":
+        "55575cf998f17afd0ba0a57ccd09ca7ec296ea9b38e85c09cfe7a1d4ca5709a2",
+    "pns":
+        "0d47dde62605c64630bad6667d331156c3539c7de31df8a3dbf448a09ac6e715",
+}
+PINNED_LOG_ROUNDS = 70_001
+PINNED_LOG = \
+    "e3709c4c27ff1b9065c08db32f490355802b730ab13d36b66f0529bc674c7c68"
+PINNED_LOG_REPORTS = \
+    "1e1e49255e899a15017924c3eb6a595621235abcddacae5c98c917f2616c17b3"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def report_line(report) -> bytes:
+    return (pt._dump(report.to_json_dict()) + "\n").encode("utf-8")
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_reports_keep_their_pinned_bytes(kind):
+    receiver, channel = CASES[kind]
+    reports = b"".join(
+        report_line(pt.run_bb84(None, channel, receiver, rounds,
+                                seed=PINNED_SEED))
+        for rounds in PINNED_ROUNDS)
+    assert sha256(reports) == PINNED_REPORTS[kind]
+
+
+def test_a_logged_session_keeps_its_pinned_bytes(tmp_path):
+    receiver, channel = CASES["attack-isometry"]
+    log = tmp_path / "rounds.ndjson"
+    report = pt.run_bb84(None, channel, receiver, PINNED_LOG_ROUNDS,
+                         seed=PINNED_SEED, log_path=log)
+    sifted = pt.sift_and_estimate(log, 0.5, seed=3)
+    assert sha256(log.read_bytes()) == PINNED_LOG
+    assert sha256(report_line(report) + report_line(sifted)) == \
+        PINNED_LOG_REPORTS
+
+
+@pytest.mark.parametrize("kind", ["attack-isometry", "pns"])
+def test_worker_count_and_chunk_size_change_no_byte(tmp_path, monkeypatch,
+                                                    kind):
+    receiver, channel = CASES[kind]
+    rounds = (1 << 15) + 1007
+    ref_log = tmp_path / "reference.ndjson"
+    want = reference_run_bb84(channel, receiver, rounds, 6, ref_log)
+    for workers in (1, 2, 3):
+        for chunk in (7, 1000, 1 << 15):
+            monkeypatch.setattr(pt, "_WORKERS", workers)
+            monkeypatch.setattr(pt, "_CHUNK", chunk)
+            log = tmp_path / f"log-{workers}-{chunk}.ndjson"
+            report = pt.run_bb84(None, channel, receiver, rounds, seed=6,
+                                 log_path=log)
+            assert report.to_json_dict() == want.to_json_dict(), \
+                (workers, chunk)
+            assert log.read_bytes() == ref_log.read_bytes(), (workers, chunk)
+            log.unlink()
+
+
+def test_workers_draw_a_bounded_window_ahead_of_the_log(tmp_path,
+                                                         small_chunks,
+                                                         monkeypatch):
+    workers = 3
+    monkeypatch.setattr(pt, "_WORKERS", workers)
+    monkeypatch.setattr(pt, "_LOG_SLICE", CHUNK)  # one write per chunk
+    sample, render = pt._sample_outcomes, pt._log_lines
+    drawn, ahead = [], []
+
+    def counted(*args):
+        drawn.append(None)
+        return sample(*args)
+
+    def slow(prefixes, start, cells):
+        time.sleep(0.002)
+        ahead.append(len(drawn) - start // CHUNK - 1)
+        return render(prefixes, start, cells)
+
+    monkeypatch.setattr(pt, "_sample_outcomes", counted)
+    monkeypatch.setattr(pt, "_log_lines", slow)
+    receiver, channel = CASES["pns"]
+    pt.run_bb84(None, channel, receiver, 30 * CHUNK, seed=1,
+                log_path=tmp_path / "rounds.ndjson")
+    assert len(ahead) == 30
+    assert 1 <= max(ahead) <= workers - 1
+
+
+def test_a_chunk_that_fails_on_a_worker(tmp_path, small_chunks,
+                                        monkeypatch):
+    monkeypatch.setattr(pt, "_WORKERS", 3)
+    receiver, channel = CASES["pns"]
+    log = tmp_path / "rounds.ndjson"
+    pt.run_bb84(None, channel, receiver, 3 * CHUNK, seed=1, log_path=log)
+    before = log.read_bytes()
+
+    sample = pt._sample_outcomes
+    calls = itertools.count(1)  # next() on it is atomic under the GIL
+    failed_in = []
+
+    def failing(*args):
+        if next(calls) == 3:
+            failed_in.append(threading.current_thread())
+            raise RuntimeError("chunk 3")
+        return sample(*args)
+
+    monkeypatch.setattr(pt, "_sample_outcomes", failing)
+    threads = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 3"):
+        pt.run_bb84(None, channel, receiver, 20 * CHUNK, seed=2,
+                    log_path=log)
+    assert failed_in and failed_in[0] is not threading.main_thread()
+    assert log.read_bytes() == before
+    assert os.listdir(tmp_path) == ["rounds.ndjson"]
+    assert threading.active_count() == threads
+
+
+# ---------------------------------------------------------------------------
 # memory
 # ---------------------------------------------------------------------------
 
@@ -527,6 +667,41 @@ def test_a_record_broken_across_two_lines_names_its_first_line(
     with pytest.raises(pt.ProtocolError,
                        match=f"^line {number}: not valid JSON"):
         pt.sift_and_estimate(path)
+
+
+def with_byte_ff(line: str) -> bytes:
+    """``line`` with the first character of its outcome id made 0xff."""
+    data = line.encode("utf-8")
+    at = data.index(b'"outcome_id":"') + len(b'"outcome_id":"')
+    return data[:at] + b"\xff" + data[at + 1:]
+
+
+def test_a_byte_that_is_not_utf8_names_its_line(tmp_path):
+    receiver, channel = CASES["pns"]
+    path = tmp_path / "rounds.ndjson"
+    pt.run_bb84(None, channel, receiver, 20, seed=0, log_path=path)
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    data = [line.encode("utf-8") for line in lines]
+    data[5] = with_byte_ff(lines[5])
+    path.write_bytes(b"".join(data))
+    with pytest.raises(pt.ProtocolError) as raised:
+        pt.sift_and_estimate(path)
+    assert str(raised.value) == "line 6: byte 0xff is not UTF-8"
+
+
+@pytest.mark.parametrize("batch", [3, 50])
+@pytest.mark.parametrize("place", ["first", "last"])
+def test_a_byte_that_is_not_utf8_at_a_batch_boundary(tmp_path, batch_log,
+                                                     batch, place):
+    lines, starts = batch_log
+    number = starts[batch] - (place == "last")
+    data = [line.encode("utf-8") for line in lines]
+    data[number - 1] = with_byte_ff(lines[number - 1])
+    path = tmp_path / "bad.ndjson"
+    path.write_bytes(b"".join(data))
+    with pytest.raises(pt.ProtocolError) as raised:
+        pt.sift_and_estimate(path)
+    assert str(raised.value) == f"line {number}: byte 0xff is not UTF-8"
 
 
 def test_a_reserialized_line_in_one_batch_only(tmp_path, batch_log):
