@@ -83,7 +83,6 @@ class ConstraintSystem:
     alice_labels: Tuple[Tuple[str, int], ...]
     p_basis: List[PhotonicState]
     vacuum_index: Optional[int]
-    columns: Tuple[Tuple[int, int], ...]
     rows: Tuple[ConstraintRow, ...]
     matrix: np.ndarray
     alpha: Dict[Tuple[str, int], Tuple[complex, complex]]
@@ -92,11 +91,10 @@ class ConstraintSystem:
     outcome_order: Dict[str, Tuple[str, ...]]
     outcome_multiplicity: Dict[Tuple[str, str], int]
     source_embeddings: Dict[Tuple[str, int], np.ndarray]
-    include_invalid: bool = True
 
     @property
     def n_columns(self) -> int:
-        return len(self.columns)
+        return 2 * self.n_basis
 
     @property
     def n_rows(self) -> int:
@@ -194,15 +192,14 @@ def build_constraint_system(receiver: rc.ReceiverModel,
     for sname, setting in receiver.settings.items():
         interpretations[sname] = setting.interpretation_sets()
         outcome_order[sname] = tuple(setting.outcomes)
-        transformed = [setting.forward(fs.embedded(b, receiver.registry))
-                       for b in basis]
+        transformed = [fs.apply_optics(fs.embedded(b, receiver.registry),
+                                       setting.optics) for b in basis]
         for oid, ostates in setting.outcomes.items():
             multiplicity[(sname, oid)] = len(ostates)
             for m, o in enumerate(ostates):
                 beta[(sname, oid, m)] = np.array(
                     [fs.inner_product(o, t) for t in transformed])
 
-    columns = tuple((i, k) for i in (0, 1) for k in range(n_k))
     rows: List[ConstraintRow] = []
     data: List[np.ndarray] = []
     for lab in labels:
@@ -216,19 +213,15 @@ def build_constraint_system(receiver: rc.ReceiverModel,
             for oid in ids:
                 for m in range(multiplicity[(sname, oid)]):
                     b = beta[(sname, oid, m)]
-                    ent = np.zeros(len(columns), dtype=complex)
-                    ent[:n_k] = a0 * b
-                    ent[n_k:] = a1 * b
                     rows.append(ConstraintRow(lab, sname, oid, m))
-                    data.append(ent)
+                    data.append(np.concatenate([a0 * b, a1 * b]))
     matrix = (np.array(data, dtype=complex) if data
-              else np.zeros((0, len(columns)), dtype=complex))
+              else np.zeros((0, 2 * n_k), dtype=complex))
     return ConstraintSystem(
         receiver_name=receiver.name,
         alice_labels=labels,
         p_basis=basis,
         vacuum_index=vacuum_index,
-        columns=columns,
         rows=tuple(rows),
         matrix=matrix,
         alpha=alpha,
@@ -237,7 +230,6 @@ def build_constraint_system(receiver: rc.ReceiverModel,
         outcome_order=outcome_order,
         outcome_multiplicity=multiplicity,
         source_embeddings=source_embeddings,
-        include_invalid=include_invalid,
     )
 
 

@@ -18,7 +18,9 @@ whole state, and equal occupations are merged after every factor, so the
 intermediate state never outgrows the answer.  The arm modes are private keys
 of this module: they are never a `Mode`, never in a registry, and never reach
 a caller.  The reverse interferometer is not tabulated separately: it is the
-reversed product of the adjoint factors.
+reversed product of the adjoint factors.  `apply_optics` runs a receiver
+setting's interferometers, rotations and linear maps in the same way: in
+order, or their adjoints in reverse order.
 
 Conventions:
   * symmetric 50/50 beam splitter: transmission amplitude 1/sqrt(2),
@@ -593,6 +595,13 @@ def apply_rotation(state: PhotonicState, in_modes: Tuple[Mode, Mode],
     return _apply_pair(state, in_modes, out_modes, _ROTATION, "rotation")
 
 
+class Rotation(NamedTuple):
+    """`apply_rotation` on a mode pair, in place; ((1, 1), (1, -1)) is its
+    own adjoint."""
+
+    modes: Tuple[Mode, Mode]
+
+
 def apply_phase_shift(state: PhotonicState, mode: Mode, phi: float) -> PhotonicState:
     """Phase shifter: |n> on `mode` gains exp(i*n*phi)."""
     return _evolve(state, _compile([_Phase((mode,))]),
@@ -770,13 +779,11 @@ class LinearMap:
                          self.matrix.conj().T, isometry=False)
 
 
-def apply_linear_map(state: PhotonicState, lmap: LinearMap,
-                     out_registry: ModeRegistry | None = None) -> PhotonicState:
+def apply_linear_map(state: PhotonicState, lmap: LinearMap) -> PhotonicState:
     """Apply an explicit occupation-basis LinearMap to a state.
 
     Every component of the state must lie in the map's input basis.
     """
-    reg = out_registry or state.registry
     index = {o: c for c, o in enumerate(lmap.input_basis)}
     vec = np.zeros(len(lmap.input_basis), dtype=complex)
     for occupation, amp in state.amplitudes.items():
@@ -788,7 +795,23 @@ def apply_linear_map(state: PhotonicState, lmap: LinearMap,
     amps: Dict[Occupation, complex] = {}
     for r, occupation in enumerate(lmap.output_basis):
         amps[occupation] = amps.get(occupation, 0.0) + out_vec[r]
-    return PhotonicState(reg, amps)
+    return PhotonicState(state.registry, amps)
+
+
+def apply_optics(state: PhotonicState, optics: Sequence,
+                 adjoint: bool = False) -> PhotonicState:
+    """Run InterferometerConfig, Rotation and LinearMap elements over a
+    state in order; with `adjoint` set, run their adjoints in reverse order:
+    `mz_reverse`, the same rotation and `LinearMap.adjoint()`."""
+    for element in (reversed(optics) if adjoint else optics):
+        if isinstance(element, InterferometerConfig):
+            state = (mz_reverse if adjoint else mz_transform)(state, element)
+        elif isinstance(element, Rotation):
+            state = apply_rotation(state, element.modes)
+        else:
+            state = apply_linear_map(
+                state, element.adjoint() if adjoint else element)
+    return state
 
 
 def embedded(state: PhotonicState, reg: ModeRegistry) -> PhotonicState:

@@ -49,9 +49,6 @@ INTERPRETATION_TAGS = (BIT0, BIT1, INVALID, LOSS, FOREIGN)
 NO_CLICK = "no-click"
 UNREGISTERED = "unregistered"
 
-StateMap = Callable[[PhotonicState], PhotonicState]
-
-
 @dataclass(frozen=True)
 class InterpretationSets:
     """The four-way outcome partition of one measurement setting.
@@ -79,20 +76,27 @@ class InterpretationSets:
 
 @dataclass
 class Setting:
-    """One measurement configuration: an evolution plus an outcome partition.
+    """One measurement configuration: its optics plus an outcome partition.
 
+    ``optics`` is a tuple of interferometers, rotations and linear maps run
+    by ``fs.apply_optics``, which also derives the reverse as their adjoint.
     ``outcomes`` maps an outcome id to the orthonormal states spanning its
     detection projector (in the post-evolution space).  Every outcome id
     must carry an interpretation tag.
     """
 
     name: str
-    forward: StateMap
-    reverse: StateMap
+    optics: Tuple
     outcomes: Dict[str, List[PhotonicState]]
     interpretation: Dict[str, str]
 
     def __post_init__(self):
+        self.optics = tuple(self.optics)
+        for element in self.optics:
+            if not isinstance(element, (fs.InterferometerConfig,
+                                        fs.Rotation, fs.LinearMap)):
+                raise ValueError(f"setting {self.name!r}: {element!r} is "
+                                 f"not an optical element")
         mismatch = set(self.outcomes) ^ set(self.interpretation)
         if mismatch:
             raise ValueError(
@@ -210,7 +214,7 @@ def outcome_probabilities(receiver: ReceiverModel, setting_name: str,
     """
     setting = receiver.settings[setting_name]
     st = fs.embedded(channel_state, receiver.registry)
-    out = setting.forward(st)
+    out = fs.apply_optics(st, setting.optics)
     probs: Dict[str, float] = {}
     total = 0.0
     for oid, states in setting.outcomes.items():
@@ -250,8 +254,8 @@ def reversed_space(receiver: ReceiverModel,
     raw: List[PhotonicState] = []
     for setting in receiver.settings.values():
         for states in setting.outcomes.values():
-            for outcome_state in states:
-                back = setting.reverse(outcome_state)
+            for o in states:
+                back = fs.apply_optics(o, setting.optics, adjoint=True)
                 for supp in fs.support_after_trace(back, lambda m: m in keep):
                     raw.append(fs.embedded(supp, channel_reg))
     occs, mat = _occ_matrix(raw)
@@ -267,15 +271,6 @@ def reversed_space(receiver: ReceiverModel,
 # shared building blocks
 # ---------------------------------------------------------------------------
 
-def _identity(state: PhotonicState) -> PhotonicState:
-    return state
-
-
-def polarization_rotation(state: PhotonicState) -> PhotonicState:
-    """Self-inverse 45-degree polarization rotation (diagonal <-> rectilinear)."""
-    return fs.apply_rotation(state, (pol_h(), pol_v()))
-
-
 def _bin_outcomes(reg: ModeRegistry, clicks: Iterable[str]
                   ) -> Dict[str, List[PhotonicState]]:
     """One outcome per click label (``s2``: straight arm, bin 2), then
@@ -287,15 +282,7 @@ def _bin_outcomes(reg: ModeRegistry, clicks: Iterable[str]
     return out
 
 
-def _mz_setting(name: str, phi: float, outcomes, interpretation) -> Setting:
-    cfg = fs.InterferometerConfig(phi=phi)
-    return Setting(
-        name,
-        forward=lambda st, c=cfg: fs.mz_transform(st, c),
-        reverse=lambda st, c=cfg: fs.mz_reverse(st, c),
-        outcomes=outcomes,
-        interpretation=interpretation,
-    )
+_MZ = (fs.InterferometerConfig(),)  # the time-bin receivers' optics
 
 
 def _channel_bins(reg: ModeRegistry) -> Tuple[Mode, ...]:
@@ -341,8 +328,8 @@ def _time_bin_receiver(name: str, first_bin: int, last_bin: int,
         NO_CLICK: LOSS, **guards,
     }
     settings = {
-        COMPUTATIONAL: _mz_setting(COMPUTATIONAL, 0.0, outcomes, comp),
-        HADAMARD: _mz_setting(HADAMARD, 0.0, dict(outcomes), had),
+        COMPUTATIONAL: Setting(COMPUTATIONAL, _MZ, outcomes, comp),
+        HADAMARD: Setting(HADAMARD, _MZ, dict(outcomes), had),
     }
     source = _logical_source(ModeRegistry(channel, max_photons), t_in(0),
                              t_in(1))
@@ -359,19 +346,19 @@ def _interferometric_2mode(variant: str = "two-window",
         outcomes = _bin_outcomes(reg, ("s1", "d1"))
         interp = {"d1": BIT0, "s1": BIT1, NO_CLICK: LOSS}
         settings = {
-            HADAMARD: _mz_setting(HADAMARD, 0.0, outcomes, interp),
-            Y_BASIS: _mz_setting(Y_BASIS, math.pi / 2, dict(outcomes),
-                                 dict(interp)),
+            HADAMARD: Setting(HADAMARD, _MZ, outcomes, interp),
+            Y_BASIS: Setting(Y_BASIS, (fs.InterferometerConfig(math.pi / 2),),
+                             dict(outcomes), dict(interp)),
         }
         bases = (HADAMARD, Y_BASIS)
     elif variant == "two-window":
         reg = fs.interferometer_registry(-1, 2, max_photons)
         settings = {
-            COMPUTATIONAL: _mz_setting(
-                COMPUTATIONAL, 0.0, _bin_outcomes(reg, ("d0", "s2")),
+            COMPUTATIONAL: Setting(
+                COMPUTATIONAL, _MZ, _bin_outcomes(reg, ("d0", "s2")),
                 {"d0": BIT0, "s2": BIT1, NO_CLICK: LOSS}),
-            HADAMARD: _mz_setting(
-                HADAMARD, 0.0, _bin_outcomes(reg, ("d1", "s1")),
+            HADAMARD: Setting(
+                HADAMARD, _MZ, _bin_outcomes(reg, ("d1", "s1")),
                 {"d1": BIT0, "s1": BIT1, NO_CLICK: LOSS}),
         }
         bases = (COMPUTATIONAL, HADAMARD)
@@ -405,10 +392,9 @@ def _polarization_receiver(name: str, photons: int) -> ReceiverModel:
     outcomes[NO_CLICK] = [PhotonicState.vacuum(reg)]
     interp[NO_CLICK] = LOSS
     settings = {
-        COMPUTATIONAL: Setting(COMPUTATIONAL, _identity, _identity,
-                               outcomes, interp),
-        HADAMARD: Setting(HADAMARD, polarization_rotation,
-                          polarization_rotation, dict(outcomes), dict(interp)),
+        COMPUTATIONAL: Setting(COMPUTATIONAL, (), outcomes, interp),
+        HADAMARD: Setting(HADAMARD, (fs.Rotation((h, v)),), dict(outcomes),
+                          dict(interp)),
     }
     source = _logical_source(ModeRegistry(channel, photons), h, v)
     return ReceiverModel(name, reg, channel, settings, source)
@@ -484,21 +470,17 @@ def _blinded_bright(bright_photons: int = 20,
     had = {"b+": BIT0, "b-": BIT1, "b0": FOREIGN, "b1": FOREIGN,
            NO_CLICK: LOSS}
     settings = {
-        COMPUTATIONAL: Setting(COMPUTATIONAL, _identity, _identity,
-                               outcomes, comp),
-        HADAMARD: Setting(HADAMARD, _identity, _identity,
-                          dict(outcomes), had),
+        COMPUTATIONAL: Setting(COMPUTATIONAL, (), outcomes, comp),
+        HADAMARD: Setting(HADAMARD, (), dict(outcomes), had),
     }
     # The paired transmitter speaks the receiver's bright-pulse alphabet:
     # single-photon signals are invisible to a blinded device, so the only
     # states worth modelling as inputs are the classical pulses themselves.
     channel_reg = ModeRegistry(channel, bright_photons)
-    source = AliceSourceModel(channel_reg, (COMPUTATIONAL, HADAMARD), {
-        (COMPUTATIONAL, 0): fs.embedded(ortho[0], channel_reg),
-        (COMPUTATIONAL, 1): fs.embedded(ortho[1], channel_reg),
-        (HADAMARD, 0): fs.embedded(ortho[2], channel_reg),
-        (HADAMARD, 1): fs.embedded(ortho[3], channel_reg),
-    })
+    bases = (COMPUTATIONAL, HADAMARD)
+    source = AliceSourceModel(channel_reg, bases, {
+        (basis, bit): fs.embedded(ortho[2 * i + bit], channel_reg)
+        for i, basis in enumerate(bases) for bit in (0, 1)})
     return ReceiverModel("blinded-bright", reg, channel, settings, source)
 
 
@@ -646,24 +628,25 @@ def _custom_setting_from_config(name: str, scfg, reg: ModeRegistry
     matrix = np.array([[_complex(v, f"{where}: 'matrix' entry") for v in row]
                        for row in rows])
     lmap = fs.LinearMap(input_basis, output_basis, matrix, isometry=True)
-    adj = lmap.adjoint()
+    for occupation in input_basis + output_basis:
+        reg.check_occupation(occupation)
     outcome_cfg = _entry(scfg, "outcomes", dict, where)
-    outcomes = {oid: [PhotonicState.basis(reg, parse_occ(c))
-                      for c in _strings(outcome_cfg, oid, where)]
-                for oid in outcome_cfg}
+    outcomes = {}
+    for oid in outcome_cfg:
+        texts = _strings(outcome_cfg, oid, where)
+        stray = [t for t in texts if parse_occ(t) not in output_basis]
+        if stray:
+            raise ValueError(f"{where}: outcome {oid!r} detects {stray}, "
+                             f"which its 'output_basis' does not hold")
+        outcomes[oid] = [PhotonicState.basis(reg, parse_occ(t))
+                         for t in texts]
     _check_orthonormal(name, outcomes)
     interpretation = _entry(scfg, "interpretation", dict, where)
     for oid, tag in interpretation.items():
         if not isinstance(tag, str):
             raise ValueError(f"{where}: the interpretation of {oid!r} "
                              f"must be a string")
-    return Setting(
-        name,
-        forward=lambda st, m=lmap: fs.apply_linear_map(st, m),
-        reverse=lambda st, m=adj: fs.apply_linear_map(st, m),
-        outcomes=outcomes,
-        interpretation=dict(interpretation),
-    )
+    return Setting(name, (lmap,), outcomes, dict(interpretation))
 
 
 def _source_label(label: str) -> Tuple[str, int]:
@@ -689,6 +672,7 @@ def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
                 for name, scfg in _entry(cfg, "settings", dict, where,
                                          nonempty=True).items()}
     source_cfg = _entry(cfg, "source", dict, where, nonempty=True)
+    channel_reg = ModeRegistry(channel, reg.max_photons_per_mode)
     source_states = {}
     bases = []
     for label in source_cfg:
@@ -696,7 +680,6 @@ def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
         basis, bit = _source_label(label)
         if basis not in bases:
             bases.append(basis)
-        channel_reg = ModeRegistry(channel, reg.max_photons_per_mode)
         amps = {parse_occ(text): _complex(
                     pair, f"source {label!r}: amplitude of {text!r}")
                 for text, pair in comps.items()}
@@ -706,8 +689,7 @@ def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
     if missing:
         raise ValueError(f"source: every basis needs both bits; the labels "
                          f"{missing} are missing")
-    source = AliceSourceModel(ModeRegistry(channel, reg.max_photons_per_mode),
-                              tuple(bases), source_states)
+    source = AliceSourceModel(channel_reg, tuple(bases), source_states)
     return ReceiverModel(name, reg, channel, settings, source)
 
 

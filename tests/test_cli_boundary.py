@@ -375,6 +375,25 @@ def test_receiver_with_overlapping_outcome_states_exits_2(tmp_path):
     assert "'D1'" in payload["message"]
 
 
+@pytest.mark.parametrize("subcommand", ["reverse-space", "synth"])
+@pytest.mark.parametrize("key,value,named", [
+    ("outcomes", {"D0": ["polarization-H:0"],
+                  "D1": ["polarization-H:0+polarization-V:0"]}, "'D1'"),
+    ("input_basis", ["polarization-H:0", "custom:0"], "custom:0"),
+    ("output_basis", ["polarization-H:0", "custom:0"], "custom:0"),
+], ids=["outcome-outside-output-basis", "input-basis-mode",
+        "output-basis-mode"])
+def test_receiver_setting_outside_its_bases_exits_2(tmp_path, subcommand,
+                                                    key, value, named):
+    receiver = json.loads(json.dumps(_CUSTOM))
+    receiver["settings"]["computational"][key] = value
+    path = write_config(tmp_path / "receiver.json", receiver)
+    payload = assert_one_error_line(
+        *run_cli([subcommand, "--receiver", path]))
+    assert payload["code"] == "invalid-receiver"
+    assert named in payload["message"]
+
+
 @pytest.mark.parametrize("subcommand", ["reverse-space", "synth", "simulate"])
 @pytest.mark.parametrize("labels", [
     ("computational/0", "computational/2"),

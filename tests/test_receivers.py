@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from qkdlab import fockspace as fs
@@ -274,9 +275,19 @@ def test_unknown_interpretation_tag_is_rejected():
     outcomes = {"D0": [PhotonicState.photon(reg, pol_h())],
                 "D1": [PhotonicState.photon(reg, pol_v())]}
     with pytest.raises(ValueError, match="bit_1"):
-        rc.Setting(rc.COMPUTATIONAL, rc.polarization_rotation,
-                   rc.polarization_rotation, outcomes,
-                   {"D0": rc.BIT0, "D1": "bit_1"})
+        rc.Setting(rc.COMPUTATIONAL, (fs.Rotation((pol_h(), pol_v())),),
+                   outcomes, {"D0": rc.BIT0, "D1": "bit_1"})
+
+
+@pytest.mark.parametrize("element", [
+    lambda st: fs.apply_rotation(st, (pol_h(), pol_v())), None])
+def test_a_setting_takes_only_optical_elements(element):
+    reg = fs.registry([pol_h(), pol_v()], max_photons=1)
+    outcomes = {"D0": [PhotonicState.photon(reg, pol_h())],
+                "D1": [PhotonicState.photon(reg, pol_v())]}
+    with pytest.raises(ValueError, match="not an optical element"):
+        rc.Setting(rc.COMPUTATIONAL, (element,), outcomes,
+                   {"D0": rc.BIT0, "D1": rc.BIT1})
 
 
 def test_receiver_schema_lists_every_interpretation_tag():
@@ -406,6 +417,27 @@ def test_custom_outcome_states_must_be_orthonormal(outcomes, named):
     assert named in str(info.value)
 
 
+@pytest.mark.parametrize("value", [["polarization-H:0+polarization-V:0"],
+                                   ["vacuum"]])
+def test_custom_outcomes_must_lie_in_the_output_basis(value):
+    # an outcome outside the output basis would fail only later, when the
+    # adjoint optics run on it
+    cfg = _with(("settings", "computational", "outcomes", "D1"), value)
+    with pytest.raises(ValueError, match="'computational'") as info:
+        rc.receiver_from_config(cfg)
+    assert "'D1'" in str(info.value)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("input_basis", ["polarization-H:0", "custom:0"]),
+    ("output_basis", ["custom:0", "polarization-V:0"]),
+])
+def test_custom_bases_must_name_registered_modes(key, value):
+    with pytest.raises(ValueError, match="custom:0"):
+        rc.receiver_from_config(_with(("settings", "computational", key),
+                                      value))
+
+
 def test_orthonormal_custom_config_builds():
     receiver = rc.receiver_from_config(_polarization_config())
     probs = rc.outcome_probabilities(
@@ -511,3 +543,172 @@ def test_every_document_lists_the_bundled_kinds():
     assert sorted(kind for kind, _ in table) == sorted(rc.RECEIVER_KINDS)
     for kind, cell in table:
         assert set(re.findall(r"`([a-z_]+)`", cell)) == READS[kind], kind
+
+
+# ---------------------------------------------------------------------------
+# pinned bytes of every bundled receiver
+# ---------------------------------------------------------------------------
+
+# SHA-256 of the reversed-space basis (its ``state_to_json`` lines), the
+# constraint matrix bytes and the canonical attack JSON, per kind, variant
+# and photon cap (None: the kind does not read ``max_photons``).
+PINNED_DIGESTS = {
+    ("interferometric-6mode", None, 1): (
+        "3445e925f6c0257d833dee1b45858a3698a34e43eaf65e434423df328d39e1f3",
+        "92dfe7bc3d9c581889d9b779dd77a0b157b92ffdd8f57ec0f6af2376efb222b4",
+        "b1cba23ec3033b65c139cbaf92fddb26df1ee3a5534732e8a4971a516da21ef6"),
+    ("interferometric-6mode", None, 2): (
+        "40c12cd593a1fad2912499131ba9fa0a64dd81cb221d759be2098e62e6ce12fd",
+        "92dfe7bc3d9c581889d9b779dd77a0b157b92ffdd8f57ec0f6af2376efb222b4",
+        "79dd252c00d4078d44e4318325e9a21a8b98fafdc33cb087fea69877d22c8c16"),
+    ("interferometric-6mode", None, 3): (
+        "55aa350c5d2ffc13cec18e8a93e326ce2d063d18090f94c54cf03ca29f0bb6dd",
+        "92dfe7bc3d9c581889d9b779dd77a0b157b92ffdd8f57ec0f6af2376efb222b4",
+        "ccbf73fed8fe0061da22080c8c0c72a4980bc8e6a01077f8f1d8bfc6f7dd7f89"),
+    ("interferometric-defended-10mode", None, 1): (
+        "bb51afed0ea7c8df2e9decdeefebf1eb345630acb3234ef603662871d05f443f",
+        "cc6de9ca46d9abb3845c907e9c23007056308b1dbc690ed264e5d0abb84c022d",
+        "911572c35dbc2a4c3e2af1a5b9671a435ec1ccbe2fa11f54b9d5c0f1ea098a40"),
+    ("interferometric-defended-10mode", None, 2): (
+        "b65a6274257a40fbc89debff79004c79c43706608d26a140cbdea5c4bb093c09",
+        "cc6de9ca46d9abb3845c907e9c23007056308b1dbc690ed264e5d0abb84c022d",
+        "ba2247bef6e87a2736bb10c1cbcfaa973f9c89df9a7fb1833cbe925192d137c2"),
+    ("interferometric-defended-10mode", None, 3): (
+        "c9c74f415abf9d4ea8f61e4c54cb48704f75e890b67dad5aeb0af82dad6abd3d",
+        "cc6de9ca46d9abb3845c907e9c23007056308b1dbc690ed264e5d0abb84c022d",
+        "86833c088ec561b33c638ad69389a298ba318a025b2e7e6deee28857aae573b1"),
+    ("interferometric-2mode", "two-window", 1): (
+        "3445e925f6c0257d833dee1b45858a3698a34e43eaf65e434423df328d39e1f3",
+        "9cbf2a2a73bd1849c4c4125eab84376ae8b6d8033328d870fb13700ad7e535a0",
+        "64ccdfc28b2dc44ec079db01aa67d564955092fa01dc0e8a443143a25525bf4e"),
+    ("interferometric-2mode", "two-window", 2): (
+        "40c12cd593a1fad2912499131ba9fa0a64dd81cb221d759be2098e62e6ce12fd",
+        "9cbf2a2a73bd1849c4c4125eab84376ae8b6d8033328d870fb13700ad7e535a0",
+        "11609d7b5e89dd3064417df5491d375aaca86c81994490999bf684a330b0ba3e"),
+    ("interferometric-2mode", "two-window", 3): (
+        "55aa350c5d2ffc13cec18e8a93e326ce2d063d18090f94c54cf03ca29f0bb6dd",
+        "9cbf2a2a73bd1849c4c4125eab84376ae8b6d8033328d870fb13700ad7e535a0",
+        "1e26029ae6ab3e53bc6d0210e8ff26704ea88b7064a69548efa82f4b6fc6b270"),
+    ("interferometric-2mode", "single-window", 1): (
+        "5a57516a8ebd2af31f1f302d2efdd42f72588c25c305b4d16db1cda4ceeb23c0",
+        "57de3cf57e6324e69fd6cfcbfbca99b60ed4489725b6088cd75a7710f4bb342a",
+        "bd8eb7b7e899cb9db5ab570fae76888e059490c1aacf37d1d4724c4bfbebbc11"),
+    ("interferometric-2mode", "single-window", 2): (
+        "20141fccc1aafacb1710014bf48ec9aa79c815f886d201fa5629418a8a98d13b",
+        "57de3cf57e6324e69fd6cfcbfbca99b60ed4489725b6088cd75a7710f4bb342a",
+        "6ccfcbaa634cb7a8a153b3db75aa83129737cb55db3659525c47b7190167add3"),
+    ("interferometric-2mode", "single-window", 3): (
+        "c117366aafebb4f2f26b1fab91f8c0ebacbc04b53deec96bd4010199b5e4a630",
+        "57de3cf57e6324e69fd6cfcbfbca99b60ed4489725b6088cd75a7710f4bb342a",
+        "f7e3f94cc829b0c228261b68ced119a270235f1c8dd53e024dd33a0eac106855"),
+    ("polarization-threshold", None, None): (
+        "389a422e4154c1124094efe1a2b5666b15187d82ac371c0a035f3acfb4f460b2",
+        "a4998782a845b42d7243b84aaad40ba8d4a02f314a92c1d37106abf0080088f6",
+        "01c10395974846514b4f235464e400cb74ddfdd16a35bd3682b3f747d230d16f"),
+    ("blinded-bright", None, None): (
+        "b6db5b5c6a131630950b9f9cc902d6a934f46fb0a416937eeaef265e528d597a",
+        "c5f7b7759f891f54f739576993c62bdb094fe39529653bc812a6397b66c67804",
+        "fe844f2ef0568577b57abd5a99b376d12c9b6fa95b8df9e03b6b086d6c87b463"),
+    ("ideal-bb84", None, None): (
+        "9c13308cebbe4f1d081212e73bbe09eb64972d6ee027265dd6d373ffb2796294",
+        "f4df67d041211099bdbcba17f44d848613aaccbcbc81a5c1cc387c8c744357ef",
+        "90460a90d9ccf47d411b6020e970c34f6dfd9438eb669ffb299b7e048fe6f42b"),
+}
+
+
+@pytest.mark.parametrize("kind,variant,cap", list(PINNED_DIGESTS))
+def test_receiver_artifacts_keep_their_pinned_bytes(kind, variant, cap):
+    import hashlib
+    import json
+
+    from qkdlab import attacks as atk
+
+    def digest(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    options = {} if cap is None else {"max_photons": cap}
+    receiver = rc.make_receiver(kind, variant, **options)
+    system = atk.build_constraint_system(receiver)
+    canonical = atk.synthesize_attacks(system).canonical.to_json_dict()
+    assert (
+        digest("\n".join(fs.state_to_json(b)
+                         for b in rc.reversed_space(receiver)).encode()),
+        digest(system.matrix.tobytes()),
+        digest(json.dumps(canonical, sort_keys=True).encode()),
+    ) == PINNED_DIGESTS[(kind, variant, cap)]
+
+
+# ---------------------------------------------------------------------------
+# every reverse is the adjoint of its forward optics
+# ---------------------------------------------------------------------------
+
+_S = [0.7071067811865476, 0]
+_IS = [0, 0.7071067811865476]
+
+# A custom receiver whose one setting is a complex splitter between two
+# pairs of modes, written out as an occupation-basis linear map.
+_SPLITTER_CONFIG = {
+    "kind": "custom",
+    "modes": ["custom:0", "custom:1", "custom:2", "custom:3"],
+    "channel_modes": ["custom:0", "custom:1"],
+    "max_photons": 2,
+    "settings": {"computational": {
+        "input_basis": ["vacuum", "custom:0", "custom:1"],
+        "output_basis": ["vacuum", "custom:2", "custom:3"],
+        "matrix": [[[1, 0], [0, 0], [0, 0]],
+                   [[0, 0], _S, _IS],
+                   [[0, 0], _IS, _S]],
+        "outcomes": {"D0": ["custom:2"], "D1": ["custom:3"],
+                     "none": ["vacuum"]},
+        "interpretation": {"D0": "bit0", "D1": "bit1", "none": "loss"}}},
+    "source": {"computational/0": {"custom:0": [1, 0]},
+               "computational/1": {"custom:1": [1, 0]}},
+}
+
+
+def _occupations(modes, photons):
+    """Every occupation of at most ``photons`` photons over ``modes``."""
+    found = {fs.VACUUM}
+    for _ in range(photons):
+        found |= {occ(*(dict(o) | {m: dict(o).get(m, 0) + 1}).items())
+                  for o in found for m in modes}
+    return sorted(found)
+
+
+def _sides(receiver, setting):
+    """Input- and output-side occupations of at most two photons (of at
+    most the photon cap, which the optics may bunch into one mode)."""
+    if setting.optics and isinstance(setting.optics[0], fs.LinearMap):
+        (lmap,) = setting.optics
+        return lmap.input_basis, lmap.output_basis
+    photons = min(2, receiver.registry.max_photons_per_mode)
+    outputs = sorted({m for states in setting.outcomes.values()
+                      for st in states for o in st.amplitudes for m, _ in o})
+    inputs = [m for m in receiver.registry.modes
+              if m.kind not in (fs.OUT_S, fs.OUT_D)]
+    return _occupations(inputs, photons), _occupations(outputs, photons)
+
+
+def _random_state(reg, occupations, rng):
+    return PhotonicState(reg, {o: complex(*rng.normal(size=2))
+                               for o in occupations}).normalized()
+
+
+@pytest.mark.parametrize("receiver", [
+    pytest.param(rc.make_receiver(kind, variant), id=f"{kind}-{variant}")
+    for kind, variant, _ in ALL_RECEIVERS
+] + [pytest.param(rc.receiver_from_config(_SPLITTER_CONFIG),
+                  id="custom-linear-map")])
+def test_every_setting_reverse_is_the_adjoint_of_its_forward(receiver):
+    # <F a, b> = <a, R b> for a on the input side and b on the output side
+    rng = np.random.default_rng(17)
+    reg = receiver.registry
+    for setting in receiver.settings.values():
+        inputs, outputs = _sides(receiver, setting)
+        for _ in range(3):
+            a = _random_state(reg, inputs, rng)
+            b = _random_state(reg, outputs, rng)
+            lhs = inner_product(fs.apply_optics(a, setting.optics), b)
+            rhs = inner_product(
+                a, fs.apply_optics(b, setting.optics, adjoint=True))
+            assert abs(lhs - rhs) < 1e-9, setting.name
