@@ -18,8 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import (Callable, Dict, Iterator, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -77,6 +77,11 @@ class ConstraintSystem:
     logical coefficients of Alice's state and ``beta`` the transition
     amplitude from basis element ``k`` to outcome support state ``(j, m)``
     under the setting's evolution.
+
+    ``beta[setting][j]`` holds one row over ``k`` per state spanning
+    outcome ``j``, with outcomes in the setting's order; ``m`` indexes the
+    tuple.  ``interpretation[setting]`` is the setting's map from outcome
+    id to interpretation tag.
     """
 
     receiver_name: str
@@ -86,10 +91,8 @@ class ConstraintSystem:
     rows: Tuple[ConstraintRow, ...]
     matrix: np.ndarray
     alpha: Dict[Tuple[str, int], Tuple[complex, complex]]
-    beta: Dict[Tuple[str, str, int], np.ndarray]
-    interpretations: Dict[str, rc.InterpretationSets]
-    outcome_order: Dict[str, Tuple[str, ...]]
-    outcome_multiplicity: Dict[Tuple[str, str], int]
+    beta: Dict[str, Dict[str, Tuple[np.ndarray, ...]]]
+    interpretation: Dict[str, Dict[str, str]]
     source_embeddings: Dict[Tuple[str, int], np.ndarray]
 
     @property
@@ -185,20 +188,14 @@ def build_constraint_system(receiver: rc.ReceiverModel,
                 f"no zero-error strategy can reproduce it")
         source_embeddings[lab] = coeff
 
-    beta: Dict[Tuple[str, str, int], np.ndarray] = {}
-    interpretations: Dict[str, rc.InterpretationSets] = {}
-    outcome_order: Dict[str, Tuple[str, ...]] = {}
-    multiplicity: Dict[Tuple[str, str], int] = {}
+    beta: Dict[str, Dict[str, Tuple[np.ndarray, ...]]] = {}
     for sname, setting in receiver.settings.items():
-        interpretations[sname] = setting.interpretation_sets()
-        outcome_order[sname] = tuple(setting.outcomes)
         transformed = [fs.apply_optics(fs.embedded(b, receiver.registry),
                                        setting.optics) for b in basis]
-        for oid, ostates in setting.outcomes.items():
-            multiplicity[(sname, oid)] = len(ostates)
-            for m, o in enumerate(ostates):
-                beta[(sname, oid, m)] = np.array(
-                    [fs.inner_product(o, t) for t in transformed])
+        beta[sname] = {
+            oid: tuple(np.array([fs.inner_product(o, t) for t in transformed])
+                       for o in ostates)
+            for oid, ostates in setting.outcomes.items()}
 
     rows: List[ConstraintRow] = []
     data: List[np.ndarray] = []
@@ -208,11 +205,10 @@ def build_constraint_system(receiver: rc.ReceiverModel,
             bit = lab[1] if sname == lab[0] else None
             ids = rc.error_outcome_ids(setting, bit)
             if not include_invalid:
-                invalid = set(setting.outcomes_tagged(rc.INVALID))
-                ids = [oid for oid in ids if oid not in invalid]
+                ids = [oid for oid in ids
+                       if setting.interpretation[oid] != rc.INVALID]
             for oid in ids:
-                for m in range(multiplicity[(sname, oid)]):
-                    b = beta[(sname, oid, m)]
+                for m, b in enumerate(beta[sname][oid]):
                     rows.append(ConstraintRow(lab, sname, oid, m))
                     data.append(np.concatenate([a0 * b, a1 * b]))
     matrix = (np.array(data, dtype=complex) if data
@@ -226,9 +222,8 @@ def build_constraint_system(receiver: rc.ReceiverModel,
         matrix=matrix,
         alpha=alpha,
         beta=beta,
-        interpretations=interpretations,
-        outcome_order=outcome_order,
-        outcome_multiplicity=multiplicity,
+        interpretation={name: setting.interpretation
+                        for name, setting in receiver.settings.items()},
         source_embeddings=source_embeddings,
     )
 
@@ -340,8 +335,8 @@ class AttackIsometry:
             raise AttackError(
                 f"unsupported attack format {data.get('format')!r}")
         try:
-            receiver_name = data["receiver"]
-            alice_labels = tuple((b, int(t)) for b, t in data["alice_labels"])
+            receiver_name, label = data["receiver"], data.get("label", "")
+            pairs, eve_dim = data["alice_labels"], data["eve_dim"]
             basis = [fs.state_from_dict(s) for s in data["basis"]]
             coeff = np.array(
                 [[[complex(re, im) for re, im in row]
@@ -353,13 +348,28 @@ class AttackIsometry:
         except (TypeError, ValueError) as err:
             raise AttackError(f"malformed attack-isometry/1 document: "
                               f"{err}") from err
-        return AttackIsometry(
+        for key, value in (("receiver", receiver_name), ("label", label)):
+            if not isinstance(value, str):
+                raise AttackError(f"attack-isometry/1 document: {key!r} "
+                                  f"must be a string, got {value!r}")
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2 and isinstance(p[0], str)
+                and type(p[1]) is int and p[1] in (0, 1) for p in pairs):
+            raise AttackError("attack-isometry/1 document: 'alice_labels' "
+                              "must be [basis, bit] pairs with a string "
+                              "basis and a bit 0 or 1")
+        attack = AttackIsometry(
             receiver_name=receiver_name,
-            alice_labels=alice_labels,
+            alice_labels=tuple((b, t) for b, t in pairs),
             p_basis=basis,
             coefficients=coeff,
-            label=data.get("label", ""),
+            label=label,
         )
+        if type(eve_dim) is not int or eve_dim != attack.eve_dim:
+            raise AttackError(f"attack-isometry/1 document: 'eve_dim' is "
+                              f"{eve_dim!r} but the coefficient table is "
+                              f"{attack.eve_dim} wide")
+        return attack
 
 
 def _aligned_coefficients(attack: AttackIsometry,
@@ -741,6 +751,19 @@ def verify_oblivious(attack: AttackIsometry,
     )
 
 
+def _probe_amplitudes(system: ConstraintSystem, v: np.ndarray,
+                      alice_label: Tuple[str, int], setting_name: str,
+                      outcome_ids: Iterable[str]
+                      ) -> Iterator[Tuple[str, int, np.ndarray]]:
+    """(outcome id, m, probe amplitude) for each state m spanning each of
+    ``outcome_ids`` when Alice sends ``alice_label`` through the aligned
+    probe table ``v``."""
+    a0, a1 = system.alpha[alice_label]
+    for oid in outcome_ids:
+        for m, b in enumerate(system.beta[setting_name][oid]):
+            yield oid, m, a0 * (b @ v[0]) + a1 * (b @ v[1])
+
+
 def attacked_outcome_distribution(attack: AttackIsometry,
                                   receiver: rc.ReceiverModel,
                                   setting_name: str,
@@ -750,16 +773,13 @@ def attacked_outcome_distribution(attack: AttackIsometry,
     """Born probabilities of every outcome when the strategy is in line."""
     system = _resolve_system(receiver, system)
     v = _aligned_coefficients(attack, system)
-    a0, a1 = system.alpha[alice_label]
-    probs: Dict[str, float] = {}
+    outcome_ids = system.beta[setting_name]
+    probs = dict.fromkeys(outcome_ids, 0.0)
+    for oid, _, w in _probe_amplitudes(system, v, alice_label, setting_name,
+                                       outcome_ids):
+        probs[oid] += float(np.sum(np.abs(w) ** 2))
     total = 0.0
-    for oid in system.outcome_order[setting_name]:
-        p = 0.0
-        for m in range(system.outcome_multiplicity[(setting_name, oid)]):
-            b = system.beta[(setting_name, oid, m)]
-            w = a0 * (b @ v[0]) + a1 * (b @ v[1])
-            p += float(np.sum(np.abs(w) ** 2))
-        probs[oid] = p
+    for p in probs.values():
         total += p
     residual = 1.0 - total
     if residual > 1e-12:
@@ -825,16 +845,12 @@ def eve_conditional_states(attack: AttackIsometry,
                      Tuple[EveComponent, ...]] = {}
     for lab in system.alice_labels:
         basis = lab[0]
-        a0, a1 = system.alpha[lab]
-        sets = system.interpretations[basis]
-        for sifted_bit, ids in ((0, sets.j0), (1, sets.j1)):
-            comps = []
-            for oid in sorted(ids):
-                for m in range(system.outcome_multiplicity[(basis, oid)]):
-                    b = system.beta[(basis, oid, m)]
-                    w = a0 * (b @ v[0]) + a1 * (b @ v[1])
-                    comps.append(EveComponent(oid, m, w))
-            components[(lab, sifted_bit)] = tuple(comps)
+        tags = system.interpretation[basis]
+        for sifted_bit, tag in ((0, rc.BIT0), (1, rc.BIT1)):
+            components[(lab, sifted_bit)] = tuple(
+                EveComponent(*c) for c in _probe_amplitudes(
+                    system, v, lab, basis,
+                    sorted(oid for oid, t in tags.items() if t == tag)))
     return EveConditionalStates(
         receiver_name=system.receiver_name,
         eve_dim=attack.eve_dim,

@@ -362,15 +362,25 @@ def _load_attack(spec: str, receiver: rc.ReceiverModel) -> atk.AttackIsometry:
                    {"attack": spec})
 
 
+def _constraint_system(receiver: rc.ReceiverModel) -> atk.ConstraintSystem:
+    """The receiver's zero-error conditions; a receiver they cannot be
+    built for (its source leaves the reachable space) is invalid."""
+    from . import attacks as atk
+    try:
+        return atk.build_constraint_system(receiver)
+    except atk.AttackError as err:
+        raise CliError(EXIT_CONFIG, "invalid-receiver", str(err),
+                       {"receiver": receiver.name})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_reverse_space(opts: dict) -> int:
     """span the receiver's interpretation acts on"""
-    from . import attacks as atk
     receiver = _load_receiver(opts, "reverse-space")
-    system = atk.build_constraint_system(receiver)
+    system = _constraint_system(receiver)
     artifact = {
         "schema": "reverse-space/1",
         "rng_seed": opts["seed"],
@@ -389,7 +399,7 @@ def _cmd_synth(opts: dict) -> int:
     """solve for undetectable attacks"""
     from . import attacks as atk
     receiver = _load_receiver(opts, "synth")
-    system = atk.build_constraint_system(receiver)
+    system = _constraint_system(receiver)
     try:
         family = atk.synthesize_attacks(system, opts["eve_dim"])
     except atk.InfeasibleAttackError as err:
@@ -426,8 +436,13 @@ def _cmd_verify(opts: dict) -> int:
     """audit a stored attack strategy"""
     from . import attacks as atk
     receiver = _load_receiver(opts, "verify")
+    system = _constraint_system(receiver)
     attack = _load_attack(_require(opts, "attack", "verify"), receiver)
-    report = atk.verify_oblivious(attack, receiver=receiver)
+    try:
+        report = atk.verify_oblivious(attack, system=system)
+    except atk.AttackError as err:
+        raise CliError(EXIT_CONFIG, "invalid-attack", str(err),
+                       {"attack": opts["attack"], "receiver": receiver.name})
     failing = [
         {"alice_basis": row.alice_label[0], "alice_bit": row.alice_label[1],
          "setting": row.setting, "outcome": row.outcome_id,

@@ -72,7 +72,7 @@ LOSSY = "lossy"
 CHANNEL_KINDS = (IDENTITY, ATTACK, PNS, LOSSY)
 
 # interpretation classes as stored in round logs, indexed by internal code
-_CLASSES = ("bit0", "bit1", "loss", "invalid")
+_CLASSES = (rc.BIT0, rc.BIT1, rc.LOSS, rc.INVALID)
 _CLASS_CODE = {name: code for code, name in enumerate(_CLASSES)}
 
 
@@ -425,16 +425,12 @@ def _interpretation_codes(receiver: rc.ReceiverModel,
     Loss, foreign-basis fold-ins, the unregistered remainder and the
     padding all read as loss.
     """
-    codes = np.full((len(ids), width), _CLASS_CODE["loss"], dtype=np.int64)
+    loss = _CLASS_CODE[rc.LOSS]
+    codes = np.full((len(ids), width), loss, dtype=np.int64)
     for si, (s, outcome_ids) in enumerate(ids.items()):
-        sets = receiver.settings[s].interpretation_sets()
-        for oi, oid in enumerate(outcome_ids):
-            if oid in sets.j0:
-                codes[si, oi] = 0
-            elif oid in sets.j1:
-                codes[si, oi] = 1
-            elif oid in sets.j_invalid:
-                codes[si, oi] = 3
+        tags = receiver.settings[s].interpretation
+        codes[si, :len(outcome_ids)] = [
+            _CLASS_CODE.get(tags.get(oid), loss) for oid in outcome_ids]
     return codes
 
 

@@ -35,7 +35,7 @@ from .fockspace import (
 )
 from .output import COMPUTATIONAL, HADAMARD, Y_BASIS
 
-# Outcome interpretations.
+# Outcome interpretation tags.
 BIT0 = "bit0"
 BIT1 = "bit1"
 INVALID = "invalid"
@@ -48,30 +48,6 @@ INTERPRETATION_TAGS = (BIT0, BIT1, INVALID, LOSS, FOREIGN)
 
 NO_CLICK = "no-click"
 UNREGISTERED = "unregistered"
-
-@dataclass(frozen=True)
-class InterpretationSets:
-    """The four-way outcome partition of one measurement setting.
-
-    The sets are pairwise disjoint and jointly cover every outcome id.
-    Passive receivers file outcomes registered to the other basis under
-    ``j_loss`` here (the round is discarded at sifting either way).
-    """
-
-    j0: frozenset
-    j1: frozenset
-    j_loss: frozenset
-    j_invalid: frozenset
-
-    def __post_init__(self):
-        sets = [self.j0, self.j1, self.j_loss, self.j_invalid]
-        total = sum(len(s) for s in sets)
-        union = frozenset().union(*sets)
-        if total != len(union):
-            raise ValueError("interpretation sets overlap")
-
-    def all_ids(self) -> frozenset:
-        return self.j0 | self.j1 | self.j_loss | self.j_invalid
 
 
 @dataclass
@@ -99,8 +75,8 @@ class Setting:
                                  f"not an optical element")
         mismatch = set(self.outcomes) ^ set(self.interpretation)
         if mismatch:
-            raise ValueError(
-                f"outcomes and interpretations disagree on {sorted(mismatch)}")
+            raise ValueError(f"outcomes and interpretation tags disagree on "
+                             f"{sorted(mismatch)}")
         unknown = sorted(set(self.interpretation.values())
                          - set(INTERPRETATION_TAGS))
         if unknown:
@@ -113,15 +89,6 @@ class Setting:
 
     def bit_outcomes(self, bit: int) -> List[str]:
         return self.outcomes_tagged(BIT0 if bit == 0 else BIT1)
-
-    def interpretation_sets(self) -> InterpretationSets:
-        return InterpretationSets(
-            j0=frozenset(self.outcomes_tagged(BIT0)),
-            j1=frozenset(self.outcomes_tagged(BIT1)),
-            j_loss=frozenset(self.outcomes_tagged(LOSS)
-                             + self.outcomes_tagged(FOREIGN)),
-            j_invalid=frozenset(self.outcomes_tagged(INVALID)),
-        )
 
 
 # Logical qubit coefficients of the BB84 states: (basis, bit) -> (a0, a1).
@@ -140,7 +107,6 @@ LOGICAL_COEFFICIENTS: Dict[Tuple[str, int], Tuple[complex, complex]] = {
 class AliceSourceModel:
     """The nominal transmitter: one pure channel state per (basis, bit)."""
 
-    registry: ModeRegistry
     bases: Tuple[str, ...]
     states: Dict[Tuple[str, int], PhotonicState]
 
@@ -300,7 +266,7 @@ def _logical_source(channel_reg: ModeRegistry, zero: Mode, one: Mode,
         for bit in (0, 1):
             a0, a1 = LOGICAL_COEFFICIENTS[(basis, bit)]
             states[(basis, bit)] = z0.scaled(a0) + z1.scaled(a1)
-    return AliceSourceModel(channel_reg, bases, states)
+    return AliceSourceModel(bases, states)
 
 
 # ---------------------------------------------------------------------------
@@ -478,7 +444,7 @@ def _blinded_bright(bright_photons: int = 20,
     # states worth modelling as inputs are the classical pulses themselves.
     channel_reg = ModeRegistry(channel, bright_photons)
     bases = (COMPUTATIONAL, HADAMARD)
-    source = AliceSourceModel(channel_reg, bases, {
+    source = AliceSourceModel(bases, {
         (basis, bit): fs.embedded(ortho[2 * i + bit], channel_reg)
         for i, basis in enumerate(bases) for bit in (0, 1)})
     return ReceiverModel("blinded-bright", reg, channel, settings, source)
@@ -668,6 +634,10 @@ def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
         "max_photons", cfg.get("max_photons", fs.DEFAULT_MAX_PHOTONS)))
     channel = tuple(Mode.parse(m)
                     for m in _strings(cfg, "channel_modes", where))
+    stray = [str(m) for m in channel if m not in modes]
+    if stray:
+        raise ValueError(f"{where}: 'channel_modes' names {stray}, which "
+                         f"'modes' does not hold")
     settings = {name: _custom_setting_from_config(name, scfg, reg)
                 for name, scfg in _entry(cfg, "settings", dict, where,
                                          nonempty=True).items()}
@@ -684,12 +654,20 @@ def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
                     pair, f"source {label!r}: amplitude of {text!r}")
                 for text, pair in comps.items()}
         source_states[(basis, bit)] = PhotonicState(channel_reg, amps)
+        for sname, setting in settings.items():
+            (lmap,) = setting.optics
+            stray = [text for text in comps
+                     if parse_occ(text) not in lmap.input_basis]
+            if stray:
+                raise ValueError(
+                    f"source {label!r} holds {stray}, which the "
+                    f"'input_basis' of setting {sname!r} does not hold")
     missing = [f"{basis}/{bit}" for basis in bases for bit in (0, 1)
                if (basis, bit) not in source_states]
     if missing:
         raise ValueError(f"source: every basis needs both bits; the labels "
                          f"{missing} are missing")
-    source = AliceSourceModel(channel_reg, tuple(bases), source_states)
+    source = AliceSourceModel(tuple(bases), source_states)
     return ReceiverModel(name, reg, channel, settings, source)
 
 

@@ -148,7 +148,7 @@ def test_source_outside_reachable_space_is_rejected():
     lone = {lab: PhotonicState.photon(reg, fs.pol_h())
             for lab in receiver.source.labels()}
     bad = dataclasses.replace(
-        receiver, source=rc.AliceSourceModel(reg, receiver.source.bases, lone))
+        receiver, source=rc.AliceSourceModel(receiver.source.bases, lone))
     with pytest.raises(atk.AttackError, match="lost norm"):
         atk.build_constraint_system(bad)
 

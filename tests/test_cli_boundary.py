@@ -312,6 +312,45 @@ def test_attack_file_with_non_integer_photon_numbers_exits_2(
     assert named in payload["message"]
 
 
+def _edit_bit(doc, value):
+    doc["alice_labels"][1][1] = value
+
+
+def _edit_key(key):
+    return lambda doc, value: doc.__setitem__(key, value)
+
+
+@pytest.mark.parametrize("edit,value,named", [
+    (_edit_bit, 1.5, "'alice_labels'"),
+    (_edit_bit, True, "'alice_labels'"),
+    (_edit_bit, 3, "'alice_labels'"),
+    (_edit_key("eve_dim"), 9, "'eve_dim'"),
+    (_edit_key("receiver"), 5, "'receiver'"),
+    (_edit_key("label"), 5, "'label'"),
+], ids=["bit-1.5", "bit-true", "bit-3", "eve-dim-9", "receiver-5", "label-5"])
+def test_attack_file_with_a_wrong_typed_field_exits_2(tmp_path, edit, value,
+                                                      named):
+    # the unedited file is a valid (detectable) attack, so without the
+    # type checks each of these would end in a verdict
+    doc = json.loads((REPO_ROOT / "docs" / "examples"
+                      / "cnot-ideal-attack.json").read_text())
+    edit(doc, value)
+    path = write_config(tmp_path / "attack.json", doc)
+    payload = assert_one_error_line(
+        *run_cli(["verify", "--receiver", "ideal-bb84", "--attack", path]))
+    assert payload["code"] == "invalid-attack"
+    assert named in payload["message"]
+
+
+def test_attack_file_for_another_receiver_exits_2():
+    path = REPO_ROOT / "docs" / "examples" / "cnot-ideal-attack.json"
+    payload = assert_one_error_line(
+        *run_cli(["verify", "--receiver", "interferometric-6mode",
+                  "--attack", path]))
+    assert payload["code"] == "invalid-attack"
+    assert "reachable space" in payload["message"]
+
+
 @pytest.mark.parametrize("slot", [1.9, True])
 def test_replay_of_a_non_integer_time_slot_exits_2(tmp_path, slot):
     report = tmp_path / "fuzz.json"
@@ -411,6 +450,56 @@ def test_receiver_with_a_malformed_source_label_exits_2(tmp_path, subcommand,
     assert payload["code"] == "invalid-receiver"
     bad = labels[1] if labels[0] == "computational/0" else labels[0]
     assert repr(bad) in payload["message"]
+
+
+def _run_on_receiver(subcommand, path):
+    argv = [subcommand, "--receiver", path]
+    if subcommand == "verify":
+        argv += ["--attack",
+                 REPO_ROOT / "docs" / "examples" / "cnot-ideal-attack.json"]
+    return run_cli(argv)
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["reverse-space", "synth", "verify", "simulate"])
+def test_receiver_source_outside_an_input_basis_exits_2(tmp_path,
+                                                         subcommand):
+    receiver = json.loads(json.dumps(_CUSTOM))
+    receiver["max_photons"] = 2
+    receiver["source"]["computational/1"] = {"polarization-V:0x2": [1, 0]}
+    path = write_config(tmp_path / "receiver.json", receiver)
+    payload = assert_one_error_line(*_run_on_receiver(subcommand, path))
+    assert payload["code"] == "invalid-receiver"
+    for named in ("'computational/1'", "'computational'",
+                  "polarization-V:0x2"):
+        assert named in payload["message"]
+
+
+@pytest.mark.parametrize("subcommand",
+                         ["reverse-space", "synth", "verify", "simulate"])
+def test_receiver_channel_mode_outside_its_modes_exits_2(tmp_path,
+                                                         subcommand):
+    receiver = dict(_CUSTOM, channel_modes=["polarization-H:0", "custom:5"])
+    path = write_config(tmp_path / "receiver.json", receiver)
+    payload = assert_one_error_line(*_run_on_receiver(subcommand, path))
+    assert payload["code"] == "invalid-receiver"
+    assert "'channel_modes'" in payload["message"]
+    assert "custom:5" in payload["message"]
+
+
+@pytest.mark.parametrize("subcommand", ["reverse-space", "synth", "verify"])
+def test_receiver_source_outside_its_reversed_space_exits_2(tmp_path,
+                                                            subcommand):
+    # nothing the receiver registers reaches V, so no zero-error
+    # strategy can reproduce the computational/1 state
+    receiver = json.loads(json.dumps(_CUSTOM))
+    setting = receiver["settings"]["computational"]
+    setting["outcomes"] = {"D0": ["polarization-H:0"]}
+    setting["interpretation"] = {"D0": "bit0"}
+    path = write_config(tmp_path / "receiver.json", receiver)
+    payload = assert_one_error_line(*_run_on_receiver(subcommand, path))
+    assert payload["code"] == "invalid-receiver"
+    assert "reachable space" in payload["message"]
 
 
 def test_replay_from_a_keyless_fuzz_report_exits_2(tmp_path):

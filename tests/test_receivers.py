@@ -178,8 +178,7 @@ def test_interpretation_sets_partition_every_setting():
     for kind, variant, _ in ALL_RECEIVERS:
         receiver = rc.make_receiver(kind, variant)
         for setting in receiver.settings.values():
-            sets = setting.interpretation_sets()
-            assert sets.all_ids() == set(setting.outcomes)
+            assert set(setting.interpretation) == set(setting.outcomes)
 
 
 def test_source_span_lies_inside_reversed_space():
@@ -636,6 +635,65 @@ def test_receiver_artifacts_keep_their_pinned_bytes(kind, variant, cap):
         digest(system.matrix.tobytes()),
         digest(json.dumps(canonical, sort_keys=True).encode()),
     ) == PINNED_DIGESTS[(kind, variant, cap)]
+
+
+# SHA-256 of what the canonical attack does to each receiver: its outcome
+# distribution for every (setting, Alice label), in outcome order, and its
+# probe components for every (Alice label, sifted bit), each as the outcome
+# id, the index of the spanning state and the probe vector bytes.
+PINNED_ANALYSIS_DIGESTS = {
+    ("interferometric-6mode", None): (
+        "836e11e2a181e1994950aec02442300e406a84822eeabeee5361f27b7c13f64c",
+        "90cce97ca3cd9275b0058e7372aa83a6a695e0e4a2c68556400a9948f1fea1a7"),
+    ("interferometric-defended-10mode", None): (
+        "9fbeb0bb3775a58878c0c7c57604f0db04e8e9ce92990f651c2ea69d6366a62e",
+        "42a6218a516f980fb69ebf5c0ff80f0f1953eea77ac98568ac1701f88f03ec0c"),
+    ("interferometric-2mode", None): (
+        "1e15c23cdcfae9de56ae4f3157f2bd6834be264a4824dff8918eb114f7aae904",
+        "8f4b57e19e7e3e5322b428f529f884c56a1571426f764566aea2fce934c7c1ba"),
+    ("interferometric-2mode", "single-window"): (
+        "b95226c26b7dbe3c480dea2ded7ee80dc6aaa0f57d843bde1f6ed8ae731f8f7d",
+        "74b6873a85f3da766470c9043b2d94db15d7e5eb51a1638a356aa5a256c659b1"),
+    ("polarization-threshold", None): (
+        "10ed872d429880351cdcff0d8775e05548c4ec382d8a6c227233af8615e6babb",
+        "8f45017d265fd24f567280b583ebae9ef60ec91069215a989bde79b9dcb155a1"),
+    ("blinded-bright", None): (
+        "6225aea0cdf473093ab120f4e0b183419fe41128ea5006e5de10809d46eb9e8a",
+        "c4cd53b384c1bd79f31b2d289a39ce3cf1ed30e979044e6b05524e67bf4a281e"),
+    ("ideal-bb84", None): (
+        "d32a0d820278031705230fdd1438d034430a55a395443e0fd376a1e33a6c92c4",
+        "855d7d9da39dfcff9c85c6f41d36ef5fcbfcb3faca8c3a5177392cdcb5feb502"),
+}
+
+
+def _analysis_digests(receiver):
+    import hashlib
+    import json
+
+    from qkdlab import attacks as atk
+
+    system = atk.build_constraint_system(receiver)
+    attack = atk.synthesize_attacks(system).canonical
+    distributions = [
+        [setting, list(label), list(atk.attacked_outcome_distribution(
+            attack, receiver, setting, label, system).items())]
+        for setting in receiver.settings for label in system.alice_labels]
+    components = hashlib.sha256()
+    conditional = atk.eve_conditional_states(attack, system=system)
+    for (label, bit), comps in conditional.components.items():
+        for c in comps:
+            components.update(json.dumps(
+                [list(label), bit, c.outcome_id, c.support_index]).encode())
+            components.update(c.vector.tobytes())
+    return (hashlib.sha256(json.dumps(distributions).encode()).hexdigest(),
+            components.hexdigest())
+
+
+@pytest.mark.parametrize("kind,variant", list(PINNED_ANALYSIS_DIGESTS))
+def test_canonical_attack_analyses_keep_their_pinned_bytes(kind, variant):
+    receiver = rc.make_receiver(kind, variant)
+    assert (_analysis_digests(receiver)
+            == PINNED_ANALYSIS_DIGESTS[(kind, variant)])
 
 
 # ---------------------------------------------------------------------------

@@ -71,11 +71,11 @@ def reference_tables(alice, channel, receiver, system):
                              for oid in set(probs) | set(vac)}
             vec = np.array([max(probs.get(oid, 0.0), 0.0) for oid in ids[s]])
             cdf[(lab, s)] = np.cumsum(vec) / vec.sum()
+    code = {rc.BIT0: 0, rc.BIT1: 1, rc.INVALID: 3}
     codes = {}
     for s, outcome_ids in ids.items():
-        sets = receiver.settings[s].interpretation_sets()
-        codes[s] = np.array([0 if oid in sets.j0 else 1 if oid in sets.j1
-                             else 3 if oid in sets.j_invalid else 2
+        tags = receiver.settings[s].interpretation
+        codes[s] = np.array([code.get(tags.get(oid), 2)
                              for oid in outcome_ids], dtype=np.int64)
     return ids, cdf, codes
 
