@@ -45,8 +45,9 @@ for basis in (rc.COMPUTATIONAL, rc.HADAMARD):
 # A plain copy attack, for contrast, is *not* oblivious on an ideal
 # receiver: the verifier pinpoints the leaking outcome rows.
 ideal = rc.make_receiver("ideal-bb84")
-copy = atk.cnot_attack(ideal)
-failing = atk.verify_oblivious(copy, receiver=ideal)
+ideal_system = atk.build_constraint_system(ideal)
+copy = atk.cnot_attack(ideal, ideal_system)
+failing = atk.verify_oblivious(copy, ideal_system)
 print(f"\ncopy attack on the ideal receiver: oblivious={failing.oblivious}")
 for row, residual in failing.failing_rows(1e-9):
     print(f"  leak: alice={row.alice_label} setting={row.setting} "

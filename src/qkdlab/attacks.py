@@ -30,6 +30,7 @@ from .fockspace import PhotonicState
 NULL_TOL = 1e-9        # singular values below this count as zero
 MEMBER_TOL = 1e-10     # projection residual for family membership
 GRAM_TOL = 1e-9        # allowed deviation of the probe Gram matrix from identity
+_ALIGN_TOL = 1e-9      # norm an attack's basis may lose in the system's basis
 WEIGHT_TOL = 1e-12
 
 
@@ -154,8 +155,7 @@ class ConstraintSystem:
 
 
 def build_constraint_system(receiver: rc.ReceiverModel,
-                            include_invalid: bool = True,
-                            rank_tol: float = fs.ATOL) -> ConstraintSystem:
+                            include_invalid: bool = True) -> ConstraintSystem:
     """Assemble the zero-error conditions for a receiver.
 
     Matched-basis rounds contribute the wrong-bit outcomes; every round
@@ -164,7 +164,7 @@ def build_constraint_system(receiver: rc.ReceiverModel,
     source state does not embed in the reachable space, reporting the lost
     norm.
     """
-    basis = rc.reversed_space(receiver, rank_tol)
+    basis = rc.reversed_space(receiver)
     n_k = len(basis)
     channel_reg = receiver.channel_registry()
     vacuum_index = None
@@ -229,13 +229,12 @@ def build_constraint_system(receiver: rc.ReceiverModel,
 
 
 def _resolve_system(receiver: Optional[rc.ReceiverModel],
-                    system: Optional[ConstraintSystem],
-                    include_invalid: bool = True) -> ConstraintSystem:
+                    system: Optional[ConstraintSystem]) -> ConstraintSystem:
     """The prebuilt ``system``, else the one built from ``receiver``."""
     if system is None:
         if receiver is None:
             raise AttackError("pass a receiver or a prebuilt system")
-        system = build_constraint_system(receiver, include_invalid)
+        system = build_constraint_system(receiver)
     return system
 
 
@@ -373,8 +372,7 @@ class AttackIsometry:
 
 
 def _aligned_coefficients(attack: AttackIsometry,
-                          system: ConstraintSystem,
-                          tol: float = 1e-9) -> np.ndarray:
+                          system: ConstraintSystem) -> np.ndarray:
     """Re-express an attack's probe table over the system's basis."""
     sys_basis, att_basis = system.p_basis, attack.p_basis
     reg_s = sys_basis[0].registry
@@ -391,7 +389,7 @@ def _aligned_coefficients(attack: AttackIsometry,
          for bs in sys_basis])
     col_norms = np.sum(np.abs(overlap) ** 2, axis=0)
     worst = float(np.max(np.abs(col_norms - 1.0))) if col_norms.size else 0.0
-    if worst > tol:
+    if worst > _ALIGN_TOL:
         raise AttackError(
             f"attack basis is not contained in the receiver's reachable "
             f"space (worst lost norm {worst:.3e})")
@@ -534,9 +532,8 @@ class AttackFamily:
             return 0.0
         return float(np.max(np.linalg.norm(resid, axis=0)))
 
-    def contains(self, attack: AttackIsometry,
-                 tol: float = MEMBER_TOL) -> bool:
-        return self.projection_residual(attack) < tol
+    def contains(self, attack: AttackIsometry) -> bool:
+        return self.projection_residual(attack) < MEMBER_TOL
 
     def member_from_coefficients(self, coefficients: np.ndarray,
                                  label: str = "member") -> AttackIsometry:
@@ -728,12 +725,9 @@ class ObliviousnessReport:
 
 
 def verify_oblivious(attack: AttackIsometry,
-                     receiver: Optional[rc.ReceiverModel] = None,
-                     system: Optional[ConstraintSystem] = None,
-                     include_invalid: bool = True,
-                     tol: float = NULL_TOL) -> ObliviousnessReport:
-    """Check every betraying amplitude and the probe Gram matrix."""
-    system = _resolve_system(receiver, system, include_invalid)
+                     system: ConstraintSystem) -> ObliviousnessReport:
+    """Check every betraying amplitude of ``system`` (as built by
+    :func:`build_constraint_system`) and the probe Gram matrix."""
     v = _aligned_coefficients(attack, system)
     flat = v.reshape(2 * system.n_basis, attack.eve_dim)
     residual_vectors = system.matrix @ flat
@@ -744,7 +738,7 @@ def verify_oblivious(attack: AttackIsometry,
     logical_gram = np.einsum("ike,jke->ij", v.conj(), v)
     iso = float(np.max(np.abs(logical_gram - np.eye(2))))
     return ObliviousnessReport(
-        oblivious=bool(max_amp < tol and iso < tol),
+        oblivious=bool(max_amp < NULL_TOL and iso < NULL_TOL),
         max_error_amplitude=float(max_amp),
         per_row_residuals=per_row,
         isometry_residual=iso,
@@ -765,13 +759,12 @@ def _probe_amplitudes(system: ConstraintSystem, v: np.ndarray,
 
 
 def attacked_outcome_distribution(attack: AttackIsometry,
-                                  receiver: rc.ReceiverModel,
+                                  system: ConstraintSystem,
                                   setting_name: str,
-                                  alice_label: Tuple[str, int],
-                                  system: Optional[ConstraintSystem] = None
+                                  alice_label: Tuple[str, int]
                                   ) -> Dict[str, float]:
-    """Born probabilities of every outcome when the strategy is in line."""
-    system = _resolve_system(receiver, system)
+    """Born probabilities of every outcome of ``system``'s receiver when
+    the strategy is in line."""
     v = _aligned_coefficients(attack, system)
     outcome_ids = system.beta[setting_name]
     probs = dict.fromkeys(outcome_ids, 0.0)
@@ -835,11 +828,9 @@ class EveConditionalStates:
 
 
 def eve_conditional_states(attack: AttackIsometry,
-                           receiver: Optional[rc.ReceiverModel] = None,
-                           system: Optional[ConstraintSystem] = None
-                           ) -> EveConditionalStates:
-    """Probe amplitudes for every matched-basis detection class."""
-    system = _resolve_system(receiver, system)
+                           system: ConstraintSystem) -> EveConditionalStates:
+    """Probe amplitudes for every matched-basis detection class of
+    ``system``'s receiver."""
     v = _aligned_coefficients(attack, system)
     components: Dict[Tuple[Tuple[str, int], int],
                      Tuple[EveComponent, ...]] = {}

@@ -53,7 +53,6 @@ _NAMED_ATTACKS = {
     "cnot": "cnot_attack",
     "faked-states": "faked_states_attack",
     "full-information": "full_information_attack",
-    "bright-pulse": "bright_pulse_attack",
 }
 
 _BASIS_SHORT = {COMPUTATIONAL: "comp", HADAMARD: "had", Y_BASIS: "y"}
@@ -339,11 +338,14 @@ def _load_receiver(opts: dict, subcommand: str) -> rc.ReceiverModel:
                        {"receiver": spec})
 
 
-def _load_attack(spec: str, receiver: rc.ReceiverModel) -> atk.AttackIsometry:
+def _load_attack(spec: str, receiver: rc.ReceiverModel,
+                 system: Optional[atk.ConstraintSystem] = None
+                 ) -> atk.AttackIsometry:
+    """A named attack, built on ``system`` when given, or an attack file."""
     from . import attacks as atk
     if spec in _NAMED_ATTACKS:
         try:
-            return getattr(atk, _NAMED_ATTACKS[spec])(receiver)
+            return getattr(atk, _NAMED_ATTACKS[spec])(receiver, system=system)
         except atk.AttackError as err:
             raise CliError(EXIT_CONFIG, "invalid-attack",
                            f"cannot build attack {spec!r} against "
@@ -437,7 +439,8 @@ def _cmd_verify(opts: dict) -> int:
     from . import attacks as atk
     receiver = _load_receiver(opts, "verify")
     system = _constraint_system(receiver)
-    attack = _load_attack(_require(opts, "attack", "verify"), receiver)
+    attack = _load_attack(_require(opts, "attack", "verify"), receiver,
+                          system)
     try:
         report = atk.verify_oblivious(attack, system=system)
     except atk.AttackError as err:

@@ -819,14 +819,14 @@ def embedded(state: PhotonicState, reg: ModeRegistry) -> PhotonicState:
     return PhotonicState(reg, dict(state.amplitudes))
 
 
-def gram_schmidt(states: Sequence[PhotonicState], drop_tol: float = ATOL) -> List[PhotonicState]:
-    """Orthonormalize, dropping vectors whose residual norm is below drop_tol."""
+def gram_schmidt(states: Sequence[PhotonicState]) -> List[PhotonicState]:
+    """Orthonormalize, dropping vectors whose residual norm is below ATOL."""
     basis: List[PhotonicState] = []
     for state in states:
         residual = state
         for b in basis:
             residual = residual - b.scaled(inner_product(b, residual))
-        if residual.norm() > drop_tol:
+        if residual.norm() > ATOL:
             basis.append(residual.normalized())
     return basis
 

@@ -363,7 +363,7 @@ def _outcome_tables(alice: rc.AliceSourceModel, channel: ChannelModel,
         for li, lab in enumerate(labels):
             if channel.kind == ATTACK:
                 probs = atk.attacked_outcome_distribution(
-                    channel.attack, receiver, s, lab, system)
+                    channel.attack, system, s, lab)
             else:
                 probs = rc.outcome_probabilities(
                     receiver, s, alice.states[lab])
@@ -589,7 +589,7 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
             raise ProtocolError(
                 f"attack channels use the receiver's paired source; labels "
                 f"{sorted(missing)} have no logical embedding")
-        conditional = atk.eve_conditional_states(channel.attack, system=system)
+        conditional = atk.eve_conditional_states(channel.attack, system)
         guess_p0 = _guess_probabilities(conditional, alice.bases)
 
     ids, cdf, guide = _outcome_tables(alice, channel, receiver, system)

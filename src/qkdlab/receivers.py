@@ -204,8 +204,7 @@ def _occ_matrix(vectors: Sequence[PhotonicState]):
     return occs, mat
 
 
-def reversed_space(receiver: ReceiverModel,
-                   rank_tol: float = fs.ATOL) -> List[PhotonicState]:
+def reversed_space(receiver: ReceiverModel) -> List[PhotonicState]:
     """Orthonormal basis of the channel-mode span of all reversed outcomes.
 
     Every registered outcome state of every setting is pulled back through
@@ -225,12 +224,12 @@ def reversed_space(receiver: ReceiverModel,
                 for supp in fs.support_after_trace(back, lambda m: m in keep):
                     raw.append(fs.embedded(supp, channel_reg))
     occs, mat = _occ_matrix(raw)
-    rank = int(np.sum(np.linalg.svd(mat, compute_uv=False) > rank_tol))
+    rank = int(np.sum(np.linalg.svd(mat, compute_uv=False) > fs.ATOL))
     if rank == len(occs):
         return [PhotonicState.basis(channel_reg, o) for o in occs]
     ordered = ([v for v in raw if set(v.amplitudes) == {VACUUM}]
                + [v for v in raw if set(v.amplitudes) != {VACUUM}])
-    return fs.gram_schmidt(ordered, drop_tol=rank_tol)
+    return fs.gram_schmidt(ordered)
 
 
 # ---------------------------------------------------------------------------

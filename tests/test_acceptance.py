@@ -339,8 +339,9 @@ def test_fuzz_campaign_rediscovers_the_blinded_receiver():
 @criterion(8, "copy attack is detected and raises the diagonal-basis error rate")
 def test_copy_attack_is_detected_and_raises_hadamard_qber():
     receiver = rc.make_receiver("ideal-bb84")
-    attack = atk.cnot_attack(receiver)
-    report = atk.verify_oblivious(attack, receiver=receiver)
+    system = atk.build_constraint_system(receiver)
+    attack = atk.cnot_attack(receiver, system)
+    report = atk.verify_oblivious(attack, system)
     assert not report.oblivious
     assert report.max_error_amplitude > 1e-9
 

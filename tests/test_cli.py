@@ -140,7 +140,8 @@ def test_synth_artifact_is_deterministic_and_verifiable(tmp_path):
     assert artifact["only_trivial"] is False
     attack = atk.AttackIsometry.from_json_dict(artifact["canonical"])
     receiver = rc.make_receiver("interferometric-6mode")
-    assert atk.verify_oblivious(attack, receiver=receiver).oblivious
+    assert atk.verify_oblivious(
+        attack, atk.build_constraint_system(receiver)).oblivious
 
 
 def test_synth_defended_reports_only_trivial(tmp_path):
@@ -217,6 +218,28 @@ def test_verify_accepts_named_attacks():
                                "--attack", "faked-states"])
     assert code == cli.EXIT_OK
     assert "attack=faked-states-early-late" in stdout
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--receiver", "interferometric-6mode",
+     "--attack", "faked-states"],
+    ["verify", "--receiver", "ideal-bb84", "--attack", CNOT_FILE],
+    ["synth", "--receiver", "interferometric-6mode"],
+    ["reverse-space", "--receiver", "interferometric-6mode"],
+], ids=["verify-named", "verify-file", "synth", "reverse-space"])
+def test_each_run_builds_the_constraint_system_once(tmp_path, monkeypatch,
+                                                    argv):
+    built = []
+    build = atk.build_constraint_system
+
+    def counting_build(*args, **kwargs):
+        built.append(args[0].name)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(atk, "build_constraint_system", counting_build)
+    code, _, stderr = run_cli(argv + ["--out", tmp_path / "out.json"])
+    assert code in (cli.EXIT_OK, cli.EXIT_VERIFICATION), stderr
+    assert len(built) == 1, built
 
 
 def test_simulate_report_row_format(tmp_path):

@@ -267,6 +267,18 @@ def test_two_mode_is_not_a_named_attack(subcommand):
     assert payload["code"] == "invalid-attack"
 
 
+@pytest.mark.parametrize("receiver", ["blinded-bright", "ideal-bb84"])
+def test_bright_pulse_is_not_a_named_attack(receiver):
+    # the construction needs a pointer amplitude that no option carries
+    payload = assert_one_error_line(
+        *run_cli(["verify", "--receiver", receiver,
+                  "--attack", "bright-pulse"]))
+    assert payload["code"] == "invalid-attack"
+    assert payload["message"] == (
+        f"unknown attack 'bright-pulse'; use one of "
+        f"{sorted(cli._NAMED_ATTACKS)} or a JSON file")
+
+
 def test_attack_file_without_keys_exits_2(tmp_path):
     path = write_config(tmp_path / "keyless.json",
                         {"format": "attack-isometry/1"})

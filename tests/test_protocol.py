@@ -291,6 +291,17 @@ def test_attack_channel_requires_compatible_receiver(six, ideal):
         pt.run_bb84(None, channel, six, rounds=10, seed=0)
 
 
+def test_attack_channel_rejects_source_labels_the_system_lacks(six):
+    # the single-window source also sends y-basis states, which the
+    # six-mode receiver's paired source does not embed
+    source = rc.make_receiver("interferometric-2mode", "single-window").source
+    channel = pt.make_channel(pt.ATTACK, atk.faked_states_attack(six))
+    with pytest.raises(pt.ProtocolError,
+                       match=r"labels \[\('y', 0\), \('y', 1\)\] have no "
+                             r"logical embedding"):
+        pt.run_bb84(source, channel, six, rounds=10, seed=0)
+
+
 def test_passive_receiver_session(six):
     blinded = rc.make_receiver("blinded-bright")
     channel = pt.make_channel(pt.ATTACK, atk.trivial_attack(blinded))

@@ -676,7 +676,7 @@ def _analysis_digests(receiver):
     attack = atk.synthesize_attacks(system).canonical
     distributions = [
         [setting, list(label), list(atk.attacked_outcome_distribution(
-            attack, receiver, setting, label, system).items())]
+            attack, system, setting, label).items())]
         for setting in receiver.settings for label in system.alice_labels]
     components = hashlib.sha256()
     conditional = atk.eve_conditional_states(attack, system=system)

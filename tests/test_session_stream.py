@@ -59,7 +59,7 @@ def reference_tables(alice, channel, receiver, system):
         for lab in alice.labels():
             if channel.kind == pt.ATTACK:
                 probs = atk.attacked_outcome_distribution(
-                    channel.attack, receiver, s, lab, system)
+                    channel.attack, system, s, lab)
             else:
                 probs = rc.outcome_probabilities(
                     receiver, s, alice.states[lab])
