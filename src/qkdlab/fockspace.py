@@ -42,6 +42,7 @@ import numbers
 from itertools import compress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -77,24 +78,36 @@ class PhotonCapError(FockError):
     """An operation tried to exceed the registry's per-mode photon cap."""
 
 
-@dataclass(frozen=True, order=True)
-class Mode:
-    """A single optical mode, identified by (kind, index)."""
+class Mode(tuple):
+    """A single optical mode, identified by (kind, index).
 
-    kind: str
-    index: int
+    A mode is the tuple ``(kind, index)``, so it hashes, compares and sorts
+    as that tuple does, in C.  The interferometer's private arm keys are
+    plain tuples whose kinds are not in MODE_KINDS, so no mode equals one.
+    """
 
-    def __post_init__(self):
-        if self.kind not in MODE_KINDS:
-            raise FockError(f"unknown mode kind {self.kind!r}")
-        if type(self.index) is not int:
+    __slots__ = ()
+
+    def __new__(cls, kind: str, index: int) -> "Mode":
+        if kind not in MODE_KINDS:
+            raise FockError(f"unknown mode kind {kind!r}")
+        if type(index) is not int:
             # an integral index of another type is stored as an int, so
             # every mode's label parses back to the same mode
-            object.__setattr__(self, "index", _integer(
-                self.index, f"index of a {self.kind!r} mode"))
+            index = _integer(index, f"index of a {kind!r} mode")
+        return tuple.__new__(cls, (kind, index))
+
+    kind = property(itemgetter(0), doc="The mode kind, one of MODE_KINDS.")
+    index = property(itemgetter(1), doc="The integer index within the kind.")
+
+    def __getnewargs__(self):
+        return tuple(self)
+
+    def __repr__(self):
+        return f"Mode(kind={self[0]!r}, index={self[1]!r})"
 
     def __str__(self):
-        return f"{self.kind}:{self.index}"
+        return f"{self[0]}:{self[1]}"
 
     @staticmethod
     def parse(text: str) -> "Mode":
@@ -149,9 +162,21 @@ def _integer(value, what: str) -> int:
 
 
 def occ(*pairs) -> Occupation:
-    """Build an occupation from (mode, count) pairs, dropping zero counts."""
+    """Build an occupation from (mode, count) pairs, dropping zero counts.
+
+    Each mode may be named once: naming it twice would make a second key
+    for one occupation, with the mode's photons split across two entries
+    that are each checked against the cap alone.
+    """
     items = []
+    named = set()
     for m, n in pairs:
+        if not isinstance(m, Mode):
+            raise FockError(f"an occupation pairs a Mode with a count; "
+                            f"got {m!r} for the mode")
+        if m in named:
+            raise FockError(f"mode {m} is named twice in one occupation")
+        named.add(m)
         if type(n) is not int:
             n = _integer(n, f"photon count in mode {m}")
         if n < 0:
@@ -190,7 +215,8 @@ class ModeRegistry:
 
     def check_occupation(self, occupation: Occupation):
         for mode, count in occupation:
-            if mode not in self._index:
+            # a plain (kind, index) tuple equals its Mode but is not one
+            if mode not in self._index or type(mode) is not Mode:
                 raise FockError(f"mode {mode} not in registry")
             if count > self.max_photons_per_mode:
                 raise PhotonCapError(

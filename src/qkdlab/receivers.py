@@ -23,7 +23,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
 
 import numpy as np
@@ -122,8 +122,17 @@ class AliceSourceModel:
             raise ValueError(f"no logical coefficients for basis {basis!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReceiverModel:
+    """A receiver: its mode registry, channel modes, settings and source.
+
+    It is frozen because it keeps its reversed-space basis, derived from
+    its fields on first use: a receiver whose fields could be reassigned
+    would keep a basis that no longer fits them.  ``dataclasses.replace``
+    builds a new receiver, which derives its own.  Its settings are not
+    edited in place either.
+    """
+
     name: str
     registry: ModeRegistry
     channel_modes: Tuple[Mode, ...]
@@ -133,6 +142,11 @@ class ReceiverModel:
     def channel_registry(self) -> ModeRegistry:
         return ModeRegistry(self.channel_modes,
                             self.registry.max_photons_per_mode)
+
+    @cached_property
+    def _reversed_basis(self) -> Tuple[PhotonicState, ...]:
+        """The basis ``reversed_space`` returns, derived on first use."""
+        return tuple(_derive_reversed_space(self))
 
 
 def interpret(receiver: ReceiverModel, setting_name: str, outcome_id: str) -> str:
@@ -212,8 +226,13 @@ def reversed_space(receiver: ReceiverModel) -> List[PhotonicState]:
     the supports are collected.  The returned basis is deterministic:
     occupation basis states (vacuum first, then mode order) whenever the
     span is a full coordinate span, otherwise a vacuum-first Gram-Schmidt
-    of the collected supports.
+    of the collected supports.  It is computed once per receiver, on first
+    use, and kept by the receiver; each call returns a new list of it.
     """
+    return list(receiver._reversed_basis)
+
+
+def _derive_reversed_space(receiver: ReceiverModel) -> List[PhotonicState]:
     channel_reg = receiver.channel_registry()
     keep = set(channel_reg.modes)
     raw: List[PhotonicState] = []

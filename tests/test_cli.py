@@ -242,6 +242,28 @@ def test_each_run_builds_the_constraint_system_once(tmp_path, monkeypatch,
     assert len(built) == 1, built
 
 
+def test_simulate_with_a_named_attack_reverses_each_state_once(
+        tmp_path, monkeypatch):
+    # the named attack and run_bb84 each build a constraint system, but
+    # both read the one reversed space the receiver keeps: the six-mode
+    # receiver's 14 outcome states are each reversed once
+    import qkdlab.fockspace as fs
+    reversed_runs = []
+    apply_optics = fs.apply_optics
+
+    def counting(state, optics, adjoint=False):
+        if adjoint:
+            reversed_runs.append(optics)
+        return apply_optics(state, optics, adjoint)
+
+    monkeypatch.setattr(fs, "apply_optics", counting)
+    code, _, stderr = run_cli([
+        "simulate", "--receiver", "interferometric-6mode", "--attack",
+        "faked-states", "--rounds", 1000, "--out", tmp_path / "sim.json"])
+    assert code == cli.EXIT_OK, stderr
+    assert len(reversed_runs) == 14
+
+
 def test_simulate_report_row_format(tmp_path):
     out = tmp_path / "sim.json"
     log = tmp_path / "rounds.ndjson"

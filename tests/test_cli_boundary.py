@@ -426,6 +426,28 @@ def test_receiver_with_overlapping_outcome_states_exits_2(tmp_path):
     assert "'D1'" in payload["message"]
 
 
+@pytest.mark.parametrize("subcommand", ["reverse-space", "simulate"])
+def test_receiver_naming_a_mode_twice_in_one_state_exits_2(tmp_path,
+                                                            subcommand):
+    # H:0x2 and H:0+H:0 are one state; taken as two, they would be two
+    # orthogonal copies of |2_H>
+    receiver = json.loads(json.dumps(_CUSTOM))
+    receiver["max_photons"] = 2
+    setting = receiver["settings"]["computational"]
+    twice = ["polarization-H:0x2", "polarization-H:0+polarization-H:0"]
+    setting["input_basis"] += twice
+    setting["output_basis"] += twice
+    setting["matrix"] = [[[int(r == c), 0] for c in range(4)]
+                         for r in range(4)]
+    setting["outcomes"].update(D2=twice[:1], D3=twice[1:])
+    setting["interpretation"].update(D2="invalid", D3="invalid")
+    path = write_config(tmp_path / "receiver.json", receiver)
+    payload = assert_one_error_line(
+        *run_cli([subcommand, "--receiver", path]))
+    assert payload["code"] == "invalid-receiver"
+    assert "polarization-H:0 is named twice" in payload["message"]
+
+
 @pytest.mark.parametrize("subcommand", ["reverse-space", "synth"])
 @pytest.mark.parametrize("key,value,named", [
     ("outcomes", {"D0": ["polarization-H:0"],

@@ -711,3 +711,99 @@ def test_state_from_dict_rejects_a_non_integer_cap(cap):
     data["max_photons_per_mode"] = cap
     with pytest.raises(fs.FockError, match="max_photons_per_mode"):
         fs.state_from_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# the Mode contract: a (kind, index) tuple with its own label and repr
+# ---------------------------------------------------------------------------
+
+_MODES = [fs.Mode(kind, index) for kind in fs.MODE_KINDS
+          for index in (-2, 0, 3)]
+
+
+@pytest.mark.parametrize("mode", _MODES, ids=str)
+def test_mode_survives_pickle_and_deepcopy(mode):
+    import copy
+    import pickle
+    for back in (pickle.loads(pickle.dumps(mode)), copy.deepcopy(mode),
+                 copy.copy(mode)):
+        assert type(back) is fs.Mode
+        assert back == mode and back.kind == mode.kind
+        assert type(back.index) is int and back.index == mode.index
+
+
+def test_mode_hashes_and_orders_as_its_kind_index_pair():
+    for mode in _MODES:
+        assert hash(mode) == hash((mode.kind, mode.index))
+    shuffled = _MODES[::-1][1::2] + _MODES[::-1][0::2]
+    assert sorted(shuffled) == sorted(
+        shuffled, key=lambda m: (m.kind, m.index))
+    assert [(m.kind, m.index) for m in sorted(shuffled)] == sorted(
+        (m.kind, m.index) for m in shuffled)
+
+
+def test_mode_never_equals_an_interferometer_arm_key():
+    arms = {k for f in fs._mz_factors(range(-2, 4), 1)
+            for k in (f.modes if isinstance(f, fs._Phase)
+                      else f.sources + f.targets)
+            if not isinstance(k, fs.Mode)}
+    assert {kind for kind, _ in arms} == {"short", "long"}
+    assert not set(fs.MODE_KINDS) & {kind for kind, _ in arms}
+    modes = set(fs.interferometer_registry(-2, 3).modes)
+    assert not modes & arms
+    for kind, index in arms:
+        with pytest.raises(fs.FockError, match="unknown mode kind"):
+            fs.Mode(kind, index)
+
+
+def test_mode_repr_str_and_parse_are_unchanged():
+    mode = fs.Mode(fs.OUT_S, -1)
+    assert repr(mode) == "Mode(kind='output-straight', index=-1)"
+    assert str(mode) == "output-straight:-1"
+    assert fs.Mode.parse("output-straight:-1") == mode
+    assert fs.Mode(kind=fs.CUSTOM, index=2) == fs.Mode(fs.CUSTOM, 2)
+
+
+@pytest.mark.parametrize("kind", ["long", "short", "", None, "CUSTOM"])
+def test_mode_of_an_unknown_kind_raises(kind):
+    with pytest.raises(fs.FockError, match="unknown mode kind"):
+        fs.Mode(kind, 0)
+
+
+# ---------------------------------------------------------------------------
+# an occupation names each mode once
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("pairs", [
+    ((pol_h(), 1), (pol_h(), 1)),
+    ((pol_h(), 2), (pol_v(), 1), (pol_h(), 0)),
+    ((t_in(0), 0), (t_in(0), 3)),
+], ids=["twice", "twice-with-zero", "zero-first"])
+def test_occupation_naming_a_mode_twice_raises(pairs):
+    repeated = str(pairs[0][0])
+    with pytest.raises(fs.FockError, match=f"mode {repeated} is named twice"):
+        occ(*pairs)
+
+
+def test_occupation_pairs_must_name_modes():
+    # a Mode is a (kind, index) tuple, but not a (mode, count) pair
+    with pytest.raises(fs.FockError, match="got 'polarization-H'"):
+        occ(pol_h())
+    with pytest.raises(fs.FockError, match="pairs a Mode"):
+        occ(((fs.CUSTOM, 0), 1))
+
+
+def test_state_from_dict_rejects_a_mode_named_twice():
+    reg = fs.registry([fs.Mode(fs.CUSTOM, 1)], 4)
+    data = fs.state_to_dict(PhotonicState.basis(
+        reg, occ((fs.Mode(fs.CUSTOM, 1), 2))))
+    data["components"][0]["occupation"] = {"custom:1": 1, "custom:01": 1}
+    with pytest.raises(fs.FockError, match="mode custom:1 is named twice"):
+        fs.state_from_dict(data)
+
+
+def test_a_state_keyed_by_a_plain_kind_index_tuple_is_rejected():
+    # the tuple equals the registered Mode, but only a Mode is a mode
+    reg = fs.interferometer_registry(0, 2)
+    with pytest.raises(fs.FockError, match="not in registry"):
+        PhotonicState(reg, {(((fs.CHANNEL, 0), 1),): 1.0})

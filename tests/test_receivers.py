@@ -1,5 +1,6 @@
 """Unit tests for receiver models, outcome partitions and reversed spaces."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -770,3 +771,102 @@ def test_every_setting_reverse_is_the_adjoint_of_its_forward(receiver):
             rhs = inner_product(
                 a, fs.apply_optics(b, setting.optics, adjoint=True))
             assert abs(lhs - rhs) < 1e-9, setting.name
+
+
+# ---------------------------------------------------------------------------
+# the reversed space is derived once per receiver
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def reversals(monkeypatch):
+    """Count the adjoint optics runs: one per outcome state reversed."""
+    runs = []
+    apply_optics = fs.apply_optics
+
+    def counting(state, optics, adjoint=False):
+        if adjoint:
+            runs.append(optics)
+        return apply_optics(state, optics, adjoint)
+
+    monkeypatch.setattr(fs, "apply_optics", counting)
+    return runs
+
+
+def test_reversed_space_and_constraint_system_reverse_each_state_once(
+        reversals):
+    from qkdlab import attacks as atk
+    receiver = rc.make_receiver("interferometric-6mode")
+    states = sum(len(sts) for setting in receiver.settings.values()
+                 for sts in setting.outcomes.values())
+    assert states == 14
+    basis = rc.reversed_space(receiver)
+    system = atk.build_constraint_system(receiver)
+    assert len(reversals) == states
+    assert [fs.state_to_dict(b) for b in system.p_basis] == \
+        [fs.state_to_dict(b) for b in basis]
+
+
+def test_each_receiver_derives_its_own_reversed_space(reversals):
+    first = rc.make_receiver("interferometric-6mode")
+    second = rc.make_receiver("interferometric-6mode")
+    for a, b in zip(rc.reversed_space(first), rc.reversed_space(second)):
+        assert fs.state_to_dict(a) == fs.state_to_dict(b)
+    assert len(reversals) == 28
+
+
+def test_reversed_space_returns_a_new_list_each_call():
+    receiver = rc.make_receiver("ideal-bb84")
+    basis = rc.reversed_space(receiver)
+    basis.reverse()
+    basis.pop()
+    again = rc.reversed_space(receiver)
+    assert again is not basis and len(again) == 3
+    assert set(again[0].amplitudes) == {fs.VACUUM}
+
+
+@pytest.mark.parametrize("field", [
+    f.name for f in dataclasses.fields(rc.ReceiverModel)])
+def test_receiver_fields_cannot_be_reassigned(field):
+    receiver = rc.make_receiver("ideal-bb84")
+    rc.reversed_space(receiver)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(receiver, field, getattr(receiver, field))
+
+
+def test_replaced_receiver_derives_its_reversed_space_anew():
+    receiver = rc.make_receiver("ideal-bb84")
+    assert len(rc.reversed_space(receiver)) == 3
+    kept = ("D0", rc.NO_CLICK)
+    computational = receiver.settings[rc.COMPUTATIONAL]
+    blind_to_v = rc.Setting(
+        rc.COMPUTATIONAL, computational.optics,
+        {oid: computational.outcomes[oid] for oid in kept},
+        {oid: computational.interpretation[oid] for oid in kept})
+    narrowed = dataclasses.replace(
+        receiver, settings={rc.COMPUTATIONAL: blind_to_v})
+    assert len(rc.reversed_space(narrowed)) == 2
+    assert len(rc.reversed_space(receiver)) == 3
+
+
+@pytest.mark.parametrize("text", [
+    "polarization-H:0+polarization-H:0",
+    "polarization-H:0x2+polarization-V:0+polarization-H:0x0",
+])
+def test_parse_occ_rejects_a_mode_named_twice(text):
+    with pytest.raises(fs.FockError,
+                       match="mode polarization-H:0 is named twice"):
+        rc.parse_occ(text)
+
+
+def test_custom_receiver_with_one_occupation_under_two_labels_is_rejected():
+    cfg = _polarization_config()
+    setting = cfg["settings"]["computational"]
+    twice = ["polarization-H:0x2", "polarization-H:0+polarization-H:0"]
+    setting["input_basis"] += twice
+    setting["output_basis"] += twice
+    setting["matrix"] = [[[float(r == c), 0] for c in range(4)]
+                         for r in range(4)]
+    setting["outcomes"].update(D2=twice[:1], D3=twice[1:])
+    setting["interpretation"].update(D2="invalid", D3="invalid")
+    with pytest.raises(fs.FockError, match="polarization-H:0 is named twice"):
+        rc.receiver_from_config(cfg)
