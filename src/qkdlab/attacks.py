@@ -46,14 +46,6 @@ class InfeasibleAttackError(AttackError):
         self.minimal_feasible = minimal_feasible
 
 
-class MultipleHypothesesError(AttackError):
-    """Optimal discrimination of >2 hypotheses is not implemented."""
-
-    def __init__(self, message: str, overlaps: Dict[Tuple[int, int], float]):
-        super().__init__(message)
-        self.overlaps = overlaps
-
-
 # ---------------------------------------------------------------------------
 # constraint system
 # ---------------------------------------------------------------------------
@@ -452,7 +444,6 @@ class AttackFamily:
     vacuum_directions: Tuple[int, ...]
     canonical: AttackIsometry
     only_trivial: bool
-    eve_dim: int
     parameter_names: Tuple[str, ...] = ()
     _extractors: Dict[str, Callable[[np.ndarray], float]] = field(
         default_factory=dict, repr=False)
@@ -699,7 +690,6 @@ def synthesize_attacks(system: ConstraintSystem,
         vacuum_directions=vacuum_directions,
         canonical=canonical,
         only_trivial=only_trivial,
-        eve_dim=eve_dim,
         parameter_names=tuple(extractors),
         _extractors=extractors,
     )
@@ -900,52 +890,41 @@ def helstrom_probability(state0, state1,
                                 prior1).success_probability
 
 
-def pairwise_overlaps(states: Sequence[np.ndarray]
-                      ) -> Dict[Tuple[int, int], float]:
-    """Normalized |<a|b>| for every pair of hypothesis vectors."""
-    out = {}
-    for i, j in combinations(range(len(states)), 2):
-        a = np.asarray(states[i], dtype=complex)
-        b = np.asarray(states[j], dtype=complex)
-        na, nb = np.linalg.norm(a), np.linalg.norm(b)
-        if na < WEIGHT_TOL or nb < WEIGHT_TOL:
-            raise AttackError("zero hypothesis vector")
-        out[(i, j)] = float(abs(np.vdot(a, b)) / (na * nb))
-    return out
+def eve_guess(conditional: EveConditionalStates,
+              basis: str) -> Optional[HelstromMeasurement]:
+    """Eve's optimal guess of Alice's bit in one announced basis.
 
-
-def guess_probability_for_hypotheses(states: Sequence[np.ndarray],
-                                     priors: Optional[Sequence[float]] = None
-                                     ) -> float:
-    """Two hypotheses: exact optimum.  More: refuse, reporting overlaps."""
-    if len(states) < 2:
-        raise AttackError("need at least two hypotheses")
-    if len(states) > 2:
-        overlaps = pairwise_overlaps(states)
-        pretty = ", ".join(f"({i},{j}): {v:.6f}"
-                           for (i, j), v in overlaps.items())
-        raise MultipleHypothesesError(
-            f"optimal discrimination of {len(states)} hypotheses is "
-            f"unsupported; pairwise overlaps: {pretty}", overlaps)
-    if priors is None:
-        priors = (0.5, 0.5)
-    return helstrom_probability(states[0], states[1], priors[0], priors[1])
+    The one guess rule: analyses report it and sessions score it.  It
+    conditions on the round being detected and sifted, with priors the
+    (equal Alice input) detection-weighted probabilities.  If only one
+    bit ever sifts, guessing that bit is always right; if neither does,
+    there is nothing to guess and the result is ``None``.
+    """
+    bases = sorted({label[0] for label, _ in conditional.components})
+    if basis not in bases:
+        raise AttackError(f"Alice never sends in basis {basis!r}; "
+                          f"her bases are {bases}")
+    rho0, w0 = conditional.basis_density((basis, 0))
+    rho1, w1 = conditional.basis_density((basis, 1))
+    if w0 < WEIGHT_TOL and w1 < WEIGHT_TOL:
+        return None
+    if w1 < WEIGHT_TOL:
+        return HelstromMeasurement(1.0, 1.0, 1.0)
+    if w0 < WEIGHT_TOL:
+        return HelstromMeasurement(1.0, 0.0, 0.0)
+    total = w0 + w1
+    return helstrom_measurement(rho0, rho1, w0 / total, w1 / total)
 
 
 def eve_guess_probability(conditional: EveConditionalStates,
                           basis: str) -> float:
-    """How well the probe reveals Alice's bit in one announced basis.
-
-    Conditions on the round being detected and sifted; priors are the
-    (equal Alice input) detection-weighted probabilities.
-    """
-    rho0, w0 = conditional.basis_density((basis, 0))
-    rho1, w1 = conditional.basis_density((basis, 1))
-    total = w0 + w1
-    if total < WEIGHT_TOL:
+    """How well the probe reveals Alice's bit in one announced basis:
+    the success probability of ``eve_guess``."""
+    guess = eve_guess(conditional, basis)
+    if guess is None:
         raise AttackError(
             f"no sifted detections in basis {basis!r} to condition on")
-    return helstrom_probability(rho0, rho1, w0 / total, w1 / total)
+    return guess.success_probability
 
 
 # ---------------------------------------------------------------------------

@@ -434,41 +434,22 @@ def _interpretation_codes(receiver: rc.ReceiverModel,
     return codes
 
 
-def _guess_probabilities(conditional: atk.EveConditionalStates,
-                         bases: Iterable[str]) -> Dict[Tuple[str, int], float]:
-    """P(adversary guesses bit 0 | Alice label), given the round sifts.
+def _guess_rule(channel: ChannelModel, labels,
+                conditional: Optional[atk.EveConditionalStates]):
+    """Per-round adversary guess from label indices and the round uniforms.
 
-    The guess is the optimal two-state measurement on the probe,
-    applied per announced basis with detection-weighted priors.  A basis
-    in which one bit never produces a sifted detection degenerates to a
-    constant guess; a basis with no detections at all is never scored,
-    so the guess is left uniform.
+    Under an attack channel Eve guesses bit 0 with the probability that
+    ``attacks.eve_guess`` gives for Alice's label, clamped to [0, 1].  A
+    basis in which nothing sifts is never scored, so there the guess is
+    uniform.
     """
-    out: Dict[Tuple[str, int], float] = {}
-    for basis in bases:
-        rho0, w0 = conditional.basis_density((basis, 0))
-        rho1, w1 = conditional.basis_density((basis, 1))
-        if w0 < atk.WEIGHT_TOL and w1 < atk.WEIGHT_TOL:
-            p0 = p1 = 0.5
-        elif w1 < atk.WEIGHT_TOL:
-            p0 = p1 = 1.0
-        elif w0 < atk.WEIGHT_TOL:
-            p0 = p1 = 0.0
-        else:
-            total = w0 + w1
-            meas = atk.helstrom_measurement(rho0, rho1,
-                                            w0 / total, w1 / total)
-            p0 = min(max(meas.guess0_given_0, 0.0), 1.0)
-            p1 = min(max(meas.guess0_given_1, 0.0), 1.0)
-        out[(basis, 0)] = p0
-        out[(basis, 1)] = p1
-    return out
-
-
-def _guess_rule(channel: ChannelModel, labels, guess_p0):
-    """Per-round adversary guess from label indices and the round uniforms."""
     if channel.kind == ATTACK:
-        p0 = np.array([guess_p0[lab] for lab in labels])
+        given = {}
+        for basis in {basis for basis, _ in labels}:
+            meas = atk.eve_guess(conditional, basis)
+            given[basis] = (0.5, 0.5) if meas is None else (
+                meas.guess0_given_0, meas.guess0_given_1)
+        p0 = np.clip([given[basis][bit] for basis, bit in labels], 0.0, 1.0)
         return lambda lab, u: np.where(u[:, 3] < p0[lab], 0, 1)
     if channel.kind == PNS:
         bit_of = np.array([lab[1] for lab in labels], dtype=np.int64)
@@ -551,7 +532,9 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
     receiver's paired source and ``channel`` to the identity.
 
     The adversary's per-round guess is logged for every round but only
-    scored on sifted ones.  With ``log_path`` the full round log is
+    scored on sifted ones.  Under an attack channel it follows
+    ``attacks.eve_guess`` in Alice's basis, so a session scores the
+    guess that the analyses report.  With ``log_path`` the full round log is
     written as newline-delimited JSON behind a header record, through a
     temporary file in the same directory that replaces ``log_path`` only
     once the session completes.
@@ -580,8 +563,7 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
 
     labels = alice.labels()
     settings = list(receiver.settings)
-    system = None
-    guess_p0 = None
+    system = conditional = None
     if channel.kind == ATTACK:
         system = atk.build_constraint_system(receiver)
         missing = set(labels) - set(system.alice_labels)
@@ -590,12 +572,11 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
                 f"attack channels use the receiver's paired source; labels "
                 f"{sorted(missing)} have no logical embedding")
         conditional = atk.eve_conditional_states(channel.attack, system)
-        guess_p0 = _guess_probabilities(conditional, alice.bases)
 
     ids, cdf, guide = _outcome_tables(alice, channel, receiver, system)
     width = cdf.shape[1]
     codes = _interpretation_codes(receiver, ids, width)
-    guess = _guess_rule(channel, labels, guess_p0)
+    guess = _guess_rule(channel, labels, conditional)
     n_lab, n_set = len(labels), len(settings)
     # cell ((label * n_set + setting) * width + outcome) * 2 + guess
     cells = [(lab[0], int(lab[1]), s, int(codes[si, oi]), g)

@@ -207,6 +207,18 @@ def test_faked_states_attack_against_sparse_receiver(six):
     assert probs[rc.UNREGISTERED] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_guess_in_a_basis_alice_never_sends_names_it(six):
+    receiver, system, _ = six
+    cond = atk.eve_conditional_states(
+        atk.faked_states_attack(receiver, system), system)
+    for call in (atk.eve_guess, atk.eve_guess_probability):
+        with pytest.raises(atk.AttackError) as err:
+            call(cond, "hadamrd")
+        assert "'hadamrd'" in str(err.value)
+        assert "['computational', 'hadamard']" in str(err.value)
+        assert "no sifted detections" not in str(err.value)
+
+
 def test_guard_bins_catch_the_faked_states_attack(six, defended):
     attack = atk.faked_states_attack(six[0], six[1])
     rep = atk.verify_oblivious(attack, system=defended[1])
@@ -579,16 +591,6 @@ def test_helstrom_measurement_statistics_are_consistent():
         0.5 * meas.guess0_given_0 + 0.5 * (1 - meas.guess0_given_1))
     assert meas.success_probability == pytest.approx(
         atk.helstrom_probability(v0, v1))
-
-
-def test_three_hypotheses_refused_with_overlap_report():
-    states = [np.array([1.0, 0.0]), np.array([0.0, 1.0]),
-              np.array([1.0, 1.0]) / RT2]
-    with pytest.raises(atk.MultipleHypothesesError) as err:
-        atk.guess_probability_for_hypotheses(states)
-    assert err.value.overlaps[(0, 1)] == pytest.approx(0.0)
-    assert err.value.overlaps[(0, 2)] == pytest.approx(1 / RT2)
-    assert err.value.overlaps[(1, 2)] == pytest.approx(1 / RT2)
 
 
 # ---------------------------------------------------------------------------

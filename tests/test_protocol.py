@@ -141,6 +141,44 @@ def test_copy_attack_monte_carlo_error_rates(ideal):
     assert abs(had.eve_accuracy - 0.5) < 4 * binom_sigma(0.5, had.sifted)
 
 
+def test_one_sided_basis_guess_agrees_between_analysis_and_session(ideal):
+    # |0> passes as H on probe axis 0; |1> is blocked to vacuum on axis 1,
+    # so only bit 0 ever sifts in the computational basis
+    system = atk.build_constraint_system(ideal)
+    h_index = next(k for k, b in enumerate(system.p_basis)
+                   if k != system.vacuum_index)
+    coeff = np.zeros((2, system.n_basis, 2), dtype=complex)
+    coeff[0, h_index, 0] = 1.0
+    coeff[1, system.vacuum_index, 1] = 1.0
+    attack = system.attack(coeff, "block-bit-1")
+    cond = atk.eve_conditional_states(attack, system)
+    assert atk.eve_guess_probability(cond, rc.COMPUTATIONAL) == 1.0
+    assert atk.eve_guess_probability(cond, rc.HADAMARD) == pytest.approx(0.5)
+    rep = pt.run_bb84(None, pt.make_channel(pt.ATTACK, attack), ideal,
+                      rounds=20_000, seed=0)
+    assert rep.per_basis[rc.COMPUTATIONAL].eve_accuracy == 1.0
+
+
+@pytest.mark.parametrize("kind,variant", [
+    (kind, None) for kind in rc.RECEIVER_KINDS
+] + [("interferometric-2mode", "single-window")])
+def test_session_scores_the_analysis_guess(kind, variant):
+    receiver = rc.make_receiver(kind, variant)
+    system = atk.build_constraint_system(receiver)
+    attack = atk.synthesize_attacks(system).canonical
+    cond = atk.eve_conditional_states(attack, system)
+    rep = pt.run_bb84(None, pt.make_channel(pt.ATTACK, attack), receiver,
+                      rounds=20_000, seed=1)
+    for basis in receiver.source.bases:
+        accuracy = rep.per_basis[basis].eve_accuracy
+        if atk.eve_guess(cond, basis) is None:
+            assert accuracy is None
+            continue
+        p = atk.eve_guess_probability(cond, basis)
+        sifted = rep.per_basis[basis].sifted
+        assert abs(accuracy - p) <= 4 * binom_sigma(p, sifted) + 1e-9
+
+
 def test_pns_channel_reveals_multi_photon_rounds(ideal):
     rep = pt.run_bb84(None, pt.make_channel("pns", {"p_multi": 0.1}), ideal,
                       rounds=1000000, seed=0)

@@ -88,7 +88,12 @@ def reference_run_bb84(channel, receiver, rounds, seed, log_path):
     if channel.kind == pt.ATTACK:
         system = atk.build_constraint_system(receiver)
         conditional = atk.eve_conditional_states(channel.attack, system=system)
-        guess_p0 = pt._guess_probabilities(conditional, alice.bases)
+        guess_p0 = {}
+        for basis in alice.bases:
+            meas = atk.eve_guess(conditional, basis)
+            for bit, p0 in enumerate((0.5, 0.5) if meas is None else (
+                    meas.guess0_given_0, meas.guess0_given_1)):
+                guess_p0[(basis, bit)] = min(max(p0, 0.0), 1.0)
     ids, cdf, codes = reference_tables(alice, channel, receiver, system)
 
     gen = np.random.Generator(np.random.Philox(seed))
