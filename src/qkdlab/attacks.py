@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
@@ -99,6 +100,14 @@ class ConstraintSystem:
     @property
     def n_basis(self) -> int:
         return len(self.p_basis)
+
+    @cached_property
+    def _self_overlap(self) -> np.ndarray:
+        """The basis's overlap with itself, computed once: it aligns every
+        member built by :meth:`attack`.  The array is read-only."""
+        overlap = _overlap(self.p_basis, self.p_basis)
+        overlap.flags.writeable = False
+        return overlap
 
     def column_index(self, column: Tuple[int, int]) -> int:
         i, k = column
@@ -363,10 +372,9 @@ class AttackIsometry:
         return attack
 
 
-def _aligned_coefficients(attack: AttackIsometry,
-                          system: ConstraintSystem) -> np.ndarray:
-    """Re-express an attack's probe table over the system's basis."""
-    sys_basis, att_basis = system.p_basis, attack.p_basis
+def _overlap(sys_basis: Sequence[PhotonicState],
+             att_basis: Sequence[PhotonicState]) -> np.ndarray:
+    """``<sys_basis[s]|att_basis[a]>`` as an (s, a) array."""
     reg_s = sys_basis[0].registry
     reg_a = att_basis[0].registry
     if reg_s != reg_a:
@@ -376,9 +384,18 @@ def _aligned_coefficients(attack: AttackIsometry,
             max(reg_s.max_photons_per_mode, reg_a.max_photons_per_mode))
         sys_basis = [fs.embedded(s, union) for s in sys_basis]
         att_basis = [fs.embedded(s, union) for s in att_basis]
-    overlap = np.array(
+    return np.array(
         [[fs.inner_product(bs, ba) for ba in att_basis]
          for bs in sys_basis])
+
+
+def _aligned_coefficients(attack: AttackIsometry,
+                          system: ConstraintSystem) -> np.ndarray:
+    """Re-express an attack's probe table over the system's basis."""
+    if attack.p_basis is system.p_basis:
+        overlap = system._self_overlap
+    else:
+        overlap = _overlap(system.p_basis, attack.p_basis)
     col_norms = np.sum(np.abs(overlap) ** 2, axis=0)
     worst = float(np.max(np.abs(col_norms - 1.0))) if col_norms.size else 0.0
     if worst > _ALIGN_TOL:

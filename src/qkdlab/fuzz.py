@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
@@ -111,6 +112,11 @@ def _is_integer(value) -> bool:
         or isinstance(value, float) and value.is_integer())
 
 
+def _is_real(value) -> bool:
+    """A real number; a bool is not a number here."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def pulse(time_slot: int, polarization, mean_photons: float) -> Pulse:
     """Build a pulse; ``polarization`` is an angle in [0, pi) or a name."""
     if not _is_integer(time_slot):
@@ -123,10 +129,16 @@ def pulse(time_slot: int, polarization, mean_photons: float) -> Pulse:
             raise FuzzError(
                 f"unknown polarization {polarization!r}; named options are "
                 f"{sorted(POLARIZATION_ANGLES)}")
+    elif not _is_real(polarization):
+        raise FuzzError(f"pulse polarization must be a name or an angle, "
+                        f"got {polarization!r}")
     else:
         theta = float(polarization)
         if not 0.0 <= theta < math.pi:
             raise FuzzError(f"polarization angle {theta} outside [0, pi)")
+    if not _is_real(mean_photons):
+        raise FuzzError(f"pulse mean_photons must be a number, "
+                        f"got {mean_photons!r}")
     mean_photons = float(mean_photons)
     if not math.isfinite(mean_photons) or mean_photons < 0:
         raise FuzzError(f"mean photon number {mean_photons} must be "
@@ -211,6 +223,27 @@ def _interpret_clicks(clicks, double_click_rule: str
         else (rc.INVALID, None)
 
 
+# bit i of a click mask is set when DETECTORS[i] clicked
+_DETECTOR_BITS = tuple(1 << i for i in range(len(DETECTORS)))
+
+
+def _observation_table(double_click_rule: str
+                       ) -> Tuple[FuzzObservation, ...]:
+    """The observation of every click mask under one double-click rule."""
+    table = []
+    for mask in range(1 << len(DETECTORS)):
+        clicks = frozenset(det for det, bit in zip(DETECTORS, _DETECTOR_BITS)
+                           if mask & bit)
+        table.append(FuzzObservation(
+            clicks, *_interpret_clicks(clicks, double_click_rule)))
+    return tuple(table)
+
+
+# the 16 observations a threshold device can report, per rule
+_OBSERVATIONS = {rule: _observation_table(rule)
+                 for rule in ("invalid", "loss")}
+
+
 # ---------------------------------------------------------------------------
 # devices
 # ---------------------------------------------------------------------------
@@ -248,6 +281,8 @@ class APDParams:
 
 def _probe_seed(seed) -> int:
     """``seed`` as a Philox key: an integer in [0, 2**128)."""
+    if type(seed) is int and 0 <= seed < 1 << 128:
+        return seed  # the campaign's case seeds: no conversion needed
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
             or not 0 <= seed < 1 << 128:
         raise FuzzError(
@@ -339,15 +374,26 @@ class APDReceiverDevice:
     def probe(self, case: FuzzInput, seed: int) -> FuzzObservation:
         """Observe ``case``; its draws come from ``Philox(key=seed)``.
 
+        Each Geiger-mode pulse draws its photon routing (one multinomial)
+        and then one uniform per lit detector, clicking when the uniform
+        reaches the miss probability ``(1 - geiger_efficiency) ** n``.
+        Where that probability is 0.0 (every draw at unit efficiency, or
+        when the power underflows) the uniform cannot keep the detector
+        dark: the draw is counted, taken in one block before the probe's
+        next draw, and dropped at the probe's end.  The stream, the
+        observations and every replay are the same as drawing each one.
+
         The seed is checked on every probe.  The stream is keyed at the
         probe's first draw, so a probe that draws nothing (blinding
         pulses, linear-mode clicks) leaves the generator untouched.
         """
         key = _probe_seed(seed)
         keyed = False
+        deferred = 0  # draws owed to the stream that cannot change a click
         gen = self._gen
         p = self.params
-        clicks = set()
+        q = 1.0 - p.geiger_efficiency
+        mask = 0
         for pl in case.pulses:
             if pl.mean_photons >= p.blind_threshold:
                 # saturation: no click, detectors fall into linear mode
@@ -359,9 +405,9 @@ class APDReceiverDevice:
                                                  horizon)
                 continue
             if self._blinded_at(pl.time_slot):
-                for det, intensity in pl.arms.items():
+                for bit, intensity in zip(_DETECTOR_BITS, pl.arms.values()):
                     if intensity >= p.p_th:
-                        clicks.add(det)
+                        mask |= bit
                 continue
             n = round(pl.mean_photons)
             if n == 0:
@@ -369,16 +415,24 @@ class APDReceiverDevice:
             if not keyed:
                 _rekey(self._bits, key)
                 keyed = True
+            if deferred:
+                gen.random(deferred)
+                deferred = 0
             counts = gen.multinomial(n, pl.pvals)
-            for det, arrived in zip(DETECTORS, counts):
+            for bit, arrived in zip(_DETECTOR_BITS, counts.tolist()):
                 if arrived == 0:
                     continue
-                miss = (1.0 - p.geiger_efficiency) ** int(arrived)
+                miss = q ** arrived
+                if miss == 0.0:
+                    deferred += 1
+                    mask |= bit
+                    continue
+                if deferred:
+                    gen.random(deferred)
+                    deferred = 0
                 if gen.random() >= miss:
-                    clicks.add(det)
-        interpretation, basis = _interpret_clicks(clicks,
-                                                  self.double_click_rule)
-        return FuzzObservation(frozenset(clicks), interpretation, basis)
+                    mask |= bit
+        return _OBSERVATIONS[self.double_click_rule][mask]
 
 
 class IdealPNRDevice:
@@ -437,18 +491,6 @@ def probe(device, case: FuzzInput, seed: int) -> FuzzObservation:
 # the ideal baseline
 # ---------------------------------------------------------------------------
 
-def _subset_probability(case: FuzzInput, subset, efficiency: float) -> float:
-    """P(every click falls inside ``subset``) on the ideal receiver."""
-    total = 1.0
-    for pl in case.pulses:
-        n = round(pl.mean_photons)
-        if n == 0:
-            continue
-        share = sum(pl.arms[d] for d in subset) / pl.norm
-        total *= (share * efficiency + (1.0 - efficiency)) ** n
-    return total
-
-
 def baseline_class_probabilities(case: FuzzInput, efficiency: float
                                  ) -> Dict[Tuple[str, Optional[str]], float]:
     """Outcome-class distribution of an ideal (never-blinded) receiver.
@@ -458,11 +500,21 @@ def baseline_class_probabilities(case: FuzzInput, efficiency: float
     single-detector probabilities follow by subtracting the no-click
     term, and the invalid class absorbs the remainder.
     """
-    p_none = _subset_probability(case, (), efficiency)
+    # P(every click falls inside S) for S empty and for each detector
+    p_none = 1.0
+    p_within = [1.0] * len(DETECTORS)
+    for pl in case.pulses:
+        n = round(pl.mean_photons)
+        if n == 0:
+            continue
+        p_none *= (0 / pl.norm * efficiency + (1.0 - efficiency)) ** n
+        for i, det in enumerate(DETECTORS):
+            p_within[i] *= (pl.arms[det] / pl.norm * efficiency
+                            + (1.0 - efficiency)) ** n
     probs: Dict[Tuple[str, Optional[str]], float] = {(rc.LOSS, None): p_none}
     singles = 0.0
-    for det in DETECTORS:
-        p_det = _subset_probability(case, (det,), efficiency) - p_none
+    for det, within in zip(DETECTORS, p_within):
+        p_det = within - p_none
         basis, bit = DETECTOR_MEANING[det]
         cls = (rc.BIT0 if bit == 0 else rc.BIT1, basis)
         probs[cls] = probs.get(cls, 0.0) + max(p_det, 0.0)
@@ -505,6 +557,11 @@ class CampaignConfig:
     follow_up_offsets: Tuple[int, ...] = (1,)
 
     def __post_init__(self):
+        for name in ("max_cases", "replays", "combination_depth"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise FuzzError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if not 1 <= self.max_cases < 2 ** 32:
             raise FuzzError("max_cases must lie in [1, 2**32)")
         if not 1 <= self.replays <= 256:
@@ -640,15 +697,20 @@ def _schedule_stage01(config: CampaignConfig) -> List[Tuple[int, FuzzInput]]:
     return cases
 
 
-def _followups(seed_input: FuzzInput, config: CampaignConfig
-               ) -> List[FuzzInput]:
+def _followups(seed_input: FuzzInput, config: CampaignConfig,
+               built: Dict[tuple, Pulse]) -> List[FuzzInput]:
+    """The follow-up cases of ``seed_input``; ``built`` holds the
+    campaign's follow-up pulses by (slot, polarization, intensity)."""
     last = seed_input.pulses[-1].time_slot
     probes = []
     for offset in config.follow_up_offsets:
         for name in ("H", "V", "+45", "-45"):
             for mu in config.follow_up_intensities:
-                probes.append(FuzzInput(
-                    seed_input.pulses + (pulse(last + offset, name, mu),)))
+                spec = (last + offset, name, mu)
+                follow = built.get(spec)
+                if follow is None:
+                    follow = built[spec] = pulse(*spec)
+                probes.append(FuzzInput(seed_input.pulses + (follow,)))
     return probes
 
 
@@ -789,10 +851,11 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
 
     depth = 2
     frontier = list(anomalous_inputs)
+    followup_pulses: Dict[tuple, Pulse] = {}
     while in_budget and depth <= config.combination_depth and frontier:
         next_start = len(anomalous_inputs)
         for seed_input in frontier:
-            for case in _followups(seed_input, config):
+            for case in _followups(seed_input, config, followup_pulses):
                 if not run_case(depth, case):
                     in_budget = False
                     break

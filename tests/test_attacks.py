@@ -257,6 +257,25 @@ def test_defended_family_is_pass_through_only(defended):
             0.5, abs=1e-9)
 
 
+def test_members_share_one_self_overlap_per_system(monkeypatch):
+    # members built by the system share its basis list, so its overlap
+    # with itself is computed once however many members are audited
+    system = atk.build_constraint_system(
+        rc.make_receiver("interferometric-6mode"))
+    family = atk.synthesize_attacks(system)
+    rng = np.random.default_rng(5)
+    members = [family.canonical] + [family.sample(rng) for _ in range(4)]
+    calls = []
+    inner = fs.inner_product
+    monkeypatch.setattr(fs, "inner_product",
+                        lambda a, b: calls.append(1) or inner(a, b))
+    for member in members:
+        assert member.p_basis is system.p_basis
+        assert atk.verify_oblivious(member, system).oblivious
+        atk.eve_conditional_states(member, system)
+    assert len(calls) == system.n_basis ** 2
+
+
 # ---------------------------------------------------------------------------
 # the sparse two-window family
 # ---------------------------------------------------------------------------

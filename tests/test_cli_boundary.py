@@ -379,6 +379,23 @@ def test_replay_of_a_non_integer_time_slot_exits_2(tmp_path, slot):
     assert "time slot" in payload["message"]
 
 
+@pytest.mark.parametrize("key,value", [("polarization", True),
+                                       ("mean_photons", "7")])
+def test_replay_of_a_wrong_typed_pulse_field_exits_2(tmp_path, key, value):
+    report = tmp_path / "fuzz.json"
+    code, _, _ = run_cli(["fuzz", "--max-cases", 100, "--out", report])
+    assert code == cli.EXIT_OK
+    doc = json.loads(report.read_text())
+    anomaly = doc["anomalies"][0]
+    anomaly["input"]["pulses"][0][key] = value
+    write_config(report, doc)
+    payload = assert_one_error_line(
+        *run_cli(["fuzz", "--replay", anomaly["anomaly_id"],
+                  "--report", report]))
+    assert payload["code"] == "invalid-config"
+    assert key in payload["message"]
+
+
 _CUSTOM = {
     "kind": "custom",
     "modes": ["polarization-H:0", "polarization-V:0"],

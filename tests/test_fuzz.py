@@ -1,5 +1,6 @@
 """Black-box device model and blinding-discovery campaign tests."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -68,6 +69,30 @@ def test_apd_thresholds_must_be_finite(key, value):
 def test_pulse_time_slot_must_be_an_integer(slot):
     with pytest.raises(fuzz.FuzzError, match="time slot"):
         fuzz.pulse(slot, "H", 1.0)
+
+
+@pytest.mark.parametrize("angle", [True, False, None, [0.3]])
+def test_pulse_angle_must_be_a_number(angle):
+    with pytest.raises(fuzz.FuzzError, match="polarization"):
+        fuzz.pulse(0, angle, 1.0)
+
+
+@pytest.mark.parametrize("mu", [True, "5", None])
+def test_pulse_mean_photons_must_be_a_number(mu):
+    with pytest.raises(fuzz.FuzzError, match="mean_photons"):
+        fuzz.pulse(0, "H", mu)
+
+
+@pytest.mark.parametrize("key,value", [("polarization", True),
+                                       ("mean_photons", "7")])
+def test_report_with_a_wrong_typed_pulse_field_is_a_fuzz_error(
+        campaign, key, value):
+    data = json.loads(json.dumps(campaign.to_json_dict()))
+    data["anomalies"][0]["input"]["pulses"][0][key] = value
+    with pytest.raises(fuzz.FuzzError, match=key):
+        fuzz.report_from_json_dict(data)
+    with pytest.raises(fuzz.FuzzError, match=key):
+        fuzz.input_from_json_dict(data["anomalies"][0]["input"])
 
 
 def test_input_json_round_trip():
@@ -147,6 +172,39 @@ def test_single_photon_statistics_match_the_amplitude_model():
     assert abs(counts["d_h"] / n - 0.5) < 4 * binom_sigma(0.5, n)
     assert abs(counts["d_plus"] / n - 0.25) < 4 * binom_sigma(0.25, n)
     assert abs(counts["d_minus"] / n - 0.25) < 4 * binom_sigma(0.25, n)
+
+
+def _subset_probability(case, subset, efficiency):
+    """P(every click falls inside ``subset``), one subset at a time."""
+    total = 1.0
+    for pl in case.pulses:
+        n = round(pl.mean_photons)
+        if n == 0:
+            continue
+        share = sum(pl.arms[d] for d in subset) / pl.norm
+        total *= (share * efficiency + (1.0 - efficiency)) ** n
+    return total
+
+
+@pytest.mark.parametrize("efficiency", [1.0, 0.999, 0.7, 0.13, 1e-6])
+def test_baseline_matches_the_per_subset_products_bit_for_bit(efficiency):
+    cases = [fuzz.FuzzInput((fuzz.pulse(0, pol, mu),))
+             for pol in ("H", "-45", 0.3, 1.2) for mu in (0.4, 1, 2, 7, 500)]
+    cases.append(fuzz.FuzzInput((fuzz.pulse(0, 0.7, 3.0),
+                                 fuzz.pulse(1, "V", 0.2),
+                                 fuzz.pulse(5, "+45", 40.0))))
+    for case in cases:
+        probs = fuzz.baseline_class_probabilities(case, efficiency)
+        p_none = _subset_probability(case, (), efficiency)
+        assert probs[(rc.LOSS, None)] == p_none
+        singles = 0.0
+        for det in fuzz.DETECTORS:
+            basis, bit = fuzz.DETECTOR_MEANING[det]
+            p_det = max(_subset_probability(case, (det,), efficiency)
+                        - p_none, 0.0)
+            assert probs[(rc.BIT0 if bit == 0 else rc.BIT1, basis)] == p_det
+            singles += p_det
+        assert probs[(rc.INVALID, None)] == max(1.0 - singles - p_none, 0.0)
 
 
 def test_baseline_class_probabilities():
@@ -359,24 +417,46 @@ _CAMPAIGN_DIGESTS = {
         "6667ed899d22b347fc8a5a68579a9682e5aedddfb6e656b8d20807855143dfb7",
     "ideal-pnr-0.8":
         "34b897ae4355aef4971c482bdb2f994919cf7945225e5fb88389426f77ab1e69",
+    "double-click-loss":
+        "8569c4e3f0d8eb52e191a0aa61849bceed2c6495656ecdf16c7506a9c98e77ae",
+    "underflow-0.999":
+        "e6cf2308e7d2a810ebc0917f155f59e6ee893d047934df761016962cf5d618a7",
+    "underflow-0.999-loss":
+        "7693db6b83a112eab8bad786e454f5a84d6a34eae5871ea21a228d2685091356",
 }
 
 
-def _pinned_campaign(name):
+# a miss probability (1 - 0.999) ** n underflows to 0.0 from n = 108
+# photons on, so 200- and 500-photon Geiger pulses take draws that cannot
+# change a click; under the "loss" rule bright Geiger pulses are
+# anomalous seeds, so two-pulse Geiger cases follow them
+_UNDERFLOW_PARAMS = fuzz.APDParams(p_th=100.0, blind_threshold=1000.0,
+                                   geiger_efficiency=0.999)
+
+
+def _pinned_setup(name):
+    """(device, config, seed) of one pinned campaign."""
     apd = fuzz.make_apd_receiver_device
-    if name == "default-seed0":
-        return fuzz.run_fuzz_campaign(apd(), seed=0)
-    if name == "default-seed7":
-        return fuzz.run_fuzz_campaign(apd(), seed=7)
-    if name == "geiger-efficiency-0.7":
-        return fuzz.run_fuzz_campaign(
-            apd(fuzz.APDParams(geiger_efficiency=0.7)), seed=0)
-    if name == "recovery-slots-0":
-        return fuzz.run_fuzz_campaign(
-            apd(fuzz.APDParams(recovery_slots=0)), seed=0)
-    return fuzz.run_fuzz_campaign(
-        fuzz.make_ideal_pnr_device(0.8),
-        config=fuzz.default_config(fuzz.APDParams()), seed=0)
+    return {
+        "default-seed0": lambda: (apd(), None, 0),
+        "default-seed7": lambda: (apd(), None, 7),
+        "geiger-efficiency-0.7":
+            lambda: (apd(fuzz.APDParams(geiger_efficiency=0.7)), None, 0),
+        "recovery-slots-0":
+            lambda: (apd(fuzz.APDParams(recovery_slots=0)), None, 0),
+        "ideal-pnr-0.8": lambda: (fuzz.make_ideal_pnr_device(0.8),
+                                  fuzz.default_config(fuzz.APDParams()), 0),
+        "double-click-loss": lambda: (apd(double_click_rule="loss"), None, 0),
+        "underflow-0.999": lambda: (apd(_UNDERFLOW_PARAMS), None, 0),
+        "underflow-0.999-loss":
+            lambda: (apd(_UNDERFLOW_PARAMS, double_click_rule="loss"),
+                     None, 0),
+    }[name]()
+
+
+def _pinned_campaign(name, trace_path=None):
+    device, config, seed = _pinned_setup(name)
+    return fuzz.run_fuzz_campaign(device, config, seed, trace_path)
 
 
 @pytest.mark.parametrize("name", sorted(_CAMPAIGN_DIGESTS))
@@ -393,18 +473,33 @@ _TRACE_DIGESTS = {
         "6cc9d1fbf7918c3894eb12aa377593d301c85f32c9d1129e077e36d4b0d6ecf9",
     "geiger-efficiency-0.7":
         "a7b3f13864ab9631bb48214349a549279a462b6cc5a0aab303289fbc416cbcd4",
+    "double-click-loss":
+        "b6a3350cfbcb8e8297e0b3889b854267bab59f8d704409cc40a25b1b23394c9e",
+    "underflow-0.999":
+        "d68fdcd0872c5087dae750050acbfbf3f5d5ad616ea58b57353e583502e4264e",
+    "underflow-0.999-loss":
+        "c4eb5fe28bc6071d887722ea94902a2472015dd0c7898e010818f75473890cb4",
 }
 
 
 @pytest.mark.parametrize("name", sorted(_TRACE_DIGESTS))
 def test_campaign_trace_bytes_are_pinned(tmp_path, name):
     path = tmp_path / "trace.ndjson"
-    params = fuzz.APDParams(
-        geiger_efficiency=0.7 if name == "geiger-efficiency-0.7" else 1.0)
-    fuzz.run_fuzz_campaign(fuzz.make_apd_receiver_device(params), seed=0,
-                           trace_path=path)
+    _pinned_campaign(name, trace_path=path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         _TRACE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", ["double-click-loss", "underflow-0.999",
+                                  "underflow-0.999-loss"])
+def test_every_anomaly_replays(name):
+    device, config, seed = _pinned_setup(name)
+    report = fuzz.run_fuzz_campaign(device, config, seed)
+    assert report.anomalies
+    for anomaly in report.anomalies:
+        _, reproduced = fuzz.replay_anomaly(device, report,
+                                            anomaly.anomaly_id)
+        assert reproduced, anomaly.anomaly_id
 
 
 def test_derived_records_rebuild_the_bright_receiver(campaign):
@@ -509,6 +604,28 @@ def test_campaign_writes_a_trace(tmp_path, campaign):
                for row in lines[1:])
     # trace does not perturb the campaign itself
     assert report.to_json_dict() == campaign.to_json_dict()
+
+
+@pytest.mark.parametrize("key,value", [
+    ("replays", 2.5), ("max_cases", True), ("max_cases", 100.5),
+    ("combination_depth", 1.5), ("replays", "3")])
+def test_config_counts_must_be_integers(key, value):
+    with pytest.raises(fuzz.FuzzError, match=key):
+        fuzz.CampaignConfig(**{key: value})
+
+
+def test_integral_float_config_counts_run_as_integers():
+    params = fuzz.APDParams()
+    config = dataclasses.replace(fuzz.default_config(params, max_cases=200),
+                                 max_cases=200.0, replays=12.0,
+                                 combination_depth=2.0)
+    assert (config.max_cases, config.replays, config.combination_depth) \
+        == (200, 12, 2)
+    report = fuzz.run_fuzz_campaign(fuzz.make_apd_receiver_device(params),
+                                    config, seed=0)
+    assert report.to_json_dict() == fuzz.run_fuzz_campaign(
+        fuzz.make_apd_receiver_device(params),
+        fuzz.default_config(params, max_cases=200), seed=0).to_json_dict()
 
 
 def test_config_and_argument_validation():
