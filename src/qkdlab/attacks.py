@@ -76,6 +76,10 @@ class ConstraintSystem:
     outcome ``j``, with outcomes in the setting's order; ``m`` indexes the
     tuple.  ``interpretation[setting]`` is the setting's map from outcome
     id to interpretation tag.
+
+    ``p_basis`` must be neither edited nor reassigned once the system is
+    built: its overlap with itself is cached on first use, and members
+    built by :meth:`attack` share the list.
     """
 
     receiver_name: str

@@ -281,8 +281,6 @@ class APDParams:
 
 def _probe_seed(seed) -> int:
     """``seed`` as a Philox key: an integer in [0, 2**128)."""
-    if type(seed) is int and 0 <= seed < 1 << 128:
-        return seed  # the campaign's case seeds: no conversion needed
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
             or not 0 <= seed < 1 << 128:
         raise FuzzError(
@@ -405,8 +403,8 @@ class APDReceiverDevice:
                                                  horizon)
                 continue
             if self._blinded_at(pl.time_slot):
-                for bit, intensity in zip(_DETECTOR_BITS, pl.arms.values()):
-                    if intensity >= p.p_th:
+                for bit, det in zip(_DETECTOR_BITS, DETECTORS):
+                    if pl.arms[det] >= p.p_th:
                         mask |= bit
                 continue
             n = round(pl.mean_photons)
