@@ -25,7 +25,7 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Mapping, Optional
 
@@ -591,12 +591,7 @@ def _cmd_fuzz(opts: dict) -> int:
         raise CliError(EXIT_CONFIG, "invalid-config", str(err),
                        {"seed": opts["seed"], "max_cases": opts["max_cases"]})
     artifact = report.to_json_dict()
-    artifact["device"] = {
-        "p_th": device.params.p_th,
-        "blind_threshold": device.params.blind_threshold,
-        "recovery_slots": device.params.recovery_slots,
-        "geiger_efficiency": device.params.geiger_efficiency,
-    }
+    artifact["device"] = asdict(device.params)
     _write_artifact(opts["out"], artifact)
     names = ",".join(report.properties_found) or "none"
     print(f"fuzz cases={report.test_cases_run} properties={names} "

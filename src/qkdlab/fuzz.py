@@ -23,24 +23,27 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
-from . import receivers as rc
 from .output import FUZZ_REPORT_SCHEMA as REPORT_SCHEMA
-from .output import atomic_open, ndjson, read_field
+from .output import (
+    BIT0, BIT1, COMPUTATIONAL, HADAMARD, INVALID, LOSS, atomic_open, ndjson,
+    read_field,
+)
 
 TRACE_SCHEMA = "fuzz-trace/1"
 
 DETECTORS = ("d_h", "d_v", "d_plus", "d_minus")
 DETECTOR_MEANING = {
-    "d_h": (rc.COMPUTATIONAL, 0),
-    "d_v": (rc.COMPUTATIONAL, 1),
-    "d_plus": (rc.HADAMARD, 0),
-    "d_minus": (rc.HADAMARD, 1),
+    "d_h": (COMPUTATIONAL, 0),
+    "d_v": (COMPUTATIONAL, 1),
+    "d_plus": (HADAMARD, 0),
+    "d_minus": (HADAMARD, 1),
 }
 
 POLARIZATION_ANGLES = {
@@ -215,12 +218,12 @@ class FuzzObservation:
 def _interpret_clicks(clicks, double_click_rule: str
                       ) -> Tuple[str, Optional[str]]:
     if not clicks:
-        return rc.LOSS, None
+        return LOSS, None
     if len(clicks) == 1:
         basis, bit = DETECTOR_MEANING[next(iter(clicks))]
-        return (rc.BIT0 if bit == 0 else rc.BIT1), basis
-    return (rc.LOSS, None) if double_click_rule == "loss" \
-        else (rc.INVALID, None)
+        return (BIT0 if bit == 0 else BIT1), basis
+    return (LOSS, None) if double_click_rule == "loss" \
+        else (INVALID, None)
 
 
 # bit i of a click mask is set when DETECTORS[i] clicked
@@ -309,18 +312,6 @@ def _rekey(bits: np.random.Philox, key: int) -> None:
         "has_uint32": 0,
         "uinteger": 0,
     }
-
-
-def _keyed_generator(bits: np.random.Philox, seed: int
-                     ) -> np.random.Generator:
-    """A generator on ``bits`` rewound to the stream of ``Philox(key=seed)``.
-
-    ``seed`` is checked first: an integer in [0, 2**128).  The devices
-    check it on every probe but rekey their own generator only at a
-    probe's first draw, so a probe that draws nothing costs no rekey.
-    """
-    _rekey(bits, _probe_seed(seed))
-    return np.random.Generator(bits)
 
 
 def arm_intensities(theta: float, mean_photons: float) -> Dict[str, float]:
@@ -481,7 +472,8 @@ def make_ideal_pnr_device(geiger_efficiency: float = 1.0) -> IdealPNRDevice:
 
 
 def probe(device, case: FuzzInput, seed: int) -> FuzzObservation:
-    """Send one test case to a device.  The only sanctioned interface."""
+    """Send one test case to a device: ``device.probe(case, seed)``, the
+    call the campaign and ``replay_anomaly`` make."""
     return device.probe(case, seed)
 
 
@@ -509,15 +501,15 @@ def baseline_class_probabilities(case: FuzzInput, efficiency: float
         for i, det in enumerate(DETECTORS):
             p_within[i] *= (pl.arms[det] / pl.norm * efficiency
                             + (1.0 - efficiency)) ** n
-    probs: Dict[Tuple[str, Optional[str]], float] = {(rc.LOSS, None): p_none}
+    probs: Dict[Tuple[str, Optional[str]], float] = {(LOSS, None): p_none}
     singles = 0.0
     for det, within in zip(DETECTORS, p_within):
         p_det = within - p_none
         basis, bit = DETECTOR_MEANING[det]
-        cls = (rc.BIT0 if bit == 0 else rc.BIT1, basis)
+        cls = (BIT0 if bit == 0 else BIT1, basis)
         probs[cls] = probs.get(cls, 0.0) + max(p_det, 0.0)
         singles += max(p_det, 0.0)
-    probs[(rc.INVALID, None)] = max(1.0 - singles - p_none, 0.0)
+    probs[(INVALID, None)] = max(1.0 - singles - p_none, 0.0)
     return probs
 
 
@@ -632,10 +624,28 @@ class FuzzReport:
         }
 
 
+def _count(value) -> int:
+    """``value`` as a count: a non-negative integer, not a bool."""
+    if not _is_integer(value) or value < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return int(value)
+
+
+def _name(value) -> str:
+    """``value`` as an id or tag: a string."""
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def observation_from_json_dict(data: Mapping) -> FuzzObservation:
+    clicks = data["clicks"]
+    if isinstance(clicks, str) or not all(isinstance(c, str) for c in clicks):
+        raise TypeError(f"clicks must be a list of detector names, "
+                        f"got {clicks!r}")
     counts = data.get("click_counts")
     return FuzzObservation(
-        clicks=frozenset(data["clicks"]),
+        clicks=frozenset(clicks),
         interpretation=data["interpretation"],
         basis_registered=data.get("basis_registered"),
         click_counts=(tuple(sorted((str(k), int(v))
@@ -647,7 +657,10 @@ def observation_from_json_dict(data: Mapping) -> FuzzObservation:
 def report_from_json_dict(data: Mapping) -> FuzzReport:
     """Rebuild a campaign report (e.g. for replaying logged anomalies).
 
-    A missing key or a malformed field raises FuzzError naming it.
+    A missing key or a malformed field, at the top or in an anomaly,
+    raises FuzzError naming it: counts, stages, indices and the seed are
+    non-negative integers (a bool is not one), and anomaly ids, tags and
+    click names are strings.
     """
     if data.get("schema") != REPORT_SCHEMA:
         raise FuzzError(f"expected schema {REPORT_SCHEMA!r}, "
@@ -656,22 +669,24 @@ def report_from_json_dict(data: Mapping) -> FuzzReport:
     def field(key: str, parse: Callable):
         return read_field(data, key, parse, REPORT_SCHEMA, FuzzError)
 
-    def anomaly(a: Mapping) -> FuzzAnomaly:
+    def anomaly(row: Mapping) -> FuzzAnomaly:
+        def part(key: str, parse: Callable):
+            return read_field(row, key, parse, "anomaly", FuzzError)
         return FuzzAnomaly(
-            anomaly_id=a["anomaly_id"], stage=int(a["stage"]),
-            case_index=int(a["case_index"]),
-            replay_index=int(a["replay_index"]),
-            input=input_from_json_dict(a["input"]),
-            observation=observation_from_json_dict(a["observation"]),
-            tag=a["tag"])
+            anomaly_id=part("anomaly_id", _name), stage=part("stage", _count),
+            case_index=part("case_index", _count),
+            replay_index=part("replay_index", _count),
+            input=part("input", input_from_json_dict),
+            observation=part("observation", observation_from_json_dict),
+            tag=part("tag", _name))
 
     report = FuzzReport(
-        test_cases_run=field("test_cases_run", int),
-        distinct_inputs=field("distinct_inputs", int),
+        test_cases_run=field("test_cases_run", _count),
+        distinct_inputs=field("distinct_inputs", _count),
         anomalies=field("anomalies", lambda rows: [anomaly(a) for a in rows]),
         properties_found=field("properties_found", tuple),
         derived_vulnerabilities=field("derived_vulnerabilities", list),
-        rng_seed=field("rng_seed", int),
+        rng_seed=field("rng_seed", _count),
     )
     report.validate()
     return report
@@ -684,14 +699,15 @@ def _case_seed(master_seed: int, case_index: int, replay: int) -> int:
 
 
 def _schedule_stage01(config: CampaignConfig) -> List[Tuple[int, FuzzInput]]:
-    cases: List[Tuple[int, FuzzInput]] = []
-    for name in ("H", "V", "+45", "-45"):
-        cases.append((0, FuzzInput((pulse(0, name, 1.0),))))
-    for name in ("H", "V", "+45", "-45"):
-        for mu in config.intensity_grid:
-            cases.append((1, FuzzInput((pulse(0, name, mu),))))
-        for shift in config.time_grid:
-            cases.append((1, FuzzInput((pulse(shift, name, 1.0),))))
+    """Depth 1: stage 0 sends each valid state once; stage 1 sweeps each
+    state's intensity, then its arrival slot."""
+    cases = [(0, FuzzInput((pulse(0, name, 1.0),)))
+             for name in POLARIZATION_ANGLES]
+    for name in POLARIZATION_ANGLES:
+        cases += [(1, FuzzInput((pulse(0, name, mu),)))
+                  for mu in config.intensity_grid]
+        cases += [(1, FuzzInput((pulse(shift, name, 1.0),)))
+                  for shift in config.time_grid]
     return cases
 
 
@@ -702,7 +718,7 @@ def _followups(seed_input: FuzzInput, config: CampaignConfig,
     last = seed_input.pulses[-1].time_slot
     probes = []
     for offset in config.follow_up_offsets:
-        for name in ("H", "V", "+45", "-45"):
+        for name in POLARIZATION_ANGLES:
             for mu in config.follow_up_intensities:
                 spec = (last + offset, name, mu)
                 follow = built.get(spec)
@@ -735,11 +751,11 @@ def _classify_case(case: FuzzInput,
         rep_idx = hits[0]
         rep = observations[rep_idx]
         kind, _basis = cls
-        if kind == rc.LOSS:
+        if kind == LOSS:
             tag = "blinding" if bright_final else "weak-under-blinding"
             if not bright_final and not has_prefix:
                 tag = "unexpected-loss"
-        elif kind in (rc.BIT0, rc.BIT1):
+        elif kind in (BIT0, BIT1):
             deterministic = len(hits) == replays
             # a class the final pulse could reach on its own means the
             # earlier pulses left no trace, not that it was steered
@@ -764,16 +780,47 @@ def _classify_case(case: FuzzInput,
     return found
 
 
+def _derived_vulnerabilities(anomalies: List[FuzzAnomaly]) -> List[dict]:
+    """Vulnerability records for the receiver factory: the first
+    strong-under-blinding anomaly per (polarization, basis, bit)."""
+    records: Dict[tuple, dict] = {}
+    for anomaly in anomalies:
+        if anomaly.tag != "strong-under-blinding":
+            continue
+        final = anomaly.input.pulses[-1]
+        polarization = _RECORD_POLARIZATION.get(
+            polarization_label(final.theta))
+        if polarization is None:
+            continue
+        basis = anomaly.observation.basis_registered
+        bit = 0 if anomaly.observation.interpretation == BIT0 else 1
+        if (polarization, basis, bit) not in records:
+            records[polarization, basis, bit] = {
+                "polarization": polarization,
+                "forced_basis": basis,
+                "forced_bit": bit,
+                "intensity": final.mean_photons,
+                "blinding_intensity": max(
+                    p.mean_photons for p in anomaly.input.pulses[:-1]),
+                "anomaly_id": anomaly.anomaly_id,
+            }
+    return list(records.values())
+
+
 def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
                       seed: int = 0,
                       trace_path: Union[str, Path, None] = None) -> FuzzReport:
     """Probe a device through the staged schedule and tag what deviates.
 
-    Stage 0 sends the four valid protocol states and calibrates the
-    baseline loss rate; stage 1 sweeps intensity and timing one degree
-    of freedom at a time; stage 2 (and deeper, up to
-    ``combination_depth``) prefixes anomalous inputs to fresh probes.
-    The device is reset before every probe, and each case is replayed
+    One ordered schedule runs case by case until it ends or its next
+    case would take the probe count past ``config.max_cases``.  It
+    starts as depth 1: stage 0 sends the four valid protocol states and
+    calibrates the baseline loss rate, and stage 1 sweeps intensity and
+    timing one degree of freedom at a time.  Once the last case of a
+    depth d < ``combination_depth`` has run, the schedule grows by stage
+    d + 1: the follow-ups of the inputs first found anomalous during
+    depth d, in the order found, each prefixed to fresh probes.  The
+    device is reset before every probe, and each case is replayed
     ``config.replays`` times under derived sub-seeds, so a report is a
     pure function of (device model, config, seed).  ``seed`` is an
     integer in [0, 2**88), the range the sub-seed keys can hold.
@@ -791,115 +838,63 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
         raise FuzzError(
             f"seed must be an integer in [0, 2**88), got {seed!r}")
 
-    trace_rows: List[dict] = []
-    probes_done = 0
-    case_index = 0
+    replays = config.replays
+    schedule = _schedule_stage01(config)
+    depth, depth_end = 1, len(schedule)
+    # the current depth's anomalous inputs in the order first found; a
+    # depth-d case has d pulses, so no input is found at two depths
+    found: Dict[FuzzInput, None] = {}
+    followup_pulses: Dict[tuple, Pulse] = {}
     anomalies: List[FuzzAnomaly] = []
-    anomalous_inputs: List[FuzzInput] = []
-    seen_inputs = set()
-    efficiency = 1.0  # calibrated after stage 0
+    trace_rows: List[dict] = []
+    efficiency = 1.0  # calibrated by stage 0
     stage0_losses = 0
-    stage0_probes = 0
-
-    def run_case(stage: int, case: FuzzInput) -> bool:
-        """Probe one case with replays; returns False when out of budget."""
-        nonlocal probes_done, case_index, stage0_losses, stage0_probes
-        nonlocal efficiency
-        if probes_done + config.replays > config.max_cases:
-            return False
+    case_index = 0  # also the number of cases run
+    while case_index < len(schedule) \
+            and (case_index + 1) * replays <= config.max_cases:
+        stage, case = schedule[case_index]
         observations = []
-        for replay in range(config.replays):
+        for replay in range(replays):
             device.reset()
             observations.append(
                 device.probe(case, _case_seed(seed, case_index, replay)))
-        probes_done += config.replays
         if stage == 0:
-            stage0_probes += len(observations)
-            stage0_losses += sum(
-                1 for o in observations if o.interpretation == rc.LOSS)
-            efficiency = max(1.0 - stage0_losses / max(stage0_probes, 1),
-                             1e-6)
+            # stage 0 runs first, so every probe so far is one of its own
+            stage0_losses += sum(o.interpretation == LOSS
+                                 for o in observations)
+            efficiency = max(
+                1.0 - stage0_losses / ((case_index + 1) * replays), 1e-6)
         tags = _classify_case(case, observations, efficiency)
         for tag, rep, rep_idx in tags:
             anomalies.append(FuzzAnomaly(
                 anomaly_id=f"a{len(anomalies):04d}",
                 stage=stage, case_index=case_index, replay_index=rep_idx,
                 input=case, observation=rep, tag=tag))
-            if case not in seen_inputs:
-                seen_inputs.add(case)
-                anomalous_inputs.append(case)
+            found[case] = None
         if trace_path is not None:
-            classes: Dict[str, int] = {}
-            for o in observations:
-                key = f"{o.interpretation}/{o.basis_registered or '-'}"
-                classes[key] = classes.get(key, 0) + 1
             trace_rows.append({
                 "case_index": case_index, "stage": stage,
-                "input": case.to_json_dict(), "classes": classes,
+                "input": case.to_json_dict(),
+                "classes": Counter(
+                    f"{o.interpretation}/{o.basis_registered or '-'}"
+                    for o in observations),
                 "tags": [t for t, _, _ in tags],
             })
         case_index += 1
-        return True
-
-    in_budget = True
-    for stage, case in _schedule_stage01(config):
-        if not run_case(stage, case):
-            in_budget = False
-            break
-
-    depth = 2
-    frontier = list(anomalous_inputs)
-    followup_pulses: Dict[tuple, Pulse] = {}
-    while in_budget and depth <= config.combination_depth and frontier:
-        next_start = len(anomalous_inputs)
-        for seed_input in frontier:
-            for case in _followups(seed_input, config, followup_pulses):
-                if not run_case(depth, case):
-                    in_budget = False
-                    break
-            if not in_budget:
-                break
-        frontier = anomalous_inputs[next_start:]
-        depth += 1
-
-    properties: List[str] = []
-    for anomaly in anomalies:
-        prop = _TAG_PROPERTY.get(anomaly.tag)
-        if prop and prop not in properties:
-            properties.append(prop)
-
-    derived: List[dict] = []
-    derived_keys = set()
-    for anomaly in anomalies:
-        if anomaly.tag != "strong-under-blinding":
-            continue
-        final = anomaly.input.pulses[-1]
-        label = polarization_label(final.theta)
-        record_pol = _RECORD_POLARIZATION.get(label or "")
-        if record_pol is None:
-            continue
-        basis = anomaly.observation.basis_registered
-        bit = 0 if anomaly.observation.interpretation == rc.BIT0 else 1
-        key = (record_pol, basis, bit)
-        if key in derived_keys:
-            continue
-        derived_keys.add(key)
-        derived.append({
-            "polarization": record_pol,
-            "forced_basis": basis,
-            "forced_bit": bit,
-            "intensity": final.mean_photons,
-            "blinding_intensity": max(
-                p.mean_photons for p in anomaly.input.pulses[:-1]),
-            "anomaly_id": anomaly.anomaly_id,
-        })
+        if case_index == depth_end and depth < config.combination_depth:
+            schedule += [
+                (depth + 1, follow) for seed_input in found
+                for follow in _followups(seed_input, config, followup_pulses)]
+            depth, depth_end, found = depth + 1, len(schedule), {}
 
     report = FuzzReport(
-        test_cases_run=probes_done,
+        test_cases_run=case_index * replays,
         distinct_inputs=case_index,
         anomalies=anomalies,
-        properties_found=tuple(sorted(properties)),
-        derived_vulnerabilities=derived,
+        properties_found=tuple(sorted(
+            {_TAG_PROPERTY[a.tag] for a in anomalies
+             if a.tag in _TAG_PROPERTY})),
+        derived_vulnerabilities=_derived_vulnerabilities(anomalies),
         rng_seed=seed,
     )
     report.validate()

@@ -4,9 +4,9 @@ reader, and shared names.
 Round logs, fuzz traces, CLI diagnostics and CLI error lines are encoded
 by :func:`ndjson`; artifacts, round logs, fuzz traces and DOT exports are
 written through :func:`atomic_open`.  The simulation and fuzz report
-readers take each key through :func:`read_field`.  The schema ids and
-basis names below are re-exported by the modules that produce them
-(``protocol``, ``fuzz``, ``receivers``) and read by ``qkdlab report``.
+readers take each key through :func:`read_field`.  The schema ids, basis
+names and outcome tags below are re-exported by the modules that produce
+them (``protocol``, ``fuzz``, ``receivers``) and read by ``qkdlab report``.
 Standard library only, so any module may import it, and ``report`` runs
 without numpy.
 """
@@ -25,6 +25,12 @@ FUZZ_REPORT_SCHEMA = "fuzz-report/1"
 COMPUTATIONAL = "computational"
 HADAMARD = "hadamard"
 Y_BASIS = "y"
+
+# Outcome interpretation tags.
+BIT0 = "bit0"
+BIT1 = "bit1"
+INVALID = "invalid"
+LOSS = "loss"
 
 
 def ndjson(record: dict) -> str:

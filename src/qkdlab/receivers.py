@@ -33,13 +33,8 @@ from .fockspace import (
     VACUUM, Mode, ModeRegistry, PhotonicState, d_out, occ, pol_h, pol_v,
     s_out, t_in,
 )
-from .output import COMPUTATIONAL, HADAMARD, Y_BASIS
+from .output import BIT0, BIT1, COMPUTATIONAL, HADAMARD, INVALID, LOSS, Y_BASIS
 
-# Outcome interpretation tags.
-BIT0 = "bit0"
-BIT1 = "bit1"
-INVALID = "invalid"
-LOSS = "loss"
 # Passive receivers register some outcomes as belonging to the other
 # measurement basis; those rounds are discarded at sifting time.
 FOREIGN = "foreign-basis"
@@ -416,14 +411,14 @@ _FORCED_POLARIZATIONS = {
 
 
 def _check_vulnerability_records(records) -> None:
+    """Each record is a mapping that forces its polarization's (basis,
+    bit), and every polarization has a record."""
     seen = {}
     for rec in records:
-        if isinstance(rec, dict):
-            pol = rec.get("polarization")
-            basis, bit = rec.get("forced_basis"), rec.get("forced_bit")
-        else:
-            pol = getattr(rec, "polarization")
-            basis, bit = getattr(rec, "forced_basis"), getattr(rec, "forced_bit")
+        if not isinstance(rec, Mapping):
+            raise ValueError(f"vulnerability record {rec!r} is not a mapping")
+        pol = rec.get("polarization")
+        basis, bit = rec.get("forced_basis"), rec.get("forced_bit")
         if pol not in _FORCED_POLARIZATIONS:
             raise ValueError(f"unknown forcing polarization {pol!r}")
         if _FORCED_POLARIZATIONS[pol] != (basis, bit):

@@ -691,7 +691,8 @@ FUZZ_SUMMARY = {"schema": "fuzz-report/1", "properties_found": [],
                     "simulation-faked-states.json"), "fuzz.json"],
      ["numpy", "scipy"]),
     (["fuzz", "--max-cases", "200"],
-     ["scipy", "qkdlab.attacks", "qkdlab.protocol"]),
+     ["scipy", "qkdlab.attacks", "qkdlab.protocol", "qkdlab.receivers",
+      "qkdlab.fockspace"]),
     (["reverse-space", "--receiver", "interferometric-6mode"], ["scipy"]),
     (["verify", "--receiver", "interferometric-6mode",
       "--attack", "faked-states"], ["scipy"]),

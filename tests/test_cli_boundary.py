@@ -396,6 +396,34 @@ def test_replay_of_a_wrong_typed_pulse_field_exits_2(tmp_path, key, value):
     assert key in payload["message"]
 
 
+# a dotted key names a field inside the replayed anomaly
+@pytest.mark.parametrize("key,value", [
+    ("rng_seed", 0.5), ("test_cases_run", True), ("distinct_inputs", -1),
+    ("anomalies.case_index", True), ("anomalies.replay_index", 2.9),
+    ("anomalies.stage", -1), ("anomalies.anomaly_id", 7),
+    ("anomalies.tag", None), ("anomalies.observation.clicks", "d_h")])
+def test_replay_from_a_malformed_fuzz_report_field_exits_2(tmp_path, key,
+                                                            value):
+    report = tmp_path / "fuzz.json"
+    code, _, _ = run_cli(["fuzz", "--max-cases", 400, "--out", report])
+    assert code == cli.EXIT_OK
+    doc = json.loads(report.read_text())
+    anomaly_id = doc["anomalies"][0]["anomaly_id"]
+    top, *inner = key.split(".")
+    if inner:
+        row = doc[top][0]
+        for part in inner[:-1]:
+            row = row[part]
+        row[inner[-1]] = value
+    else:
+        doc[top] = value
+    write_config(report, doc)
+    payload = assert_one_error_line(
+        *run_cli(["fuzz", "--replay", anomaly_id, "--report", report]))
+    assert payload["code"] == "invalid-config"
+    assert key.split(".")[-1] in payload["message"]
+
+
 _CUSTOM = {
     "kind": "custom",
     "modes": ["polarization-H:0", "polarization-V:0"],

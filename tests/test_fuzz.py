@@ -423,6 +423,10 @@ _CAMPAIGN_DIGESTS = {
         "e6cf2308e7d2a810ebc0917f155f59e6ee893d047934df761016962cf5d618a7",
     "underflow-0.999-loss":
         "7693db6b83a112eab8bad786e454f5a84d6a34eae5871ea21a228d2685091356",
+    "budget-2000-seed4":
+        "027def190322cbe301308d7e89b099e782a517b1b6cb4532e15f23a501021d91",
+    "depth-3":
+        "08de84baf37a6aaa6e38f4e10ed3550d94b767e28ddcd2f9b63f79961a820705",
 }
 
 
@@ -451,6 +455,13 @@ def _pinned_setup(name):
         "underflow-0.999-loss":
             lambda: (apd(_UNDERFLOW_PARAMS, double_click_rule="loss"),
                      None, 0),
+        # the default campaigns end at depth 2 within budget; these two
+        # run out of budget inside depth 2 and inside depth 3
+        "budget-2000-seed4":
+            lambda: (apd(), fuzz.default_config(fuzz.APDParams(),
+                                                max_cases=2000), 4),
+        "depth-3": lambda: (apd(), dataclasses.replace(
+            fuzz.default_config(fuzz.APDParams()), combination_depth=3), 0),
     }[name]()
 
 
@@ -479,6 +490,10 @@ _TRACE_DIGESTS = {
         "d68fdcd0872c5087dae750050acbfbf3f5d5ad616ea58b57353e583502e4264e",
     "underflow-0.999-loss":
         "c4eb5fe28bc6071d887722ea94902a2472015dd0c7898e010818f75473890cb4",
+    "budget-2000-seed4":
+        "fdcbcedc2195292c3bf9997b3955f2cd3efefc11cad1089fdbe98430acf07e8e",
+    "depth-3":
+        "47c630c79bcf2cebb5e556bc5ab3729f99cff937225f895f174cc54f42d4bdac",
 }
 
 
@@ -537,16 +552,42 @@ def test_report_json_missing_key_is_a_fuzz_error(campaign, key):
         fuzz.report_from_json_dict(data)
 
 
+# a dotted key names a field inside the first anomaly
 @pytest.mark.parametrize("key,value", [
     ("anomalies", 5),
     ("anomalies", [{"anomaly_id": "a0001"}]),
     ("test_cases_run", None),
     ("rng_seed", "zero"),
+    ("test_cases_run", True),
+    ("test_cases_run", 2.5),
+    ("distinct_inputs", -1),
+    ("distinct_inputs", False),
+    ("rng_seed", 0.5),
+    ("rng_seed", -3),
+    ("anomalies.stage", -1),
+    ("anomalies.stage", 1.5),
+    ("anomalies.case_index", True),
+    ("anomalies.case_index", -2),
+    ("anomalies.replay_index", 2.9),
+    ("anomalies.replay_index", False),
+    ("anomalies.anomaly_id", 7),
+    ("anomalies.tag", None),
+    ("anomalies.observation.clicks", "d_h"),
+    ("anomalies.observation.clicks", ["d_h", 3]),
 ])
 def test_report_json_malformed_field_is_a_fuzz_error(campaign, key, value):
-    data = dict(campaign.to_json_dict(), **{key: value})
-    with pytest.raises(fuzz.FuzzError, match=f"malformed '{key}'"):
+    data = json.loads(json.dumps(campaign.to_json_dict()))
+    top, *inner = key.split(".")
+    if inner:
+        row = data[top][0]
+        for part in inner[:-1]:
+            row = row[part]
+        row[inner[-1]] = value
+    else:
+        data[top] = value
+    with pytest.raises(fuzz.FuzzError, match=f"malformed '{top}'") as err:
         fuzz.report_from_json_dict(data)
+    assert key.split(".")[-1] in str(err.value)
 
 
 def test_report_json_round_trip(campaign):
@@ -687,7 +728,8 @@ def test_rekeyed_generator_matches_a_fresh_philox(seed):
     used.integers(0, 10, size=3, dtype=np.uint32)
     used.random(3)
     for _ in range(2):  # a generator reused for a second probe
-        gen = fuzz._keyed_generator(bits, seed)
+        fuzz._rekey(bits, fuzz._probe_seed(seed))
+        gen = np.random.Generator(bits)
         fresh = np.random.Generator(np.random.Philox(key=seed))
         assert gen.random(5).tolist() == fresh.random(5).tolist()
         assert gen.multinomial(40, [0.1, 0.2, 0.3, 0.4]).tolist() == \
@@ -700,4 +742,4 @@ def test_rekeyed_generator_matches_a_fresh_philox(seed):
 @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, True, "3"])
 def test_probe_seed_outside_the_philox_key_is_rejected(seed):
     with pytest.raises(fuzz.FuzzError, match="seed"):
-        fuzz._keyed_generator(np.random.Philox(key=0), seed)
+        fuzz._probe_seed(seed)

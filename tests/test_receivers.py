@@ -241,6 +241,8 @@ def test_vulnerability_records_are_validated():
     bad[0]["forced_bit"] = 1
     with pytest.raises(ValueError):
         rc.make_receiver("blinded-bright", from_vulnerabilities=bad)
+    with pytest.raises(ValueError, match="not a mapping"):
+        rc.make_receiver("blinded-bright", from_vulnerabilities=[1, 2, 3, 4])
 
 
 def test_single_window_variant_uses_two_phases():
