@@ -49,7 +49,7 @@ ideal_system = atk.build_constraint_system(ideal)
 copy = atk.cnot_attack(ideal, ideal_system)
 failing = atk.verify_oblivious(copy, ideal_system)
 print(f"\ncopy attack on the ideal receiver: oblivious={failing.oblivious}")
-for row, residual in failing.failing_rows(1e-9):
+for row, residual in failing.failing_rows():
     print(f"  leak: alice={row.alice_label} setting={row.setting} "
           f"outcome={row.outcome_id} residual={residual:.4f}")
 

@@ -159,15 +159,12 @@ class ConstraintSystem:
         return np.linalg.solve(a, s)
 
 
-def build_constraint_system(receiver: rc.ReceiverModel,
-                            include_invalid: bool = True) -> ConstraintSystem:
+def build_constraint_system(receiver: rc.ReceiverModel) -> ConstraintSystem:
     """Assemble the zero-error conditions for a receiver.
 
     Matched-basis rounds contribute the wrong-bit outcomes; every round
-    contributes the invalid outcomes unless ``include_invalid`` is cleared
-    (useful to see what a monitoring rule is worth).  Raises if a paired
-    source state does not embed in the reachable space, reporting the lost
-    norm.
+    contributes the invalid outcomes.  Raises if a paired source state does
+    not embed in the reachable space, reporting the lost norm.
     """
     basis = rc.reversed_space(receiver)
     n_k = len(basis)
@@ -208,11 +205,7 @@ def build_constraint_system(receiver: rc.ReceiverModel,
         a0, a1 = alpha[lab]
         for sname, setting in receiver.settings.items():
             bit = lab[1] if sname == lab[0] else None
-            ids = rc.error_outcome_ids(setting, bit)
-            if not include_invalid:
-                ids = [oid for oid in ids
-                       if setting.interpretation[oid] != rc.INVALID]
-            for oid in ids:
+            for oid in rc.error_outcome_ids(setting, bit):
                 for m, b in enumerate(beta[sname][oid]):
                     rows.append(ConstraintRow(lab, sname, oid, m))
                     data.append(np.concatenate([a0 * b, a1 * b]))
@@ -243,7 +236,7 @@ def _resolve_system(receiver: Optional[rc.ReceiverModel],
     return system
 
 
-def null_space(matrix: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
+def null_space(matrix: np.ndarray) -> np.ndarray:
     """Orthonormal basis (as columns) of the kernel of ``matrix``.
 
     A zero (or empty) matrix with n columns yields the n coordinate
@@ -254,7 +247,7 @@ def null_space(matrix: np.ndarray, tol: float = NULL_TOL) -> np.ndarray:
     if m.shape[0] == 0 or not np.any(np.abs(m) > 0):
         return np.eye(n_cols, dtype=complex)
     _, s, vh = np.linalg.svd(m)
-    rank = int(np.sum(s > tol))
+    rank = int(np.sum(s > NULL_TOL))
     return vh[rank:].conj().T
 
 
@@ -300,7 +293,7 @@ class AttackIsometry:
                 f"coefficient table covers {self.coefficients.shape[1]} basis "
                 f"elements but the basis has {len(self.p_basis)}")
         res = self.isometry_residual()
-        if res > GRAM_TOL:
+        if not res <= GRAM_TOL:
             raise AttackError(
                 f"probe vectors do not form an isometry "
                 f"(Gram deviation {res:.3e})")
@@ -402,7 +395,7 @@ def _aligned_coefficients(attack: AttackIsometry,
         overlap = _overlap(system.p_basis, attack.p_basis)
     col_norms = np.sum(np.abs(overlap) ** 2, axis=0)
     worst = float(np.max(np.abs(col_norms - 1.0))) if col_norms.size else 0.0
-    if worst > _ALIGN_TOL:
+    if not worst <= _ALIGN_TOL:
         raise AttackError(
             f"attack basis is not contained in the receiver's reachable "
             f"space (worst lost norm {worst:.3e})")
@@ -468,8 +461,6 @@ class AttackFamily:
     parameter_names: Tuple[str, ...] = ()
     _extractors: Dict[str, Callable[[np.ndarray], float]] = field(
         default_factory=dict, repr=False)
-    _vertex_cache: Dict[bool, np.ndarray] = field(
-        default_factory=dict, repr=False, compare=False)
 
     @property
     def dimension(self) -> int:
@@ -483,12 +474,6 @@ class AttackFamily:
         """(A, b) such that diagonal members are exactly ``A t = b, t >= 0``."""
         return (_weight_rows(self.null_basis, self.system.n_basis),
                 _WEIGHT_TARGET.copy())
-
-    def direction_pool(self, allow_vacuum: bool) -> List[int]:
-        if allow_vacuum:
-            return list(range(self.dimension))
-        return [d for d in range(self.dimension)
-                if d not in self.vacuum_directions]
 
     def instantiate(self, weights: Sequence[float],
                     label: str = "instantiated") -> AttackIsometry:
@@ -506,28 +491,27 @@ class AttackFamily:
                 f"weights violate the isometry conditions (residual {res:.3e})")
         return _diagonal_member(self.system, self.null_basis, t, label)
 
-    def _pool_vertices(self, allow_vacuum: bool = False) -> np.ndarray:
-        """The vertices of the weight system over one direction pool, one
-        per row.  They are enumerated once per pool; the array is
+    @cached_property
+    def _photon_vertices(self) -> np.ndarray:
+        """The vertices of the weight system over the photon-carrying
+        directions, one per row, enumerated on first use.  The array is
         read-only."""
-        allow_vacuum = bool(allow_vacuum)
-        if allow_vacuum not in self._vertex_cache:
-            a, _ = self.weight_system()
-            vertices = np.array(
-                list(_vertices(a, self.direction_pool(allow_vacuum))))
-            vertices.flags.writeable = False
-            self._vertex_cache[allow_vacuum] = vertices
-        return self._vertex_cache[allow_vacuum]
+        a, _ = self.weight_system()
+        pool = [d for d in range(self.dimension)
+                if d not in self.vacuum_directions]
+        vertices = np.array(list(_vertices(a, pool)))
+        vertices.flags.writeable = False
+        return vertices
 
-    def sample(self, rng: np.random.Generator,
-               allow_vacuum: bool = False) -> AttackIsometry:
+    def sample(self, rng: np.random.Generator) -> AttackIsometry:
         """Random member: a Dirichlet mixture of up to 4 distinct extreme
-        diagonal members, drawn from the vertices of the weight system."""
-        vertices = self._pool_vertices(allow_vacuum)
+        diagonal members, drawn from the vertices of the weight system over
+        the photon-carrying directions."""
+        vertices = self._photon_vertices
         if not len(vertices):
             raise InfeasibleAttackError(
                 "the family admits no isometry members over the "
-                "requested directions")
+                "photon-carrying directions")
         picks = rng.choice(len(vertices), size=min(4, len(vertices)),
                            replace=False)
         mix = rng.dirichlet(np.ones(len(picks)))
@@ -546,17 +530,6 @@ class AttackFamily:
 
     def contains(self, attack: AttackIsometry) -> bool:
         return self.projection_residual(attack) < MEMBER_TOL
-
-    def member_from_coefficients(self, coefficients: np.ndarray,
-                                 label: str = "member") -> AttackIsometry:
-        """Validate an explicit probe table as a member and wrap it."""
-        attack = self.system.attack(coefficients, label)
-        resid = self.projection_residual(attack)
-        if resid >= MEMBER_TOL:
-            raise AttackError(
-                f"probe table is not a zero-error member "
-                f"(projection residual {resid:.3e})")
-        return attack
 
     def parameter_values(self, attack: AttackIsometry) -> Dict[str, float]:
         """Named family parameters of a member, when the family has them."""
@@ -729,10 +702,9 @@ class ObliviousnessReport:
     per_row_residuals: Tuple[Tuple[ConstraintRow, float], ...]
     isometry_residual: float
 
-    def failing_rows(self, tol: float = NULL_TOL
-                     ) -> List[Tuple[ConstraintRow, float]]:
+    def failing_rows(self) -> List[Tuple[ConstraintRow, float]]:
         return [(row, res) for row, res in self.per_row_residuals
-                if res > tol]
+                if res > NULL_TOL]
 
 
 def verify_oblivious(attack: AttackIsometry,
@@ -806,18 +778,14 @@ class EveComponent:
 class EveConditionalStates:
     """Unnormalized probe states conditioned on (Alice label, sifted bit).
 
-    Weights are joint probabilities of the conditioning event, so they sum
-    (over sifted bits and labels at fixed basis, with uniform Alice) to at
-    most one.
+    Their weights (the traces :meth:`density` returns) are joint
+    probabilities of the conditioning event, so they sum (over sifted bits
+    and labels at fixed basis, with uniform Alice) to at most one.
     """
 
     receiver_name: str
     eve_dim: int
     components: Dict[Tuple[Tuple[str, int], int], Tuple[EveComponent, ...]]
-
-    def weight(self, label: Tuple[str, int], sifted_bit: int) -> float:
-        comps = self.components.get((label, sifted_bit), ())
-        return float(sum(np.sum(np.abs(c.vector) ** 2) for c in comps))
 
     def density(self, label: Tuple[str, int], sifted_bit: int
                 ) -> Tuple[np.ndarray, float]:
@@ -826,9 +794,6 @@ class EveConditionalStates:
         for c in self.components.get((label, sifted_bit), ()):
             rho += np.outer(c.vector, c.vector.conj())
         return rho, float(rho.trace().real)
-
-    def detection_probability(self, label: Tuple[str, int]) -> float:
-        return self.weight(label, 0) + self.weight(label, 1)
 
     def basis_density(self, label: Tuple[str, int]
                       ) -> Tuple[np.ndarray, float]:
@@ -883,8 +848,12 @@ class HelstromMeasurement:
     guess0_given_1: float
 
 
-def helstrom_measurement(state0, state1, prior0: float = 0.5,
-                         prior1: float = 0.5) -> HelstromMeasurement:
+def helstrom_measurement(state0, state1, prior0: float,
+                         prior1: float) -> HelstromMeasurement:
+    """The optimal measurement telling ``state0`` from ``state1`` at the
+    given priors.  It succeeds with ``(1 + ||prior0*rho0 - prior1*rho1||_tr)
+    / 2``, for pure states at equal priors ``(1 + sqrt(1 - |<a|b>|^2)) / 2``.
+    """
     rho0 = _as_density(state0)
     rho1 = _as_density(state1)
     delta = prior0 * rho0 - prior1 * rho1
@@ -898,17 +867,6 @@ def helstrom_measurement(state0, state1, prior0: float = 0.5,
         guess0_given_0=g00,
         guess0_given_1=g01,
     )
-
-
-def helstrom_probability(state0, state1,
-                         prior0: float = 0.5, prior1: float = 0.5) -> float:
-    """Optimal success probability for two-hypothesis discrimination.
-
-    ``(1 + || prior0*rho0 - prior1*rho1 ||_tr) / 2``; for pure states at
-    equal priors this is ``(1 + sqrt(1 - |<a|b>|^2)) / 2``.
-    """
-    return helstrom_measurement(state0, state1, prior0,
-                                prior1).success_probability
 
 
 def eve_guess(conditional: EveConditionalStates,
@@ -1049,27 +1007,18 @@ def full_information_attack(receiver: rc.ReceiverModel,
 
 
 def bright_pulse_attack(receiver: rc.ReceiverModel,
-                        computational_amp: Optional[float] = None,
-                        hadamard_amp: Optional[float] = None,
+                        computational_amp: float,
                         system: Optional[ConstraintSystem] = None
                         ) -> AttackIsometry:
     """Substitute classical bright pulses for the logical qubit.
 
     ``computational_amp`` weights the pointer that records the bit in the
-    rectilinear bright pair; ``hadamard_amp`` weights each pointer onto the
-    diagonal pair.  They satisfy
-    ``computational_amp^2 + 2*hadamard_amp^2 = 1``; give either one.
+    rectilinear bright pair; each pointer onto the diagonal pair gets
+    ``hadamard_amp = sqrt((1 - computational_amp^2) / 2)``, so that
+    ``computational_amp^2 + 2*hadamard_amp^2 = 1``.  An amplitude outside
+    [-1, 1] gives no isometry and raises AttackError.
     """
-    if computational_amp is None and hadamard_amp is None:
-        raise AttackError("give computational_amp or hadamard_amp")
-    if computational_amp is None:
-        computational_amp = math.sqrt(max(0.0, 1 - 2 * hadamard_amp ** 2))
-    if hadamard_amp is None:
-        hadamard_amp = math.sqrt(max(0.0, (1 - computational_amp ** 2) / 2))
-    total = computational_amp ** 2 + 2 * hadamard_amp ** 2
-    if abs(total - 1) > 1e-9:
-        raise AttackError(
-            f"pointer weights must satisfy comp^2 + 2*had^2 = 1; got {total}")
+    hadamard_amp = math.sqrt(max(0.0, (1 - computational_amp ** 2) / 2))
     system = _resolve_system(receiver, system)
     cb0 = system.source_embeddings[(rc.COMPUTATIONAL, 0)]
     cb1 = system.source_embeddings[(rc.COMPUTATIONAL, 1)]

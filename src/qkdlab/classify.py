@@ -26,7 +26,6 @@ memberships, and expected classes, and exports the family graph.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Iterable, Tuple
 
@@ -291,10 +290,6 @@ def registry_to_json_dict() -> dict:
         "records": [r.to_json_dict() for r in registry()],
         "family_edges": [list(edge) for edge in FAMILY_EDGES],
     }
-
-
-def registry_to_json() -> str:
-    return json.dumps(registry_to_json_dict(), indent=2, sort_keys=True)
 
 
 def registry_to_dot() -> str:

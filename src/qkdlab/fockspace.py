@@ -36,7 +36,6 @@ Conventions:
 
 from __future__ import annotations
 
-import json
 import math
 import numbers
 from itertools import compress
@@ -191,10 +190,6 @@ def single(mode: Mode) -> Occupation:
     return ((mode, 1),)
 
 
-def total_photons(occupation: Occupation) -> int:
-    return sum(n for _, n in occupation)
-
-
 @dataclass(frozen=True)
 class ModeRegistry:
     """The declared mode universe a state lives in, plus the photon cap."""
@@ -323,14 +318,6 @@ class PhotonicState:
 
     def amplitude(self, occupation: Occupation) -> complex:
         return self.amplitudes.get(occupation, 0.0)
-
-    def photon_numbers(self) -> Dict[int, float]:
-        """Probability weight per total photon number."""
-        weights: Dict[int, float] = {}
-        for occupation, amp in self.amplitudes.items():
-            n = total_photons(occupation)
-            weights[n] = weights.get(n, 0.0) + abs(amp) ** 2
-        return weights
 
     def close_to(self, other: "PhotonicState", atol: float = ATOL) -> bool:
         self._require_same_registry(other)
@@ -797,7 +784,7 @@ class LinearMap:
             raise FockError("linear map matrix shape does not match its bases")
         if self.isometry:
             gram = self.matrix.conj().T @ self.matrix
-            if np.max(np.abs(gram - np.eye(cols))) > ATOL:
+            if not np.max(np.abs(gram - np.eye(cols))) <= ATOL:
                 raise FockError("columns are not orthonormal; not an isometry")
 
     def adjoint(self) -> "LinearMap":
@@ -886,11 +873,3 @@ def state_from_dict(data: dict) -> PhotonicState:
         re, im = comp["amplitude"]
         amps[occupation] = complex(re, im)
     return PhotonicState(reg, amps)
-
-
-def state_to_json(state: PhotonicState) -> str:
-    return json.dumps(state_to_dict(state), sort_keys=True)
-
-
-def state_from_json(text: str) -> PhotonicState:
-    return state_from_dict(json.loads(text))

@@ -64,6 +64,8 @@ _TAG_PROPERTY = {
     "strong-under-blinding": PROPERTY_STRONG,
 }
 
+_OUTCOME_TAGS = (BIT0, BIT1, INVALID, LOSS)
+
 # observed-class probability below which a systematic observation is
 # incompatible with the calibrated ideal baseline
 _BASELINE_FLOOR = 1e-6
@@ -467,16 +469,6 @@ def make_apd_receiver_device(params: Optional[APDParams] = None,
     return APDReceiverDevice(params or APDParams(), double_click_rule)
 
 
-def make_ideal_pnr_device(geiger_efficiency: float = 1.0) -> IdealPNRDevice:
-    return IdealPNRDevice(geiger_efficiency)
-
-
-def probe(device, case: FuzzInput, seed: int) -> FuzzObservation:
-    """Send one test case to a device: ``device.probe(case, seed)``, the
-    call the campaign and ``replay_anomaly`` make."""
-    return device.probe(case, seed)
-
-
 # ---------------------------------------------------------------------------
 # the ideal baseline
 # ---------------------------------------------------------------------------
@@ -638,19 +630,32 @@ def _name(value) -> str:
     return value
 
 
+def _outcome_tag(value) -> str:
+    """``value`` as an observation's interpretation: an outcome tag."""
+    if _name(value) not in _OUTCOME_TAGS:
+        raise ValueError(f"expected an outcome tag, got {value!r}")
+    return value
+
+
 def observation_from_json_dict(data: Mapping) -> FuzzObservation:
+    """An observation as ``FuzzObservation.to_json_dict`` writes it; a
+    malformed field raises naming it."""
+    def part(key: str, parse: Callable):
+        return read_field(data, key, parse, "observation", ValueError)
+
     clicks = data["clicks"]
     if isinstance(clicks, str) or not all(isinstance(c, str) for c in clicks):
         raise TypeError(f"clicks must be a list of detector names, "
                         f"got {clicks!r}")
-    counts = data.get("click_counts")
+    basis, counts = data.get("basis_registered"), data.get("click_counts")
     return FuzzObservation(
         clicks=frozenset(clicks),
-        interpretation=data["interpretation"],
-        basis_registered=data.get("basis_registered"),
-        click_counts=(tuple(sorted((str(k), int(v))
-                                   for k, v in counts.items()))
-                      if counts is not None else None),
+        interpretation=part("interpretation", _outcome_tag),
+        basis_registered=(None if basis is None
+                          else part("basis_registered", _name)),
+        click_counts=None if counts is None else part(
+            "click_counts", lambda c: tuple(sorted(
+                (str(k), _count(v)) for k, v in c.items()))),
     )
 
 
@@ -659,8 +664,8 @@ def report_from_json_dict(data: Mapping) -> FuzzReport:
 
     A missing key or a malformed field, at the top or in an anomaly,
     raises FuzzError naming it: counts, stages, indices and the seed are
-    non-negative integers (a bool is not one), and anomaly ids, tags and
-    click names are strings.
+    non-negative integers (a bool is not one), anomaly ids, tags, click
+    names and any basis are strings, and interpretations outcome tags.
     """
     if data.get("schema") != REPORT_SCHEMA:
         raise FuzzError(f"expected schema {REPORT_SCHEMA!r}, "

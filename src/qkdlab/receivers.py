@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Dict, Iterable, List, Mapping, Sequence, Tuple
@@ -144,17 +145,6 @@ class ReceiverModel:
         return tuple(_derive_reversed_space(self))
 
 
-def interpret(receiver: ReceiverModel, setting_name: str, outcome_id: str) -> str:
-    """Interpretation tag for an outcome under a setting.
-
-    The synthetic ``unregistered`` outcome (probability mass outside every
-    registered projector) is treated as a loss.
-    """
-    if outcome_id == UNREGISTERED:
-        return LOSS
-    return receiver.settings[setting_name].interpretation[outcome_id]
-
-
 def error_outcome_ids(setting: Setting, alice_bit: int | None) -> List[str]:
     """Outcomes that must have zero probability for a stealthy adversary.
 
@@ -167,17 +157,6 @@ def error_outcome_ids(setting: Setting, alice_bit: int | None) -> List[str]:
     if alice_bit is not None:
         ids = setting.bit_outcomes(1 - alice_bit) + ids
     return ids
-
-
-def error_outcomes(receiver: ReceiverModel, setting_name: str,
-                   alice_label: Tuple[str, int]) -> frozenset:
-    """Outcome ids the receiver counts as errors for a matched-basis round."""
-    basis, bit = alice_label
-    if basis != setting_name:
-        raise ValueError(
-            f"errors are defined for matched bases; Alice sent {basis!r} "
-            f"but the setting is {setting_name!r}")
-    return frozenset(error_outcome_ids(receiver.settings[setting_name], bit))
 
 
 def outcome_probabilities(receiver: ReceiverModel, setting_name: str,
@@ -564,12 +543,13 @@ def _photons(key: str, value) -> int:
 
 
 def _complex(pair, where: str) -> complex:
-    """A ``[real, imaginary]`` pair of JSON numbers as a complex number."""
+    """A ``[real, imaginary]`` pair of JSON numbers, each finite as a
+    float, as a complex number."""
     if not (isinstance(pair, list) and len(pair) == 2 and all(
             isinstance(x, (int, float)) and not isinstance(x, bool)
-            for x in pair)):
+            and abs(x) <= sys.float_info.max for x in pair)):
         raise ValueError(f"{where} {pair!r} is not a [real, imaginary] "
-                         f"pair of numbers")
+                         f"pair of finite numbers")
     return complex(*pair)
 
 

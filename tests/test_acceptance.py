@@ -350,7 +350,7 @@ def test_copy_attack_is_detected_and_raises_hadamard_qber():
         0: set(hadamard.outcomes_tagged(rc.BIT1)),
         1: set(hadamard.outcomes_tagged(rc.BIT0)),
     }
-    rows = report.failing_rows(1e-9)
+    rows = report.failing_rows()
     assert rows
     for row, residual in rows:
         basis, bit = row.alice_label

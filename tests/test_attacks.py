@@ -1,5 +1,6 @@
 """Unit tests for zero-error attack synthesis, verification and probe analysis."""
 
+import dataclasses
 import json
 import math
 from itertools import combinations
@@ -194,10 +195,10 @@ def test_faked_states_attack_against_sparse_receiver(six):
     cond = atk.eve_conditional_states(attack, system=system)
     # early-bin resends reach the bit-0 windows half the time, never the
     # wrong-bit ones, and never the conjugate-basis windows
-    assert abs(cond.weight((rc.COMPUTATIONAL, 0), 0) - 0.5) < 1e-12
-    assert cond.weight((rc.COMPUTATIONAL, 0), 1) == 0.0
-    assert abs(cond.weight((rc.COMPUTATIONAL, 1), 1) - 0.5) < 1e-12
-    assert cond.detection_probability((rc.HADAMARD, 0)) == 0.0
+    assert abs(cond.density((rc.COMPUTATIONAL, 0), 0)[1] - 0.5) < 1e-12
+    assert cond.density((rc.COMPUTATIONAL, 0), 1)[1] == 0.0
+    assert abs(cond.density((rc.COMPUTATIONAL, 1), 1)[1] - 0.5) < 1e-12
+    assert cond.basis_density((rc.HADAMARD, 0))[1] == 0.0
     assert atk.eve_guess_probability(cond, rc.COMPUTATIONAL) == pytest.approx(1.0)
 
     probs = atk.attacked_outcome_distribution(
@@ -229,8 +230,15 @@ def test_guard_bins_catch_the_faked_states_attack(six, defended):
 
 
 def test_relaxing_invalid_monitoring_reopens_the_defended_receiver(defended):
+    # the defended receiver with its invalid outcomes read as losses
     receiver = defended[0]
-    relaxed = atk.build_constraint_system(receiver, include_invalid=False)
+    settings = {
+        name: dataclasses.replace(setting, interpretation={
+            oid: rc.LOSS if tag == rc.INVALID else tag
+            for oid, tag in setting.interpretation.items()})
+        for name, setting in receiver.settings.items()}
+    relaxed = atk.build_constraint_system(
+        dataclasses.replace(receiver, settings=settings))
     family = atk.synthesize_attacks(relaxed)
     assert family.dimension == 9
     assert family.non_vacuum_dimension == 7
@@ -296,13 +304,13 @@ def test_two_window_probe_statistics(two):
     receiver, system, _ = two
     attack = atk.full_information_attack(receiver, system)
     cond = atk.eve_conditional_states(attack, system=system)
-    assert cond.weight((rc.COMPUTATIONAL, 0), 0) == pytest.approx(0.125)
-    assert cond.weight((rc.COMPUTATIONAL, 1), 1) == pytest.approx(0.125)
-    assert cond.weight((rc.HADAMARD, 0), 0) == pytest.approx(0.25)
-    assert cond.weight((rc.HADAMARD, 1), 1) == pytest.approx(0.25)
+    assert cond.density((rc.COMPUTATIONAL, 0), 0)[1] == pytest.approx(0.125)
+    assert cond.density((rc.COMPUTATIONAL, 1), 1)[1] == pytest.approx(0.125)
+    assert cond.density((rc.HADAMARD, 0), 0)[1] == pytest.approx(0.25)
+    assert cond.density((rc.HADAMARD, 1), 1)[1] == pytest.approx(0.25)
     # zero-error: the wrong-bit conditionals carry no weight
-    assert cond.weight((rc.COMPUTATIONAL, 0), 1) == 0.0
-    assert cond.weight((rc.HADAMARD, 0), 1) == 0.0
+    assert cond.density((rc.COMPUTATIONAL, 0), 1)[1] == 0.0
+    assert cond.density((rc.HADAMARD, 0), 1)[1] == 0.0
     for basis in (rc.COMPUTATIONAL, rc.HADAMARD):
         assert atk.eve_guess_probability(cond, basis) == pytest.approx(1.0)
 
@@ -341,9 +349,7 @@ def test_copy_bit_attack_breaks_conjugate_basis_rows(ideal):
             assert res < 1e-12
         else:
             assert res == pytest.approx(1 / RT2, abs=1e-12)
-    assert not family.contains(attack)
-    with pytest.raises(atk.AttackError, match="not a zero-error member"):
-        family.member_from_coefficients(attack.coefficients)
+    assert not family.contains(system.attack(attack.coefficients, "member"))
 
 
 def test_copy_bit_attack_outcome_distribution(ideal):
@@ -391,7 +397,7 @@ def test_bright_family_endpoints_copy_one_basis(bright):
     cond = atk.eve_conditional_states(comp_copy, system=system)
     assert atk.eve_guess_probability(cond, rc.COMPUTATIONAL) == pytest.approx(1.0)
     # the computational copier sends no diagonal pointers at all
-    assert cond.detection_probability((rc.HADAMARD, 0)) == pytest.approx(0.0)
+    assert cond.basis_density((rc.HADAMARD, 0))[1] == pytest.approx(0.0)
     with pytest.raises(atk.AttackError, match="no sifted detections"):
         atk.eve_guess_probability(cond, rc.HADAMARD)
 
@@ -405,8 +411,8 @@ def test_bright_interior_member_reveals_both_bases(bright):
                                      system=system)
     assert family.contains(member)
     cond = atk.eve_conditional_states(member, system=system)
-    assert cond.weight((rc.COMPUTATIONAL, 0), 0) == pytest.approx(0.36)
-    assert cond.weight((rc.HADAMARD, 0), 0) == pytest.approx(0.64)
+    assert cond.density((rc.COMPUTATIONAL, 0), 0)[1] == pytest.approx(0.36)
+    assert cond.density((rc.HADAMARD, 0), 0)[1] == pytest.approx(0.64)
     for basis in (rc.COMPUTATIONAL, rc.HADAMARD):
         assert atk.eve_guess_probability(cond, basis) == pytest.approx(1.0)
 
@@ -450,7 +456,7 @@ def test_instantiate_validates_weights(bright):
     with pytest.raises(atk.AttackError, match="isometry conditions"):
         family.instantiate(np.ones(family.dimension))
     a, b = family.weight_system()
-    pool = family.direction_pool(allow_vacuum=False)
+    pool = photon_carrying(family)
     t, rnorm = None, None
     from scipy.optimize import nnls
     t0, rnorm = nnls(a[:, pool], b)
@@ -481,6 +487,12 @@ def _nnls_minimal_support(a, pool):
     return None
 
 
+def photon_carrying(family):
+    """The directions of ``family`` that are not purely vacuum."""
+    return [d for d in range(family.dimension)
+            if d not in family.vacuum_directions]
+
+
 def assert_vertices_match_nnls(a, pool):
     vertices = list(atk._vertices(a, pool))
     assert bool(vertices) == _nnls_feasible(a, pool)
@@ -503,8 +515,8 @@ def test_vertices_match_nnls_on_bundled_receivers(kind, variant):
     receiver = rc.make_receiver(kind, variant)
     family = atk.synthesize_attacks(atk.build_constraint_system(receiver))
     a, _ = family.weight_system()
-    for allow_vacuum in (False, True):
-        assert_vertices_match_nnls(a, family.direction_pool(allow_vacuum))
+    for pool in (photon_carrying(family), list(range(family.dimension))):
+        assert_vertices_match_nnls(a, pool)
 
 
 @pytest.mark.parametrize("offset,feasible", [(1e-6, False), (1e-11, True)])
@@ -514,7 +526,7 @@ def test_vertices_hold_the_residual_to_1e_9(offset, feasible):
     assert bool(list(atk._vertices(a, [0]))) == feasible
 
 
-def test_sample_enumerates_each_pool_once(monkeypatch):
+def test_sample_enumerates_its_pool_once(monkeypatch):
     receiver = rc.make_receiver("interferometric-2mode")
     family = atk.synthesize_attacks(atk.build_constraint_system(receiver))
     calls = []
@@ -526,20 +538,17 @@ def test_sample_enumerates_each_pool_once(monkeypatch):
     real = atk._vertices
     monkeypatch.setattr(atk, "_vertices", counting)
     rng = np.random.default_rng(11)
-    cached = [family.sample(rng) for _ in range(2)]
-    assert len(calls) == 1
-    cached.append(family.sample(rng, allow_vacuum=True))
-    cached.append(family.sample(rng, allow_vacuum=True))
-    assert len(calls) == 2
+    cached = [family.sample(rng) for _ in range(3)]
+    assert calls == [tuple(photon_carrying(family))]
     with pytest.raises(ValueError):
-        family._pool_vertices()[0, 0] = 0.5
+        family._photon_vertices[0, 0] = 0.5
     # the same draws with the cache emptied before each one
     rng = np.random.default_rng(11)
     uncached = []
-    for allow_vacuum in (False, False, True, True):
-        family._vertex_cache.clear()
-        uncached.append(family.sample(rng, allow_vacuum=allow_vacuum))
-    assert len(calls) == 6
+    for _ in range(3):
+        del family._photon_vertices
+        uncached.append(family.sample(rng))
+    assert len(calls) == 4
     for x, y in zip(cached, uncached):
         assert x.coefficients.tobytes() == y.coefficients.tobytes()
 
@@ -583,7 +592,7 @@ def test_vertices_match_nnls_on_random_weight_systems(case):
 def test_helstrom_matches_closed_form():
     v0 = np.array([1.0, 0.0])
     v1 = np.array([1.0, 1.0]) / RT2
-    got = atk.helstrom_probability(v0, v1)
+    got = atk.helstrom_measurement(v0, v1, 0.5, 0.5).success_probability
     assert got == pytest.approx((1 + math.sqrt(1 - 0.5)) / 2, abs=1e-12)
     assert got == pytest.approx(0.8535533905932737, abs=1e-12)
 
@@ -599,17 +608,16 @@ def test_helstrom_matches_numeric_measurement_search():
             m0 = np.array([math.cos(theta), math.sin(theta)])
             m1 = np.array([-math.sin(theta), math.cos(theta)])
             best = max(best, 0.5 * ((m0 @ a) ** 2 + (m1 @ b) ** 2))
-        assert atk.helstrom_probability(a, b) == pytest.approx(best, abs=1e-6)
+        got = atk.helstrom_measurement(a, b, 0.5, 0.5).success_probability
+        assert got == pytest.approx(best, abs=1e-6)
 
 
 def test_helstrom_measurement_statistics_are_consistent():
     v0 = np.array([1.0, 0.0])
     v1 = np.array([1.0, 1.0]) / RT2
-    meas = atk.helstrom_measurement(v0, v1)
+    meas = atk.helstrom_measurement(v0, v1, 0.5, 0.5)
     assert meas.success_probability == pytest.approx(
         0.5 * meas.guess0_given_0 + 0.5 * (1 - meas.guess0_given_1))
-    assert meas.success_probability == pytest.approx(
-        atk.helstrom_probability(v0, v1))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ import contextlib
 import inspect
 import io
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -332,6 +333,14 @@ def _edit_key(key):
     return lambda doc, value: doc.__setitem__(key, value)
 
 
+def _edit_coefficient(doc, value):
+    doc["coefficients"][0][0][0] = value
+
+
+def _edit_amplitude(doc, value):
+    doc["basis"][0]["components"][0]["amplitude"] = value
+
+
 @pytest.mark.parametrize("edit,value,named", [
     (_edit_bit, 1.5, "'alice_labels'"),
     (_edit_bit, True, "'alice_labels'"),
@@ -339,7 +348,10 @@ def _edit_key(key):
     (_edit_key("eve_dim"), 9, "'eve_dim'"),
     (_edit_key("receiver"), 5, "'receiver'"),
     (_edit_key("label"), 5, "'label'"),
-], ids=["bit-1.5", "bit-true", "bit-3", "eve-dim-9", "receiver-5", "label-5"])
+    (_edit_coefficient, [math.nan, 0.0], "isometry"),
+    (_edit_amplitude, [math.nan, 0.0], "reachable space"),
+], ids=["bit-1.5", "bit-true", "bit-3", "eve-dim-9", "receiver-5", "label-5",
+        "coefficient-nan", "basis-amplitude-nan"])
 def test_attack_file_with_a_wrong_typed_field_exits_2(tmp_path, edit, value,
                                                       named):
     # the unedited file is a valid (detectable) attack, so without the
@@ -401,7 +413,10 @@ def test_replay_of_a_wrong_typed_pulse_field_exits_2(tmp_path, key, value):
     ("rng_seed", 0.5), ("test_cases_run", True), ("distinct_inputs", -1),
     ("anomalies.case_index", True), ("anomalies.replay_index", 2.9),
     ("anomalies.stage", -1), ("anomalies.anomaly_id", 7),
-    ("anomalies.tag", None), ("anomalies.observation.clicks", "d_h")])
+    ("anomalies.tag", None), ("anomalies.observation.clicks", "d_h"),
+    ("anomalies.observation.interpretation", 5),
+    ("anomalies.observation.basis_registered", 7),
+    ("anomalies.observation.click_counts", {"d_h": -1})])
 def test_replay_from_a_malformed_fuzz_report_field_exits_2(tmp_path, key,
                                                             value):
     report = tmp_path / "fuzz.json"
@@ -529,6 +544,27 @@ def test_receiver_with_a_malformed_source_label_exits_2(tmp_path, subcommand,
     assert payload["code"] == "invalid-receiver"
     bad = labels[1] if labels[0] == "computational/0" else labels[0]
     assert repr(bad) in payload["message"]
+
+
+@pytest.mark.parametrize("subcommand", ["reverse-space", "synth"])
+@pytest.mark.parametrize("path,named", [
+    (("settings", "computational", "matrix", 0, 0), "'matrix'"),
+    (("source", "computational/0", "polarization-H:0"),
+     "'polarization-H:0'"),
+], ids=["matrix-entry", "source-amplitude"])
+def test_receiver_with_a_non_finite_number_exits_2(tmp_path, subcommand,
+                                                   path, named):
+    # json reads NaN, and NaN passes every check written ``x > tol``
+    receiver = json.loads(json.dumps(_CUSTOM))
+    target = receiver
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = [math.nan, 0]
+    payload = assert_one_error_line(*run_cli(
+        [subcommand, "--receiver", write_config(tmp_path / "r.json",
+                                                receiver)]))
+    assert payload["code"] == "invalid-receiver"
+    assert named in payload["message"]
 
 
 def _run_on_receiver(subcommand, path):

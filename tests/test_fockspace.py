@@ -28,6 +28,15 @@ def amp(state, occupation):
     return state.amplitude(occupation)
 
 
+def photon_numbers(state):
+    """Probability weight per total photon number."""
+    weights = {}
+    for occupation, a in state.amplitudes.items():
+        n = sum(count for _, count in occupation)
+        weights[n] = weights.get(n, 0.0) + abs(a) ** 2
+    return weights
+
+
 # ---------------------------------------------------------------------------
 # states, inner products, registries
 # ---------------------------------------------------------------------------
@@ -507,8 +516,8 @@ def test_mz_round_trip_of_a_mixed_photon_number_state_with_delay_2():
     for _ in range(5):
         st = mixed_photon_number_state(reg, rng)
         out = fs.mz_transform(st, cfg)
-        weights = out.photon_numbers()
-        for n, w in st.photon_numbers().items():
+        weights = photon_numbers(out)
+        for n, w in photon_numbers(st).items():
             assert abs(weights[n] - w) < 1e-12
         assert fs.mz_reverse(out, cfg).close_to(st, atol=1e-12)
 
@@ -572,7 +581,7 @@ def test_mz_conserves_photon_number_exactly():
     reg = fs.interferometer_registry(0, 1, max_photons=4)
     st = PhotonicState.basis(reg, occ((t_in(0), 2), (t_in(1), 1)))
     out = fs.mz_transform(st)
-    assert all(fs.total_photons(o) == 3 for o in out.amplitudes)
+    assert photon_numbers(out).keys() == {3}
     assert abs(out.norm() - 1.0) < 1e-9
 
 
@@ -656,10 +665,10 @@ def test_json_round_trip_preserves_amplitudes():
         single(t_in(0)): 0.6,
         single(s_out(1)): 0.8j,
     })
-    text = fs.state_to_json(st)
+    text = json.dumps(fs.state_to_dict(st), sort_keys=True)
     parsed = json.loads(text)
     assert "components" in parsed
-    back = fs.state_from_json(text)
+    back = fs.state_from_dict(parsed)
     assert back.close_to(st, atol=1e-12)
     assert back.registry == st.registry
 

@@ -228,28 +228,28 @@ def test_baseline_class_probabilities():
 def test_bright_pulse_is_swallowed_and_blinds_the_device():
     device = fuzz.make_apd_receiver_device()
     bright = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),))
-    obs = fuzz.probe(device, bright, seed=0)
+    obs = device.probe(bright, seed=0)
     assert obs.clicks == frozenset()
     assert obs.interpretation == rc.LOSS
 
     # state persists across probes until reset: a later pulse inside the
     # recovery window stays dark ...
     dim = fuzz.FuzzInput((fuzz.pulse(2, "V", 1.0),))
-    assert fuzz.probe(device, dim, seed=1).interpretation == rc.LOSS
+    assert device.probe(dim, seed=1).interpretation == rc.LOSS
     # ... and clicks normally after a reset
     device.reset()
-    obs = fuzz.probe(device, dim, seed=1)
+    obs = device.probe(dim, seed=1)
     assert obs.interpretation in (rc.BIT0, rc.BIT1)
 
     # within one case: blind, stay dark, then recover after the window
     device.reset()
     seq = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),
                           fuzz.pulse(4, "V", 1.0)))
-    assert fuzz.probe(device, seq, seed=2).interpretation == rc.LOSS
+    assert device.probe(seq, seed=2).interpretation == rc.LOSS
     device.reset()
     recovered = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),
                                 fuzz.pulse(5, "V", 1.0)))
-    obs = fuzz.probe(device, recovered, seed=3)
+    obs = device.probe(recovered, seed=3)
     assert obs.clicks  # a V photon lands in d_v, d_plus, or d_minus
     assert obs.interpretation in (rc.BIT0, rc.BIT1)
 
@@ -261,7 +261,7 @@ def test_linear_mode_clicks_exactly_at_threshold():
 
     # an arm intensity exactly at p_th clicks; epsilon below stays dark
     at = fuzz.FuzzInput((blind, fuzz.pulse(1, "H", 2.0 * params.p_th)))
-    obs = fuzz.probe(device, at, seed=0)
+    obs = device.probe(at, seed=0)
     assert obs.clicks == frozenset({"d_h"})
     assert (obs.interpretation, obs.basis_registered) == \
         (rc.BIT0, rc.COMPUTATIONAL)
@@ -269,7 +269,7 @@ def test_linear_mode_clicks_exactly_at_threshold():
     device.reset()
     below = fuzz.FuzzInput((blind,
                             fuzz.pulse(1, "H", 2.0 * params.p_th - 1e-9)))
-    assert fuzz.probe(device, below, seed=0).interpretation == rc.LOSS
+    assert device.probe(below, seed=0).interpretation == rc.LOSS
 
 
 def test_blinded_forcing_covers_all_four_outcomes():
@@ -286,7 +286,7 @@ def test_blinded_forcing_covers_all_four_outcomes():
             case = fuzz.FuzzInput((
                 fuzz.pulse(0, "V", params.blind_threshold),
                 fuzz.pulse(1, name, 2.0 * params.p_th)))
-            obs = fuzz.probe(device, case, seed=seed)
+            obs = device.probe(case, seed=seed)
             assert (obs.interpretation, obs.basis_registered) == (bit, basis)
 
 
@@ -296,12 +296,12 @@ def test_double_click_rule_is_configurable():
     case = fuzz.FuzzInput((fuzz.pulse(0, "H", params.blind_threshold),
                            fuzz.pulse(1, math.pi / 8, 4.0 * params.p_th)))
     strict = fuzz.make_apd_receiver_device(params)
-    obs = fuzz.probe(strict, case, seed=0)
+    obs = strict.probe(case, seed=0)
     assert len(obs.clicks) == 2
     assert obs.interpretation == rc.INVALID
 
     lenient = fuzz.make_apd_receiver_device(params, double_click_rule="loss")
-    assert fuzz.probe(lenient, case, seed=0).interpretation == rc.LOSS
+    assert lenient.probe(case, seed=0).interpretation == rc.LOSS
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
@@ -309,10 +309,10 @@ def test_draw_free_probe_still_checks_its_seed(seed):
     # a lone blinding pulse draws nothing, yet its seed is checked
     case = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),))
     with pytest.raises(fuzz.FuzzError, match="seed"):
-        fuzz.probe(fuzz.make_apd_receiver_device(), case, seed)
+        fuzz.make_apd_receiver_device().probe(case, seed)
     with pytest.raises(fuzz.FuzzError, match="seed"):
-        fuzz.probe(fuzz.make_ideal_pnr_device(),
-                   fuzz.FuzzInput((fuzz.pulse(0, "H", 0.0),)), seed)
+        fuzz.IdealPNRDevice().probe(
+            fuzz.FuzzInput((fuzz.pulse(0, "H", 0.0),)), seed)
 
 
 def test_draw_free_probe_leaves_the_next_probe_unchanged():
@@ -325,16 +325,16 @@ def test_draw_free_probe_leaves_the_next_probe_unchanged():
     ]
     for seed in range(8):
         fresh = fuzz.make_apd_receiver_device(params)
-        expected = fuzz.probe(fresh, drawing, seed)
+        expected = fresh.probe(drawing, seed)
         for case in draw_free:
             device = fuzz.make_apd_receiver_device(params)
-            fuzz.probe(device, drawing, seed + 100)  # a used stream
-            fuzz.probe(device, case, seed + 200)
+            device.probe(drawing, seed + 100)  # a used stream
+            device.probe(case, seed + 200)
             device.reset()
-            assert fuzz.probe(device, drawing, seed) == expected
+            assert device.probe(drawing, seed) == expected
 
-    pnr = fuzz.make_ideal_pnr_device(0.8)
-    expected = fuzz.make_ideal_pnr_device(0.8).probe(drawing, 3)
+    pnr = fuzz.IdealPNRDevice(0.8)
+    expected = fuzz.IdealPNRDevice(0.8).probe(drawing, 3)
     pnr.probe(drawing, 4)
     pnr.probe(fuzz.FuzzInput((fuzz.pulse(0, "H", 0.2),)), 5)
     assert pnr.probe(drawing, 3) == expected
@@ -353,7 +353,7 @@ def test_pulse_split_is_derived_once_and_stays_out_of_identity():
 
 
 def test_pnr_device_resolves_photon_pairs():
-    device = fuzz.make_ideal_pnr_device()
+    device = fuzz.IdealPNRDevice()
     case = fuzz.FuzzInput((fuzz.pulse(0, "H", 2.0),))
     seen_pair = False
     for seed in range(64):
@@ -448,7 +448,7 @@ def _pinned_setup(name):
             lambda: (apd(fuzz.APDParams(geiger_efficiency=0.7)), None, 0),
         "recovery-slots-0":
             lambda: (apd(fuzz.APDParams(recovery_slots=0)), None, 0),
-        "ideal-pnr-0.8": lambda: (fuzz.make_ideal_pnr_device(0.8),
+        "ideal-pnr-0.8": lambda: (fuzz.IdealPNRDevice(0.8),
                                   fuzz.default_config(fuzz.APDParams()), 0),
         "double-click-loss": lambda: (apd(double_click_rule="loss"), None, 0),
         "underflow-0.999": lambda: (apd(_UNDERFLOW_PARAMS), None, 0),
@@ -574,6 +574,14 @@ def test_report_json_missing_key_is_a_fuzz_error(campaign, key):
     ("anomalies.tag", None),
     ("anomalies.observation.clicks", "d_h"),
     ("anomalies.observation.clicks", ["d_h", 3]),
+    ("anomalies.observation.interpretation", 5),
+    ("anomalies.observation.interpretation", "bit2"),
+    ("anomalies.observation.interpretation", None),
+    ("anomalies.observation.basis_registered", 7),
+    ("anomalies.observation.click_counts", {"d_h": -1}),
+    ("anomalies.observation.click_counts", {"d_h": 1.5}),
+    ("anomalies.observation.click_counts", {"d_h": True}),
+    ("anomalies.observation.click_counts", [1]),
 ])
 def test_report_json_malformed_field_is_a_fuzz_error(campaign, key, value):
     data = json.loads(json.dumps(campaign.to_json_dict()))
@@ -614,7 +622,7 @@ def test_coverage_grows_monotonically_with_budget(campaign):
 
 def test_pnr_device_raises_no_anomalies():
     report = fuzz.run_fuzz_campaign(
-        fuzz.make_ideal_pnr_device(),
+        fuzz.IdealPNRDevice(),
         config=fuzz.default_config(fuzz.APDParams()), seed=0)
     assert report.anomalies == []
     assert report.properties_found == ()
@@ -682,7 +690,7 @@ def test_config_and_argument_validation():
                                config=fuzz.CampaignConfig())
     with pytest.raises(fuzz.FuzzError):
         # a bare device without declared parameters needs a config
-        fuzz.run_fuzz_campaign(fuzz.make_ideal_pnr_device())
+        fuzz.run_fuzz_campaign(fuzz.IdealPNRDevice())
 
 
 def test_case_seed_bit_fields_are_bounded():

@@ -1,6 +1,7 @@
 """Unit tests for receiver models, outcome partitions and reversed spaces."""
 
 import dataclasses
+import json
 import math
 
 import numpy as np
@@ -93,9 +94,9 @@ def test_two_mode_unattacked_efficiencies():
 
 def test_defended_guard_bins_are_invalid_and_reachable():
     receiver = rc.make_receiver("interferometric-defended-10mode")
-    for name in receiver.settings:
-        assert rc.interpret(receiver, name, "s-1") == rc.INVALID
-        assert rc.interpret(receiver, name, "d3") == rc.INVALID
+    for setting in receiver.settings.values():
+        assert setting.interpretation["s-1"] == rc.INVALID
+        assert setting.interpretation["d3"] == rc.INVALID
     # a photon in the earliest channel bin feeds the guard outcomes
     early = PhotonicState.photon(receiver.channel_registry(), t_in(-2))
     probs = rc.outcome_probabilities(receiver, rc.COMPUTATIONAL, early)
@@ -114,8 +115,14 @@ def test_error_outcomes_matched_versus_mismatched():
 
 
 def test_unregistered_mass_is_interpreted_as_loss():
+    from qkdlab import protocol
+
     receiver = rc.make_receiver("interferometric-2mode")
-    assert rc.interpret(receiver, rc.COMPUTATIONAL, rc.UNREGISTERED) == rc.LOSS
+    assert rc.UNREGISTERED not in \
+        receiver.settings[rc.COMPUTATIONAL].interpretation
+    codes = protocol._interpretation_codes(
+        receiver, {rc.COMPUTATIONAL: [rc.UNREGISTERED]}, 1)
+    assert codes[0, 0] == protocol._CLASS_CODE[rc.LOSS]
     src = receiver.source.states[(rc.COMPUTATIONAL, 0)]
     probs = rc.outcome_probabilities(receiver, rc.COMPUTATIONAL, src)
     assert abs(probs[rc.UNREGISTERED] - 0.75) < 1e-12
@@ -127,7 +134,8 @@ def test_polarization_threshold_double_clicks_are_invalid():
                                occ((pol_h(), 1), (pol_v(), 1)))
     probs = rc.outcome_probabilities(receiver, rc.COMPUTATIONAL, both)
     assert abs(probs["double"] - 1.0) < 1e-12
-    assert rc.interpret(receiver, rc.COMPUTATIONAL, "double") == rc.INVALID
+    assert receiver.settings[rc.COMPUTATIONAL].interpretation["double"] \
+        == rc.INVALID
     # under the rotated setting the photon pair bunches and never
     # produces a double click
     rotated = rc.outcome_probabilities(receiver, rc.HADAMARD, both)
@@ -189,16 +197,6 @@ def test_source_span_lies_inside_reversed_space():
         for state in receiver.source.states.values():
             kept = sum(abs(inner_product(b, state)) ** 2 for b in basis)
             assert abs(kept - 1.0) < 1e-9, (kind, variant)
-
-
-def test_error_outcomes_wrapper_requires_matched_basis():
-    receiver = rc.make_receiver("interferometric-6mode")
-    got = rc.error_outcomes(receiver, rc.COMPUTATIONAL, (rc.COMPUTATIONAL, 0))
-    assert got == {"s2", "d2"}
-    got = rc.error_outcomes(receiver, rc.HADAMARD, (rc.HADAMARD, 0))
-    assert got == {"s1"}
-    with pytest.raises(ValueError):
-        rc.error_outcomes(receiver, rc.COMPUTATIONAL, (rc.HADAMARD, 0))
 
 
 def test_logical_coefficients_match_physical_states():
@@ -369,6 +367,13 @@ def _with(path, value):
     (("source",), {}),
     (("source", "computational/0"), [1, 0]),
     (("source", "computational/0", "polarization-H:0"), [True, 0]),
+    (("settings", "computational", "matrix"), [[[math.nan, 0], [0, 0]],
+                                               [[0, 0], [1, 0]]]),
+    (("settings", "computational", "matrix"), [[[1, 0], [0, 0]],
+                                               [[0, 0], [1, math.inf]]]),
+    (("source", "computational/0", "polarization-H:0"), [math.nan, 0]),
+    (("source", "computational/0", "polarization-H:0"), [1, -math.inf]),
+    (("source", "computational/0", "polarization-H:0"), [10 ** 400, 0]),
     (("max_photons",), "3"),
     (("max_photons",), 2.9),
     (("max_photons",), True),
@@ -551,6 +556,10 @@ def test_every_document_lists_the_bundled_kinds():
 # pinned bytes of every bundled receiver
 # ---------------------------------------------------------------------------
 
+def state_to_json(state: PhotonicState) -> str:
+    return json.dumps(fs.state_to_dict(state), sort_keys=True)
+
+
 # SHA-256 of the reversed-space basis (its ``state_to_json`` lines), the
 # constraint matrix bytes and the canonical attack JSON, per kind, variant
 # and photon cap (None: the kind does not read ``max_photons``).
@@ -633,7 +642,7 @@ def test_receiver_artifacts_keep_their_pinned_bytes(kind, variant, cap):
     system = atk.build_constraint_system(receiver)
     canonical = atk.synthesize_attacks(system).canonical.to_json_dict()
     assert (
-        digest("\n".join(fs.state_to_json(b)
+        digest("\n".join(state_to_json(b)
                          for b in rc.reversed_space(receiver)).encode()),
         digest(system.matrix.tobytes()),
         digest(json.dumps(canonical, sort_keys=True).encode()),
