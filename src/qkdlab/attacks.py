@@ -783,7 +783,6 @@ class EveConditionalStates:
     and labels at fixed basis, with uniform Alice) to at most one.
     """
 
-    receiver_name: str
     eve_dim: int
     components: Dict[Tuple[Tuple[str, int], int], Tuple[EveComponent, ...]]
 
@@ -819,7 +818,6 @@ def eve_conditional_states(attack: AttackIsometry,
                     system, v, lab, basis,
                     sorted(oid for oid, t in tags.items() if t == tag)))
     return EveConditionalStates(
-        receiver_name=system.receiver_name,
         eve_dim=attack.eve_dim,
         components=components,
     )

@@ -28,9 +28,10 @@ chunk size.
 
 A log file is read back in batches of whole lines: one regex split
 strips every line's round number and one dict lookup per line body maps
-the batch to cells, so no Python step runs per line.  A batch holding
-any line of another shape is read line by line, which keeps every error
-and its line number.
+the batch to cells, so no Python step runs per line.  A batch holding a
+body not seen before is walked in file order instead, and a line of
+another shape is read whole, which keeps every error and its line
+number.
 
 Outcomes are drawn by inverse transform through a guide table (Chen &
 Asau, AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 import collections
 import contextlib
-import io
 import itertools
 import json
 import os
@@ -61,7 +61,7 @@ from . import attacks as atk
 from . import receivers as rc
 from .fockspace import PhotonicState
 from .output import SIMULATION_REPORT_SCHEMA as REPORT_SCHEMA
-from .output import atomic_open, ndjson as _dump, read_field
+from .output import atomic_open, ndjson as _dump
 
 ROUND_LOG_SCHEMA = "round-log/1"
 
@@ -255,36 +255,6 @@ class SimulationReport:
             "invalid_rate": self.invalid_rate,
             "eve_guess_accuracy": self.eve_guess_accuracy,
         }
-
-
-def report_from_json_dict(data: Mapping) -> SimulationReport:
-    """Rebuild a simulation report from its JSON form.
-
-    A missing key or a malformed field raises ProtocolError naming it.
-    """
-    if data.get("schema") != REPORT_SCHEMA:
-        raise ProtocolError(
-            f"expected schema {REPORT_SCHEMA!r}, got {data.get('schema')!r}")
-
-    def field(key: str, parse=lambda value: value):
-        return read_field(data, key, parse, REPORT_SCHEMA, ProtocolError)
-
-    report = SimulationReport(
-        receiver=field("receiver"),
-        channel=field("channel"),
-        rounds=field("rounds"),
-        rng_seed=field("rng_seed"),
-        per_basis=field("per_basis", lambda rows: {
-            b: BasisStats(**st) for b, st in rows.items()}),
-        sifted_total=field("sifted_total"),
-        qber_pooled=field("qber_pooled"),
-        invalid_rate=field("invalid_rate"),
-        eve_guess_accuracy=field("eve_guess_accuracy"),
-        test_fraction=data.get("test_fraction", 1.0),
-        attack_label=data.get("attack_label"),
-    )
-    report.validate()
-    return report
 
 
 # ---------------------------------------------------------------------------
@@ -706,9 +676,7 @@ def _log_lines(prefixes: List[Optional[str]], start: int,
 # offline re-aggregation
 # ---------------------------------------------------------------------------
 
-# a round line as run_bb84 writes it: the body, then the round number last
-_ROUND_LINE = re.compile(r'(\{.*),"round":(?:0|[1-9][0-9]*)\}\n?')
-# the round-number tail of such a line, with its line end
+# the round-number tail of a line as run_bb84 writes it, with its line end
 _ROUND_TAIL = re.compile(r',"round":(?:0|[1-9][0-9]*)\}$\n?', re.M)
 # a byte the file's UTF-8 does not decode, as surrogateescape reads it
 _UNDECODED = re.compile("[\udc80-\udcff]")
@@ -751,11 +719,12 @@ class _LogCells:
         if interpretation not in _CLASSES:
             raise ProtocolError(
                 f"{where}: unknown interpretation class {interpretation!r}")
-        if bit not in (0, 1) or guess not in (0, 1):
+        # a JSON integer: True == 1 and 0.0 == 0, but neither is a bit
+        if not (type(bit) is int and bit in (0, 1)
+                and type(guess) is int and guess in (0, 1)):
             raise ProtocolError(f"{where}: alice_bit and eve_guess must be "
                                 f"0 or 1")
-        key = (basis, int(bit), setting, _CLASS_CODE[interpretation],
-               int(guess))
+        key = (basis, bit, setting, _CLASS_CODE[interpretation], guess)
         if key not in self._index:
             self._index[key] = len(self.cells)
             self.cells.append(key)
@@ -765,7 +734,7 @@ class _LogCells:
 def _body_record(body: str) -> Optional[dict]:
     """The round record of a line cut before its round number, or None.
 
-    None sends the line through ``json.loads`` whole, which rejects it
+    None sends the line to :func:`_line_record` whole, which rejects it
     if it is not valid JSON: '{' alone parses as {} here, for one.
     """
     try:
@@ -777,75 +746,78 @@ def _body_record(body: str) -> Optional[dict]:
     return None
 
 
-def _check_decoded(text: str, where: str) -> None:
-    """ProtocolError naming ``where`` if ``text`` holds an undecoded byte."""
-    undecoded = _UNDECODED.search(text)
+def _line_record(line: str, number: int, cells: _LogCells) -> Optional[int]:
+    """The cell index of file line ``number``, read whole by ``json.loads``.
+
+    ``line`` keeps its line end, so json's error positions are those of
+    the line as written.  A blank line or a header gives None.  A byte
+    that is not UTF-8 is rejected first.
+    """
+    where = f"line {number}"
+    undecoded = _UNDECODED.search(line)
     if undecoded:
         byte = ord(undecoded.group()) - 0xdc00
         raise ProtocolError(f"{where}: byte 0x{byte:02x} is not UTF-8")
-
-
-def _line_cells(lines, number: int, by_body: Dict[str, int],
-                cells: _LogCells):
-    """Yield the cell index of every round record of ``lines``, in order.
-
-    ``lines`` are file lines, the first numbered ``number``.  A line in
-    the shape :func:`run_bb84` writes is keyed by its body, its text
-    before the round number, so each distinct body is parsed once.  Any
-    other non-blank line goes through ``json.loads`` whole.  A line not
-    keyed yet that holds a byte that is not UTF-8 is rejected first.
-    """
-    for number, line in enumerate(lines, number):
-        match = _ROUND_LINE.fullmatch(line)
-        cell = by_body.get(match.group(1)) if match else None
-        if cell is None:
-            where = f"line {number}"
-            _check_decoded(line, where)
-            record = _body_record(match.group(1)) if match else None
-            if record is not None:
-                cell = by_body[match.group(1)] = cells.record(record, where)
-            elif line.strip():
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError as err:
-                    raise ProtocolError(f"{where}: not valid JSON ({err})")
-                cell = cells.record(record, where)
-        if cell is not None:
-            yield cell
+    if not line.strip():
+        return None
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ProtocolError(f"{where}: not valid JSON ({err})")
+    return cells.record(record, where)
 
 
 def _batch_cells(text: str, number: int, by_body: Dict[str, int],
-                 cells: _LogCells) -> Optional[np.ndarray]:
-    """The cell indices of a batch of whole lines, or None to decline it.
+                 cells: _LogCells) -> Tuple[np.ndarray, int]:
+    """The cell indices of a batch of whole lines, and its line count.
 
     The first line of ``text`` is numbered ``number``.  One regex split
     at every round-number tail cuts the batch into line bodies.  A line
-    without the tail joins a neighbouring piece, which then holds a
-    newline, or is left over after the last tail; no known body holds a
-    newline.  Each body not seen before is checked once, in the order
-    bodies first occur, as :func:`_line_cells` checks its line (leading
-    JSON whitespace, which that regex rejects, parses to the same
-    record).  A piece that does not parse, or holds a byte that is not
-    UTF-8, declines the batch: the header, a blank line, another
-    serialization or bad JSON.
+    without the tail joins the piece after it, ahead of a newline, or is
+    left over after the last tail; no known body holds a newline.  When
+    every body is known, one dict lookup per body maps the batch.
+    Otherwise the pieces are walked in file order: a known body is looked
+    up, a new body is checked and parsed once (leading JSON whitespace
+    parses to the record of the whole line), and any other line is read
+    whole by :func:`_line_record`: the header, a blank line, another
+    serialization, a body that does not parse or one that holds a byte
+    that is not UTF-8.
     """
     bodies = _ROUND_TAIL.split(text)
-    if bodies.pop():
-        return None  # the last line has no round-number tail
-    try:
-        return np.fromiter(map(by_body.get, bodies), np.int64, len(bodies))
-    except TypeError:  # a body not seen before maps to None
-        pass
-    for body in dict.fromkeys(bodies):
-        if body in by_body:
-            continue
-        record = None if "\n" in body or _UNDECODED.search(body) \
-            else _body_record(body)
-        if record is None:
-            return None
-        by_body[body] = cells.record(
-            record, f"line {number + bodies.index(body)}")
-    return np.fromiter(map(by_body.get, bodies), np.int64, len(bodies))
+    rest = bodies.pop()
+    if not rest:
+        try:
+            return np.fromiter(map(by_body.get, bodies), np.int64,
+                               len(bodies)), len(bodies)
+        except TypeError:  # a body not seen before maps to None
+            pass
+    first = number
+    found = []
+    at = 0  # where the next piece starts in text
+    for piece in bodies + [rest]:
+        *lines, body = piece.split("\n")
+        for line in lines:
+            found.append(_line_record(line + "\n", number, cells))
+            number += 1
+        at += len(piece)
+        if at == len(text):  # the piece after the last tail
+            if body:  # a last line with no line end
+                found.append(_line_record(body, number, cells))
+                number += 1
+            break
+        end = text.find("\n", at) + 1 or len(text)  # the end of the tail
+        cell = by_body.get(body)
+        if cell is None:
+            record = None if _UNDECODED.search(body) else _body_record(body)
+            if record is None:
+                cell = _line_record(body + text[at:end], number, cells)
+            else:
+                cell = by_body[body] = cells.record(record, f"line {number}")
+        found.append(cell)
+        number += 1
+        at = end
+    return np.array([cell for cell in found if cell is not None],
+                    np.int64), number - first
 
 
 def _file_batches(path, cells: _LogCells):
@@ -854,8 +826,7 @@ def _file_batches(path, cells: _LogCells):
     A batch is ``32 * _LOG_SLICE`` characters and the rest of the line
     they end in, read in text mode, so newlines are those of file
     iteration.  A byte that is not UTF-8 is read as a lone surrogate, so
-    the line it is in can be named.  A batch :func:`_batch_cells`
-    declines is read by :func:`_line_cells`, one step per line.
+    the line it is in can be named.
     """
     by_body: Dict[str, int] = {}
     number = 1
@@ -864,14 +835,8 @@ def _file_batches(path, cells: _LogCells):
             text = fh.read(32 * _LOG_SLICE) + fh.readline()
             if not text:
                 return
-            batch = _batch_cells(text, number, by_body, cells)
-            if batch is not None:
-                number += len(batch)
-            else:
-                batch = np.fromiter(
-                    _line_cells(io.StringIO(text), number, by_body, cells),
-                    dtype=np.int64)
-                number += text.count("\n") + (not text.endswith("\n"))
+            batch, lines = _batch_cells(text, number, by_body, cells)
+            number += lines
             yield batch
 
 
@@ -924,11 +889,12 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     body not seen before is parsed.  Each batch draws its own test
     uniforms, which together equal one whole draw, so the batch size
     changes no report.  A batch holding a line of another shape (the
-    header, a blank line, another serialization) is read line by line,
-    and such a line goes through ``json.loads`` whole.  A line that is
-    not valid JSON or holds a byte that is not UTF-8, or a record that
-    is not an object or lacks a field, raises :class:`ProtocolError`
-    naming its 1-based line (or record) number.
+    header, a blank line, another serialization) is walked in file
+    order, and such a line is read whole by ``json.loads``, so any JSON
+    serialization of a record is read.  A line that is not valid
+    JSON or holds a byte that is not UTF-8, or a record that is not an
+    object or lacks a field, raises :class:`ProtocolError` naming its
+    1-based line (or record) number.
     """
     test_fraction = _probability(test_fraction, "test_fraction")
     gen = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))

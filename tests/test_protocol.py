@@ -1,5 +1,6 @@
 """Monte-Carlo session tests: channels, reports, logs, re-aggregation."""
 
+import dataclasses
 import json
 import math
 
@@ -274,52 +275,19 @@ def test_sift_rejects_bad_logs():
         pt.sift_and_estimate([dict(header, schema="round-log/9"), good])
 
 
-def test_report_json_round_trip(six):
+def test_report_validate_rejects_a_bad_rate_and_unaccounted_rounds(six):
     rep = pt.run_bb84(None, pt.make_channel("lossy", 0.2), six,
                       rounds=2000, seed=1)
-    data = json.loads(json.dumps(rep.to_json_dict()))
-    back = pt.report_from_json_dict(data)
-    assert back.to_json_dict() == rep.to_json_dict()
-    with pytest.raises(pt.ProtocolError):
-        pt.report_from_json_dict(dict(data, schema="simulation-report/2"))
-    tampered = json.loads(json.dumps(data))
-    tampered["per_basis"][rc.COMPUTATIONAL]["qber"] = 1.5
-    with pytest.raises(pt.ProtocolError):
-        pt.report_from_json_dict(tampered)
-    tampered = json.loads(json.dumps(data))
-    tampered["per_basis"][rc.COMPUTATIONAL]["lost"] += 1
-    with pytest.raises(pt.ProtocolError):
-        pt.report_from_json_dict(tampered)
-
-
-_REPORT_KEYS = ("receiver", "channel", "rounds", "rng_seed", "per_basis",
-                "sifted_total", "qber_pooled", "invalid_rate",
-                "eve_guess_accuracy")
-
-
-def test_bare_report_json_is_a_protocol_error():
-    with pytest.raises(pt.ProtocolError, match="lacks the key"):
-        pt.report_from_json_dict({"schema": "simulation-report/1"})
-
-
-@pytest.mark.parametrize("key", _REPORT_KEYS)
-def test_report_json_missing_key_is_a_protocol_error(six, key):
-    rep = pt.run_bb84(None, pt.make_channel("identity"), six, rounds=200,
-                      seed=2)
-    data = json.loads(json.dumps(rep.to_json_dict()))
-    del data[key]
-    with pytest.raises(pt.ProtocolError, match=f"lacks the key '{key}'"):
-        pt.report_from_json_dict(data)
-
-
-@pytest.mark.parametrize("per_basis", [
-    5, {rc.COMPUTATIONAL: {"qber": 0.0}}, {rc.COMPUTATIONAL: [1, 2]}])
-def test_report_json_malformed_per_basis_is_a_protocol_error(six, per_basis):
-    rep = pt.run_bb84(None, pt.make_channel("identity"), six, rounds=200,
-                      seed=2)
-    data = dict(rep.to_json_dict(), per_basis=per_basis)
-    with pytest.raises(pt.ProtocolError, match="malformed 'per_basis'"):
-        pt.report_from_json_dict(data)
+    rep.validate()
+    stats = rep.per_basis[rc.COMPUTATIONAL]
+    for bad, message in (
+            (dataclasses.replace(stats, qber=1.5), r"rate 1\.5 outside"),
+            (dataclasses.replace(stats, lost=stats.lost + 1),
+             "not fully accounted")):
+        tampered = dataclasses.replace(
+            rep, per_basis=dict(rep.per_basis, **{rc.COMPUTATIONAL: bad}))
+        with pytest.raises(pt.ProtocolError, match=message):
+            tampered.validate()
 
 
 def test_attack_channel_requires_compatible_receiver(six, ideal):

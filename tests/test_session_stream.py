@@ -528,6 +528,27 @@ def test_near_miss_round_lines_are_rejected(tmp_path, good_log, tail):
         pt.sift_and_estimate(path)
 
 
+@pytest.mark.parametrize("bad_line", [
+    '{"alice_basis":\n', '{"alice_basis":{"x":1,"round":3}\n',
+    '{"alice_basis":', '{"alice_basis":{"x":1,"round":3}',
+])
+def test_a_json_error_at_the_line_end_is_placed_as_written(
+        tmp_path, good_log, bad_line):
+    # json places each of these errors by the line end, or its absence; a
+    # line with no line end goes last, after every line of the log
+    if bad_line.endswith("\n"):
+        number, edited = 4, good_log[:3] + [bad_line] + good_log[4:]
+    else:
+        number, edited = len(good_log) + 1, good_log + [bad_line]
+    path = tmp_path / "bad.ndjson"
+    path.write_text("".join(edited), encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError) as err:
+        json.loads(bad_line)
+    with pytest.raises(pt.ProtocolError) as raised:
+        pt.sift_and_estimate(path)
+    assert str(raised.value) == f"line {number}: not valid JSON ({err.value})"
+
+
 def test_record_that_is_not_an_object_is_rejected(tmp_path, good_log):
     path = tmp_path / "bad.ndjson"
     path.write_text("".join(good_log[:2] + ["[1,2]\n"] + good_log[2:]))
@@ -541,6 +562,8 @@ def test_record_that_is_not_an_object_is_rejected(tmp_path, good_log):
 @pytest.mark.parametrize("field, value", [
     ("alice_bit", 2), ("eve_guess", None), ("alice_basis", 0),
     ("bob_setting", ["computational"]),
+    ("alice_bit", True), ("alice_bit", 1.0), ("eve_guess", False),
+    ("eve_guess", 0.0),
 ])
 def test_round_fields_out_of_range_are_rejected(good_log, field, value):
     rows = [json.loads(line) for line in good_log]
@@ -620,24 +643,47 @@ def assert_same_report(tmp_path, text, test_fractions=(0.5, 1.0)):
         assert got.to_json_dict() == want.to_json_dict()
 
 
-def test_a_clean_log_is_read_line_by_line_only_in_its_header_batch(
+def read_whole(monkeypatch, path):
+    """The numbers of the lines ``sift_and_estimate`` reads whole."""
+    whole = pt._line_record
+    numbers = []
+
+    def spy(line, number, cells):
+        numbers.append(number)
+        return whole(line, number, cells)
+
+    monkeypatch.setattr(pt, "_line_record", spy)
+    pt.sift_and_estimate(path, 0.5, seed=3)
+    monkeypatch.setattr(pt, "_line_record", whole)
+    return numbers
+
+
+def test_a_clean_log_reads_only_its_header_line_whole(
+        batch_log, monkeypatch, tmp_path):
+    lines, _ = batch_log
+    assert_same_report(tmp_path, "".join(lines), (0.5,))
+    assert read_whole(monkeypatch, tmp_path / "edited.ndjson") == [1]
+
+
+def test_a_reserialized_line_is_the_only_round_line_read_whole(
         batch_log, monkeypatch, tmp_path):
     lines, starts = batch_log
-    by_line = pt._line_cells
-    calls = []
-
-    def spy(lines, number, by_body, cells):
-        calls.append(number)
-        return by_line(lines, number, by_body, cells)
-
-    monkeypatch.setattr(pt, "_line_cells", spy)
-    assert_same_report(tmp_path, "".join(lines), (0.5,))
-    assert calls == [1]
+    number = starts[40] + 1
+    record = json.loads(lines[number - 1])
+    spaced = json.dumps(record, separators=(", ", ": ")) + "\n"
+    assert spaced != lines[number - 1]
+    assert_same_report(
+        tmp_path, "".join(lines[:number - 1] + [spaced] + lines[number:]),
+        (0.5,))
+    assert read_whole(monkeypatch, tmp_path / "edited.ndjson") == [1, number]
 
 
 @pytest.mark.parametrize("bad, message", [
     ('{"alice_basis":"computational" oops}\n', "not valid JSON"),
     ('{"alice_basis":"hadamard","alice_bit":2,"bob_setting":"hadamard",'
+     '"eve_guess":0,"interpretation":"loss","outcome_id":"d2",'
+     '"round":7}\n', "alice_bit and eve_guess must be 0 or 1"),
+    ('{"alice_basis":"hadamard","alice_bit":true,"bob_setting":"hadamard",'
      '"eve_guess":0,"interpretation":"loss","outcome_id":"d2",'
      '"round":7}\n', "alice_bit and eve_guess must be 0 or 1"),
 ])

@@ -4,10 +4,13 @@ Every public function, class and method defined in ``src/qkdlab`` must be
 named somewhere besides its own definition: elsewhere in ``src/`` (outside
 docstrings), or in ``demos/``, ``perfbench/`` or ``README.md``.  Tests do
 not count as callers.  A name kept on purpose goes on ``KEEP`` with the
-reason it stays.
+reason it stays.  A public top-level name defined in more than one module
+needs a caller for each: qualified by a name bound to that module, or bare
+inside the module itself.
 """
 
 import ast
+import collections
 import re
 from pathlib import Path
 
@@ -78,6 +81,23 @@ def _surface():
     return definitions, code
 
 
+def _module_names(tree):
+    """{local name: qkdlab module} for each ``import qkdlab.X as a`` and
+    each ``from . import X as a`` or ``from qkdlab import X as a``."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.asname and alias.name.startswith("qkdlab."):
+                    bound[alias.asname] = alias.name[len("qkdlab."):]
+        elif isinstance(node, ast.ImportFrom) and (
+                node.module == "qkdlab"
+                or node.level == 1 and node.module is None):
+            for alias in node.names:
+                bound[alias.asname or alias.name] = alias.name
+    return bound
+
+
 def test_every_public_name_has_a_caller():
     definitions, code = _surface()
     unused = []
@@ -92,3 +112,32 @@ def test_every_public_name_has_a_caller():
     assert sorted(set(unused) - set(KEEP)) == []
     # a kept name that gained a caller leaves the list
     assert sorted(set(KEEP) - set(unused)) == []
+
+
+def test_a_name_defined_in_two_modules_has_a_caller_for_each():
+    # a bare-name search counts fuzz.report_from_json_dict as a caller of
+    # any other module's report_from_json_dict
+    modules = collections.defaultdict(list)
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                modules[node.name].append(path.stem)
+    called = set()
+    files = sorted(SRC.glob("*.py"))
+    for folder in ("demos", "perfbench"):
+        files += sorted((REPO_ROOT / folder).rglob("*.py"))
+    for path in files:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = _module_names(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in bound:
+                called.add((bound[node.value.id], node.attr))
+            elif isinstance(node, ast.Name) and path.parent == SRC:
+                called.add((path.stem, node.id))
+    uncalled = [f"{module}.{name}" for name, defined in modules.items()
+                if len(defined) > 1
+                for module in defined if (module, name) not in called]
+    assert uncalled == []
