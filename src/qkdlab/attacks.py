@@ -475,8 +475,7 @@ class AttackFamily:
         return (_weight_rows(self.null_basis, self.system.n_basis),
                 _WEIGHT_TARGET.copy())
 
-    def instantiate(self, weights: Sequence[float],
-                    label: str = "instantiated") -> AttackIsometry:
+    def instantiate(self, weights: Sequence[float]) -> AttackIsometry:
         """Diagonal member from per-direction weights (must satisfy A t = b)."""
         t = np.asarray(weights, dtype=float)
         if t.shape != (self.dimension,):
@@ -489,7 +488,8 @@ class AttackFamily:
         if res > 1e-9:
             raise AttackError(
                 f"weights violate the isometry conditions (residual {res:.3e})")
-        return _diagonal_member(self.system, self.null_basis, t, label)
+        return _diagonal_member(self.system, self.null_basis, t,
+                                "instantiated")
 
     @cached_property
     def _photon_vertices(self) -> np.ndarray:
@@ -823,14 +823,9 @@ def eve_conditional_states(attack: AttackIsometry,
     )
 
 
-def _as_density(state: np.ndarray) -> np.ndarray:
-    arr = np.asarray(state, dtype=complex)
-    if arr.ndim == 1:
-        norm = np.linalg.norm(arr)
-        if norm < WEIGHT_TOL:
-            raise AttackError("cannot normalize a zero state")
-        arr = arr / norm
-        return np.outer(arr, arr.conj())
+def _unit_trace(rho) -> np.ndarray:
+    """A density matrix scaled to unit trace."""
+    arr = np.asarray(rho, dtype=complex)
     tr = float(arr.trace().real)
     if tr < WEIGHT_TOL:
         raise AttackError("cannot normalize a zero density matrix")
@@ -849,11 +844,12 @@ class HelstromMeasurement:
 def helstrom_measurement(state0, state1, prior0: float,
                          prior1: float) -> HelstromMeasurement:
     """The optimal measurement telling ``state0`` from ``state1`` at the
-    given priors.  It succeeds with ``(1 + ||prior0*rho0 - prior1*rho1||_tr)
-    / 2``, for pure states at equal priors ``(1 + sqrt(1 - |<a|b>|^2)) / 2``.
+    given priors.  Both are density matrices, each scaled to unit trace
+    here.  It succeeds with ``(1 + ||prior0*rho0 - prior1*rho1||_tr) / 2``,
+    for pure states at equal priors ``(1 + sqrt(1 - |<a|b>|^2)) / 2``.
     """
-    rho0 = _as_density(state0)
-    rho1 = _as_density(state1)
+    rho0 = _unit_trace(state0)
+    rho1 = _unit_trace(state1)
     delta = prior0 * rho0 - prior1 * rho1
     vals, vecs = np.linalg.eigh(delta)
     plus = vecs[:, vals >= 0]
@@ -998,8 +994,7 @@ def full_information_attack(receiver: rc.ReceiverModel,
                             ) -> AttackIsometry:
     """The equal-amplitude two-window member whose probe states for the
     two bits are orthogonal in both bases."""
-    attack = two_mode_attack(receiver, 0.5, 0.5, 0.5, 0.5,
-                             shared_probe_axis=True, system=system)
+    attack = two_mode_attack(receiver, 0.5, 0.5, 0.5, 0.5, system=system)
     attack.label = "full-information"
     return attack
 

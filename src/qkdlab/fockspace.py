@@ -42,7 +42,7 @@ from itertools import compress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -707,24 +707,22 @@ def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.
 
 
 def support_after_trace(state: PhotonicState,
-                        keep: "Iterable[Mode] | Callable[[Mode], bool]") -> List[PhotonicState]:
+                        keep: Iterable[Mode]) -> List[PhotonicState]:
     """Orthonormal basis of the support of the reduced state on kept modes.
 
     The state is split per basis component into (kept-part, discarded-part)
     occupations; the reduced density operator on the kept part is
     eigendecomposed and eigenvectors above PRUNE_EPS weight are returned.
-    `keep` is a collection of modes (or a predicate over modes).
+    `keep` is a collection of modes of the state's registry.
     """
-    if not callable(keep):
-        kept_set = frozenset(keep)
-        unknown = kept_set - set(state.registry.modes)
-        if unknown:
-            raise FockError(f"kept modes not in registry: {sorted(unknown)}")
-        keep = kept_set.__contains__
+    kept_set = frozenset(keep)
+    unknown = kept_set - set(state.registry.modes)
+    if unknown:
+        raise FockError(f"kept modes not in registry: {sorted(unknown)}")
     groups: Dict[Occupation, Dict[Occupation, complex]] = {}
     for occupation, amp in state.amplitudes.items():
-        kept = occ(*((m, n) for m, n in occupation if keep(m)))
-        dropped = occ(*((m, n) for m, n in occupation if not keep(m)))
+        kept = occ(*((m, n) for m, n in occupation if m in kept_set))
+        dropped = occ(*((m, n) for m, n in occupation if m not in kept_set))
         groups.setdefault(dropped, {})[kept] = amp
     kept_basis = sorted({k for row in groups.values() for k in row})
     index = {k: i for i, k in enumerate(kept_basis)}
@@ -734,7 +732,7 @@ def support_after_trace(state: PhotonicState,
             a[r, index[kept]] = amp
     rho = a.conj().T @ a  # reduced density operator in the kept basis
     vals, vecs = np.linalg.eigh(rho)
-    kept_modes = tuple(m for m in state.registry.modes if keep(m))
+    kept_modes = tuple(m for m in state.registry.modes if m in kept_set)
     reg = ModeRegistry(kept_modes, state.registry.max_photons_per_mode)
     support = []
     for i in range(len(vals) - 1, -1, -1):

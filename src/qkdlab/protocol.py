@@ -51,9 +51,9 @@ import itertools
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -122,9 +122,8 @@ def make_channel(kind: str, payload=None) -> ChannelModel:
     """Build a channel model, rejecting mismatched payloads.
 
     identity takes no payload; attack-isometry takes an
-    :class:`~qkdlab.attacks.AttackIsometry`; pns takes a two-photon
-    probability (bare number or ``{"p_multi": x}``); lossy takes an
-    erasure probability (bare number or ``{"loss": x}``).
+    :class:`~qkdlab.attacks.AttackIsometry`; pns takes the two-photon
+    probability and lossy the erasure probability, each a bare number.
     """
     if kind == IDENTITY:
         if payload is not None:
@@ -136,18 +135,8 @@ def make_channel(kind: str, payload=None) -> ChannelModel:
                 "attack-isometry channel needs an AttackIsometry payload")
         return ChannelModel(kind=ATTACK, attack=payload)
     if kind == PNS:
-        if isinstance(payload, Mapping):
-            extra = set(payload) - {"p_multi"}
-            if extra:
-                raise ProtocolError(f"unknown pns keys {sorted(extra)}")
-            payload = payload.get("p_multi")
         return ChannelModel(kind=PNS, p_multi=_probability(payload, "p_multi"))
     if kind == LOSSY:
-        if isinstance(payload, Mapping):
-            extra = set(payload) - {"loss"}
-            if extra:
-                raise ProtocolError(f"unknown lossy keys {sorted(extra)}")
-            payload = payload.get("loss")
         return ChannelModel(kind=LOSSY, loss=_probability(payload, "loss"))
     raise ProtocolError(f"unknown channel kind {kind!r}; "
                         f"expected one of {CHANNEL_KINDS}")
@@ -179,20 +168,6 @@ class BasisStats:
     loss_rate: Optional[float]
     invalid_rate: Optional[float]
     eve_accuracy: Optional[float]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "sifted": self.sifted,
-            "errors": self.errors,
-            "lost": self.lost,
-            "invalid": self.invalid,
-            "qber": self.qber,
-            "detection_efficiency": self.detection_efficiency,
-            "loss_rate": self.loss_rate,
-            "invalid_rate": self.invalid_rate,
-            "eve_accuracy": self.eve_accuracy,
-        }
 
 
 @dataclass
@@ -240,30 +215,17 @@ class SimulationReport:
                 raise ProtocolError(f"rate {r} outside [0, 1]")
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema": self.schema,
-            "receiver": self.receiver,
-            "channel": self.channel,
-            "attack_label": self.attack_label,
-            "rounds": self.rounds,
-            "rng_seed": self.rng_seed,
-            "test_fraction": self.test_fraction,
-            "per_basis": {b: st.to_json_dict()
-                          for b, st in self.per_basis.items()},
-            "sifted_total": self.sifted_total,
-            "qber_pooled": self.qber_pooled,
-            "invalid_rate": self.invalid_rate,
-            "eve_guess_accuracy": self.eve_guess_accuracy,
-        }
+        """The report as its JSON document: every field, under its own
+        name.  Writers sort the keys."""
+        return asdict(self)
 
 
 # ---------------------------------------------------------------------------
 # the session engine
 # ---------------------------------------------------------------------------
 
-# Rounds are drawn, counted and logged this many at a time, and round
-# records given as an iterable are read back this many at a time, which
-# bounds a session's memory whatever its length.  Each chunk keys its own
+# Rounds are drawn, counted and logged this many at a time, which bounds
+# a session's memory whatever its length.  Each chunk keys its own
 # generator at its counter offset, so the chunk size changes no byte of a
 # report or a log.  Up to _WORKERS chunks are in flight at once, each
 # holding about 3 MB of arrays at this size, so two hold about what one
@@ -681,7 +643,9 @@ _ROUND_TAIL = re.compile(r',"round":(?:0|[1-9][0-9]*)\}$\n?', re.M)
 # a byte the file's UTF-8 does not decode, as surrogateescape reads it
 _UNDECODED = re.compile("[\udc80-\udcff]")
 _ROW_FIELDS = ("alice_basis", "alice_bit", "bob_setting", "interpretation",
-               "eve_guess")
+               "eve_guess", "outcome_id")
+# the keys round-log.schema.json declares for a round record
+_ROUND_KEYS = frozenset(_ROW_FIELDS + ("round",))
 
 
 class _LogCells:
@@ -697,8 +661,13 @@ class _LogCells:
         self._index: Dict[tuple, int] = {}
 
     def record(self, record, where: str) -> Optional[int]:
-        """The cell index of a round record; None for a header record."""
-        if not isinstance(record, Mapping):
+        """The cell index of a round record; None for a header record.
+
+        Every field but ``round`` is checked against the schema's round
+        record here.  The round number of a line cut at ``_ROUND_TAIL``
+        matched it; :func:`_line_record` checks that of a line read whole.
+        """
+        if not isinstance(record, dict):
             raise ProtocolError(f"{where}: round record is not a JSON object")
         if "schema" in record:
             if record["schema"] != ROUND_LOG_SCHEMA:
@@ -707,8 +676,12 @@ class _LogCells:
                     f"got {record['schema']!r}")
             self.header = dict(record)
             return None
+        unknown = record.keys() - _ROUND_KEYS
+        if unknown:
+            raise ProtocolError(
+                f"{where}: round record has unknown keys {sorted(unknown)}")
         try:
-            basis, bit, setting, interpretation, guess = \
+            basis, bit, setting, interpretation, guess, outcome = \
                 (record[name] for name in _ROW_FIELDS)
         except KeyError as missing:
             raise ProtocolError(
@@ -716,6 +689,9 @@ class _LogCells:
         if not (isinstance(basis, str) and isinstance(setting, str)):
             raise ProtocolError(f"{where}: alice_basis and bob_setting "
                                 f"must be strings")
+        if not (outcome is None or isinstance(outcome, str)):
+            raise ProtocolError(
+                f"{where}: outcome_id must be a string or null")
         if interpretation not in _CLASSES:
             raise ProtocolError(
                 f"{where}: unknown interpretation class {interpretation!r}")
@@ -751,7 +727,8 @@ def _line_record(line: str, number: int, cells: _LogCells) -> Optional[int]:
 
     ``line`` keeps its line end, so json's error positions are those of
     the line as written.  A blank line or a header gives None.  A byte
-    that is not UTF-8 is rejected first.
+    that is not UTF-8 is rejected first, and a round record needs an
+    integer ``round`` >= 0.
     """
     where = f"line {number}"
     undecoded = _UNDECODED.search(line)
@@ -764,7 +741,12 @@ def _line_record(line: str, number: int, cells: _LogCells) -> Optional[int]:
         record = json.loads(line)
     except json.JSONDecodeError as err:
         raise ProtocolError(f"{where}: not valid JSON ({err})")
-    return cells.record(record, where)
+    cell = cells.record(record, where)
+    if cell is not None:
+        if "round" not in record:
+            raise ProtocolError(f"{where}: round record lacks field 'round'")
+        _integer(record["round"], f"{where}: round", 0)
+    return cell
 
 
 def _batch_cells(text: str, number: int, by_body: Dict[str, int],
@@ -840,25 +822,6 @@ def _file_batches(path, cells: _LogCells):
             yield batch
 
 
-def _log_batches(log, cells: _LogCells):
-    """Yield the cell index of every round record of ``log``, in batches.
-
-    A path is read by :func:`_file_batches`; any other iterable of
-    records is taken ``_CHUNK`` records at a time.
-    """
-    if isinstance(log, (str, Path)):
-        yield from _file_batches(log, cells)
-        return
-    records = (cells.record(record, f"record {number}")
-               for number, record in enumerate(log, 1))
-    rows = (cell for cell in records if cell is not None)
-    while True:
-        batch = np.fromiter(itertools.islice(rows, _CHUNK), dtype=np.int64)
-        if not len(batch):
-            return
-        yield batch
-
-
 def _add_counts(total: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
     grown = np.bincount(cells, minlength=n)
     grown[:len(total)] += total
@@ -869,38 +832,40 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
                       seed: int = 0) -> SimulationReport:
     """Recompute a report from a persisted round log.
 
-    ``log`` is a path to a newline-delimited JSON file or any iterable
-    of round records.  Counting statistics (efficiencies, loss and
-    invalid rates, adversary accuracy) use every round; the error rate
-    is estimated from a random ``test_fraction`` subsample of the
-    sifted bits, drawn deterministically from ``seed`` (a non-negative
-    integer) — the sample mean of mismatches, as if those bits were
-    publicly compared.  With ``test_fraction=1.0`` the estimate
-    coincides with the inline aggregation of :func:`run_bb84`, through
-    the same counting code.  If the subsample of some basis comes up
-    empty while sifted bits exist, the estimate for that basis falls
-    back to all of its sifted bits rather than reporting nothing.
+    ``log`` is the path of a newline-delimited JSON round-log file.
+    Counting statistics (efficiencies, loss and invalid rates, adversary
+    accuracy) use every round; the error rate is estimated from a random
+    ``test_fraction`` subsample of the sifted bits, drawn
+    deterministically from ``seed`` (a non-negative integer) — the
+    sample mean of mismatches, as if those bits were publicly compared.
+    With ``test_fraction=1.0`` the estimate coincides with the inline
+    aggregation of :func:`run_bb84`, through the same counting code.  If
+    the subsample of some basis comes up empty while sifted bits exist,
+    the estimate for that basis falls back to all of its sifted bits
+    rather than reporting nothing.
 
-    A file is read in batches of about 256 KiB of whole lines, an
-    iterable ``_CHUNK`` records at a time, and each round is kept only
-    as a small integer, so memory stays bounded by the batch and the
-    number of distinct records.  A batch is cut into line bodies by one
-    regex split and mapped to cells by one dict lookup per body; only a
-    body not seen before is parsed.  Each batch draws its own test
-    uniforms, which together equal one whole draw, so the batch size
-    changes no report.  A batch holding a line of another shape (the
-    header, a blank line, another serialization) is walked in file
-    order, and such a line is read whole by ``json.loads``, so any JSON
-    serialization of a record is read.  A line that is not valid
-    JSON or holds a byte that is not UTF-8, or a record that is not an
-    object or lacks a field, raises :class:`ProtocolError` naming its
-    1-based line (or record) number.
+    The file is read in batches of about 256 KiB of whole lines, and
+    each round is kept only as a small integer, so memory stays bounded
+    by the batch and the number of distinct records.  A batch is cut
+    into line bodies by one regex split and mapped to cells by one dict
+    lookup per body; only a body not seen before is parsed and checked.
+    Each batch draws its own test uniforms, which together equal one
+    whole draw, so the batch size changes no report.  A batch holding a
+    line of another shape (the header, a blank line, another
+    serialization) is walked in file order, and such a line is read
+    whole by ``json.loads``, so any JSON serialization of a record is
+    read.  A line that is not valid JSON or holds a byte that is not
+    UTF-8, or a round record that the schema's ``round`` record rejects
+    (a field missing, malformed or not declared), raises
+    :class:`ProtocolError` naming its 1-based line number.  Duplicated
+    or missing round numbers are not detected; only the header's
+    ``rounds`` total is checked against the number of round lines.
     """
     test_fraction = _probability(test_fraction, "test_fraction")
     gen = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))
     cells = _LogCells()
     counts = tested = np.zeros(0, dtype=np.int64)
-    for chunk in _log_batches(log, cells):
+    for chunk in _file_batches(log, cells):
         in_test = gen.random(len(chunk)) < test_fraction
         counts = _add_counts(counts, chunk, len(cells.cells))
         tested = _add_counts(tested, chunk[in_test], len(cells.cells))

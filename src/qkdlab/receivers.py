@@ -8,7 +8,7 @@ adversary can drive: any useful intercept-resend state lives inside it.
 
 Provided device models:
   * ``interferometric-6mode``   time-bin receiver reading all six output bins
-  * ``defended-10mode``         same optics plus guard bins flagged as invalid
+  * ``interferometric-defended-10mode`` same optics, guard bins read invalid
   * ``interferometric-2mode``   two-detector time-gated receiver (optional
                                 ``single-window`` variant with a phase-shifted
                                 second setting)
@@ -214,7 +214,7 @@ def _derive_reversed_space(receiver: ReceiverModel) -> List[PhotonicState]:
         for states in setting.outcomes.values():
             for o in states:
                 back = fs.apply_optics(o, setting.optics, adjoint=True)
-                for supp in fs.support_after_trace(back, lambda m: m in keep):
+                for supp in fs.support_after_trace(back, keep):
                     raw.append(fs.embedded(supp, channel_reg))
     occs, mat = _occ_matrix(raw)
     rank = int(np.sum(np.linalg.svd(mat, compute_uv=False) > fs.ATOL))
@@ -458,20 +458,19 @@ _BUNDLED: Dict[str, Callable[..., ReceiverModel]] = {
 
 RECEIVER_KINDS = tuple(_BUNDLED)
 
-_KIND_ALIASES = {"defended-10mode": "interferometric-defended-10mode"}
-
 
 def make_receiver(kind: str, variant: str | None = None,
                   **options) -> ReceiverModel:
     """Build one of the bundled receiver models by kind name.
 
-    A kind reads the parameters of its builder in ``_BUNDLED`` (tabled in
-    README.md); ``variant=None`` means none was given.  An unknown kind or
-    a keyword the kind does not read raises ValueError.
+    ``kind`` is one of ``RECEIVER_KINDS``, spelled in full.  A kind reads
+    the parameters of its builder in ``_BUNDLED`` (tabled in README.md);
+    ``variant=None`` means none was given.  Any other kind name, or a
+    keyword the kind does not read, raises ValueError.
     ``from_vulnerabilities`` (``blinded-bright``) takes forced-interpretation
     records from a fuzz campaign, checked for coverage and consistency.
     """
-    builder = _BUNDLED.get(_KIND_ALIASES.get(kind, kind))
+    builder = _BUNDLED.get(kind)
     if builder is None:
         raise ValueError(f"unknown receiver kind {kind!r}; "
                          f"choose one of {RECEIVER_KINDS}")
@@ -667,13 +666,13 @@ def _custom_receiver_from_config(cfg: Mapping) -> ReceiverModel:
 def receiver_from_config(cfg: Mapping) -> ReceiverModel:
     """Build a receiver from a plain configuration mapping.
 
-    A bundled kind takes the string ``kind`` plus those of ``variant``,
-    ``bright_photons`` and ``max_photons`` that ``make_receiver`` reads
-    for it.  ``kind: custom`` instead expects explicit ``modes``,
-    ``channel_modes``, per-setting isometry matrices over labelled
-    occupation bases, ``outcomes`` (whose states must be orthonormal),
-    ``interpretation`` tags and ``source`` states, and optionally ``name``
-    and ``max_photons``.  A key ``receiver-config.schema.json`` does not
+    A bundled kind takes ``kind``, one of ``RECEIVER_KINDS``, plus those
+    of ``variant``, ``bright_photons`` and ``max_photons`` that
+    ``make_receiver`` reads for it.  ``kind: custom`` instead expects
+    explicit ``modes``, ``channel_modes``, per-setting isometry matrices
+    over labelled occupation bases, ``outcomes`` (whose states must be
+    orthonormal), ``interpretation`` tags and ``source`` states, and
+    optionally ``name`` and ``max_photons``.  A key ``receiver-config.schema.json`` does not
     declare, a key the kind does not read, or an entry of the wrong JSON
     type raises ValueError naming the key.
     """

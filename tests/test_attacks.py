@@ -589,10 +589,16 @@ def test_vertices_match_nnls_on_random_weight_systems(case):
 # probe-state discrimination
 # ---------------------------------------------------------------------------
 
+def pure(vector):
+    """The density matrix of a pure state."""
+    return np.outer(vector, np.conj(vector))
+
+
 def test_helstrom_matches_closed_form():
     v0 = np.array([1.0, 0.0])
     v1 = np.array([1.0, 1.0]) / RT2
-    got = atk.helstrom_measurement(v0, v1, 0.5, 0.5).success_probability
+    got = atk.helstrom_measurement(pure(v0), pure(v1), 0.5,
+                                   0.5).success_probability
     assert got == pytest.approx((1 + math.sqrt(1 - 0.5)) / 2, abs=1e-12)
     assert got == pytest.approx(0.8535533905932737, abs=1e-12)
 
@@ -608,14 +614,15 @@ def test_helstrom_matches_numeric_measurement_search():
             m0 = np.array([math.cos(theta), math.sin(theta)])
             m1 = np.array([-math.sin(theta), math.cos(theta)])
             best = max(best, 0.5 * ((m0 @ a) ** 2 + (m1 @ b) ** 2))
-        got = atk.helstrom_measurement(a, b, 0.5, 0.5).success_probability
+        got = atk.helstrom_measurement(pure(a), pure(b), 0.5,
+                                       0.5).success_probability
         assert got == pytest.approx(best, abs=1e-6)
 
 
 def test_helstrom_measurement_statistics_are_consistent():
     v0 = np.array([1.0, 0.0])
     v1 = np.array([1.0, 1.0]) / RT2
-    meas = atk.helstrom_measurement(v0, v1, 0.5, 0.5)
+    meas = atk.helstrom_measurement(pure(v0), pure(v1), 0.5, 0.5)
     assert meas.success_probability == pytest.approx(
         0.5 * meas.guess0_given_0 + 0.5 * (1 - meas.guess0_given_1))
 

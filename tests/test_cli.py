@@ -403,6 +403,14 @@ def test_unknown_receiver_exits_config_error():
     assert payload["context"]["receiver"] == "no-such"
 
 
+def test_a_shortened_kind_name_exits_config_error():
+    code, stdout, stderr = run_cli(["reverse-space", "--receiver",
+                                    "defended-10mode"])
+    assert code == cli.EXIT_CONFIG
+    assert stdout == ""
+    assert last_error(stderr)["code"] == "invalid-receiver"
+
+
 def test_custom_receiver_with_unknown_interpretation_tag_exits_2(tmp_path):
     cfg = json.loads(json.dumps(UNSATISFIABLE_RECEIVER))
     cfg["settings"]["computational"]["interpretation"]["D1"] = "bit_1"

@@ -633,13 +633,14 @@ def test_support_of_entangled_state_is_two_dimensional():
     assert occupations == {fs.VACUUM, single(t_in(0))}
 
 
-def test_support_accepts_predicate_and_validates_mode_sets():
+def test_support_takes_a_set_of_registered_modes_only():
     reg = fs.interferometer_registry(0, 1)
     st = PhotonicState.photon(reg, t_in(0))
-    by_pred = fs.support_after_trace(st, lambda m: m.kind == fs.CHANNEL)
-    assert len(by_pred) == 1
+    assert len(fs.support_after_trace(st, set(kept_channel(reg)))) == 1
     with pytest.raises(fs.FockError):
         fs.support_after_trace(st, [pol_h()])
+    with pytest.raises(TypeError):
+        fs.support_after_trace(st, lambda m: m.kind == fs.CHANNEL)
 
 
 # ---------------------------------------------------------------------------

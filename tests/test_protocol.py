@@ -16,6 +16,19 @@ def binom_sigma(p: float, n: int) -> float:
     return math.sqrt(p * (1.0 - p) / n)
 
 
+# a round record as the round-log schema declares it
+ROUND = {"round": 0, "alice_basis": "computational", "alice_bit": 0,
+         "bob_setting": "computational", "outcome_id": "d0",
+         "interpretation": "bit0", "eve_guess": 0}
+
+
+def write_log(path, records):
+    """A round-log file of ``records``, one compact JSON line each."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pt._dump(record) + "\n" for record in records)
+    return path
+
+
 @pytest.fixture(scope="module")
 def six():
     return rc.make_receiver("interferometric-6mode")
@@ -39,13 +52,11 @@ def test_make_channel_rejects_mismatched_payloads(six):
     with pytest.raises(pt.ProtocolError):
         pt.make_channel("pns", 1.2)
     with pytest.raises(pt.ProtocolError):
-        pt.make_channel("pns", {"p_multi": 0.1, "bogus": 1})
-    with pytest.raises(pt.ProtocolError):
         pt.make_channel("lossy", -0.01)
     with pytest.raises(pt.ProtocolError):
         pt.make_channel("teleport", None)
     assert pt.make_channel("pns", 0.25).p_multi == 0.25
-    assert pt.make_channel("lossy", {"loss": 0.5}).loss == 0.5
+    assert pt.make_channel("lossy", 0.5).loss == 0.5
     attack = atk.trivial_attack(six)
     assert pt.make_channel("attack-isometry", attack).attack is attack
     with pytest.raises(pt.ProtocolError):
@@ -54,20 +65,28 @@ def test_make_channel_rejects_mismatched_payloads(six):
 
 @pytest.mark.parametrize("value", [True, False, np.True_, "0.1", b"0.2",
                                    bytearray(b"0.2")])
-def test_probabilities_must_be_real_numbers(value):
-    for kind, payload in ((pt.PNS, value), (pt.PNS, {"p_multi": value}),
-                          (pt.LOSSY, value), (pt.LOSSY, {"loss": value})):
+def test_probabilities_must_be_real_numbers(tmp_path, value):
+    for kind in (pt.PNS, pt.LOSSY):
         with pytest.raises(pt.ProtocolError, match="must be a real number"):
-            pt.make_channel(kind, payload)
+            pt.make_channel(kind, value)
+    log = write_log(tmp_path / "rounds.ndjson",
+                    [{"alice_basis": "computational"}])
     with pytest.raises(pt.ProtocolError, match="test_fraction"):
-        pt.sift_and_estimate([{"alice_basis": "computational"}], value)
+        pt.sift_and_estimate(log, value)
+
+
+@pytest.mark.parametrize("kind, payload", [(pt.PNS, {"p_multi": 0.1}),
+                                           (pt.LOSSY, {"loss": 0.5})])
+def test_a_probability_payload_is_a_bare_number(kind, payload):
+    with pytest.raises(pt.ProtocolError, match="must be a real number"):
+        pt.make_channel(kind, payload)
 
 
 @pytest.mark.parametrize("value", [0, 1, 0.5, np.float32(0.25),
                                    np.float64(0.75), np.int64(1)])
 def test_python_and_numpy_reals_are_probabilities(value):
     assert pt.make_channel(pt.PNS, value).p_multi == float(value)
-    assert pt.make_channel(pt.LOSSY, {"loss": value}).loss == float(value)
+    assert pt.make_channel(pt.LOSSY, value).loss == float(value)
 
 
 def test_identity_channel_has_zero_error_exactly(ideal):
@@ -181,7 +200,7 @@ def test_session_scores_the_analysis_guess(kind, variant):
 
 
 def test_pns_channel_reveals_multi_photon_rounds(ideal):
-    rep = pt.run_bb84(None, pt.make_channel("pns", {"p_multi": 0.1}), ideal,
+    rep = pt.run_bb84(None, pt.make_channel("pns", 0.1), ideal,
                       rounds=1000000, seed=0)
     # kept copies are read perfectly after the bases are announced:
     # accuracy = p_multi + (1 - p_multi)/2
@@ -235,18 +254,28 @@ def test_round_log_matches_inline_aggregation(tmp_path, two):
     assert offline.to_json_dict() == inline.to_json_dict()
 
 
-def test_sift_subsample_estimates_injected_error():
+def test_sift_subsample_estimates_injected_error(tmp_path):
     n = 1000000
     rng = np.random.Generator(np.random.Philox(7))
     bits = rng.integers(0, 2, n)
     flip = rng.random(n) < 0.05
     seen = np.where(flip, 1 - bits, bits)
-    rows = [{"round": i, "alice_basis": rc.COMPUTATIONAL,
-             "alice_bit": int(bits[i]), "bob_setting": rc.COMPUTATIONAL,
-             "outcome_id": "d0",
-             "interpretation": "bit0" if seen[i] == 0 else "bit1",
-             "eve_guess": 0} for i in range(n)]
-    rep = pt.sift_and_estimate(rows, test_fraction=0.5, seed=11)
+    # the line of (alice_bit, interpretation bit, round) as run_bb84
+    # writes it
+    line = ('{"alice_basis":"computational","alice_bit":%d,'
+            '"bob_setting":"computational","eve_guess":0,'
+            '"interpretation":"bit%d","outcome_id":"d0","round":%d}\n')
+    log = tmp_path / "rounds.ndjson"
+    try:
+        with open(log, "w", encoding="utf-8") as fh:
+            for lo in range(0, n, 100_000):
+                rows = zip(bits[lo:lo + 100_000].tolist(),
+                           seen[lo:lo + 100_000].tolist(),
+                           range(lo, lo + 100_000))
+                fh.writelines(line % row for row in rows)
+        rep = pt.sift_and_estimate(log, test_fraction=0.5, seed=11)
+    finally:
+        log.unlink()
     assert rep.test_fraction == 0.5
     # the test pool holds about half the sifted bits
     assert abs(rep.qber_pooled - 0.05) < 3 * binom_sigma(0.05, n // 2)
@@ -254,25 +283,29 @@ def test_sift_subsample_estimates_injected_error():
     assert rep.per_basis[rc.COMPUTATIONAL].errors == int(flip.sum())
 
 
-def test_sift_rejects_bad_logs():
+def test_sift_rejects_bad_logs(tmp_path):
+    def sift(records):
+        return pt.sift_and_estimate(write_log(tmp_path / "rounds.ndjson",
+                                              records))
+
     with pytest.raises(pt.ProtocolError):
-        pt.sift_and_estimate([])
+        sift([])
     with pytest.raises(pt.ProtocolError):
-        pt.sift_and_estimate([{"schema": pt.ROUND_LOG_SCHEMA, "rounds": 1}])
-    good = {"round": 0, "alice_basis": "computational", "alice_bit": 0,
-            "bob_setting": "computational", "outcome_id": "d0",
-            "interpretation": "bit0", "eve_guess": 0}
-    bad_class = dict(good, interpretation="click")
+        sift([{"schema": pt.ROUND_LOG_SCHEMA, "rounds": 1}])
     with pytest.raises(pt.ProtocolError):
-        pt.sift_and_estimate([bad_class])
+        sift([dict(ROUND, interpretation="click")])
     with pytest.raises(pt.ProtocolError):
-        pt.sift_and_estimate([{k: v for k, v in good.items()
-                               if k != "alice_bit"}])
+        sift([{k: v for k, v in ROUND.items() if k != "alice_bit"}])
     header = {"schema": pt.ROUND_LOG_SCHEMA, "rounds": 5}
     with pytest.raises(pt.ProtocolError):
-        pt.sift_and_estimate([header, good])
+        sift([header, ROUND])
     with pytest.raises(pt.ProtocolError):
-        pt.sift_and_estimate([dict(header, schema="round-log/9"), good])
+        sift([dict(header, schema="round-log/9"), ROUND])
+
+
+def test_sift_takes_a_path_only():
+    with pytest.raises(TypeError):
+        pt.sift_and_estimate([ROUND], test_fraction=1.0)
 
 
 def test_report_validate_rejects_a_bad_rate_and_unaccounted_rounds(six):

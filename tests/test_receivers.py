@@ -210,9 +210,12 @@ def test_logical_coefficients_match_physical_states():
         assert combo.close_to(src.states[label], atol=1e-12)
 
 
-def test_defended_kind_alias_is_accepted():
-    receiver = rc.make_receiver("defended-10mode")
-    assert receiver.name == "interferometric-defended-10mode"
+def test_a_kind_is_named_in_full():
+    # receiver-config.schema.json declares only the full kind names
+    with pytest.raises(ValueError, match="unknown receiver kind"):
+        rc.make_receiver("defended-10mode")
+    with pytest.raises(ValueError, match="unknown receiver kind"):
+        rc.receiver_from_config({"kind": "defended-10mode"})
 
 
 VALID_RECORDS = [

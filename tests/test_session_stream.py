@@ -274,10 +274,9 @@ def test_chunked_session_matches_the_whole_array_reference(
 
     shuffled = tmp_path / "shuffled.ndjson"
     reserialize(log, shuffled, seed)
-    rows = [json.loads(line) for line in log.read_text().splitlines()]
     for test_fraction in (0.5, 1.0):
         want = reference_sift(log, test_fraction, seed=3).to_json_dict()
-        for source in (log, rows, shuffled):
+        for source in (log, shuffled):
             got = pt.sift_and_estimate(source, test_fraction, seed=3)
             assert got.to_json_dict() == want
 
@@ -554,9 +553,6 @@ def test_record_that_is_not_an_object_is_rejected(tmp_path, good_log):
     path.write_text("".join(good_log[:2] + ["[1,2]\n"] + good_log[2:]))
     with pytest.raises(pt.ProtocolError, match="line 3"):
         pt.sift_and_estimate(path)
-    rows = [json.loads(line) for line in good_log]
-    with pytest.raises(pt.ProtocolError, match="record 2"):
-        pt.sift_and_estimate(rows[:1] + [[1, 2]] + rows[1:])
 
 
 @pytest.mark.parametrize("field, value", [
@@ -565,21 +561,75 @@ def test_record_that_is_not_an_object_is_rejected(tmp_path, good_log):
     ("alice_bit", True), ("alice_bit", 1.0), ("eve_guess", False),
     ("eve_guess", 0.0),
 ])
-def test_round_fields_out_of_range_are_rejected(good_log, field, value):
-    rows = [json.loads(line) for line in good_log]
-    rows[3][field] = value
-    with pytest.raises(pt.ProtocolError, match="record 4"):
-        pt.sift_and_estimate(rows)
+def test_round_fields_out_of_range_are_rejected(tmp_path, good_log, field,
+                                                value):
+    record = json.loads(good_log[3])
+    record[field] = value
+    path = tmp_path / "bad.ndjson"
+    path.write_text("".join(good_log[:3] + [pt._dump(record) + "\n"]
+                            + good_log[4:]))
+    with pytest.raises(pt.ProtocolError, match="^line 4: "):
+        pt.sift_and_estimate(path)
+
+
+def with_record(good_log, number, edit):
+    """``good_log`` with line ``number`` replaced by ``edit`` of its
+    record, written compact (its round number last, where the batch
+    reader cuts it off) and spaced (read whole)."""
+    record = json.loads(good_log[number - 1])
+    edit(record)
+    for line in (pt._dump(record),
+                 json.dumps(record, separators=(", ", ": "))):
+        yield "".join(good_log[:number - 1] + [line + "\n"]
+                      + good_log[number:])
+
+
+def drop(name):
+    return lambda record: record.pop(name)
+
+
+def put(name, value):
+    return lambda record: record.update({name: value})
+
+
+@pytest.mark.parametrize("edit, message", [
+    (drop("round"), "round record lacks field 'round'"),
+    (put("round", -1), "round must be an integer >= 0, got -1"),
+    (put("round", 2.0), "round must be an integer >= 0, got 2.0"),
+    (put("round", True), "round must be an integer >= 0, got True"),
+    (put("round", "2"), "round must be an integer >= 0, got '2'"),
+    (put("extra", 1), "round record has unknown keys ['extra']"),
+    (put("Round", 2), "round record has unknown keys ['Round']"),
+    (drop("outcome_id"), "round record lacks field 'outcome_id'"),
+    (put("outcome_id", 5), "outcome_id must be a string or null"),
+], ids=["no-round", "negative-round", "float-round", "bool-round",
+        "string-round", "unknown-key", "capitalised-key", "no-outcome-id",
+        "numeric-outcome-id"])
+def test_a_round_line_must_match_the_schemas_round_record(
+        tmp_path, good_log, edit, message):
+    path = tmp_path / "bad.ndjson"
+    for text in with_record(good_log, 4, edit):
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(pt.ProtocolError) as raised:
+            pt.sift_and_estimate(path)
+        assert str(raised.value) == f"line 4: {message}"
+
+
+def test_a_null_outcome_id_is_a_round_record(tmp_path, good_log):
+    path = tmp_path / "null.ndjson"
+    for text in with_record(good_log, 4, put("outcome_id", None)):
+        path.write_text(text, encoding="utf-8")
+        assert pt.sift_and_estimate(path, 1.0).to_json_dict() == \
+            reference_sift(path, 1.0, seed=0).to_json_dict()
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5, "3", True, None])
-def test_seed_must_be_a_non_negative_integer(good_log, seed):
+def test_seed_must_be_a_non_negative_integer(tmp_path, good_log, seed):
     receiver, channel = CASES["identity"]
     with pytest.raises(pt.ProtocolError, match="seed"):
         pt.run_bb84(None, channel, receiver, 10, seed=seed)
-    rows = [json.loads(line) for line in good_log]
     with pytest.raises(pt.ProtocolError, match="seed"):
-        pt.sift_and_estimate(rows, seed=seed)
+        pt.sift_and_estimate(tmp_path / "good.ndjson", seed=seed)
 
 
 @pytest.mark.parametrize("rounds", [0, -3, True, False, 2.5, 1.0, "10",

@@ -2,11 +2,14 @@
 
 Every public function, class and method defined in ``src/qkdlab`` must be
 named somewhere besides its own definition: elsewhere in ``src/`` (outside
-docstrings), or in ``demos/``, ``perfbench/`` or ``README.md``.  Tests do
-not count as callers.  A name kept on purpose goes on ``KEEP`` with the
-reason it stays.  A public top-level name defined in more than one module
-needs a caller for each: qualified by a name bound to that module, or bare
-inside the module itself.
+docstrings), or in ``demos/``, ``perfbench/`` or ``README.md``.  Every
+parameter with a default of such a function or method (a class's: of its
+``__init__``) must be set, by keyword or by position, by some call in
+those callers' code.  Tests do not count as callers.  A name or a
+parameter kept on purpose goes on ``KEEP`` with the reason it stays; a
+parameter is keyed ``function(parameter)``.  A public top-level name
+defined in more than one module needs a caller for each: qualified by a
+name bound to that module, or bare inside the module itself.
 """
 
 import ast
@@ -28,6 +31,31 @@ KEEP = {
     "IdealPNRDevice": "the photon-number-resolving negative control of the "
                       "fuzz campaign",
     "PhotonicState.close_to": "the state comparison four test modules share",
+    "PhotonicState.close_to(atol)":
+        "the tests compare states at tolerances other than ATOL",
+    "IdealPNRDevice(geiger_efficiency)":
+        "a lossy negative control, which the efficiency-mismatch stage of "
+        "ROADMAP item 7 must not flag",
+    "make_apd_receiver_device(double_click_rule)":
+        "a receiver that discards double clicks, the multi-click rule of "
+        "ROADMAP item 1",
+    "two_mode_attack(shared_probe_axis)":
+        "acceptance criterion 5 checks both probe-axis layouts",
+    "footprint(env_write_is_side_effect_only)":
+        "the paper's trivial side-channel class; no registry record is in "
+        "it yet",
+    "apply_rotation(out_modes)":
+        "routing into fresh modes; the Fock cross-check in tests/test_fuzz.py "
+        "is a reference built on it",
+    "trivial_attack(system)":
+        "set through cli._NAMED_ATTACKS, whose constructors the CLI calls "
+        "with system=",
+    "full_information_attack(system)":
+        "set through cli._NAMED_ATTACKS, whose constructors the CLI calls "
+        "with system=",
+    "sift_and_estimate(seed)":
+        "keys the test-bit subsample; the pinned log digests and the "
+        "reference reader comparisons set it",
 }
 
 
@@ -81,6 +109,63 @@ def _surface():
     return definitions, code
 
 
+def _defaulted(function, bound):
+    """(parameter, position) of each parameter of ``function`` with a
+    default.  The position is among the arguments a caller passes, after
+    ``bound`` leading ones (self or cls), and None for a keyword-only
+    parameter."""
+    args = function.args
+    positional = (args.posonlyargs + args.args)[bound:]
+    first = len(positional) - len(args.defaults)
+    for position, arg in enumerate(positional[first:], first):
+        yield arg.arg, position
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield arg.arg, None
+
+
+def _public_parameters():
+    """(qualified name, called name, parameter, position) of each defaulted
+    parameter of a public function, a public method or the ``__init__``
+    of a public class."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) \
+                    and not node.name.startswith("_"):
+                for parameter, position in _defaulted(node, 0):
+                    yield node.name, node.name, parameter, position
+            if not isinstance(node, ast.ClassDef) \
+                    or node.name.startswith("_"):
+                continue
+            for member in node.body:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in member.decorator_list)
+                if member.name == "__init__":
+                    qualified, called = node.name, node.name
+                elif not member.name.startswith("_"):
+                    qualified = f"{node.name}.{member.name}"
+                    called = member.name
+                else:
+                    continue
+                for parameter, position in _defaulted(member, 1 - static):
+                    yield qualified, called, parameter, position
+
+
+def _caller_trees():
+    """The syntax trees of ``src/``, ``demos/`` and ``perfbench/`` and of
+    README.md's Python code blocks."""
+    files = sorted(SRC.glob("*.py"))
+    for folder in ("demos", "perfbench"):
+        files += sorted((REPO_ROOT / folder).rglob("*.py"))
+    for path in files:
+        yield ast.parse(path.read_text(encoding="utf-8"))
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    for block in re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S):
+        yield ast.parse(block)
+
+
 def _module_names(tree):
     """{local name: qkdlab module} for each ``import qkdlab.X as a`` and
     each ``from . import X as a`` or ``from qkdlab import X as a``."""
@@ -109,9 +194,31 @@ def test_every_public_name_has_a_caller():
         if not any(used.search(line) and not defined.match(line)
                    for line in code):
             unused.append(qualified)
-    assert sorted(set(unused) - set(KEEP)) == []
+    kept = {key for key in KEEP if "(" not in key}
+    assert sorted(set(unused) - kept) == []
     # a kept name that gained a caller leaves the list
-    assert sorted(set(KEEP) - set(unused)) == []
+    assert sorted(kept - set(unused)) == []
+
+
+def test_every_defaulted_parameter_has_a_caller_that_sets_it():
+    # a call is matched by the name it calls, as the name search above is
+    calls = collections.defaultdict(list)
+    for tree in _caller_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) \
+                    or getattr(node.func, "attr", None)
+                calls[called].append(
+                    (len(node.args), {k.arg for k in node.keywords}))
+    unset = {f"{qualified}({parameter})"
+             for qualified, called, parameter, position in _public_parameters()
+             if not any(parameter in keywords
+                        or position is not None and passed > position
+                        for passed, keywords in calls[called])}
+    kept = {key for key in KEEP if "(" in key}
+    assert sorted(unset - kept) == []
+    # a kept parameter that gained a caller leaves the list
+    assert sorted(kept - unset) == []
 
 
 def test_a_name_defined_in_two_modules_has_a_caller_for_each():
