@@ -191,9 +191,15 @@ def build_constraint_system(receiver: rc.ReceiverModel) -> ConstraintSystem:
         source_embeddings[lab] = coeff
 
     beta: Dict[str, Dict[str, Tuple[np.ndarray, ...]]] = {}
+    # settings may share optics: the basis runs through each once, keyed
+    # by identity while the receiver holds them
+    evolved: Dict[int, List[PhotonicState]] = {}
     for sname, setting in receiver.settings.items():
-        transformed = [fs.apply_optics(fs.embedded(b, receiver.registry),
-                                       setting.optics) for b in basis]
+        if id(setting.optics) not in evolved:
+            evolved[id(setting.optics)] = [
+                fs.apply_optics(fs.embedded(b, receiver.registry),
+                                setting.optics) for b in basis]
+        transformed = evolved[id(setting.optics)]
         beta[sname] = {
             oid: tuple(np.array([fs.inner_product(o, t) for t in transformed])
                        for o in ostates)

@@ -475,18 +475,10 @@ def _cmd_verify(opts: dict) -> int:
     return EXIT_OK
 
 
-def _channel_from_options(opts: dict,
-                          receiver: rc.ReceiverModel) -> proto.ChannelModel:
+def _channel_from_options(opts: dict) -> proto.ChannelModel:
+    """The channel of a session without ``--attack``."""
     from . import protocol as proto
-    attack_spec = opts["attack"]
     kind = opts["channel"]
-    if attack_spec is not None:
-        if kind not in (None, proto.ATTACK):
-            raise CliError(EXIT_CONFIG, "invalid-config",
-                           "--attack conflicts with --channel "
-                           f"{kind!r}", {"channel": kind})
-        return proto.make_channel(proto.ATTACK,
-                                  _load_attack(attack_spec, receiver))
     if kind in (None, proto.IDENTITY):
         return proto.make_channel(proto.IDENTITY)
     try:
@@ -526,13 +518,25 @@ def _cmd_simulate(opts: dict) -> int:
     from . import attacks as atk
     from . import protocol as proto
     receiver = _load_receiver(opts, "simulate")
-    channel = _channel_from_options(opts, receiver)
+    system = None
+    if opts["attack"] is None:
+        channel = _channel_from_options(opts)
+    else:
+        kind = opts["channel"]
+        if kind not in (None, proto.ATTACK):
+            raise CliError(EXIT_CONFIG, "invalid-config",
+                           "--attack conflicts with --channel "
+                           f"{kind!r}", {"channel": kind})
+        # one system: the attack is built on it and the session reads it
+        system = _constraint_system(receiver)
+        channel = proto.make_channel(
+            proto.ATTACK, _load_attack(opts["attack"], receiver, system))
     rounds = opts["rounds"]
     _ensure_parent(opts["log"])
     try:
         report = proto.run_bb84(None, channel, receiver,
                                 rounds, seed=opts["seed"],
-                                log_path=opts["log"])
+                                log_path=opts["log"], system=system)
     except (proto.ProtocolError, atk.AttackError) as err:
         raise CliError(EXIT_CONFIG, "invalid-config", str(err),
                        {"receiver": receiver.name})

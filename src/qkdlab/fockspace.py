@@ -22,6 +22,16 @@ reversed product of the adjoint factors.  `apply_optics` runs a receiver
 setting's interferometers, rotations and linear maps in the same way: in
 order, or their adjoints in reverse order.
 
+Inside the kernel a component is keyed by one int rather than by an
+occupation.  Each plan position (a mode or a private arm key) is a field of w
+bits holding its photon count, where w is the bit length of the largest
+photon number among the state's components; splitters conserve each
+component's photon number, so no field overflows.  A splitter reads its two
+source fields by shift and mask and writes its targets from a cached table of
+offsets.  Keys are packed once on the way in and only the fields that can
+hold photons are unpacked on the way out, so callers still see `Occupation`
+keys.
+
 Conventions:
   * symmetric 50/50 beam splitter: transmission amplitude 1/sqrt(2),
     reflection amplitude i/sqrt(2).  The kernel applies the exact Gaussian-
@@ -38,7 +48,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from itertools import compress
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import itemgetter
@@ -410,41 +419,55 @@ class _Phase(NamedTuple):
         return _Phase(self.modes, not self.conjugate)
 
 
-def _split(amps: dict, a: int, b: int, c: int, d: int, u) -> dict:
-    """Send count positions a, b through splitter u into c, d and merge.
+@lru_cache(maxsize=None)
+def _offsets(k1: int, k2: int, u, c: int,
+             d: int) -> Tuple[Tuple[int, complex], ...]:
+    """`_pair_table(k1, k2, u)` with each m1 replaced by the bits of
+    |m1, k1 + k2 - m1> in the fields at shifts c and d."""
+    total = k1 + k2
+    return tuple((m1 << c | (total - m1) << d, coeff)
+                 for m1, coeff in _pair_table(k1, k2, u))
+
+
+def _split(amps: dict, a: int, b: int, c: int, d: int, field: int,
+           u) -> dict:
+    """Send the fields at shifts a, b through splitter u into the fields at
+    shifts c, d and merge; `field` is the mask of one field.
 
     Targets must be empty or be sources, so they are overwritten.  Merged
     components that cancel are dropped.
     """
+    clear = ~(field << a | field << b)
     out: dict = {}
+    get = out.get
     merged = False
     for key, v in amps.items():
-        k1, k2 = key[a], key[b]
+        k1 = key >> a & field
+        k2 = key >> b & field
         if not (k1 or k2):
             out[key] = v  # no produced component has a and b both empty
             continue
-        counts = list(key)
-        counts[a] = counts[b] = 0
-        total = k1 + k2
-        for m1, coeff in _pair_table(k1, k2, u):
-            counts[c] = m1
-            counts[d] = total - m1
-            new = tuple(counts)
-            if new in out:
-                out[new] += v * coeff
-                merged = True
-            else:
+        rest = key & clear
+        for offset, coeff in _offsets(k1, k2, u, c, d):
+            new = rest | offset
+            old = get(new)
+            if old is None:
                 out[new] = v * coeff
+            else:
+                out[new] = old + v * coeff
+                merged = True
     if merged:
         return {key: v for key, v in out.items() if abs(v) > PRUNE_EPS}
     return out
 
 
-def _phase(amps: dict, positions: List[int], e: complex) -> dict:
+def _phase(amps: dict, shifts: List[int], field: int, e: complex) -> dict:
     powers = [1.0, e]
     out = {}
     for key, v in amps.items():
-        n = sum(key[p] for p in positions)
+        n = 0
+        for s in shifts:
+            n += key >> s & field
         if n:
             while len(powers) <= n:
                 powers.append(powers[-1] * e)
@@ -454,11 +477,11 @@ def _phase(amps: dict, positions: List[int], e: complex) -> dict:
 
 
 class _Plan(NamedTuple):
-    """Factors compiled to count-tuple positions.
+    """Factors compiled to plan positions.
 
-    An occupation is a tuple of counts: `modes` (every mode named, in mode
-    order) first, then the private arm keys.  `ops` are the factors with
-    each mode or arm key replaced by its position.
+    `modes` (every mode named, in mode order) take the first positions,
+    then the private arm keys.  `ops` are the factors with each mode or arm
+    key replaced by its position.
     """
 
     factors: tuple
@@ -492,76 +515,92 @@ def _compile(factors, passing: Iterable[Mode] = ()) -> _Plan:
                  max(depth.values(), default=0))
 
 
+_count = itemgetter(1)  # the count of a (mode, count) pair
+
+
 def _evolve(state: PhotonicState, plan: _Plan,
             e: complex = 1.0) -> PhotonicState:
     """Apply the plan's factors in order to the whole state, merging after
     each; `e` is the phase factor of its phase shifts.
+
+    Each component is keyed by one int: plan position p is the field of
+    `w` bits at shift p*w, its photon count, with `w` the bit length of the
+    largest photon number among the components.  Splitters conserve each
+    component's photon number, so no field overflows.
 
     Splitters whose sources are still empty are skipped.  Each photon a
     splitter has touched has crossed `plan.crossings` splitters, so each
     output component is scaled once by 2**(-crossings*n/2), n its photons
     that a splitter touched.
     """
-    pos, width = plan.pos, len(plan.pos)
+    pos = plan.pos
+    used = {m for occupation in state.amplitudes for m, _ in occupation}
+    if not used.issubset(pos):  # modes the factors pass through
+        return _evolve(state, _compile(plan.factors, used), e)
+    top = max((sum(map(_count, occupation))
+               for occupation in state.amplitudes), default=0)
+    w = top.bit_length() or 1
+    shifts = {m: pos[m] * w for m in used}
     amps = {}
-    live = set()
     for occupation, amp in state.amplitudes.items():
-        counts = [0] * width
+        key = 0
         for m, n in occupation:
-            p = pos.get(m)
-            if p is None:  # a mode the factors pass through
-                used = {m for o in state.amplitudes for m, _ in o}
-                return _evolve(state, _compile(plan.factors, used), e)
-            counts[p] = n
-            live.add(p)
-        amps[tuple(counts)] = amp
+            key |= n << shifts[m]
+        amps[key] = amp
+    live = {pos[m] for m in used}
+    field = (1 << w) - 1
     untouched = set(live)
     for op in plan.ops:
         if isinstance(op, _Phase):
-            lit = [p for p in op.modes if p in live]
+            lit = [p * w for p in op.modes if p in live]
             if lit:
-                amps = _phase(amps, lit, e.conjugate() if op.conjugate else e)
+                amps = _phase(amps, lit, field,
+                              e.conjugate() if op.conjugate else e)
             continue
         (a, b), (c, d) = op.sources, op.targets
         if a in live or b in live:
-            amps = _split(amps, a, b, c, d, op.u)
+            amps = _split(amps, a * w, b * w, c * w, d * w, field, op.u)
             live -= {a, b}
             live |= {c, d}
             untouched -= {a, b}
-    return _to_state(state.registry, amps, plan.modes, live, untouched,
-                     plan.crossings)
+    return _to_state(state.registry, amps, plan, w, top, live, untouched)
 
 
-def _to_state(reg: ModeRegistry, amps: dict, modes: Tuple[Mode, ...],
-              live: set, untouched: set, crossings: int) -> PhotonicState:
-    """Scale, prune and check count tuples, then key them by Occupation.
+def _to_state(reg: ModeRegistry, amps: dict, plan: _Plan, w: int, top: int,
+              live: set, untouched: set) -> PhotonicState:
+    """Scale, prune and check packed keys, then key them by Occupation.
 
-    Only `live` positions can hold photons; positions past `modes` are arm
-    keys, which are empty by now.
+    Only `live` positions can hold photons, so only their fields are read;
+    positions past `plan.modes` are arm keys, which are empty by now.  No
+    count exceeds `top`, the largest photon number among the components.
     """
-    outside = [(p, modes[p]) for p in sorted(live)
-               if p < len(modes) and modes[p] not in reg]
+    modes, field = plan.modes, (1 << w) - 1
+    fields = [(p * w, modes[p]) for p in sorted(live) if p < len(modes)]
+    outside = [(s, m) for s, m in fields if m not in reg]
+    touched = [p * w for p in live - untouched]
     cap = reg.max_photons_per_mode
     scales: Dict[int, float] = {}
     result: Dict[Occupation, complex] = {}
     for key, v in amps.items():
-        n = sum(key)
-        if untouched:
-            n -= sum(key[p] for p in untouched)
+        n = 0
+        for s in touched:
+            n += key >> s & field
         if n not in scales:
-            h = crossings * n
+            h = plan.crossings * n
             scales[n] = 0.5 ** (h >> 1) * (_INV_SQRT2 if h & 1 else 1.0)
-        w = v * scales[n]
-        if abs(w) <= PRUNE_EPS:
+        x = v * scales[n]
+        if abs(x) <= PRUNE_EPS:
             continue
-        for p, m in outside:
-            if key[p]:
+        for s, m in outside:
+            if key >> s & field:
                 raise FockError(f"mode {m} not in registry")
-        occupation = tuple(zip(compress(modes, key), filter(None, key)))
-        if max(key, default=0) > cap:
+        occupation = tuple([(m, count) for s, m in fields
+                            if (count := key >> s & field)])
+        if top > cap and max((count for _, count in occupation),
+                             default=0) > cap:
             reg.check_occupation(occupation)
         # adding 0.0 clears the negative zeros left by the +-i products
-        result[occupation] = 0.0 + w
+        result[occupation] = 0.0 + x
     return PhotonicState._trusted(reg, result)
 
 
@@ -659,14 +698,15 @@ def _mz_times(state: PhotonicState, reads: Tuple[str, ...],
               rejects: Tuple[str, ...]) -> set:
     """Time bins of the `reads` modes in use; any `rejects` mode is an error."""
     times = set()
-    for occupation in state.amplitudes:
-        for m, _ in occupation:
-            if m.kind in rejects:
-                raise FockError(
-                    f"interferometer input already uses mode {m} from its "
-                    f"output side")
-            if m.kind in reads:
-                times.add(m.index)
+    # each distinct mode once, in the order the components first name it
+    for m in dict.fromkeys(m for occupation in state.amplitudes
+                           for m, _ in occupation):
+        if m.kind in rejects:
+            raise FockError(
+                f"interferometer input already uses mode {m} from its "
+                f"output side")
+        if m.kind in reads:
+            times.add(m.index)
     return times
 
 

@@ -448,12 +448,29 @@ def _report(cells, counts: np.ndarray, tested: np.ndarray,
     return report
 
 
+def _check_system(system: atk.ConstraintSystem,
+                  receiver: rc.ReceiverModel):
+    """ProtocolError unless ``system`` was built on the reversed space of
+    ``receiver``."""
+    basis = rc.reversed_space(receiver)
+    if system.receiver_name != receiver.name \
+            or len(system.p_basis) != len(basis) \
+            or not all(a is b or (a.registry == b.registry
+                                  and a.amplitudes == b.amplitudes)
+                       for a, b in zip(system.p_basis, basis)):
+        raise ProtocolError(
+            f"the constraint system of {system.receiver_name!r} is not "
+            f"built on the reversed space of {receiver.name!r}")
+
+
 def run_bb84(alice: Optional[rc.AliceSourceModel],
              channel: Optional[ChannelModel],
              receiver: rc.ReceiverModel,
              rounds: int,
              seed: int = 0,
-             log_path: Union[str, Path, None] = None) -> SimulationReport:
+             log_path: Union[str, Path, None] = None,
+             system: Optional[atk.ConstraintSystem] = None
+             ) -> SimulationReport:
     """Simulate a BB84 session and aggregate it into a report.
 
     Alice draws a uniform (basis, bit) label each round; Bob's setting
@@ -466,10 +483,13 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
     The adversary's per-round guess is logged for every round but only
     scored on sifted ones.  Under an attack channel it follows
     ``attacks.eve_guess`` in Alice's basis, so a session scores the
-    guess that the analyses report.  With ``log_path`` the full round log is
-    written as newline-delimited JSON behind a header record, through a
-    temporary file in the same directory that replaces ``log_path`` only
-    once the session completes.
+    guess that the analyses report.  An attack channel reads the
+    receiver's constraint system: ``system``, the prebuilt one its attack
+    was built on, or else one built here.  A ``system`` must be built on
+    the receiver's reversed space, and only an attack channel takes one.
+    With ``log_path`` the full round log is written as newline-delimited
+    JSON behind a header record, through a temporary file in the same
+    directory that replaces ``log_path`` only once the session completes.
 
     All randomness derives from one counter-based generator keyed by
     ``seed`` (a non-negative integer): round r consumes a fixed slice of
@@ -495,15 +515,22 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
 
     labels = alice.labels()
     settings = list(receiver.settings)
-    system = conditional = None
+    conditional = None
     if channel.kind == ATTACK:
-        system = atk.build_constraint_system(receiver)
+        if system is None:
+            system = atk.build_constraint_system(receiver)
+        else:
+            _check_system(system, receiver)
         missing = set(labels) - set(system.alice_labels)
         if missing:
             raise ProtocolError(
                 f"attack channels use the receiver's paired source; labels "
                 f"{sorted(missing)} have no logical embedding")
         conditional = atk.eve_conditional_states(channel.attack, system)
+    elif system is not None:
+        raise ProtocolError(
+            f"a constraint system goes with an attack channel only, not "
+            f"with {channel.kind!r}")
 
     ids, cdf, guide = _outcome_tables(alice, channel, receiver, system)
     width = cdf.shape[1]
@@ -646,6 +673,43 @@ _ROW_FIELDS = ("alice_basis", "alice_bit", "bob_setting", "interpretation",
                "eve_guess", "outcome_id")
 # the keys round-log.schema.json declares for a round record
 _ROUND_KEYS = frozenset(_ROW_FIELDS + ("round",))
+# the keys it declares for a header record; all but attack_label are required
+_HEADER_KEYS = frozenset(("schema", "rng_seed", "receiver", "channel",
+                          "attack_label", "rounds"))
+
+
+def _check_header(record: dict, where: str):
+    """ProtocolError unless ``record`` matches the schema's header record."""
+    if record["schema"] != ROUND_LOG_SCHEMA:
+        raise ProtocolError(
+            f"{where}: expected log schema {ROUND_LOG_SCHEMA!r}, "
+            f"got {record['schema']!r}")
+    missing = _HEADER_KEYS - {"attack_label"} - record.keys()
+    if missing:
+        raise ProtocolError(
+            f"{where}: header lacks fields {sorted(missing)}")
+    unknown = record.keys() - _HEADER_KEYS
+    if unknown:
+        raise ProtocolError(
+            f"{where}: header has unknown keys {sorted(unknown)}")
+    seed, rounds = record["rng_seed"], record["rounds"]
+    # a JSON integer: True == 1 and 1.0 == 1, but neither is one
+    if type(seed) is not int:
+        raise ProtocolError(
+            f"{where}: header rng_seed must be an integer, got {seed!r}")
+    if type(rounds) is not int or rounds < 0:
+        raise ProtocolError(f"{where}: header rounds must be an integer "
+                            f">= 0, got {rounds!r}")
+    if not isinstance(record["receiver"], str):
+        raise ProtocolError(f"{where}: header receiver must be a string, "
+                            f"got {record['receiver']!r}")
+    if record["channel"] not in CHANNEL_KINDS:
+        raise ProtocolError(f"{where}: header channel must be one of "
+                            f"{CHANNEL_KINDS}, got {record['channel']!r}")
+    label = record.get("attack_label")
+    if not (label is None or isinstance(label, str)):
+        raise ProtocolError(f"{where}: header attack_label must be a "
+                            f"string or null, got {label!r}")
 
 
 class _LogCells:
@@ -663,17 +727,15 @@ class _LogCells:
     def record(self, record, where: str) -> Optional[int]:
         """The cell index of a round record; None for a header record.
 
-        Every field but ``round`` is checked against the schema's round
-        record here.  The round number of a line cut at ``_ROUND_TAIL``
+        A header record is checked against the schema's header record, and
+        every field of a round record but ``round`` against its round
+        record.  The round number of a line cut at ``_ROUND_TAIL``
         matched it; :func:`_line_record` checks that of a line read whole.
         """
         if not isinstance(record, dict):
             raise ProtocolError(f"{where}: round record is not a JSON object")
         if "schema" in record:
-            if record["schema"] != ROUND_LOG_SCHEMA:
-                raise ProtocolError(
-                    f"{where}: expected log schema {ROUND_LOG_SCHEMA!r}, "
-                    f"got {record['schema']!r}")
+            _check_header(record, where)
             self.header = dict(record)
             return None
         unknown = record.keys() - _ROUND_KEYS
@@ -855,8 +917,8 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     serialization) is walked in file order, and such a line is read
     whole by ``json.loads``, so any JSON serialization of a record is
     read.  A line that is not valid JSON or holds a byte that is not
-    UTF-8, or a round record that the schema's ``round`` record rejects
-    (a field missing, malformed or not declared), raises
+    UTF-8, or a record that the schema's ``header`` or ``round`` record
+    rejects (a field missing, malformed or not declared), raises
     :class:`ProtocolError` naming its 1-based line number.  Duplicated
     or missing round numbers are not detected; only the header's
     ``rounds`` total is checked against the number of round lines.

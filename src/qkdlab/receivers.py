@@ -210,12 +210,18 @@ def _derive_reversed_space(receiver: ReceiverModel) -> List[PhotonicState]:
     channel_reg = receiver.channel_registry()
     keep = set(channel_reg.modes)
     raw: List[PhotonicState] = []
+    # settings may share optics and outcome states: each pair is pulled
+    # back once, keyed by identity while the receiver holds both
+    pulled: Dict[Tuple[int, int], List[PhotonicState]] = {}
     for setting in receiver.settings.values():
         for states in setting.outcomes.values():
             for o in states:
-                back = fs.apply_optics(o, setting.optics, adjoint=True)
-                for supp in fs.support_after_trace(back, keep):
-                    raw.append(fs.embedded(supp, channel_reg))
+                key = (id(setting.optics), id(o))
+                if key not in pulled:
+                    back = fs.apply_optics(o, setting.optics, adjoint=True)
+                    pulled[key] = [fs.embedded(supp, channel_reg) for supp
+                                   in fs.support_after_trace(back, keep)]
+                raw.extend(pulled[key])
     occs, mat = _occ_matrix(raw)
     rank = int(np.sum(np.linalg.svd(mat, compute_uv=False) > fs.ATOL))
     if rank == len(occs):

@@ -226,7 +226,12 @@ def test_verify_accepts_named_attacks():
     ["verify", "--receiver", "ideal-bb84", "--attack", CNOT_FILE],
     ["synth", "--receiver", "interferometric-6mode"],
     ["reverse-space", "--receiver", "interferometric-6mode"],
-], ids=["verify-named", "verify-file", "synth", "reverse-space"])
+    ["simulate", "--receiver", "interferometric-6mode",
+     "--attack", "faked-states", "--rounds", 1000],
+    ["simulate", "--receiver", "ideal-bb84", "--attack", CNOT_FILE,
+     "--rounds", 1000],
+], ids=["verify-named", "verify-file", "synth", "reverse-space",
+        "simulate-named", "simulate-file"])
 def test_each_run_builds_the_constraint_system_once(tmp_path, monkeypatch,
                                                     argv):
     built = []
@@ -244,9 +249,9 @@ def test_each_run_builds_the_constraint_system_once(tmp_path, monkeypatch,
 
 def test_simulate_with_a_named_attack_reverses_each_state_once(
         tmp_path, monkeypatch):
-    # the named attack and run_bb84 each build a constraint system, but
-    # both read the one reversed space the receiver keeps: the six-mode
-    # receiver's 14 outcome states are each reversed once
+    # the named attack and run_bb84 read one constraint system, built on
+    # the reversed space the receiver keeps: the six-mode receiver's two
+    # settings share their optics and 7 outcome states, each reversed once
     import qkdlab.fockspace as fs
     reversed_runs = []
     apply_optics = fs.apply_optics
@@ -261,7 +266,7 @@ def test_simulate_with_a_named_attack_reverses_each_state_once(
         "simulate", "--receiver", "interferometric-6mode", "--attack",
         "faked-states", "--rounds", 1000, "--out", tmp_path / "sim.json"])
     assert code == cli.EXIT_OK, stderr
-    assert len(reversed_runs) == 14
+    assert len(reversed_runs) == 7
 
 
 def test_simulate_report_row_format(tmp_path):

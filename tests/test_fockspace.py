@@ -6,6 +6,7 @@ against the diagonal matrix exponential, and reduced supports against a dense
 eigendecomposition done inline.
 """
 
+import hashlib
 import json
 import math
 
@@ -817,3 +818,173 @@ def test_a_state_keyed_by_a_plain_kind_index_tuple_is_rejected():
     reg = fs.interferometer_registry(0, 2)
     with pytest.raises(fs.FockError, match="not in registry"):
         PhotonicState(reg, {(((fs.CHANNEL, 0), 1),): 1.0})
+
+
+# ---------------------------------------------------------------------------
+# the kernel's packed working keys: field widths and photon-number mixtures
+# ---------------------------------------------------------------------------
+
+# Photon numbers on either side of a field-width boundary: a field is as wide
+# as the bit length of the largest photon number among a state's components,
+# so 1, 2-3, 4-7 and 8 photons take 1, 2, 3 and 4 bits.
+FIELD_WIDTH_PHOTONS = (1, 2, 3, 4, 7, 8)
+
+
+def two_mode_superposition(reg, a, b, n, rng):
+    """A random superposition of every |k, n - k> on modes a, b."""
+    return PhotonicState(reg, {
+        occ((a, k), (b, n - k)): complex(rng.normal(), rng.normal())
+        for k in range(n + 1)}).normalized()
+
+
+def vacuum_one_three(reg, modes, rng):
+    """Vacuum plus one- and three-photon components over `modes`."""
+    a, b = modes[0], modes[1]
+    return PhotonicState(reg, {
+        fs.VACUUM: complex(rng.normal(), rng.normal()),
+        single(a): complex(rng.normal(), rng.normal()),
+        single(b): complex(rng.normal(), rng.normal()),
+        occ((a, 2), (b, 1)): complex(rng.normal(), rng.normal()),
+        occ((b, 3)): complex(rng.normal(), rng.normal()),
+    }).normalized()
+
+
+@pytest.mark.parametrize("n", FIELD_WIDTH_PHOTONS)
+def test_splitter_and_rotation_of_n_photons_in_one_mode_are_binomial(n):
+    # |n, 0> -> sum_m sqrt(C(n, m)) 2**(-n/2) x^m y^(n-m) |m, n - m>, with
+    # (x, y) = (1, i) for the splitter and (1, 1) for the rotation
+    reg = fs.registry([fs.Mode(fs.CUSTOM, i) for i in range(4)], 8)
+    a, b, c, d = reg.modes
+    state = PhotonicState.basis(reg, occ((a, n)))
+    for apply_pair, y in ((fs.apply_beam_splitter, 1j),
+                          (fs.apply_rotation, 1.0)):
+        for outs in ((a, b), (c, d)):
+            out = apply_pair(state, (a, b), outs)
+            want = {occ((outs[0], m), (outs[1], n - m)):
+                    math.sqrt(math.comb(n, m)) * 2 ** (-n / 2) * y ** (n - m)
+                    for m in range(n + 1)}
+            assert set(out.amplitudes) == set(want)
+            for o, w in want.items():
+                assert abs(out.amplitude(o) - w) < 1e-12
+
+
+@pytest.mark.parametrize("n", FIELD_WIDTH_PHOTONS)
+def test_n_photon_evolutions_invert_at_every_field_width(n):
+    reg = fs.registry([fs.Mode(fs.CUSTOM, i) for i in range(4)], 8)
+    a, b, c, d = reg.modes
+    rng = np.random.default_rng(100 + n)
+    state = two_mode_superposition(reg, a, b, n, rng)
+    twice = fs.apply_rotation(fs.apply_rotation(state, (a, b)), (a, b))
+    assert twice.close_to(state, atol=1e-12)
+    moved = fs.apply_beam_splitter(state, (a, b), (c, d))
+    assert photon_numbers(moved).keys() == {n}
+    # the splitter twice is i times the swap
+    swapped = fs.apply_beam_splitter(fs.apply_beam_splitter(state, (a, b)),
+                                     (a, b))
+    for k in range(n + 1):
+        assert abs(swapped.amplitude(occ((a, n - k), (b, k)))
+                   - 1j ** n * state.amplitude(occ((a, k), (b, n - k)))) \
+            < 1e-12
+    phi = float(rng.uniform(0.0, 2 * math.pi))
+    shifted = fs.apply_phase_shift(state, a, phi)
+    for k in range(n + 1):
+        o = occ((a, k), (b, n - k))
+        assert abs(shifted.amplitude(o)
+                   - np.exp(1j * k * phi) * state.amplitude(o)) < 1e-12
+    mz_reg = fs.interferometer_registry(-1, 3, 8)
+    for delay in (1, 2):
+        cfg = fs.InterferometerConfig(phi=phi, delay=delay)
+        pulse = two_mode_superposition(mz_reg, t_in(0), t_in(1), n, rng)
+        out = fs.mz_transform(pulse, cfg)
+        assert photon_numbers(out).keys() == {n}
+        assert abs(out.norm() - 1.0) < 1e-9
+        assert fs.mz_reverse(out, cfg).close_to(pulse, atol=1e-12)
+
+
+def test_a_vacuum_one_and_three_photon_superposition_keeps_its_weights():
+    reg = fs.registry([fs.Mode(fs.CUSTOM, i) for i in range(4)], 3)
+    a, b, c, d = reg.modes
+    rng = np.random.default_rng(13)
+    state = vacuum_one_three(reg, (a, b), rng)
+    weights = photon_numbers(state)
+    assert weights.keys() == {0, 1, 3}
+    outputs = [fs.apply_beam_splitter(state, (a, b)),
+               fs.apply_beam_splitter(state, (a, b), (c, d)),
+               fs.apply_rotation(state, (a, b)),
+               fs.apply_phase_shift(state, b, 0.3)]
+    for out in outputs:
+        for n, w in photon_numbers(out).items():
+            assert abs(w - weights[n]) < 1e-12
+    assert fs.apply_rotation(outputs[2], (a, b)).close_to(state, atol=1e-12)
+    assert abs(outputs[0].amplitude(fs.VACUUM)
+               - state.amplitude(fs.VACUUM)) < 1e-15
+    mz_reg = fs.interferometer_registry(-1, 3, 3)
+    pulse = vacuum_one_three(mz_reg, (t_in(0), blocked(1)), rng)
+    for delay in (1, 2):
+        cfg = fs.InterferometerConfig(phi=1.9, delay=delay)
+        out = fs.mz_transform(pulse, cfg)
+        for n, w in photon_numbers(out).items():
+            assert abs(w - photon_numbers(pulse)[n]) < 1e-12
+        assert fs.mz_reverse(out, cfg).close_to(pulse, atol=1e-12)
+
+
+def test_kernel_error_messages_are_unchanged():
+    reg, a, b = two_mode_registry(max_photons=2)
+    # the vacuum component comes first and is under any cap
+    for amplitudes in ({occ((a, 2), (b, 1)): 1.0},
+                       {fs.VACUUM: 0.6, occ((a, 2), (b, 1)): 0.8}):
+        with pytest.raises(fs.PhotonCapError) as err:
+            fs.apply_beam_splitter(PhotonicState(reg, amplitudes), (a, b))
+        assert str(err.value) == ("3 photons in mode custom:1 exceeds the "
+                                  "per-mode cap of 2")
+    narrow = fs.registry([t_in(0), blocked(0), s_out(0), d_out(0)])
+    with pytest.raises(fs.FockError) as err:
+        fs.mz_transform(PhotonicState.photon(narrow, t_in(0)))
+    assert str(err.value) == "mode output-down:1 not in registry"
+    with pytest.raises(fs.FockError) as err:
+        fs.mz_reverse(PhotonicState.photon(narrow, s_out(0)))
+    assert str(err.value) == "mode blocked-time-bin:-1 not in registry"
+
+
+def seeded_evolutions():
+    """(name, output state) for a fixed set of evolutions at every field
+    width, in a fixed order."""
+    rng = np.random.default_rng(2024)
+    reg = fs.registry([fs.Mode(fs.CUSTOM, i) for i in range(4)], 8)
+    a, b, c, d = reg.modes
+    mz_reg = fs.interferometer_registry(-1, 3, 8)
+    for n in FIELD_WIDTH_PHOTONS:
+        state = two_mode_superposition(reg, a, b, n, rng)
+        yield f"bs{n}", fs.apply_beam_splitter(state, (a, b))
+        yield f"bs-fresh{n}", fs.apply_beam_splitter(state, (a, b), (c, d))
+        yield f"rot{n}", fs.apply_rotation(state, (a, b))
+        yield f"phase{n}", fs.apply_phase_shift(
+            state, a, float(rng.uniform(0.0, 2 * math.pi)))
+        start = int(rng.integers(0, 2))
+        pulse = two_mode_superposition(mz_reg, t_in(start), t_in(start + 1),
+                                       n, rng)
+        cfg = fs.InterferometerConfig(float(rng.uniform(0.0, 2 * math.pi)),
+                                      1 + n % 2)
+        out = fs.mz_transform(pulse, cfg)
+        yield f"mz{n}", out
+        yield f"mz-back{n}", fs.mz_reverse(out, cfg)
+    mixed = vacuum_one_three(reg, (a, b), rng)
+    yield "bs-mixed", fs.apply_beam_splitter(mixed, (a, b))
+    yield "rot-mixed", fs.apply_rotation(mixed, (b, a), (c, d))
+    pulse = vacuum_one_three(mz_reg, (t_in(0), blocked(1)), rng)
+    out = fs.mz_transform(pulse, 0.8)
+    yield "mz-mixed", out
+    yield "mz-back-mixed", fs.mz_reverse(out, 0.8)
+
+
+def test_seeded_evolutions_keep_their_key_order_and_amplitude_bits():
+    # pins every output key, in dict order, and the repr of every amplitude
+    digest = hashlib.sha256()
+    for name, state in seeded_evolutions():
+        digest.update(f"{name}|{list(state.amplitudes)!r}|"
+                      f"{list(state.amplitudes.values())!r}\n".encode())
+    assert digest.hexdigest() == KERNEL_DIGEST
+
+
+KERNEL_DIGEST = \
+    "c75d3cff15a41c0af1bbf105055a7de89b6579ee082117fce60b5dcc19c5f7f5"

@@ -296,11 +296,69 @@ def test_sift_rejects_bad_logs(tmp_path):
         sift([dict(ROUND, interpretation="click")])
     with pytest.raises(pt.ProtocolError):
         sift([{k: v for k, v in ROUND.items() if k != "alice_bit"}])
-    header = {"schema": pt.ROUND_LOG_SCHEMA, "rounds": 5}
-    with pytest.raises(pt.ProtocolError):
+    header = dict(HEADER, rounds=5)
+    with pytest.raises(pt.ProtocolError, match="header promises 5 rounds"):
         sift([header, ROUND])
     with pytest.raises(pt.ProtocolError):
         sift([dict(header, schema="round-log/9"), ROUND])
+
+
+HEADER = {"schema": pt.ROUND_LOG_SCHEMA, "receiver": "ideal-bb84",
+          "channel": "identity", "attack_label": None, "rounds": 1,
+          "rng_seed": 0}
+
+
+def without(key):
+    return lambda header: {k: v for k, v in header.items() if k != key}
+
+
+def put(key, value):
+    return lambda header: dict(header, **{key: value})
+
+
+@pytest.mark.parametrize("edit,message", [
+    (without("receiver"), "header lacks fields ['receiver']"),
+    (lambda h: {"schema": h["schema"], "rounds": 1},
+     "header lacks fields ['channel', 'receiver', 'rng_seed']"),
+    (put("extra", [1]), "header has unknown keys ['extra']"),
+    (put("rng_seed", "x"), "header rng_seed must be an integer, got 'x'"),
+    (put("rng_seed", True), "header rng_seed must be an integer, got True"),
+    (put("rng_seed", 1.0), "header rng_seed must be an integer, got 1.0"),
+    (put("rounds", -1), "header rounds must be an integer >= 0, got -1"),
+    (put("rounds", False),
+     "header rounds must be an integer >= 0, got False"),
+    (put("rounds", None), "header rounds must be an integer >= 0, got None"),
+    (put("receiver", 6), "header receiver must be a string, got 6"),
+    (put("channel", "unknown"),
+     "header channel must be one of ('identity', 'attack-isometry', 'pns', "
+     "'lossy'), got 'unknown'"),
+    (put("channel", ["pns"]),
+     "header channel must be one of ('identity', 'attack-isometry', 'pns', "
+     "'lossy'), got ['pns']"),
+    (put("attack_label", 3),
+     "header attack_label must be a string or null, got 3"),
+])
+def test_a_header_must_match_the_schemas_header_record(tmp_path, edit,
+                                                       message):
+    # the header is checked wherever it stands, and the error names its line
+    for records, line in (([edit(HEADER), ROUND], 1),
+                          ([ROUND, edit(HEADER)], 2)):
+        path = write_log(tmp_path / "rounds.ndjson", records)
+        with pytest.raises(pt.ProtocolError) as raised:
+            pt.sift_and_estimate(path)
+        assert str(raised.value) == f"line {line}: {message}"
+
+
+def test_a_header_that_matches_the_schema_is_read(tmp_path):
+    for header in (HEADER, put("attack_label", "faked-states")(HEADER),
+                   without("attack_label")(HEADER),
+                   put("rng_seed", -4)(HEADER)):
+        report = pt.sift_and_estimate(
+            write_log(tmp_path / "rounds.ndjson", [header, ROUND]))
+        assert (report.receiver, report.channel, report.rng_seed,
+                report.attack_label) == (
+            "ideal-bb84", "identity", header["rng_seed"],
+            header.get("attack_label"))
 
 
 def test_sift_takes_a_path_only():
@@ -339,6 +397,32 @@ def test_attack_channel_rejects_source_labels_the_system_lacks(six):
                        match=r"labels \[\('y', 0\), \('y', 1\)\] have no "
                              r"logical embedding"):
         pt.run_bb84(source, channel, six, rounds=10, seed=0)
+
+
+def test_an_attack_session_reads_the_system_its_attack_was_built_on(
+        six, ideal):
+    system = atk.build_constraint_system(six)
+    channel = pt.make_channel(pt.ATTACK,
+                              atk.faked_states_attack(six, system=system))
+    report = pt.run_bb84(None, channel, six, rounds=2000, seed=3,
+                         system=system)
+    assert report.to_json_dict() == pt.run_bb84(
+        None, channel, six, rounds=2000, seed=3).to_json_dict()
+    # a system of an equal receiver is built on an equal reversed space
+    twin = rc.make_receiver("interferometric-6mode")
+    assert pt.run_bb84(None, channel, twin, rounds=2000, seed=3,
+                       system=system).to_json_dict() == report.to_json_dict()
+    for other in (atk.build_constraint_system(ideal),
+                  dataclasses.replace(system, p_basis=system.p_basis[:-1]),
+                  dataclasses.replace(system, p_basis=system.p_basis[::-1])):
+        with pytest.raises(pt.ProtocolError,
+                           match="is not built on the reversed space of "
+                                 "'interferometric-6mode'"):
+            pt.run_bb84(None, channel, six, rounds=10, seed=0, system=other)
+    with pytest.raises(pt.ProtocolError,
+                       match="goes with an attack channel only"):
+        pt.run_bb84(None, pt.make_channel(pt.IDENTITY), six, rounds=10,
+                    seed=0, system=system)
 
 
 def test_passive_receiver_session(six):

@@ -810,12 +810,14 @@ def test_reversed_space_and_constraint_system_reverse_each_state_once(
         reversals):
     from qkdlab import attacks as atk
     receiver = rc.make_receiver("interferometric-6mode")
-    states = sum(len(sts) for setting in receiver.settings.values()
-                 for sts in setting.outcomes.values())
-    assert states == 14
+    # the two settings share one optics object and their outcome states
+    pairs = {(id(setting.optics), id(o))
+             for setting in receiver.settings.values()
+             for sts in setting.outcomes.values() for o in sts}
+    assert len(pairs) == 7
     basis = rc.reversed_space(receiver)
     system = atk.build_constraint_system(receiver)
-    assert len(reversals) == states
+    assert len(reversals) == len(pairs)
     assert [fs.state_to_dict(b) for b in system.p_basis] == \
         [fs.state_to_dict(b) for b in basis]
 
@@ -825,7 +827,37 @@ def test_each_receiver_derives_its_own_reversed_space(reversals):
     second = rc.make_receiver("interferometric-6mode")
     for a, b in zip(rc.reversed_space(first), rc.reversed_space(second)):
         assert fs.state_to_dict(a) == fs.state_to_dict(b)
-    assert len(reversals) == 28
+    assert len(reversals) == 14
+
+
+@pytest.mark.parametrize("kind,pullbacks,forward", [
+    ("interferometric-6mode", 7, 5),
+    ("interferometric-defended-10mode", 11, 7),
+    ("blinded-bright", 5, 5),
+    ("interferometric-2mode", 6, 5),
+    ("polarization-threshold", 12, 12),
+    ("ideal-bb84", 6, 6),
+])
+def test_each_distinct_optics_and_state_is_evolved_once(monkeypatch, kind,
+                                                        pullbacks, forward):
+    # one adjoint run per distinct (optics, outcome state) pair and one
+    # forward run per distinct optics and basis state; settings that share
+    # optics objects share the runs
+    from qkdlab import attacks as atk
+    runs = {True: 0, False: 0}
+    apply_optics = fs.apply_optics
+
+    def counting(state, optics, adjoint=False):
+        runs[adjoint] += 1
+        return apply_optics(state, optics, adjoint)
+
+    monkeypatch.setattr(fs, "apply_optics", counting)
+    receiver = rc.make_receiver(kind)
+    basis = rc.reversed_space(receiver)
+    assert runs == {True: pullbacks, False: 0}
+    atk.build_constraint_system(receiver)
+    optics = {id(setting.optics) for setting in receiver.settings.values()}
+    assert runs[False] == forward == len(optics) * len(basis)
 
 
 def test_reversed_space_returns_a_new_list_each_call():
