@@ -191,18 +191,24 @@ def build_constraint_system(receiver: rc.ReceiverModel) -> ConstraintSystem:
         source_embeddings[lab] = coeff
 
     beta: Dict[str, Dict[str, Tuple[np.ndarray, ...]]] = {}
-    # settings may share optics: the basis runs through each once, keyed
-    # by identity while the receiver holds them
+    # settings may share optics and outcome states: the basis runs through
+    # each optics once, and each (optics, state) row is computed once,
+    # keyed by identity while the receiver holds them
     evolved: Dict[int, List[PhotonicState]] = {}
+    beta_rows: Dict[Tuple[int, int], np.ndarray] = {}
     for sname, setting in receiver.settings.items():
-        if id(setting.optics) not in evolved:
-            evolved[id(setting.optics)] = [
+        optics = id(setting.optics)
+        if optics not in evolved:
+            evolved[optics] = [
                 fs.apply_optics(fs.embedded(b, receiver.registry),
                                 setting.optics) for b in basis]
-        transformed = evolved[id(setting.optics)]
+        for ostates in setting.outcomes.values():
+            for o in ostates:
+                if (optics, id(o)) not in beta_rows:
+                    beta_rows[optics, id(o)] = np.array(
+                        [fs.inner_product(o, t) for t in evolved[optics]])
         beta[sname] = {
-            oid: tuple(np.array([fs.inner_product(o, t) for t in transformed])
-                       for o in ostates)
+            oid: tuple(beta_rows[optics, id(o)] for o in ostates)
             for oid, ostates in setting.outcomes.items()}
 
     rows: List[ConstraintRow] = []

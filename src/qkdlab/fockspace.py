@@ -209,6 +209,10 @@ class ModeRegistry:
     def __post_init__(self):
         if len(set(self.modes)) != len(self.modes):
             raise FockError("duplicate modes in registry")
+        cap = _integer(self.max_photons_per_mode, "max_photons_per_mode")
+        if cap < 1:
+            raise FockError(f"max_photons_per_mode must be >= 1, got {cap}")
+        object.__setattr__(self, "max_photons_per_mode", cap)
 
     @cached_property
     def _index(self) -> Dict[Mode, int]:
@@ -518,10 +522,25 @@ def _compile(factors, passing: Iterable[Mode] = ()) -> _Plan:
 _count = itemgetter(1)  # the count of a (mode, count) pair
 
 
-def _evolve(state: PhotonicState, plan: _Plan,
+def _census(state: PhotonicState) -> Tuple[Dict[Mode, int], int]:
+    """The modes the components use, as dict keys in the order the
+    components first name them, and the largest photon number of a
+    component."""
+    used: Dict[Mode, int] = {}
+    top = 0
+    for occupation in state.amplitudes:
+        used.update(occupation)
+        n = sum(map(_count, occupation))
+        if n > top:
+            top = n
+    return used, top
+
+
+def _evolve(state: PhotonicState, census, plan: _Plan,
             e: complex = 1.0) -> PhotonicState:
     """Apply the plan's factors in order to the whole state, merging after
-    each; `e` is the phase factor of its phase shifts.
+    each; `census` is `_census(state)` and `e` the phase factor of its
+    phase shifts.
 
     Each component is keyed by one int: plan position p is the field of
     `w` bits at shift p*w, its photon count, with `w` the bit length of the
@@ -534,11 +553,9 @@ def _evolve(state: PhotonicState, plan: _Plan,
     that a splitter touched.
     """
     pos = plan.pos
-    used = {m for occupation in state.amplitudes for m, _ in occupation}
-    if not used.issubset(pos):  # modes the factors pass through
-        return _evolve(state, _compile(plan.factors, used), e)
-    top = max((sum(map(_count, occupation))
-               for occupation in state.amplitudes), default=0)
+    used, top = census
+    if not used.keys() <= pos.keys():  # modes the factors pass through
+        return _evolve(state, census, _compile(plan.factors, used), e)
     w = top.bit_length() or 1
     shifts = {m: pos[m] * w for m in used}
     amps = {}
@@ -618,11 +635,11 @@ def _apply_pair(state: PhotonicState, in_modes, out_modes, u,
             f"a {name} needs two distinct input and two distinct "
             f"output modes, got {in_modes} -> {out_modes}")
     fresh = set(out_modes) - set(in_modes)
-    for occupation in state.amplitudes:
-        for m, _ in occupation:
-            if m in fresh:
-                raise FockError(f"{name} output mode {m} already holds photons")
-    return _evolve(state, _compile([_Split(in_modes, out_modes, u)]))
+    census = _census(state)
+    for m in census[0]:
+        if m in fresh:
+            raise FockError(f"{name} output mode {m} already holds photons")
+    return _evolve(state, census, _compile([_Split(in_modes, out_modes, u)]))
 
 
 def apply_beam_splitter(state: PhotonicState, in_modes: Tuple[Mode, Mode],
@@ -656,7 +673,7 @@ class Rotation(NamedTuple):
 
 def apply_phase_shift(state: PhotonicState, mode: Mode, phi: float) -> PhotonicState:
     """Phase shifter: |n> on `mode` gains exp(i*n*phi)."""
-    return _evolve(state, _compile([_Phase((mode,))]),
+    return _evolve(state, _census(state), _compile([_Phase((mode,))]),
                    complex(np.exp(1j * phi)))
 
 
@@ -694,13 +711,12 @@ def _config_args(config) -> Tuple[float, int]:
     return float(config), 1
 
 
-def _mz_times(state: PhotonicState, reads: Tuple[str, ...],
+def _mz_times(used, reads: Tuple[str, ...],
               rejects: Tuple[str, ...]) -> set:
-    """Time bins of the `reads` modes in use; any `rejects` mode is an error."""
+    """Time bins of the `reads` modes among the census's `used` modes; the
+    first `rejects` mode the components name is an error."""
     times = set()
-    # each distinct mode once, in the order the components first name it
-    for m in dict.fromkeys(m for occupation in state.amplitudes
-                           for m, _ in occupation):
+    for m in used:
         if m.kind in rejects:
             raise FockError(
                 f"interferometer input already uses mode {m} from its "
@@ -725,8 +741,10 @@ def mz_transform(state: PhotonicState, config: "InterferometerConfig | float" = 
     above.  `config` is an InterferometerConfig or a bare phase (delay 1).
     """
     phi, delay = _config_args(config)
-    times = _mz_times(state, (CHANNEL, BLOCKED), (OUT_S, OUT_D))
-    return _evolve(state, _mz_plan(tuple(sorted(times)), delay, False),
+    census = _census(state)
+    times = _mz_times(census[0], (CHANNEL, BLOCKED), (OUT_S, OUT_D))
+    return _evolve(state, census,
+                   _mz_plan(tuple(sorted(times)), delay, False),
                    complex(np.exp(1j * phi)))
 
 
@@ -740,9 +758,10 @@ def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.
     Nothing about the reverse is kept apart from the forward factors.
     """
     phi, delay = _config_args(config)
-    times = _mz_times(state, (OUT_S, OUT_D), (CHANNEL, BLOCKED))
+    census = _census(state)
+    times = _mz_times(census[0], (OUT_S, OUT_D), (CHANNEL, BLOCKED))
     sources = tuple(sorted(times | {t - delay for t in times}))
-    return _evolve(state, _mz_plan(sources, delay, True),
+    return _evolve(state, census, _mz_plan(sources, delay, True),
                    complex(np.exp(1j * phi)))
 
 

@@ -26,12 +26,12 @@ of one whole-session draw, so the reports and log bytes are those of an
 unchunked run and depend neither on the number of threads nor on the
 chunk size.
 
-A log file is read back in batches of whole lines: one regex split
-strips every line's round number and one dict lookup per line body maps
-the batch to cells, so no Python step runs per line.  A batch holding a
-body not seen before is walked in file order instead, and a line of
-another shape is read whole, which keeps every error and its line
-number.
+A log file is read back as its header line, then batches of whole
+lines: one regex split strips every line's round number and one dict
+lookup per line body maps the batch to cells, so no Python step runs per
+line.  A batch holding a body not seen before is walked line by line
+instead, and each line whose body is not known is read whole, which
+keeps every error and its line number.
 
 Outcomes are drawn by inverse transform through a guide table (Chen &
 Asau, AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
@@ -185,7 +185,7 @@ class SimulationReport:
     receiver: str
     channel: str
     rounds: int
-    rng_seed: Optional[int]
+    rng_seed: int
     per_basis: Dict[str, BasisStats]
     sifted_total: int
     qber_pooled: Optional[float]
@@ -667,6 +667,9 @@ def _log_lines(prefixes: List[Optional[str]], start: int,
 
 # the round-number tail of a line as run_bb84 writes it, with its line end
 _ROUND_TAIL = re.compile(r',"round":(?:0|[1-9][0-9]*)\}$\n?', re.M)
+# one line of a batch with its line end, if it has one; found one at a time,
+# so a batch walked line by line holds no second copy of its text
+_LINE = re.compile(".+\n?|\n")
 # a byte the file's UTF-8 does not decode, as surrogateescape reads it
 _UNDECODED = re.compile("[\udc80-\udcff]")
 _ROW_FIELDS = ("alice_basis", "alice_bit", "bob_setting", "interpretation",
@@ -678,8 +681,11 @@ _HEADER_KEYS = frozenset(("schema", "rng_seed", "receiver", "channel",
                           "attack_label", "rounds"))
 
 
-def _check_header(record: dict, where: str):
+def _check_header(record, where: str):
     """ProtocolError unless ``record`` matches the schema's header record."""
+    if not isinstance(record, dict) or "schema" not in record:
+        raise ProtocolError(f"{where}: a round log starts with its header "
+                            f"record")
     if record["schema"] != ROUND_LOG_SCHEMA:
         raise ProtocolError(
             f"{where}: expected log schema {ROUND_LOG_SCHEMA!r}, "
@@ -713,7 +719,7 @@ def _check_header(record: dict, where: str):
 
 
 class _LogCells:
-    """The distinct cells of a round log and the header it carries.
+    """The distinct cells of a round log.
 
     A cell is an (alice_basis, alice_bit, bob_setting, code, eve_guess)
     tuple, as in :func:`_report`; rows are kept only as cell indices.
@@ -721,23 +727,16 @@ class _LogCells:
 
     def __init__(self):
         self.cells: List[tuple] = []
-        self.header: dict = {}
         self._index: Dict[tuple, int] = {}
 
-    def record(self, record, where: str) -> Optional[int]:
-        """The cell index of a round record; None for a header record.
+    def record(self, record, where: str) -> int:
+        """The cell index of a round record.
 
-        A header record is checked against the schema's header record, and
-        every field of a round record but ``round`` against its round
-        record.  The round number of a line cut at ``_ROUND_TAIL``
-        matched it; :func:`_line_record` checks that of a line read whole.
+        Every field but ``round``, which :func:`_line_record` checks, is
+        checked against the schema's round record.
         """
         if not isinstance(record, dict):
             raise ProtocolError(f"{where}: round record is not a JSON object")
-        if "schema" in record:
-            _check_header(record, where)
-            self.header = dict(record)
-            return None
         unknown = record.keys() - _ROUND_KEYS
         if unknown:
             raise ProtocolError(
@@ -769,45 +768,37 @@ class _LogCells:
         return self._index[key]
 
 
-def _body_record(body: str) -> Optional[dict]:
-    """The round record of a line cut before its round number, or None.
+def _json_line(line: str, where: str):
+    """``json.loads`` of a line; ProtocolError if it holds a byte that is
+    not UTF-8 or is not valid JSON.
 
-    None sends the line to :func:`_line_record` whole, which rejects it
-    if it is not valid JSON: '{' alone parses as {} here, for one.
+    ``line`` keeps its line end, so json's error positions are those of
+    the line as written.
     """
+    undecoded = _UNDECODED.search(line)
+    if undecoded:
+        byte = ord(undecoded.group()) - 0xdc00
+        raise ProtocolError(f"{where}: byte 0x{byte:02x} is not UTF-8")
     try:
-        record = json.loads(body + "}")
-    except json.JSONDecodeError:
-        return None
-    if isinstance(record, dict) and record and "schema" not in record:
-        return record
-    return None
+        return json.loads(line)
+    except json.JSONDecodeError as err:
+        raise ProtocolError(f"{where}: not valid JSON ({err})")
 
 
 def _line_record(line: str, number: int, cells: _LogCells) -> Optional[int]:
     """The cell index of file line ``number``, read whole by ``json.loads``.
 
-    ``line`` keeps its line end, so json's error positions are those of
-    the line as written.  A blank line or a header gives None.  A byte
-    that is not UTF-8 is rejected first, and a round record needs an
-    integer ``round`` >= 0.
+    A blank line gives None.  A round record needs an integer ``round``
+    >= 0.
     """
-    where = f"line {number}"
-    undecoded = _UNDECODED.search(line)
-    if undecoded:
-        byte = ord(undecoded.group()) - 0xdc00
-        raise ProtocolError(f"{where}: byte 0x{byte:02x} is not UTF-8")
     if not line.strip():
         return None
-    try:
-        record = json.loads(line)
-    except json.JSONDecodeError as err:
-        raise ProtocolError(f"{where}: not valid JSON ({err})")
+    where = f"line {number}"
+    record = _json_line(line, where)
     cell = cells.record(record, where)
-    if cell is not None:
-        if "round" not in record:
-            raise ProtocolError(f"{where}: round record lacks field 'round'")
-        _integer(record["round"], f"{where}: round", 0)
+    if "round" not in record:
+        raise ProtocolError(f"{where}: round record lacks field 'round'")
+    _integer(record["round"], f"{where}: round", 0)
     return cell
 
 
@@ -816,72 +807,49 @@ def _batch_cells(text: str, number: int, by_body: Dict[str, int],
     """The cell indices of a batch of whole lines, and its line count.
 
     The first line of ``text`` is numbered ``number``.  One regex split
-    at every round-number tail cuts the batch into line bodies.  A line
-    without the tail joins the piece after it, ahead of a newline, or is
-    left over after the last tail; no known body holds a newline.  When
-    every body is known, one dict lookup per body maps the batch.
-    Otherwise the pieces are walked in file order: a known body is looked
-    up, a new body is checked and parsed once (leading JSON whitespace
-    parses to the record of the whole line), and any other line is read
-    whole by :func:`_line_record`: the header, a blank line, another
-    serialization, a body that does not parse or one that holds a byte
-    that is not UTF-8.
+    at every round-number tail cuts the batch into line bodies, and when
+    every body is known one dict lookup per body maps the batch.  A line
+    without the tail joins the piece after it, and no known body holds a
+    newline, so such a batch is not mapped.  Otherwise each line is
+    looked up by its body, and a line whose body is not known is read
+    whole by :func:`_line_record`; if it ends in the tail, its body is
+    then known.
     """
     bodies = _ROUND_TAIL.split(text)
-    rest = bodies.pop()
-    if not rest:
+    if not bodies.pop():
         try:
             return np.fromiter(map(by_body.get, bodies), np.int64,
                                len(bodies)), len(bodies)
         except TypeError:  # a body not seen before maps to None
             pass
-    first = number
     found = []
-    at = 0  # where the next piece starts in text
-    for piece in bodies + [rest]:
-        *lines, body = piece.split("\n")
-        for line in lines:
-            found.append(_line_record(line + "\n", number, cells))
-            number += 1
-        at += len(piece)
-        if at == len(text):  # the piece after the last tail
-            if body:  # a last line with no line end
-                found.append(_line_record(body, number, cells))
-                number += 1
-            break
-        end = text.find("\n", at) + 1 or len(text)  # the end of the tail
+    for at, match in enumerate(_LINE.finditer(text), number):
+        line = match.group()
+        tail = _ROUND_TAIL.search(line)
+        body = line[:tail.start()] if tail else None
         cell = by_body.get(body)
         if cell is None:
-            record = None if _UNDECODED.search(body) else _body_record(body)
-            if record is None:
-                cell = _line_record(body + text[at:end], number, cells)
-            else:
-                cell = by_body[body] = cells.record(record, f"line {number}")
-        found.append(cell)
-        number += 1
-        at = end
-    return np.array([cell for cell in found if cell is not None],
-                    np.int64), number - first
+            cell = _line_record(line, at, cells)
+            if tail:
+                by_body[body] = cell
+        if cell is not None:
+            found.append(cell)
+    return np.array(found, np.int64), at + 1 - number
 
 
-def _file_batches(path, cells: _LogCells):
-    """Yield the cell indices of a round-log file, one array per batch.
+def _file_batches(fh, cells: _LogCells):
+    """Yield the cell indices of the round lines of an open round-log
+    file, one array per batch, from line 2 on.
 
     A batch is ``32 * _LOG_SLICE`` characters and the rest of the line
-    they end in, read in text mode, so newlines are those of file
-    iteration.  A byte that is not UTF-8 is read as a lone surrogate, so
-    the line it is in can be named.
+    they end in.
     """
     by_body: Dict[str, int] = {}
-    number = 1
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        while True:
-            text = fh.read(32 * _LOG_SLICE) + fh.readline()
-            if not text:
-                return
-            batch, lines = _batch_cells(text, number, by_body, cells)
-            number += lines
-            yield batch
+    number = 2
+    while text := fh.read(32 * _LOG_SLICE) + fh.readline():
+        batch, lines = _batch_cells(text, number, by_body, cells)
+        number += lines
+        yield batch
 
 
 def _add_counts(total: np.ndarray, cells: np.ndarray, n: int) -> np.ndarray:
@@ -906,44 +874,48 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     the estimate for that basis falls back to all of its sifted bits
     rather than reporting nothing.
 
-    The file is read in batches of about 256 KiB of whole lines, and
-    each round is kept only as a small integer, so memory stays bounded
-    by the batch and the number of distinct records.  A batch is cut
-    into line bodies by one regex split and mapped to cells by one dict
-    lookup per body; only a body not seen before is parsed and checked.
-    Each batch draws its own test uniforms, which together equal one
-    whole draw, so the batch size changes no report.  A batch holding a
-    line of another shape (the header, a blank line, another
-    serialization) is walked in file order, and such a line is read
-    whole by ``json.loads``, so any JSON serialization of a record is
-    read.  A line that is not valid JSON or holds a byte that is not
-    UTF-8, or a record that the schema's ``header`` or ``round`` record
-    rejects (a field missing, malformed or not declared), raises
-    :class:`ProtocolError` naming its 1-based line number.  Duplicated
-    or missing round numbers are not detected; only the header's
-    ``rounds`` total is checked against the number of round lines.
+    Line 1 is the header, which must match the schema's ``header``
+    record.  Every later line is one round record in any JSON
+    serialization, and a blank line is skipped.  The round lines are
+    read in batches of about 256 KiB, and each round is kept only as a
+    small integer, so memory stays bounded by the batch and the number
+    of distinct records.  A batch is cut into line bodies by one regex
+    split and mapped to cells by one dict lookup per body; only a line
+    whose body is not known (another serialization, or a body not seen
+    before) is read whole by ``json.loads`` and checked.  Each batch
+    draws its own test uniforms, which together equal one whole draw, so
+    the batch size changes no report.  A line that is not valid JSON or
+    holds a byte that is not UTF-8, a first line that is not the header,
+    or a later line that the schema's ``round`` record rejects (a field
+    missing, malformed or not declared, a second header among them)
+    raises :class:`ProtocolError` naming its 1-based line number.
+    Duplicated or missing round numbers are not detected; only the
+    header's ``rounds`` total is checked against the number of round
+    lines.
     """
     test_fraction = _probability(test_fraction, "test_fraction")
     gen = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))
     cells = _LogCells()
     counts = tested = np.zeros(0, dtype=np.int64)
-    for chunk in _file_batches(log, cells):
-        in_test = gen.random(len(chunk)) < test_fraction
-        counts = _add_counts(counts, chunk, len(cells.cells))
-        tested = _add_counts(tested, chunk[in_test], len(cells.cells))
+    # text mode, so newlines are those of file iteration; a byte that is
+    # not UTF-8 reads as a lone surrogate, so its line can be named
+    with open(log, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        header = _json_line(fh.readline(), "line 1")
+        _check_header(header, "line 1")
+        for chunk in _file_batches(fh, cells):
+            in_test = gen.random(len(chunk)) < test_fraction
+            counts = _add_counts(counts, chunk, len(cells.cells))
+            tested = _add_counts(tested, chunk[in_test], len(cells.cells))
 
     n = int(counts.sum())
     if n == 0:
         raise ProtocolError("empty round log")
-    header = cells.header
-    if header.get("rounds") is not None and header["rounds"] != n:
+    if header["rounds"] != n:
         raise ProtocolError(
             f"header promises {header['rounds']} rounds, log has {n}")
     bases = sorted({s for (a, _, s, _, _), c in zip(cells.cells, counts)
                     if a == s and c})
     return _report(cells.cells, counts, tested, bases,
-                   receiver=header.get("receiver", "unknown"),
-                   channel=header.get("channel", "unknown"),
-                   rng_seed=header.get("rng_seed"),
-                   test_fraction=test_fraction,
+                   receiver=header["receiver"], channel=header["channel"],
+                   rng_seed=header["rng_seed"], test_fraction=test_fraction,
                    attack_label=header.get("attack_label"))

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qkdlab import fockspace as fs
+from qkdlab import receivers as rc
 from qkdlab.fockspace import (
     PhotonicState, blocked, d_out, inner_product, occ, pol_h, pol_v,
     s_out, single, t_in,
@@ -99,6 +100,22 @@ def test_photon_cap_is_enforced():
     state = PhotonicState.basis(reg, occ((a, 2), (b, 1)))
     with pytest.raises(fs.PhotonCapError):
         fs.apply_beam_splitter(state, (a, b))
+
+
+@pytest.mark.parametrize("cap", [float("nan"), float("inf"), True, 2.5,
+                                 "2", None, 0, -1])
+def test_a_registry_cap_is_an_integer_of_at_least_1(cap):
+    with pytest.raises(fs.FockError, match="max_photons_per_mode"):
+        fs.registry([pol_h(), pol_v()], max_photons=cap)
+    with pytest.raises(fs.FockError, match="max_photons_per_mode"):
+        rc.make_receiver("interferometric-6mode", max_photons=cap)
+
+
+def test_an_integral_registry_cap_is_kept_as_an_int():
+    for cap in (2.0, np.int64(2)):
+        reg = fs.registry([pol_h()], max_photons=cap)
+        assert type(reg.max_photons_per_mode) is int
+        assert reg == fs.registry([pol_h()], max_photons=2)
 
 
 def test_unknown_mode_is_an_error():
@@ -543,6 +560,22 @@ def test_mz_outputs_carry_only_registry_modes():
         fs.mz_transform(PhotonicState.photon(narrow, t_in(0)))
     assert "output-" in str(err.value)
     assert "short" not in str(err.value) and "long" not in str(err.value)
+
+
+def test_an_occupied_output_is_named_in_the_order_components_name_it():
+    reg = fs.registry([fs.Mode(fs.CUSTOM, i) for i in range(4)])
+    a, b, c, d = reg.modes
+    state = PhotonicState(reg, {occ((a, 1), (d, 1)): 0.6,
+                                occ((a, 1), (c, 1)): 0.8})
+    with pytest.raises(fs.FockError, match=f"output mode {d} already"):
+        fs.apply_beam_splitter(state, (a, b), (c, d))
+    reg = fs.interferometer_registry(0, 1)
+    state = PhotonicState(reg, {occ((t_in(0), 1), (d_out(1), 1)): 0.6,
+                                occ((s_out(0), 1), (t_in(0), 1)): 0.8})
+    with pytest.raises(fs.FockError, match=f"uses mode {d_out(1)} from"):
+        fs.mz_transform(state)
+    with pytest.raises(fs.FockError, match=f"uses mode {t_in(0)} from"):
+        fs.mz_reverse(state)
 
 
 def test_beam_splitter_rejects_occupied_or_repeated_modes():

@@ -268,6 +268,7 @@ def test_sift_subsample_estimates_injected_error(tmp_path):
     log = tmp_path / "rounds.ndjson"
     try:
         with open(log, "w", encoding="utf-8") as fh:
+            fh.write(pt._dump(dict(HEADER, rounds=n)) + "\n")
             for lo in range(0, n, 100_000):
                 rows = zip(bits[lo:lo + 100_000].tolist(),
                            seen[lo:lo + 100_000].tolist(),
@@ -340,13 +341,56 @@ def put(key, value):
 ])
 def test_a_header_must_match_the_schemas_header_record(tmp_path, edit,
                                                        message):
-    # the header is checked wherever it stands, and the error names its line
-    for records, line in (([edit(HEADER), ROUND], 1),
-                          ([ROUND, edit(HEADER)], 2)):
+    # line 1 is the header; a log that starts with a round line has none
+    for records, error in (([edit(HEADER), ROUND], message),
+                           ([ROUND, edit(HEADER)], NO_HEADER)):
         path = write_log(tmp_path / "rounds.ndjson", records)
         with pytest.raises(pt.ProtocolError) as raised:
             pt.sift_and_estimate(path)
-        assert str(raised.value) == f"line {line}: {message}"
+        assert str(raised.value) == f"line 1: {error}"
+
+
+NO_HEADER = "a round log starts with its header record"
+# what a header record is, read where a round record must stand
+HEADER_AS_ROUND = ("round record has unknown keys ['attack_label', "
+                   "'channel', 'receiver', 'rng_seed', 'rounds', 'schema']")
+
+
+@pytest.mark.parametrize("records,error", [
+    ([ROUND], f"line 1: {NO_HEADER}"),
+    ([dict(HEADER, rounds=2), ROUND, dict(HEADER, rng_seed=7), ROUND],
+     f"line 3: {HEADER_AS_ROUND}"),
+    ([dict(HEADER, rounds=2), dict(HEADER, rounds=2), ROUND, ROUND],
+     f"line 2: {HEADER_AS_ROUND}"),
+    ([ROUND, ROUND, dict(HEADER, rounds=2)], f"line 1: {NO_HEADER}"),
+    ([[1, 2], ROUND], f"line 1: {NO_HEADER}"),
+], ids=["headerless", "second-header", "header-on-line-2",
+        "header-on-line-3", "array-on-line-1"])
+def test_the_header_stands_on_line_1_only(tmp_path, records, error):
+    path = write_log(tmp_path / "rounds.ndjson", records)
+    with pytest.raises(pt.ProtocolError) as raised:
+        pt.sift_and_estimate(path)
+    assert str(raised.value) == error
+
+
+@pytest.mark.parametrize("first", ["", "\n", "  \n"])
+def test_line_1_is_not_skipped_when_blank(tmp_path, first):
+    # "" is an empty file
+    path = tmp_path / "rounds.ndjson"
+    path.write_text(first and first + "".join(
+        pt._dump(record) + "\n" for record in (HEADER, ROUND)))
+    with pytest.raises(pt.ProtocolError,
+                       match="^line 1: not valid JSON"):
+        pt.sift_and_estimate(path)
+
+
+def test_the_header_may_be_any_serialization(tmp_path):
+    path = tmp_path / "rounds.ndjson"
+    path.write_text(json.dumps(HEADER, indent=None, separators=(", ", ": "))
+                    + "\n\n" + pt._dump(ROUND) + "\n")
+    report = pt.sift_and_estimate(path)
+    assert (report.receiver, report.rng_seed, report.rounds) == \
+        ("ideal-bb84", 0, 1)
 
 
 def test_a_header_that_matches_the_schema_is_read(tmp_path):

@@ -860,6 +860,30 @@ def test_each_distinct_optics_and_state_is_evolved_once(monkeypatch, kind,
     assert runs[False] == forward == len(optics) * len(basis)
 
 
+@pytest.mark.parametrize("kind,products", [
+    ("interferometric-6mode", 59),
+    ("interferometric-defended-10mode", 109),
+    ("blinded-bright", 59),
+])
+def test_each_distinct_optics_and_state_has_one_beta_row(monkeypatch, kind,
+                                                         products):
+    # settings that share optics and outcome states share their beta rows,
+    # so each pair's inner products with the basis are taken once
+    from qkdlab import attacks as atk
+    receiver = rc.make_receiver(kind)
+    rc.reversed_space(receiver)
+    calls = []
+    inner_product = fs.inner_product
+
+    def counting(a, b):
+        calls.append(1)
+        return inner_product(a, b)
+
+    monkeypatch.setattr(fs, "inner_product", counting)
+    atk.build_constraint_system(receiver)
+    assert len(calls) == products
+
+
 def test_reversed_space_returns_a_new_list_each_call():
     receiver = rc.make_receiver("ideal-bb84")
     basis = rc.reversed_space(receiver)

@@ -177,8 +177,7 @@ def reference_run_bb84(channel, receiver, rounds, seed, log_path):
 def reference_sift(path, test_fraction, seed):
     with open(path, "r", encoding="utf-8") as fh:
         records = [json.loads(line) for line in fh if line.strip()]
-    header = [r for r in records if "schema" in r][-1]
-    rows = [r for r in records if "schema" not in r]
+    header, *rows = records
     n = len(rows)
     alice_basis = np.array([r["alice_basis"] for r in rows])
     alice_bit = np.array([r["alice_bit"] for r in rows], dtype=np.int64)
@@ -708,24 +707,41 @@ def read_whole(monkeypatch, path):
     return numbers
 
 
-def test_a_clean_log_reads_only_its_header_line_whole(
+def first_of_each_body(lines):
+    """The numbers of the round lines whose body, the line up to its
+    round number, no earlier round line has."""
+    seen, numbers = set(), []
+    for number, line in enumerate(lines[1:], 2):
+        body = line[:line.rindex(',"round":')]
+        if body not in seen:
+            seen.add(body)
+            numbers.append(number)
+    return numbers
+
+
+def test_a_clean_log_reads_each_distinct_body_whole_once(
         batch_log, monkeypatch, tmp_path):
     lines, _ = batch_log
     assert_same_report(tmp_path, "".join(lines), (0.5,))
-    assert read_whole(monkeypatch, tmp_path / "edited.ndjson") == [1]
+    first = first_of_each_body(lines)
+    assert 1 < len(first) < 60 and first[0] == 2
+    assert read_whole(monkeypatch, tmp_path / "edited.ndjson") == first
 
 
-def test_a_reserialized_line_is_the_only_round_line_read_whole(
+def test_a_reserialized_line_is_read_whole_with_each_new_body(
         batch_log, monkeypatch, tmp_path):
     lines, starts = batch_log
     number = starts[40] + 1
+    first = first_of_each_body(lines)
+    assert number not in first  # its body is known by then
     record = json.loads(lines[number - 1])
     spaced = json.dumps(record, separators=(", ", ": ")) + "\n"
     assert spaced != lines[number - 1]
     assert_same_report(
         tmp_path, "".join(lines[:number - 1] + [spaced] + lines[number:]),
         (0.5,))
-    assert read_whole(monkeypatch, tmp_path / "edited.ndjson") == [1, number]
+    assert read_whole(monkeypatch, tmp_path / "edited.ndjson") == \
+        sorted(first + [number])
 
 
 @pytest.mark.parametrize("bad, message", [
@@ -834,10 +850,14 @@ def test_a_header_record_in_the_middle_of_the_log(tmp_path, batch_log):
     header = json.loads(lines[0])
     moved = pt._dump(dict(header, receiver="elsewhere")) + "\n"
     number = starts[60] + 1
-    text = "".join(lines[:number - 1] + [moved] + lines[number - 1:])
-    assert_same_report(tmp_path, text)
     path = tmp_path / "edited.ndjson"
-    assert pt.sift_and_estimate(path).receiver == "elsewhere"
+    path.write_text("".join(lines[:number - 1] + [moved]
+                            + lines[number - 1:]), encoding="utf-8")
+    with pytest.raises(pt.ProtocolError) as raised:
+        pt.sift_and_estimate(path)
+    assert str(raised.value) == (
+        f"line {number}: round record has unknown keys ['attack_label', "
+        f"'channel', 'receiver', 'rng_seed', 'rounds', 'schema']")
 
 
 def test_blank_lines(tmp_path, batch_log):
