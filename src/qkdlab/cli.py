@@ -5,7 +5,9 @@ span a receiver's interpretation really responds to, ``synth`` solves it
 for undetectable attack families, ``verify`` audits a stored strategy,
 ``simulate`` runs key-exchange sessions under a channel model, ``fuzz``
 black-box-probes a detector device, ``classify`` exports the attack
-taxonomy, and ``report`` renders stored artifacts as tables.
+taxonomy, and ``report`` renders stored artifacts as tables.  Each
+subcommand that builds an artifact prints its summary rows, the rows that
+``report`` prints for the stored artifact.
 
 All artifacts are JSON with sorted keys, all randomness flows from the
 ``--seed`` flag (default 0, echoed into every artifact), and errors are
@@ -133,11 +135,6 @@ def _write_file(path: str, text: str, **fields) -> None:
     with atomic_open(path) as fh:
         fh.write(text)
     _log("info", "artifact-written", path=path, **fields)
-
-
-def _write_artifact(out: Optional[str], data: dict) -> None:
-    if out is not None:
-        _write_file(out, _dump(data), schema=data.get("schema"))
 
 
 def _load_json(path: str, what: str) -> dict:
@@ -391,9 +388,7 @@ def _cmd_reverse_space(opts: dict) -> int:
         "constraints": system.n_rows,
         "has_vacuum_direction": system.vacuum_index is not None,
     }
-    _write_artifact(opts["out"], artifact)
-    print(f"reverse-space receiver={receiver.name} "
-          f"dimension={system.n_basis} constraints={system.n_rows}")
+    _emit(opts, artifact)
     return EXIT_OK
 
 
@@ -424,13 +419,7 @@ def _cmd_synth(opts: dict) -> int:
         "canonical": family.canonical.to_json_dict(),
         "note": note,
     }
-    _write_artifact(opts["out"], artifact)
-    line = (f"synth receiver={receiver.name} "
-            f"family-dimension={family.dimension} "
-            f"eve-dim={family.canonical.eve_dim}")
-    if family.only_trivial:
-        line += " only-trivial"
-    print(line)
+    _emit(opts, artifact)
     return EXIT_OK
 
 
@@ -462,11 +451,7 @@ def _cmd_verify(opts: dict) -> int:
         "isometry_residual": report.isometry_residual,
         "failing_rows": failing,
     }
-    _write_artifact(opts["out"], artifact)
-    verdict = "oblivious" if report.oblivious else "detectable"
-    print(f"verify receiver={receiver.name} attack={attack.label or '?'} "
-          f"verdict={verdict} "
-          f"max-residual={report.max_error_amplitude:.3e}")
+    _emit(opts, artifact)
     if not report.oblivious:
         _log("error", "verification-failed",
              attack=attack.label, receiver=receiver.name,
@@ -497,22 +482,6 @@ def _channel_from_options(opts: dict) -> proto.ChannelModel:
                                 proto.LOSSY]})
 
 
-def _simulation_rows(artifact: dict) -> List[str]:
-    per_basis = artifact["per_basis"]
-    parts = []
-    for basis in sorted(per_basis, key=lambda b: (b != COMPUTATIONAL, b)):
-        eff = per_basis[basis]["detection_efficiency"]
-        short = _BASIS_SHORT.get(basis, basis)
-        parts.append(f"{short}=" + ("n/a" if eff is None else f"{eff:.3f}"))
-    qber = artifact["qber_pooled"]
-    qber_text = "n/a" if qber is None else f"{qber:g}"
-    rows = ["efficiency " + " ".join(parts) + f" qber={qber_text}"]
-    eve = artifact.get("eve_guess_accuracy")
-    if eve is not None:
-        rows.append(f"eve-accuracy {eve:.3f}")
-    return rows
-
-
 def _cmd_simulate(opts: dict) -> int:
     """run key-exchange sessions"""
     from . import attacks as atk
@@ -531,21 +500,15 @@ def _cmd_simulate(opts: dict) -> int:
         system = _constraint_system(receiver)
         channel = proto.make_channel(
             proto.ATTACK, _load_attack(opts["attack"], receiver, system))
-    rounds = opts["rounds"]
     _ensure_parent(opts["log"])
     try:
         report = proto.run_bb84(None, channel, receiver,
-                                rounds, seed=opts["seed"],
+                                opts["rounds"], seed=opts["seed"],
                                 log_path=opts["log"], system=system)
     except (proto.ProtocolError, atk.AttackError) as err:
         raise CliError(EXIT_CONFIG, "invalid-config", str(err),
                        {"receiver": receiver.name})
-    artifact = report.to_json_dict()
-    _write_artifact(opts["out"], artifact)
-    print(f"simulate receiver={receiver.name} "
-          f"channel={report.channel} rounds={rounds}")
-    for row in _simulation_rows(artifact):
-        print(row)
+    _emit(opts, report.to_json_dict())
     return EXIT_OK
 
 
@@ -596,11 +559,7 @@ def _cmd_fuzz(opts: dict) -> int:
                        {"seed": opts["seed"], "max_cases": opts["max_cases"]})
     artifact = report.to_json_dict()
     artifact["device"] = asdict(device.params)
-    _write_artifact(opts["out"], artifact)
-    names = ",".join(report.properties_found) or "none"
-    print(f"fuzz cases={report.test_cases_run} properties={names} "
-          f"anomalies={len(report.anomalies)} "
-          f"derived={len(report.derived_vulnerabilities)}")
+    _emit(opts, artifact)
     return EXIT_OK
 
 
@@ -609,23 +568,36 @@ def _cmd_classify(opts: dict) -> int:
     from . import classify as cl
     artifact = cl.registry_to_json_dict()
     artifact["rng_seed"] = opts["seed"]
-    _write_artifact(opts["out"], artifact)
     if opts["dot"]:
         _write_file(opts["dot"], cl.registry_to_dot())
-    for record in cl.registry():
-        tags = ",".join(sorted(record.tags)) or "-"
-        print(f"classify {record.name} class={record.expected_class} "
-              f"families={tags}")
+    _emit(opts, artifact)
     return EXIT_OK
 
 
-def _render_artifact(data: dict) -> List[str]:
+def _summary(data: dict) -> List[str]:
+    """An artifact's summary rows, read from its JSON document alone: a
+    run prints them, and ``report`` prints them for the stored file."""
     schema = data.get("schema")
     if schema == SIMULATION_REPORT_SCHEMA:
-        return _simulation_rows(data)
+        per_basis = data["per_basis"]
+        parts = []
+        for basis in sorted(per_basis, key=lambda b: (b != COMPUTATIONAL, b)):
+            eff = per_basis[basis]["detection_efficiency"]
+            short = _BASIS_SHORT.get(basis, basis)
+            parts.append(f"{short}=" + ("n/a" if eff is None
+                                        else f"{eff:.3f}"))
+        qber = data["qber_pooled"]
+        rows = [f"simulate receiver={data['receiver']} "
+                f"channel={data['channel']} rounds={data['rounds']}",
+                "efficiency " + " ".join(parts)
+                + " qber=" + ("n/a" if qber is None else f"{qber:g}")]
+        eve = data.get("eve_guess_accuracy")
+        if eve is not None:
+            rows.append(f"eve-accuracy {eve:.3f}")
+        return rows
     if schema == FUZZ_REPORT_SCHEMA:
         names = ",".join(data["properties_found"]) or "none"
-        return [f"fuzz properties={names} "
+        return [f"fuzz cases={data['test_cases_run']} properties={names} "
                 f"anomalies={len(data['anomalies'])} "
                 f"derived={len(data['derived_vulnerabilities'])}"]
     if schema == "reverse-space/1":
@@ -633,21 +605,30 @@ def _render_artifact(data: dict) -> List[str]:
                 f"dimension={data['dimension']} "
                 f"constraints={data['constraints']}"]
     if schema == "attack-family/1":
-        row = (f"attack-family receiver={data['receiver']} "
-               f"dimension={data['family_dimension']}")
-        if data["only_trivial"]:
-            row += " only-trivial"
-        return [row]
+        row = (f"synth receiver={data['receiver']} "
+               f"family-dimension={data['family_dimension']} "
+               f"eve-dim={data['canonical']['eve_dim']}")
+        return [row + " only-trivial" if data["only_trivial"] else row]
     if schema == "verification/1":
         verdict = "oblivious" if data["oblivious"] else "detectable"
-        return [f"verification attack={data['attack_label'] or '?'} "
-                f"verdict={verdict} "
+        return [f"verify receiver={data['receiver']} "
+                f"attack={data['attack_label'] or '?'} verdict={verdict} "
                 f"max-residual={data['max_error_amplitude']:.3e}"]
     if schema == "attack-registry/1":
-        return [f"registry records={len(data['records'])}"]
+        return [f"classify {record['name']} class={record['class']} "
+                f"families={','.join(record['tags']) or '-'}"
+                for record in data["records"]]
     raise CliError(EXIT_CONFIG, "schema-mismatch",
                    f"cannot render artifacts with schema {schema!r}",
                    {"schema": schema})
+
+
+def _emit(opts: dict, artifact: dict) -> None:
+    """Write ``artifact`` to ``--out``, when given, and print its summary."""
+    if opts["out"] is not None:
+        _write_file(opts["out"], _dump(artifact), schema=artifact["schema"])
+    for row in _summary(artifact):
+        print(row)
 
 
 def _cmd_report(opts: dict) -> int:
@@ -656,7 +637,7 @@ def _cmd_report(opts: dict) -> int:
         data = _load_json(path, "artifact")
         context = {"path": path, "schema": data.get("schema")}
         try:
-            rows = _render_artifact(data)
+            rows = _summary(data)
         except KeyError as err:
             raise CliError(EXIT_CONFIG, "invalid-config",
                            f"artifact {path!r} lacks the key {err}",

@@ -270,6 +270,10 @@ class APDParams:
     geiger_efficiency: float = 1.0
 
     def __post_init__(self):
+        for name in ("p_th", "blind_threshold", "geiger_efficiency"):
+            if not _is_real(getattr(self, name)):
+                raise FuzzError(f"{name} must be a number, "
+                                f"got {getattr(self, name)!r}")
         for name in ("p_th", "blind_threshold"):
             if not math.isfinite(getattr(self, name)):
                 raise FuzzError(f"{name} must be finite, "
@@ -280,6 +284,7 @@ class APDParams:
             raise FuzzError("blind_threshold must exceed p_th")
         if not _is_integer(self.recovery_slots) or self.recovery_slots < 0:
             raise FuzzError("recovery_slots must be a non-negative integer")
+        object.__setattr__(self, "recovery_slots", int(self.recovery_slots))
         if not 0.0 < self.geiger_efficiency <= 1.0:
             raise FuzzError("geiger_efficiency must lie in (0, 1]")
 
@@ -517,37 +522,40 @@ def _pair_in_one_detector_probability(case: FuzzInput) -> float:
 # campaign
 # ---------------------------------------------------------------------------
 
+# Slot shifts of the valid single-photon probe in the stage-1 sweep.
+_TIME_GRID = (-2, -1, 0, 1, 2)
+
+# Each case is probed this many times, under derived sub-seeds; at most
+# 256 keep every sub-seed distinct (see _case_seed).
+_REPLAYS = 12
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
     """Schedule parameters: budget, sweeps, and combination depth.
 
     ``intensity_grid`` is absolute mean photon numbers for the stage-1
     sweep; ``follow_up_intensities`` are appended to blinded prefixes in
-    stage 2; ``time_grid`` shifts the valid single-photon probe;
-    ``follow_up_offsets`` are slot gaps between a prefix and its probe.
-    ``max_cases`` caps the number of device probes (every replay counts).
-    ``max_cases < 2**32`` and ``replays <= 256`` keep every probe's
-    derived sub-seed distinct.
+    stage 2; ``follow_up_offsets`` are slot gaps between a prefix and its
+    probe.  ``max_cases`` caps the number of device probes (every replay
+    counts); ``max_cases < 2**32`` keeps every probe's derived sub-seed
+    distinct.
     """
 
     max_cases: int = 10000
     intensity_grid: Tuple[float, ...] = ()
-    time_grid: Tuple[int, ...] = (-2, -1, 0, 1, 2)
     combination_depth: int = 2
-    replays: int = 12
     follow_up_intensities: Tuple[float, ...] = ()
     follow_up_offsets: Tuple[int, ...] = (1,)
 
     def __post_init__(self):
-        for name in ("max_cases", "replays", "combination_depth"):
+        for name in ("max_cases", "combination_depth"):
             value = getattr(self, name)
             if not _is_integer(value):
                 raise FuzzError(f"{name} must be an integer, got {value!r}")
             object.__setattr__(self, name, int(value))
         if not 1 <= self.max_cases < 2 ** 32:
             raise FuzzError("max_cases must lie in [1, 2**32)")
-        if not 1 <= self.replays <= 256:
-            raise FuzzError("replays must lie in [1, 256]")
         if self.combination_depth < 1:
             raise FuzzError("combination_depth must be >= 1")
 
@@ -699,7 +707,7 @@ def report_from_json_dict(data: Mapping) -> FuzzReport:
 
 def _case_seed(master_seed: int, case_index: int, replay: int) -> int:
     # distinct non-overlapping key per (campaign, case, replay), given
-    # case_index < 2**32 and replay < 256 (CampaignConfig's bounds)
+    # case_index < 2**32 (CampaignConfig's bound) and replay < 256
     return (int(master_seed) << 40) ^ (case_index << 8) ^ replay
 
 
@@ -712,7 +720,7 @@ def _schedule_stage01(config: CampaignConfig) -> List[Tuple[int, FuzzInput]]:
         cases += [(1, FuzzInput((pulse(0, name, mu),)))
                   for mu in config.intensity_grid]
         cases += [(1, FuzzInput((pulse(shift, name, 1.0),)))
-                  for shift in config.time_grid]
+                  for shift in _TIME_GRID]
     return cases
 
 
@@ -826,7 +834,7 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
     d + 1: the follow-ups of the inputs first found anomalous during
     depth d, in the order found, each prefixed to fresh probes.  The
     device is reset before every probe, and each case is replayed
-    ``config.replays`` times under derived sub-seeds, so a report is a
+    ``_REPLAYS`` times under derived sub-seeds, so a report is a
     pure function of (device model, config, seed).  ``seed`` is an
     integer in [0, 2**88), the range the sub-seed keys can hold.
     """
@@ -843,7 +851,7 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
         raise FuzzError(
             f"seed must be an integer in [0, 2**88), got {seed!r}")
 
-    replays = config.replays
+    replays = _REPLAYS
     schedule = _schedule_stage01(config)
     depth, depth_end = 1, len(schedule)
     # the current depth's anomalous inputs in the order first found; a

@@ -3,12 +3,12 @@ reader, and shared names.
 
 Round logs, fuzz traces, CLI diagnostics and CLI error lines are encoded
 by :func:`ndjson`; artifacts, round logs, fuzz traces and DOT exports are
-written through :func:`atomic_open`.  The simulation and fuzz report
-readers take each key through :func:`read_field`.  The schema ids, basis
-names and outcome tags below are re-exported by the modules that produce
-them (``protocol``, ``fuzz``, ``receivers``) and read by ``qkdlab report``.
-Standard library only, so any module may import it, and ``report`` runs
-without numpy.
+written through :func:`atomic_open`.  The fuzz report reader and the
+CLI's replay of a fuzz report's ``device`` block take each key through
+:func:`read_field`.  The schema ids, basis names and outcome tags
+below are re-exported by the modules that produce them (``protocol``,
+``fuzz``, ``receivers``) and read by ``qkdlab report``.  Standard library
+only, so any module may import it, and ``report`` runs without numpy.
 """
 
 from __future__ import annotations

@@ -869,7 +869,10 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     deterministically from ``seed`` (a non-negative integer) — the
     sample mean of mismatches, as if those bits were publicly compared.
     With ``test_fraction=1.0`` the estimate coincides with the inline
-    aggregation of :func:`run_bb84`, through the same counting code.  If
+    aggregation of :func:`run_bb84`, through the same counting code,
+    when every basis that Alice and Bob share has a matched round: a log
+    does not name the bases, so a shared basis without one, which the
+    inline report lists with zero rounds, is absent here.  If
     the subsample of some basis comes up empty while sifted bits exist,
     the estimate for that basis falls back to all of its sifted bits
     rather than reporting nothing.

@@ -373,12 +373,16 @@ def test_report_renders_every_artifact_schema(tmp_path):
     code, stdout, _ = run_cli(["report", sim, rs, fam, ver, reg])
     assert code == cli.EXIT_OK
     lines = stdout.splitlines()
-    assert lines[0].startswith("efficiency comp=")
+    assert lines[0] == "simulate receiver=ideal-bb84 channel=identity " \
+        "rounds=2000"
+    assert lines[1].startswith("efficiency comp=")
     assert any(line.startswith("reverse-space receiver=interferometric-2mode")
                for line in lines)
     assert any(line.endswith("only-trivial") for line in lines)
-    assert any("verdict=detectable" in line for line in lines)
-    assert "registry records=11" in lines
+    assert any(line.startswith("verify receiver=ideal-bb84 ")
+               and "verdict=detectable" in line for line in lines)
+    assert len([line for line in lines if line.startswith("classify ")]) \
+        == 11
 
 
 def test_report_with_no_artifacts_is_empty():
@@ -619,6 +623,26 @@ def test_bundled_scenarios_run_with_expected_exit_codes(tmp_path,
     ]
 
 
+def test_report_prints_what_each_scenario_run_printed(tmp_path,
+                                                     monkeypatch):
+    # one summary per artifact: the run and report on its file agree
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "docs").symlink_to(REPO_ROOT / "docs",
+                                   target_is_directory=True)
+    checked = []
+    for name, _ in SCENARIO_ORDER:
+        config = json.loads((SCENARIO_DIR / name).read_text())
+        if "out" not in config:
+            continue
+        _, printed, _ = run_cli([config["subcommand"], "--config",
+                                 SCENARIO_DIR / name])
+        code, reported, stderr = run_cli(["report", config["out"]])
+        assert code == cli.EXIT_OK, (name, stderr)
+        assert reported == printed, name
+        checked.append(name)
+    assert len(checked) == 9
+
+
 # ---------------------------------------------------------------------------
 # seeded artifacts stay byte-identical
 # ---------------------------------------------------------------------------
@@ -693,8 +717,9 @@ def test_a_one_chunk_session_starts_no_thread(tmp_path):
     assert loaded_after(statement, ["concurrent.futures"], tmp_path) == []
 
 
-FUZZ_SUMMARY = {"schema": "fuzz-report/1", "properties_found": [],
-                "anomalies": [], "derived_vulnerabilities": []}
+FUZZ_SUMMARY = {"schema": "fuzz-report/1", "test_cases_run": 0,
+                "properties_found": [], "anomalies": [],
+                "derived_vulnerabilities": []}
 
 
 @pytest.mark.parametrize("argv,absent", [

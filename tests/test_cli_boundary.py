@@ -675,6 +675,21 @@ def test_replay_with_a_non_finite_device_threshold_exits_2(tmp_path, key):
     assert f"{key} must be finite" in payload["message"]
 
 
+@pytest.mark.parametrize("key,value", [
+    ("p_th", True), ("p_th", None), ("blind_threshold", "400"),
+    ("geiger_efficiency", True), ("recovery_slots", 2.5),
+])
+def test_replay_with_a_wrong_typed_device_parameter_exits_2(tmp_path, key,
+                                                            value):
+    path, doc = _cli_fuzz_report(tmp_path)
+    doc["device"][key] = value
+    write_config(path, doc)
+    payload = assert_one_error_line(
+        *run_cli(["fuzz", "--replay", "a0030", "--report", path]))
+    assert payload["code"] == "invalid-config"
+    assert "'device'" in payload["message"] and key in payload["message"]
+
+
 @pytest.mark.parametrize("schema,key", [
     ("simulation-report/1", "per_basis"),
     ("fuzz-report/1", "properties_found"),

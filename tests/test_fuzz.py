@@ -65,6 +65,21 @@ def test_apd_thresholds_must_be_finite(key, value):
         fuzz.APDParams(**{key: value})
 
 
+@pytest.mark.parametrize("key", ["p_th", "blind_threshold",
+                                 "geiger_efficiency"])
+@pytest.mark.parametrize("value", [True, False, "x", None, [1.0]])
+def test_apd_parameters_must_be_numbers(key, value):
+    with pytest.raises(fuzz.FuzzError, match=f"{key} must be a number"):
+        fuzz.APDParams(**{key: value})
+
+
+def test_an_integral_recovery_slots_is_kept_as_an_int():
+    for slots in (2.0, np.int64(2)):
+        params = fuzz.APDParams(recovery_slots=slots)
+        assert type(params.recovery_slots) is int
+        assert params == fuzz.APDParams(recovery_slots=2)
+
+
 @pytest.mark.parametrize("slot", [1.9, True, "1", float("inf")])
 def test_pulse_time_slot_must_be_an_integer(slot):
     with pytest.raises(fuzz.FuzzError, match="time slot"):
@@ -656,8 +671,7 @@ def test_campaign_writes_a_trace(tmp_path, campaign):
 
 
 @pytest.mark.parametrize("key,value", [
-    ("replays", 2.5), ("max_cases", True), ("max_cases", 100.5),
-    ("combination_depth", 1.5), ("replays", "3")])
+    ("max_cases", True), ("max_cases", 100.5), ("combination_depth", 1.5)])
 def test_config_counts_must_be_integers(key, value):
     with pytest.raises(fuzz.FuzzError, match=key):
         fuzz.CampaignConfig(**{key: value})
@@ -666,10 +680,8 @@ def test_config_counts_must_be_integers(key, value):
 def test_integral_float_config_counts_run_as_integers():
     params = fuzz.APDParams()
     config = dataclasses.replace(fuzz.default_config(params, max_cases=200),
-                                 max_cases=200.0, replays=12.0,
-                                 combination_depth=2.0)
-    assert (config.max_cases, config.replays, config.combination_depth) \
-        == (200, 12, 2)
+                                 max_cases=200.0, combination_depth=2.0)
+    assert (config.max_cases, config.combination_depth) == (200, 2)
     report = fuzz.run_fuzz_campaign(fuzz.make_apd_receiver_device(params),
                                     config, seed=0)
     assert report.to_json_dict() == fuzz.run_fuzz_campaign(
@@ -680,8 +692,6 @@ def test_integral_float_config_counts_run_as_integers():
 def test_config_and_argument_validation():
     with pytest.raises(fuzz.FuzzError):
         fuzz.CampaignConfig(max_cases=0)
-    with pytest.raises(fuzz.FuzzError):
-        fuzz.CampaignConfig(replays=0)
     with pytest.raises(fuzz.FuzzError):
         fuzz.CampaignConfig(combination_depth=0)
     with pytest.raises(fuzz.FuzzError):
@@ -696,12 +706,11 @@ def test_config_and_argument_validation():
 def test_case_seed_bit_fields_are_bounded():
     # past 256 replays the replay field runs into the case field
     assert fuzz._case_seed(0, 0, 256) == fuzz._case_seed(0, 1, 0)
-    with pytest.raises(fuzz.FuzzError):
-        fuzz.CampaignConfig(replays=257)
+    assert 1 <= fuzz._REPLAYS <= 256
     with pytest.raises(fuzz.FuzzError):
         fuzz.CampaignConfig(max_cases=2 ** 32)
-    assert fuzz.CampaignConfig(replays=256, max_cases=2 ** 32 - 1).replays \
-        == 256
+    assert fuzz.CampaignConfig(max_cases=2 ** 32 - 1).max_cases \
+        == 2 ** 32 - 1
     device = fuzz.make_apd_receiver_device()
     for seed in (-1, 1.5, 2 ** 88):
         with pytest.raises(fuzz.FuzzError, match="seed"):

@@ -254,6 +254,19 @@ def test_round_log_matches_inline_aggregation(tmp_path, two):
     assert offline.to_json_dict() == inline.to_json_dict()
 
 
+def test_a_shared_basis_without_a_matched_round_is_absent_offline(
+        tmp_path, ideal):
+    # one round matches only the computational basis; the inline report
+    # lists hadamard with zero rounds, and the log cannot name it
+    path = tmp_path / "one.ndjson"
+    inline = pt.run_bb84(None, None, ideal, 1, seed=0,
+                         log_path=path).to_json_dict()
+    offline = pt.sift_and_estimate(path, 1.0).to_json_dict()
+    empty = inline["per_basis"].pop("hadamard")
+    assert empty["rounds"] == 0
+    assert offline == inline
+
+
 def test_sift_subsample_estimates_injected_error(tmp_path):
     n = 1000000
     rng = np.random.Generator(np.random.Philox(7))

@@ -4,12 +4,13 @@ Every public function, class and method defined in ``src/qkdlab`` must be
 named somewhere besides its own definition: elsewhere in ``src/`` (outside
 docstrings), or in ``demos/``, ``perfbench/`` or ``README.md``.  Every
 parameter with a default of such a function or method (a class's: of its
-``__init__``) must be set, by keyword or by position, by some call in
-those callers' code.  Tests do not count as callers.  A name or a
-parameter kept on purpose goes on ``KEEP`` with the reason it stays; a
-parameter is keyed ``function(parameter)``.  A public top-level name
-defined in more than one module needs a caller for each: qualified by a
-name bound to that module, or bare inside the module itself.
+``__init__``, written or generated for a dataclass) must be set, by
+keyword or by position, by some call in those callers' code.  Tests do
+not count as callers.  A name or a parameter kept on purpose goes on
+``KEEP`` with the reason it stays; a parameter is keyed
+``function(parameter)``.  A public top-level name defined in more than
+one module needs a caller for each: qualified by a name bound to that
+module, or bare inside the module itself.
 """
 
 import ast
@@ -56,6 +57,30 @@ KEEP = {
     "sift_and_estimate(seed)":
         "keys the test-bit subsample; the pinned log digests and the "
         "reference reader comparisons set it",
+    "InterferometerConfig(delay)":
+        "the pinned kernel digest evolves an interferometer at delay 2",
+    "APDParams(geiger_efficiency)":
+        "the efficiency-mismatch stage of ROADMAP item 7 is measured on a "
+        "device at efficiency 0.7",
+    "APDParams(p_th)":
+        "set from --p-th through APDParams(**kwargs) in the CLI, which the "
+        "scan cannot follow",
+    "APDParams(blind_threshold)":
+        "set from --blind-threshold through APDParams(**kwargs) in the CLI, "
+        "which the scan cannot follow",
+    "APDParams(recovery_slots)":
+        "set from --recovery-slots through APDParams(**kwargs) in the CLI, "
+        "which the scan cannot follow",
+    "CampaignConfig(combination_depth)":
+        "the pinned depth-3 campaign sets it",
+    "SimulationReport(schema)": "the schema id written into the JSON",
+    "FuzzReport(schema)": "the schema id written into the JSON",
+    "SimulationReport(test_fraction)":
+        "set through protocol._report(**fields), which the scan cannot "
+        "follow",
+    "SimulationReport(attack_label)":
+        "set through protocol._report(**fields), which the scan cannot "
+        "follow",
 }
 
 
@@ -124,10 +149,43 @@ def _defaulted(function, bound):
             yield arg.arg, None
 
 
+def _is_dataclass(node):
+    """Whether ``node`` is a class decorated with ``dataclass`` (called
+    or bare, plain or as ``dataclasses.dataclass``)."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) \
+            else decorator
+        if getattr(target, "id", None) == "dataclass" \
+                or getattr(target, "attr", None) == "dataclass":
+            return True
+    return False
+
+
+def _takes_no_init(value):
+    """Whether a field's default is ``field(..., init=False)``."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant)
+        and k.value.value is False for k in value.keywords)
+
+
+def _defaulted_fields(node):
+    """(field, position) of each defaulted field of the generated
+    ``__init__`` of the dataclass ``node``; its position counts the
+    fields before it that ``__init__`` takes."""
+    position = 0
+    for member in node.body:
+        if not isinstance(member, ast.AnnAssign) \
+                or _takes_no_init(member.value):
+            continue
+        if member.value is not None:
+            yield member.target.id, position
+        position += 1
+
+
 def _public_parameters():
     """(qualified name, called name, parameter, position) of each defaulted
     parameter of a public function, a public method or the ``__init__``
-    of a public class."""
+    of a public class, hand-written or generated for a dataclass."""
     for path in sorted(SRC.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.FunctionDef) \
@@ -137,6 +195,12 @@ def _public_parameters():
             if not isinstance(node, ast.ClassDef) \
                     or node.name.startswith("_"):
                 continue
+            written = any(isinstance(member, ast.FunctionDef)
+                          and member.name == "__init__"
+                          for member in node.body)
+            if _is_dataclass(node) and not written:
+                for parameter, position in _defaulted_fields(node):
+                    yield node.name, node.name, parameter, position
             for member in node.body:
                 if not isinstance(member, ast.FunctionDef):
                     continue
