@@ -574,50 +574,123 @@ def _cmd_classify(opts: dict) -> int:
     return EXIT_OK
 
 
+# JSON type -> the Python types json.load gives it; a bool is neither an
+# integer nor a number
+_LOADED_AS = {"string": str, "integer": int, "number": (int, float),
+              "boolean": bool, "array": list, "object": dict,
+              "null": type(None)}
+
+
+class _FieldError(Exception):
+    """An artifact field whose JSON type its schema does not declare."""
+
+    def __init__(self, field: str, types: str, value):
+        got = next(name for name in _LOADED_AS if _is_json(value, name))
+        expected = types.replace("|", " or ")
+        super().__init__(f"field {field!r} must be {expected}, got {got}")
+        self.field = field
+
+
+def _is_json(value, name: str) -> bool:
+    return isinstance(value, _LOADED_AS[name]) \
+        and (name == "boolean") == isinstance(value, bool)
+
+
+def _typed(value, types: str, field: str):
+    """``value`` if its JSON type is one of ``types`` ("number|null"),
+    else :class:`_FieldError` naming ``field``."""
+    if not any(_is_json(value, name) for name in types.split("|")):
+        raise _FieldError(field, types, value)
+    return value
+
+
+def _field(data: dict, key: str, types: str, within: str = ""):
+    """``data[key]`` checked by :func:`_typed`; a missing key raises
+    KeyError.  ``within`` prefixes the field's name."""
+    if key not in data:
+        raise KeyError(within + key)
+    return _typed(data[key], types, within + key)
+
+
+def _strings(data: dict, key: str, within: str = "") -> List[str]:
+    """``data[key]``, which must be a list of strings."""
+    field = within + key
+    return [_typed(item, "string", f"{field}[{i}]")
+            for i, item in enumerate(_field(data, key, "array", within))]
+
+
 def _summary(data: dict) -> List[str]:
     """An artifact's summary rows, read from its JSON document alone: a
-    run prints them, and ``report`` prints them for the stored file."""
+    run prints them, and ``report`` prints them for the stored file.
+
+    Each field a row shows must have a JSON type that the artifact's
+    schema in ``docs/schemas/`` declares for it, else
+    :class:`_FieldError` names the field; a missing one raises KeyError.
+    """
     schema = data.get("schema")
     if schema == SIMULATION_REPORT_SCHEMA:
-        per_basis = data["per_basis"]
+        per_basis = _field(data, "per_basis", "object")
         parts = []
         for basis in sorted(per_basis, key=lambda b: (b != COMPUTATIONAL, b)):
-            eff = per_basis[basis]["detection_efficiency"]
+            stats = _field(per_basis, basis, "object", "per_basis.")
+            eff = _field(stats, "detection_efficiency", "number|null",
+                         f"per_basis.{basis}.")
             short = _BASIS_SHORT.get(basis, basis)
             parts.append(f"{short}=" + ("n/a" if eff is None
                                         else f"{eff:.3f}"))
-        qber = data["qber_pooled"]
-        rows = [f"simulate receiver={data['receiver']} "
-                f"channel={data['channel']} rounds={data['rounds']}",
+        qber = _field(data, "qber_pooled", "number|null")
+        receiver = _field(data, "receiver", "string")
+        channel = _field(data, "channel", "string")
+        rounds = _field(data, "rounds", "integer")
+        rows = [f"simulate receiver={receiver} channel={channel} "
+                f"rounds={rounds}",
                 "efficiency " + " ".join(parts)
                 + " qber=" + ("n/a" if qber is None else f"{qber:g}")]
-        eve = data.get("eve_guess_accuracy")
+        eve = _typed(data.get("eve_guess_accuracy"), "number|null",
+                     "eve_guess_accuracy")
         if eve is not None:
             rows.append(f"eve-accuracy {eve:.3f}")
         return rows
     if schema == FUZZ_REPORT_SCHEMA:
-        names = ",".join(data["properties_found"]) or "none"
-        return [f"fuzz cases={data['test_cases_run']} properties={names} "
-                f"anomalies={len(data['anomalies'])} "
-                f"derived={len(data['derived_vulnerabilities'])}"]
+        names = ",".join(_strings(data, "properties_found")) or "none"
+        cases = _field(data, "test_cases_run", "integer")
+        anomalies = _field(data, "anomalies", "array")
+        derived = _field(data, "derived_vulnerabilities", "array")
+        return [f"fuzz cases={cases} properties={names} "
+                f"anomalies={len(anomalies)} derived={len(derived)}"]
     if schema == "reverse-space/1":
-        return [f"reverse-space receiver={data['receiver']} "
-                f"dimension={data['dimension']} "
-                f"constraints={data['constraints']}"]
+        receiver = _field(data, "receiver", "string")
+        dimension = _field(data, "dimension", "integer")
+        constraints = _field(data, "constraints", "integer")
+        return [f"reverse-space receiver={receiver} dimension={dimension} "
+                f"constraints={constraints}"]
     if schema == "attack-family/1":
-        row = (f"synth receiver={data['receiver']} "
-               f"family-dimension={data['family_dimension']} "
-               f"eve-dim={data['canonical']['eve_dim']}")
-        return [row + " only-trivial" if data["only_trivial"] else row]
+        receiver = _field(data, "receiver", "string")
+        dimension = _field(data, "family_dimension", "integer")
+        canonical = _field(data, "canonical", "object")
+        eve_dim = _field(canonical, "eve_dim", "integer", "canonical.")
+        row = (f"synth receiver={receiver} family-dimension={dimension} "
+               f"eve-dim={eve_dim}")
+        only_trivial = _field(data, "only_trivial", "boolean")
+        return [row + " only-trivial" if only_trivial else row]
     if schema == "verification/1":
-        verdict = "oblivious" if data["oblivious"] else "detectable"
-        return [f"verify receiver={data['receiver']} "
-                f"attack={data['attack_label'] or '?'} verdict={verdict} "
-                f"max-residual={data['max_error_amplitude']:.3e}"]
+        verdict = "oblivious" if _field(data, "oblivious", "boolean") \
+            else "detectable"
+        receiver = _field(data, "receiver", "string")
+        label = _field(data, "attack_label", "string")
+        residual = _field(data, "max_error_amplitude", "number")
+        return [f"verify receiver={receiver} attack={label or '?'} "
+                f"verdict={verdict} max-residual={residual:.3e}"]
     if schema == "attack-registry/1":
-        return [f"classify {record['name']} class={record['class']} "
-                f"families={','.join(record['tags']) or '-'}"
-                for record in data["records"]]
+        rows = []
+        for i, record in enumerate(_field(data, "records", "array")):
+            field = f"records[{i}]"
+            _typed(record, "object", field)
+            name = _field(record, "name", "string", field + ".")
+            kind = _field(record, "class", "string", field + ".")
+            tags = ",".join(_strings(record, "tags", field + ".")) or "-"
+            rows.append(f"classify {name} class={kind} families={tags}")
+        return rows
     raise CliError(EXIT_CONFIG, "schema-mismatch",
                    f"cannot render artifacts with schema {schema!r}",
                    {"schema": schema})
@@ -642,7 +715,11 @@ def _cmd_report(opts: dict) -> int:
             raise CliError(EXIT_CONFIG, "invalid-config",
                            f"artifact {path!r} lacks the key {err}",
                            {**context, "key": err.args[0]})
-        except (TypeError, ValueError, AttributeError) as err:
+        except _FieldError as err:
+            raise CliError(EXIT_CONFIG, "invalid-config",
+                           f"artifact {path!r} is malformed: {err}",
+                           {**context, "field": err.field})
+        except OverflowError as err:  # an integer too large for a float
             raise CliError(EXIT_CONFIG, "invalid-config",
                            f"artifact {path!r} is malformed: {err}", context)
         for row in rows:

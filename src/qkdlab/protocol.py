@@ -37,10 +37,11 @@ Outcomes are drawn by inverse transform through a guide table (Chen &
 Asau, AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
 Generation*, III.2.4 (1986)).  Each (label, setting) row of the stacked
 CDF gets 2**12 equal bins of [0, 1); a bin that no CDF entry splits
-stores its outcome, so one lookup settles the round.  The few rounds in
-a split bin count their row's entries in full.  Both give the outcome
-of the full count exactly, never an approximation, so the guide table
-changes no report or log byte.
+stores the cell base of its outcome, the round's cell index less its
+guess, so one lookup settles the round and only the guess, a boolean,
+is added to it.  The few rounds in a split bin count their row's entries
+in full.  Both give the cell of the full count exactly, never an
+approximation, so the guide table changes no report or log byte.
 """
 
 from __future__ import annotations
@@ -227,11 +228,13 @@ class SimulationReport:
 # Rounds are drawn, counted and logged this many at a time, which bounds
 # a session's memory whatever its length.  Each chunk keys its own
 # generator at its counter offset, so the chunk size changes no byte of a
-# report or a log.  Up to _WORKERS chunks are in flight at once, each
-# holding about 3 MB of arrays at this size, so two hold about what one
-# chunk of twice the size held when chunks were drawn one by one.  Smaller
-# chunks hand the interpreter lock between threads so often that two
-# threads draw no faster than one.
+# report or a log.  Up to _WORKERS chunks are in flight at once.  One
+# holds at most about 1.9 MB of arrays at this size while it is drawn
+# (the tracemalloc peak of a one-chunk session), 1.3 MB of them its
+# uniforms, and a drawn chunk keeps only its 128 KiB of cell indices and
+# its tally until the calling thread takes them.  Smaller chunks hand the
+# interpreter lock between threads so often that two threads draw no
+# faster than one.
 _CHUNK = 1 << 15
 
 # A session's chunks are drawn on one thread per CPU this process may use,
@@ -316,37 +319,47 @@ def _outcome_tables(alice: rc.AliceSourceModel, channel: ChannelModel,
 
 
 def _guide_table(cdf: np.ndarray) -> np.ndarray:
-    """The settled outcome of each guide bin, flattened row by row.
+    """The cell base of each guide bin's settled outcome, flattened row by
+    row.
 
     Entry ``p * K + k``, K = ``_GUIDE``, covers u in [k/K, (k+1)/K) for
     CDF row p.  Every entry <= k/K is <= u and every entry >= (k+1)/K is
     > u, so the outcome lies between lo = #{c <= k/K} and
-    hi = #{c < (k+1)/K}; the bin stores it when they agree and -1 when
-    an entry splits the bin.  Outcome indices are small, so the table is
-    int32, which halves it and the per-chunk outcome arrays it fills.
+    hi = #{c < (k+1)/K}.  When they agree the bin stores the cell base
+    ``(p * width + lo) * 2`` of that outcome, width the row length, which
+    leaves only the guess to add; when an entry splits the bin it stores
+    -1.  Cell bases are small, so the table is int32 and so are the cell
+    indices a chunk reads off it: against int64, the chunk arithmetic of
+    the four session-stream channels ran 2-6 % faster on one thread of a
+    2-vCPU VM, and a chunk's tracemalloc peak was 0.04 MiB lower.
     """
+    width = cdf.shape[1]
     edges = np.arange(_GUIDE + 1) / _GUIDE
     guide = np.empty((len(cdf), _GUIDE), dtype=np.int32)
-    for row, cumulative in zip(guide, cdf):
+    for p, (row, cumulative) in enumerate(zip(guide, cdf)):
         lo = np.searchsorted(cumulative, edges[:-1], side="right")
         hi = np.searchsorted(cumulative, edges[1:], side="left")
-        row[:] = np.where(lo == hi, lo, -1)
+        row[:] = np.where(lo == hi, (p * width + lo) * 2, -1)
     return guide.ravel()
 
 
 def _sample_outcomes(cdf: np.ndarray, guide: np.ndarray, pair: np.ndarray,
                      u: np.ndarray) -> np.ndarray:
-    """#{c <= u} over CDF row ``pair`` per round, read off the guide table.
+    """The cell base ``(pair * width + #{c <= u}) * 2`` per round, where
+    #{c <= u} counts CDF row ``pair``, read off the guide table.
 
     ``u * _GUIDE`` is exact in binary64, so truncating it names the bin
     u lies in.  Only rounds in a split bin count their row's entries.
     """
-    outcome = guide[pair * _GUIDE + (u * _GUIDE).astype(np.int64)]
-    split = np.flatnonzero(outcome < 0)
+    at = (u * _GUIDE).astype(np.int64)
+    at += pair * _GUIDE
+    cell = guide[at]
+    split = np.flatnonzero(cell < 0)
     if len(split):
-        outcome[split] = np.count_nonzero(
-            cdf[pair[split]] <= u[split, None], axis=1)
-    return outcome
+        rows = pair[split]
+        cell[split] = (rows * cdf.shape[1] + np.count_nonzero(
+            cdf[rows] <= u[split, None], axis=1)) * 2
+    return cell
 
 
 def _interpretation_codes(receiver: rc.ReceiverModel,
@@ -366,15 +379,19 @@ def _interpretation_codes(receiver: rc.ReceiverModel,
     return codes
 
 
-def _guess_rule(channel: ChannelModel, labels,
+def _guess_rule(channel: ChannelModel, labels, n_set: int,
                 conditional: Optional[atk.EveConditionalStates]):
-    """Per-round adversary guess from label indices and the round uniforms.
+    """Per-round adversary guess, as a boolean, from pair indices
+    ``label * n_set + setting`` and the round uniforms.
 
     Under an attack channel Eve guesses bit 0 with the probability that
-    ``attacks.eve_guess`` gives for Alice's label, clamped to [0, 1].  A
-    basis in which nothing sifts is never scored, so there the guess is
-    uniform.
+    ``attacks.eve_guess`` gives for Alice's label, clamped to [0, 1]; a
+    clamped probability is never NaN, so ``u >= p0`` is exactly the
+    complement of ``u < p0``.  A basis in which nothing sifts is never
+    scored, so there the guess is uniform.  The tables are indexed by
+    pair, each label's entry repeated over the settings.
     """
+    lab_of_pair = np.repeat(np.arange(len(labels)), n_set)
     if channel.kind == ATTACK:
         given = {}
         for basis in {basis for basis, _ in labels}:
@@ -382,12 +399,13 @@ def _guess_rule(channel: ChannelModel, labels,
             given[basis] = (0.5, 0.5) if meas is None else (
                 meas.guess0_given_0, meas.guess0_given_1)
         p0 = np.clip([given[basis][bit] for basis, bit in labels], 0.0, 1.0)
-        return lambda lab, u: np.where(u[:, 3] < p0[lab], 0, 1)
+        p0 = p0[lab_of_pair]
+        return lambda pair, u: u[:, 3] >= p0[pair]
     if channel.kind == PNS:
-        bit_of = np.array([lab[1] for lab in labels], dtype=np.int64)
-        return lambda lab, u: np.where(u[:, 3] < channel.p_multi, bit_of[lab],
-                                       (u[:, 4] >= 0.5).astype(np.int64))
-    return lambda lab, u: (u[:, 3] >= 0.5).astype(np.int64)
+        bit_of = np.array([lab[1] for lab in labels], dtype=bool)[lab_of_pair]
+        return lambda pair, u: np.where(u[:, 3] < channel.p_multi,
+                                        bit_of[pair], u[:, 4] >= 0.5)
+    return lambda pair, u: u[:, 3] >= 0.5
 
 
 def _report(cells, counts: np.ndarray, tested: np.ndarray,
@@ -535,8 +553,8 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
     ids, cdf, guide = _outcome_tables(alice, channel, receiver, system)
     width = cdf.shape[1]
     codes = _interpretation_codes(receiver, ids, width)
-    guess = _guess_rule(channel, labels, conditional)
     n_lab, n_set = len(labels), len(settings)
+    guess = _guess_rule(channel, labels, n_set, conditional)
     # cell ((label * n_set + setting) * width + outcome) * 2 + guess
     cells = [(lab[0], int(lab[1]), s, int(codes[si, oi]), g)
              for lab in labels for si, s in enumerate(settings)
@@ -562,11 +580,12 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
         # Column layout of the per-round uniforms: label, setting,
         # outcome, adversary primary, adversary secondary draw.
         u = gen.random((min(_CHUNK, rounds - start), 5))
-        lab = np.minimum((u[:, 0] * n_lab).astype(np.int64), n_lab - 1)
-        pair = lab * n_set + np.minimum(
-            (u[:, 1] * n_set).astype(np.int64), n_set - 1)
-        outcome = _sample_outcomes(cdf, guide, pair, u[:, 2])
-        cell = (pair * width + outcome) * 2 + guess(lab, u)
+        pair = (u[:, 0] * n_lab).astype(np.int64)
+        np.minimum(pair, n_lab - 1, out=pair)
+        pair *= n_set
+        pair += np.minimum((u[:, 1] * n_set).astype(np.int64), n_set - 1)
+        cell = _sample_outcomes(cdf, guide, pair, u[:, 2])
+        cell += guess(pair, u)
         return cell, np.bincount(cell, minlength=len(cells))
 
     starts = range(0, rounds, _CHUNK)

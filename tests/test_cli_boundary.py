@@ -708,8 +708,149 @@ def test_report_on_an_artifact_missing_a_key_exits_2(tmp_path, schema, key):
 
 def test_report_on_a_malformed_artifact_field_exits_2(tmp_path):
     path = write_config(tmp_path / "artifact.json", {
-        "schema": "verification/1", "attack_label": "x", "oblivious": True,
-        "max_error_amplitude": "large"})
+        "schema": "verification/1", "receiver": "r", "attack_label": "x",
+        "oblivious": True, "max_error_amplitude": "large"})
+    payload = assert_one_error_line(*run_cli(["report", path]))
+    assert payload["code"] == "invalid-config"
+    assert payload["context"]["schema"] == "verification/1"
+    assert payload["context"]["field"] == "max_error_amplitude"
+
+
+# ---------------------------------------------------------------------------
+# report checks the JSON type of every field it renders
+# ---------------------------------------------------------------------------
+
+# a value of each JSON type
+_JSON_SAMPLES = {"string": "x", "integer": 7, "number": 0.25,
+                 "boolean": True, "array": [], "object": {}, "null": None}
+
+# the fields each artifact's summary rows show, as paths into its document
+_RENDERED = {
+    "simulation-report": [
+        ("per_basis",), ("per_basis", "computational"),
+        ("per_basis", "computational", "detection_efficiency"),
+        ("qber_pooled",), ("receiver",), ("channel",), ("rounds",),
+        ("eve_guess_accuracy",)],
+    "fuzz-report": [
+        ("properties_found",), ("properties_found", 0), ("test_cases_run",),
+        ("anomalies",), ("derived_vulnerabilities",)],
+    "reverse-space": [("receiver",), ("dimension",), ("constraints",)],
+    "attack-family": [
+        ("receiver",), ("family_dimension",), ("canonical",),
+        ("canonical", "eve_dim"), ("only_trivial",)],
+    "verification": [
+        ("oblivious",), ("receiver",), ("attack_label",),
+        ("max_error_amplitude",)],
+    "attack-registry": [
+        ("records",), ("records", 1), ("records", 1, "name"),
+        ("records", 1, "class"), ("records", 1, "tags"),
+        ("records", 1, "tags", 0)],
+}
+
+
+@pytest.fixture(scope="module")
+def artifacts(tmp_path_factory):
+    """A well-formed artifact of each schema, as its run wrote it."""
+    out = tmp_path_factory.mktemp("artifacts")
+    runs = {
+        "simulation-report": ["simulate", "--receiver", "ideal-bb84",
+                              "--attack", "cnot", "--rounds", 2000],
+        "fuzz-report": ["fuzz", "--max-cases", 1000],
+        "reverse-space": ["reverse-space", "--receiver", "ideal-bb84"],
+        "attack-family": ["synth", "--receiver", "interferometric-6mode"],
+        "verification": ["verify", "--receiver", "interferometric-6mode",
+                         "--attack", "faked-states"],
+        "attack-registry": ["classify"],
+    }
+    docs = {}
+    for name, argv in runs.items():
+        path = out / f"{name}.json"
+        assert run_cli(argv + ["--out", path])[0] == cli.EXIT_OK
+        docs[name] = json.loads(path.read_text())
+    return docs
+
+
+def _json_type(value):
+    return next(name for name, sample in _JSON_SAMPLES.items()
+                if type(value) is type(sample))
+
+
+def _declared_types(name, path):
+    """The JSON types ``name``.schema.json declares at ``path``; an integer
+    is a number too."""
+    node = json.loads((SCHEMA_DIR / f"{name}.schema.json").read_text())
+    for key in path + (None,):
+        if "$ref" in node:
+            node = json.loads((SCHEMA_DIR / node["$ref"]).read_text())
+        if key is None:
+            break
+        if isinstance(key, int):
+            node = node["items"]
+        else:
+            node = node.get("properties", {}).get(
+                key, node.get("additionalProperties"))
+    if "type" in node:
+        kinds = node["type"]
+        kinds = {kinds} if isinstance(kinds, str) else set(kinds)
+    else:
+        kinds = {_json_type(value) for value in node["enum"]}
+    return kinds | {"integer"} if "number" in kinds else kinds
+
+
+def _field_name(path):
+    name = ""
+    for key in path:
+        name += f"[{key}]" if isinstance(key, int) else f".{key}"
+    return name.lstrip(".")
+
+
+@pytest.mark.parametrize("name,path", [
+    (name, path) for name, paths in _RENDERED.items() for path in paths
+], ids=lambda value: _field_name(value) if isinstance(value, tuple)
+    else value)
+def test_report_checks_the_json_type_of_each_rendered_field(
+        tmp_path, artifacts, name, path):
+    declared = _declared_types(name, path)
+    *outer, last = path
+    original = artifacts[name]
+    for key in path:
+        original = original[key]
+    for json_type, sample in _JSON_SAMPLES.items():
+        doc = json.loads(json.dumps(artifacts[name]))
+        parent = doc
+        for key in outer:
+            parent = parent[key]
+        parent[last] = original if json_type == _json_type(original) \
+            else sample
+        artifact = write_config(tmp_path / "artifact.json", doc)
+        result = run_cli(["report", artifact])
+        if json_type in declared:
+            assert result[0] == cli.EXIT_OK, (json_type, result[2])
+            continue
+        payload = assert_one_error_line(*result)
+        assert payload["code"] == "invalid-config"
+        assert payload["context"]["field"] == _field_name(path), json_type
+        assert repr(_field_name(path)) in payload["message"]
+
+
+def test_report_rejects_mistyped_fuzz_and_registry_fields(tmp_path,
+                                                          artifacts):
+    fuzz = dict(artifacts["fuzz-report"], test_cases_run="many",
+                properties_found="AB", anomalies="abc")
+    registry = json.loads(json.dumps(artifacts["attack-registry"]))
+    registry["records"][0]["tags"] = "ab"
+    for doc, field in [(fuzz, "properties_found"),
+                       (registry, "records[0].tags")]:
+        path = write_config(tmp_path / "artifact.json", doc)
+        payload = assert_one_error_line(*run_cli(["report", path]))
+        assert payload["context"]["field"] == field
+        assert f"{field!r} must be array, got string" in payload["message"]
+
+
+def test_report_on_a_number_too_large_for_a_float_exits_2(tmp_path,
+                                                          artifacts):
+    doc = dict(artifacts["verification"], max_error_amplitude=10 ** 400)
+    path = write_config(tmp_path / "artifact.json", doc)
     payload = assert_one_error_line(*run_cli(["report", path]))
     assert payload["code"] == "invalid-config"
     assert payload["context"]["schema"] == "verification/1"

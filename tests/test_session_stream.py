@@ -12,8 +12,9 @@ window ahead, and a chunk that fails on a worker must stop every thread
 and leave an earlier log in place.  The batch reader must give the per-line
 reading's report, or its error and line number, whatever line shapes
 fall in a batch or at its boundary.  The guide-table outcome sampler
-must give the full count of CDF entries <= u for every u, at bin edges
-and CDF entries alike.
+must give the cell base of the full count of CDF entries <= u for every
+u, at bin edges and CDF entries alike, and the chunk kernel must give
+each round's cell by the documented rules on boundary uniforms.
 """
 
 import hashlib
@@ -24,6 +25,7 @@ import random
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -915,9 +917,11 @@ def probe_uniforms(cdf):
 def assert_guide_is_exact(cdf):
     guide = pt._guide_table(cdf)
     u = probe_uniforms(cdf)
+    width = cdf.shape[1]
     for row in range(len(cdf)):
         pair = np.full(len(u), row, dtype=np.int64)
-        reference = np.count_nonzero(cdf[pair] <= u[:, None], axis=1)
+        count = np.count_nonzero(cdf[pair] <= u[:, None], axis=1)
+        reference = (row * width + count) * 2
         got = pt._sample_outcomes(cdf, guide, pair, u)
         assert np.array_equal(got, reference), f"row {row}"
     return guide.reshape(len(cdf), pt._GUIDE)
@@ -942,8 +946,9 @@ def test_guide_table_matches_the_full_count_on_synthetic_rows():
     # bin per entry in (0, 1) off the edges; the others are settled
     splits = (guide < 0).sum(axis=1)
     assert splits.tolist() == [1, 1, 1, 0, 1]
-    assert (guide[3] == 0).all()
-    assert guide[0, 0] == 0 and guide[0, -1] == 3
+    # a settled bin holds the cell base (row * width + outcome) * 2
+    assert (guide[3] == (3 * 5 + 0) * 2).all()
+    assert guide[0, 0] == 0 and guide[0, -1] == (0 * 5 + 3) * 2
 
 
 @pytest.mark.parametrize("kind,variant", [
@@ -961,3 +966,131 @@ def test_guide_table_is_exact_on_every_bundled_receiver(kind, variant):
                                              receiver, system)
         assert np.array_equal(guide, pt._guide_table(cdf))
         assert_guide_is_exact(cdf)
+
+
+# ---------------------------------------------------------------------------
+# the chunk kernel on boundary uniforms
+# ---------------------------------------------------------------------------
+
+def after(x):
+    return float(np.nextafter(x, 1.0))
+
+
+def before(x):
+    return float(np.nextafter(x, 0.0))
+
+
+def boundary_uniforms(cdf, n_lab, n_set, guess_edges):
+    """Round uniforms that put each column on its edges.
+
+    Every CDF row gets u2 on each of :func:`probe_uniforms`, which holds
+    every bin edge and each CDF entry and 1 ulp either side.  u0 and u1
+    cycle over the lower edge, the middle and the last double below the
+    upper edge of the row's label and setting, which for the last ones
+    is 1 - 2**-53.  u3 cycles over ``guess_edges`` of the row's label and
+    u4 over 0.5, each with its neighbours, 0 and 1 - 2**-53.
+    """
+    rows = []
+    u2 = probe_uniforms(cdf).tolist()
+    for pair in range(len(cdf)):
+        lab, setting = divmod(pair, n_set)
+        u0 = [lab / n_lab, (lab + 0.5) / n_lab, before((lab + 1) / n_lab)]
+        u1 = [setting / n_set, (setting + 0.5) / n_set,
+              before((setting + 1) / n_set)]
+        u3 = [0.0, LAST_UNIFORM]
+        for edge in guess_edges[lab]:
+            u3 += [before(edge), edge, after(edge)]
+        u3 = [u for u in u3 if 0.0 <= u < 1.0]
+        u4 = [0.0, before(0.5), 0.5, after(0.5), LAST_UNIFORM]
+        rows += [(u0[i % 3], u1[i // 3 % 3], u, u3[i % len(u3)],
+                  u4[i % len(u4)]) for i, u in enumerate(u2)]
+    return np.array(rows)
+
+
+def reference_round(row, labels, n_set, cdf, channel, p0):
+    """(label, setting, outcome, guess) of one round by the documented
+    rules: each index a uniform's share of its range, the last one for
+    a uniform that rounds up to the top, the outcome #{c <= u2} of the
+    row, and the guess of the channel kind."""
+    u0, u1, u2, u3, u4 = row
+    n_lab = len(labels)
+    lab = min(int(u0 * n_lab), n_lab - 1)
+    setting = min(int(u1 * n_set), n_set - 1)
+    outcome = sum(c <= u2 for c in cdf[lab * n_set + setting].tolist())
+    if channel.kind == pt.ATTACK:
+        guess = 0 if u3 < p0[lab] else 1
+    elif channel.kind == pt.PNS:
+        guess = labels[lab][1] if u3 < channel.p_multi else int(u4 >= 0.5)
+    else:
+        guess = 0 if u3 < 0.5 else 1
+    return lab, setting, outcome, guess
+
+
+class CraftedGenerator:
+    """Stands in for numpy's Generator in a session's chunk draw and hands
+    out ``rows`` as the uniforms of its one chunk."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __call__(self, bits):
+        return self
+
+    def random(self, size):
+        if size == 0:  # the first chunk skips no doubles
+            return np.empty(0)
+        assert size == self.rows.shape
+        return self.rows
+
+
+@pytest.mark.parametrize("kind", sorted(CASES))
+def test_chunk_kernel_on_boundary_uniforms(tmp_path, monkeypatch, kind):
+    receiver, channel = CASES[kind]
+    labels, settings = receiver.source.labels(), list(receiver.settings)
+    n_lab, n_set = len(labels), len(settings)
+    system = conditional = None
+    p0 = [0.5] * n_lab
+    guess_edges = [[0.5]] * n_lab
+    if kind == pt.ATTACK:
+        # fractional and out-of-range guess probabilities, and a basis
+        # where nothing sifts, in place of the attack's 0 and 1
+        given = {"computational": SimpleNamespace(guess0_given_0=0.3,
+                                                  guess0_given_1=1.25)}
+        monkeypatch.setattr(atk, "eve_guess",
+                            lambda cond, basis: given.get(basis))
+        system = atk.build_constraint_system(receiver)
+        conditional = atk.eve_conditional_states(channel.attack, system)
+        p0 = [min((0.3, 1.25)[bit], 1.0) if basis == "computational"
+              else 0.5 for basis, bit in labels]
+        guess_edges = [[p] for p in p0]
+        assert sorted(set(p0)) == [0.3, 0.5, 1.0]
+    elif kind == pt.PNS:
+        guess_edges = [[channel.p_multi, 0.5]] * n_lab
+    ids, cdf, guide = pt._outcome_tables(receiver.source, channel, receiver,
+                                         system)
+    width = cdf.shape[1]
+    u = boundary_uniforms(cdf, n_lab, n_set, guess_edges)
+    want = [reference_round(row, labels, n_set, cdf, channel, p0)
+            for row in u.tolist()]
+    assert {(lab, s) for lab, s, _, _ in want} == \
+        set(itertools.product(range(n_lab), range(n_set)))
+    assert {g for _, _, _, g in want} == {0, 1}
+
+    # the sampler and the guess rule, called on the reference pairs
+    pair = np.array([lab * n_set + s for lab, s, _, _ in want])
+    cell = pt._sample_outcomes(cdf, guide, pair, u[:, 2])
+    cell += pt._guess_rule(channel, labels, n_set, conditional)(pair, u)
+    assert cell.tolist() == [((lab * n_set + s) * width + outcome) * 2 + g
+                             for lab, s, outcome, g in want]
+
+    # a whole session on these uniforms, through its own index clamps
+    monkeypatch.setattr(pt, "_CHUNK", len(u))
+    monkeypatch.setattr(np.random, "Generator", CraftedGenerator(u))
+    log = tmp_path / "rounds.ndjson"
+    pt.run_bb84(None, channel, receiver, len(u), log_path=log, system=system)
+    with open(log, encoding="utf-8") as fh:
+        got = [json.loads(line) for line in itertools.islice(fh, 1, None)]
+    assert [(r["alice_basis"], r["alice_bit"], r["bob_setting"],
+             r["outcome_id"], r["eve_guess"]) for r in got] == \
+        [(*labels[lab], settings[s], ids[settings[s]][outcome], g)
+         for lab, s, outcome, g in want]
