@@ -23,13 +23,13 @@ reg = fs.registry([a, b, a_out, b_out], 3)
 photon = fs.PhotonicState.photon(reg, a)
 split = fs.apply_beam_splitter(photon, (a, b), (a_out, b_out))
 print("single photon after the splitter:")
-for occ, amp in sorted(split.amplitudes.items(), key=str):
+for occ, amp in sorted(split.components().items(), key=str):
     print(f"  {occ}: {amp:+.4f}")
 
 # Two photons in one arm bunch: the |1,1> output component cancels.
 pair = fs.PhotonicState.basis(reg, fs.occ((a, 2)))
 print("\ntwo photons after the splitter:")
-for occ, amp in sorted(fs.apply_beam_splitter(pair, (a, b), (a_out, b_out)).amplitudes.items(), key=str):
+for occ, amp in sorted(fs.apply_beam_splitter(pair, (a, b), (a_out, b_out)).components().items(), key=str):
     print(f"  {occ}: {amp:+.4f}")
 
 # The interferometer registry spans input time bins, their blocked
@@ -40,7 +40,7 @@ cfg = fs.InterferometerConfig(phi=0.0)
 # An early photon |t'0> exits across two time bins and both rails.
 early = fs.PhotonicState.photon(reg, fs.t_in(0))
 print("\nearly time-bin photon through the interferometer (phi = 0):")
-for occ, amp in sorted(fs.mz_transform(early, cfg).amplitudes.items(), key=str):
+for occ, amp in sorted(fs.mz_transform(early, cfg).components().items(), key=str):
     print(f"  {occ}: {amp:+.4f}")
 
 # The superposition (|t'0> + |t'1>)/sqrt(2) interferes: the middle
@@ -48,7 +48,7 @@ for occ, amp in sorted(fs.mz_transform(early, cfg).amplitudes.items(), key=str):
 late = fs.PhotonicState.photon(reg, fs.t_in(1))
 plus = (early + late).scaled(1 / np.sqrt(2))
 print("\n(|t'0> + |t'1>)/sqrt(2) through the interferometer:")
-for occ, amp in sorted(fs.mz_transform(plus, cfg).amplitudes.items(), key=str):
+for occ, amp in sorted(fs.mz_transform(plus, cfg).components().items(), key=str):
     print(f"  {occ}: {amp:+.4f}")
 
 # Running a detector click backwards through the optics tells us which
@@ -57,7 +57,7 @@ for occ, amp in sorted(fs.mz_transform(plus, cfg).amplitudes.items(), key=str):
 click = fs.PhotonicState.photon(reg, fs.s_out(1))
 back = fs.mz_reverse(click, cfg)
 print("\nthe straight-rail click at bin 1, propagated backwards:")
-for occ, amp in sorted(back.amplitudes.items(), key=str):
+for occ, amp in sorted(back.components().items(), key=str):
     print(f"  {occ}: {amp:+.4f}")
 
 # Both directions are unitary on their domain, so norms survive.

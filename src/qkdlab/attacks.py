@@ -171,7 +171,7 @@ def build_constraint_system(receiver: rc.ReceiverModel) -> ConstraintSystem:
     channel_reg = receiver.channel_registry()
     vacuum_index = None
     for k, st in enumerate(basis):
-        if set(st.amplitudes) == {fs.VACUUM}:
+        if st.amplitudes.keys() == {0}:  # the vacuum's key
             vacuum_index = k
             break
 

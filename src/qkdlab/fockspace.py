@@ -22,15 +22,17 @@ reversed product of the adjoint factors.  `apply_optics` runs a receiver
 setting's interferometers, rotations and linear maps in the same way: in
 order, or their adjoints in reverse order.
 
-Inside the kernel a component is keyed by one int rather than by an
-occupation.  Each plan position (a mode or a private arm key) is a field of w
-bits holding its photon count, where w is the bit length of the largest
-photon number among the state's components; splitters conserve each
-component's photon number, so no field overflows.  A splitter reads its two
-source fields by shift and mask and writes its targets from a cached table of
-offsets.  Keys are packed once on the way in and only the fields that can
-hold photons are unpacked on the way out, so callers still see `Occupation`
-keys.
+A state keys each component by one int rather than by an occupation: the
+mode at position p of the registry holds its photon count in the field of w
+bits at shift p*w, w the bit length of the registry's cap, so equal
+registries share one layout.  The kernel reads and writes these keys
+directly: a plan gives each registry mode its position, then any mode it
+names outside the registry and its private arm keys the positions after.  A
+splitter reads its two source fields by shift and mask and writes its targets
+from a cached table of offsets.  Only when a splitter would bunch more photons
+into one field than w bits hold is the state widened, and its result
+narrowed again.  Occupations appear only at the boundary: the constructor,
+`amplitude`, `components`, `repr`, the JSON form and error messages.
 
 Conventions:
   * symmetric 50/50 beam splitter: transmission amplitude 1/sqrt(2),
@@ -49,8 +51,8 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from operator import itemgetter
+from functools import cached_property, lru_cache, reduce
+from operator import itemgetter, or_
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
@@ -172,9 +174,8 @@ def _integer(value, what: str) -> int:
 def occ(*pairs) -> Occupation:
     """Build an occupation from (mode, count) pairs, dropping zero counts.
 
-    Each mode may be named once: naming it twice would make a second key
-    for one occupation, with the mode's photons split across two entries
-    that are each checked against the cap alone.
+    Each mode may be named once: naming it twice would split the mode's
+    photons across two pairs, each checked against the cap alone.
     """
     items = []
     named = set()
@@ -218,6 +219,16 @@ class ModeRegistry:
     def _index(self) -> Dict[Mode, int]:
         return {mode: i for i, mode in enumerate(self.modes)}
 
+    @cached_property
+    def width(self) -> int:
+        """Bits per mode field of a stored key: enough for the cap."""
+        return self.max_photons_per_mode.bit_length()
+
+    @cached_property
+    def _occupation_order(self) -> Tuple[Tuple[int, Mode], ...]:
+        """(position, mode) of every mode, in the order of an Occupation."""
+        return tuple(sorted(enumerate(self.modes), key=itemgetter(1)))
+
     def __contains__(self, mode: Mode) -> bool:
         return mode in self._index
 
@@ -231,6 +242,31 @@ class ModeRegistry:
                     f"{count} photons in mode {mode} exceeds the per-mode cap "
                     f"of {self.max_photons_per_mode}"
                 )
+
+    def key_of(self, occupation: Occupation) -> int:
+        """The stored key of `occupation`: the count of the mode at
+        position p is the field of `width` bits at shift p * width."""
+        self.check_occupation(occupation)
+        w = self.width
+        key = 0
+        for mode, count in occupation:
+            if type(count) is not int:
+                count = _integer(count, f"photon count in mode {mode}")
+            if count < 0:
+                raise FockError(f"negative photon count {count} in mode {mode}")
+            shift = self._index[mode] * w
+            if key >> shift & ((1 << w) - 1):
+                raise FockError(f"mode {mode} is named twice in one occupation")
+            key |= count << shift
+        return key
+
+    def occupation_of(self, key: int, width: int = 0) -> Occupation:
+        """The Occupation a key with fields of `width` bits (default: the
+        stored width) stands for."""
+        w = width or self.width
+        field = (1 << w) - 1
+        return tuple([(mode, count) for p, mode in self._occupation_order
+                      if (count := key >> p * w & field)])
 
 
 def registry(modes: Iterable[Mode], max_photons: int = DEFAULT_MAX_PHOTONS) -> ModeRegistry:
@@ -255,29 +291,42 @@ def interferometer_registry(t_min: int, t_max: int,
     return ModeRegistry(tuple(modes), max_photons)
 
 
-def _pruned(amplitudes: Dict[Occupation, complex]) -> Dict[Occupation, complex]:
+def _pruned(amplitudes: dict) -> dict:
     """The amplitudes above PRUNE_EPS in magnitude (and NaN), as complex."""
-    return {occupation: complex(amp) for occupation, amp in amplitudes.items()
+    return {key: complex(amp) for key, amp in amplitudes.items()
             if not abs(amp) <= PRUNE_EPS}
 
 
 class PhotonicState:
-    """A sparse complex amplitude map over occupation basis states."""
+    """A sparse complex amplitude map over occupation basis states.
+
+    `amplitudes` is keyed by the registry's stored keys (`key_of`), one
+    int per occupation; equal registries share one layout.  Occupations
+    appear only at the boundary: the constructor, `amplitude`,
+    `components`, `repr` and the JSON form.
+    """
 
     __slots__ = ("registry", "amplitudes")
 
     def __init__(self, reg: ModeRegistry, amplitudes: Dict[Occupation, complex] | None = None):
         self.registry = reg
-        self.amplitudes = _pruned(amplitudes or {})
-        for occupation in self.amplitudes:
-            reg.check_occupation(occupation)
+        amps: Dict[int, complex] = {}
+        merged = False
+        for occupation, amp in _pruned(amplitudes or {}).items():
+            key = reg.key_of(occupation)
+            if key in amps:  # another spelling of an occupation already seen
+                amps[key] += amp
+                merged = True
+            else:
+                amps[key] = amp
+        self.amplitudes = _pruned(amps) if merged else amps
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def _trusted(cls, reg: ModeRegistry,
-                 amplitudes: Dict[Occupation, complex]) -> "PhotonicState":
-        """Wrap complex amplitudes already pruned and checked against `reg`."""
+                 amplitudes: Dict[int, complex]) -> "PhotonicState":
+        """Wrap complex amplitudes already pruned and keyed in `reg`."""
         state = cls.__new__(cls)
         state.registry = reg
         state.amplitudes = amplitudes
@@ -304,8 +353,8 @@ class PhotonicState:
     def __add__(self, other: "PhotonicState") -> "PhotonicState":
         self._require_same_registry(other)
         amps = dict(self.amplitudes)
-        for occupation, amp in other.amplitudes.items():
-            amps[occupation] = amps.get(occupation, 0.0) + amp
+        for key, amp in other.amplitudes.items():
+            amps[key] = amps.get(key, 0.0) + amp
         return PhotonicState._trusted(self.registry, _pruned(amps))
 
     def __sub__(self, other: "PhotonicState") -> "PhotonicState":
@@ -313,7 +362,7 @@ class PhotonicState:
 
     def scaled(self, factor: complex) -> "PhotonicState":
         return PhotonicState._trusted(self.registry, _pruned(
-            {occupation: amp * factor for occupation, amp in self.amplitudes.items()}))
+            {key: amp * factor for key, amp in self.amplitudes.items()}))
 
     def __mul__(self, factor: complex) -> "PhotonicState":
         return self.scaled(factor)
@@ -330,16 +379,27 @@ class PhotonicState:
         return self.scaled(1.0 / n)
 
     def amplitude(self, occupation: Occupation) -> complex:
-        return self.amplitudes.get(occupation, 0.0)
+        try:
+            key = self.registry.key_of(occupation)
+        except FockError:  # not an occupation of this registry
+            return 0.0
+        return self.amplitudes.get(key, 0.0)
+
+    def components(self) -> Dict[Occupation, complex]:
+        """The amplitudes keyed by Occupation, in stored order."""
+        occupation_of = self.registry.occupation_of
+        return {occupation_of(key): amp
+                for key, amp in self.amplitudes.items()}
 
     def close_to(self, other: "PhotonicState", atol: float = ATOL) -> bool:
         self._require_same_registry(other)
+        mine, theirs = self.amplitudes.get, other.amplitudes.get
         keys = set(self.amplitudes) | set(other.amplitudes)
-        return all(abs(self.amplitude(k) - other.amplitude(k)) <= atol for k in keys)
+        return all(abs(mine(k, 0.0) - theirs(k, 0.0)) <= atol for k in keys)
 
     def __repr__(self):
         terms = []
-        for occupation, amp in sorted(self.amplitudes.items()):
+        for occupation, amp in sorted(self.components().items()):
             ket = "|vac>" if not occupation else "|" + ",".join(
                 f"{m}^{n}" if n > 1 else str(m) for m, n in occupation) + ">"
             terms.append(f"({amp:.4g}){ket}")
@@ -358,8 +418,8 @@ def inner_product(a: PhotonicState, b: PhotonicState) -> complex:
     other = b.amplitudes.get
     # a plain left-to-right loop: sum() may compensate complex terms
     total = 0
-    for occupation, amp in a.amplitudes.items():
-        total += amp.conjugate() * other(occupation, 0j)
+    for key, amp in a.amplitudes.items():
+        total += amp.conjugate() * other(key, 0j)
     return total
 
 
@@ -423,12 +483,19 @@ class _Phase(NamedTuple):
         return _Phase(self.modes, not self.conjugate)
 
 
+class _Overflow(Exception):
+    """A splitter would put more photons into one field than it holds."""
+
+
 @lru_cache(maxsize=None)
-def _offsets(k1: int, k2: int, u, c: int,
-             d: int) -> Tuple[Tuple[int, complex], ...]:
+def _offsets(k1: int, k2: int, u, c: int, d: int,
+             field: int) -> Tuple[Tuple[int, complex], ...]:
     """`_pair_table(k1, k2, u)` with each m1 replaced by the bits of
-    |m1, k1 + k2 - m1> in the fields at shifts c and d."""
+    |m1, k1 + k2 - m1> in the fields at shifts c and d.  Raises _Overflow,
+    and caches nothing, when k1 + k2 exceeds the mask `field`."""
     total = k1 + k2
+    if total > field:
+        raise _Overflow
     return tuple((m1 << c | (total - m1) << d, coeff)
                  for m1, coeff in _pair_table(k1, k2, u))
 
@@ -452,7 +519,7 @@ def _split(amps: dict, a: int, b: int, c: int, d: int, field: int,
             out[key] = v  # no produced component has a and b both empty
             continue
         rest = key & clear
-        for offset, coeff in _offsets(k1, k2, u, c, d):
+        for offset, coeff in _offsets(k1, k2, u, c, d, field):
             new = rest | offset
             old = get(new)
             if old is None:
@@ -480,30 +547,38 @@ def _phase(amps: dict, shifts: List[int], field: int, e: complex) -> dict:
     return out
 
 
-class _Plan(NamedTuple):
-    """Factors compiled to plan positions.
+def _moved(key: int, moves, field: int) -> int:
+    """`key` with the field at each source shift of `moves` moved to its
+    target shift; `field` is the mask of one source field."""
+    out = 0
+    for s, t in moves:
+        out |= (key >> s & field) << t
+    return out
 
-    `modes` (every mode named, in mode order) take the first positions,
-    then the private arm keys.  `ops` are the factors with each mode or arm
-    key replaced by its position.
+
+class _Plan(NamedTuple):
+    """Factors compiled to positions of a registry's stored keys.
+
+    Every registry mode keeps its position.  The modes that the factors
+    name outside the registry (`outside`, in mode order) take the next
+    positions, then the private arm keys.  `ops` are the factors with each
+    mode or arm key replaced by its position.
     """
 
-    factors: tuple
-    modes: Tuple[Mode, ...]
-    pos: Dict[object, int]
     ops: tuple
+    outside: Tuple[Mode, ...]
     crossings: int  # splitters in a row that each photon crosses
 
 
-def _compile(factors, passing: Iterable[Mode] = ()) -> _Plan:
-    """Lay out the modes the factors name, plus `passing` modes that the
-    factors leave alone."""
-    named = set(passing)
+def _compile(factors, reg: ModeRegistry) -> _Plan:
+    named = set()
     for f in factors:
         named.update(f.modes if isinstance(f, _Phase) else f.sources + f.targets)
-    modes = sorted(k for k in named if isinstance(k, Mode))
-    arms = sorted(k for k in named if not isinstance(k, Mode))
-    pos = {k: p for p, k in enumerate(modes + arms)}
+    pos: Dict[object, int] = dict(reg._index)
+    outside = sorted(k for k in named if isinstance(k, Mode) and k not in pos)
+    arms = sorted(k for k in named if not isinstance(k, Mode) and k not in pos)
+    for p, k in enumerate(outside + arms, len(reg.modes)):
+        pos[k] = p
     depth: Dict[object, int] = {}
     for f in factors:
         if isinstance(f, _Split):
@@ -515,57 +590,69 @@ def _compile(factors, passing: Iterable[Mode] = ()) -> _Plan:
         else _Split(tuple(pos[k] for k in f.sources),
                     tuple(pos[k] for k in f.targets), f.u)
         for f in factors)
-    return _Plan(tuple(factors), tuple(modes), pos, ops,
-                 max(depth.values(), default=0))
+    return _Plan(ops, tuple(outside), max(depth.values(), default=0))
 
 
-_count = itemgetter(1)  # the count of a (mode, count) pair
+def _census(state: PhotonicState) -> List[int]:
+    """The positions of the modes the components use, ascending: the
+    nonzero fields of the OR over the keys."""
+    w = state.registry.width
+    field = (1 << w) - 1
+    mask = reduce(or_, state.amplitudes, 0)
+    used = []
+    while mask:
+        p = ((mask & -mask).bit_length() - 1) // w
+        used.append(p)
+        mask &= ~(field << p * w)
+    return used
 
 
-def _census(state: PhotonicState) -> Tuple[Dict[Mode, int], int]:
-    """The modes the components use, as dict keys in the order the
-    components first name them, and the largest photon number of a
-    component."""
-    used: Dict[Mode, int] = {}
-    top = 0
-    for occupation in state.amplitudes:
-        used.update(occupation)
-        n = sum(map(_count, occupation))
-        if n > top:
-            top = n
-    return used, top
+def _first_named(state: PhotonicState, modes) -> Mode:
+    """The first of `modes` that the components name, in component order."""
+    for occupation in state.components():
+        for m, _ in occupation:
+            if m in modes:
+                return m
 
 
-def _evolve(state: PhotonicState, census, plan: _Plan,
+def _evolve(state: PhotonicState, used: List[int], plan: _Plan,
             e: complex = 1.0) -> PhotonicState:
     """Apply the plan's factors in order to the whole state, merging after
-    each; `census` is `_census(state)` and `e` the phase factor of its
-    phase shifts.
+    each; `used` is `_census(state)` and `e` the phase factor of its phase
+    shifts.
 
-    Each component is keyed by one int: plan position p is the field of
-    `w` bits at shift p*w, its photon count, with `w` the bit length of the
-    largest photon number among the components.  Splitters conserve each
-    component's photon number, so no field overflows.
+    The factors run on the stored keys.  A splitter conserves each
+    component's photon number, but it can bunch more photons into one
+    field than the registry's width holds.  Only then is the state
+    widened, to the bit length of its largest photon number, and its
+    result narrowed again by `_to_state`.  The splitter's table lookup
+    detects that case for free, where counting every component's photons
+    on entry would walk every key once more.
+    """
+    reg, amps, w = state.registry, state.amplitudes, state.registry.width
+    try:
+        return _run(amps, reg, used, plan, w, e)
+    except _Overflow:
+        pass
+    field = (1 << w) - 1
+    wide = max(sum(key >> p * w & field for p in used)
+               for key in amps).bit_length()
+    moves = [(p * w, p * wide) for p in used]
+    return _run({_moved(key, moves, field): v for key, v in amps.items()},
+                reg, used, plan, wide, e)
+
+
+def _run(amps: dict, reg: ModeRegistry, used: List[int], plan: _Plan,
+         w: int, e: complex) -> PhotonicState:
+    """`_evolve` on keys with fields of `w` bits.
 
     Splitters whose sources are still empty are skipped.  Each photon a
     splitter has touched has crossed `plan.crossings` splitters, so each
     output component is scaled once by 2**(-crossings*n/2), n its photons
     that a splitter touched.
     """
-    pos = plan.pos
-    used, top = census
-    if not used.keys() <= pos.keys():  # modes the factors pass through
-        return _evolve(state, census, _compile(plan.factors, used), e)
-    w = top.bit_length() or 1
-    shifts = {m: pos[m] * w for m in used}
-    amps = {}
-    for occupation, amp in state.amplitudes.items():
-        key = 0
-        for m, n in occupation:
-            key |= n << shifts[m]
-        amps[key] = amp
-    live = {pos[m] for m in used}
     field = (1 << w) - 1
+    live = set(used)
     untouched = set(live)
     for op in plan.ops:
         if isinstance(op, _Phase):
@@ -580,24 +667,24 @@ def _evolve(state: PhotonicState, census, plan: _Plan,
             live -= {a, b}
             live |= {c, d}
             untouched -= {a, b}
-    return _to_state(state.registry, amps, plan, w, top, live, untouched)
+    return _to_state(reg, amps, plan, w, live, untouched)
 
 
-def _to_state(reg: ModeRegistry, amps: dict, plan: _Plan, w: int, top: int,
+def _to_state(reg: ModeRegistry, amps: dict, plan: _Plan, w: int,
               live: set, untouched: set) -> PhotonicState:
-    """Scale, prune and check packed keys, then key them by Occupation.
+    """Scale, prune and check the kernel's keys, stored at the registry's
+    width.
 
-    Only `live` positions can hold photons, so only their fields are read;
-    positions past `plan.modes` are arm keys, which are empty by now.  No
-    count exceeds `top`, the largest photon number among the components.
+    Positions past the registry's are the plan's outside modes, then its
+    arm keys, which are empty by now.  Only a component with more touched
+    photons than the cap can break it.
     """
-    modes, field = plan.modes, (1 << w) - 1
-    fields = [(p * w, modes[p]) for p in sorted(live) if p < len(modes)]
-    outside = [(s, m) for s, m in fields if m not in reg]
+    size, field = len(reg.modes), (1 << w) - 1
+    past = size * w  # the shift of the first field past the registry's
     touched = [p * w for p in live - untouched]
     cap = reg.max_photons_per_mode
     scales: Dict[int, float] = {}
-    result: Dict[Occupation, complex] = {}
+    result: Dict[int, complex] = {}
     for key, v in amps.items():
         n = 0
         for s in touched:
@@ -608,16 +695,17 @@ def _to_state(reg: ModeRegistry, amps: dict, plan: _Plan, w: int, top: int,
         x = v * scales[n]
         if abs(x) <= PRUNE_EPS:
             continue
-        for s, m in outside:
-            if key >> s & field:
-                raise FockError(f"mode {m} not in registry")
-        occupation = tuple([(m, count) for s, m in fields
-                            if (count := key >> s & field)])
-        if top > cap and max((count for _, count in occupation),
-                             default=0) > cap:
-            reg.check_occupation(occupation)
+        if key >> past:
+            for p, m in enumerate(plan.outside, size):
+                if key >> p * w & field:
+                    raise FockError(f"mode {m} not in registry")
+        if n > cap:
+            reg.check_occupation(reg.occupation_of(key, w))
         # adding 0.0 clears the negative zeros left by the +-i products
-        result[occupation] = 0.0 + x
+        result[key] = 0.0 + x
+    if w != reg.width:
+        moves = [(p * w, p * reg.width) for p in live if p < size]
+        result = {_moved(key, moves, field): v for key, v in result.items()}
     return PhotonicState._trusted(reg, result)
 
 
@@ -635,11 +723,13 @@ def _apply_pair(state: PhotonicState, in_modes, out_modes, u,
             f"a {name} needs two distinct input and two distinct "
             f"output modes, got {in_modes} -> {out_modes}")
     fresh = set(out_modes) - set(in_modes)
-    census = _census(state)
-    for m in census[0]:
-        if m in fresh:
-            raise FockError(f"{name} output mode {m} already holds photons")
-    return _evolve(state, census, _compile([_Split(in_modes, out_modes, u)]))
+    used = _census(state)
+    modes = state.registry.modes
+    if any(modes[p] in fresh for p in used):
+        raise FockError(f"{name} output mode {_first_named(state, fresh)} "
+                        f"already holds photons")
+    return _evolve(state, used, _compile([_Split(in_modes, out_modes, u)],
+                                         state.registry))
 
 
 def apply_beam_splitter(state: PhotonicState, in_modes: Tuple[Mode, Mode],
@@ -671,10 +761,18 @@ class Rotation(NamedTuple):
     modes: Tuple[Mode, Mode]
 
 
+def _phase_factor(phi: float, what: str) -> complex:
+    """exp(i*phi); a phase that is not finite is an error naming it."""
+    if not math.isfinite(phi):
+        raise FockError(f"{what} must be finite, got {phi!r}")
+    return complex(np.exp(1j * phi))
+
+
 def apply_phase_shift(state: PhotonicState, mode: Mode, phi: float) -> PhotonicState:
     """Phase shifter: |n> on `mode` gains exp(i*n*phi)."""
-    return _evolve(state, _census(state), _compile([_Phase((mode,))]),
-                   complex(np.exp(1j * phi)))
+    return _evolve(state, _census(state),
+                   _compile([_Phase((mode,))], state.registry),
+                   _phase_factor(phi, "phase shift"))
 
 
 def _mz_factors(times: Sequence[int], delay: int) -> list:
@@ -696,34 +794,37 @@ def _mz_factors(times: Sequence[int], delay: int) -> list:
 
 
 @lru_cache(maxsize=256)
-def _mz_plan(times: Tuple[int, ...], delay: int, reverse: bool) -> _Plan:
-    """The compiled interferometer over input bins `times`; the reverse is
-    the reversed product of the adjoint factors."""
+def _mz_plan(times: Tuple[int, ...], delay: int, reverse: bool,
+             reg: ModeRegistry) -> _Plan:
+    """The interferometer over input bins `times`, compiled to `reg`'s
+    keys; the reverse is the reversed product of the adjoint factors."""
     factors = _mz_factors(times, delay)
     if reverse:
         factors = [f.adjoint() for f in reversed(factors)]
-    return _compile(factors)
+    return _compile(factors, reg)
 
 
-def _config_args(config) -> Tuple[float, int]:
+def _config_args(config) -> Tuple[complex, int]:
+    """The phase factor and delay of an InterferometerConfig or of a bare
+    phase (delay 1)."""
     if isinstance(config, InterferometerConfig):
-        return config.phi, config.delay
-    return float(config), 1
+        phi, delay = config.phi, config.delay
+    else:
+        phi, delay = float(config), 1
+    return _phase_factor(phi, "interferometer phase"), delay
 
 
-def _mz_times(used, reads: Tuple[str, ...],
+def _mz_times(state: PhotonicState, used: List[int], reads: Tuple[str, ...],
               rejects: Tuple[str, ...]) -> set:
-    """Time bins of the `reads` modes among the census's `used` modes; the
-    first `rejects` mode the components name is an error."""
-    times = set()
-    for m in used:
-        if m.kind in rejects:
-            raise FockError(
-                f"interferometer input already uses mode {m} from its "
-                f"output side")
-        if m.kind in reads:
-            times.add(m.index)
-    return times
+    """Time bins of the `reads` modes among the `used` positions; a
+    `rejects` mode is an error naming the first one the components name."""
+    modes = [state.registry.modes[p] for p in used]
+    rejected = {m for m in modes if m.kind in rejects}
+    if rejected:
+        raise FockError(
+            f"interferometer input already uses mode "
+            f"{_first_named(state, rejected)} from its output side")
+    return {m.index for m in modes if m.kind in reads}
 
 
 def mz_transform(state: PhotonicState, config: "InterferometerConfig | float" = 0.0) -> PhotonicState:
@@ -740,12 +841,11 @@ def mz_transform(state: PhotonicState, config: "InterferometerConfig | float" = 
     for its n photons, so single-photon amplitudes are exactly the ones
     above.  `config` is an InterferometerConfig or a bare phase (delay 1).
     """
-    phi, delay = _config_args(config)
-    census = _census(state)
-    times = _mz_times(census[0], (CHANNEL, BLOCKED), (OUT_S, OUT_D))
-    return _evolve(state, census,
-                   _mz_plan(tuple(sorted(times)), delay, False),
-                   complex(np.exp(1j * phi)))
+    e, delay = _config_args(config)
+    used = _census(state)
+    times = _mz_times(state, used, (CHANNEL, BLOCKED), (OUT_S, OUT_D))
+    return _evolve(state, used, _mz_plan(tuple(sorted(times)), delay, False,
+                                         state.registry), e)
 
 
 def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.0) -> PhotonicState:
@@ -757,12 +857,12 @@ def mz_reverse(state: PhotonicState, config: "InterferometerConfig | float" = 0.
     delay undone, then BS1 dagger back into the channel and blocked bins.
     Nothing about the reverse is kept apart from the forward factors.
     """
-    phi, delay = _config_args(config)
-    census = _census(state)
-    times = _mz_times(census[0], (OUT_S, OUT_D), (CHANNEL, BLOCKED))
+    e, delay = _config_args(config)
+    used = _census(state)
+    times = _mz_times(state, used, (OUT_S, OUT_D), (CHANNEL, BLOCKED))
     sources = tuple(sorted(times | {t - delay for t in times}))
-    return _evolve(state, census, _mz_plan(sources, delay, True),
-                   complex(np.exp(1j * phi)))
+    return _evolve(state, used, _mz_plan(sources, delay, True,
+                                         state.registry), e)
 
 
 def support_after_trace(state: PhotonicState,
@@ -775,15 +875,21 @@ def support_after_trace(state: PhotonicState,
     `keep` is a collection of modes of the state's registry.
     """
     kept_set = frozenset(keep)
-    unknown = kept_set - set(state.registry.modes)
+    src = state.registry
+    unknown = kept_set - set(src.modes)
     if unknown:
         raise FockError(f"kept modes not in registry: {sorted(unknown)}")
-    groups: Dict[Occupation, Dict[Occupation, complex]] = {}
-    for occupation, amp in state.amplitudes.items():
-        kept = occ(*((m, n) for m, n in occupation if m in kept_set))
-        dropped = occ(*((m, n) for m, n in occupation if m not in kept_set))
-        groups.setdefault(dropped, {})[kept] = amp
-    kept_basis = sorted({k for row in groups.values() for k in row})
+    w = src.width
+    field = (1 << w) - 1
+    kept_at = [p for p, m in enumerate(src.modes) if m in kept_set]
+    kept_mask = 0
+    for p in kept_at:
+        kept_mask |= field << p * w
+    groups: Dict[int, Dict[int, complex]] = {}
+    for key, amp in state.amplitudes.items():
+        groups.setdefault(key & ~kept_mask, {})[key & kept_mask] = amp
+    kept_basis = sorted({k for row in groups.values() for k in row},
+                        key=src.occupation_of)
     index = {k: i for i, k in enumerate(kept_basis)}
     a = np.zeros((len(groups), len(kept_basis)), dtype=complex)
     for r, row in enumerate(groups.values()):
@@ -791,14 +897,16 @@ def support_after_trace(state: PhotonicState,
             a[r, index[kept]] = amp
     rho = a.conj().T @ a  # reduced density operator in the kept basis
     vals, vecs = np.linalg.eigh(rho)
-    kept_modes = tuple(m for m in state.registry.modes if m in kept_set)
-    reg = ModeRegistry(kept_modes, state.registry.max_photons_per_mode)
+    reg = ModeRegistry(tuple(src.modes[p] for p in kept_at),
+                       src.max_photons_per_mode)
+    moves = [(p * w, q * w) for q, p in enumerate(kept_at)]
+    keys = [_moved(k, moves, field) for k in kept_basis]
     support = []
     for i in range(len(vals) - 1, -1, -1):
         if vals[i] <= PRUNE_EPS:
             break
-        amps = {kept_basis[j]: vecs[j, i] for j in range(len(kept_basis))}
-        support.append(PhotonicState(reg, amps))
+        support.append(PhotonicState._trusted(reg, _pruned(
+            {keys[j]: vecs[j, i] for j in range(len(keys))})))
     return support
 
 
@@ -813,6 +921,8 @@ class InterferometerConfig:
         if not math.isfinite(self.phi):
             raise FockError(
                 f"interferometer phase must be finite, got {self.phi!r}")
+        object.__setattr__(self, "delay",
+                           _integer(self.delay, "interferometer delay"))
         if self.delay < 1:
             raise FockError(
                 f"interferometer delay must be at least 1 bin, got {self.delay!r}")
@@ -856,7 +966,7 @@ def apply_linear_map(state: PhotonicState, lmap: LinearMap) -> PhotonicState:
     """
     index = {o: c for c, o in enumerate(lmap.input_basis)}
     vec = np.zeros(len(lmap.input_basis), dtype=complex)
-    for occupation, amp in state.amplitudes.items():
+    for occupation, amp in state.components().items():
         if occupation not in index:
             raise FockError(
                 f"state component {occupation} outside the map's input basis")
@@ -885,8 +995,25 @@ def apply_optics(state: PhotonicState, optics: Sequence,
 
 
 def embedded(state: PhotonicState, reg: ModeRegistry) -> PhotonicState:
-    """Re-home a state onto a registry containing (at least) its used modes."""
-    return PhotonicState(reg, dict(state.amplitudes))
+    """Re-home a state onto a registry containing (at least) its used modes.
+
+    Equal registries share one layout, so the keys carry over; otherwise
+    each used field moves to the position of its mode in `reg`.
+    """
+    src = state.registry
+    if reg == src:
+        return PhotonicState._trusted(reg, dict(state.amplitudes))
+    used = _census(state)
+    if (any(src.modes[p] not in reg for p in used)
+            or reg.max_photons_per_mode < src.max_photons_per_mode):
+        for key in state.amplitudes:  # raises as the constructor would
+            reg.check_occupation(src.occupation_of(key))
+    moves = [(p * src.width, reg._index[src.modes[p]] * reg.width)
+             for p in used]
+    field = (1 << src.width) - 1
+    return PhotonicState._trusted(reg, {
+        _moved(key, moves, field): amp
+        for key, amp in state.amplitudes.items()})
 
 
 def gram_schmidt(states: Sequence[PhotonicState]) -> List[PhotonicState]:
@@ -907,7 +1034,7 @@ def gram_schmidt(states: Sequence[PhotonicState]) -> List[PhotonicState]:
 
 def state_to_dict(state: PhotonicState) -> dict:
     components = []
-    for occupation, amp in sorted(state.amplitudes.items()):
+    for occupation, amp in sorted(state.components().items()):
         components.append({
             "occupation": {str(m): n for m, n in occupation},
             "amplitude": [amp.real, amp.imag],

@@ -31,7 +31,7 @@ import numpy as np
 
 from . import fockspace as fs
 from .fockspace import (
-    VACUUM, Mode, ModeRegistry, PhotonicState, d_out, occ, pol_h, pol_v,
+    Mode, ModeRegistry, PhotonicState, d_out, occ, pol_h, pol_v,
     s_out, t_in,
 )
 from .output import BIT0, BIT1, COMPUTATIONAL, HADAMARD, INVALID, LOSS, Y_BASIS
@@ -186,10 +186,13 @@ def outcome_probabilities(receiver: ReceiverModel, setting_name: str,
 # ---------------------------------------------------------------------------
 
 def _occ_matrix(vectors: Sequence[PhotonicState]):
-    occs = sorted({o for v in vectors for o in v.amplitudes})
-    mat = np.array([[v.amplitude(o) for o in occs] for v in vectors],
-                   dtype=complex)
-    return occs, mat
+    """The occupations the vectors use, in Occupation order, and each
+    vector's amplitudes over them; the vectors share one registry."""
+    keys = {k for v in vectors for k in v.amplitudes}
+    ordered = sorted((vectors[0].registry.occupation_of(k), k) for k in keys)
+    mat = np.array([[v.amplitudes.get(k, 0.0) for _, k in ordered]
+                    for v in vectors], dtype=complex)
+    return [o for o, _ in ordered], mat
 
 
 def reversed_space(receiver: ReceiverModel) -> List[PhotonicState]:
@@ -226,8 +229,9 @@ def _derive_reversed_space(receiver: ReceiverModel) -> List[PhotonicState]:
     rank = int(np.sum(np.linalg.svd(mat, compute_uv=False) > fs.ATOL))
     if rank == len(occs):
         return [PhotonicState.basis(channel_reg, o) for o in occs]
-    ordered = ([v for v in raw if set(v.amplitudes) == {VACUUM}]
-               + [v for v in raw if set(v.amplitudes) != {VACUUM}])
+    # 0 is the key of the vacuum in every registry
+    ordered = ([v for v in raw if v.amplitudes.keys() == {0}]
+               + [v for v in raw if v.amplitudes.keys() != {0}])
     return fs.gram_schmidt(ordered)
 
 

@@ -58,7 +58,7 @@ def criterion(number, label, budget=None):
 
 def assert_amplitudes(state, expected, tol=1e-12):
     """Entrywise comparison against a frozen {occupation: amplitude} table."""
-    seen = dict(state.amplitudes)
+    seen = dict(state.components())
     for occ, amp in expected.items():
         got = seen.pop(occ, 0.0)
         assert abs(got - amp) <= tol, f"{occ}: got {got}, expected {amp}"

@@ -33,7 +33,7 @@ def amp(state, occupation):
 def photon_numbers(state):
     """Probability weight per total photon number."""
     weights = {}
-    for occupation, a in state.amplitudes.items():
+    for occupation, a in state.components().items():
         n = sum(count for _, count in occupation)
         weights[n] = weights.get(n, 0.0) + abs(a) ** 2
     return weights
@@ -127,7 +127,7 @@ def test_unknown_mode_is_an_error():
 def test_pruning_drops_tiny_amplitudes():
     reg, a, _ = two_mode_registry()
     st = PhotonicState(reg, {single(a): 1.0, fs.VACUUM: 1e-15})
-    assert fs.VACUUM not in st.amplitudes
+    assert fs.VACUUM not in st.components()
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +232,7 @@ def test_rotation_entries_are_exact():
 
     def entries(occupation):
         out = fs.apply_rotation(PhotonicState.basis(reg, occupation), (h, v))
-        return {o: repr(x) for o, x in out.amplitudes.items()}
+        return {o: repr(x) for o, x in out.components().items()}
 
     r = 0.7071067811865475
     assert entries(single(h)) == {single(h): exact(r), single(v): exact(r)}
@@ -296,7 +296,7 @@ def test_mz_forward_superposition_interferes():
         single(d_out(0)): 1j * r, single(d_out(1)): 2j * r,
         single(d_out(2)): 1j * r,
     }
-    assert set(out.amplitudes) == set(expected)
+    assert set(out.components()) == set(expected)
     for k, v in expected.items():
         assert abs(amp(out, k) - v) < 1e-12
 
@@ -447,14 +447,14 @@ def test_mz_single_photon_images_are_the_documented_entries_exactly(phi, delay):
         image = fs.mz_transform(PhotonicState.photon(reg, mode), cfg)
         want = {single(out_modes[r]): exact(u[r, c])
                 for r in np.flatnonzero(u[:, c])}
-        assert {o: repr(a) for o, a in image.amplitudes.items()} == want
+        assert {o: repr(a) for o, a in image.components().items()} == want
     for r, mode in enumerate(out_modes):
         if not 0 <= mode.index <= 4:
             continue  # a source bin would lie outside in_bins
         image = fs.mz_reverse(PhotonicState.photon(reg, mode), cfg)
         want = {single(in_modes[c]): exact(np.conj(u[r, c]))
                 for c in np.flatnonzero(u[r])}
-        assert {o: repr(a) for o, a in image.amplitudes.items()} == want
+        assert {o: repr(a) for o, a in image.components().items()} == want
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -516,6 +516,39 @@ def test_interferometer_config_rejects_malformed_parameters(kwargs):
         fs.InterferometerConfig(**kwargs)
 
 
+def test_a_bare_nan_phase_through_the_interferometer_raises():
+    reg = fs.interferometer_registry(0, 1)
+    with pytest.raises(fs.FockError, match=r"^interferometer phase must be "
+                                           r"finite, got nan$"):
+        fs.mz_transform(PhotonicState.photon(reg, t_in(0)), float("nan"))
+
+
+def test_a_bare_nan_phase_through_the_reverse_interferometer_raises():
+    reg = fs.interferometer_registry(0, 1)
+    with pytest.raises(fs.FockError, match=r"^interferometer phase must be "
+                                           r"finite, got nan$"):
+        fs.mz_reverse(PhotonicState.photon(reg, s_out(1)), float("nan"))
+
+
+def test_an_infinite_phase_shift_raises():
+    reg, a, _ = two_mode_registry()
+    with pytest.raises(fs.FockError,
+                       match=r"^phase shift must be finite, got inf$"):
+        fs.apply_phase_shift(PhotonicState.photon(reg, a), a, math.inf)
+
+
+def test_a_fractional_interferometer_delay_raises():
+    with pytest.raises(fs.FockError, match=r"^interferometer delay must be "
+                                           r"an integer, got 1\.5$"):
+        fs.InterferometerConfig(delay=1.5)
+
+
+def test_a_boolean_interferometer_delay_raises():
+    with pytest.raises(fs.FockError, match=r"^interferometer delay must be "
+                                           r"an integer, got True$"):
+        fs.InterferometerConfig(delay=True)
+
+
 def mixed_photon_number_state(reg, rng):
     """Vacuum plus one- to three-photon components over bins 0..2."""
     modes = [m(t) for t in range(3) for m in (t_in, blocked)]
@@ -551,7 +584,7 @@ def test_mz_outputs_carry_only_registry_modes():
         st = mixed_photon_number_state(reg, rng)
         out = fs.mz_transform(st, cfg)
         for state in (out, fs.mz_reverse(out, cfg)):
-            for occupation in state.amplitudes:
+            for occupation in state.components():
                 for mode, _ in occupation:
                     assert isinstance(mode, fs.Mode) and mode in reg
     # a registry without the exit bins names the missing registry mode
@@ -596,7 +629,7 @@ def test_beam_splitter_rejects_occupied_or_repeated_modes():
     # a photon in a mode the splitter does not act on passes unscaled
     out = fs.apply_beam_splitter(state, (a, b))
     r = 1 / math.sqrt(2)
-    assert out.amplitudes == {occ((a, 1), (c, 1)): r,
+    assert out.components() == {occ((a, 1), (c, 1)): r,
                               occ((b, 1), (c, 1)): 1j * r}
 
 
@@ -605,7 +638,7 @@ def test_mz_passes_modes_it_does_not_act_on():
                       + [pol_h()])
     state = PhotonicState.basis(reg, occ((t_in(0), 1), (pol_h(), 2)))
     out = fs.mz_transform(state)
-    assert out.amplitudes == {occ((m, 1), (pol_h(), 2)): a
+    assert out.components() == {occ((m, 1), (pol_h(), 2)): a
                               for m, a in [(s_out(0), 0.5), (d_out(0), 0.5j),
                                            (s_out(1), -0.5), (d_out(1), 0.5j)]}
     assert fs.mz_reverse(out).close_to(state, atol=1e-12)
@@ -652,7 +685,7 @@ def test_support_of_reversed_output_arm_state():
     assert all(w > fs.PRUNE_EPS for w in weights)
     span = [fs.VACUUM, single(t_in(0)), single(t_in(1))]
     for v in support:
-        assert set(v.amplitudes) <= set(span)
+        assert set(v.components()) <= set(span)
 
 
 def test_support_of_entangled_state_is_two_dimensional():
@@ -663,7 +696,7 @@ def test_support_of_entangled_state_is_two_dimensional():
     })
     support = fs.support_after_trace(st, kept_channel(reg))
     assert len(support) == 2
-    occupations = {o for v in support for o in v.amplitudes}
+    occupations = {o for v in support for o in v.components()}
     assert occupations == {fs.VACUUM, single(t_in(0))}
 
 
@@ -853,13 +886,33 @@ def test_a_state_keyed_by_a_plain_kind_index_tuple_is_rejected():
         PhotonicState(reg, {(((fs.CHANNEL, 0), 1),): 1.0})
 
 
+@pytest.mark.parametrize("occupation,message", [
+    (((t_in(0), -1),), "negative photon count -1 in mode channel-time-bin:0"),
+    (((t_in(0), 1), (t_in(0), 1)),
+     "mode channel-time-bin:0 is named twice in one occupation"),
+], ids=["negative", "twice"])
+def test_a_state_keyed_by_a_malformed_occupation_is_rejected(occupation,
+                                                             message):
+    reg = fs.interferometer_registry(0, 2)
+    with pytest.raises(fs.FockError, match=f"^{message}$"):
+        PhotonicState(reg, {occupation: 1.0})
+
+
+def test_two_spellings_of_one_occupation_are_one_component():
+    reg = fs.interferometer_registry(0, 2)
+    pair = occ((t_in(0), 1), (t_in(1), 1))
+    state = PhotonicState(reg, {pair[::-1]: 0.6, pair: 0.8j})
+    assert state.components() == {pair: 0.6 + 0.8j}
+
+
 # ---------------------------------------------------------------------------
-# the kernel's packed working keys: field widths and photon-number mixtures
+# packed keys: field widths and photon-number mixtures
 # ---------------------------------------------------------------------------
 
-# Photon numbers on either side of a field-width boundary: a field is as wide
-# as the bit length of the largest photon number among a state's components,
-# so 1, 2-3, 4-7 and 8 photons take 1, 2, 3 and 4 bits.
+# Photon numbers on either side of a bit-length boundary: 1, 2-3, 4-7 and 8
+# photons need 1, 2, 3 and 4 bits.  A stored field is as wide as the bit
+# length of the registry's cap, and a state is widened only while a splitter
+# bunches more photons into one field than that.
 FIELD_WIDTH_PHOTONS = (1, 2, 3, 4, 7, 8)
 
 
@@ -896,7 +949,7 @@ def test_splitter_and_rotation_of_n_photons_in_one_mode_are_binomial(n):
             want = {occ((outs[0], m), (outs[1], n - m)):
                     math.sqrt(math.comb(n, m)) * 2 ** (-n / 2) * y ** (n - m)
                     for m in range(n + 1)}
-            assert set(out.amplitudes) == set(want)
+            assert set(out.components()) == set(want)
             for o, w in want.items():
                 assert abs(out.amplitude(o) - w) < 1e-12
 
@@ -1011,13 +1064,93 @@ def seeded_evolutions():
 
 
 def test_seeded_evolutions_keep_their_key_order_and_amplitude_bits():
-    # pins every output key, in dict order, and the repr of every amplitude
+    # pins every output occupation, in stored order, and the repr of every
+    # amplitude
     digest = hashlib.sha256()
     for name, state in seeded_evolutions():
-        digest.update(f"{name}|{list(state.amplitudes)!r}|"
-                      f"{list(state.amplitudes.values())!r}\n".encode())
+        components = state.components()
+        digest.update(f"{name}|{list(components)!r}|"
+                      f"{list(components.values())!r}\n".encode())
     assert digest.hexdigest() == KERNEL_DIGEST
 
 
 KERNEL_DIGEST = \
     "c75d3cff15a41c0af1bbf105055a7de89b6579ee082117fce60b5dcc19c5f7f5"
+
+
+# ---------------------------------------------------------------------------
+# the Occupation boundary: stored keys carry the same states
+# ---------------------------------------------------------------------------
+
+BUNDLED_CONFIGURATIONS = [(kind, None) for kind in rc.RECEIVER_KINDS] + [
+    ("interferometric-2mode", "single-window")]
+
+
+def boundary_evolutions():
+    """(name, output state) for interferometer round trips at n = 1..5 and
+    delays 1 and 2, and for every bundled setting's optics, forward and
+    adjoint, on each vector of its receiver's reversed-space basis."""
+    rng = np.random.default_rng(2028)
+    reg = fs.interferometer_registry(-1, 3, 5)
+    for n in range(1, 6):
+        for delay in (1, 2):
+            start = int(rng.integers(0, 2))
+            pulse = two_mode_superposition(reg, t_in(start), t_in(start + 1),
+                                           n, rng)
+            cfg = fs.InterferometerConfig(
+                float(rng.uniform(0.0, 2 * math.pi)), delay)
+            out = fs.mz_transform(pulse, cfg)
+            yield f"mz{n}/{delay}", out
+            yield f"mz-back{n}/{delay}", fs.mz_reverse(out, cfg)
+    for kind, variant in BUNDLED_CONFIGURATIONS:
+        receiver = rc.make_receiver(kind, variant)
+        for k, vector in enumerate(rc.reversed_space(receiver)):
+            state = fs.embedded(vector, receiver.registry)
+            for name, setting in receiver.settings.items():
+                out = fs.apply_optics(state, setting.optics)
+                yield f"{kind}/{variant}/{k}/{name}", out
+                yield f"{kind}/{variant}/{k}/{name}/adjoint", fs.apply_optics(
+                    out, setting.optics, adjoint=True)
+
+
+def test_boundary_evolutions_keep_their_occupations_order_and_bits():
+    # pins every output occupation, in stored order, with the repr of its
+    # amplitude; the digest was recorded from Occupation-keyed states
+    digest = hashlib.sha256()
+    count = 0
+    for name, state in boundary_evolutions():
+        digest.update(f"{name}|{list(state.components().items())!r}\n"
+                      .encode())
+        count += 1
+    assert (count, digest.hexdigest()) == (156, BOUNDARY_DIGEST)
+
+
+BOUNDARY_DIGEST = \
+    "7d2fd02ada011019c2b826a8a9ad194a9cd16c38edebf645f6ebd122ee6a95eb"
+
+
+def test_a_splitter_that_bunches_past_the_field_width_widens_the_state():
+    # four photons through a splitter at cap 3 need a 3-bit field, one more
+    # than the cap's 2 bits.  The combination of |3,1>, |2,2> and |1,3>
+    # whose image has no |4,0> or |0,4> stays within the cap, and its bits
+    # match a run at cap 4, whose stored fields already hold 4 photons.
+    a, b = fs.Mode(fs.CUSTOM, 0), fs.Mode(fs.CUSTOM, 1)
+    wide = fs.registry([a, b], 4)
+    inputs = [occ((a, 3), (b, 1)), occ((a, 2), (b, 2)), occ((a, 1), (b, 3))]
+    images = [fs.apply_beam_splitter(PhotonicState.basis(wide, o), (a, b))
+              for o in inputs]
+    edges = np.array([[image.amplitude(occ((m, 4))) for image in images]
+                      for m in (a, b)])
+    weights = np.linalg.svd(edges)[2][-1].conj()
+    assert np.allclose(edges @ weights, 0.0, atol=1e-12)
+    amplitudes = {o: complex(w) for o, w in zip(inputs, weights)}
+    narrow = fs.registry([a, b], 3)
+    assert (narrow.width, wide.width) == (2, 3)
+    out = fs.apply_beam_splitter(PhotonicState(narrow, amplitudes), (a, b))
+    want = fs.apply_beam_splitter(PhotonicState(wide, amplitudes), (a, b))
+    assert out.registry is narrow
+    assert out.components() == want.components()
+    assert max(n for o in out.components() for _, n in o) == 3
+    # the widened key is narrowed back to the registry's layout
+    assert all(key == narrow.key_of(o)
+               for key, o in zip(out.amplitudes, out.components()))

@@ -1,9 +1,10 @@
 """Randomized invariant suites over the whole toolkit.
 
-Five suites, each driven by at least 1000 generated instances: evolution
+Six suites, each driven by at least 1000 generated instances: evolution
 unitarity, photon-number conservation, completeness of the reachable
-channel space, isometry Gram conditions of synthesized attacks, and
-bit-for-bit determinism of every seeded artifact.
+channel space, isometry Gram conditions of synthesized attacks, bit-for-bit
+determinism of every seeded artifact, and the Occupation boundary of the
+packed state keys.
 """
 
 import itertools
@@ -87,7 +88,7 @@ def test_passive_elements_conserve_photon_number_exactly(counts, phi):
     out = fs.mz_transform(PhotonicState.basis(reg, occupation),
                           fs.InterferometerConfig(phi=phi))
     assert out.amplitudes  # a photon-carrying input never vanishes
-    for component in out.amplitudes:
+    for component in out.components():
         assert sum(n for _, n in component) == total
 
 
@@ -127,7 +128,7 @@ def test_states_outside_reachable_space_never_register(kind, variant):
     index = {o: i for i, o in enumerate(occs)}
     basis_rows = []
     for state in space:
-        assert set(state.amplitudes) <= set(occs)
+        assert set(state.components()) <= set(occs)
         basis_rows.append([state.amplitude(o) for o in occs])
     basis = np.array(basis_rows, dtype=complex)
     assert len(space) < len(occs)  # the sector must leave room outside
@@ -306,3 +307,76 @@ def test_receiver_construction_is_structurally_deterministic():
                 == rc.interpretation_structure(second))
         for a, b in zip(rc.reversed_space(first), rc.reversed_space(second)):
             assert fs.state_to_dict(a) == fs.state_to_dict(b)
+
+
+# ---------------------------------------------------------------------------
+# suite 6: the Occupation boundary of the packed state keys
+# ---------------------------------------------------------------------------
+
+MODE_POOL = [fs.Mode(kind, index) for kind in fs.MODE_KINDS
+             for index in range(-1, 3)]
+
+
+def registry_and_occupations(seed, cap):
+    """A registry of up to 10 modes, in a random order, with the cap, and
+    1 to 6 distinct occupations of it."""
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(1, 11))
+    picks = rng.choice(len(MODE_POOL), size=size, replace=False)
+    modes = [MODE_POOL[i] for i in picks]
+    occupations = []
+    for _ in range(int(rng.integers(1, 7))):
+        counts = rng.integers(0, cap + 1, size=size) \
+            * (rng.random(size) < 0.4)
+        o = occ(*zip(modes, counts.tolist()))
+        if o not in occupations:
+            occupations.append(o)
+    return fs.registry(modes, cap), occupations
+
+
+@RANDOMIZED
+@given(seed=hst.integers(0, 2 ** 32 - 1), cap=hst.integers(1, 8),
+       extra=hst.integers(1, 3))
+def test_occupations_round_trip_through_stored_keys(seed, cap, extra):
+    reg, occupations = registry_and_occupations(seed, cap)
+    for o in occupations:
+        assert reg.occupation_of(reg.key_of(o)) == o
+    state = PhotonicState(reg, {o: 1.0 for o in occupations})
+    assert list(state.components()) == occupations
+    assert all(state.amplitude(o) == 1.0 for o in occupations)
+    # one count past the cap is named with the text the cap check has
+    # always had
+    mode = reg.modes[-1]
+    count = reg.max_photons_per_mode + extra
+    over = occ(*[(m, n) for m, n in occupations[0] if m != mode],
+               (mode, count))
+    with pytest.raises(fs.PhotonCapError) as err:
+        PhotonicState(reg, {over: 1.0})
+    assert str(err.value) == (f"{count} photons in mode {mode} exceeds the "
+                              f"per-mode cap of {reg.max_photons_per_mode}")
+
+
+def ket(occupation):
+    return "|vac>" if not occupation else "|" + ",".join(
+        f"{m}^{n}" if n > 1 else str(m) for m, n in occupation) + ">"
+
+
+@RANDOMIZED
+@given(seed=hst.integers(0, 2 ** 32 - 1), cap=hst.integers(1, 8),
+       kept=hst.integers(0, 10))
+def test_the_sort_points_list_components_in_occupation_order(seed, cap,
+                                                            kept):
+    reg, occupations = registry_and_occupations(seed, cap)
+    state = PhotonicState(reg, {o: complex(i + 1, i % 3 - 1)
+                                for i, o in enumerate(occupations)})
+    ordered = sorted(occupations)
+    assert [c["occupation"] for c in fs.state_to_dict(state)["components"]] \
+        == [{str(m): n for m, n in o} for o in ordered]
+    assert [term[term.index("|"):] for term in repr(state).split(" + ")] \
+        == [ket(o) for o in ordered]
+    occs, matrix = rc._occ_matrix([state])
+    assert occs == ordered
+    assert matrix.tolist() == [[state.amplitude(o) for o in ordered]]
+    for vector in fs.support_after_trace(state, reg.modes[:kept]):
+        listed = list(vector.components())
+        assert listed == sorted(listed)

@@ -38,7 +38,7 @@ def test_reversed_space_is_orthonormal_and_vacuum_first(kind, variant, dim):
         for j, b in enumerate(basis):
             want = 1.0 if i == j else 0.0
             assert abs(inner_product(a, b) - want) < 1e-9
-    assert set(basis[0].amplitudes) == {fs.VACUUM}
+    assert set(basis[0].components()) == {fs.VACUUM}
 
 
 @pytest.mark.parametrize("kind,variant,dim", ALL_RECEIVERS)
@@ -756,7 +756,7 @@ def _sides(receiver, setting):
         return lmap.input_basis, lmap.output_basis
     photons = min(2, receiver.registry.max_photons_per_mode)
     outputs = sorted({m for states in setting.outcomes.values()
-                      for st in states for o in st.amplitudes for m, _ in o})
+                      for st in states for o in st.components() for m, _ in o})
     inputs = [m for m in receiver.registry.modes
               if m.kind not in (fs.OUT_S, fs.OUT_D)]
     return _occupations(inputs, photons), _occupations(outputs, photons)
@@ -891,7 +891,7 @@ def test_reversed_space_returns_a_new_list_each_call():
     basis.pop()
     again = rc.reversed_space(receiver)
     assert again is not basis and len(again) == 3
-    assert set(again[0].amplitudes) == {fs.VACUUM}
+    assert set(again[0].components()) == {fs.VACUUM}
 
 
 @pytest.mark.parametrize("field", [
