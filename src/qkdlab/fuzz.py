@@ -10,7 +10,11 @@ mode for a recovery window.
 The campaign treats the device strictly as a black box: it schedules
 pulse sequences, watches only the returned observations, compares the
 observed outcome classes against an analytically computed ideal-receiver
-baseline, and tags systematic deviations.  Three behaviours matter
+baseline, and tags systematic deviations.  A device answers two calls:
+``replays(case, seeds)`` resets it and observes one case under each
+seed, walking the case's pulses once and drawing per seed, and
+``probe(case, seed)`` observes one case from the device's current state
+through the same walk and draws.  Three behaviours matter
 downstream: bright pulses are swallowed (blinding), single photons stay
 dark while blinded, and moderately bright pulses force chosen outcomes
 while blinded.  The forced-outcome records are exactly the
@@ -23,10 +27,10 @@ from __future__ import annotations
 import dataclasses
 import math
 import numbers
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, List, Mapping, Optional, Tuple, Union
+from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
+                    Union)
 
 import numpy as np
 
@@ -204,9 +208,6 @@ class FuzzObservation:
     basis_registered: Optional[str]
     click_counts: Optional[Tuple[Tuple[str, int], ...]] = None
 
-    def outcome_class(self) -> Tuple[str, Optional[str]]:
-        return (self.interpretation, self.basis_registered)
-
     def to_json_dict(self) -> dict:
         return {
             "clicks": sorted(self.clicks),
@@ -291,6 +292,8 @@ class APDParams:
 
 def _probe_seed(seed) -> int:
     """``seed`` as a Philox key: an integer in [0, 2**128)."""
+    if type(seed) is int and 0 <= seed < 1 << 128:
+        return seed
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
             or not 0 <= seed < 1 << 128:
         raise FuzzError(
@@ -337,7 +340,42 @@ def arm_intensities(theta: float, mean_photons: float) -> Dict[str, float]:
     }
 
 
-class APDReceiverDevice:
+# a Geiger-mode pulse as the draws see it: its photon number and its
+# multinomial routing probabilities (``Pulse.pvals``)
+_GeigerPulse = Tuple[int, np.ndarray]
+
+
+class _SeededDevice:
+    """The probe protocol both devices share.
+
+    A device defines ``reset`` and ``_observe(case, keys)``, which walks
+    ``case`` once from the device's current state, moving that state,
+    and then draws its Geiger-mode pulses from ``Philox(key=key)`` for
+    each key.  A case with no Geiger-mode pulse has one observation for
+    every key and never touches the generator.  Every seed is checked
+    before the device moves.
+    """
+
+    def __init__(self):
+        self._bits = np.random.Philox(key=0)
+        self._gen = np.random.Generator(self._bits)
+
+    def probe(self, case: FuzzInput, seed: int) -> FuzzObservation:
+        """Observe ``case`` from the device's current state under
+        ``seed``, an integer in [0, 2**128)."""
+        return self._observe(case, (_probe_seed(seed),))[0]
+
+    def replays(self, case: FuzzInput, seeds: Iterable[int]
+                ) -> List[FuzzObservation]:
+        """The observations of ``reset(); probe(case, seed)`` for each of
+        ``seeds``, in order, from one walk of ``case``; the device is left
+        as the last such probe leaves it."""
+        keys = [_probe_seed(seed) for seed in seeds]
+        self.reset()
+        return self._observe(case, keys)
+
+
+class APDReceiverDevice(_SeededDevice):
     """Stateful threshold-APD receiver in the passive two-basis layout.
 
     State is one integer: the first slot at which the detectors are back
@@ -348,73 +386,64 @@ class APDReceiverDevice:
     when their arm intensity reaches ``p_th``; Geiger-mode detectors see
     ``round(mean_photons)`` photons routed multinomially down the
     splitter tree, each clicking with ``geiger_efficiency``.
+
+    Each Geiger-mode pulse draws its photon routing (one multinomial)
+    and then one uniform per lit detector, clicking when the uniform
+    reaches the miss probability ``(1 - geiger_efficiency) ** n``.
+    Where that probability is 0.0 (every draw at unit efficiency, or
+    when the power underflows) the uniform cannot keep the detector
+    dark: the draw is counted, taken in one block before the probe's
+    next draw, and dropped at the probe's end.  The stream, the
+    observations and every replay are the same as drawing each one.
     """
 
     def __init__(self, params: APDParams,
                  double_click_rule: str = "invalid"):
         if double_click_rule not in ("invalid", "loss"):
             raise FuzzError("double_click_rule must be 'invalid' or 'loss'")
+        super().__init__()
         self.params = params
         self.double_click_rule = double_click_rule
         self._geiger_from_slot = None  # None: never blinded
-        self._bits = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bits)
 
     def reset(self) -> None:
         self._geiger_from_slot = None
 
-    def _blinded_at(self, slot: int) -> bool:
-        return (self._geiger_from_slot is not None
-                and slot < self._geiger_from_slot)
-
-    def probe(self, case: FuzzInput, seed: int) -> FuzzObservation:
-        """Observe ``case``; its draws come from ``Philox(key=seed)``.
-
-        Each Geiger-mode pulse draws its photon routing (one multinomial)
-        and then one uniform per lit detector, clicking when the uniform
-        reaches the miss probability ``(1 - geiger_efficiency) ** n``.
-        Where that probability is 0.0 (every draw at unit efficiency, or
-        when the power underflows) the uniform cannot keep the detector
-        dark: the draw is counted, taken in one block before the probe's
-        next draw, and dropped at the probe's end.  The stream, the
-        observations and every replay are the same as drawing each one.
-
-        The seed is checked on every probe.  The stream is keyed at the
-        probe's first draw, so a probe that draws nothing (blinding
-        pulses, linear-mode clicks) leaves the generator untouched.
-        """
-        key = _probe_seed(seed)
-        keyed = False
-        deferred = 0  # draws owed to the stream that cannot change a click
-        gen = self._gen
+    def _walk(self, case: FuzzInput) -> Tuple[int, List[_GeigerPulse]]:
+        """Move the blinding horizon through ``case``; return the click
+        mask of its linear-mode pulses and its Geiger-mode pulses."""
         p = self.params
-        q = 1.0 - p.geiger_efficiency
+        horizon = self._geiger_from_slot
         mask = 0
+        geiger = []
         for pl in case.pulses:
             if pl.mean_photons >= p.blind_threshold:
                 # saturation: no click, detectors fall into linear mode
-                horizon = pl.time_slot + p.recovery_slots + 1
-                if self._geiger_from_slot is None:
-                    self._geiger_from_slot = horizon
-                else:
-                    self._geiger_from_slot = max(self._geiger_from_slot,
-                                                 horizon)
-                continue
-            if self._blinded_at(pl.time_slot):
+                end = pl.time_slot + p.recovery_slots + 1
+                horizon = end if horizon is None else max(horizon, end)
+            elif horizon is not None and pl.time_slot < horizon:
                 for bit, det in zip(_DETECTOR_BITS, DETECTORS):
                     if pl.arms[det] >= p.p_th:
                         mask |= bit
-                continue
-            n = round(pl.mean_photons)
-            if n == 0:
-                continue
-            if not keyed:
-                _rekey(self._bits, key)
-                keyed = True
+            else:
+                n = round(pl.mean_photons)
+                if n:
+                    geiger.append((n, pl.pvals))
+        self._geiger_from_slot = horizon
+        return mask, geiger
+
+    def _draw(self, key: int, geiger: List[_GeigerPulse]) -> int:
+        """The click mask of ``geiger`` under ``Philox(key=key)``."""
+        _rekey(self._bits, key)
+        gen = self._gen
+        q = 1.0 - self.params.geiger_efficiency
+        deferred = 0  # draws owed to the stream that cannot change a click
+        mask = 0
+        for n, pvals in geiger:
             if deferred:
                 gen.random(deferred)
                 deferred = 0
-            counts = gen.multinomial(n, pl.pvals)
+            counts = gen.multinomial(n, pvals)
             for bit, arrived in zip(_DETECTOR_BITS, counts.tolist()):
                 if arrived == 0:
                     continue
@@ -428,36 +457,53 @@ class APDReceiverDevice:
                     deferred = 0
                 if gen.random() >= miss:
                     mask |= bit
-        return _OBSERVATIONS[self.double_click_rule][mask]
+        return mask
+
+    def _observe(self, case: FuzzInput, keys) -> List[FuzzObservation]:
+        linear, geiger = self._walk(case)
+        table = _OBSERVATIONS[self.double_click_rule]
+        if not geiger:
+            return [table[linear]] * len(keys)
+        return [table[linear | self._draw(key, geiger)] for key in keys]
 
 
-class IdealPNRDevice:
-    """Photon-number-resolving reference: never blinds, reports counts."""
+# what the counting device reports when no photon arrives
+_PNR_DARK = FuzzObservation(frozenset(), LOSS, None, ())
+
+
+class IdealPNRDevice(_SeededDevice):
+    """Photon-number-resolving reference: never blinds, reports counts.
+
+    Every pulse of a nonzero photon number is a Geiger-mode pulse: one
+    multinomial routing, then one binomial per detector for the photons
+    it registers.
+    """
 
     def __init__(self, geiger_efficiency: float = 1.0):
+        if not _is_real(geiger_efficiency):
+            raise FuzzError(f"geiger_efficiency must be a number, "
+                            f"got {geiger_efficiency!r}")
         if not 0.0 < geiger_efficiency <= 1.0:
             raise FuzzError("geiger_efficiency must lie in (0, 1]")
+        super().__init__()
         self.efficiency = geiger_efficiency
-        self._bits = np.random.Philox(key=0)
-        self._gen = np.random.Generator(self._bits)
 
     def reset(self) -> None:
         pass
 
-    def probe(self, case: FuzzInput, seed: int) -> FuzzObservation:
-        """Observe ``case``; seeded and keyed as ``APDReceiverDevice``."""
-        key = _probe_seed(seed)
-        keyed = False
+    def _walk(self, case: FuzzInput) -> List[_GeigerPulse]:
+        """The Geiger-mode pulses of ``case``: each that holds a photon."""
+        return [(n, pl.pvals) for pl in case.pulses
+                if (n := round(pl.mean_photons))]
+
+    def _draw(self, key: int, geiger: List[_GeigerPulse]
+              ) -> FuzzObservation:
+        """The observation of ``geiger`` under ``Philox(key=key)``."""
+        _rekey(self._bits, key)
         gen = self._gen
         registered: Dict[str, int] = {}
-        for pl in case.pulses:
-            n = round(pl.mean_photons)
-            if n == 0:
-                continue
-            if not keyed:
-                _rekey(self._bits, key)
-                keyed = True
-            counts = gen.multinomial(n, pl.pvals)
+        for n, pvals in geiger:
+            counts = gen.multinomial(n, pvals)
             for det, arrived in zip(DETECTORS, counts):
                 seen = int(gen.binomial(int(arrived), self.efficiency))
                 if seen:
@@ -466,6 +512,12 @@ class IdealPNRDevice:
         interpretation, basis = _interpret_clicks(clicks, "invalid")
         return FuzzObservation(clicks, interpretation, basis,
                                tuple(sorted(registered.items())))
+
+    def _observe(self, case: FuzzInput, keys) -> List[FuzzObservation]:
+        geiger = self._walk(case)
+        if not geiger:
+            return [_PNR_DARK] * len(keys)
+        return [self._draw(key, geiger) for key in keys]
 
 
 def make_apd_receiver_device(params: Optional[APDParams] = None,
@@ -536,10 +588,12 @@ class CampaignConfig:
 
     ``intensity_grid`` is absolute mean photon numbers for the stage-1
     sweep; ``follow_up_intensities`` are appended to blinded prefixes in
-    stage 2; ``follow_up_offsets`` are slot gaps between a prefix and its
-    probe.  ``max_cases`` caps the number of device probes (every replay
-    counts); ``max_cases < 2**32`` keeps every probe's derived sub-seed
-    distinct.
+    stage 2; both hold finite non-negative numbers.
+    ``follow_up_offsets`` are slot gaps between a prefix and its probe:
+    non-negative integers, kept as ints.  ``max_cases`` caps the number
+    of device probes (every replay counts); ``max_cases < 2**32`` keeps
+    every probe's derived sub-seed distinct.  A malformed field raises
+    FuzzError naming it when the config is built.
     """
 
     max_cases: int = 10000
@@ -558,6 +612,24 @@ class CampaignConfig:
             raise FuzzError("max_cases must lie in [1, 2**32)")
         if self.combination_depth < 1:
             raise FuzzError("combination_depth must be >= 1")
+        intensity = (lambda v: _is_real(v) and math.isfinite(v) and v >= 0,
+                     "finite non-negative numbers")
+        for name, (valid, what) in (
+                ("intensity_grid", intensity),
+                ("follow_up_intensities", intensity),
+                ("follow_up_offsets", (lambda v: _is_integer(v) and v >= 0,
+                                       "non-negative integers"))):
+            entries = getattr(self, name)
+            if not isinstance(entries, (tuple, list)):
+                raise FuzzError(f"{name} must be a tuple or list, "
+                                f"got {entries!r}")
+            for value in entries:
+                if not valid(value):
+                    raise FuzzError(f"{name} entries must be {what}, "
+                                    f"got {value!r}")
+            object.__setattr__(self, name, tuple(entries))
+        object.__setattr__(self, "follow_up_offsets",
+                           tuple(map(int, self.follow_up_offsets)))
 
 
 _GRID_FACTORS = (0.5, 1, 2, 5, 10, 50, 100, 1e3, 1e4)
@@ -711,6 +783,13 @@ def _case_seed(master_seed: int, case_index: int, replay: int) -> int:
     return (int(master_seed) << 40) ^ (case_index << 8) ^ replay
 
 
+def _case_seeds(master_seed: int, case_index: int, replays: int) -> range:
+    """``_case_seed`` of replays 0 .. replays - 1: the replay is the
+    key's low 8 bits, so the keys are consecutive."""
+    first = _case_seed(master_seed, case_index, 0)
+    return range(first, first + replays)
+
+
 def _schedule_stage01(config: CampaignConfig) -> List[Tuple[int, FuzzInput]]:
     """Depth 1: stage 0 sends each valid state once; stage 1 sweeps each
     state's intensity, then its arrival slot."""
@@ -741,15 +820,25 @@ def _followups(seed_input: FuzzInput, config: CampaignConfig,
     return probes
 
 
-def _classify_case(case: FuzzInput,
-                   observations: List[FuzzObservation],
-                   efficiency: float) -> List[Tuple[str, FuzzObservation, int]]:
-    """Tags for one case: (tag, representative observation, replay index)."""
-    replays = len(observations)
+def _tally(observations: List[FuzzObservation]
+           ) -> Dict[Tuple[str, Optional[str]], List[int]]:
+    """The replay indices of each outcome class, classes in order of
+    first appearance."""
     histogram: Dict[Tuple[str, Optional[str]], List[int]] = {}
     for idx, obs in enumerate(observations):
-        histogram.setdefault(obs.outcome_class(), []).append(idx)
+        histogram.setdefault((obs.interpretation, obs.basis_registered),
+                             []).append(idx)
+    return histogram
 
+
+def _classify_case(case: FuzzInput,
+                   observations: List[FuzzObservation],
+                   histogram: Dict[Tuple[str, Optional[str]], List[int]],
+                   efficiency: float
+                   ) -> List[Tuple[str, FuzzObservation, int]]:
+    """Tags for one case: (tag, representative observation, replay index);
+    ``histogram`` is ``_tally(observations)``."""
+    replays = len(observations)
     final = case.pulses[-1]
     bright_final = final.mean_photons >= 2.0
     has_prefix = len(case.pulses) > 1
@@ -832,11 +921,13 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
     timing one degree of freedom at a time.  Once the last case of a
     depth d < ``combination_depth`` has run, the schedule grows by stage
     d + 1: the follow-ups of the inputs first found anomalous during
-    depth d, in the order found, each prefixed to fresh probes.  The
-    device is reset before every probe, and each case is replayed
-    ``_REPLAYS`` times under derived sub-seeds, so a report is a
-    pure function of (device model, config, seed).  ``seed`` is an
-    integer in [0, 2**88), the range the sub-seed keys can hold.
+    depth d, in the order found, each prefixed to fresh probes.  Each
+    case is replayed ``_REPLAYS`` times under derived sub-seeds through
+    one ``device.replays`` call, which resets the device and walks the
+    case once, so every replay starts from a reset device and a report
+    is a pure function of (device model, config, seed).  The replays
+    are tallied by outcome class once.  ``seed`` is an integer in
+    [0, 2**88), the range the sub-seed keys can hold.
     """
     if config is None:
         params = getattr(device, "params", None)
@@ -866,18 +957,15 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
     while case_index < len(schedule) \
             and (case_index + 1) * replays <= config.max_cases:
         stage, case = schedule[case_index]
-        observations = []
-        for replay in range(replays):
-            device.reset()
-            observations.append(
-                device.probe(case, _case_seed(seed, case_index, replay)))
+        observations = device.replays(
+            case, _case_seeds(seed, case_index, replays))
+        histogram = _tally(observations)
         if stage == 0:
             # stage 0 runs first, so every probe so far is one of its own
-            stage0_losses += sum(o.interpretation == LOSS
-                                 for o in observations)
+            stage0_losses += len(histogram.get((LOSS, None), ()))
             efficiency = max(
                 1.0 - stage0_losses / ((case_index + 1) * replays), 1e-6)
-        tags = _classify_case(case, observations, efficiency)
+        tags = _classify_case(case, observations, histogram, efficiency)
         for tag, rep, rep_idx in tags:
             anomalies.append(FuzzAnomaly(
                 anomaly_id=f"a{len(anomalies):04d}",
@@ -888,9 +976,9 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
             trace_rows.append({
                 "case_index": case_index, "stage": stage,
                 "input": case.to_json_dict(),
-                "classes": Counter(
-                    f"{o.interpretation}/{o.basis_registered or '-'}"
-                    for o in observations),
+                "classes": {f"{interpretation}/{basis or '-'}": len(hits)
+                            for (interpretation, basis), hits
+                            in histogram.items()},
                 "tags": [t for t, _, _ in tags],
             })
         case_index += 1
@@ -922,17 +1010,15 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
 
 def replay_anomaly(device, report: FuzzReport,
                    anomaly_id: str) -> Tuple[FuzzObservation, bool]:
-    """Re-execute a logged anomaly on a freshly reset device.
+    """Re-execute a logged anomaly on a freshly reset device: one
+    ``device.replays`` call under the anomaly's sub-seed.
 
     Returns the new observation and whether it reproduces the logged
     one exactly.
     """
     for anomaly in report.anomalies:
         if anomaly.anomaly_id == anomaly_id:
-            device.reset()
-            obs = device.probe(anomaly.input,
-                               _case_seed(report.rng_seed,
-                                          anomaly.case_index,
-                                          anomaly.replay_index))
+            obs, = device.replays(anomaly.input, [_case_seed(
+                report.rng_seed, anomaly.case_index, anomaly.replay_index)])
             return obs, obs == anomaly.observation
     raise FuzzError(f"no anomaly with id {anomaly_id!r}")

@@ -73,6 +73,19 @@ def test_apd_parameters_must_be_numbers(key, value):
         fuzz.APDParams(**{key: value})
 
 
+@pytest.mark.parametrize("value", [True, False, "0.5", None, [0.5]])
+def test_pnr_efficiency_must_be_a_number(value):
+    with pytest.raises(fuzz.FuzzError,
+                       match="geiger_efficiency must be a number"):
+        fuzz.IdealPNRDevice(value)
+
+
+@pytest.mark.parametrize("value", [0.0, -0.5, 1.5, float("nan")])
+def test_pnr_efficiency_must_lie_in_the_unit_interval(value):
+    with pytest.raises(fuzz.FuzzError, match="geiger_efficiency"):
+        fuzz.IdealPNRDevice(value)
+
+
 def test_an_integral_recovery_slots_is_kept_as_an_int():
     for slots in (2.0, np.int64(2)):
         params = fuzz.APDParams(recovery_slots=slots)
@@ -222,6 +235,12 @@ def test_baseline_matches_the_per_subset_products_bit_for_bit(efficiency):
         assert probs[(rc.INVALID, None)] == max(1.0 - singles - p_none, 0.0)
 
 
+def test_case_seeds_are_the_replays_sub_seeds():
+    for master, case_index in ((0, 0), (7, 5), (2 ** 88 - 1, 2 ** 32 - 1)):
+        assert list(fuzz._case_seeds(master, case_index, 256)) == [
+            fuzz._case_seed(master, case_index, r) for r in range(256)]
+
+
 def test_baseline_class_probabilities():
     case = fuzz.FuzzInput((fuzz.pulse(0, "H", 1.0),))
     probs = fuzz.baseline_class_probabilities(case, 1.0)
@@ -353,6 +372,48 @@ def test_draw_free_probe_leaves_the_next_probe_unchanged():
     pnr.probe(drawing, 4)
     pnr.probe(fuzz.FuzzInput((fuzz.pulse(0, "H", 0.2),)), 5)
     assert pnr.probe(drawing, 3) == expected
+
+
+def _stream(device):
+    """The device's bit-generator state, comparable with ``==``."""
+    return repr(device._bits.state)
+
+
+_DRAWING = fuzz.FuzzInput((fuzz.pulse(0, "+45", 5.0),))
+
+
+@pytest.mark.parametrize("make,case", [
+    (fuzz.make_apd_receiver_device,
+     fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),))),
+    (fuzz.make_apd_receiver_device,
+     fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0), fuzz.pulse(1, "V", 40.0)))),
+    (lambda: fuzz.IdealPNRDevice(0.8),
+     fuzz.FuzzInput((fuzz.pulse(0, "H", 0.2), fuzz.pulse(3, "V", 0.4)))),
+])
+def test_draw_free_replays_leave_the_generator_untouched(make, case):
+    device = make()
+    device.probe(_DRAWING, 5)  # a used stream
+    before = _stream(device)
+    observations = device.replays(case, range(12))
+    assert observations == [device.probe(case, 99)] * 12
+    assert _stream(device) == before
+    for position in range(3):
+        for bad in (-1, 1.5, 2 ** 128, True):
+            seeds = [1, 2, 3]
+            seeds[position] = bad
+            with pytest.raises(fuzz.FuzzError, match="seed"):
+                device.replays(case, seeds)
+    assert _stream(device) == before
+
+
+def test_a_bad_seed_leaves_the_device_where_it_was():
+    device = fuzz.make_apd_receiver_device()
+    device.probe(fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),)), 0)
+    dark = fuzz.FuzzInput((fuzz.pulse(2, "V", 1.0),))
+    with pytest.raises(fuzz.FuzzError, match="seed"):
+        device.replays(dark, [0, -1])
+    # still blinded: the failed call neither reset nor walked the device
+    assert device.probe(dark, 1).interpretation == rc.LOSS
 
 
 def test_pulse_split_is_derived_once_and_stays_out_of_identity():
@@ -518,6 +579,69 @@ def test_campaign_trace_bytes_are_pinned(tmp_path, name):
     _pinned_campaign(name, trace_path=path)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == \
         _TRACE_DIGESTS[name]
+
+
+def _probed_cases(name):
+    """(case, seeds) of every ``replays`` call of one pinned campaign."""
+    device, config, seed = _pinned_setup(name)
+    calls = []
+    replays = device.replays
+
+    def recording(case, seeds):
+        calls.append((case, list(seeds)))
+        return replays(case, seeds)
+
+    device.replays = recording
+    fuzz.run_fuzz_campaign(device, config, seed)
+    return calls
+
+
+def _device_state(device):
+    return getattr(device, "_geiger_from_slot", None), _stream(device)
+
+
+# the seven traced setups run the APD device; the PNR setup runs the other
+@pytest.mark.parametrize("name", sorted(_TRACE_DIGESTS) + ["ideal-pnr-0.8"])
+def test_replays_equal_a_reset_probe_per_seed(name):
+    calls = _probed_cases(name)
+    assert len(calls) >= 64  # the depth-1 schedule at least
+    replaying, probing = _pinned_setup(name)[0], _pinned_setup(name)[0]
+    for case, seeds in calls:
+        observations = replaying.replays(case, seeds)
+        expected = []
+        for seed in seeds:
+            probing.reset()
+            expected.append(probing.probe(case, seed))
+        assert observations == expected, case
+        assert _device_state(replaying) == _device_state(probing), case
+
+
+@pytest.mark.parametrize("name", ["default-seed0", "depth-3",
+                                  "ideal-pnr-0.8"])
+def test_a_campaign_walks_each_case_once(tmp_path, name):
+    device, config, seed = _pinned_setup(name)
+    walked = []
+    walk = device._walk
+
+    def counting(case):
+        walked.append(case)
+        return walk(case)
+
+    device._walk = counting
+    path = tmp_path / "trace.ndjson"
+    report = fuzz.run_fuzz_campaign(device, config, seed, path)
+    rows = [json.loads(line) for line in path.read_text().splitlines()[1:]]
+    assert len(walked) == report.distinct_inputs == len(rows)
+    assert [case.to_json_dict() for case in walked] == \
+        [row["input"] for row in rows]
+
+    # a replayed anomaly walks its case once more
+    walked.clear()
+    anomaly = report.anomalies[0] if report.anomalies else None
+    if anomaly is not None:
+        _, reproduced = fuzz.replay_anomaly(device, report,
+                                            anomaly.anomaly_id)
+        assert reproduced and walked == [anomaly.input]
 
 
 @pytest.mark.parametrize("name", ["double-click-loss", "underflow-0.999",
@@ -687,6 +811,48 @@ def test_integral_float_config_counts_run_as_integers():
     assert report.to_json_dict() == fuzz.run_fuzz_campaign(
         fuzz.make_apd_receiver_device(params),
         fuzz.default_config(params, max_cases=200), seed=0).to_json_dict()
+
+
+_BAD_INTENSITIES = [(float("nan"),), (2.0, -1.0), (True,), (float("inf"),),
+                    ("5",), (None,), 5.0, "20"]
+
+
+@pytest.mark.parametrize("key,value", [
+    *(("intensity_grid", v) for v in _BAD_INTENSITIES),
+    *(("follow_up_intensities", v) for v in _BAD_INTENSITIES),
+    ("follow_up_offsets", (-3,)), ("follow_up_offsets", (1.5,)),
+    ("follow_up_offsets", (1, True)), ("follow_up_offsets", ("1",)),
+    ("follow_up_offsets", (float("inf"),)), ("follow_up_offsets", (None,)),
+    ("follow_up_offsets", 1), ("follow_up_offsets", "1"),
+])
+def test_config_entries_are_checked_when_built(key, value):
+    # before, a bad offset failed only once depth 2 was scheduled, or
+    # never when no anomaly seeded it
+    with pytest.raises(fuzz.FuzzError, match=key):
+        fuzz.CampaignConfig(**{key: value})
+    with pytest.raises(fuzz.FuzzError, match=key):
+        dataclasses.replace(fuzz.default_config(fuzz.APDParams()),
+                            **{key: value})
+
+
+def test_config_sequences_are_kept_as_tuples():
+    config = fuzz.CampaignConfig(
+        intensity_grid=[2, 20.0], follow_up_intensities=[0, np.float64(1.5)],
+        follow_up_offsets=[0, 2.0, np.int64(5)])
+    assert config.intensity_grid == (2, 20.0)
+    assert config.follow_up_intensities == (0, 1.5)
+    assert config.follow_up_offsets == (0, 2, 5)
+    assert all(type(v) is int for v in config.follow_up_offsets)
+
+    params = fuzz.APDParams()
+    stock = fuzz.default_config(params, max_cases=1200)
+    listed = dataclasses.replace(
+        stock, intensity_grid=list(stock.intensity_grid),
+        follow_up_offsets=[float(v) for v in stock.follow_up_offsets])
+    assert fuzz.run_fuzz_campaign(
+        fuzz.make_apd_receiver_device(params), listed, 0).to_json_dict() \
+        == fuzz.run_fuzz_campaign(
+            fuzz.make_apd_receiver_device(params), stock, 0).to_json_dict()
 
 
 def test_config_and_argument_validation():
