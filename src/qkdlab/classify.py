@@ -27,7 +27,7 @@ memberships, and expected classes, and exports the family graph.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Tuple
+from typing import Tuple
 
 # read-side vocabulary
 PROTOCOL_INPUT = "protocol-input"
@@ -112,12 +112,6 @@ class SpaceFootprint:
         }
 
 
-def footprint(reads: Iterable[str] = (), writes: Iterable[str] = (),
-              env_write_is_side_effect_only: bool = False) -> SpaceFootprint:
-    return SpaceFootprint(frozenset(reads), frozenset(writes),
-                          env_write_is_side_effect_only)
-
-
 def classify(fp: SpaceFootprint) -> str:
     """Assign the attack class for a declared footprint.
 
@@ -156,7 +150,7 @@ def footprint_of_attack(member) -> SpaceFootprint:
     if eve_dim > 1:
         reads.add(EVE_ANCILLA_IN)
         writes.add(EVE_ANCILLA_OUT)
-    return footprint(reads, writes)
+    return SpaceFootprint(reads, writes)
 
 
 @dataclass(frozen=True)
@@ -180,15 +174,11 @@ class AttackRecord:
             raise ClassifyError(
                 f"record {self.name!r} expects {self.expected_class} but "
                 f"its footprint classifies as {classify(self.footprint)}")
-        if FAKED_STATES in self.tags and REVERSED_SPACE not in self.tags:
-            raise ClassifyError(
-                f"record {self.name!r}: faked-states membership implies "
-                f"reversed-space membership")
-        if (DETECTOR_EFFICIENCY_MISMATCH in self.tags
-                and FAKED_STATES not in self.tags):
-            raise ClassifyError(
-                f"record {self.name!r}: detector-efficiency-mismatch "
-                f"membership implies faked-states membership")
+        for special, general in FAMILY_EDGES:
+            if special in self.tags and general not in self.tags:
+                raise ClassifyError(
+                    f"record {self.name!r}: {special} membership implies "
+                    f"{general} membership")
 
     def to_json_dict(self) -> dict:
         return {
@@ -205,7 +195,8 @@ def registry() -> Tuple[AttackRecord, ...]:
     return (
         AttackRecord(
             "photon-number-splitting",
-            footprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT, EVE_ANCILLA_OUT}),
+            SpaceFootprint({PROTOCOL_INPUT},
+                           {PROTOCOL_OUTPUT, EVE_ANCILLA_OUT}),
             frozenset(), STATE_CHANNEL,
             "Counts photons per pulse, keeps one photon of every "
             "multi-photon pulse as a private ancilla, and forwards the "
@@ -213,63 +204,63 @@ def registry() -> Tuple[AttackRecord, ...]:
             "announcement."),
         AttackRecord(
             "large-pulse-alice",
-            footprint({ENVIRONMENT, EXTENDED_INPUT}, {EXTENDED_OUTPUT}),
+            SpaceFootprint({ENVIRONMENT, EXTENDED_INPUT}, {EXTENDED_OUTPUT}),
             frozenset({TROJAN_HORSE}), SIDE_CHANNEL,
             "Interrogates the transmitter with a bright pulse and reads "
             "the private state choice off the back-reflection, which "
             "depends on the device's internal optical configuration."),
         AttackRecord(
             "large-pulse-bob",
-            footprint({ENVIRONMENT, EXTENDED_INPUT}, {EXTENDED_OUTPUT}),
+            SpaceFootprint({ENVIRONMENT, EXTENDED_INPUT}, {EXTENDED_OUTPUT}),
             frozenset({TROJAN_HORSE}), SIDE_CHANNEL,
             "Same interrogation aimed at the receiver to learn the basis "
             "setting before the signal arrives; needs no enlarged "
             "interpretation of the receiver's measurement."),
         AttackRecord(
             "injection-locking",
-            footprint({EXTENDED_INPUT}, {ENVIRONMENT}),
+            SpaceFootprint({EXTENDED_INPUT}, {ENVIRONMENT}),
             frozenset(), SIDE_CHANNEL,
             "Seeds the transmitter laser with external light so each "
             "encoded state is emitted at a distinguishable wavelength, "
             "then reads the bit from the frequency."),
         AttackRecord(
             "time-shift",
-            footprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
+            SpaceFootprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
             frozenset({REVERSED_SPACE}), STATE_CHANNEL,
             "Delays or advances each pulse into detector-sensitivity "
             "windows where one bit value dominates; never measures the "
             "signal, so it is not a faked-states attack."),
         AttackRecord(
             "trojan-pony",
-            footprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
+            SpaceFootprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
             frozenset({FAKED_STATES, REVERSED_SPACE}), STATE_CHANNEL,
             "Measures and resends multi-photon states that a receiver "
             "treating double clicks as losses registers either as loss "
             "or as the chosen outcome."),
         AttackRecord(
             "imperfect-faraday-mirror",
-            footprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
+            SpaceFootprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
             frozenset(), STATE_CHANNEL,
             "Exploits a transmitter fault that spreads the four sent "
             "states over three dimensions, where measure-resend "
             "distinguishes them better at acceptable error rates."),
         AttackRecord(
             "bright-illumination",
-            footprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT, ENVIRONMENT}),
+            SpaceFootprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT, ENVIRONMENT}),
             frozenset({REVERSED_SPACE, BRIGHT_ILLUMINATION}), SIDE_CHANNEL,
             "Drives the detectors into their linear mode with bright "
             "light (a device-state change, hence the environment "
             "write) and then forces chosen clicks with shaped pulses."),
         AttackRecord(
             "fixed-apparatus",
-            footprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
+            SpaceFootprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
             frozenset({REVERSED_SPACE}), STATE_CHANNEL,
             "Uses internal directions of a passive-choice receiver, "
             "such as a blocked interferometer arm, that enlarge the "
             "span its measurement responds to."),
         AttackRecord(
             "detector-efficiency-mismatch",
-            footprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
+            SpaceFootprint({PROTOCOL_INPUT}, {PROTOCOL_OUTPUT}),
             frozenset({DETECTOR_EFFICIENCY_MISMATCH, FAKED_STATES,
                        REVERSED_SPACE}), STATE_CHANNEL,
             "Sends faked states timed into the non-overlapping parts of "
@@ -277,7 +268,7 @@ def registry() -> Tuple[AttackRecord, ...]:
             "outcomes."),
         AttackRecord(
             "camera-in-lab",
-            footprint({ENVIRONMENT}, ()),
+            SpaceFootprint({ENVIRONMENT}, ()),
             frozenset(), NEITHER,
             "Watches the receiver operator's basis choices through a "
             "camera; no quantum signal space is read or written."),

@@ -10,16 +10,16 @@ mode for a recovery window.
 The campaign treats the device strictly as a black box: it schedules
 pulse sequences, watches only the returned observations, compares the
 observed outcome classes against an analytically computed ideal-receiver
-baseline, and tags systematic deviations.  A device answers two calls:
-``replays(case, seeds)`` resets it and observes one case under each
-seed, walking the case's pulses once and drawing per seed, and
-``probe(case, seed)`` observes one case from the device's current state
-through the same walk and draws.  Three behaviours matter
-downstream: bright pulses are swallowed (blinding), single photons stay
-dark while blinded, and moderately bright pulses force chosen outcomes
-while blinded.  The forced-outcome records are exactly the
-vulnerability records the receiver factory accepts to rebuild the
-equivalent bright-pulse receiver model.
+baseline, and tags systematic deviations.  A device answers one call,
+``replays(case, seeds)``: it observes one case under each seed, walking
+the case's pulses once from an un-blinded start and drawing per seed, so
+blinding lasts across the pulses of a case and never from one case to
+the next.  Three behaviours matter downstream: bright pulses are
+swallowed (blinding), single photons stay dark while blinded, and
+moderately bright pulses force chosen outcomes while blinded.  The
+forced-outcome records are exactly the vulnerability records the
+receiver factory accepts to rebuild the equivalent bright-pulse receiver
+model.
 """
 
 from __future__ import annotations
@@ -290,14 +290,15 @@ class APDParams:
             raise FuzzError("geiger_efficiency must lie in (0, 1]")
 
 
-def _probe_seed(seed) -> int:
-    """``seed`` as a Philox key: an integer in [0, 2**128)."""
-    if type(seed) is int and 0 <= seed < 1 << 128:
+def _checked_seed(seed, bits: int, name: str) -> int:
+    """``seed`` as an integer in [0, 2**bits); a bool is not one, and
+    FuzzError names ``name`` otherwise."""
+    if type(seed) is int and 0 <= seed < 1 << bits:
         return seed
     if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or not 0 <= seed < 1 << 128:
+            or not 0 <= seed < 1 << bits:
         raise FuzzError(
-            f"probe seed must be an integer in [0, 2**128), got {seed!r}")
+            f"{name} must be an integer in [0, 2**{bits}), got {seed!r}")
     return int(seed)
 
 
@@ -348,37 +349,30 @@ _GeigerPulse = Tuple[int, np.ndarray]
 class _SeededDevice:
     """The probe protocol both devices share.
 
-    A device defines ``reset`` and ``_observe(case, keys)``, which walks
-    ``case`` once from the device's current state, moving that state,
-    and then draws its Geiger-mode pulses from ``Philox(key=key)`` for
-    each key.  A case with no Geiger-mode pulse has one observation for
-    every key and never touches the generator.  Every seed is checked
-    before the device moves.
+    A device defines ``_observe(case, keys)``, which walks ``case`` once
+    from an un-blinded start and then draws its Geiger-mode pulses from
+    ``Philox(key=key)`` for each key.  A case with no Geiger-mode pulse
+    has one observation for every key and never touches the generator.
     """
 
     def __init__(self):
         self._bits = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bits)
 
-    def probe(self, case: FuzzInput, seed: int) -> FuzzObservation:
-        """Observe ``case`` from the device's current state under
-        ``seed``, an integer in [0, 2**128)."""
-        return self._observe(case, (_probe_seed(seed),))[0]
-
     def replays(self, case: FuzzInput, seeds: Iterable[int]
                 ) -> List[FuzzObservation]:
-        """The observations of ``reset(); probe(case, seed)`` for each of
-        ``seeds``, in order, from one walk of ``case``; the device is left
-        as the last such probe leaves it."""
-        keys = [_probe_seed(seed) for seed in seeds]
-        self.reset()
-        return self._observe(case, keys)
+        """The observation of ``case`` under each of ``seeds``, integers
+        in [0, 2**128), in order, from one walk of ``case``; every seed
+        is checked before the walk."""
+        return self._observe(
+            case, [_checked_seed(seed, 128, "probe seed") for seed in seeds])
 
 
 class APDReceiverDevice(_SeededDevice):
-    """Stateful threshold-APD receiver in the passive two-basis layout.
+    """Threshold-APD receiver in the passive two-basis layout.
 
-    State is one integer: the first slot at which the detectors are back
+    Its blinding state, within one case, is one integer: the first slot
+    at which the detectors are back in Geiger mode.  Every case starts
     in Geiger mode.  A pulse at or above ``blind_threshold`` produces no
     click itself (the avalanche saturates) and holds the whole device in
     linear mode for the following ``recovery_slots`` slots; re-blinding
@@ -392,9 +386,9 @@ class APDReceiverDevice(_SeededDevice):
     reaches the miss probability ``(1 - geiger_efficiency) ** n``.
     Where that probability is 0.0 (every draw at unit efficiency, or
     when the power underflows) the uniform cannot keep the detector
-    dark: the draw is counted, taken in one block before the probe's
-    next draw, and dropped at the probe's end.  The stream, the
-    observations and every replay are the same as drawing each one.
+    dark: the draw is counted, taken in one block before the seed's
+    next draw, and dropped at its last.  The stream and the observations
+    are the same as drawing each one.
     """
 
     def __init__(self, params: APDParams,
@@ -404,16 +398,13 @@ class APDReceiverDevice(_SeededDevice):
         super().__init__()
         self.params = params
         self.double_click_rule = double_click_rule
-        self._geiger_from_slot = None  # None: never blinded
-
-    def reset(self) -> None:
-        self._geiger_from_slot = None
 
     def _walk(self, case: FuzzInput) -> Tuple[int, List[_GeigerPulse]]:
-        """Move the blinding horizon through ``case``; return the click
-        mask of its linear-mode pulses and its Geiger-mode pulses."""
+        """Move the blinding horizon through ``case`` from an un-blinded
+        start; return the click mask of its linear-mode pulses and its
+        Geiger-mode pulses."""
         p = self.params
-        horizon = self._geiger_from_slot
+        horizon = None  # the first Geiger-mode slot; None: never blinded
         mask = 0
         geiger = []
         for pl in case.pulses:
@@ -429,7 +420,6 @@ class APDReceiverDevice(_SeededDevice):
                 n = round(pl.mean_photons)
                 if n:
                     geiger.append((n, pl.pvals))
-        self._geiger_from_slot = horizon
         return mask, geiger
 
     def _draw(self, key: int, geiger: List[_GeigerPulse]) -> int:
@@ -488,9 +478,6 @@ class IdealPNRDevice(_SeededDevice):
         super().__init__()
         self.efficiency = geiger_efficiency
 
-    def reset(self) -> None:
-        pass
-
     def _walk(self, case: FuzzInput) -> List[_GeigerPulse]:
         """The Geiger-mode pulses of ``case``: each that holds a photon."""
         return [(n, pl.pvals) for pl in case.pulses
@@ -520,10 +507,10 @@ class IdealPNRDevice(_SeededDevice):
         return [self._draw(key, geiger) for key in keys]
 
 
-def make_apd_receiver_device(params: Optional[APDParams] = None,
+def make_apd_receiver_device(params: APDParams,
                              double_click_rule: str = "invalid"
                              ) -> APDReceiverDevice:
-    return APDReceiverDevice(params or APDParams(), double_click_rule)
+    return APDReceiverDevice(params, double_click_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -909,8 +896,7 @@ def _derived_vulnerabilities(anomalies: List[FuzzAnomaly]) -> List[dict]:
     return list(records.values())
 
 
-def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
-                      seed: int = 0,
+def run_fuzz_campaign(device, config: CampaignConfig, seed: int = 0,
                       trace_path: Union[str, Path, None] = None) -> FuzzReport:
     """Probe a device through the staged schedule and tag what deviates.
 
@@ -923,24 +909,15 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
     d + 1: the follow-ups of the inputs first found anomalous during
     depth d, in the order found, each prefixed to fresh probes.  Each
     case is replayed ``_REPLAYS`` times under derived sub-seeds through
-    one ``device.replays`` call, which resets the device and walks the
-    case once, so every replay starts from a reset device and a report
-    is a pure function of (device model, config, seed).  The replays
-    are tallied by outcome class once.  ``seed`` is an integer in
-    [0, 2**88), the range the sub-seed keys can hold.
+    one ``device.replays`` call, which walks the case once from an
+    un-blinded start, so a report is a pure function of (device model,
+    config, seed).  The replays are tallied by outcome class once.
+    ``seed`` is an integer in [0, 2**88), the range the sub-seed keys
+    can hold.
     """
-    if config is None:
-        params = getattr(device, "params", None)
-        if params is None:
-            raise FuzzError("device carries no parameters; pass an explicit "
-                            "CampaignConfig")
-        config = default_config(params)
     if not config.intensity_grid:
         raise FuzzError("config has an empty intensity grid")
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) \
-            or not 0 <= seed < 2 ** 88:
-        raise FuzzError(
-            f"seed must be an integer in [0, 2**88), got {seed!r}")
+    _checked_seed(seed, 88, "seed")
 
     replays = _REPLAYS
     schedule = _schedule_stage01(config)
@@ -1010,8 +987,8 @@ def run_fuzz_campaign(device, config: Optional[CampaignConfig] = None,
 
 def replay_anomaly(device, report: FuzzReport,
                    anomaly_id: str) -> Tuple[FuzzObservation, bool]:
-    """Re-execute a logged anomaly on a freshly reset device: one
-    ``device.replays`` call under the anomaly's sub-seed.
+    """Re-execute a logged anomaly: one ``device.replays`` call under
+    the anomaly's sub-seed.
 
     Returns the new observation and whether it reproduces the logged
     one exactly.

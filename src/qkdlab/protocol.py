@@ -54,7 +54,7 @@ import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -409,13 +409,14 @@ def _guess_rule(channel: ChannelModel, labels, n_set: int,
 
 
 def _report(cells, counts: np.ndarray, tested: np.ndarray,
-            bases: Iterable[str], **fields) -> SimulationReport:
+            **fields) -> SimulationReport:
     """Aggregate per-cell round counts into a validated report.
 
     ``cells[i]`` is an (alice_basis, alice_bit, bob_setting, code,
     eve_guess) tuple; ``counts[i]`` rounds fell in that cell and
-    ``tested[i]`` of them in the error-test subsample.  Every figure is a
-    ratio of integer counts, so it does not depend on how the rounds
+    ``tested[i]`` of them in the error-test subsample.  The report lists
+    each basis that some cell shares between Alice and Bob.  Every figure
+    is a ratio of integer counts, so it does not depend on how the rounds
     were split into chunks.  If the subsample of some basis (or of all
     of them) is empty while sifted bits exist, the error estimate falls
     back to all of its sifted bits.
@@ -437,7 +438,7 @@ def _report(cells, counts: np.ndarray, tested: np.ndarray,
         return _ratio(total(m & error, tested), n_test)
 
     per_basis = {}
-    for s in bases:
+    for s in sorted({s for a, _, s, _, _ in cells if a == s}):
         m = matched & (setting == s)
         n, n_sift, n_inv = total(m), total(m & sifted), total(m & invalid)
         n_lost = n - n_sift - n_inv
@@ -608,8 +609,7 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
                     fh.write(_log_lines(prefixes, start + lo,
                                         cell[lo:lo + _LOG_SLICE]))
 
-    bases = [s for s in settings if s in {lab[0] for lab in labels}]
-    return _report(cells, counts, counts, bases,
+    return _report(cells, counts, counts,
                    receiver=receiver.name, channel=channel.kind,
                    rng_seed=seed, test_fraction=1.0,
                    attack_label=attack_label)
@@ -935,9 +935,7 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     if header["rounds"] != n:
         raise ProtocolError(
             f"header promises {header['rounds']} rounds, log has {n}")
-    bases = sorted({s for (a, _, s, _, _), c in zip(cells.cells, counts)
-                    if a == s and c})
-    return _report(cells.cells, counts, tested, bases,
+    return _report(cells.cells, counts, tested,
                    receiver=header["receiver"], channel=header["channel"],
                    rng_seed=header["rng_seed"], test_fraction=test_fraction,
                    attack_label=header.get("attack_label"))

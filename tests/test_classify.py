@@ -12,45 +12,45 @@ from qkdlab import receivers as rc
 
 def test_footprint_vocabulary_is_enforced():
     with pytest.raises(cl.ClassifyError):
-        cl.footprint({"wiretap"}, ())
+        cl.SpaceFootprint({"wiretap"}, ())
     with pytest.raises(cl.ClassifyError):
-        cl.footprint((), {"protocol-input"})  # read token on write side
-    fp = cl.footprint([cl.PROTOCOL_INPUT, cl.PROTOCOL_INPUT],
-                      [cl.PROTOCOL_OUTPUT])
+        cl.SpaceFootprint((), {"protocol-input"})  # read token on write side
+    fp = cl.SpaceFootprint([cl.PROTOCOL_INPUT, cl.PROTOCOL_INPUT],
+                           [cl.PROTOCOL_OUTPUT])
     assert fp.reads == {cl.PROTOCOL_INPUT}
     assert isinstance(fp.writes, frozenset)
 
 
 def test_classify_core_cases():
     # consumes sent states, emits into the measured span + ancilla
-    assert cl.classify(cl.footprint(
+    assert cl.classify(cl.SpaceFootprint(
         {cl.PROTOCOL_INPUT},
         {cl.PROTOCOL_OUTPUT, cl.EVE_ANCILLA_OUT})) == cl.STATE_CHANNEL
     # reading the environment while using the channel: side channel
-    assert cl.classify(cl.footprint(
+    assert cl.classify(cl.SpaceFootprint(
         {cl.PROTOCOL_INPUT, cl.ENVIRONMENT},
         {cl.PROTOCOL_OUTPUT})) == cl.SIDE_CHANNEL
     # writing beyond the measured span: side channel
-    assert cl.classify(cl.footprint(
+    assert cl.classify(cl.SpaceFootprint(
         {cl.PROTOCOL_INPUT},
         {cl.EXTENDED_OUTPUT})) == cl.SIDE_CHANNEL
     # pure out-of-band spying: neither
-    assert cl.classify(cl.footprint({cl.ENVIRONMENT}, ())) == cl.NEITHER
-    assert cl.classify(cl.footprint((), ())) == cl.NEITHER
+    assert cl.classify(cl.SpaceFootprint({cl.ENVIRONMENT}, ())) == cl.NEITHER
+    assert cl.classify(cl.SpaceFootprint((), ())) == cl.NEITHER
 
 
 def test_unobservable_environment_write_is_the_trivial_case():
     base = dict(reads={cl.PROTOCOL_INPUT},
                 writes={cl.PROTOCOL_OUTPUT, cl.ENVIRONMENT})
-    leaky = cl.footprint(**base)
+    leaky = cl.SpaceFootprint(**base)
     assert cl.classify(leaky) == cl.SIDE_CHANNEL
-    harmless = cl.footprint(**base, env_write_is_side_effect_only=True)
+    harmless = cl.SpaceFootprint(**base, env_write_is_side_effect_only=True)
     assert cl.classify(harmless) == cl.TRIVIAL_SIDE_CHANNEL
     # the flag only matters when the environment write is the sole
     # side condition
-    still_side = cl.footprint({cl.PROTOCOL_INPUT, cl.EXTENDED_INPUT},
-                              {cl.ENVIRONMENT},
-                              env_write_is_side_effect_only=True)
+    still_side = cl.SpaceFootprint({cl.PROTOCOL_INPUT, cl.EXTENDED_INPUT},
+                                   {cl.ENVIRONMENT},
+                                   env_write_is_side_effect_only=True)
     assert cl.classify(still_side) == cl.SIDE_CHANNEL
 
 
@@ -66,7 +66,7 @@ def test_classification_is_total_and_dichotomous():
         for w_bits in range(2 ** len(writes_pool)):
             writes = {s for i, s in enumerate(writes_pool) if w_bits >> i & 1}
             for flag in (False, True):
-                fp = cl.footprint(reads, writes, flag)
+                fp = cl.SpaceFootprint(reads, writes, flag)
                 verdict = cl.classify(fp)
                 assert verdict in cl.CLASSES
                 is_side = bool(reads & {cl.EXTENDED_INPUT, cl.ENVIRONMENT}
@@ -129,16 +129,22 @@ def test_family_membership_structure():
 
 
 def test_record_validation_rejects_inconsistencies():
-    good = cl.footprint({cl.PROTOCOL_INPUT}, {cl.PROTOCOL_OUTPUT})
+    good = cl.SpaceFootprint({cl.PROTOCOL_INPUT}, {cl.PROTOCOL_OUTPUT})
     with pytest.raises(cl.ClassifyError):
         cl.AttackRecord("x", good, frozenset({"novel-family"}),
                         cl.STATE_CHANNEL, "")
     with pytest.raises(cl.ClassifyError):
         cl.AttackRecord("x", good, frozenset(), cl.SIDE_CHANNEL, "")
-    with pytest.raises(cl.ClassifyError):
-        # forcing family without the broader membership
-        cl.AttackRecord("x", good, frozenset({cl.FAKED_STATES}),
-                        cl.STATE_CHANNEL, "")
+    # a family without the broader one its family edge names
+    for tags, message in (
+            ({cl.FAKED_STATES}, "record 'x': faked-states membership "
+                                "implies reversed-space membership"),
+            ({cl.DETECTOR_EFFICIENCY_MISMATCH, cl.REVERSED_SPACE},
+             "record 'x': detector-efficiency-mismatch membership implies "
+             "faked-states membership")):
+        with pytest.raises(cl.ClassifyError) as err:
+            cl.AttackRecord("x", good, frozenset(tags), cl.STATE_CHANNEL, "")
+        assert str(err.value) == message
 
 
 def test_synthesized_attacks_classify_as_state_channels():

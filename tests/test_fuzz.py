@@ -17,6 +17,13 @@ def binom_sigma(p, n):
     return math.sqrt(p * (1.0 - p) / n)
 
 
+_STOCK = fuzz.APDParams()
+
+
+def _stock_device():
+    return fuzz.make_apd_receiver_device(_STOCK)
+
+
 # ---------------------------------------------------------------------------
 # inputs, parameters, validation
 # ---------------------------------------------------------------------------
@@ -54,7 +61,7 @@ def test_apd_params_validation():
     with pytest.raises(fuzz.FuzzError):
         fuzz.APDParams(geiger_efficiency=0.0)
     with pytest.raises(fuzz.FuzzError):
-        fuzz.make_apd_receiver_device(double_click_rule="coin-flip")
+        fuzz.make_apd_receiver_device(_STOCK, double_click_rule="coin-flip")
 
 
 @pytest.mark.parametrize("key", ["p_th", "blind_threshold"])
@@ -187,13 +194,11 @@ def test_single_photon_statistics_match_the_amplitude_model():
             assert abs(fock[det] - shares[det]) < 1e-12, (theta, det)
 
     # empirical Geiger-mode frequencies for a horizontal photon
-    device = fuzz.make_apd_receiver_device()
+    device = _stock_device()
     case = fuzz.FuzzInput((fuzz.pulse(0, "H", 1.0),))
     n = 20000
     counts = {det: 0 for det in fuzz.DETECTORS}
-    for seed in range(n):
-        device.reset()
-        obs = device.probe(case, seed)
+    for obs in device.replays(case, range(n)):
         assert len(obs.clicks) == 1  # unit efficiency, one photon
         counts[next(iter(obs.clicks))] += 1
     assert counts["d_v"] == 0
@@ -260,30 +265,25 @@ def test_baseline_class_probabilities():
 # ---------------------------------------------------------------------------
 
 def test_bright_pulse_is_swallowed_and_blinds_the_device():
-    device = fuzz.make_apd_receiver_device()
+    device = _stock_device()
     bright = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),))
-    obs = device.probe(bright, seed=0)
+    obs, = device.replays(bright, [0])
     assert obs.clicks == frozenset()
     assert obs.interpretation == rc.LOSS
 
-    # state persists across probes until reset: a later pulse inside the
-    # recovery window stays dark ...
+    # blinding lasts within one case: the next case starts un-blinded,
+    # so a pulse inside the earlier case's recovery window clicks
     dim = fuzz.FuzzInput((fuzz.pulse(2, "V", 1.0),))
-    assert device.probe(dim, seed=1).interpretation == rc.LOSS
-    # ... and clicks normally after a reset
-    device.reset()
-    obs = device.probe(dim, seed=1)
+    obs, = device.replays(dim, [1])
     assert obs.interpretation in (rc.BIT0, rc.BIT1)
 
     # within one case: blind, stay dark, then recover after the window
-    device.reset()
     seq = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),
                           fuzz.pulse(4, "V", 1.0)))
-    assert device.probe(seq, seed=2).interpretation == rc.LOSS
-    device.reset()
+    assert device.replays(seq, [2])[0].interpretation == rc.LOSS
     recovered = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),
                                 fuzz.pulse(5, "V", 1.0)))
-    obs = device.probe(recovered, seed=3)
+    obs, = device.replays(recovered, [3])
     assert obs.clicks  # a V photon lands in d_v, d_plus, or d_minus
     assert obs.interpretation in (rc.BIT0, rc.BIT1)
 
@@ -295,15 +295,14 @@ def test_linear_mode_clicks_exactly_at_threshold():
 
     # an arm intensity exactly at p_th clicks; epsilon below stays dark
     at = fuzz.FuzzInput((blind, fuzz.pulse(1, "H", 2.0 * params.p_th)))
-    obs = device.probe(at, seed=0)
+    obs, = device.replays(at, [0])
     assert obs.clicks == frozenset({"d_h"})
     assert (obs.interpretation, obs.basis_registered) == \
         (rc.BIT0, rc.COMPUTATIONAL)
 
-    device.reset()
     below = fuzz.FuzzInput((blind,
                             fuzz.pulse(1, "H", 2.0 * params.p_th - 1e-9)))
-    assert device.probe(below, seed=0).interpretation == rc.LOSS
+    assert device.replays(below, [0])[0].interpretation == rc.LOSS
 
 
 def test_blinded_forcing_covers_all_four_outcomes():
@@ -314,13 +313,13 @@ def test_blinded_forcing_covers_all_four_outcomes():
         "+45": (rc.BIT0, rc.HADAMARD),
         "-45": (rc.BIT1, rc.HADAMARD),
     }
+    device = fuzz.make_apd_receiver_device(params)
     for name, (bit, basis) in expected.items():
-        for seed in range(3):  # linear mode is deterministic
-            device = fuzz.make_apd_receiver_device(params)
-            case = fuzz.FuzzInput((
-                fuzz.pulse(0, "V", params.blind_threshold),
-                fuzz.pulse(1, name, 2.0 * params.p_th)))
-            obs = device.probe(case, seed=seed)
+        case = fuzz.FuzzInput((
+            fuzz.pulse(0, "V", params.blind_threshold),
+            fuzz.pulse(1, name, 2.0 * params.p_th)))
+        # linear mode is deterministic
+        for obs in device.replays(case, range(3)):
             assert (obs.interpretation, obs.basis_registered) == (bit, basis)
 
 
@@ -330,23 +329,25 @@ def test_double_click_rule_is_configurable():
     case = fuzz.FuzzInput((fuzz.pulse(0, "H", params.blind_threshold),
                            fuzz.pulse(1, math.pi / 8, 4.0 * params.p_th)))
     strict = fuzz.make_apd_receiver_device(params)
-    obs = strict.probe(case, seed=0)
+    obs, = strict.replays(case, [0])
     assert len(obs.clicks) == 2
     assert obs.interpretation == rc.INVALID
 
     lenient = fuzz.make_apd_receiver_device(params, double_click_rule="loss")
-    assert lenient.probe(case, seed=0).interpretation == rc.LOSS
+    assert lenient.replays(case, [0])[0].interpretation == rc.LOSS
 
 
 @pytest.mark.parametrize("seed", [-1, 1.5])
 def test_draw_free_probe_still_checks_its_seed(seed):
     # a lone blinding pulse draws nothing, yet its seed is checked
     case = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),))
+    with pytest.raises(fuzz.FuzzError) as err:
+        _stock_device().replays(case, [seed])
+    assert str(err.value) == \
+        f"probe seed must be an integer in [0, 2**128), got {seed!r}"
     with pytest.raises(fuzz.FuzzError, match="seed"):
-        fuzz.make_apd_receiver_device().probe(case, seed)
-    with pytest.raises(fuzz.FuzzError, match="seed"):
-        fuzz.IdealPNRDevice().probe(
-            fuzz.FuzzInput((fuzz.pulse(0, "H", 0.0),)), seed)
+        fuzz.IdealPNRDevice().replays(
+            fuzz.FuzzInput((fuzz.pulse(0, "H", 0.0),)), [seed])
 
 
 def test_draw_free_probe_leaves_the_next_probe_unchanged():
@@ -359,19 +360,18 @@ def test_draw_free_probe_leaves_the_next_probe_unchanged():
     ]
     for seed in range(8):
         fresh = fuzz.make_apd_receiver_device(params)
-        expected = fresh.probe(drawing, seed)
+        expected = fresh.replays(drawing, [seed])
         for case in draw_free:
             device = fuzz.make_apd_receiver_device(params)
-            device.probe(drawing, seed + 100)  # a used stream
-            device.probe(case, seed + 200)
-            device.reset()
-            assert device.probe(drawing, seed) == expected
+            device.replays(drawing, [seed + 100])  # a used stream
+            device.replays(case, [seed + 200])
+            assert device.replays(drawing, [seed]) == expected
 
     pnr = fuzz.IdealPNRDevice(0.8)
-    expected = fuzz.IdealPNRDevice(0.8).probe(drawing, 3)
-    pnr.probe(drawing, 4)
-    pnr.probe(fuzz.FuzzInput((fuzz.pulse(0, "H", 0.2),)), 5)
-    assert pnr.probe(drawing, 3) == expected
+    expected = fuzz.IdealPNRDevice(0.8).replays(drawing, [3])
+    pnr.replays(drawing, [4])
+    pnr.replays(fuzz.FuzzInput((fuzz.pulse(0, "H", 0.2),)), [5])
+    assert pnr.replays(drawing, [3]) == expected
 
 
 def _stream(device):
@@ -383,37 +383,39 @@ _DRAWING = fuzz.FuzzInput((fuzz.pulse(0, "+45", 5.0),))
 
 
 @pytest.mark.parametrize("make,case", [
-    (fuzz.make_apd_receiver_device,
-     fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),))),
-    (fuzz.make_apd_receiver_device,
+    (_stock_device, fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),))),
+    (_stock_device,
      fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0), fuzz.pulse(1, "V", 40.0)))),
     (lambda: fuzz.IdealPNRDevice(0.8),
      fuzz.FuzzInput((fuzz.pulse(0, "H", 0.2), fuzz.pulse(3, "V", 0.4)))),
 ])
 def test_draw_free_replays_leave_the_generator_untouched(make, case):
     device = make()
-    device.probe(_DRAWING, 5)  # a used stream
+    device.replays(_DRAWING, [5])  # a used stream
     before = _stream(device)
     observations = device.replays(case, range(12))
-    assert observations == [device.probe(case, 99)] * 12
+    assert observations == device.replays(case, [99]) * 12
     assert _stream(device) == before
-    for position in range(3):
-        for bad in (-1, 1.5, 2 ** 128, True):
-            seeds = [1, 2, 3]
-            seeds[position] = bad
-            with pytest.raises(fuzz.FuzzError, match="seed"):
-                device.replays(case, seeds)
+    # a bad seed anywhere fails the call before any draw
+    for tried in (case, _DRAWING):
+        for position in range(3):
+            for bad in (-1, 1.5, 2 ** 128, True):
+                seeds = [1, 2, 3]
+                seeds[position] = bad
+                with pytest.raises(fuzz.FuzzError, match="seed"):
+                    device.replays(tried, seeds)
     assert _stream(device) == before
 
 
 def test_a_bad_seed_leaves_the_device_where_it_was():
-    device = fuzz.make_apd_receiver_device()
-    device.probe(fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),)), 0)
+    device = _stock_device()
+    device.replays(fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),)), [0])
     dark = fuzz.FuzzInput((fuzz.pulse(2, "V", 1.0),))
     with pytest.raises(fuzz.FuzzError, match="seed"):
         device.replays(dark, [0, -1])
-    # still blinded: the failed call neither reset nor walked the device
-    assert device.probe(dark, 1).interpretation == rc.LOSS
+    # the failed call changed nothing a later call can see
+    assert device.replays(dark, [0, 1]) == \
+        _stock_device().replays(dark, [0, 1])
 
 
 def test_pulse_split_is_derived_once_and_stays_out_of_identity():
@@ -432,8 +434,7 @@ def test_pnr_device_resolves_photon_pairs():
     device = fuzz.IdealPNRDevice()
     case = fuzz.FuzzInput((fuzz.pulse(0, "H", 2.0),))
     seen_pair = False
-    for seed in range(64):
-        obs = device.probe(case, seed)
+    for obs in device.replays(case, range(64)):
         assert obs.click_counts is not None
         counts = dict(obs.click_counts)
         assert sum(counts.values()) == 2
@@ -443,7 +444,7 @@ def test_pnr_device_resolves_photon_pairs():
     # bright pulses never blind it
     bright = fuzz.FuzzInput((fuzz.pulse(0, "H", 400.0),
                              fuzz.pulse(1, "V", 1.0)))
-    obs = device.probe(bright, seed=0)
+    obs, = device.replays(bright, [0])
     assert obs.interpretation == rc.INVALID  # many detectors fire
 
 
@@ -453,8 +454,8 @@ def test_pnr_device_resolves_photon_pairs():
 
 @pytest.fixture(scope="module")
 def campaign():
-    device = fuzz.make_apd_receiver_device()
-    return fuzz.run_fuzz_campaign(device, seed=0)
+    return fuzz.run_fuzz_campaign(_stock_device(),
+                                  fuzz.default_config(_STOCK), seed=0)
 
 
 def test_campaign_discovers_all_three_behaviours(campaign):
@@ -471,12 +472,12 @@ def test_campaign_discovers_all_three_behaviours(campaign):
 
 
 def test_campaign_is_deterministic(campaign):
-    device = fuzz.make_apd_receiver_device()
-    again = fuzz.run_fuzz_campaign(device, seed=0)
+    config = fuzz.default_config(_STOCK)
+    again = fuzz.run_fuzz_campaign(_stock_device(), config, seed=0)
     assert json.dumps(again.to_json_dict(), sort_keys=True) == \
         json.dumps(campaign.to_json_dict(), sort_keys=True)
 
-    other = fuzz.run_fuzz_campaign(fuzz.make_apd_receiver_device(), seed=7)
+    other = fuzz.run_fuzz_campaign(_stock_device(), config, seed=7)
     assert other.properties_found == campaign.properties_found
 
 
@@ -516,28 +517,30 @@ _UNDERFLOW_PARAMS = fuzz.APDParams(p_th=100.0, blind_threshold=1000.0,
 
 def _pinned_setup(name):
     """(device, config, seed) of one pinned campaign."""
-    apd = fuzz.make_apd_receiver_device
+    def apd(params=_STOCK, double_click_rule="invalid", seed=0):
+        """The device of ``params`` under its stock schedule."""
+        return (fuzz.make_apd_receiver_device(params, double_click_rule),
+                fuzz.default_config(params), seed)
+
     return {
-        "default-seed0": lambda: (apd(), None, 0),
-        "default-seed7": lambda: (apd(), None, 7),
+        "default-seed0": lambda: apd(),
+        "default-seed7": lambda: apd(seed=7),
         "geiger-efficiency-0.7":
-            lambda: (apd(fuzz.APDParams(geiger_efficiency=0.7)), None, 0),
-        "recovery-slots-0":
-            lambda: (apd(fuzz.APDParams(recovery_slots=0)), None, 0),
+            lambda: apd(fuzz.APDParams(geiger_efficiency=0.7)),
+        "recovery-slots-0": lambda: apd(fuzz.APDParams(recovery_slots=0)),
         "ideal-pnr-0.8": lambda: (fuzz.IdealPNRDevice(0.8),
-                                  fuzz.default_config(fuzz.APDParams()), 0),
-        "double-click-loss": lambda: (apd(double_click_rule="loss"), None, 0),
-        "underflow-0.999": lambda: (apd(_UNDERFLOW_PARAMS), None, 0),
+                                  fuzz.default_config(_STOCK), 0),
+        "double-click-loss": lambda: apd(double_click_rule="loss"),
+        "underflow-0.999": lambda: apd(_UNDERFLOW_PARAMS),
         "underflow-0.999-loss":
-            lambda: (apd(_UNDERFLOW_PARAMS, double_click_rule="loss"),
-                     None, 0),
+            lambda: apd(_UNDERFLOW_PARAMS, double_click_rule="loss"),
         # the default campaigns end at depth 2 within budget; these two
         # run out of budget inside depth 2 and inside depth 3
         "budget-2000-seed4":
-            lambda: (apd(), fuzz.default_config(fuzz.APDParams(),
-                                                max_cases=2000), 4),
-        "depth-3": lambda: (apd(), dataclasses.replace(
-            fuzz.default_config(fuzz.APDParams()), combination_depth=3), 0),
+            lambda: (_stock_device(),
+                     fuzz.default_config(_STOCK, max_cases=2000), 4),
+        "depth-3": lambda: (_stock_device(), dataclasses.replace(
+            fuzz.default_config(_STOCK), combination_depth=3), 0),
     }[name]()
 
 
@@ -596,24 +599,17 @@ def _probed_cases(name):
     return calls
 
 
-def _device_state(device):
-    return getattr(device, "_geiger_from_slot", None), _stream(device)
-
-
-# the seven traced setups run the APD device; the PNR setup runs the other
-@pytest.mark.parametrize("name", sorted(_TRACE_DIGESTS) + ["ideal-pnr-0.8"])
-def test_replays_equal_a_reset_probe_per_seed(name):
+@pytest.mark.parametrize("name", sorted(_CAMPAIGN_DIGESTS))
+def test_one_call_over_all_seeds_equals_one_call_per_seed(name):
     calls = _probed_cases(name)
     assert len(calls) >= 64  # the depth-1 schedule at least
-    replaying, probing = _pinned_setup(name)[0], _pinned_setup(name)[0]
-    for case, seeds in calls:
-        observations = replaying.replays(case, seeds)
-        expected = []
-        for seed in seeds:
-            probing.reset()
-            expected.append(probing.probe(case, seed))
-        assert observations == expected, case
-        assert _device_state(replaying) == _device_state(probing), case
+    replaying, single = _pinned_setup(name)[0], _pinned_setup(name)[0]
+    observed = [replaying.replays(case, seeds) for case, seeds in calls]
+    # the single-seed calls run the cases backwards: no call depends on
+    # the calls before it
+    for (case, seeds), observations in reversed(list(zip(calls, observed))):
+        assert observations == [single.replays(case, [seed])[0]
+                                for seed in seeds], case
 
 
 @pytest.mark.parametrize("name", ["default-seed0", "depth-3",
@@ -671,12 +667,11 @@ def test_anomalies_replay_on_a_fresh_device(campaign):
     ids = [r["anomaly_id"] for r in campaign.derived_vulnerabilities]
     ids += [a.anomaly_id for a in campaign.anomalies[:8]]
     for anomaly_id in ids:
-        device = fuzz.make_apd_receiver_device()
+        device = _stock_device()
         obs, reproduced = fuzz.replay_anomaly(device, campaign, anomaly_id)
         assert reproduced, anomaly_id
     with pytest.raises(fuzz.FuzzError):
-        fuzz.replay_anomaly(fuzz.make_apd_receiver_device(), campaign,
-                            "a9999")
+        fuzz.replay_anomaly(_stock_device(), campaign, "a9999")
 
 
 _REPORT_KEYS = ("anomalies", "test_cases_run", "distinct_inputs",
@@ -747,7 +742,7 @@ def test_coverage_grows_monotonically_with_budget(campaign):
     previous_ids = []
     for budget in (120, 800, 3000):
         report = fuzz.run_fuzz_campaign(
-            fuzz.make_apd_receiver_device(),
+            _stock_device(),
             config=fuzz.default_config(fuzz.APDParams(), max_cases=budget),
             seed=0)
         assert report.test_cases_run <= budget
@@ -780,8 +775,9 @@ def test_unblindable_threshold_device_shows_only_counting_anomaly():
 
 def test_campaign_writes_a_trace(tmp_path, campaign):
     path = tmp_path / "trace.ndjson"
-    report = fuzz.run_fuzz_campaign(fuzz.make_apd_receiver_device(),
-                                    seed=0, trace_path=path)
+    report = fuzz.run_fuzz_campaign(_stock_device(),
+                                    fuzz.default_config(_STOCK), seed=0,
+                                    trace_path=path)
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert lines[0]["schema"] == fuzz.TRACE_SCHEMA
     assert lines[0]["rng_seed"] == 0
@@ -862,11 +858,7 @@ def test_config_and_argument_validation():
         fuzz.CampaignConfig(combination_depth=0)
     with pytest.raises(fuzz.FuzzError):
         # explicit config with an empty sweep
-        fuzz.run_fuzz_campaign(fuzz.make_apd_receiver_device(),
-                               config=fuzz.CampaignConfig())
-    with pytest.raises(fuzz.FuzzError):
-        # a bare device without declared parameters needs a config
-        fuzz.run_fuzz_campaign(fuzz.IdealPNRDevice())
+        fuzz.run_fuzz_campaign(_stock_device(), config=fuzz.CampaignConfig())
 
 
 def test_case_seed_bit_fields_are_bounded():
@@ -877,15 +869,17 @@ def test_case_seed_bit_fields_are_bounded():
         fuzz.CampaignConfig(max_cases=2 ** 32)
     assert fuzz.CampaignConfig(max_cases=2 ** 32 - 1).max_cases \
         == 2 ** 32 - 1
-    device = fuzz.make_apd_receiver_device()
-    for seed in (-1, 1.5, 2 ** 88):
-        with pytest.raises(fuzz.FuzzError, match="seed"):
-            fuzz.run_fuzz_campaign(device, seed=seed)
+    config = fuzz.default_config(_STOCK)
+    for seed in (-1, 1.5, 2 ** 88, True):
+        with pytest.raises(fuzz.FuzzError) as err:
+            fuzz.run_fuzz_campaign(_stock_device(), config, seed=seed)
+        assert str(err.value) == \
+            f"seed must be an integer in [0, 2**88), got {seed!r}"
 
 
 def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
     path = tmp_path / "trace.ndjson"
-    device = fuzz.make_apd_receiver_device()
+    device = _stock_device()
     config = fuzz.default_config(device.params, max_cases=200)
     fuzz.run_fuzz_campaign(device, config, seed=0, trace_path=path)
     before = path.read_bytes()
@@ -911,7 +905,7 @@ def test_rekeyed_generator_matches_a_fresh_philox(seed):
     used.integers(0, 10, size=3, dtype=np.uint32)
     used.random(3)
     for _ in range(2):  # a generator reused for a second probe
-        fuzz._rekey(bits, fuzz._probe_seed(seed))
+        fuzz._rekey(bits, fuzz._checked_seed(seed, 128, "probe seed"))
         gen = np.random.Generator(bits)
         fresh = np.random.Generator(np.random.Philox(key=seed))
         assert gen.random(5).tolist() == fresh.random(5).tolist()
@@ -925,4 +919,4 @@ def test_rekeyed_generator_matches_a_fresh_philox(seed):
 @pytest.mark.parametrize("seed", [-1, 2 ** 128, 1.5, True, "3"])
 def test_probe_seed_outside_the_philox_key_is_rejected(seed):
     with pytest.raises(fuzz.FuzzError, match="seed"):
-        fuzz._probe_seed(seed)
+        fuzz._checked_seed(seed, 128, "probe seed")
