@@ -487,22 +487,6 @@ class AttackFamily:
         return (_weight_rows(self.null_basis, self.system.n_basis),
                 _WEIGHT_TARGET.copy())
 
-    def instantiate(self, weights: Sequence[float]) -> AttackIsometry:
-        """Diagonal member from per-direction weights (must satisfy A t = b)."""
-        t = np.asarray(weights, dtype=float)
-        if t.shape != (self.dimension,):
-            raise AttackError(
-                f"expected {self.dimension} direction weights, got {t.shape}")
-        if np.min(t) < -WEIGHT_TOL:
-            raise AttackError("direction weights must be nonnegative")
-        a, b = self.weight_system()
-        res = float(np.max(np.abs(a @ t - b)))
-        if res > 1e-9:
-            raise AttackError(
-                f"weights violate the isometry conditions (residual {res:.3e})")
-        return _diagonal_member(self.system, self.null_basis, t,
-                                "instantiated")
-
     @cached_property
     def _photon_vertices(self) -> np.ndarray:
         """The vertices of the weight system over the photon-carrying
@@ -621,13 +605,17 @@ def synthesize_attacks(system: ConstraintSystem,
     upper bound; the canonical member uses one orthogonal probe axis per
     active direction, preferring photon-carrying over blocking directions.
     Requesting a smaller ``eve_dim`` than any member needs raises with the
-    minimal feasible dimension.
+    minimal feasible dimension; an ``eve_dim`` that is not None or an
+    integer >= 1 (a bool is not one) raises AttackError.
     """
     n_cols = system.n_columns
     if eve_dim is None:
         eve_dim = n_cols
-    if eve_dim < 1:
-        raise AttackError("the probe needs at least one dimension")
+    elif isinstance(eve_dim, bool) \
+            or not isinstance(eve_dim, (int, np.integer)) or eve_dim < 1:
+        raise AttackError(f"the probe dimension eve_dim must be an integer "
+                          f">= 1, got {eve_dim!r}")
+    eve_dim = int(eve_dim)
 
     m = system.matrix
     col_norms = (np.linalg.norm(m, axis=0) if m.size

@@ -761,11 +761,21 @@ class Rotation(NamedTuple):
     modes: Tuple[Mode, Mode]
 
 
-def _phase_factor(phi: float, what: str) -> complex:
-    """exp(i*phi); a phase that is not finite is an error naming it."""
+def _checked_phase(phi, what: str):
+    """`phi` if it is a finite real number; a bool or anything else is an
+    error naming `what`."""
+    if type(phi) is not float and (
+            isinstance(phi, bool) or not isinstance(phi, numbers.Real)):
+        raise FockError(f"{what} must be a real number, got {phi!r}")
     if not math.isfinite(phi):
         raise FockError(f"{what} must be finite, got {phi!r}")
-    return complex(np.exp(1j * phi))
+    return phi
+
+
+def _phase_factor(phi, what: str) -> complex:
+    """exp(i*phi); a phase that is not a finite real number is an error
+    naming `what`."""
+    return complex(np.exp(1j * float(_checked_phase(phi, what))))
 
 
 def apply_phase_shift(state: PhotonicState, mode: Mode, phi: float) -> PhotonicState:
@@ -808,10 +818,8 @@ def _config_args(config) -> Tuple[complex, int]:
     """The phase factor and delay of an InterferometerConfig or of a bare
     phase (delay 1)."""
     if isinstance(config, InterferometerConfig):
-        phi, delay = config.phi, config.delay
-    else:
-        phi, delay = float(config), 1
-    return _phase_factor(phi, "interferometer phase"), delay
+        return _phase_factor(config.phi, "interferometer phase"), config.delay
+    return _phase_factor(config, "interferometer phase"), 1
 
 
 def _mz_times(state: PhotonicState, used: List[int], reads: Tuple[str, ...],
@@ -918,9 +926,7 @@ class InterferometerConfig:
     delay: int = 1
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise FockError(
-                f"interferometer phase must be finite, got {self.phi!r}")
+        _checked_phase(self.phi, "interferometer phase")
         object.__setattr__(self, "delay",
                            _integer(self.delay, "interferometer delay"))
         if self.delay < 1:

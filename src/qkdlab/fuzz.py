@@ -29,8 +29,8 @@ import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
-from typing import (Callable, Dict, Iterable, List, Mapping, Optional, Tuple,
-                    Union)
+from typing import (Callable, ClassVar, Dict, Iterable, List, Mapping,
+                    Optional, Tuple, Union)
 
 import numpy as np
 
@@ -533,7 +533,7 @@ def baseline_class_probabilities(case: FuzzInput, efficiency: float
         n = round(pl.mean_photons)
         if n == 0:
             continue
-        p_none *= (0 / pl.norm * efficiency + (1.0 - efficiency)) ** n
+        p_none *= (1.0 - efficiency) ** n
         for i, det in enumerate(DETECTORS):
             p_within[i] *= (pl.arms[det] / pl.norm * efficiency
                             + (1.0 - efficiency)) ** n
@@ -569,27 +569,29 @@ _TIME_GRID = (-2, -1, 0, 1, 2)
 _REPLAYS = 12
 
 
+# Stage-1 intensities in units of p_th, swept after a two-photon pulse.
+_GRID_FACTORS = (0.5, 1, 2, 5, 10, 50, 100, 1e3, 1e4)
+
+
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Schedule parameters: budget, sweeps, and combination depth.
+    """Schedule parameters: the declared device, budget, and depth.
 
-    ``intensity_grid`` is absolute mean photon numbers for the stage-1
-    sweep; ``follow_up_intensities`` are appended to blinded prefixes in
-    stage 2; both hold finite non-negative numbers.
-    ``follow_up_offsets`` are slot gaps between a prefix and its probe:
-    non-negative integers, kept as ints.  ``max_cases`` caps the number
-    of device probes (every replay counts); ``max_cases < 2**32`` keeps
-    every probe's derived sub-seed distinct.  A malformed field raises
-    FuzzError naming it when the config is built.
+    Every sweep is scaled to ``params``, the device's declared
+    thresholds.  ``max_cases`` caps the number of device probes (every
+    replay counts); ``max_cases < 2**32`` keeps every probe's derived
+    sub-seed distinct.  A malformed field raises FuzzError naming it
+    when the config is built.
     """
 
+    params: APDParams
     max_cases: int = 10000
-    intensity_grid: Tuple[float, ...] = ()
     combination_depth: int = 2
-    follow_up_intensities: Tuple[float, ...] = ()
-    follow_up_offsets: Tuple[int, ...] = (1,)
 
     def __post_init__(self):
+        if not isinstance(self.params, APDParams):
+            raise FuzzError(
+                f"params must be an APDParams, got {self.params!r}")
         for name in ("max_cases", "combination_depth"):
             value = getattr(self, name)
             if not _is_integer(value):
@@ -599,38 +601,12 @@ class CampaignConfig:
             raise FuzzError("max_cases must lie in [1, 2**32)")
         if self.combination_depth < 1:
             raise FuzzError("combination_depth must be >= 1")
-        intensity = (lambda v: _is_real(v) and math.isfinite(v) and v >= 0,
-                     "finite non-negative numbers")
-        for name, (valid, what) in (
-                ("intensity_grid", intensity),
-                ("follow_up_intensities", intensity),
-                ("follow_up_offsets", (lambda v: _is_integer(v) and v >= 0,
-                                       "non-negative integers"))):
-            entries = getattr(self, name)
-            if not isinstance(entries, (tuple, list)):
-                raise FuzzError(f"{name} must be a tuple or list, "
-                                f"got {entries!r}")
-            for value in entries:
-                if not valid(value):
-                    raise FuzzError(f"{name} entries must be {what}, "
-                                    f"got {value!r}")
-            object.__setattr__(self, name, tuple(entries))
-        object.__setattr__(self, "follow_up_offsets",
-                           tuple(map(int, self.follow_up_offsets)))
-
-
-_GRID_FACTORS = (0.5, 1, 2, 5, 10, 50, 100, 1e3, 1e4)
 
 
 def default_config(params: APDParams, max_cases: int = 10000
                    ) -> CampaignConfig:
     """The stock schedule, scaled to the device's declared thresholds."""
-    return CampaignConfig(
-        max_cases=max_cases,
-        intensity_grid=(2.0,) + tuple(f * params.p_th for f in _GRID_FACTORS),
-        follow_up_intensities=(1.0, 2.0 * params.p_th),
-        follow_up_offsets=(1, params.recovery_slots + 1),
-    )
+    return CampaignConfig(params, max_cases)
 
 
 @dataclass(frozen=True)
@@ -663,7 +639,7 @@ class FuzzReport:
     properties_found: Tuple[str, ...]
     derived_vulnerabilities: List[dict]
     rng_seed: int
-    schema: str = REPORT_SCHEMA
+    schema: ClassVar[str] = REPORT_SCHEMA
 
     def validate(self) -> None:
         tags = {a.tag for a in self.anomalies}
@@ -777,28 +753,30 @@ def _case_seeds(master_seed: int, case_index: int, replays: int) -> range:
     return range(first, first + replays)
 
 
-def _schedule_stage01(config: CampaignConfig) -> List[Tuple[int, FuzzInput]]:
+def _schedule_stage01(params: APDParams) -> List[Tuple[int, FuzzInput]]:
     """Depth 1: stage 0 sends each valid state once; stage 1 sweeps each
     state's intensity, then its arrival slot."""
+    grid = (2.0,) + tuple(f * params.p_th for f in _GRID_FACTORS)
     cases = [(0, FuzzInput((pulse(0, name, 1.0),)))
              for name in POLARIZATION_ANGLES]
     for name in POLARIZATION_ANGLES:
-        cases += [(1, FuzzInput((pulse(0, name, mu),)))
-                  for mu in config.intensity_grid]
+        cases += [(1, FuzzInput((pulse(0, name, mu),))) for mu in grid]
         cases += [(1, FuzzInput((pulse(shift, name, 1.0),)))
                   for shift in _TIME_GRID]
     return cases
 
 
-def _followups(seed_input: FuzzInput, config: CampaignConfig,
+def _followups(seed_input: FuzzInput, params: APDParams,
                built: Dict[tuple, Pulse]) -> List[FuzzInput]:
-    """The follow-up cases of ``seed_input``; ``built`` holds the
-    campaign's follow-up pulses by (slot, polarization, intensity)."""
+    """The follow-up cases of ``seed_input``: one photon and twice
+    ``p_th``, one slot after its last pulse and just past the recovery
+    window; ``built`` holds the campaign's follow-up pulses by (slot,
+    polarization, intensity)."""
     last = seed_input.pulses[-1].time_slot
     probes = []
-    for offset in config.follow_up_offsets:
+    for offset in (1, params.recovery_slots + 1):
         for name in POLARIZATION_ANGLES:
-            for mu in config.follow_up_intensities:
+            for mu in (1.0, 2.0 * params.p_th):
                 spec = (last + offset, name, mu)
                 follow = built.get(spec)
                 if follow is None:
@@ -915,12 +893,10 @@ def run_fuzz_campaign(device, config: CampaignConfig, seed: int = 0,
     ``seed`` is an integer in [0, 2**88), the range the sub-seed keys
     can hold.
     """
-    if not config.intensity_grid:
-        raise FuzzError("config has an empty intensity grid")
     _checked_seed(seed, 88, "seed")
 
     replays = _REPLAYS
-    schedule = _schedule_stage01(config)
+    schedule = _schedule_stage01(config.params)
     depth, depth_end = 1, len(schedule)
     # the current depth's anomalous inputs in the order first found; a
     # depth-d case has d pulses, so no input is found at two depths
@@ -962,7 +938,8 @@ def run_fuzz_campaign(device, config: CampaignConfig, seed: int = 0,
         if case_index == depth_end and depth < config.combination_depth:
             schedule += [
                 (depth + 1, follow) for seed_input in found
-                for follow in _followups(seed_input, config, followup_pulses)]
+                for follow in _followups(seed_input, config.params,
+                                        followup_pulses)]
             depth, depth_end, found = depth + 1, len(schedule), {}
 
     report = FuzzReport(

@@ -54,7 +54,7 @@ import os
 import re
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import ClassVar, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -194,7 +194,7 @@ class SimulationReport:
     eve_guess_accuracy: Optional[float]
     test_fraction: float = 1.0
     attack_label: Optional[str] = None
-    schema: str = REPORT_SCHEMA
+    schema: ClassVar[str] = REPORT_SCHEMA
 
     def validate(self) -> None:
         if self.rounds < 1:
@@ -217,8 +217,8 @@ class SimulationReport:
 
     def to_json_dict(self) -> dict:
         """The report as its JSON document: every field, under its own
-        name.  Writers sort the keys."""
-        return asdict(self)
+        name, and the schema id.  Writers sort the keys."""
+        return {**asdict(self), "schema": self.schema}
 
 
 # ---------------------------------------------------------------------------

@@ -427,6 +427,7 @@ def _blinded_bright(bright_photons: int = 20,
     if from_vulnerabilities is not None:
         _check_vulnerability_records(from_vulnerabilities)
     reg = fs.registry([pol_h(), pol_v()], max_photons=bright_photons)
+    bright_photons = reg.max_photons_per_mode  # an integral float as an int
     channel = (pol_h(), pol_v())
     named = bright_states(reg, bright_photons)
     ordered = ["b0", "b1", "b+", "b-"]

@@ -451,19 +451,19 @@ def test_truly_infeasible_probe_dimension_reports_minimum(ideal):
         assert rows == {system.vacuum_index}
 
 
-def test_instantiate_validates_weights(bright):
-    _, _, family = bright
-    with pytest.raises(atk.AttackError, match="isometry conditions"):
-        family.instantiate(np.ones(family.dimension))
-    a, b = family.weight_system()
-    pool = photon_carrying(family)
-    t, rnorm = None, None
-    from scipy.optimize import nnls
-    t0, rnorm = nnls(a[:, pool], b)
-    weights = np.zeros(family.dimension)
-    weights[pool] = t0
-    member = family.instantiate(weights)
-    assert atk.verify_oblivious(member, system=family.system).oblivious
+@pytest.mark.parametrize("eve_dim", [True, False, 0, -1, 1.5, 2.0, "2"])
+def test_probe_dimension_must_be_a_positive_integer(ideal, eve_dim):
+    _, system, _ = ideal
+    with pytest.raises(atk.AttackError, match="eve_dim must be an integer"):
+        atk.synthesize_attacks(system, eve_dim=eve_dim)
+
+
+def test_a_numpy_integer_probe_dimension_is_an_integer(ideal):
+    _, system, _ = ideal
+    family = atk.synthesize_attacks(system, eve_dim=np.int64(2))
+    same = atk.synthesize_attacks(system, eve_dim=2)
+    assert np.array_equal(family.canonical.coefficients,
+                          same.canonical.coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ eigendecomposition done inline.
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -510,10 +511,30 @@ def test_mz_reverse_is_the_adjoint_on_multiphoton_states(delay, n):
 
 @pytest.mark.parametrize("kwargs", [{"phi": float("nan")},
                                     {"phi": float("inf")},
-                                    {"delay": 0}])
+                                    {"delay": 0},
+                                    {"phi": True}, {"phi": "1"},
+                                    {"phi": None}, {"phi": 1j}])
 def test_interferometer_config_rejects_malformed_parameters(kwargs):
     with pytest.raises(fs.FockError):
         fs.InterferometerConfig(**kwargs)
+
+
+@pytest.mark.parametrize("phi", [True, False, "0.5", None, 0.5j])
+def test_a_bare_phase_must_be_a_real_number(phi):
+    reg = fs.interferometer_registry(0, 1)
+    photon = PhotonicState.photon(reg, t_in(0))
+    # an integral phase is a real number too
+    assert fs.mz_transform(photon, 1).amplitudes \
+        == fs.mz_transform(photon, 1.0).amplitudes
+    with pytest.raises(fs.FockError, match="^" + re.escape(
+            f"interferometer phase must be a real number, got {phi!r}")):
+        fs.mz_transform(photon, phi)
+    with pytest.raises(fs.FockError, match="must be a real number"):
+        fs.mz_reverse(PhotonicState.photon(reg, s_out(1)), phi)
+    reg, a, _ = two_mode_registry()
+    with pytest.raises(fs.FockError,
+                       match="^phase shift must be a real number"):
+        fs.apply_phase_shift(PhotonicState.photon(reg, a), a, phi)
 
 
 def test_a_bare_nan_phase_through_the_interferometer_raises():

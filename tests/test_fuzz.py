@@ -794,7 +794,31 @@ def test_campaign_writes_a_trace(tmp_path, campaign):
     ("max_cases", True), ("max_cases", 100.5), ("combination_depth", 1.5)])
 def test_config_counts_must_be_integers(key, value):
     with pytest.raises(fuzz.FuzzError, match=key):
-        fuzz.CampaignConfig(**{key: value})
+        fuzz.CampaignConfig(_STOCK, **{key: value})
+
+
+@pytest.mark.parametrize("params", [
+    None, {"p_th": 20.0}, fuzz.IdealPNRDevice(), (20.0, 400.0, 4, 1.0)])
+def test_config_params_must_be_apd_params(params):
+    with pytest.raises(fuzz.FuzzError, match="params must be an APDParams"):
+        fuzz.CampaignConfig(params)
+
+
+def test_sweeps_are_scaled_to_the_declared_thresholds():
+    # the offset 1 repeats when the device recovers at once
+    params = fuzz.APDParams(p_th=10.0, blind_threshold=100.0,
+                            recovery_slots=0)
+    stage1 = [case.pulses[0].mean_photons
+              for stage, case in fuzz._schedule_stage01(params)
+              if stage == 1 and case.pulses[0].time_slot == 0
+              and case.pulses[0].theta == 0.0]
+    assert stage1[:10] == [2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 500.0,
+                           1000.0, 1e4, 1e5]
+    prefix = fuzz.FuzzInput((fuzz.pulse(3, "H", 100.0),))
+    follow = [(case.pulses[-1].time_slot, case.pulses[-1].mean_photons)
+              for case in fuzz._followups(prefix, params, {})
+              if case.pulses[-1].theta == 0.0]
+    assert follow == [(4, 1.0), (4, 20.0), (4, 1.0), (4, 20.0)]
 
 
 def test_integral_float_config_counts_run_as_integers():
@@ -809,56 +833,29 @@ def test_integral_float_config_counts_run_as_integers():
         fuzz.default_config(params, max_cases=200), seed=0).to_json_dict()
 
 
-_BAD_INTENSITIES = [(float("nan"),), (2.0, -1.0), (True,), (float("inf"),),
-                    ("5",), (None,), 5.0, "20"]
+def test_a_campaign_config_is_params_budget_and_depth():
+    assert [f.name for f in dataclasses.fields(fuzz.CampaignConfig)] \
+        == ["params", "max_cases", "combination_depth"]
+    params = fuzz.APDParams(p_th=10.0, recovery_slots=0)
+    assert fuzz.default_config(params, max_cases=500) \
+        == fuzz.CampaignConfig(params, 500, 2)
+    assert fuzz.default_config(params) == fuzz.CampaignConfig(params)
 
 
-@pytest.mark.parametrize("key,value", [
-    *(("intensity_grid", v) for v in _BAD_INTENSITIES),
-    *(("follow_up_intensities", v) for v in _BAD_INTENSITIES),
-    ("follow_up_offsets", (-3,)), ("follow_up_offsets", (1.5,)),
-    ("follow_up_offsets", (1, True)), ("follow_up_offsets", ("1",)),
-    ("follow_up_offsets", (float("inf"),)), ("follow_up_offsets", (None,)),
-    ("follow_up_offsets", 1), ("follow_up_offsets", "1"),
-])
-def test_config_entries_are_checked_when_built(key, value):
-    # before, a bad offset failed only once depth 2 was scheduled, or
-    # never when no anomaly seeded it
-    with pytest.raises(fuzz.FuzzError, match=key):
-        fuzz.CampaignConfig(**{key: value})
-    with pytest.raises(fuzz.FuzzError, match=key):
-        dataclasses.replace(fuzz.default_config(fuzz.APDParams()),
-                            **{key: value})
-
-
-def test_config_sequences_are_kept_as_tuples():
-    config = fuzz.CampaignConfig(
-        intensity_grid=[2, 20.0], follow_up_intensities=[0, np.float64(1.5)],
-        follow_up_offsets=[0, 2.0, np.int64(5)])
-    assert config.intensity_grid == (2, 20.0)
-    assert config.follow_up_intensities == (0, 1.5)
-    assert config.follow_up_offsets == (0, 2, 5)
-    assert all(type(v) is int for v in config.follow_up_offsets)
-
-    params = fuzz.APDParams()
-    stock = fuzz.default_config(params, max_cases=1200)
-    listed = dataclasses.replace(
-        stock, intensity_grid=list(stock.intensity_grid),
-        follow_up_offsets=[float(v) for v in stock.follow_up_offsets])
-    assert fuzz.run_fuzz_campaign(
-        fuzz.make_apd_receiver_device(params), listed, 0).to_json_dict() \
-        == fuzz.run_fuzz_campaign(
-            fuzz.make_apd_receiver_device(params), stock, 0).to_json_dict()
+def test_the_fuzz_report_schema_is_a_class_constant(campaign):
+    assert "schema" not in {f.name for f in dataclasses.fields(campaign)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(campaign, schema="fuzz-report/0")
+    data = campaign.to_json_dict()
+    assert data["schema"] == fuzz.REPORT_SCHEMA == output.FUZZ_REPORT_SCHEMA
+    assert fuzz.report_from_json_dict(data).to_json_dict() == data
 
 
 def test_config_and_argument_validation():
     with pytest.raises(fuzz.FuzzError):
-        fuzz.CampaignConfig(max_cases=0)
+        fuzz.CampaignConfig(_STOCK, max_cases=0)
     with pytest.raises(fuzz.FuzzError):
-        fuzz.CampaignConfig(combination_depth=0)
-    with pytest.raises(fuzz.FuzzError):
-        # explicit config with an empty sweep
-        fuzz.run_fuzz_campaign(_stock_device(), config=fuzz.CampaignConfig())
+        fuzz.CampaignConfig(_STOCK, combination_depth=0)
 
 
 def test_case_seed_bit_fields_are_bounded():
@@ -866,8 +863,8 @@ def test_case_seed_bit_fields_are_bounded():
     assert fuzz._case_seed(0, 0, 256) == fuzz._case_seed(0, 1, 0)
     assert 1 <= fuzz._REPLAYS <= 256
     with pytest.raises(fuzz.FuzzError):
-        fuzz.CampaignConfig(max_cases=2 ** 32)
-    assert fuzz.CampaignConfig(max_cases=2 ** 32 - 1).max_cases \
+        fuzz.CampaignConfig(_STOCK, max_cases=2 ** 32)
+    assert fuzz.CampaignConfig(_STOCK, max_cases=2 ** 32 - 1).max_cases \
         == 2 ** 32 - 1
     config = fuzz.default_config(_STOCK)
     for seed in (-1, 1.5, 2 ** 88, True):

@@ -438,6 +438,17 @@ def test_report_validate_rejects_a_bad_rate_and_unaccounted_rounds(six):
             tampered.validate()
 
 
+def test_the_report_schema_is_a_class_constant(six):
+    rep = pt.run_bb84(None, None, six, rounds=20, seed=1)
+    assert "schema" not in {f.name for f in dataclasses.fields(rep)}
+    with pytest.raises(TypeError):
+        dataclasses.replace(rep, schema="simulation-report/0")
+    data = rep.to_json_dict()
+    assert data["schema"] == pt.REPORT_SCHEMA
+    assert sorted(data) == sorted(
+        [f.name for f in dataclasses.fields(rep)] + ["schema"])
+
+
 def test_attack_channel_requires_compatible_receiver(six, ideal):
     polarization_attack = atk.cnot_attack(ideal)
     channel = pt.make_channel(pt.ATTACK, polarization_attack)

@@ -167,6 +167,16 @@ def test_bright_states_overlap_and_orthonormal_outcomes():
             assert abs(inner_product(a, b) - want) < 1e-9
 
 
+def test_an_integral_float_bright_photon_count_builds_its_integer_receiver():
+    as_int = rc.make_receiver("blinded-bright", bright_photons=6)
+    as_float = rc.make_receiver("blinded-bright", bright_photons=6.0)
+    assert as_float.registry == as_int.registry
+    for key, state in as_int.source.states.items():
+        assert as_float.source.states[key].amplitudes == state.amplitudes
+    with pytest.raises(fs.FockError, match="must be an integer"):
+        rc.make_receiver("blinded-bright", bright_photons=6.5)
+
+
 def test_blinded_receiver_is_passive_and_ignores_single_photons():
     receiver = rc.make_receiver("blinded-bright", bright_photons=8)
     comp = receiver.settings[rc.COMPUTATIONAL]

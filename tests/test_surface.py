@@ -23,9 +23,6 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = REPO_ROOT / "src" / "qkdlab"
 
 KEEP = {
-    "AttackFamily.instantiate":
-        "builds a member from direction weights, the input of planned "
-        "weight-level analyses",
     "AttackFamily.parameter_values":
         "reads a member's named parameters; the acceptance criteria check "
         "the bright-pulse family with it",
@@ -76,8 +73,6 @@ KEEP = {
         "the pinned depth-3 campaign sets it",
     "_NegativeNumber.match": "argparse calls it",
     "_Parser.error": "argparse calls it",
-    "SimulationReport(schema)": "the schema id written into the JSON",
-    "FuzzReport(schema)": "the schema id written into the JSON",
     "SimulationReport(test_fraction)":
         "set through protocol._report(**fields), which the scan cannot "
         "follow",
@@ -172,14 +167,25 @@ def _takes_no_init(value):
         and k.value.value is False for k in value.keywords)
 
 
+def _is_class_var(annotation):
+    """Whether a field annotation is ``ClassVar`` (bare, subscripted, or
+    as ``typing.ClassVar``): a class attribute, not a field."""
+    if isinstance(annotation, ast.Subscript):
+        annotation = annotation.value
+    return getattr(annotation, "id", None) == "ClassVar" \
+        or getattr(annotation, "attr", None) == "ClassVar"
+
+
 def _defaulted_fields(node):
     """(field, position) of each defaulted field of the generated
     ``__init__`` of the dataclass ``node``; its position counts the
-    fields before it that ``__init__`` takes."""
+    fields before it that ``__init__`` takes, which leaves out
+    ``init=False`` fields and ``ClassVar`` attributes."""
     position = 0
     for member in node.body:
         if not isinstance(member, ast.AnnAssign) \
-                or _takes_no_init(member.value):
+                or _takes_no_init(member.value) \
+                or _is_class_var(member.annotation):
             continue
         if member.value is not None:
             yield member.target.id, position
@@ -316,3 +322,18 @@ def test_a_name_defined_in_two_modules_has_a_caller_for_each():
                 if len(defined) > 1
                 for module in defined if (module, name) not in called]
     assert uncalled == []
+
+
+def test_class_vars_and_uninitialised_fields_take_no_init_position():
+    node = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Report:\n"
+        "    rounds: int\n"
+        "    tag: ClassVar[str] = 'a'\n"
+        "    kind: typing.ClassVar[str] = 'b'\n"
+        "    bare: ClassVar = 'c'\n"
+        "    cache: dict = field(default_factory=dict, init=False)\n"
+        "    label: str = 'x'\n"
+        "    seed: int = 0\n").body[0]
+    assert _is_dataclass(node)
+    assert list(_defaulted_fields(node)) == [("label", 1), ("seed", 2)]
