@@ -9,12 +9,13 @@ memory as sessions grow.  Pinned digests keep the bytes the engine gave
 when it drew its chunks one by one, and any worker count and chunk size
 must give the reference bytes.  The workers may draw only a bounded
 window ahead, and a chunk that fails on a worker must stop every thread
-and leave an earlier log in place.  The batch reader must give the per-line
-reading's report, or its error and line number, whatever line shapes
-fall in a batch or at its boundary.  The guide-table outcome sampler
-must give the cell base of the full count of CDF entries <= u for every
-u, at bin edges and CDF entries alike, and the chunk kernel must give
-each round's cell by the documented rules on boundary uniforms.
+and leave an earlier log in place.  The batch reader must give the
+per-line reading's report, or its error and line number, whatever line
+shapes fall in a batch or at its boundary and whether lines end in LF,
+CRLF or a lone CR.  The guide-table outcome sampler must give the cell
+base of the full count of CDF entries <= u for every u, at bin edges
+and CDF entries alike, and the chunk kernel must give each round's cell
+by the documented rules on boundary uniforms.
 """
 
 import hashlib
@@ -451,16 +452,25 @@ def test_memory_is_bounded_by_the_chunk(tmp_path, small_chunks):
         return lambda: pt.run_bb84(None, channel, receiver, rounds, seed=1,
                                    log_path=log)
 
-    def read_back():
-        pt.sift_and_estimate(log, 0.5)
+    def read_backs():
+        """The traced peak of reading the log back with LF, CRLF and
+        lone-CR line ends."""
+        data = log.read_bytes()
+        peaks = []
+        for end in (b"\n", b"\r\n", b"\r"):
+            copy = tmp_path / "copy.ndjson"
+            copy.write_bytes(data.replace(b"\n", end))
+            peaks.append(traced_peak(lambda: pt.sift_and_estimate(copy, 0.5)))
+        return peaks
 
     session(4 * CHUNK)()  # warm every lazy cache first
     small = traced_peak(session(4 * CHUNK))
-    small_read = traced_peak(read_back)
+    small_reads = read_backs()
     large = traced_peak(session(40 * CHUNK))
-    large_read = traced_peak(read_back)
+    large_reads = read_backs()
     assert large < 2 * small
-    assert large_read < 2 * small_read
+    for small_read, large_read in zip(small_reads, large_reads):
+        assert large_read < 2 * small_read
 
 
 # ---------------------------------------------------------------------------
@@ -845,6 +855,43 @@ def test_a_line_with_leading_whitespace(tmp_path, batch_log):
 def test_crlf_line_ends(tmp_path, batch_log):
     lines, _ = batch_log
     assert_same_report(tmp_path, "".join(lines).replace("\n", "\r\n"))
+
+
+def test_lone_cr_line_ends(tmp_path, batch_log):
+    lines, _ = batch_log
+    assert_same_report(tmp_path, "".join(lines).replace("\n", "\r"))
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_every_line_end_reads_each_distinct_body_whole_once(
+        batch_log, monkeypatch, tmp_path, end):
+    lines, _ = batch_log
+    assert_same_report(tmp_path, "".join(lines).replace("\n", end), (0.5,))
+    assert read_whole(monkeypatch, tmp_path / "edited.ndjson") == \
+        first_of_each_body(lines)
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+@pytest.mark.parametrize("batch", [3, 50])
+@pytest.mark.parametrize("place", ["first", "last"])
+def test_every_line_end_names_the_line_of_an_error(
+        tmp_path, batch_log, end, batch, place):
+    lines, starts = batch_log
+    number = starts[batch] - (place == "last")
+    bad = '{"alice_basis":"computational" oops}\n'
+    with pytest.raises(json.JSONDecodeError) as err:
+        json.loads(bad)
+    undecoded = with_byte_ff(lines[number - 1]).decode("utf-8",
+                                                       "surrogateescape")
+    for line, message in ((bad, f"not valid JSON ({err.value})"),
+                          (undecoded, "byte 0xff is not UTF-8")):
+        text = "".join(lines[:number - 1] + [line] + lines[number:])
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(text.replace("\n", end).encode("utf-8",
+                                                        "surrogateescape"))
+        with pytest.raises(pt.ProtocolError) as raised:
+            pt.sift_and_estimate(path)
+        assert str(raised.value) == f"line {number}: {message}"
 
 
 def test_a_header_record_in_the_middle_of_the_log(tmp_path, batch_log):
