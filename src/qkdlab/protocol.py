@@ -20,18 +20,23 @@ SC'11), so each chunk keys its own generator at the counter offset of
 its first round and needs nothing from the chunk before it.  A session
 of several chunks draws and counts them on up to ``_WORKERS`` threads,
 one per CPU this process may use, while the calling thread adds their
-tallies and writes their log lines in chunk order; a one-chunk session
-runs inline and starts no thread.  The chunks together draw the stream
-of one whole-session draw, so the reports and log bytes are those of an
-unchunked run and depend neither on the number of threads nor on the
-chunk size.
+tallies and writes their log lines in chunk order.  Twice as many
+chunks as threads are kept submitted, so a thread that finishes one
+starts the next without waiting for the calling thread; a one-chunk
+session runs inline and starts no thread.  The chunks together draw
+the stream of one whole-session draw, so the reports and log bytes are
+those of an unchunked run and depend neither on the number of threads
+nor on the chunk size.
 
-A log file is read back as its header line, then batches of whole
-lines: one regex split strips every line's round number and one dict
-lookup per line body maps the batch to cells, so no Python step runs per
-line.  A batch holding a body not seen before is walked line by line
-instead, and each line whose body is not known is read whole, which
-keeps every error and its line number.
+A log file is read back as bytes: its header line, then batches of
+whole lines, each ended by LF, CRLF or a lone CR as text mode reads
+them.  One regex split strips every line's round number with its line
+end, and one lookup per line body in a dict keyed by the body's bytes
+maps the batch to cells, so no Python step runs per line and no byte is
+decoded.  Only a batch holding a body not seen before is decoded to
+text, its line ends made LF, and walked line by line; each line whose
+body is not known is read whole, which keeps every error and its line
+number.
 
 Outcomes are drawn by inverse transform through a guide table (Chen &
 Asau, AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
@@ -228,25 +233,25 @@ class SimulationReport:
 # Rounds are drawn, counted and logged this many at a time, which bounds
 # a session's memory whatever its length.  Each chunk keys its own
 # generator at its counter offset, so the chunk size changes no byte of a
-# report or a log.  Up to _WORKERS chunks are in flight at once.  One
-# holds at most about 1.9 MB of arrays at this size while it is drawn
-# (the tracemalloc peak of a one-chunk session), 1.3 MB of them its
-# uniforms, and a drawn chunk keeps only its 128 KiB of cell indices and
-# its tally until the calling thread takes them.  Smaller chunks hand the
-# interpreter lock between threads so often that two threads draw no
-# faster than one.
+# report or a log.  Up to 2 * _WORKERS chunks are in flight at once:
+# at most _WORKERS of them are being drawn, each holding at most about
+# 1.9 MB of arrays at this size (the tracemalloc peak of a one-chunk
+# session), 1.3 MB of them its uniforms, and the rest wait drawn, each
+# keeping only its 128 KiB of cell indices and its tally until the
+# calling thread takes them.  Smaller chunks hand the interpreter lock
+# between threads so often that two threads draw no faster than one.
 _CHUNK = 1 << 15
 
 # A session's chunks are drawn on one thread per CPU this process may use,
-# up to _MAX_WORKERS, which bounds the chunks in flight and their memory.
+# up to _MAX_WORKERS, which bounds the chunks being drawn and their memory.
 _MAX_WORKERS = 4
 _WORKERS = min(_MAX_WORKERS, len(os.sched_getaffinity(0))
                if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
 
 # A chunk's round lines are joined and written this many at a time, so the
 # log write holds a slice of text rather than a whole chunk's.  A round-log
-# file is read back in batches of 32 characters per slice row (256 KiB,
-# about 1800 round lines) and the rest of the line the batch ends in.
+# file is read back in batches of 32 bytes per slice row (256 KiB, about
+# 1800 round lines) and the rest of the line the batch ends in.
 _LOG_SLICE = 1 << 13
 
 # Guide bins per CDF row of the outcome sampler: a power of two, so a
@@ -516,11 +521,11 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
     Rounds are drawn, counted and logged in fixed chunks, so memory
     stays bounded by the chunk, not the session.  Each chunk starts its
     own generator at its counter offset, so up to ``_WORKERS`` chunks
-    are drawn and counted at once on worker threads, and this thread
-    takes their counts and writes their log lines in chunk order.  A
-    session of one chunk runs inline and starts no thread.  Neither the
-    number of threads nor the chunk size changes a byte of the report
-    or the log.  An exception in a chunk is raised here, after the
+    are drawn and counted at once on worker threads, as many more wait
+    drawn, and this thread takes their counts and writes their log lines
+    in chunk order.  A session of one chunk runs inline and starts no
+    thread.  Neither the number of threads nor the chunk size changes a
+    byte of the report or the log.  An exception in a chunk is raised here, after the
     threads stop, and leaves any earlier file at ``log_path`` as it was.
     """
     if alice is None:
@@ -618,12 +623,14 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
 def _in_order(draw, starts: range):
     """Yield ``draw(start)`` for each of ``starts``, in order.
 
-    The calls run on ``_WORKERS`` threads, and at most that many are
-    submitted and not yet yielded, so a slow consumer holds at most that
-    many results.  With one start or one worker every call runs inline
-    and no thread starts.  Closing the generator cancels the calls not
-    yet begun and waits for those running; a call's exception is raised
-    when its turn comes.
+    The calls run on ``_WORKERS`` threads, and twice that many are kept
+    submitted and not yet yielded.  So while the consumer takes one
+    result, a thread that finishes a call starts its next one at once,
+    and a slow consumer holds at most twice as many results as there are
+    threads, at most one per thread still being drawn.  With one start
+    or one worker every call runs inline and no thread starts.  Closing
+    the generator cancels the calls not yet begun and waits for those
+    running; a call's exception is raised when its turn comes.
     """
     workers = min(_WORKERS, len(starts))
     if workers < 2:
@@ -635,7 +642,7 @@ def _in_order(draw, starts: range):
     try:
         for start in starts:
             ahead.append(pool.submit(draw, start))
-            if len(ahead) == workers:
+            if len(ahead) == 2 * workers:
                 yield ahead.popleft().result()
         while ahead:
             yield ahead.popleft().result()
@@ -685,9 +692,12 @@ def _log_lines(prefixes: List[Optional[str]], start: int,
 # ---------------------------------------------------------------------------
 
 # the round-number tail of a line as run_bb84 writes it, with its line end
-_ROUND_TAIL = re.compile(r',"round":(?:0|[1-9][0-9]*)\}$\n?', re.M)
-# one line of a batch with its line end, if it has one; found one at a time,
-# so a batch walked line by line holds no second copy of its text
+# (LF, CRLF or a lone CR, as text mode reads them) or the end of the bytes
+_ROUND_TAIL = re.compile(rb',"round":(?:0|[1-9][0-9]*)\}(?:\n|\r\n?|\Z)')
+# a line end, as text mode reads it
+_LINE_END = re.compile(rb"\n|\r\n?")
+# one line of a decoded batch with its line end, if it has one; found one at
+# a time, so a batch walked line by line holds no second copy of its text
 _LINE = re.compile(".+\n?|\n")
 # a byte the file's UTF-8 does not decode, as surrogateescape reads it
 _UNDECODED = re.compile("[\udc80-\udcff]")
@@ -821,20 +831,30 @@ def _line_record(line: str, number: int, cells: _LogCells) -> Optional[int]:
     return cell
 
 
-def _batch_cells(text: str, number: int, by_body: Dict[str, int],
+def _text(data: bytes) -> str:
+    """``data`` decoded as text mode reads it: UTF-8, a byte that is not
+    UTF-8 as a lone surrogate, so its line can be named, and every CRLF
+    or lone CR made LF."""
+    text = data.decode("utf-8", "surrogateescape")
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def _batch_cells(data: bytes, number: int, by_body: Dict[bytes, int],
                  cells: _LogCells) -> Tuple[np.ndarray, int]:
     """The cell indices of a batch of whole lines, and its line count.
 
-    The first line of ``text`` is numbered ``number``.  One regex split
+    The first line of ``data`` is numbered ``number``.  One regex split
     at every round-number tail cuts the batch into line bodies, and when
     every body is known one dict lookup per body maps the batch.  A line
     without the tail joins the piece after it, and no known body holds a
-    newline, so such a batch is not mapped.  Otherwise each line is
-    looked up by its body, and a line whose body is not known is read
-    whole by :func:`_line_record`; if it ends in the tail, its body is
-    then known.
+    line end, so such a batch is not mapped.  Otherwise the batch is
+    decoded by :func:`_text` and each line is looked up by the bytes of
+    its body; a line whose body is not known is read whole by
+    :func:`_line_record`, and if it ends in the tail, its body is then
+    known.  A body holds no line end, so its bytes are those the file
+    holds.
     """
-    bodies = _ROUND_TAIL.split(text)
+    bodies = _ROUND_TAIL.split(data)
     if not bodies.pop():
         try:
             return np.fromiter(map(by_body.get, bodies), np.int64,
@@ -842,10 +862,11 @@ def _batch_cells(text: str, number: int, by_body: Dict[str, int],
         except TypeError:  # a body not seen before maps to None
             pass
     found = []
-    for at, match in enumerate(_LINE.finditer(text), number):
+    for at, match in enumerate(_LINE.finditer(_text(data)), number):
         line = match.group()
-        tail = _ROUND_TAIL.search(line)
-        body = line[:tail.start()] if tail else None
+        raw = line.encode("utf-8", "surrogateescape")
+        tail = _ROUND_TAIL.search(raw)
+        body = raw[:tail.start()] if tail else None
         cell = by_body.get(body)
         if cell is None:
             cell = _line_record(line, at, cells)
@@ -856,17 +877,38 @@ def _batch_cells(text: str, number: int, by_body: Dict[str, int],
     return np.array(found, np.int64), at + 1 - number
 
 
-def _file_batches(fh, cells: _LogCells):
-    """Yield the cell indices of the round lines of an open round-log
-    file, one array per batch, from line 2 on.
+def _through_line_end(fh, data: bytes) -> bytes:
+    """``data`` and the bytes of the open binary file ``fh`` through its
+    next line end.
 
-    A batch is ``32 * _LOG_SLICE`` characters and the rest of the line
-    they end in.
+    A line ends at LF, CRLF or a lone CR, as in text mode; a binary
+    ``readline`` stops only at LF, so the end is sought in the file's
+    buffer.  ``data`` that ends in CR takes only the LF that may pair
+    with it, so no CRLF is split.
     """
-    by_body: Dict[str, int] = {}
+    parts = [data]
+    if not data.endswith(b"\r"):
+        while buffered := fh.peek():
+            end = _LINE_END.search(buffered)
+            parts.append(fh.read(end.end() if end else len(buffered)))
+            if end:
+                break
+    if parts[-1].endswith(b"\r") and fh.peek(1)[:1] == b"\n":
+        parts.append(fh.read(1))
+    return b"".join(parts)
+
+
+def _file_batches(fh, cells: _LogCells):
+    """Yield the cell indices of the round lines of an open binary
+    round-log file, one array per batch, from line 2 on.
+
+    A batch is ``32 * _LOG_SLICE`` bytes and the rest of the line they
+    end in.
+    """
+    by_body: Dict[bytes, int] = {}
     number = 2
-    while text := fh.read(32 * _LOG_SLICE) + fh.readline():
-        batch, lines = _batch_cells(text, number, by_body, cells)
+    while data := _through_line_end(fh, fh.read(32 * _LOG_SLICE)):
+        batch, lines = _batch_cells(data, number, by_body, cells)
         number += lines
         yield batch
 
@@ -898,19 +940,22 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
 
     Line 1 is the header, which must match the schema's ``header``
     record.  Every later line is one round record in any JSON
-    serialization, and a blank line is skipped.  The round lines are
-    read in batches of about 256 KiB, and each round is kept only as a
-    small integer, so memory stays bounded by the batch and the number
-    of distinct records.  A batch is cut into line bodies by one regex
-    split and mapped to cells by one dict lookup per body; only a line
-    whose body is not known (another serialization, or a body not seen
-    before) is read whole by ``json.loads`` and checked.  Each batch
-    draws its own test uniforms, which together equal one whole draw, so
-    the batch size changes no report.  A line that is not valid JSON or
-    holds a byte that is not UTF-8, a first line that is not the header,
-    or a later line that the schema's ``round`` record rejects (a field
-    missing, malformed or not declared, a second header among them)
-    raises :class:`ProtocolError` naming its 1-based line number.
+    serialization, and a blank line is skipped.  Lines may end in LF,
+    CRLF or a lone CR, as text mode reads them.  The file is read as
+    bytes: the round lines in batches of about 256 KiB, each round kept
+    only as a small integer, so memory stays bounded by the batch and
+    the number of distinct records.  A batch is cut into line bodies by
+    one regex split and mapped to cells by one lookup per body in a dict
+    keyed by bytes; only a batch that holds a body not known (another
+    serialization, or a body not seen before) is decoded and walked line
+    by line, and only a line whose body is not known is read whole by
+    ``json.loads`` and checked.  Each batch draws its own test uniforms,
+    which together equal one whole draw, so the batch size changes no
+    report.  A line that is not valid JSON or holds a byte that is not
+    UTF-8, a first line that is not the header, or a later line that the
+    schema's ``round`` record rejects (a field missing, malformed or not
+    declared, a second header among them) raises :class:`ProtocolError`
+    naming its 1-based line number.
     Duplicated or missing round numbers are not detected; only the
     header's ``rounds`` total is checked against the number of round
     lines.
@@ -919,10 +964,8 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     gen = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))
     cells = _LogCells()
     counts = tested = np.zeros(0, dtype=np.int64)
-    # text mode, so newlines are those of file iteration; a byte that is
-    # not UTF-8 reads as a lone surrogate, so its line can be named
-    with open(log, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        header = _json_line(fh.readline(), "line 1")
+    with open(log, "rb") as fh:
+        header = _json_line(_text(_through_line_end(fh, b"")), "line 1")
         _check_header(header, "line 1")
         for chunk in _file_batches(fh, cells):
             in_test = gen.random(len(chunk)) < test_fraction

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import inspect
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cached_property, partial
@@ -427,7 +428,6 @@ def _blinded_bright(bright_photons: int = 20,
     if from_vulnerabilities is not None:
         _check_vulnerability_records(from_vulnerabilities)
     reg = fs.registry([pol_h(), pol_v()], max_photons=bright_photons)
-    bright_photons = reg.max_photons_per_mode  # an integral float as an int
     channel = (pol_h(), pol_v())
     named = bright_states(reg, bright_photons)
     ordered = ["b0", "b1", "b+", "b-"]
@@ -477,7 +477,10 @@ def make_receiver(kind: str, variant: str | None = None,
     ``kind`` is one of ``RECEIVER_KINDS``, spelled in full.  A kind reads
     the parameters of its builder in ``_BUNDLED`` (tabled in README.md);
     ``variant=None`` means none was given.  Any other kind name, or a
-    keyword the kind does not read, raises ValueError.
+    keyword the kind does not read, raises ValueError.  ``bright_photons``
+    and ``max_photons`` cap the registry's photons per mode: an integer
+    >= 1 (an integral float is taken as its integer), or FockError names
+    the keyword.
     ``from_vulnerabilities`` (``blinded-bright``) takes forced-interpretation
     records from a fuzz campaign, checked for coverage and consistency.
     """
@@ -490,7 +493,21 @@ def make_receiver(kind: str, variant: str | None = None,
     unread = sorted(set(options) - set(inspect.signature(builder).parameters))
     if unread:
         raise ValueError(f"receiver kind {kind!r} does not read {unread}")
+    for key in ("bright_photons", "max_photons"):
+        if key in options:
+            options[key] = _photon_cap(key, options[key])
     return builder(**options)
+
+
+def _photon_cap(key: str, value) -> int:
+    """``value``, given as keyword ``key``, as a registry's photon cap."""
+    if isinstance(value, bool) or not (
+            isinstance(value, numbers.Integral)
+            or isinstance(value, float) and value.is_integer()) \
+            or value < 1:
+        raise fs.FockError(f"{key} must be an integer >= 1 (the registry's "
+                           f"max_photons_per_mode), got {value!r}")
+    return int(value)
 
 
 def parse_occ(text: str) -> fs.Occupation:

@@ -177,6 +177,28 @@ def test_an_integral_float_bright_photon_count_builds_its_integer_receiver():
         rc.make_receiver("blinded-bright", bright_photons=6.5)
 
 
+@pytest.mark.parametrize("kind, key, value", [
+    ("blinded-bright", "bright_photons", 6.5),
+    ("interferometric-6mode", "max_photons", 2.5),
+    ("interferometric-6mode", "max_photons", True),
+    ("blinded-bright", "bright_photons", "6"),
+])
+def test_a_photon_count_that_is_not_an_integer_names_its_keyword(kind, key,
+                                                                 value):
+    with pytest.raises(fs.FockError) as raised:
+        rc.make_receiver(kind, **{key: value})
+    assert str(raised.value) == (
+        f"{key} must be an integer >= 1 (the registry's "
+        f"max_photons_per_mode), got {value!r}")
+
+
+def test_an_integral_float_max_photon_count_builds_its_integer_receiver():
+    as_int = rc.make_receiver("interferometric-6mode", max_photons=2)
+    as_float = rc.make_receiver("interferometric-6mode", max_photons=2.0)
+    assert as_float.registry == as_int.registry
+    assert type(as_float.registry.max_photons_per_mode) is int
+
+
 def test_blinded_receiver_is_passive_and_ignores_single_photons():
     receiver = rc.make_receiver("blinded-bright", bright_photons=8)
     comp = receiver.settings[rc.COMPUTATIONAL]
