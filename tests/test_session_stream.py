@@ -34,7 +34,7 @@ import pytest
 from qkdlab import attacks as atk
 from qkdlab import protocol as pt
 from qkdlab import receivers as rc
-from qkdlab.fockspace import PhotonicState
+from qkdlab.fockspace import PhotonicState, t_in
 
 CHUNK = 1000
 
@@ -83,8 +83,9 @@ def reference_tables(alice, channel, receiver, system):
     return ids, cdf, codes
 
 
-def reference_run_bb84(channel, receiver, rounds, seed, log_path):
-    alice = receiver.source
+def reference_run_bb84(channel, receiver, rounds, seed, log_path,
+                       alice=None):
+    alice = alice or receiver.source
     labels = alice.labels()
     settings = list(receiver.settings)
     system = None
@@ -375,6 +376,48 @@ def test_worker_count_and_chunk_size_change_no_byte(tmp_path, monkeypatch,
             log.unlink()
 
 
+# a source of six states, whose label count is not a power of two, on a
+# receiver whose two settings measure two of its three bases
+SIX_STATE_CHANNELS = {"identity": None, "lossy": 0.3, "pns": 0.1}
+SIX_STATE_ROUNDS = 3 * CHUNK + 7
+# SHA-256 of each six-state session's report line and log bytes
+SIX_STATE_DIGESTS = {
+    "identity":
+        "9c6fad3e5765283ea0612632185a83286d96b135c3ecb469968cd941a837ed01",
+    "lossy":
+        "2508081981a310a77542b54be9e7e43457cbc1e0b50282cf4e7b3bad5919ebaf",
+    "pns":
+        "7092cc6d9e5b3644af1c11a0d00544b029c7c365e96c3f8d6eeb007860e76639",
+}
+
+
+def six_state_source(receiver):
+    return rc._logical_source(
+        receiver.channel_registry(), t_in(0), t_in(1),
+        bases=(rc.COMPUTATIONAL, rc.HADAMARD, rc.Y_BASIS))
+
+
+@pytest.mark.parametrize("kind", sorted(SIX_STATE_CHANNELS))
+def test_six_state_sessions_match_the_reference(tmp_path, small_chunks,
+                                                monkeypatch, kind):
+    receiver = rc.make_receiver("interferometric-2mode", "single-window")
+    alice = six_state_source(receiver)
+    assert len(alice.labels()) == 6
+    channel = pt.make_channel(kind, SIX_STATE_CHANNELS[kind])
+    ref_log = tmp_path / "reference.ndjson"
+    want = reference_run_bb84(channel, receiver, SIX_STATE_ROUNDS, 4,
+                              ref_log, alice)
+    for workers in (1, 3):
+        monkeypatch.setattr(pt, "_WORKERS", workers)
+        log = tmp_path / f"log-{workers}.ndjson"
+        report = pt.run_bb84(alice, channel, receiver, SIX_STATE_ROUNDS,
+                             seed=4, log_path=log)
+        assert report.to_json_dict() == want.to_json_dict(), workers
+        assert log.read_bytes() == ref_log.read_bytes(), workers
+    assert sha256(report_line(report) + log.read_bytes()) == \
+        SIX_STATE_DIGESTS[kind]
+
+
 def test_workers_draw_a_bounded_window_ahead_of_the_log(tmp_path,
                                                          small_chunks,
                                                          monkeypatch):
@@ -430,6 +473,23 @@ def test_a_chunk_that_fails_on_a_worker(tmp_path, small_chunks,
     assert log.read_bytes() == before
     assert os.listdir(tmp_path) == ["rounds.ndjson"]
     assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("skip", range(4))
+def test_a_uniform_is_the_top_53_bits_of_its_philox_word(skip):
+    # the stream contract the session draws rest on: after the same
+    # counter steps and skipped words, Generator.random gives each word's
+    # top 53 bits times 2**-53
+    key = np.random.Philox(PINNED_SEED).state["state"]["key"]
+    for steps in (0, 1, 5 * 12345 // 4):
+        doubles, words = np.random.Philox(key=key), np.random.Philox(key=key)
+        doubles.advance(steps)
+        words.advance(steps)
+        gen = np.random.Generator(doubles)
+        gen.random(skip)
+        words.random_raw(skip)
+        assert np.array_equal(gen.random(4099),
+                              (words.random_raw(4099) >> 11) * 2.0 ** -53)
 
 
 # ---------------------------------------------------------------------------
