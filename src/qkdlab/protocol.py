@@ -28,6 +28,15 @@ the stream of one whole-session draw, so the reports and log bytes are
 those of an unchunked run and depend neither on the number of threads
 nor on the chunk size.
 
+A round reads five raw 64-bit words of the stream (label, setting,
+outcome and two adversary draws) and builds no uniform double.  Each
+word w stands for the uniform u = (w >> 11) * 2**-53 that
+``Generator.random`` would make of it, and every rule is read off the
+word exactly: an index floor(u * n) over a power-of-two count n is the
+word's top log2(n) bits, a guide bin its top 12 bits, and u >= p an
+integer comparison of its top 53 bits with ceil(p * 2**53).  Only an
+index over another count, and a round in a split guide bin, build u.
+
 A log file is read back as bytes: its header line, then batches of
 whole lines, each ended by LF, CRLF or a lone CR as text mode reads
 them.  One regex split strips every line's round number with its line
@@ -235,8 +244,8 @@ class SimulationReport:
 # generator at its counter offset, so the chunk size changes no byte of a
 # report or a log.  Up to 2 * _WORKERS chunks are in flight at once:
 # at most _WORKERS of them are being drawn, each holding at most about
-# 1.9 MB of arrays at this size (the tracemalloc peak of a one-chunk
-# session), 1.3 MB of them its uniforms, and the rest wait drawn, each
+# 2.4 MB of arrays at this size (the tracemalloc peak of a one-chunk
+# session), 1.3 MB of them its raw words, and the rest wait drawn, each
 # keeping only its 128 KiB of cell indices and its tally until the
 # calling thread takes them.  Smaller chunks hand the interpreter lock
 # between threads so often that two threads draw no faster than one.
@@ -348,22 +357,48 @@ def _guide_table(cdf: np.ndarray) -> np.ndarray:
     return guide.ravel()
 
 
-def _sample_outcomes(cdf: np.ndarray, guide: np.ndarray, pair: np.ndarray,
-                     u: np.ndarray) -> np.ndarray:
-    """The cell base ``(pair * width + #{c <= u}) * 2`` per round, where
-    #{c <= u} counts CDF row ``pair``, read off the guide table.
+def _uniform(words: np.ndarray) -> np.ndarray:
+    """The uniform ``(w >> 11) * 2**-53`` of each raw Philox word w, the
+    double ``Generator.random`` makes of it."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
 
-    ``u * _GUIDE`` is exact in binary64, so truncating it names the bin
-    u lies in.  Only rounds in a split bin count their row's entries.
+
+def _index(words: np.ndarray, n: int) -> np.ndarray:
+    """``floor(u * n)``, clamped to ``n - 1``, of each word's uniform u,
+    as int64.
+
+    When n is a power of two, ``u * n`` is exact and the index is the
+    word's top log2(n) bits.  Otherwise it is taken in floating point as
+    written: the integer form ``(m * n) >> 53`` of u = m * 2**-53 misses
+    the rounding of ``u * n``, which can carry to the next integer.
     """
-    at = (u * _GUIDE).astype(np.int64)
+    shift = n.bit_length() - 1
+    if n == 1:
+        return np.zeros(len(words), dtype=np.int64)
+    if n == 1 << shift:
+        return (words >> np.uint64(64 - shift)).view(np.int64)
+    index = (_uniform(words) * n).astype(np.int64)
+    return np.minimum(index, n - 1, out=index)
+
+
+def _sample_outcomes(cdf: np.ndarray, guide: np.ndarray, pair: np.ndarray,
+                     words: np.ndarray) -> np.ndarray:
+    """The cell base ``(pair * width + #{c <= u}) * 2`` per round, where u
+    is the uniform of the round's outcome word and #{c <= u} counts CDF
+    row ``pair``, read off the guide table.
+
+    The bin of u, ``floor(u * _GUIDE)``, is the word's top 12 bits.  Only
+    rounds in a split bin build their uniform and count their row's
+    entries.
+    """
+    at = _index(words, _GUIDE)
     at += pair * _GUIDE
     cell = guide[at]
     split = np.flatnonzero(cell < 0)
     if len(split):
         rows = pair[split]
         cell[split] = (rows * cdf.shape[1] + np.count_nonzero(
-            cdf[rows] <= u[split, None], axis=1)) * 2
+            cdf[rows] <= _uniform(words[split])[:, None], axis=1)) * 2
     return cell
 
 
@@ -384,33 +419,52 @@ def _interpretation_codes(receiver: rc.ReceiverModel,
     return codes
 
 
+def _at_least(p) -> np.ndarray:
+    """``ceil(p * 2**53)`` per entry of p, as uint64: the least m with
+    ``m * 2**-53 >= p``, since ``p * 2**53`` is exact.  A word's uniform
+    is >= p exactly when its top 53 bits are at least this."""
+    return np.ceil(np.multiply(p, 2.0 ** 53)).astype(np.uint64)
+
+
 def _guess_rule(channel: ChannelModel, labels, n_set: int,
                 conditional: Optional[atk.EveConditionalStates]):
     """Per-round adversary guess, as a boolean, from pair indices
-    ``label * n_set + setting`` and the round uniforms.
+    ``label * n_set + setting`` and the rounds' raw words.
 
-    Under an attack channel Eve guesses bit 0 with the probability that
-    ``attacks.eve_guess`` gives for Alice's label, clamped to [0, 1]; a
-    clamped probability is never NaN, so ``u >= p0`` is exactly the
-    complement of ``u < p0``.  A basis in which nothing sifts is never
-    scored, so there the guess is uniform.  The tables are indexed by
-    pair, each label's entry repeated over the settings.
+    Each rule compares the uniform u of word 3 or 4 (see :func:`_uniform`)
+    with a probability, on the word itself: ``u >= 0.5`` is its top bit,
+    and ``u >= p`` holds exactly when its top 53 bits are at least
+    :func:`_at_least` of p.  Under an attack channel Eve guesses bit 0
+    with the probability p0 that ``attacks.eve_guess`` gives for Alice's
+    label, clamped to [0, 1], so the guess is ``u3 >= p0``; a probability
+    that is not finite raises ProtocolError.  A basis in which nothing
+    sifts is never scored, so there the guess is uniform.  Under PNS Eve
+    knows the bit when ``u3 < p_multi`` and guesses ``u4 >= 0.5``
+    otherwise.  The tables are indexed by pair, each label's entry
+    repeated over the settings.
     """
     lab_of_pair = np.repeat(np.arange(len(labels)), n_set)
+    half = np.uint64(1 << 63)
     if channel.kind == ATTACK:
         given = {}
         for basis in {basis for basis, _ in labels}:
             meas = atk.eve_guess(conditional, basis)
             given[basis] = (0.5, 0.5) if meas is None else (
                 meas.guess0_given_0, meas.guess0_given_1)
-        p0 = np.clip([given[basis][bit] for basis, bit in labels], 0.0, 1.0)
-        p0 = p0[lab_of_pair]
-        return lambda pair, u: u[:, 3] >= p0[pair]
+        p0 = [given[basis][bit] for basis, bit in labels]
+        for label, p in zip(labels, p0):
+            if not np.isfinite(p):
+                raise ProtocolError(
+                    f"Eve's probability of guessing 0 for label {label} is "
+                    f"{p}, not a finite number")
+        least = _at_least(np.clip(p0, 0.0, 1.0))[lab_of_pair]
+        return lambda pair, w: (w[:, 3] >> np.uint64(11)) >= least[pair]
     if channel.kind == PNS:
         bit_of = np.array([lab[1] for lab in labels], dtype=bool)[lab_of_pair]
-        return lambda pair, u: np.where(u[:, 3] < channel.p_multi,
-                                        bit_of[pair], u[:, 4] >= 0.5)
-    return lambda pair, u: u[:, 3] >= 0.5
+        multi = _at_least(channel.p_multi)
+        return lambda pair, w: np.where(
+            (w[:, 3] >> np.uint64(11)) < multi, bit_of[pair], w[:, 4] >= half)
+    return lambda pair, w: w[:, 3] >= half
 
 
 def _report(cells, counts: np.ndarray, tested: np.ndarray,
@@ -516,8 +570,9 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
     directory that replaces ``log_path`` only once the session completes.
 
     All randomness derives from one counter-based generator keyed by
-    ``seed`` (a non-negative integer): round r consumes a fixed slice of
-    the stream, so reports and logs are reproducible bit-for-bit.
+    ``seed`` (a non-negative integer): round r reads raw words
+    5r .. 5r + 4 of ``Philox(seed)``, so reports and logs are
+    reproducible bit-for-bit.
     Rounds are drawn, counted and logged in fixed chunks, so memory
     stays bounded by the chunk, not the session.  Each chunk starts its
     own generator at its counter offset, so up to ``_WORKERS`` chunks
@@ -574,24 +629,22 @@ def run_bb84(alice: Optional[rc.AliceSourceModel],
         """The cell index of each round of the chunk at ``start``, and
         their tally per cell.
 
-        Round r takes doubles 5r .. 5r + 4 of the stream, and Philox
+        Round r takes raw words 5r .. 5r + 4 of the stream, and Philox
         makes four per counter step, so the chunk starts its own
         generator ``5 * start // 4`` steps in and drops the
-        ``5 * start % 4`` doubles of that step that earlier rounds took.
+        ``5 * start % 4`` words of that step that earlier rounds took.
         """
         bits = np.random.Philox(key=key)
         bits.advance(5 * start // 4)
-        gen = np.random.Generator(bits)
-        gen.random(5 * start % 4)
-        # Column layout of the per-round uniforms: label, setting,
-        # outcome, adversary primary, adversary secondary draw.
-        u = gen.random((min(_CHUNK, rounds - start), 5))
-        pair = (u[:, 0] * n_lab).astype(np.int64)
-        np.minimum(pair, n_lab - 1, out=pair)
+        bits.random_raw(5 * start % 4)
+        # Column layout of the per-round words: label, setting, outcome,
+        # adversary primary, adversary secondary draw.
+        w = bits.random_raw(5 * min(_CHUNK, rounds - start)).reshape(-1, 5)
+        pair = _index(w[:, 0], n_lab)
         pair *= n_set
-        pair += np.minimum((u[:, 1] * n_set).astype(np.int64), n_set - 1)
-        cell = _sample_outcomes(cdf, guide, pair, u[:, 2])
-        cell += guess(pair, u)
+        pair += _index(w[:, 1], n_set)
+        cell = _sample_outcomes(cdf, guide, pair, w[:, 2])
+        cell += guess(pair, w)
         return cell, np.bincount(cell, minlength=len(cells))
 
     starts = range(0, rounds, _CHUNK)

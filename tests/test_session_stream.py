@@ -21,6 +21,7 @@ by the documented rules on boundary uniforms.
 import hashlib
 import itertools
 import json
+import math
 import os
 import random
 import threading
@@ -1009,6 +1010,21 @@ def test_a_body_holding_a_line_separator(tmp_path, batch_log):
 
 BIN = 1.0 / pt._GUIDE
 LAST_UNIFORM = 1.0 - 2.0 ** -53  # the largest value Generator.random draws
+LOW_BITS = np.uint64(0x7ff)  # the 11 bits of a word its uniform drops
+
+
+def uniforms(words):
+    """The uniform ``Generator.random`` makes of each raw Philox word."""
+    return (words >> np.uint64(11)) * 2.0 ** -53
+
+
+def words_of(u):
+    """Raw words for doubles u, shape kept, on a new leading axis of two:
+    the word of the largest drawable uniform <= u and of the least one
+    >= u, which are one word when u is a multiple of 2**-53."""
+    scaled = np.asarray(u) * 2.0 ** 53
+    return np.stack([np.floor(scaled), np.ceil(scaled)]).astype(
+        np.uint64) << np.uint64(11)
 
 
 def probe_uniforms(cdf):
@@ -1022,15 +1038,23 @@ def probe_uniforms(cdf):
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+def probe_words(cdf):
+    """The drawable words either side of each of :func:`probe_uniforms`,
+    each with its 11 low bits clear and again with them set."""
+    words = np.unique(words_of(probe_uniforms(cdf)))
+    return np.concatenate([words, words | LOW_BITS])
+
+
 def assert_guide_is_exact(cdf):
     guide = pt._guide_table(cdf)
-    u = probe_uniforms(cdf)
+    words = probe_words(cdf)
+    u = uniforms(words)
     width = cdf.shape[1]
     for row in range(len(cdf)):
         pair = np.full(len(u), row, dtype=np.int64)
         count = np.count_nonzero(cdf[pair] <= u[:, None], axis=1)
         reference = (row * width + count) * 2
-        got = pt._sample_outcomes(cdf, guide, pair, u)
+        got = pt._sample_outcomes(cdf, guide, pair, words)
         assert np.array_equal(got, reference), f"row {row}"
     return guide.reshape(len(cdf), pt._GUIDE)
 
@@ -1077,8 +1101,33 @@ def test_guide_table_is_exact_on_every_bundled_receiver(kind, variant):
 
 
 # ---------------------------------------------------------------------------
-# the chunk kernel on boundary uniforms
+# the chunk kernel on boundary words
 # ---------------------------------------------------------------------------
+
+# m = 6004799503160661 lies just under 2/3 * 2**53: u * 3 rounds up to 2.0
+# for u = m * 2**-53, so floor gives 2, though the integer (m * 3) >> 53
+# is 1
+CARRY = 6004799503160661
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_index_is_the_float_rule_on_boundary_words(n):
+    tops = {0, CARRY, 2 ** 53 - 1}
+    for k in range(n + 1):
+        edge = k / n * 2.0 ** 53
+        tops |= {math.floor(edge) + d for d in (-1, 0, 1)}
+        tops |= {math.ceil(edge) + d for d in (-1, 0, 1)}
+    words = np.array(sorted(m for m in tops if 0 <= m < 2 ** 53),
+                     dtype=np.uint64) << np.uint64(11)
+    words = np.concatenate([words, words | LOW_BITS])
+    want = [min(int(u * n), n - 1) for u in uniforms(words).tolist()]
+    got = pt._index(words, n)
+    assert got.dtype == np.int64
+    assert got.tolist() == want
+    assert set(want) == set(range(n))
+    if n == 3:
+        assert want[words.tolist().index(CARRY << 11)] == 2
+
 
 def after(x):
     return float(np.nextafter(x, 1.0))
@@ -1134,21 +1183,36 @@ def reference_round(row, labels, n_set, cdf, channel, p0):
     return lab, setting, outcome, guess
 
 
-class CraftedGenerator:
-    """Stands in for numpy's Generator in a session's chunk draw and hands
-    out ``rows`` as the uniforms of its one chunk."""
+def boundary_words(cdf, n_lab, n_set, guess_edges):
+    """The rows of :func:`boundary_uniforms` as raw words: a row with a
+    double that is not a multiple of 2**-53 gives one row of the drawable
+    words below its doubles and one of those above.  The second half is
+    the first with the 11 low bits of every word set."""
+    rows = words_of(boundary_uniforms(cdf, n_lab, n_set, guess_edges))
+    words = np.unique(rows.reshape(-1, 5), axis=0)
+    return np.concatenate([words, words | LOW_BITS])
 
-    def __init__(self, rows):
-        self.rows = rows
 
-    def __call__(self, bits):
+class CraftedBits:
+    """Stands in for numpy's Philox in a session and hands out ``words``
+    as the raw words of its one chunk."""
+
+    state = {"state": {"key": None}}
+
+    def __init__(self, words):
+        self.words = words
+
+    def __call__(self, seed=None, key=None):
         return self
 
-    def random(self, size):
-        if size == 0:  # the first chunk skips no doubles
-            return np.empty(0)
-        assert size == self.rows.shape
-        return self.rows
+    def advance(self, steps):
+        assert steps == 0  # the one chunk starts the stream
+
+    def random_raw(self, size):
+        if size == 0:  # the first chunk skips no words
+            return np.empty(0, dtype=np.uint64)
+        assert size == self.words.size
+        return self.words.ravel()
 
 
 @pytest.mark.parametrize("kind", sorted(CASES))
@@ -1177,28 +1241,42 @@ def test_chunk_kernel_on_boundary_uniforms(tmp_path, monkeypatch, kind):
     ids, cdf, guide = pt._outcome_tables(receiver.source, channel, receiver,
                                          system)
     width = cdf.shape[1]
-    u = boundary_uniforms(cdf, n_lab, n_set, guess_edges)
+    words = boundary_words(cdf, n_lab, n_set, guess_edges)
+    half = len(words) // 2
     want = [reference_round(row, labels, n_set, cdf, channel, p0)
-            for row in u.tolist()]
+            for row in uniforms(words[:half]).tolist()]
     assert {(lab, s) for lab, s, _, _ in want} == \
         set(itertools.product(range(n_lab), range(n_set)))
     assert {g for _, _, _, g in want} == {0, 1}
+    want += want  # a word's low bits change no round
 
     # the sampler and the guess rule, called on the reference pairs
     pair = np.array([lab * n_set + s for lab, s, _, _ in want])
-    cell = pt._sample_outcomes(cdf, guide, pair, u[:, 2])
-    cell += pt._guess_rule(channel, labels, n_set, conditional)(pair, u)
+    cell = pt._sample_outcomes(cdf, guide, pair, words[:, 2])
+    cell += pt._guess_rule(channel, labels, n_set, conditional)(pair, words)
     assert cell.tolist() == [((lab * n_set + s) * width + outcome) * 2 + g
                              for lab, s, outcome, g in want]
 
-    # a whole session on these uniforms, through its own index clamps
-    monkeypatch.setattr(pt, "_CHUNK", len(u))
-    monkeypatch.setattr(np.random, "Generator", CraftedGenerator(u))
+    # a whole session on these words, through its own index rules
+    monkeypatch.setattr(pt, "_CHUNK", len(words))
+    monkeypatch.setattr(np.random, "Philox", CraftedBits(words))
     log = tmp_path / "rounds.ndjson"
-    pt.run_bb84(None, channel, receiver, len(u), log_path=log, system=system)
+    pt.run_bb84(None, channel, receiver, len(words), log_path=log,
+                system=system)
     with open(log, encoding="utf-8") as fh:
         got = [json.loads(line) for line in itertools.islice(fh, 1, None)]
     assert [(r["alice_basis"], r["alice_bit"], r["bob_setting"],
              r["outcome_id"], r["eve_guess"]) for r in got] == \
         [(*labels[lab], settings[s], ids[settings[s]][outcome], g)
          for lab, s, outcome, g in want]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_guess_probability_that_is_not_finite_fails(monkeypatch, bad):
+    receiver, channel = CASES["attack-isometry"]
+    given = {"computational": SimpleNamespace(guess0_given_0=0.3,
+                                              guess0_given_1=bad)}
+    monkeypatch.setattr(atk, "eve_guess", lambda cond, basis: given.get(basis))
+    with pytest.raises(pt.ProtocolError,
+                       match=r"label \('computational', 1\) is -?(nan|inf)"):
+        pt.run_bb84(None, channel, receiver, 10)
