@@ -928,6 +928,36 @@ def test_lone_cr_line_ends(tmp_path, batch_log):
     assert_same_report(tmp_path, "".join(lines).replace("\n", "\r"))
 
 
+def test_a_crlf_pair_split_by_a_raw_read(tmp_path, monkeypatch):
+    # a raw read of 32 * _LOG_SLICE bytes that ends between CR and LF must
+    # take the LF into its batch, not read it as a blank line of its own
+    receiver, channel = CASES["pns"]
+    lf = tmp_path / "lf.ndjson"
+    pt.run_bb84(None, channel, receiver, 400, seed=0, log_path=lf)
+    crlf = tmp_path / "crlf.ndjson"
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    take = pt._batch_cells
+    split = []
+
+    def spy(data, number, by_body, cells):
+        end = 32 * pt._LOG_SLICE
+        split.append(data[end - 1:end + 1] == b"\r\n")
+        return take(data, number, by_body, cells)
+
+    monkeypatch.setattr(pt, "_batch_cells", spy)
+    for log_slice in range(1, 64):
+        monkeypatch.setattr(pt, "_LOG_SLICE", log_slice)
+        split.clear()
+        got = pt.sift_and_estimate(crlf, 0.5, seed=3).to_json_dict()
+        if any(split):
+            break
+    assert any(split)
+    monkeypatch.setattr(pt, "_batch_cells", take)
+    assert got == pt.sift_and_estimate(lf, 0.5, seed=3).to_json_dict()
+    assert pt.sift_and_estimate(crlf, 1.0).to_json_dict() == \
+        pt.sift_and_estimate(lf, 1.0).to_json_dict()
+
+
 @pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
 def test_every_line_end_reads_each_distinct_body_whole_once(
         batch_log, monkeypatch, tmp_path, end):
