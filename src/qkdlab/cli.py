@@ -466,6 +466,8 @@ def _channel_from_options(opts: dict) -> proto.ChannelModel:
     kind = opts["channel"]
     if kind in (None, proto.IDENTITY):
         return proto.make_channel(proto.IDENTITY)
+    if kind == proto.ATTACK:
+        _require(opts, "attack", "simulate")  # raises: --attack is unset
     try:
         if kind == proto.PNS:
             return proto.make_channel(kind,

@@ -20,6 +20,7 @@ import pytest
 
 import qkdlab.attacks as atk
 import qkdlab.cli as cli
+import qkdlab.protocol as pt
 import qkdlab.receivers as rc
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -310,6 +311,27 @@ def test_simulate_seed_changes_report(tmp_path):
     assert rows[0] != rows[1]
 
 
+def test_a_logged_session_on_uneven_settings_reads_back_inline(tmp_path):
+    # without its hadamard no-click, hadamard has one outcome fewer than
+    # computational, so the log writer pads the cells past its outcomes
+    config = json.loads(json.dumps(IDEAL_RECEIVER))
+    hadamard = config["settings"]["hadamard"]
+    del hadamard["outcomes"]["no-click"]
+    del hadamard["interpretation"]["no-click"]
+    receiver = tmp_path / "uneven.json"
+    receiver.write_text(json.dumps(config))
+    outcomes = rc.receiver_from_config(config).settings
+    assert len(outcomes["computational"].outcomes) != \
+        len(outcomes["hadamard"].outcomes)
+    out, log = tmp_path / "sim.json", tmp_path / "rounds.ndjson"
+    code, _, stderr = run_cli(["simulate", "--receiver", receiver,
+                               "--rounds", 3000, "--out", out,
+                               "--log", log])
+    assert code == cli.EXIT_OK, stderr
+    offline = pt.sift_and_estimate(log, test_fraction=1.0)
+    assert offline.to_json_dict() == json.loads(out.read_text())
+
+
 def test_fuzz_campaign_artifact_and_replay(tmp_path):
     out = tmp_path / "fuzz.json"
     trace = tmp_path / "trace.ndjson"
@@ -453,6 +475,64 @@ def test_attack_conflicts_with_channel_kind():
                                "--attack", "cnot", "--channel", "pns"])
     assert code == cli.EXIT_CONFIG
     assert last_error(stderr)["code"] == "invalid-config"
+
+
+def test_an_attack_channel_without_an_attack_is_a_missing_option():
+    code, _, stderr = run_cli(["simulate", "--receiver", "ideal-bb84",
+                               "--channel", "attack-isometry"])
+    assert code == cli.EXIT_CONFIG
+    payload = last_error(stderr)
+    assert payload["code"] == "missing-option"
+    assert payload["context"] == {"option": "attack"}
+
+
+def test_unknown_channel_kind_exits_config_error():
+    code, _, stderr = run_cli(["simulate", "--receiver", "ideal-bb84",
+                               "--channel", "foo"])
+    assert code == cli.EXIT_CONFIG
+    payload = last_error(stderr)
+    assert payload["code"] == "invalid-config"
+    assert payload["message"] == "unknown channel kind 'foo'"
+    assert "attack-isometry" in payload["context"]["choices"]
+
+
+def test_a_named_attack_the_receiver_cannot_take_exits_config_error():
+    # faked-states needs channel time bins, which ideal-bb84 has none of
+    code, _, stderr = run_cli(["simulate", "--attack", "faked-states",
+                               "--receiver", "ideal-bb84"])
+    assert code == cli.EXIT_CONFIG
+    payload = last_error(stderr)
+    assert payload["code"] == "invalid-attack"
+    assert payload["context"] == {"attack": "faked-states",
+                                  "receiver": "ideal-bb84"}
+
+
+def test_a_blind_threshold_below_p_th_exits_config_error():
+    code, _, stderr = run_cli(["fuzz", "--p-th", 10,
+                               "--blind-threshold", 5])
+    assert code == cli.EXIT_CONFIG
+    payload = last_error(stderr)
+    assert payload["code"] == "invalid-config"
+    assert payload["context"] == {"blind_threshold": 5.0, "p_th": 10.0}
+
+
+def test_replaying_an_edited_observation_is_a_mismatch(tmp_path):
+    out = tmp_path / "fuzz.json"
+    code, _, _ = run_cli(["fuzz", "--out", out, "--max-cases", 300])
+    assert code == cli.EXIT_OK
+    artifact = json.loads(out.read_text())
+    anomaly = artifact["anomalies"][0]
+    observation = anomaly["observation"]
+    assert observation["interpretation"] != "invalid"
+    observation["interpretation"] = "invalid"
+    out.write_text(json.dumps(artifact))
+    code, stdout, stderr = run_cli(["fuzz", "--replay",
+                                    anomaly["anomaly_id"], "--report", out])
+    assert code == cli.EXIT_VERIFICATION
+    assert "reproduced=false" in stdout
+    assert last_error(stderr) == {"level": "error",
+                                  "event": "replay-mismatch",
+                                  "anomaly": anomaly["anomaly_id"]}
 
 
 @pytest.mark.parametrize("argv", [

@@ -267,6 +267,29 @@ def test_a_shared_basis_without_a_matched_round_is_absent_offline(
     assert offline == inline
 
 
+def test_an_empty_test_subsample_falls_back_to_every_sifted_bit(
+        tmp_path, ideal):
+    channel = pt.make_channel(pt.ATTACK, atk.cnot_attack(ideal))
+    path = tmp_path / "session.ndjson"
+    inline = pt.run_bb84(None, channel, ideal, rounds=3000, seed=0,
+                         log_path=path)
+    offline = pt.sift_and_estimate(path, test_fraction=0.0)
+    assert offline.test_fraction == 0.0
+    assert offline.qber_pooled == inline.qber_pooled
+    for basis, stats in inline.per_basis.items():
+        assert stats.sifted > 0
+        assert offline.per_basis[basis].qber == stats.qber
+    assert offline.to_json_dict() == dict(inline.to_json_dict(),
+                                          test_fraction=0.0)
+
+
+def test_a_log_of_no_rounds_is_empty(tmp_path):
+    path = write_log(tmp_path / "rounds.ndjson", [dict(HEADER, rounds=0)])
+    with pytest.raises(pt.ProtocolError) as raised:
+        pt.sift_and_estimate(path)
+    assert str(raised.value) == "empty round log"
+
+
 def test_sift_subsample_estimates_injected_error(tmp_path):
     n = 1000000
     rng = np.random.Generator(np.random.Philox(7))
