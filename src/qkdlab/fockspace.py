@@ -364,11 +364,6 @@ class PhotonicState:
         return PhotonicState._trusted(self.registry, _pruned(
             {key: amp * factor for key, amp in self.amplitudes.items()}))
 
-    def __mul__(self, factor: complex) -> "PhotonicState":
-        return self.scaled(factor)
-
-    __rmul__ = __mul__
-
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
