@@ -42,10 +42,10 @@ whole lines, each ended by LF, CRLF or a lone CR as text mode reads
 them.  One regex split strips every line's round number with its line
 end, and one lookup per line body in a dict keyed by the body's bytes
 maps the batch to cells, so no Python step runs per line and no byte is
-decoded.  Only a batch holding a body not seen before is decoded to
-text, its line ends made LF, and walked line by line; each line whose
-body is not known is read whole, which keeps every error and its line
-number.
+decoded.  Only a batch holding a body not seen before is cut into lines
+and walked line by line, still as bytes; each line whose body is not
+known is read whole, and only such a line is decoded, which keeps every
+error and its line number.
 
 Outcomes are drawn by inverse transform through a guide table (Chen &
 Asau, AIIE Trans. 6, 163 (1974); Devroye, *Non-Uniform Random Variate
@@ -747,13 +747,6 @@ def _log_lines(prefixes: List[Optional[str]], start: int,
 # the round-number tail of a line as run_bb84 writes it, with its line end
 # (LF, CRLF or a lone CR, as text mode reads them) or the end of the bytes
 _ROUND_TAIL = re.compile(rb',"round":(?:0|[1-9][0-9]*)\}(?:\n|\r\n?|\Z)')
-# a line end, as text mode reads it
-_LINE_END = re.compile(rb"\n|\r\n?")
-# one line of a decoded batch with its line end, if it has one; found one at
-# a time, so a batch walked line by line holds no second copy of its text
-_LINE = re.compile(".+\n?|\n")
-# a byte the file's UTF-8 does not decode, as surrogateescape reads it
-_UNDECODED = re.compile("[\udc80-\udcff]")
 _ROW_FIELDS = ("alice_basis", "alice_bit", "bob_setting", "interpretation",
                "eve_guess", "outcome_id")
 # the keys round-log.schema.json declares for a round record
@@ -800,112 +793,88 @@ def _check_header(record, where: str):
                             f"string or null, got {label!r}")
 
 
-class _LogCells:
-    """The distinct cells of a round log.
+def _text(line: bytes, where: str) -> str:
+    """A line read whole, decoded as UTF-8 with its line end made LF;
+    ProtocolError naming the first byte that is not UTF-8.
 
-    A cell is an (alice_basis, alice_bit, bob_setting, code, eve_guess)
-    tuple, as in :func:`_report`; rows are kept only as cell indices.
+    A line holds one line end, if any, at its end.  Made LF, it gives
+    json's error positions as the line reads in text mode.
     """
-
-    def __init__(self):
-        self.cells: List[tuple] = []
-        self._index: Dict[tuple, int] = {}
-
-    def record(self, record, where: str) -> int:
-        """The cell index of a round record.
-
-        Every field but ``round``, which :func:`_line_record` checks, is
-        checked against the schema's round record.
-        """
-        if not isinstance(record, dict):
-            raise ProtocolError(f"{where}: round record is not a JSON object")
-        unknown = record.keys() - _ROUND_KEYS
-        if unknown:
-            raise ProtocolError(
-                f"{where}: round record has unknown keys {sorted(unknown)}")
-        try:
-            basis, bit, setting, interpretation, guess, outcome = \
-                (record[name] for name in _ROW_FIELDS)
-        except KeyError as missing:
-            raise ProtocolError(
-                f"{where}: round record lacks field {missing}")
-        if not (isinstance(basis, str) and isinstance(setting, str)):
-            raise ProtocolError(f"{where}: alice_basis and bob_setting "
-                                f"must be strings")
-        if not (outcome is None or isinstance(outcome, str)):
-            raise ProtocolError(
-                f"{where}: outcome_id must be a string or null")
-        if interpretation not in _CLASSES:
-            raise ProtocolError(
-                f"{where}: unknown interpretation class {interpretation!r}")
-        # a JSON integer: True == 1 and 0.0 == 0, but neither is a bit
-        if not (type(bit) is int and bit in (0, 1)
-                and type(guess) is int and guess in (0, 1)):
-            raise ProtocolError(f"{where}: alice_bit and eve_guess must be "
-                                f"0 or 1")
-        key = (basis, bit, setting, _CLASS_CODE[interpretation], guess)
-        if key not in self._index:
-            self._index[key] = len(self.cells)
-            self.cells.append(key)
-        return self._index[key]
-
-
-def _json_line(line: str, where: str):
-    """``json.loads`` of a line; ProtocolError if it holds a byte that is
-    not UTF-8 or is not valid JSON.
-
-    ``line`` keeps its line end, so json's error positions are those of
-    the line as written.
-    """
-    undecoded = _UNDECODED.search(line)
-    if undecoded:
-        byte = ord(undecoded.group()) - 0xdc00
-        raise ProtocolError(f"{where}: byte 0x{byte:02x} is not UTF-8")
+    body = line.rstrip(b"\r\n")
     try:
-        return json.loads(line)
+        return body.decode("utf-8") + "\n" * (body != line)
+    except UnicodeDecodeError as err:
+        raise ProtocolError(
+            f"{where}: byte 0x{body[err.start]:02x} is not UTF-8")
+
+
+def _json_line(text: str, where: str):
+    """``json.loads`` of a line; ProtocolError if it is not valid JSON."""
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as err:
         raise ProtocolError(f"{where}: not valid JSON ({err})")
 
 
-def _line_record(line: str, number: int, cells: _LogCells) -> Optional[int]:
+def _line_record(line: bytes, number: int,
+                 cells: Dict[tuple, int]) -> Optional[int]:
     """The cell index of file line ``number``, read whole by ``json.loads``.
 
-    A blank line gives None.  A round record needs an integer ``round``
-    >= 0.
+    A blank line gives None.  Every other line must match the schema's
+    round record, with an integer ``round`` >= 0.  A cell is an
+    (alice_basis, alice_bit, bob_setting, code, eve_guess) tuple, as in
+    :func:`_report`; ``cells`` maps each distinct cell to its index, in
+    the order first read, and a new cell is added to it.
     """
-    if not line.strip():
-        return None
     where = f"line {number}"
-    record = _json_line(line, where)
-    cell = cells.record(record, where)
+    text = _text(line, where)
+    if not text.strip():
+        return None
+    record = _json_line(text, where)
+    if not isinstance(record, dict):
+        raise ProtocolError(f"{where}: round record is not a JSON object")
+    unknown = record.keys() - _ROUND_KEYS
+    if unknown:
+        raise ProtocolError(
+            f"{where}: round record has unknown keys {sorted(unknown)}")
+    try:
+        basis, bit, setting, interpretation, guess, outcome = \
+            (record[name] for name in _ROW_FIELDS)
+    except KeyError as missing:
+        raise ProtocolError(f"{where}: round record lacks field {missing}")
+    if not (isinstance(basis, str) and isinstance(setting, str)):
+        raise ProtocolError(f"{where}: alice_basis and bob_setting "
+                            f"must be strings")
+    if not (outcome is None or isinstance(outcome, str)):
+        raise ProtocolError(f"{where}: outcome_id must be a string or null")
+    if interpretation not in _CLASSES:
+        raise ProtocolError(
+            f"{where}: unknown interpretation class {interpretation!r}")
+    # a JSON integer: True == 1 and 0.0 == 0, but neither is a bit
+    if not (type(bit) is int and bit in (0, 1)
+            and type(guess) is int and guess in (0, 1)):
+        raise ProtocolError(f"{where}: alice_bit and eve_guess must be "
+                            f"0 or 1")
     if "round" not in record:
         raise ProtocolError(f"{where}: round record lacks field 'round'")
     _integer(record["round"], f"{where}: round", 0)
-    return cell
-
-
-def _text(data: bytes) -> str:
-    """``data`` decoded as text mode reads it: UTF-8, a byte that is not
-    UTF-8 as a lone surrogate, so its line can be named, and every CRLF
-    or lone CR made LF."""
-    text = data.decode("utf-8", "surrogateescape")
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+    key = (basis, bit, setting, _CLASS_CODE[interpretation], guess)
+    return cells.setdefault(key, len(cells))
 
 
 def _batch_cells(data: bytes, number: int, by_body: Dict[bytes, int],
-                 cells: _LogCells) -> Tuple[np.ndarray, int]:
+                 cells: Dict[tuple, int]) -> Tuple[np.ndarray, int]:
     """The cell indices of a batch of whole lines, and its line count.
 
     The first line of ``data`` is numbered ``number``.  One regex split
     at every round-number tail cuts the batch into line bodies, and when
     every body is known one dict lookup per body maps the batch.  A line
     without the tail joins the piece after it, and no known body holds a
-    line end, so such a batch is not mapped.  Otherwise the batch is
-    decoded by :func:`_text` and each line is looked up by the bytes of
-    its body; a line whose body is not known is read whole by
-    :func:`_line_record`, and if it ends in the tail, its body is then
-    known.  A body holds no line end, so its bytes are those the file
-    holds.
+    line end, so such a batch is not mapped.  Otherwise the batch is cut
+    into lines by ``bytes.splitlines``, which breaks at LF, CRLF and a
+    lone CR only, and each line is looked up by its body; a line whose
+    body is not known is read whole by :func:`_line_record`, and if it
+    ends in the tail, its body is then known.
     """
     bodies = _ROUND_TAIL.split(data)
     if not bodies.pop():
@@ -915,11 +884,10 @@ def _batch_cells(data: bytes, number: int, by_body: Dict[bytes, int],
         except TypeError:  # a body not seen before maps to None
             pass
     found = []
-    for at, match in enumerate(_LINE.finditer(_text(data)), number):
-        line = match.group()
-        raw = line.encode("utf-8", "surrogateescape")
-        tail = _ROUND_TAIL.search(raw)
-        body = raw[:tail.start()] if tail else None
+    lines = data.splitlines(keepends=True)
+    for at, line in enumerate(lines, number):
+        tail = _ROUND_TAIL.search(line)
+        body = line[:tail.start()] if tail else None
         cell = by_body.get(body)
         if cell is None:
             cell = _line_record(line, at, cells)
@@ -927,31 +895,28 @@ def _batch_cells(data: bytes, number: int, by_body: Dict[bytes, int],
                 by_body[body] = cell
         if cell is not None:
             found.append(cell)
-    return np.array(found, np.int64), at + 1 - number
+    return np.array(found, np.int64), len(lines)
 
 
 def _through_line_end(fh, data: bytes) -> bytes:
-    """``data`` and the bytes of the open binary file ``fh`` through its
-    next line end.
+    """``data`` and the bytes of the open binary file ``fh`` through the
+    end of the line ``data`` ends in.
 
     A line ends at LF, CRLF or a lone CR, as in text mode; a binary
     ``readline`` stops only at LF, so the end is sought in the file's
-    buffer.  ``data`` that ends in CR takes only the LF that may pair
-    with it, so no CRLF is split.
+    buffer.  ``data`` that ends in LF takes nothing more, and a part that
+    ends in CR takes only the LF that may pair with it, so no CRLF is
+    split.
     """
     parts = [data]
-    if not data.endswith(b"\r"):
-        while buffered := fh.peek():
-            end = _LINE_END.search(buffered)
-            parts.append(fh.read(end.end() if end else len(buffered)))
-            if end:
-                break
+    while not parts[-1].endswith((b"\n", b"\r")) and (buffered := fh.peek()):
+        parts.append(fh.read(len(buffered.splitlines(keepends=True)[0])))
     if parts[-1].endswith(b"\r") and fh.peek(1)[:1] == b"\n":
         parts.append(fh.read(1))
     return b"".join(parts)
 
 
-def _file_batches(fh, cells: _LogCells):
+def _file_batches(fh, cells: Dict[tuple, int]):
     """Yield the cell indices of the round lines of an open binary
     round-log file, one array per batch, from line 2 on.
 
@@ -1000,30 +965,31 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     the number of distinct records.  A batch is cut into line bodies by
     one regex split and mapped to cells by one lookup per body in a dict
     keyed by bytes; only a batch that holds a body not known (another
-    serialization, or a body not seen before) is decoded and walked line
-    by line, and only a line whose body is not known is read whole by
-    ``json.loads`` and checked.  Each batch draws its own test uniforms,
-    which together equal one whole draw, so the batch size changes no
-    report.  A line that is not valid JSON or holds a byte that is not
-    UTF-8, a first line that is not the header, or a later line that the
-    schema's ``round`` record rejects (a field missing, malformed or not
-    declared, a second header among them) raises :class:`ProtocolError`
-    naming its 1-based line number.
+    serialization, or a body not seen before) is cut into lines and
+    walked line by line, and only a line whose body is not known is
+    decoded, read whole by ``json.loads`` and checked.  Each batch draws
+    its own test uniforms, which together equal one whole draw, so the
+    batch size changes no report.  A line that is not valid JSON or
+    holds a byte that is not UTF-8, a first line that is not the header,
+    or a later line that the schema's ``round`` record rejects (a field
+    missing, malformed or not declared, a second header among them)
+    raises :class:`ProtocolError` naming its 1-based line number.
     Duplicated or missing round numbers are not detected; only the
     header's ``rounds`` total is checked against the number of round
     lines.
     """
     test_fraction = _probability(test_fraction, "test_fraction")
     gen = np.random.Generator(np.random.Philox(_integer(seed, "seed", 0)))
-    cells = _LogCells()
+    cells: Dict[tuple, int] = {}
     counts = tested = np.zeros(0, dtype=np.int64)
     with open(log, "rb") as fh:
-        header = _json_line(_text(_through_line_end(fh, b"")), "line 1")
+        header = _json_line(_text(_through_line_end(fh, b""), "line 1"),
+                            "line 1")
         _check_header(header, "line 1")
         for chunk in _file_batches(fh, cells):
             in_test = gen.random(len(chunk)) < test_fraction
-            counts = _add_counts(counts, chunk, len(cells.cells))
-            tested = _add_counts(tested, chunk[in_test], len(cells.cells))
+            counts = _add_counts(counts, chunk, len(cells))
+            tested = _add_counts(tested, chunk[in_test], len(cells))
 
     n = int(counts.sum())
     if n == 0:
@@ -1031,7 +997,7 @@ def sift_and_estimate(log, test_fraction: float = 0.5,
     if header["rounds"] != n:
         raise ProtocolError(
             f"header promises {header['rounds']} rounds, log has {n}")
-    return _report(cells.cells, counts, tested,
+    return _report(list(cells), counts, tested,
                    receiver=header["receiver"], channel=header["channel"],
                    rng_seed=header["rng_seed"], test_fraction=test_fraction,
                    attack_label=header.get("attack_label"))
