@@ -883,6 +883,7 @@ def _batch_cells(data: bytes, number: int, by_body: Dict[bytes, int],
                                len(bodies)), len(bodies)
         except TypeError:  # a body not seen before maps to None
             pass
+    del bodies  # freed, so the lines below reuse its memory
     found = []
     lines = data.splitlines(keepends=True)
     for at, line in enumerate(lines, number):
