@@ -240,6 +240,47 @@ def test_baseline_matches_the_per_subset_products_bit_for_bit(efficiency):
         assert probs[(rc.INVALID, None)] == max(1.0 - singles - p_none, 0.0)
 
 
+def test_tally_lists_classes_in_order_of_first_appearance():
+    table = fuzz._OBSERVATIONS["invalid"]
+    dark, h, double, plus = table[0], table[1], table[3], table[4]
+    histogram = fuzz._tally([plus, h, plus, dark, h, double, dark, plus])
+    assert list(histogram.items()) == [
+        ((rc.BIT0, rc.HADAMARD), [0, 2, 7]),
+        ((rc.BIT0, rc.COMPUTATIONAL), [1, 4]),
+        ((rc.LOSS, None), [3, 6]),
+        ((rc.INVALID, None), [5]),
+    ]
+
+    # a counting device returns equal observations as distinct objects,
+    # and unequal observations of one class
+    def counted(det, photons):
+        basis, bit = fuzz.DETECTOR_MEANING[det]
+        return fuzz.FuzzObservation(frozenset({det}),
+                                    rc.BIT0 if bit == 0 else rc.BIT1,
+                                    basis, ((det, photons),))
+
+    one, twin, two = counted("d_h", 1), counted("d_h", 1), counted("d_h", 2)
+    assert one == twin and one is not twin and one != two
+    histogram = fuzz._tally([one, fuzz._PNR_DARK, twin, two,
+                             counted("d_v", 1), one, fuzz._PNR_DARK])
+    assert list(histogram.items()) == [
+        ((rc.BIT0, rc.COMPUTATIONAL), [0, 2, 3, 5]),
+        ((rc.LOSS, None), [1, 6]),
+        ((rc.BIT1, rc.COMPUTATIONAL), [4]),
+    ]
+
+    # a counting device's replays, class by class, as each replay gives it
+    case = fuzz.FuzzInput((fuzz.pulse(0, 0.3, 2.0), fuzz.pulse(1, "V", 1.0)))
+    observations = fuzz.IdealPNRDevice(0.6).replays(case, range(64))
+    histogram = fuzz._tally(observations)
+    classes = [(obs.interpretation, obs.basis_registered)
+               for obs in observations]
+    assert len(histogram) == 6
+    assert list(histogram) == list(dict.fromkeys(classes))
+    for cls, hits in histogram.items():
+        assert hits == [i for i, seen in enumerate(classes) if seen == cls]
+
+
 def test_case_seeds_are_the_replays_sub_seeds():
     for master, case_index in ((0, 0), (7, 5), (2 ** 88 - 1, 2 ** 32 - 1)):
         assert list(fuzz._case_seeds(master, case_index, 256)) == [
@@ -416,6 +457,31 @@ def test_a_bad_seed_leaves_the_device_where_it_was():
     # the failed call changed nothing a later call can see
     assert device.replays(dark, [0, 1]) == \
         _stock_device().replays(dark, [0, 1])
+
+    # a bad first, middle or last seed, in a list, a generator or a
+    # range, fails the call before any draw
+    before = _stream(device)
+    top = 2 ** 128
+    for bad in (-1, top, True):
+        for position in (0, 5, 11):
+            seeds = list(range(12))
+            seeds[position] = bad
+            for form in (list, lambda s: (seed for seed in s)):
+                with pytest.raises(fuzz.FuzzError) as err:
+                    device.replays(dark, form(seeds))
+                assert str(err.value) == ("probe seed must be an integer "
+                                          f"in [0, 2**128), got {bad!r}")
+    for seeds, bad in ((range(-1, 11), -1), (range(top - 11, top + 1), top),
+                       (range(5, -7, -1), -1), (range(top, top - 12, -1), top)):
+        with pytest.raises(fuzz.FuzzError) as err:
+            device.replays(dark, seeds)
+        assert str(err.value) == ("probe seed must be an integer "
+                                  f"in [0, 2**128), got {bad!r}")
+    assert _stream(device) == before
+    # a range in bounds at both ends is every seed in bounds
+    edge = range(top - 12, top)
+    assert device.replays(dark, edge) == \
+        [device.replays(dark, [seed])[0] for seed in edge]
 
 
 def test_pulse_split_is_derived_once_and_stays_out_of_identity():
