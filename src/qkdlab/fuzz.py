@@ -20,6 +20,17 @@ moderately bright pulses force chosen outcomes while blinded.  The
 forced-outcome records are exactly the vulnerability records the
 receiver factory accepts to rebuild the equivalent bright-pulse receiver
 model.
+
+Cost model: a campaign's floor is its draws, one Philox rekey per probe
+of a case with a Geiger-mode pulse and one ``multinomial`` per such
+pulse and probe; the default campaign takes 2880 rekeys and 3648
+multinomials over 4608 probes and 384 cases.  Everything else is
+bookkeeping, kept per case where it can be: the seed check of a case's
+range of sub-seeds reads its ends, the draw loop binds its names once
+per case and reuses one Philox state dict, each pulse carries its
+photon number and detector shares, and the ideal baseline is read at
+most twice per case.  In-process on a 2-vCPU VM the rekeys and
+multinomials take about 6 ms of a ~14 ms default campaign.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, ClassVar, Dict, Iterable, List, Mapping,
-                    Optional, Tuple, Union)
+                    Optional, Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -70,6 +81,19 @@ _TAG_PROPERTY = {
 
 _OUTCOME_TAGS = (BIT0, BIT1, INVALID, LOSS)
 
+# every tag a campaign gives an anomaly
+_ANOMALY_TAGS = ("blinding", "weak-under-blinding", "strong-under-blinding",
+                 "prefix-swallowed", "forced-outcome", "unexpected-loss",
+                 "unexpected-invalid", "no-photon-counting")
+
+# the keys of each closed record of a fuzz report
+_PULSE_KEYS = ("time_slot", "polarization", "mean_photons")
+_INPUT_KEYS = ("pulses",)
+_OBSERVATION_KEYS = ("clicks", "interpretation", "basis_registered",
+                     "click_counts")
+_ANOMALY_KEYS = ("anomaly_id", "stage", "case_index", "replay_index",
+                 "input", "observation", "tag")
+
 # observed-class probability below which a systematic observation is
 # incompatible with the calibrated ideal baseline
 _BASELINE_FLOOR = 1e-6
@@ -88,10 +112,12 @@ class Pulse:
     """One optical pulse: arrival slot, linear polarization, intensity.
 
     The split over the detectors is derived once, when the pulse is
-    built: ``arms`` (``arm_intensities``), their sum ``norm``, and the
-    multinomial routing probabilities ``pvals`` in ``DETECTORS`` order
-    (None for a pulse that rounds to no photons).  None of them takes
-    part in equality, hashing or the JSON form.
+    built: ``arms`` (``arm_intensities``), their sum ``norm``, the
+    photon number ``photons`` (``round(mean_photons)``), each detector's
+    share ``arms[d] / norm`` in ``DETECTORS`` order (``shares``), and
+    the multinomial routing probabilities ``pvals``; ``shares`` and
+    ``pvals`` are None for a pulse that rounds to no photons.  None of
+    them takes part in equality, hashing or the JSON form.
     """
 
     time_slot: int
@@ -100,17 +126,24 @@ class Pulse:
     arms: Dict[str, float] = dataclasses.field(
         init=False, compare=False, repr=False)
     norm: float = dataclasses.field(init=False, compare=False, repr=False)
+    photons: int = dataclasses.field(init=False, compare=False, repr=False)
+    shares: Optional[Tuple[float, ...]] = dataclasses.field(
+        init=False, compare=False, repr=False)
     pvals: Optional[np.ndarray] = dataclasses.field(
         init=False, compare=False, repr=False)
 
     def __post_init__(self):
         arms = arm_intensities(self.theta, self.mean_photons)
-        pvals = None
-        if round(self.mean_photons) != 0:
-            shares = np.array([arms[d] for d in DETECTORS])
-            pvals = shares / shares.sum()
+        norm = sum(arms.values())
+        photons = round(self.mean_photons)
+        shares = pvals = None
+        if photons != 0:
+            shares = tuple(arms[d] / norm for d in DETECTORS)
+            pvals = np.array(shares)
         object.__setattr__(self, "arms", arms)
-        object.__setattr__(self, "norm", sum(arms.values()))
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "photons", photons)
+        object.__setattr__(self, "shares", shares)
         object.__setattr__(self, "pvals", pvals)
 
 
@@ -172,7 +205,7 @@ class FuzzInput:
         if not self.pulses:
             raise FuzzError("a test case needs at least one pulse")
         slots = [p.time_slot for p in self.pulses]
-        if any(b < a for a, b in zip(slots, slots[1:])):
+        if slots != sorted(slots):
             raise FuzzError(f"pulse slots must be non-decreasing, got {slots}")
 
     def to_json_dict(self) -> dict:
@@ -187,10 +220,25 @@ class FuzzInput:
         return {"pulses": out}
 
 
+def _closed(data: Mapping, keys: Tuple[str, ...], record: str,
+            error: type) -> None:
+    """Raise ``error`` naming any key of ``data`` outside ``keys``."""
+    unknown = [key for key in data if key not in keys]
+    if unknown:
+        raise error(f"{record} record has unknown keys {unknown}; "
+                    f"expected {list(keys)}")
+
+
 def input_from_json_dict(data: Mapping) -> FuzzInput:
-    return FuzzInput(tuple(
-        pulse(p["time_slot"], p["polarization"], p["mean_photons"])
-        for p in data["pulses"]))
+    """An input as ``FuzzInput.to_json_dict`` writes it; a malformed
+    pulse or an unknown key raises FuzzError naming it."""
+    _closed(data, _INPUT_KEYS, "input", FuzzError)
+
+    def record(p: Mapping) -> Pulse:
+        _closed(p, _PULSE_KEYS, "pulse", FuzzError)
+        return pulse(p["time_slot"], p["polarization"], p["mean_photons"])
+
+    return FuzzInput(tuple(record(p) for p in data["pulses"]))
 
 
 @dataclass(frozen=True)
@@ -302,27 +350,19 @@ def _checked_seed(seed, bits: int, name: str) -> int:
     return int(seed)
 
 
+def _checked_seeds(seeds: Iterable, bits: int, name: str) -> Sequence[int]:
+    """``seeds`` as a sequence of ``_checked_seed``s.  A range, such as
+    a case's consecutive sub-seeds, holds only integers and runs between
+    its ends, so its ends alone are checked and it is kept as it is; any
+    other iterable is checked seed by seed."""
+    if type(seeds) is range and (not seeds or 0 <= seeds[0] < 1 << bits
+                                 and 0 <= seeds[-1] < 1 << bits):
+        return seeds
+    return [_checked_seed(seed, bits, name) for seed in seeds]
+
+
 _ZERO_WORDS = (0, 0, 0, 0)
-
-
-def _rekey(bits: np.random.Philox, key: int) -> None:
-    """Rewind ``bits`` to the start of the stream of ``Philox(key=key)``.
-
-    Building a Philox draws OS entropy for a seed sequence that an
-    explicit key leaves unused; resetting the key, counter and buffers of
-    one reused bit generator gives the same stream without that cost.
-    The state setter copies the counter, key and buffer word by word, so
-    tuples of 64-bit words serve without building an array per rekey.
-    """
-    bits.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": _ZERO_WORDS,
-                  "key": (key & ((1 << 64) - 1), key >> 64)},
-        "buffer": _ZERO_WORDS,
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
+_LOW_WORD = (1 << 64) - 1
 
 
 def arm_intensities(theta: float, mean_photons: float) -> Dict[str, float]:
@@ -358,14 +398,35 @@ class _SeededDevice:
     def __init__(self):
         self._bits = np.random.Philox(key=0)
         self._gen = np.random.Generator(self._bits)
+        # the state of a Philox stream at its start; _rekey sets its key
+        self._start = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZERO_WORDS, "key": (0, 0)},
+            "buffer": _ZERO_WORDS,
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+
+    def _rekey(self, key: int) -> None:
+        """Rewind the bit generator to the start of ``Philox(key=key)``.
+
+        Building a Philox draws OS entropy for a seed sequence that an
+        explicit key leaves unused; resetting the key, counter and
+        buffers of one reused bit generator gives the same stream
+        without that cost.  The state setter copies the counter, key and
+        buffer word by word, so one state dict of tuples of 64-bit words
+        serves every rekey, with only its key replaced.
+        """
+        self._start["state"]["key"] = (key & _LOW_WORD, key >> 64)
+        self._bits.state = self._start
 
     def replays(self, case: FuzzInput, seeds: Iterable[int]
                 ) -> List[FuzzObservation]:
         """The observation of ``case`` under each of ``seeds``, integers
         in [0, 2**128), in order, from one walk of ``case``; every seed
         is checked before the walk."""
-        return self._observe(
-            case, [_checked_seed(seed, 128, "probe seed") for seed in seeds])
+        return self._observe(case, _checked_seeds(seeds, 128, "probe seed"))
 
 
 class APDReceiverDevice(_SeededDevice):
@@ -386,9 +447,9 @@ class APDReceiverDevice(_SeededDevice):
     reaches the miss probability ``(1 - geiger_efficiency) ** n``.
     Where that probability is 0.0 (every draw at unit efficiency, or
     when the power underflows) the uniform cannot keep the detector
-    dark: the draw is counted, taken in one block before the seed's
-    next draw, and dropped at its last.  The stream and the observations
-    are the same as drawing each one.
+    dark: the draw is counted, skipped as raw words in one block before
+    the seed's next draw, and dropped at its last.  The stream and the
+    observations are the same as drawing each one.
     """
 
     def __init__(self, params: APDParams,
@@ -416,45 +477,50 @@ class APDReceiverDevice(_SeededDevice):
                 for bit, det in zip(_DETECTOR_BITS, DETECTORS):
                     if pl.arms[det] >= p.p_th:
                         mask |= bit
-            else:
-                n = round(pl.mean_photons)
-                if n:
-                    geiger.append((n, pl.pvals))
+            elif pl.photons:
+                geiger.append((pl.photons, pl.pvals))
         return mask, geiger
 
-    def _draw(self, key: int, geiger: List[_GeigerPulse]) -> int:
-        """The click mask of ``geiger`` under ``Philox(key=key)``."""
-        _rekey(self._bits, key)
-        gen = self._gen
-        q = 1.0 - self.params.geiger_efficiency
-        deferred = 0  # draws owed to the stream that cannot change a click
-        mask = 0
-        for n, pvals in geiger:
-            if deferred:
-                gen.random(deferred)
-                deferred = 0
-            counts = gen.multinomial(n, pvals)
-            for bit, arrived in zip(_DETECTOR_BITS, counts.tolist()):
-                if arrived == 0:
-                    continue
-                miss = q ** arrived
-                if miss == 0.0:
-                    deferred += 1
-                    mask |= bit
-                    continue
-                if deferred:
-                    gen.random(deferred)
-                    deferred = 0
-                if gen.random() >= miss:
-                    mask |= bit
-        return mask
-
     def _observe(self, case: FuzzInput, keys) -> List[FuzzObservation]:
+        """The observation of ``case`` under ``Philox(key=key)`` for
+        each of ``keys``: the linear-mode clicks of the walk, joined by
+        the clicks each key draws for the Geiger-mode pulses."""
         linear, geiger = self._walk(case)
         table = _OBSERVATIONS[self.double_click_rule]
         if not geiger:
             return [table[linear]] * len(keys)
-        return [table[linear | self._draw(key, geiger)] for key in keys]
+        # the draw loop's names, bound once per case
+        bits, start, keyed = self._bits, self._start, self._start["state"]
+        low, detector_bits = _LOW_WORD, _DETECTOR_BITS
+        multinomial, uniform = self._gen.multinomial, self._gen.random
+        skip = bits.random_raw
+        q = 1.0 - self.params.geiger_efficiency
+        observations = []
+        for key in keys:
+            keyed["key"] = (key & low, key >> 64)  # self._rekey(key)
+            bits.state = start
+            deferred = 0  # draws owed to the stream that cannot change a click
+            mask = linear
+            for n, pvals in geiger:
+                if deferred:
+                    skip(deferred)
+                    deferred = 0
+                for bit, arrived in zip(detector_bits,
+                                        multinomial(n, pvals).tolist()):
+                    if not arrived:
+                        continue
+                    miss = q ** arrived
+                    if miss == 0.0:
+                        deferred += 1
+                        mask |= bit
+                        continue
+                    if deferred:
+                        skip(deferred)
+                        deferred = 0
+                    if uniform() >= miss:
+                        mask |= bit
+            observations.append(table[mask])
+        return observations
 
 
 # what the counting device reports when no photon arrives
@@ -480,13 +546,12 @@ class IdealPNRDevice(_SeededDevice):
 
     def _walk(self, case: FuzzInput) -> List[_GeigerPulse]:
         """The Geiger-mode pulses of ``case``: each that holds a photon."""
-        return [(n, pl.pvals) for pl in case.pulses
-                if (n := round(pl.mean_photons))]
+        return [(pl.photons, pl.pvals) for pl in case.pulses if pl.photons]
 
     def _draw(self, key: int, geiger: List[_GeigerPulse]
               ) -> FuzzObservation:
         """The observation of ``geiger`` under ``Philox(key=key)``."""
-        _rekey(self._bits, key)
+        self._rekey(key)
         gen = self._gen
         registered: Dict[str, int] = {}
         for n, pvals in geiger:
@@ -517,6 +582,12 @@ def make_apd_receiver_device(params: APDParams,
 # the ideal baseline
 # ---------------------------------------------------------------------------
 
+# the outcome class of a click on each detector alone, in DETECTORS order
+_DETECTOR_CLASSES = tuple(
+    (BIT0 if bit == 0 else BIT1, basis)
+    for basis, bit in (DETECTOR_MEANING[det] for det in DETECTORS))
+
+
 def baseline_class_probabilities(case: FuzzInput, efficiency: float
                                  ) -> Dict[Tuple[str, Optional[str]], float]:
     """Outcome-class distribution of an ideal (never-blinded) receiver.
@@ -526,35 +597,41 @@ def baseline_class_probabilities(case: FuzzInput, efficiency: float
     single-detector probabilities follow by subtracting the no-click
     term, and the invalid class absorbs the remainder.
     """
-    # P(every click falls inside S) for S empty and for each detector
-    p_none = 1.0
-    p_within = [1.0] * len(DETECTORS)
-    for pl in case.pulses:
-        n = round(pl.mean_photons)
-        if n == 0:
-            continue
-        p_none *= (1.0 - efficiency) ** n
-        for i, det in enumerate(DETECTORS):
-            p_within[i] *= (pl.arms[det] / pl.norm * efficiency
-                            + (1.0 - efficiency)) ** n
-    probs: Dict[Tuple[str, Optional[str]], float] = {(LOSS, None): p_none}
-    singles = 0.0
-    for det, within in zip(DETECTORS, p_within):
-        p_det = within - p_none
-        basis, bit = DETECTOR_MEANING[det]
-        cls = (BIT0 if bit == 0 else BIT1, basis)
-        probs[cls] = probs.get(cls, 0.0) + max(p_det, 0.0)
-        singles += max(p_det, 0.0)
-    probs[(INVALID, None)] = max(1.0 - singles - p_none, 0.0)
-    return probs
+    return _class_probabilities(case.pulses, efficiency)
+
+
+def _class_probabilities(pulses: Iterable[Pulse], efficiency: float
+                         ) -> Dict[Tuple[str, Optional[str]], float]:
+    """``baseline_class_probabilities`` of a case of ``pulses``."""
+    dark = 1.0 - efficiency
+    # P(every click falls inside S) for S empty and for each of the four
+    # detectors, one name per product: this runs once or twice per case
+    p_none = h = v = plus = minus = 1.0
+    for pl in pulses:
+        n = pl.photons
+        if n:
+            p_none *= dark ** n
+            s_h, s_v, s_plus, s_minus = pl.shares
+            h *= (s_h * efficiency + dark) ** n
+            v *= (s_v * efficiency + dark) ** n
+            plus *= (s_plus * efficiency + dark) ** n
+            minus *= (s_minus * efficiency + dark) ** n
+    h = max(h - p_none, 0.0)
+    v = max(v - p_none, 0.0)
+    plus = max(plus - p_none, 0.0)
+    minus = max(minus - p_none, 0.0)
+    # each detector is the only one of its class
+    cls_h, cls_v, cls_plus, cls_minus = _DETECTOR_CLASSES
+    return {(LOSS, None): p_none,
+            cls_h: h, cls_v: v, cls_plus: plus, cls_minus: minus,
+            (INVALID, None): max(1.0 - (h + v + plus + minus) - p_none, 0.0)}
 
 
 def _pair_in_one_detector_probability(case: FuzzInput) -> float:
     """P(both photons of a two-photon pulse land in one detector)."""
-    if len(case.pulses) != 1 or round(case.pulses[0].mean_photons) != 2:
+    if len(case.pulses) != 1 or case.pulses[0].photons != 2:
         return 0.0
-    pl = case.pulses[0]
-    return sum((v / pl.norm) ** 2 for v in pl.arms.values())
+    return sum(share ** 2 for share in case.pulses[0].shares)
 
 
 # ---------------------------------------------------------------------------
@@ -673,6 +750,14 @@ def _name(value) -> str:
     return value
 
 
+def _click_count(value) -> int:
+    """``value`` as the photons one detector registered: a positive
+    integer, since a detector that registers none is not listed."""
+    if _count(value) == 0:
+        raise ValueError(f"expected a positive integer, got {value!r}")
+    return int(value)
+
+
 def _outcome_tag(value) -> str:
     """``value`` as an observation's interpretation: an outcome tag."""
     if _name(value) not in _OUTCOME_TAGS:
@@ -680,25 +765,39 @@ def _outcome_tag(value) -> str:
     return value
 
 
+def _anomaly_tag(value) -> str:
+    """``value`` as an anomaly's tag: one a campaign gives."""
+    if _name(value) not in _ANOMALY_TAGS:
+        raise ValueError(f"expected one of {list(_ANOMALY_TAGS)}, "
+                         f"got {value!r}")
+    return value
+
+
+def _clicks(value) -> frozenset:
+    """``value`` as an observation's clicks: a list of detector ids."""
+    if not isinstance(value, list) or not all(
+            click in DETECTORS for click in value):
+        raise ValueError(f"expected a list of detector ids from "
+                         f"{list(DETECTORS)}, got {value!r}")
+    return frozenset(value)
+
+
 def observation_from_json_dict(data: Mapping) -> FuzzObservation:
     """An observation as ``FuzzObservation.to_json_dict`` writes it; a
-    malformed field raises naming it."""
+    missing, malformed or unknown field raises naming it."""
     def part(key: str, parse: Callable):
         return read_field(data, key, parse, "observation", ValueError)
 
-    clicks = data["clicks"]
-    if isinstance(clicks, str) or not all(isinstance(c, str) for c in clicks):
-        raise TypeError(f"clicks must be a list of detector names, "
-                        f"got {clicks!r}")
+    _closed(data, _OBSERVATION_KEYS, "observation", ValueError)
     basis, counts = data.get("basis_registered"), data.get("click_counts")
     return FuzzObservation(
-        clicks=frozenset(clicks),
+        clicks=part("clicks", _clicks),
         interpretation=part("interpretation", _outcome_tag),
         basis_registered=(None if basis is None
                           else part("basis_registered", _name)),
         click_counts=None if counts is None else part(
             "click_counts", lambda c: tuple(sorted(
-                (str(k), _count(v)) for k, v in c.items()))),
+                (str(k), _click_count(v)) for k, v in c.items()))),
     )
 
 
@@ -707,8 +806,12 @@ def report_from_json_dict(data: Mapping) -> FuzzReport:
 
     A missing key or a malformed field, at the top or in an anomaly,
     raises FuzzError naming it: counts, stages, indices and the seed are
-    non-negative integers (a bool is not one), anomaly ids, tags, click
-    names and any basis are strings, and interpretations outcome tags.
+    non-negative integers (a bool is not one), anomaly ids and any basis
+    are strings, clicks are detector ids, registered photon counts are
+    positive, interpretations are outcome tags and anomaly tags the ones
+    a campaign gives.  An anomaly, its input, each pulse and its
+    observation are closed records: an unknown key raises FuzzError
+    naming it.
     """
     if data.get("schema") != REPORT_SCHEMA:
         raise FuzzError(f"expected schema {REPORT_SCHEMA!r}, "
@@ -720,13 +823,14 @@ def report_from_json_dict(data: Mapping) -> FuzzReport:
     def anomaly(row: Mapping) -> FuzzAnomaly:
         def part(key: str, parse: Callable):
             return read_field(row, key, parse, "anomaly", FuzzError)
+        _closed(row, _ANOMALY_KEYS, "anomaly", FuzzError)
         return FuzzAnomaly(
             anomaly_id=part("anomaly_id", _name), stage=part("stage", _count),
             case_index=part("case_index", _count),
             replay_index=part("replay_index", _count),
             input=part("input", input_from_json_dict),
             observation=part("observation", observation_from_json_dict),
-            tag=part("tag", _name))
+            tag=part("tag", _anomaly_tag))
 
     report = FuzzReport(
         test_cases_run=field("test_cases_run", _count),
@@ -812,8 +916,8 @@ def _classify_case(case: FuzzInput,
     for cls, hits in histogram.items():
         if 2 * len(hits) <= replays:
             continue  # not systematic; at most one class is
-        baseline = baseline_class_probabilities(case, efficiency)
-        if baseline.get(cls, 0.0) >= _BASELINE_FLOOR:
+        if baseline_class_probabilities(case, efficiency).get(cls, 0.0) \
+                >= _BASELINE_FLOOR:
             continue  # reachable on the ideal receiver
         rep_idx = hits[0]
         rep = observations[rep_idx]
@@ -826,9 +930,8 @@ def _classify_case(case: FuzzInput,
             deterministic = len(hits) == replays
             # a class the final pulse could reach on its own means the
             # earlier pulses left no trace, not that it was steered
-            swallowed = has_prefix and baseline_class_probabilities(
-                FuzzInput((final,)), efficiency).get(cls, 0.0) \
-                >= _BASELINE_FLOOR
+            swallowed = has_prefix and _class_probabilities(
+                (final,), efficiency).get(cls, 0.0) >= _BASELINE_FLOOR
             if swallowed:
                 tag = "prefix-swallowed"
             elif deterministic and has_prefix:
@@ -919,12 +1022,13 @@ def run_fuzz_campaign(device, config: CampaignConfig, seed: int = 0,
             efficiency = max(
                 1.0 - stage0_losses / ((case_index + 1) * replays), 1e-6)
         tags = _classify_case(case, observations, histogram, efficiency)
+        if tags:
+            found[case] = None
         for tag, rep, rep_idx in tags:
             anomalies.append(FuzzAnomaly(
                 anomaly_id=f"a{len(anomalies):04d}",
                 stage=stage, case_index=case_index, replay_index=rep_idx,
                 input=case, observation=rep, tag=tag))
-            found[case] = None
         if trace_path is not None:
             trace_rows.append({
                 "case_index": case_index, "stage": stage,

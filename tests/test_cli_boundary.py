@@ -439,6 +439,33 @@ def test_replay_from_a_malformed_fuzz_report_field_exits_2(tmp_path, key,
     assert key.split(".")[-1] in payload["message"]
 
 
+# each edit breaks the fuzz-report schema; the parent replayed such a
+# report and exited 4
+@pytest.mark.parametrize("edit,named", [
+    (lambda a: a["observation"].update(clicks=["d_x"]), "clicks"),
+    (lambda a: a["observation"].update(click_counts={"d_h": 0}),
+     "click_counts"),
+    (lambda a: a.update(tag="nonsense"), "tag"),
+    (lambda a: a["input"]["pulses"][0].update(extra=1), "extra"),
+    (lambda a: a["observation"].pop("clicks"), "clicks"),
+], ids=["unknown-click", "zero-count", "unknown-tag", "extra-pulse-key",
+        "no-clicks"])
+def test_replay_from_a_report_outside_its_schema_exits_2(tmp_path, edit,
+                                                         named):
+    report = tmp_path / "fuzz.json"
+    code, _, _ = run_cli(["fuzz", "--max-cases", 400, "--out", report])
+    assert code == cli.EXIT_OK
+    doc = json.loads(report.read_text())
+    anomaly = doc["anomalies"][0]
+    edit(anomaly)
+    write_config(report, doc)
+    payload = assert_one_error_line(
+        *run_cli(["fuzz", "--replay", anomaly["anomaly_id"],
+                  "--report", report]))
+    assert payload["code"] == "invalid-config"
+    assert named in payload["message"]
+
+
 _CUSTOM = {
     "kind": "custom",
     "modes": ["polarization-H:0", "polarization-V:0"],

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ def binom_sigma(p, n):
 
 
 _STOCK = fuzz.APDParams()
+
+_FUZZ_SCHEMA = (Path(__file__).resolve().parents[1] / "docs" / "schemas"
+                / "fuzz-report.schema.json")
 
 
 def _stock_device():
@@ -782,6 +786,9 @@ def test_report_json_missing_key_is_a_fuzz_error(campaign, key):
     ("anomalies.observation.click_counts", {"d_h": 1.5}),
     ("anomalies.observation.click_counts", {"d_h": True}),
     ("anomalies.observation.click_counts", [1]),
+    ("anomalies.observation.clicks", ["d_x"]),
+    ("anomalies.observation.click_counts", {"d_h": 0}),
+    ("anomalies.tag", "nonsense"),
 ])
 def test_report_json_malformed_field_is_a_fuzz_error(campaign, key, value):
     data = json.loads(json.dumps(campaign.to_json_dict()))
@@ -796,6 +803,58 @@ def test_report_json_malformed_field_is_a_fuzz_error(campaign, key, value):
     with pytest.raises(fuzz.FuzzError, match=f"malformed '{top}'") as err:
         fuzz.report_from_json_dict(data)
     assert key.split(".")[-1] in str(err.value)
+
+
+# a report's anomalies, inputs, pulses and observations are closed records
+@pytest.mark.parametrize("record", [
+    "anomalies", "anomalies.input", "anomalies.input.pulses",
+    "anomalies.observation"])
+def test_report_json_unknown_key_is_a_fuzz_error(campaign, record):
+    data = json.loads(json.dumps(campaign.to_json_dict()))
+    row = data
+    for part in record.split("."):
+        row = row[part]
+        row = row[0] if isinstance(row, list) else row
+    row["extra"] = 1
+    with pytest.raises(fuzz.FuzzError, match="malformed 'anomalies'") as err:
+        fuzz.report_from_json_dict(data)
+    assert "unknown keys ['extra']" in str(err.value)
+
+
+def test_input_json_unknown_key_is_a_fuzz_error():
+    data = fuzz.FuzzInput((fuzz.pulse(0, "H", 1.0),)).to_json_dict()
+    data["pulses"][0]["width"] = 2
+    with pytest.raises(fuzz.FuzzError, match=r"pulse record .*'width'"):
+        fuzz.input_from_json_dict(data)
+    data = fuzz.FuzzInput((fuzz.pulse(0, "H", 1.0),)).to_json_dict()
+    data["label"] = "x"
+    with pytest.raises(fuzz.FuzzError, match=r"input record .*'label'"):
+        fuzz.input_from_json_dict(data)
+
+
+def test_report_json_observation_without_clicks_names_them(campaign):
+    data = json.loads(json.dumps(campaign.to_json_dict()))
+    del data["anomalies"][0]["observation"]["clicks"]
+    with pytest.raises(fuzz.FuzzError,
+                       match="observation document lacks the key 'clicks'"):
+        fuzz.report_from_json_dict(data)
+
+
+def test_anomaly_tags_are_the_schema_enum():
+    schema = json.loads(_FUZZ_SCHEMA.read_text())
+    anomaly = schema["properties"]["anomalies"]["items"]
+    assert sorted(anomaly["properties"]["tag"]["enum"]) == \
+        sorted(fuzz._ANOMALY_TAGS)
+    assert set(anomaly["properties"]) == set(fuzz._ANOMALY_KEYS)
+    definitions = schema["definitions"]
+    assert set(definitions["observation"]["properties"]) == \
+        set(fuzz._OBSERVATION_KEYS)
+    assert set(definitions["fuzzInput"]["properties"]) == \
+        set(fuzz._INPUT_KEYS)
+    pulse = definitions["fuzzInput"]["properties"]["pulses"]["items"]
+    assert set(pulse["properties"]) == set(fuzz._PULSE_KEYS)
+    assert definitions["observation"]["properties"]["clicks"]["items"] == \
+        {"enum": list(fuzz.DETECTORS)}
 
 
 def test_report_json_round_trip(campaign):
@@ -962,14 +1021,14 @@ def test_failed_trace_write_keeps_the_previous_trace(tmp_path, monkeypatch):
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, 2 ** 64, 2 ** 88 - 1,
                                   np.int64(2 ** 40 + 7)])
 def test_rekeyed_generator_matches_a_fresh_philox(seed):
-    bits = np.random.Philox(key=12345)
-    used = np.random.Generator(bits)
+    device = fuzz.IdealPNRDevice()
+    used = device._gen
     # leave a half-used 32-bit word and a partly read counter block behind
     used.integers(0, 10, size=3, dtype=np.uint32)
     used.random(3)
     for _ in range(2):  # a generator reused for a second probe
-        fuzz._rekey(bits, fuzz._checked_seed(seed, 128, "probe seed"))
-        gen = np.random.Generator(bits)
+        device._rekey(fuzz._checked_seed(seed, 128, "probe seed"))
+        gen = np.random.Generator(device._bits)
         fresh = np.random.Generator(np.random.Philox(key=seed))
         assert gen.random(5).tolist() == fresh.random(5).tolist()
         assert gen.multinomial(40, [0.1, 0.2, 0.3, 0.4]).tolist() == \
