@@ -1,6 +1,7 @@
 """Unit tests for zero-error attack synthesis, verification and probe analysis."""
 
 import dataclasses
+import hashlib
 import json
 import math
 from itertools import combinations
@@ -714,3 +715,190 @@ def test_attack_json_ragged_coefficients_are_an_attack_error(six, damage):
     damage(data["coefficients"])
     with pytest.raises(atk.AttackError):
         atk.AttackIsometry.from_json_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# the bits of every member analysis
+# ---------------------------------------------------------------------------
+
+_CONFIGURATIONS = [case[:2] for case in _DIMENSIONS]
+
+_NAMED_ATTACKS = (
+    atk.trivial_attack, atk.cnot_attack, atk.faked_states_attack,
+    atk.full_information_attack,
+    lambda r, s: atk.two_mode_attack(r, 0.5, 0.5, 0.5, 0.5,
+                                     shared_probe_axis=False, system=s),
+    lambda r, s: atk.bright_pulse_attack(r, 0.6, s))
+
+
+def _audited_members(receiver, system):
+    """The canonical member, 4 seeded samples and every named attack that
+    builds on ``receiver``."""
+    family = atk.synthesize_attacks(system)
+    rng = np.random.default_rng(36)
+    members = [family.canonical] + [family.sample(rng) for _ in range(4)]
+    for build in _NAMED_ATTACKS:
+        try:
+            members.append(build(receiver, system))
+        except (atk.AttackError, KeyError):
+            pass  # the receiver lacks the bins or the source it needs
+    return members
+
+
+def _hex(x):
+    return float(x).hex()
+
+
+def _verdict_digest(kind, variant):
+    """SHA-256 of each member's Helstrom guess in every basis Alice sends
+    in, and of its obliviousness report: every row residual, the largest
+    and the isometry residual, each float in ``float.hex`` form."""
+    receiver = rc.make_receiver(kind, variant)
+    system = atk.build_constraint_system(receiver)
+    doc = []
+    for member in _audited_members(receiver, system):
+        conditional = atk.eve_conditional_states(member, system)
+        guesses = []
+        for basis in sorted({b for b, _ in system.alice_labels}):
+            guess = atk.eve_guess(conditional, basis)
+            guesses.append(None if guess is None else [
+                _hex(guess.success_probability), _hex(guess.guess0_given_0),
+                _hex(guess.guess0_given_1)])
+        report = atk.verify_oblivious(member, system)
+        doc.append([
+            member.label, guesses,
+            [[list(row.alice_label), row.setting, row.outcome_id,
+              row.support_index, _hex(res)]
+             for row, res in report.per_row_residuals],
+            _hex(report.max_error_amplitude), _hex(report.isometry_residual),
+            report.oblivious])
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+PINNED_VERDICT_DIGESTS = {
+    ("interferometric-6mode", None):
+        "ac908260097adb31a329bac6fda253f3e4ddefd88bb95ccf6a3a482deb27c900",
+    ("interferometric-2mode", None):
+        "33537db1cd728a7f4f57050cf9262ef3d09692e3ed3808c917d33a9165761a74",
+    ("interferometric-2mode", "single-window"):
+        "0ecd096d40850ced0200d944c4d5fca4276385a9a5e466289fea55688153c0b5",
+    ("interferometric-defended-10mode", None):
+        "af08115d5bd705924a3903be68610fc2e4805f91c78bac04a0aebd6c86783c6b",
+    ("blinded-bright", None):
+        "cc72e335d095148113db4eb0b4a8c5584d5b5e791f869ce855b0f2eec5cdcfe9",
+    ("ideal-bb84", None):
+        "bdd60b719bc328b3c5869f234bd45714d0d5c524d0b68f2879e8f20d846a7a8f",
+    ("polarization-threshold", None):
+        "22735d30550adc814f9e8069365f2bd83b50ccd478af5b328891bdc54dbcd11e",
+}
+
+
+@pytest.mark.parametrize("kind,variant", _CONFIGURATIONS)
+def test_member_guesses_and_residuals_keep_their_pinned_bits(kind, variant):
+    assert _verdict_digest(kind, variant) == \
+        PINNED_VERDICT_DIGESTS[(kind, variant)]
+
+
+_REFERENCE_CASES = {}
+
+
+def _reference_case(index):
+    """(receiver, system, family, rows) of one configuration, built once;
+    ``rows[setting][oid]`` lists the transition row of each state spanning
+    the outcome, computed state by state as the system computes them."""
+    if index not in _REFERENCE_CASES:
+        receiver = rc.make_receiver(*_CONFIGURATIONS[index])
+        system = atk.build_constraint_system(receiver)
+        rows = {}
+        for name, setting in receiver.settings.items():
+            evolved = [fs.apply_optics(fs.embedded(b, receiver.registry),
+                                       setting.optics)
+                       for b in system.p_basis]
+            rows[name] = {
+                oid: [np.array([fs.inner_product(o, t) for t in evolved])
+                      for o in states]
+                for oid, states in setting.outcomes.items()}
+        _REFERENCE_CASES[index] = (receiver, system,
+                                   atk.synthesize_attacks(system), rows)
+    return _REFERENCE_CASES[index]
+
+
+def _same_bits(got, want):
+    """Bit-for-bit equality, read on the arrays' float64 views."""
+    got = np.ascontiguousarray(got, dtype=complex)
+    want = np.ascontiguousarray(want, dtype=complex)
+    return got.shape == want.shape and np.array_equal(
+        got.view(np.float64).view(np.uint64),
+        want.view(np.float64).view(np.uint64))
+
+
+def _condition_vectors(conditional, label, bit):
+    """(outcome id, support index, probe vector) of each row of one
+    condition, in the order the analysis keeps them."""
+    return [(c.outcome_id, c.support_index, c.vector)
+            for c in conditional.components.get((label, bit), ())]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(index=hst.integers(0, len(_CONFIGURATIONS) - 1),
+       seed=hst.integers(0, 2 ** 32 - 1), rotate=hst.booleans(),
+       extra=hst.integers(0, 9))
+def test_member_analyses_match_the_per_row_loop_bit_for_bit(index, seed,
+                                                            rotate, extra):
+    receiver, system, family, rows = _reference_case(index)
+    rng = np.random.default_rng(seed)
+    member = family.sample(rng)
+    if rotate:
+        # a random isometry of the probe space into ``extra`` more
+        # dimensions keeps the member in the family
+        e = member.eve_dim
+        q, _ = np.linalg.qr(rng.normal(size=(e + extra, e))
+                            + 1j * rng.normal(size=(e + extra, e)))
+        member = system.attack(member.coefficients @ q.T, "rotated")
+    v = atk._aligned_coefficients(member, system)
+
+    def amplitudes(label, setting, outcome_ids):
+        a0, a1 = system.alpha[label]
+        return [(oid, m, a0 * (b @ v[0]) + a1 * (b @ v[1]))
+                for oid in outcome_ids
+                for m, b in enumerate(rows[setting][oid])]
+
+    conditional = atk.eve_conditional_states(member, system)
+    for label in system.alice_labels:
+        tags = receiver.settings[label[0]].interpretation
+        for bit, tag in ((0, rc.BIT0), (1, rc.BIT1)):
+            want = amplitudes(label, label[0], sorted(
+                oid for oid, t in tags.items() if t == tag))
+            got = _condition_vectors(conditional, label, bit)
+            assert [(oid, m) for oid, m, _ in got] == \
+                [(oid, m) for oid, m, _ in want]
+            assert all(_same_bits(g, w)
+                       for (_, _, g), (_, _, w) in zip(got, want))
+            rho = np.zeros((member.eve_dim, member.eve_dim), dtype=complex)
+            for _, _, w in want:
+                rho += np.outer(w, w.conj())
+            got_rho, weight = conditional.density(label, bit)
+            assert _same_bits(got_rho, rho)
+            assert _hex(weight) == _hex(rho.trace().real)
+
+    for setting in receiver.settings:
+        for label in system.alice_labels:
+            probs = dict.fromkeys(receiver.settings[setting].outcomes, 0.0)
+            for oid, _, w in amplitudes(label, setting, probs):
+                probs[oid] += float(np.sum(np.abs(w) ** 2))
+            total = 0.0
+            for p in probs.values():
+                total += p  # in order: sum() may compensate its terms
+            residual = 1.0 - total
+            if residual > 1e-12:
+                probs[rc.UNREGISTERED] = residual
+            got = atk.attacked_outcome_distribution(member, system, setting,
+                                                    label)
+            assert [(oid, _hex(p)) for oid, p in got.items()] == \
+                [(oid, _hex(p)) for oid, p in probs.items()]
+
+    resid = system.matrix @ v.reshape(2 * system.n_basis, member.eve_dim)
+    report = atk.verify_oblivious(member, system)
+    assert [row for row, _ in report.per_row_residuals] == list(system.rows)
+    assert [_hex(res) for _, res in report.per_row_residuals] == \
+        [_hex(np.linalg.norm(r)) for r in resid]
