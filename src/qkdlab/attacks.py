@@ -6,7 +6,9 @@ collects every amplitude such a strategy must cancel to stay invisible:
 wrong-bit outcomes under matched bases, plus anything the receiver flags as
 invalid under any basis.  Solutions form linear families; this module
 enumerates them, builds canonical and randomly sampled members, verifies
-candidate strategies row by row, and analyzes what the probe learns.
+candidate strategies row by row, and analyzes what the probe learns.  Each
+setting's transition rows are one table, so a member's analyses take one
+batched product per setting and sifted tag, not one per outcome state.
 
 Members are built from the vertices of a 4-row weight system, which a
 support enumeration finds with numpy alone; the module needs no solver
@@ -19,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+from typing import (Callable, Dict, Iterator, List, Mapping,
                     Optional, Sequence, Tuple)
 
 import numpy as np
@@ -72,14 +74,17 @@ class ConstraintSystem:
     amplitude from basis element ``k`` to outcome support state ``(j, m)``
     under the setting's evolution.
 
-    ``beta[setting][j]`` holds one row over ``k`` per state spanning
-    outcome ``j``, with outcomes in the setting's order; ``m`` indexes the
-    tuple.  ``interpretation[setting]`` is the setting's map from outcome
-    id to interpretation tag.
+    ``beta[setting]`` is the setting's row table: one read-only
+    ``(rows, n_basis)`` array with a row over ``k`` per state spanning
+    each outcome ``j``, outcomes in the setting's order, and the
+    ``(j, m)`` of each row, ``m`` indexing the outcome's spanning states.
+    ``interpretation[setting]`` maps each outcome id, in the same order,
+    to its interpretation tag.
 
     ``p_basis`` must be neither edited nor reassigned once the system is
     built: its overlap with itself is cached on first use, and members
-    built by :meth:`attack` share the list.
+    built by :meth:`attack` share the list.  The rows of each sifted tag
+    are cached the same way.
     """
 
     receiver_name: str
@@ -89,13 +94,9 @@ class ConstraintSystem:
     rows: Tuple[ConstraintRow, ...]
     matrix: np.ndarray
     alpha: Dict[Tuple[str, int], Tuple[complex, complex]]
-    beta: Dict[str, Dict[str, Tuple[np.ndarray, ...]]]
+    beta: Dict[str, Tuple[np.ndarray, Tuple[Tuple[str, int], ...]]]
     interpretation: Dict[str, Dict[str, str]]
     source_embeddings: Dict[Tuple[str, int], np.ndarray]
-
-    @property
-    def n_columns(self) -> int:
-        return 2 * self.n_basis
 
     @property
     def n_rows(self) -> int:
@@ -112,6 +113,22 @@ class ConstraintSystem:
         overlap = _overlap(self.p_basis, self.p_basis)
         overlap.flags.writeable = False
         return overlap
+
+    @cached_property
+    def _sifted_rows(self) -> Dict[Tuple[str, str], tuple]:
+        """(setting, tag) -> the setting's rows of that sifted tag, outcome
+        ids sorted, and their (outcome id, support index), sliced once.
+        The arrays are read-only."""
+        sifted = {}
+        for setting, (table, keys) in self.beta.items():
+            tags = self.interpretation[setting]
+            for tag in (rc.BIT0, rc.BIT1):
+                picked = sorted((key, r) for r, key in enumerate(keys)
+                                if tags[key[0]] == tag)
+                rows = table[[r for _, r in picked]]
+                rows.flags.writeable = False
+                sifted[setting, tag] = rows, tuple(key for key, _ in picked)
+        return sifted
 
     def column_index(self, column: Tuple[int, int]) -> int:
         i, k = column
@@ -169,11 +186,8 @@ def build_constraint_system(receiver: rc.ReceiverModel) -> ConstraintSystem:
     basis = rc.reversed_space(receiver)
     n_k = len(basis)
     channel_reg = receiver.channel_registry()
-    vacuum_index = None
-    for k, st in enumerate(basis):
-        if st.amplitudes.keys() == {0}:  # the vacuum's key
-            vacuum_index = k
-            break
+    vacuum_index = next((k for k, st in enumerate(basis)
+                         if st.amplitudes.keys() == {0}), None)  # vacuum
 
     labels = tuple(receiver.source.labels())
     alpha = {lab: receiver.source.logical_alpha(lab) for lab in labels}
@@ -190,26 +204,29 @@ def build_constraint_system(receiver: rc.ReceiverModel) -> ConstraintSystem:
                 f"no zero-error strategy can reproduce it")
         source_embeddings[lab] = coeff
 
-    beta: Dict[str, Dict[str, Tuple[np.ndarray, ...]]] = {}
     # settings may share optics and outcome states: the basis runs through
     # each optics once, and each (optics, state) row is computed once,
     # keyed by identity while the receiver holds them
     evolved: Dict[int, List[PhotonicState]] = {}
     beta_rows: Dict[Tuple[int, int], np.ndarray] = {}
+    beta: Dict[str, Tuple[np.ndarray, Tuple[Tuple[str, int], ...]]] = {}
     for sname, setting in receiver.settings.items():
         optics = id(setting.optics)
         if optics not in evolved:
             evolved[optics] = [
                 fs.apply_optics(fs.embedded(b, receiver.registry),
                                 setting.optics) for b in basis]
-        for ostates in setting.outcomes.values():
-            for o in ostates:
+        keys, table = [], []
+        for oid, ostates in setting.outcomes.items():
+            for m, o in enumerate(ostates):
                 if (optics, id(o)) not in beta_rows:
                     beta_rows[optics, id(o)] = np.array(
                         [fs.inner_product(o, t) for t in evolved[optics]])
-        beta[sname] = {
-            oid: tuple(beta_rows[optics, id(o)] for o in ostates)
-            for oid, ostates in setting.outcomes.items()}
+                keys.append((oid, m))
+                table.append(beta_rows[optics, id(o)])
+        table = np.array(table, dtype=complex).reshape(len(keys), n_k)
+        table.flags.writeable = False
+        beta[sname] = table, tuple(keys)
 
     rows: List[ConstraintRow] = []
     data: List[np.ndarray] = []
@@ -218,9 +235,10 @@ def build_constraint_system(receiver: rc.ReceiverModel) -> ConstraintSystem:
         for sname, setting in receiver.settings.items():
             bit = lab[1] if sname == lab[0] else None
             for oid in rc.error_outcome_ids(setting, bit):
-                for m, b in enumerate(beta[sname][oid]):
-                    rows.append(ConstraintRow(lab, sname, oid, m))
-                    data.append(np.concatenate([a0 * b, a1 * b]))
+                for b, (o, m) in zip(*beta[sname]):
+                    if o == oid:
+                        rows.append(ConstraintRow(lab, sname, oid, m))
+                        data.append(np.concatenate([a0 * b, a1 * b]))
     matrix = (np.array(data, dtype=complex) if data
               else np.zeros((0, 2 * n_k), dtype=complex))
     return ConstraintSystem(
@@ -232,8 +250,8 @@ def build_constraint_system(receiver: rc.ReceiverModel) -> ConstraintSystem:
         matrix=matrix,
         alpha=alpha,
         beta=beta,
-        interpretation={name: setting.interpretation
-                        for name, setting in receiver.settings.items()},
+        interpretation={name: {oid: s.interpretation[oid] for oid in s.outcomes}
+                        for name, s in receiver.settings.items()},
         source_embeddings=source_embeddings,
     )
 
@@ -383,7 +401,8 @@ class AttackIsometry:
 
 def _overlap(sys_basis: Sequence[PhotonicState],
              att_basis: Sequence[PhotonicState]) -> np.ndarray:
-    """``<sys_basis[s]|att_basis[a]>`` as an (s, a) array."""
+    """``<sys_basis[s]|att_basis[a]>`` as an (s, a) array; raises unless
+    each ``att_basis`` state keeps its norm in ``sys_basis``."""
     reg_s = sys_basis[0].registry
     reg_a = att_basis[0].registry
     if reg_s != reg_a:
@@ -393,24 +412,23 @@ def _overlap(sys_basis: Sequence[PhotonicState],
             max(reg_s.max_photons_per_mode, reg_a.max_photons_per_mode))
         sys_basis = [fs.embedded(s, union) for s in sys_basis]
         att_basis = [fs.embedded(s, union) for s in att_basis]
-    return np.array(
+    overlap = np.array(
         [[fs.inner_product(bs, ba) for ba in att_basis]
          for bs in sys_basis])
-
-
-def _aligned_coefficients(attack: AttackIsometry,
-                          system: ConstraintSystem) -> np.ndarray:
-    """Re-express an attack's probe table over the system's basis."""
-    if attack.p_basis is system.p_basis:
-        overlap = system._self_overlap
-    else:
-        overlap = _overlap(system.p_basis, attack.p_basis)
     col_norms = np.sum(np.abs(overlap) ** 2, axis=0)
     worst = float(np.max(np.abs(col_norms - 1.0))) if col_norms.size else 0.0
     if not worst <= _ALIGN_TOL:
         raise AttackError(
             f"attack basis is not contained in the receiver's reachable "
             f"space (worst lost norm {worst:.3e})")
+    return overlap
+
+
+def _aligned_coefficients(attack: AttackIsometry,
+                          system: ConstraintSystem) -> np.ndarray:
+    """Re-express an attack's probe table over the system's basis."""
+    overlap = (system._self_overlap if attack.p_basis is system.p_basis
+               else _overlap(system.p_basis, attack.p_basis))
     return np.einsum("sa,iae->ise", overlap, attack.coefficients)
 
 
@@ -543,12 +561,6 @@ def _diagonal_member(system: ConstraintSystem, dirs: np.ndarray,
     return system.attack(v.reshape(2, system.n_basis, eve_dim), label)
 
 
-def _trivial_direction(system: ConstraintSystem) -> np.ndarray:
-    emb = system.logical_embeddings()
-    vec = np.concatenate([emb[0], emb[1]])
-    return vec / np.linalg.norm(vec)
-
-
 def _passthrough_member(system: ConstraintSystem,
                         dirs: np.ndarray) -> Optional[AttackIsometry]:
     """The untouched-signal member, if it solves the constraints."""
@@ -608,7 +620,7 @@ def synthesize_attacks(system: ConstraintSystem,
     minimal feasible dimension; an ``eve_dim`` that is not None or an
     integer >= 1 (a bool is not one) raises AttackError.
     """
-    n_cols = system.n_columns
+    n_cols = 2 * system.n_basis
     if eve_dim is None:
         eve_dim = n_cols
     elif isinstance(eve_dim, bool) \
@@ -629,10 +641,7 @@ def synthesize_attacks(system: ConstraintSystem,
         embedded[bound, :] = reduced
         blocks.append(embedded)
     if free:
-        coords = np.zeros((n_cols, len(free)), dtype=complex)
-        for a, c in enumerate(free):
-            coords[c, a] = 1.0
-        blocks.append(coords)
+        blocks.append(np.eye(n_cols, dtype=complex)[:, free])
     dirs = (_fix_phases(np.hstack(blocks)) if blocks
             else np.zeros((n_cols, 0), dtype=complex))
     if dirs.shape[1] == 0:
@@ -640,10 +649,8 @@ def synthesize_attacks(system: ConstraintSystem,
             f"receiver {system.receiver_name!r} admits no zero-error "
             f"directions at all")
 
-    vac_cols = set()
-    if system.vacuum_index is not None:
-        vac_cols = {system.column_index((i, system.vacuum_index))
-                    for i in (0, 1)}
+    vac_cols = set() if system.vacuum_index is None else {
+        system.column_index((i, system.vacuum_index)) for i in (0, 1)}
     vacuum_directions = tuple(
         d for d in range(dirs.shape[1])
         if set(np.nonzero(np.abs(dirs[:, d]) > 1e-12)[0]) <= vac_cols)
@@ -674,8 +681,9 @@ def synthesize_attacks(system: ConstraintSystem,
 
     only_trivial = False
     if len(nonvac) == 1:
-        triv = _trivial_direction(system)
-        only_trivial = bool(abs(np.vdot(triv, dirs[:, nonvac[0]])) > 1 - 1e-9)
+        triv = np.concatenate(list(system.logical_embeddings()))
+        only_trivial = bool(abs(np.vdot(triv / np.linalg.norm(triv),
+                                        dirs[:, nonvac[0]])) > 1 - 1e-9)
 
     extractors = _parameter_extractors(system, only_trivial)
     return AttackFamily(
@@ -713,10 +721,12 @@ def verify_oblivious(attack: AttackIsometry,
     :func:`build_constraint_system`) and the probe Gram matrix."""
     v = _aligned_coefficients(attack, system)
     flat = v.reshape(2 * system.n_basis, attack.eve_dim)
-    residual_vectors = system.matrix @ flat
-    per_row = tuple(
-        (row, float(np.linalg.norm(residual_vectors[r])))
-        for r, row in enumerate(system.rows))
+    resid = system.matrix @ flat
+    # each row's norm as np.linalg.norm takes it: a dot of each part
+    re, im = resid.real[:, None, :], resid.imag[:, None, :]
+    norms = np.sqrt(np.matmul(re, re.transpose(0, 2, 1))
+                    + np.matmul(im, im.transpose(0, 2, 1))).ravel()
+    per_row = tuple(zip(system.rows, norms.tolist()))
     max_amp = max((res for _, res in per_row), default=0.0)
     logical_gram = np.einsum("ike,jke->ij", v.conj(), v)
     iso = float(np.max(np.abs(logical_gram - np.eye(2))))
@@ -728,17 +738,10 @@ def verify_oblivious(attack: AttackIsometry,
     )
 
 
-def _probe_amplitudes(system: ConstraintSystem, v: np.ndarray,
-                      alice_label: Tuple[str, int], setting_name: str,
-                      outcome_ids: Iterable[str]
-                      ) -> Iterator[Tuple[str, int, np.ndarray]]:
-    """(outcome id, m, probe amplitude) for each state m spanning each of
-    ``outcome_ids`` when Alice sends ``alice_label`` through the aligned
-    probe table ``v``."""
-    a0, a1 = system.alpha[alice_label]
-    for oid in outcome_ids:
-        for m, b in enumerate(system.beta[setting_name][oid]):
-            yield oid, m, a0 * (b @ v[0]) + a1 * (b @ v[1])
+def _row_products(rows: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """(2, rows, eve_dim): each row times each branch of the aligned probe
+    table ``v``, as one (1, n_basis) product per row."""
+    return np.matmul(rows[:, None, :], v[:, None])[:, :, 0]
 
 
 def attacked_outcome_distribution(attack: AttackIsometry,
@@ -748,12 +751,13 @@ def attacked_outcome_distribution(attack: AttackIsometry,
                                   ) -> Dict[str, float]:
     """Born probabilities of every outcome of ``system``'s receiver when
     the strategy is in line."""
-    v = _aligned_coefficients(attack, system)
-    outcome_ids = system.beta[setting_name]
-    probs = dict.fromkeys(outcome_ids, 0.0)
-    for oid, _, w in _probe_amplitudes(system, v, alice_label, setting_name,
-                                       outcome_ids):
-        probs[oid] += float(np.sum(np.abs(w) ** 2))
+    table, keys = system.beta[setting_name]
+    a0, a1 = system.alpha[alice_label]
+    p = _row_products(table, _aligned_coefficients(attack, system))
+    probs = dict.fromkeys(system.interpretation[setting_name], 0.0)
+    weights = np.sum(np.abs(a0 * p[0] + a1 * p[1]) ** 2, axis=1)
+    for (oid, _), weight in zip(keys, weights.tolist()):
+        probs[oid] += weight
     total = 0.0
     for p in probs.values():
         total += p
@@ -767,31 +771,28 @@ def attacked_outcome_distribution(attack: AttackIsometry,
 # what the probe learns
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EveComponent:
-    outcome_id: str
-    support_index: int
-    vector: np.ndarray  # unnormalized probe amplitude vector
-
-
 @dataclass
 class EveConditionalStates:
     """Unnormalized probe states conditioned on (Alice label, sifted bit).
 
-    Their weights (the traces :meth:`density` returns) are joint
-    probabilities of the conditioning event, so they sum (over sifted bits
-    and labels at fixed basis, with uniform Alice) to at most one.
+    ``vectors[(label, bit)]`` holds one probe amplitude vector per row,
+    as a ``(rows, eve_dim)`` array, and ``row_keys[(label, bit)]`` the
+    (outcome id, support index) of each row.  Their weights (the traces
+    :meth:`density` returns) are joint probabilities of the conditioning
+    event, so they sum (over sifted bits and labels at fixed basis, with
+    uniform Alice) to at most one.
     """
 
     eve_dim: int
-    components: Dict[Tuple[Tuple[str, int], int], Tuple[EveComponent, ...]]
+    vectors: Dict[Tuple[Tuple[str, int], int], np.ndarray]
+    row_keys: Dict[Tuple[Tuple[str, int], int], Tuple[Tuple[str, int], ...]]
 
     def density(self, label: Tuple[str, int], sifted_bit: int
                 ) -> Tuple[np.ndarray, float]:
         """(unnormalized density matrix, its trace) for one condition."""
-        rho = np.zeros((self.eve_dim, self.eve_dim), dtype=complex)
-        for c in self.components.get((label, sifted_bit), ()):
-            rho += np.outer(c.vector, c.vector.conj())
+        w = self.vectors.get((label, sifted_bit),
+                             np.zeros((0, self.eve_dim), dtype=complex))
+        rho = 0.0 + (w[:, :, None] * w.conj()[:, None, :]).sum(axis=0)
         return rho, float(rho.trace().real)
 
     def basis_density(self, label: Tuple[str, int]
@@ -807,20 +808,18 @@ def eve_conditional_states(attack: AttackIsometry,
     """Probe amplitudes for every matched-basis detection class of
     ``system``'s receiver."""
     v = _aligned_coefficients(attack, system)
-    components: Dict[Tuple[Tuple[str, int], int],
-                     Tuple[EveComponent, ...]] = {}
+    bases = {basis for basis, _ in system.alice_labels}
+    # one product per (basis, tag), shared by both labels of the basis
+    products = {key: (_row_products(rows, v), keys) for key, (rows, keys)
+                in system._sifted_rows.items() if key[0] in bases}
+    conditional = EveConditionalStates(attack.eve_dim, {}, {})
     for lab in system.alice_labels:
-        basis = lab[0]
-        tags = system.interpretation[basis]
+        a0, a1 = system.alpha[lab]
         for sifted_bit, tag in ((0, rc.BIT0), (1, rc.BIT1)):
-            components[(lab, sifted_bit)] = tuple(
-                EveComponent(*c) for c in _probe_amplitudes(
-                    system, v, lab, basis,
-                    sorted(oid for oid, t in tags.items() if t == tag)))
-    return EveConditionalStates(
-        eve_dim=attack.eve_dim,
-        components=components,
-    )
+            p, keys = products[lab[0], tag]
+            conditional.vectors[lab, sifted_bit] = a0 * p[0] + a1 * p[1]
+            conditional.row_keys[lab, sifted_bit] = keys
+    return conditional
 
 
 def _unit_trace(rho) -> np.ndarray:
@@ -873,7 +872,7 @@ def eve_guess(conditional: EveConditionalStates,
     bit ever sifts, guessing that bit is always right; if neither does,
     there is nothing to guess and the result is ``None``.
     """
-    bases = sorted({label[0] for label, _ in conditional.components})
+    bases = sorted({label[0] for label, _ in conditional.vectors})
     if basis not in bases:
         raise AttackError(f"Alice never sends in basis {basis!r}; "
                           f"her bases are {bases}")

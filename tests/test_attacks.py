@@ -835,8 +835,8 @@ def _same_bits(got, want):
 def _condition_vectors(conditional, label, bit):
     """(outcome id, support index, probe vector) of each row of one
     condition, in the order the analysis keeps them."""
-    return [(c.outcome_id, c.support_index, c.vector)
-            for c in conditional.components.get((label, bit), ())]
+    return [(oid, m, vector) for (oid, m), vector in zip(
+        conditional.row_keys[label, bit], conditional.vectors[label, bit])]
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None)

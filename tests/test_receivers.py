@@ -727,11 +727,12 @@ def _analysis_digests(receiver):
         for setting in receiver.settings for label in system.alice_labels]
     components = hashlib.sha256()
     conditional = atk.eve_conditional_states(attack, system=system)
-    for (label, bit), comps in conditional.components.items():
-        for c in comps:
+    for (label, bit), vectors in conditional.vectors.items():
+        for (oid, m), vector in zip(conditional.row_keys[label, bit],
+                                    vectors):
             components.update(json.dumps(
-                [list(label), bit, c.outcome_id, c.support_index]).encode())
-            components.update(c.vector.tobytes())
+                [list(label), bit, oid, m]).encode())
+            components.update(vector.tobytes())
     return (hashlib.sha256(json.dumps(distributions).encode()).hexdigest(),
             components.hexdigest())
 
