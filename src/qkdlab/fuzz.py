@@ -29,15 +29,19 @@ bookkeeping, kept per case where it can be: the seed check of a case's
 range of sub-seeds reads its ends, the draw loop binds its names once
 per case and reuses one Philox state dict, each pulse carries its
 photon number and detector shares, and the ideal baseline is read at
-most twice per case.  In-process on a 2-vCPU VM the rekeys and
-multinomials take about 6 ms of a ~14 ms default campaign.
+most twice per case.  The stage-0/1 cases and the follow-up pulses are
+built once per ``APDParams`` and shared by every campaign under them.
+In-process on a 2-vCPU VM the rekeys and multinomials take about 6 ms of
+a ~14 ms default campaign.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 import numbers
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (Callable, ClassVar, Dict, Iterable, List, Mapping,
@@ -231,12 +235,18 @@ def _closed(data: Mapping, keys: Tuple[str, ...], record: str,
 
 def input_from_json_dict(data: Mapping) -> FuzzInput:
     """An input as ``FuzzInput.to_json_dict`` writes it; a malformed
-    pulse or an unknown key raises FuzzError naming it."""
+    pulse, a pulse of no photons or an unknown key raises FuzzError
+    naming it.  (``pulse`` itself accepts a vacuum pulse; a campaign
+    never records one.)"""
     _closed(data, _INPUT_KEYS, "input", FuzzError)
 
     def record(p: Mapping) -> Pulse:
         _closed(p, _PULSE_KEYS, "pulse", FuzzError)
-        return pulse(p["time_slot"], p["polarization"], p["mean_photons"])
+        built = pulse(p["time_slot"], p["polarization"], p["mean_photons"])
+        if not built.mean_photons > 0:
+            raise FuzzError(f"a recorded pulse's mean_photons must be "
+                            f"positive, got {p['mean_photons']!r}")
+        return built
 
     return FuzzInput(tuple(record(p) for p in data["pulses"]))
 
@@ -750,6 +760,14 @@ def _name(value) -> str:
     return value
 
 
+def _anomaly_id(value) -> str:
+    """``value`` as an anomaly id: ``a`` and at least four digits."""
+    if not re.fullmatch(r"a[0-9]{4,}", _name(value)):
+        raise ValueError(f"expected 'a' and four or more digits, "
+                         f"got {value!r}")
+    return value
+
+
 def _click_count(value) -> int:
     """``value`` as the photons one detector registered: a positive
     integer, since a detector that registers none is not listed."""
@@ -806,10 +824,11 @@ def report_from_json_dict(data: Mapping) -> FuzzReport:
 
     A missing key or a malformed field, at the top or in an anomaly,
     raises FuzzError naming it: counts, stages, indices and the seed are
-    non-negative integers (a bool is not one), anomaly ids and any basis
-    are strings, clicks are detector ids, registered photon counts are
-    positive, interpretations are outcome tags and anomaly tags the ones
-    a campaign gives.  An anomaly, its input, each pulse and its
+    non-negative integers (a bool is not one), anomaly ids are ``a`` and
+    four or more digits, any basis is a string, pulses carry a positive
+    mean photon number, clicks are detector ids, registered photon counts
+    are positive, interpretations are outcome tags and anomaly tags the
+    ones a campaign gives.  An anomaly, its input, each pulse and its
     observation are closed records: an unknown key raises FuzzError
     naming it.
     """
@@ -825,7 +844,8 @@ def report_from_json_dict(data: Mapping) -> FuzzReport:
             return read_field(row, key, parse, "anomaly", FuzzError)
         _closed(row, _ANOMALY_KEYS, "anomaly", FuzzError)
         return FuzzAnomaly(
-            anomaly_id=part("anomaly_id", _name), stage=part("stage", _count),
+            anomaly_id=part("anomaly_id", _anomaly_id),
+            stage=part("stage", _count),
             case_index=part("case_index", _count),
             replay_index=part("replay_index", _count),
             input=part("input", input_from_json_dict),
@@ -857,9 +877,10 @@ def _case_seeds(master_seed: int, case_index: int, replays: int) -> range:
     return range(first, first + replays)
 
 
-def _schedule_stage01(params: APDParams) -> List[Tuple[int, FuzzInput]]:
+@functools.lru_cache(maxsize=16)
+def _schedule_stage01(params: APDParams) -> Tuple[Tuple[int, FuzzInput], ...]:
     """Depth 1: stage 0 sends each valid state once; stage 1 sweeps each
-    state's intensity, then its arrival slot."""
+    state's intensity, then its arrival slot.  Built once per ``params``."""
     grid = (2.0,) + tuple(f * params.p_th for f in _GRID_FACTORS)
     cases = [(0, FuzzInput((pulse(0, name, 1.0),)))
              for name in POLARIZATION_ANGLES]
@@ -867,15 +888,22 @@ def _schedule_stage01(params: APDParams) -> List[Tuple[int, FuzzInput]]:
         cases += [(1, FuzzInput((pulse(0, name, mu),))) for mu in grid]
         cases += [(1, FuzzInput((pulse(shift, name, 1.0),)))
                   for shift in _TIME_GRID]
-    return cases
+    return tuple(cases)
+
+
+@functools.lru_cache(maxsize=16)
+def _followup_pulses(params: APDParams) -> Dict[tuple, Pulse]:
+    """The follow-up pulses built so far under ``params``, by (slot,
+    polarization, intensity), shared by every campaign under them."""
+    return {}
 
 
 def _followups(seed_input: FuzzInput, params: APDParams,
                built: Dict[tuple, Pulse]) -> List[FuzzInput]:
     """The follow-up cases of ``seed_input``: one photon and twice
     ``p_th``, one slot after its last pulse and just past the recovery
-    window; ``built`` holds the campaign's follow-up pulses by (slot,
-    polarization, intensity)."""
+    window; ``built`` holds the follow-up pulses by (slot, polarization,
+    intensity) and gains any it lacks."""
     last = seed_input.pulses[-1].time_slot
     probes = []
     for offset in (1, params.recovery_slots + 1):
@@ -999,12 +1027,13 @@ def run_fuzz_campaign(device, config: CampaignConfig, seed: int = 0,
     _checked_seed(seed, 88, "seed")
 
     replays = _REPLAYS
-    schedule = _schedule_stage01(config.params)
+    # the campaign extends its schedule in place, so it takes a copy
+    schedule = list(_schedule_stage01(config.params))
     depth, depth_end = 1, len(schedule)
     # the current depth's anomalous inputs in the order first found; a
     # depth-d case has d pulses, so no input is found at two depths
     found: Dict[FuzzInput, None] = {}
-    followup_pulses: Dict[tuple, Pulse] = {}
+    followup_pulses = _followup_pulses(config.params)
     anomalies: List[FuzzAnomaly] = []
     trace_rows: List[dict] = []
     efficiency = 1.0  # calibrated by stage 0

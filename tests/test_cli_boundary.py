@@ -439,8 +439,8 @@ def test_replay_from_a_malformed_fuzz_report_field_exits_2(tmp_path, key,
     assert key.split(".")[-1] in payload["message"]
 
 
-# each edit breaks the fuzz-report schema; the parent replayed such a
-# report and exited 4
+# each edit breaks the fuzz-report schema; a reader that let it through
+# replayed the report and exited 4, or 0 for the id "zz", which reproduced
 @pytest.mark.parametrize("edit,named", [
     (lambda a: a["observation"].update(clicks=["d_x"]), "clicks"),
     (lambda a: a["observation"].update(click_counts={"d_h": 0}),
@@ -448,8 +448,11 @@ def test_replay_from_a_malformed_fuzz_report_field_exits_2(tmp_path, key,
     (lambda a: a.update(tag="nonsense"), "tag"),
     (lambda a: a["input"]["pulses"][0].update(extra=1), "extra"),
     (lambda a: a["observation"].pop("clicks"), "clicks"),
+    (lambda a: a.update(anomaly_id="zz"), "anomaly_id"),
+    (lambda a: a["input"]["pulses"][0].update(mean_photons=0),
+     "mean_photons"),
 ], ids=["unknown-click", "zero-count", "unknown-tag", "extra-pulse-key",
-        "no-clicks"])
+        "no-clicks", "unpatterned-id", "no-photons"])
 def test_replay_from_a_report_outside_its_schema_exits_2(tmp_path, edit,
                                                          named):
     report = tmp_path / "fuzz.json"

@@ -775,6 +775,10 @@ def test_report_json_missing_key_is_a_fuzz_error(campaign, key):
     ("anomalies.replay_index", 2.9),
     ("anomalies.replay_index", False),
     ("anomalies.anomaly_id", 7),
+    ("anomalies.anomaly_id", "zz"),
+    ("anomalies.anomaly_id", "a001"),
+    ("anomalies.anomaly_id", "b0001"),
+    ("anomalies.anomaly_id", "a0001\n"),
     ("anomalies.tag", None),
     ("anomalies.observation.clicks", "d_h"),
     ("anomalies.observation.clicks", ["d_h", 3]),
@@ -819,6 +823,17 @@ def test_report_json_unknown_key_is_a_fuzz_error(campaign, record):
     with pytest.raises(fuzz.FuzzError, match="malformed 'anomalies'") as err:
         fuzz.report_from_json_dict(data)
     assert "unknown keys ['extra']" in str(err.value)
+
+
+@pytest.mark.parametrize("mean_photons", [0, 0.0, -0.0])
+def test_a_recorded_pulse_of_no_photons_is_a_fuzz_error(mean_photons):
+    # a report's pulses carry photons, as its schema says; the library's
+    # pulse still builds a vacuum pulse
+    data = fuzz.FuzzInput((fuzz.pulse(0, "H", 1.0),)).to_json_dict()
+    data["pulses"][0]["mean_photons"] = mean_photons
+    with pytest.raises(fuzz.FuzzError, match="mean_photons must be positive"):
+        fuzz.input_from_json_dict(data)
+    assert fuzz.pulse(0, "H", mean_photons).mean_photons == 0.0
 
 
 def test_input_json_unknown_key_is_a_fuzz_error():
